@@ -1,10 +1,14 @@
 """CSV import/export: schema inference, round trips, validation."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.data.attribute import AttributeKind
-from repro.data.io import infer_attribute, read_csv, write_csv
+from io_reference import reference_write
+from repro.data.attribute import Attribute, AttributeKind
+from repro.data.io import BATCH_ROWS, CsvSource, infer_attribute, read_csv, write_csv
+from repro.data.table import Table
 from repro.datasets import load_adult
 
 
@@ -86,6 +90,28 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="fields"):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, where, fields",
+        [
+            ("a,b\n\n\n1,2\n2\n", "line 5", 1),
+            ("a,b\n\n\n1,2\n1,2,3\n", "line 5", 3),
+            ('a,b\n\n\n"x\ny",1\n2\n', "line 6", 1),
+            ('a,b\n\n\n"x\ny",1\n1,2,3\n', "line 6", 3),
+            ('a,b\n1,2\n"x\ny"\n', "lines 3-4", 1),
+            ('a,b\n1,2\n"x\ny",1,2\n', "lines 3-4", 3),
+            ("a,b\n" + "1,2\n\n" * BATCH_ROWS + "2\n", f"line {2 * BATCH_ROWS + 2}", 1),
+        ],
+    )
+    def test_ragged_row_names_its_file_line(self, tmp_path, text, where, fields):
+        """Blank lines and multi-line quoted records count toward the line
+        number, and a row past the first batch is found too."""
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(
+            ValueError, match=f"row on {where} has {fields} fields, expected 2"
+        ):
+            read_csv(path)
+
     def test_custom_delimiter(self, tmp_path, mixed_table):
         path = tmp_path / "t.tsv"
         write_csv(mixed_table, path, delimiter="\t")
@@ -101,9 +127,6 @@ class TestCsvSource:
         """Adult has binary, categorical AND continuous columns — the
         two-pass schema inference must agree with the resident path on
         all three, codes included."""
-        from repro.data.io import CsvSource
-        from repro.data.table import Table
-
         table = load_adult(n=300, seed=0)
         path = tmp_path / "adult.csv"
         write_csv(table, path)
@@ -118,8 +141,6 @@ class TestCsvSource:
             )
 
     def test_source_is_reiterable(self, tmp_path, mixed_table):
-        from repro.data.io import CsvSource
-
         path = tmp_path / "t.csv"
         write_csv(mixed_table, path)
         source = CsvSource(path, chunk_rows=400)
@@ -134,8 +155,6 @@ class TestCsvSource:
                 np.testing.assert_array_equal(a[name], b[name])
 
     def test_file_drift_detected(self, tmp_path, mixed_table):
-        from repro.data.io import CsvSource
-
         path = tmp_path / "t.csv"
         write_csv(mixed_table, path)
         source = CsvSource(path, chunk_rows=100)
@@ -144,9 +163,47 @@ class TestCsvSource:
         with pytest.raises(ValueError, match="changed between"):
             list(source.chunks())
 
-    def test_invalid_chunk_rows(self, tmp_path, mixed_table):
-        from repro.data.io import CsvSource
+    def test_same_length_rewrite_detected(self, tmp_path):
+        """A same-size edit under a new mtime fails every later pass;
+        read as is, c's codes [1, 0, 1] would become [0, 1, 0]."""
+        path = tmp_path / "t.csv"
+        path.write_text("c,d\nred,0\nblu,1\nred,1\n")
+        source = CsvSource(path)
+        (chunk,) = source.chunks()
+        assert chunk["c"].tolist() == [1, 0, 1]
+        status = path.stat()
+        path.write_text("c,d\nblu,0\nred,1\nblu,1\n")
+        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns + 10**9))
+        with pytest.raises(ValueError, match="changed between"):
+            list(source.chunks())
 
+    @pytest.mark.parametrize(
+        "kind, before, after",
+        [
+            (AttributeKind.CATEGORICAL, "c\nred\nblu\ngrn\n", "c\nred\nblu\nyel\n"),
+            (
+                AttributeKind.CONTINUOUS,
+                "x\n" + "".join(f"{v}\n" for v in range(10, 40)),
+                "x\n" + "".join(f"{v}\n" for v in range(10, 39)) + "99\n",
+            ),
+        ],
+    )
+    def test_unseen_raw_value_detected(self, tmp_path, kind, before, after):
+        """An edit the stat pin cannot see (same size, mtime restored)
+        still fails on a raw field pass 1 never saw, with the same error
+        for a categorical field (not "not in domain") and a continuous one
+        (not a silent clip into the top bin)."""
+        path = tmp_path / "t.csv"
+        path.write_text(before)
+        source = CsvSource(path)
+        assert source.attributes[0].kind is kind
+        status = path.stat()
+        path.write_text(after)
+        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+        with pytest.raises(ValueError, match="changed between"):
+            list(source.chunks())
+
+    def test_invalid_chunk_rows(self, tmp_path, mixed_table):
         path = tmp_path / "t.csv"
         write_csv(mixed_table, path)
         with pytest.raises(ValueError, match="chunk_rows"):
@@ -156,7 +213,6 @@ class TestCsvSource:
         """End to end: fitting on the streaming reader equals fitting on
         the resident load of the same file."""
         from repro.core.privbayes import PrivBayes
-        from repro.data.io import CsvSource
 
         path = tmp_path / "b.csv"
         write_csv(binary_table, path)
@@ -197,22 +253,28 @@ class TestVectorizedWrite:
     def test_write_matches_per_cell_reference(self, tmp_path, mixed_table):
         """The np.take-per-attribute writer must produce byte-identical
         output to the naive per-row, per-cell decode loop."""
-        import csv as csv_module
-
         fast_path = tmp_path / "fast.csv"
         write_csv(mixed_table, fast_path)
         naive_path = tmp_path / "naive.csv"
-        with naive_path.open("w", newline="") as handle:
-            writer = csv_module.writer(handle)
-            writer.writerow(mixed_table.attribute_names)
-            for i in range(mixed_table.n):
-                writer.writerow(
-                    [
-                        attr.values[mixed_table.column(attr.name)[i]]
-                        for attr in mixed_table.attributes
-                    ]
-                )
+        columns = {
+            name: mixed_table.column(name)
+            for name in mixed_table.attribute_names
+        }
+        reference_write(mixed_table.attributes, columns, naive_path)
         assert fast_path.read_bytes() == naive_path.read_bytes()
+
+    def test_single_column_empty_label(self, tmp_path):
+        """csv.writer writes a one-field row holding "" as ``""`` so it is
+        not a blank line; the pre-quoted writer must too, and it reads
+        back."""
+        attr = Attribute("only", ("", "x"), AttributeKind.BINARY)
+        table = Table([attr], {"only": np.array([0, 1, 0])})
+        path = tmp_path / "one.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == b'only\r\n""\r\nx\r\n""\r\n'
+        loaded = read_csv(path)
+        assert loaded.attributes == (attr,)
+        assert loaded.column("only").tolist() == [0, 1, 0]
 
     def test_write_from_chunk_iterator_matches_resident(
         self, tmp_path, mixed_table
