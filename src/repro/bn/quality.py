@@ -8,12 +8,14 @@ model to the data decreases as that sum grows).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
 from repro.core.score_kernels import score_I_segments
+from repro.data.attribute import Attribute
+from repro.data.chunks import GroupCounts
 from repro.data.marginals import (
     domain_size,
     ensure_int64_domain,
@@ -25,6 +27,28 @@ from repro.data.marginals import (
 from repro.data.table import Table
 from repro.infotheory.measures import kl_divergence, segment_sums
 
+#: Count over a table's distinct rows only when they number at most this
+#: share of its rows.  A weighted ``np.bincount`` costs more per row than
+#: an unweighted one (float64 accumulation over a second input stream;
+#: ~1.1x on Adult's columns), and compressing costs a one-off
+#: ``np.unique`` plus a gathered copy of each column; requiring that it at
+#: least halve the rows keeps a wide margin over both.  NLTCS (~6k
+#: distinct of 21,574 rows) counts a 3-parent, 4-child group ~1.8x
+#: faster; Adult (~43k distinct of 45,222) would count it ~13% slower, so
+#: it keeps its raw rows.
+MAX_DISTINCT_SHARE = 0.5
+
+
+def _generalize(
+    attr: Attribute, codes: np.ndarray, level: int
+) -> Tuple[np.ndarray, int]:
+    """``codes`` of ``attr`` mapped to taxonomy ``level``, plus the
+    generalized domain size."""
+    if level == 0:
+        return codes, attr.size
+    mapping = attr.generalization_map(level)
+    return mapping[codes], int(mapping.max()) + 1 if mapping.size else 1
+
 
 def generalized_codes(table: Table, name: str, level: int) -> Tuple[np.ndarray, int]:
     """Column codes of ``name`` generalized to taxonomy ``level``.
@@ -32,57 +56,139 @@ def generalized_codes(table: Table, name: str, level: int) -> Tuple[np.ndarray, 
     Returns the codes and the generalized domain size.  Level 0 returns the
     raw column.
     """
-    attr = table.attribute(name)
-    codes = table.column(name)
-    if level == 0:
-        return codes, attr.size
-    mapping = attr.generalization_map(level)
-    return mapping[codes], int(mapping.max()) + 1 if mapping.size else 1
+    return _generalize(table.attribute(name), table.column(name), level)
+
+
+def _flatten_columns(
+    columns: Sequence[np.ndarray], sizes: Sequence[int], rows: int
+) -> np.ndarray:
+    """Mixed-radix flattening of parallel code columns (first column most
+    significant) into one int64 index per row.
+
+    The index accumulates in place in a single array: the integers of
+    :func:`~repro.data.marginals.flatten_index`, under the same int64
+    domain check, without first stacking the columns into an ``n × m``
+    matrix.  No columns give ``rows`` zeros.
+    """
+    ensure_int64_domain(domain_size(sizes))
+    if not columns:
+        return np.zeros(rows, dtype=np.int64)
+    flat = np.array(columns[0], dtype=np.int64)
+    for codes, size in zip(columns[1:], sizes[1:]):
+        flat *= size
+        flat += codes
+    return flat
+
+
+def _distinct_rows(table: Table) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """First-occurrence indexes and multiplicities of the table's distinct
+    rows, or ``None`` when counting should run over the raw rows.
+
+    Every row packs into one mixed-radix int64; one sort and a count of
+    value changes decide (see :data:`MAX_DISTINCT_SHARE`), and only a
+    table that compresses pays for the indexes and multiplicities.  A table
+    whose full domain does not fit int64 cannot pack and keeps its rows.
+    """
+    attrs = table.attributes
+    sizes = [attr.size for attr in attrs]
+    if table.n == 0 or domain_size(sizes) > np.iinfo(np.int64).max:
+        return None
+    packed = _flatten_columns(
+        [table.column(attr.name) for attr in attrs], sizes, table.n
+    )
+    ordered = np.sort(packed)
+    distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    if distinct > MAX_DISTINCT_SHARE * table.n:
+        return None
+    _, first, multiplicity = np.unique(
+        packed, return_index=True, return_counts=True
+    )
+    return first, multiplicity.astype(np.float64)
 
 
 class ParentIndexCache:
-    """Cached per-row flattened configurations of (generalized) parent sets.
+    """Contingency counting over one resident table — the single counting
+    entry point of the candidate-scoring engine (:mod:`repro.core.scoring`)
+    and the distribution learner's
+    :class:`~repro.core.noisy_conditionals.JointCounter`.
 
-    Both the candidate-scoring engine (:mod:`repro.core.scoring`) and the
-    distribution learner's :class:`~repro.core.noisy_conditionals.JointCounter`
-    need, per parent set, the mixed-radix flattening of every row's parent
-    values — the expensive O(n·|Π|) part of building any ``Pr[Π, X]``
-    contingency.  One cache per table serves both (shared through
-    :class:`~repro.core.scoring.ScoringCache`), so a parent set selected
-    during structure search is never re-flattened during distribution
-    learning.  Everything here is a deterministic data statistic; cached
-    arrays must be treated as read-only.
+    Counting runs over the table's *distinct* rows, each weighted by its
+    multiplicity, when they number at most :data:`MAX_DISTINCT_SHARE` of
+    the rows (decided once, at construction); otherwise over the raw rows.
+    Either way :meth:`counts` returns the exact integers a per-row
+    ``np.bincount`` produces.  The cache keeps only the per-(attribute,
+    level) code columns over the counted rows; each parent set's flat
+    index is rebuilt in place on every :meth:`counts` call and never
+    retained, so memory stays ``O(d · rows)`` however many parent sets a
+    search visits.  One cache per table serves both consumers (shared
+    through :class:`~repro.core.scoring.ScoringCache`).  Everything here is
+    a deterministic data statistic; cached arrays must be treated as
+    read-only.
     """
 
     def __init__(self, table: Table) -> None:
         self.table = table
+        distinct = _distinct_rows(table)
+        #: Rows counted: the distinct rows' first occurrences, or every row.
+        self._row_index = None if distinct is None else distinct[0]
+        #: Multiplicity (float64) of each counted row; ``None`` counts the
+        #: raw rows unweighted.
+        self.weights = None if distinct is None else distinct[1]
         self._codes: Dict[Tuple[str, int], Tuple[np.ndarray, int]] = {}
-        self._flat: Dict[Tuple, Tuple[np.ndarray, Tuple[int, ...]]] = {}
+
+    @property
+    def rows(self) -> int:
+        """How many rows each count runs over."""
+        return self.table.n if self.weights is None else len(self.weights)
 
     def codes(self, name: str, level: int) -> Tuple[np.ndarray, int]:
-        """Memoized :func:`generalized_codes`."""
+        """Memoized :func:`generalized_codes` over the counted rows."""
         key = (name, level)
         if key not in self._codes:
-            self._codes[key] = generalized_codes(self.table, name, level)
+            codes = self.table.column(name)
+            if self._row_index is not None:
+                codes = codes[self._row_index]
+            self._codes[key] = _generalize(
+                self.table.attribute(name), codes, level
+            )
         return self._codes[key]
 
     def flat(
         self, parents: Tuple[Tuple[str, int], ...]
     ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Flattened parent configuration per row, plus the parent sizes."""
-        if parents not in self._flat:
-            columns: List[np.ndarray] = []
-            sizes: List[int] = []
-            for name, level in parents:
-                codes, size = self.codes(name, level)
-                columns.append(codes)
-                sizes.append(size)
-            if columns:
-                flat = flatten_index(np.stack(columns, axis=1), sizes)
-            else:
-                flat = np.zeros(self.table.n, dtype=np.int64)
-            self._flat[parents] = (flat, tuple(sizes))
-        return self._flat[parents]
+        """Flattened parent configuration of every counted row, plus the
+        parent sizes (built afresh; not retained)."""
+        coded = [self.codes(name, level) for name, level in parents]
+        sizes = tuple(size for _, size in coded)
+        return _flatten_columns([c for c, _ in coded], sizes, self.rows), sizes
+
+    def counts(
+        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
+    ) -> GroupCounts:
+        """Int64 contingency counts of ``Pr[Π, X]`` for every child of one
+        parent set, in one stacked block.
+
+        Returns ``(block, offsets, lengths, parent_sizes, child_sizes)``:
+        the :func:`~repro.data.marginals.stacked_joint_counts` layout plus
+        the size metadata, exactly as
+        :func:`repro.data.chunks.stream_stacked_joint_counts` returns it
+        for a chunked source.
+        """
+        flat, parent_sizes = self.flat(parents)
+        parent_dom = domain_size(parent_sizes)
+        child_sizes = tuple(self.table.attribute(c).size for c in children)
+        for child, child_size in zip(children, child_sizes):
+            ensure_int64_domain(
+                parent_dom * child_size, f"joint domain of (Π, {child!r})"
+            )
+        block, offsets, lengths = stacked_joint_counts(
+            flat,
+            parent_dom,
+            [self.codes(child, 0)[0] for child in children],
+            child_sizes,
+            weights=self.weights,
+        )
+        return block, offsets, lengths, parent_sizes, child_sizes
 
 
 def _flatten_generalized_parents(
@@ -92,17 +198,9 @@ def _flatten_generalized_parents(
     generalized) parent set — the uncached counterpart of
     :meth:`ParentIndexCache.flat`, shared by every joint builder in this
     module so the flattening semantics cannot drift between them."""
-    columns: List[np.ndarray] = []
-    sizes: List[int] = []
-    for name, level in parents:
-        codes, size = generalized_codes(table, name, level)
-        columns.append(codes)
-        sizes.append(size)
-    if columns:
-        flat = flatten_index(np.stack(columns, axis=1), sizes)
-    else:
-        flat = np.zeros(table.n, dtype=np.int64)
-    return flat, sizes
+    coded = [generalized_codes(table, name, level) for name, level in parents]
+    sizes = [size for _, size in coded]
+    return _flatten_columns([c for c, _ in coded], sizes, table.n), sizes
 
 
 def pair_joint_distribution(
@@ -131,7 +229,7 @@ def pair_group_mutual_information(
     """``I(child, Π)`` for every child sharing one (generalized) parent set.
 
     The parent configuration is flattened once, all children's joints are
-    counted in one stacked ``np.bincount`` pass, and the stacked block goes
+    counted into one stacked block, and the block goes
     *straight* into the ragged segmented kernel
     (:func:`repro.core.score_kernels.score_I_segments`) — no per-candidate
     reshaping or same-size bucketing here.  Normalization divides each

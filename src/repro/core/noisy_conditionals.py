@@ -14,13 +14,14 @@ Batched materialization
 The contingency counts behind every ``Pr[Π, X]`` are pure data statistics;
 only the Laplace perturbation consumes randomness or budget.  A
 :class:`JointCounter` therefore materializes all of a network's joints in
-grouped single-pass ``np.bincount`` calls (pairs sharing a parent set share
-one pass, and the flattened parent index of each parent set is computed
-once and reused), then memoizes the integer counts per AP pair so repeated
-fits over the same table — an ε sweep, or the repeat cells of the figure
-experiments — never rescan the data.  Noise draws stay strictly per-pair in
-network order, so seeded outputs are bit-identical to the historical
-per-pair path (pinned by the golden-fingerprint regression tests).
+grouped counting passes (pairs sharing a parent set share one flattened
+parent index and one stacked count block, counted through
+:class:`~repro.bn.quality.ParentIndexCache` on a resident table), then
+memoizes the integer counts per AP pair so repeated fits over the same
+table — an ε sweep, or the repeat cells of the figure experiments — never
+rescan the data.  Noise draws stay strictly per-pair in network order, so
+seeded outputs are bit-identical to the historical per-pair path (pinned
+by the golden-fingerprint regression tests).
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from repro.bn.quality import ParentIndexCache, generalized_codes
 from repro.data.marginals import (
     conditional_from_joint,
     domain_size,
-    ensure_int64_domain,
     flatten_index,
     normalize_distribution,
     project_distribution,
-    stacked_joint_counts,
 )
+
+# Counting runs in ParentIndexCache.counts; this module binding is kept
+# because the perfbench traced replay asserts it wraps the function here.
+from repro.data.marginals import stacked_joint_counts  # noqa: F401
 from repro.data.table import Table
 from repro.dp.accountant import PrivacyAccountant, split_epsilon_even
 from repro.dp.mechanisms import laplace_mechanism
@@ -135,11 +138,11 @@ class NoisyModel:
 class JointCounter:
     """Batched, memoized contingency counts for AP-pair joints.
 
-    All state is derived deterministically from the data: the flattened
-    parent configuration of each parent set (a
+    All state is derived deterministically from the data: the code
+    columns over the counted rows (a
     :class:`~repro.bn.quality.ParentIndexCache`, shareable with the
-    candidate scorer so parent sets selected during structure search are
-    never re-flattened here) and the integer counts of each
+    candidate scorer so the distinct-row decision and the columns are
+    built once per table) and the integer counts of each
     ``(child, parents)`` joint.  Counting consumes no randomness and
     spends no budget, so one counter may be shared across many fits over
     the same table (e.g. via :class:`~repro.core.scoring.ScoringCache`)
@@ -150,7 +153,7 @@ class JointCounter:
     counts then accumulate chunk by chunk (exact int64 addition — the same
     integers the resident scan produces), with :meth:`warm` counting all
     of a network's parent-set groups in a single pass over the rows.  The
-    per-row parent-index cache only applies to resident tables.
+    parent-index cache only applies to resident tables.
     """
 
     def __init__(
@@ -175,9 +178,9 @@ class JointCounter:
     def warm(self, pairs: Sequence[APPair]) -> None:
         """Materialize the counts of every listed pair in grouped passes.
 
-        Pairs sharing a parent set are counted in one offset-shifted
-        ``np.bincount`` over the shared flattened parent index (see
-        :func:`repro.data.marginals.stacked_joint_counts`); the resulting
+        Pairs sharing a parent set are counted into one stacked block
+        over their flattened parent index (see
+        :meth:`repro.bn.quality.ParentIndexCache.counts`); the resulting
         integer segments are identical to per-pair bincounts.  On a
         chunked source, *all* groups are accumulated in one streaming
         pass over the rows.
@@ -207,7 +210,7 @@ class JointCounter:
             self._store_group(parents, children, counted)
 
     def _store_group(self, parents, children, counted) -> None:
-        """File one group's streamed counts under its per-pair keys."""
+        """File one group's counts under its per-pair keys."""
         block, offsets, lengths, parent_sizes, child_sizes = counted
         for child, child_size, offset, length in zip(
             children, child_sizes, offsets, lengths
@@ -222,37 +225,13 @@ class JointCounter:
     def _count_group(
         self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
     ) -> None:
-        if not self._resident:
+        if self._resident:
+            counted = self._parent_index.counts(parents, children)
+        else:
             from repro.data.chunks import stream_stacked_joint_counts
 
-            self._store_group(
-                parents,
-                tuple(children),
-                stream_stacked_joint_counts(self.table, parents, children),
-            )
-            return
-        parent_flat, parent_sizes = self._parent_index.flat(parents)
-        parent_dom = domain_size(parent_sizes)
-        child_sizes = [self.table.attribute(c).size for c in children]
-        for child, child_size in zip(children, child_sizes):
-            ensure_int64_domain(
-                parent_dom * child_size, f"joint domain of (Π, {child!r})"
-            )
-        block, offsets, lengths = stacked_joint_counts(
-            parent_flat,
-            parent_dom,
-            [self.table.column(c) for c in children],
-            child_sizes,
-        )
-        for child, child_size, offset, length in zip(
-            children, child_sizes, offsets, lengths
-        ):
-            counts = np.ascontiguousarray(block[offset : offset + length])
-            counts.setflags(write=False)
-            self._counts[(child, parents)] = (
-                counts,
-                parent_sizes + (child_size,),
-            )
+            counted = stream_stacked_joint_counts(self.table, parents, children)
+        self._store_group(parents, tuple(children), counted)
 
     def counts(self, pair: APPair) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """Integer counts of ``Pr[Π, X]`` (child innermost) and the sizes."""

@@ -13,16 +13,20 @@ Caching contract
 All caches are keyed on *values derived deterministically from the table*:
 
 * ``CandidateScorer`` memoizes, per ``(child, parents)`` candidate, the
-  score and the selection sensitivity; per ``parents`` tuple it caches the
-  mixed-radix flattened parent configuration of every row (the expensive
-  O(n) part) and the joint parent-domain size.  Scoring consumes **no
-  randomness**, so memoization preserves the RNG draw sequence of a greedy
-  run bit-for-bit: a memo hit returns the exact float a fresh computation
-  would produce (same code path, same operand order).
+  score and the selection sensitivity, and per ``parents`` tuple the joint
+  parent-domain size.  Scoring consumes **no randomness**, so memoization
+  preserves the RNG draw sequence of a greedy run bit-for-bit: a memo hit
+  returns the exact float a fresh computation would produce (same code
+  path, same operand order).
 * Contingency tables for all *unscored* children sharing a parent set are
-  computed in one batched ``np.bincount`` pass over the cached flattened
-  parent index instead of one pass per candidate.  Counts are integers, so
-  batching is exact.
+  computed in one batched pass over a shared parent index instead of one
+  pass per candidate.  On a resident table the pass runs through
+  :meth:`repro.bn.quality.ParentIndexCache.counts`: it caches only the
+  per-(attribute, level) code columns, counts over the table's distinct
+  rows weighted by their multiplicities when that at least halves the
+  rows, and flattens each parent set afresh in place rather than keeping
+  an ``n``-row index per parent set.  Counts are integers, so batching
+  and weighting are exact.
 * Scoring itself happens in the batched kernels of
   :mod:`repro.core.score_kernels`: ``I``/``R`` per parent-set group, and
   ``F`` across *all* groups of a round sharing a parent-domain size — the
@@ -70,11 +74,7 @@ from repro.core.scores import (
     sensitivity_I,
     sensitivity_R,
 )
-from repro.data.marginals import (
-    domain_size,
-    ensure_int64_domain,
-    stacked_joint_counts,
-)
+from repro.data.marginals import domain_size
 from repro.data.table import Table
 from repro.infotheory.measures import (
     mutual_information,
@@ -147,11 +147,11 @@ class CandidateScorer:
         self.score = score
         self.incremental = incremental
         self.f_enum_max_cells = f_enum_max_cells
-        #: Per-row flattened parent configurations; shareable with the
-        #: distribution learner's JointCounter (via ScoringCache) so parent
-        #: sets selected during structure search are never re-flattened.
-        #: Only resident tables have one — a chunked source has no per-row
-        #: arrays to cache; its flattening happens inside each pass.
+        #: Counting over the resident table (code columns over its
+        #: counted rows); shareable with the distribution learner's
+        #: JointCounter via ScoringCache.  Only resident tables have one —
+        #: a chunked source has no per-row arrays to cache; its flattening
+        #: happens inside each pass.
         if self._resident:
             self._parent_index_cache = (
                 parent_index
@@ -169,39 +169,12 @@ class CandidateScorer:
         #: via ScoringCache shares it across the runs of a sweep.
         self.parent_sets = ParentSetCache()
 
-    # ------------------------------------------------------------------
-    # Shared parent-index cache
-    # ------------------------------------------------------------------
-    def _parent_index(
-        self, parents: Tuple[Tuple[str, int], ...]
-    ) -> Tuple[np.ndarray, int]:
-        """Flattened parent configuration per row, plus the parent domain."""
-        flat, sizes = self._parent_index_cache.flat(parents)
-        return flat, domain_size(sizes)
-
     def counts(
         self, child: str, parents: Tuple[Tuple[str, int], ...]
     ) -> Tuple[np.ndarray, int]:
         """Contingency counts ``Pr[Π, X]`` (child innermost)."""
-        child_attr = self.table.attribute(child)
-        if not self._resident:
-            from repro.data.chunks import stream_stacked_joint_counts
-
-            block, offsets, lengths, _, _ = stream_stacked_joint_counts(
-                self.table, parents, [child]
-            )
-            return block[offsets[0] : offsets[0] + lengths[0]].astype(
-                float
-            ), child_attr.size
-        parent_flat, parent_dom = self._parent_index(parents)
-        ensure_int64_domain(
-            parent_dom * child_attr.size, f"joint domain of ({child!r}, Π)"
-        )
-        flat = parent_flat * child_attr.size + self.table.column(child)
-        counts = np.bincount(
-            flat, minlength=parent_dom * child_attr.size
-        ).astype(float)
-        return counts, child_attr.size
+        block, _, _, _, child_sizes = self._group_counts(parents, [child])
+        return block.astype(float), child_sizes[0]
 
     # ------------------------------------------------------------------
     # Scoring
@@ -246,42 +219,27 @@ class CandidateScorer:
     ):
         """One batched contingency pass for every child of one parent set.
 
-        Stacks the per-child flattened joints into one ``np.bincount`` over
-        offset-shifted indices; the resulting integer count segments are
-        identical to the per-candidate ones, so downstream score floats are
+        Returns the ``(block, offsets, lengths, parent_sizes, child_sizes)``
+        layout of :meth:`repro.bn.quality.ParentIndexCache.counts`, whose
+        integer count segments are identical to the per-candidate ones,
+        so downstream score floats are
         bit-identical to the unbatched path.  On a chunked source the same
         block accumulates over one streaming pass.
         """
-        if not self._resident:
-            from repro.data.chunks import stream_stacked_joint_counts
+        if self._resident:
+            return self._parent_index_cache.counts(parents, children)
+        from repro.data.chunks import stream_stacked_joint_counts
 
-            block, offsets, lengths, parent_sizes, child_sizes = (
-                stream_stacked_joint_counts(self.table, parents, children)
-            )
-            return (
-                domain_size(parent_sizes),
-                list(child_sizes),
-                block,
-                offsets,
-                lengths,
-            )
-        parent_flat, parent_dom = self._parent_index(parents)
-        sizes = [self.table.attribute(c).size for c in children]
-        block, offsets, lengths = stacked_joint_counts(
-            parent_flat,
-            parent_dom,
-            [self.table.column(c) for c in children],
-            sizes,
-        )
-        return parent_dom, sizes, block, offsets, lengths
+        return stream_stacked_joint_counts(self.table, parents, children)
 
     def _counted_groups(self, groups: Dict[Tuple, List[str]]):
         """Count every unscored group of a round; one streaming pass total.
 
         Returns ``[(parents, children, group_counts), ...]`` where
         ``group_counts`` is the :meth:`_group_counts` tuple.  Resident
-        tables count per group off the cached parent index; a chunked
-        source counts *all* groups in a single pass over the rows (see
+        tables count per group through the shared
+        :class:`~repro.bn.quality.ParentIndexCache`; a chunked source
+        counts *all* groups in a single pass over the rows (see
         :func:`repro.data.chunks.stream_grouped_joint_counts`) — the
         blocks are the same integers either way.
         """
@@ -297,23 +255,10 @@ class CandidateScorer:
             self.table,
             [(parents, tuple(children)) for parents, children in items],
         )
-        results = []
-        for (parents, children), group in zip(items, counted):
-            block, offsets, lengths, parent_sizes, child_sizes = group
-            results.append(
-                (
-                    parents,
-                    children,
-                    (
-                        domain_size(parent_sizes),
-                        list(child_sizes),
-                        block,
-                        offsets,
-                        lengths,
-                    ),
-                )
-            )
-        return results
+        return [
+            (parents, children, group)
+            for (parents, children), group in zip(items, counted)
+        ]
 
     def _score_group(
         self,
@@ -329,7 +274,7 @@ class CandidateScorer:
         candidate's joint.  ``counted`` optionally supplies the group's
         :meth:`_group_counts` tuple (from a shared streaming pass).
         """
-        _, sizes, block, offsets, lengths = (
+        block, offsets, lengths, _, sizes = (
             counted if counted is not None else self._group_counts(parents, children)
         )
         n = self.table.n
@@ -342,7 +287,7 @@ class CandidateScorer:
     def _score_F_groups(self, counted_groups) -> None:
         """Score all unscored ``F`` candidates of a round in batched kernels.
 
-        Counting stays per parent set (each set has its own flattened row
+        Counting stays per parent set (each set flattens its own row
         index; one shared streaming pass on a chunked source), but scoring
         batches *across* parent sets: every candidate whose parent set has
         the same domain size joins one
@@ -359,7 +304,8 @@ class CandidateScorer:
                         f"score 'F' requires a binary child; {child!r} has "
                         f"{self.table.attribute(child).size} values"
                     )
-            parent_dom, _, block, offsets, lengths = counted
+            block, offsets, lengths, parent_sizes, _ = counted
+            parent_dom = domain_size(parent_sizes)
             cands, segments = by_dom.setdefault(parent_dom, ([], []))
             for child, offset, length in zip(children, offsets, lengths):
                 cands.append((child, parents))
@@ -543,7 +489,7 @@ class ScoringCache:
     """Per-table registry of scorers and derived-statistic caches.
 
     An ε sweep fits many models over the *same* table; candidate scores,
-    mutual information, parent-set enumerations, flattened parent indexes
+    mutual information, parent-set enumerations, counted-row code columns
     and contingency counts are deterministic data statistics, so sharing
     their caches across fits changes no output and spends no privacy
     budget.  Tables are keyed by object identity (and kept alive by the
@@ -585,11 +531,12 @@ class ScoringCache:
     def parent_index(self, table):
         """Shared :class:`~repro.bn.quality.ParentIndexCache` for ``table``.
 
-        Handed to both the table's scorers and its joint counter, so a
-        parent set flattened during structure search is reused verbatim by
-        distribution learning.  Chunked sources have no per-row arrays to
-        cache, so this returns ``None`` for them (scorer and counter then
-        flatten inside each streaming pass).
+        Handed to both the table's scorers and its joint counter, so the
+        distinct-row decision and the code columns over the counted rows
+        are built once per table; per-parent-set indexes are never kept.
+        Chunked sources have no per-row arrays to cache, so this returns
+        ``None`` for them (scorer and counter then flatten inside each
+        streaming pass).
         """
         from repro.bn.quality import ParentIndexCache
 

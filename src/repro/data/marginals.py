@@ -10,7 +10,7 @@ perturbs in its distribution-learning phase.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,9 +86,10 @@ def stacked_joint_counts(
     parent_dom: int,
     child_columns: Sequence[np.ndarray],
     child_sizes: Sequence[int],
+    weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Tuple[int, ...], Tuple[int, ...]]:
     """Contingency counts of several joints ``Pr[Π, X_j]`` sharing one
-    flattened parent configuration, in a single ``np.bincount`` pass.
+    flattened parent configuration, laid out in one stacked block.
 
     ``parent_flat`` is the mixed-radix parent index of every row (from
     :func:`flatten_index` over the parent columns) and ``parent_dom`` its
@@ -98,6 +99,18 @@ def stacked_joint_counts(
     of joint ``j`` (child innermost) — the exact integers ``d`` separate
     per-joint bincounts would produce, so any float derived downstream is
     bit-identical to the unbatched path.
+
+    Each joint is one ``np.bincount`` over ``parent_flat * size_j + X_j``,
+    built in a single reused row-index buffer and written straight into
+    its segment: a stacked ``(children × rows)`` index matrix costs
+    several block-sized temporaries per call, whose allocation outweighs
+    the counting itself.
+
+    ``weights`` (float64, one per row) makes each row stand for that many
+    identical rows, as when counting over a table's distinct rows.  The
+    weighted bincount accumulates in float64 and is cast back to int64;
+    that is exact because every partial sum is an integer no larger than
+    the table's row count, far below ``2**53``.
     """
     lengths = tuple(int(parent_dom) * int(s) for s in child_sizes)
     offsets = [0]
@@ -105,13 +118,16 @@ def stacked_joint_counts(
         offsets.append(offsets[-1] + length)
     offsets = tuple(offsets)
     total = ensure_int64_domain(sum(lengths), "batched joint-count block")
-    if not child_columns:
-        return np.zeros(0, dtype=np.int64), offsets, lengths
-    columns = np.stack(child_columns)
-    sizes_col = np.asarray(child_sizes, dtype=np.int64)[:, None]
-    offsets_col = np.asarray(offsets, dtype=np.int64)[:, None]
-    flat = offsets_col + parent_flat[None, :] * sizes_col + columns
-    block = np.bincount(flat.ravel(), minlength=total)
+    block = np.zeros(total, dtype=np.int64)
+    index = np.empty(len(parent_flat), dtype=np.int64)
+    for column, size, offset, length in zip(
+        child_columns, child_sizes, offsets, lengths
+    ):
+        np.multiply(parent_flat, int(size), out=index)
+        index += column
+        block[offset : offset + length] = np.bincount(
+            index, weights=weights, minlength=length
+        )
     return block, offsets, lengths
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bn.quality import ParentIndexCache
 from repro.core.greedy_bayes import _CandidateScorer
 from repro.data.marginals import marginal_counts
 
@@ -26,14 +27,22 @@ class TestCounts:
         assert counts.size == 2 * 2  # generalized color (2) x flag (2)
         assert counts.sum() == mixed_table.n
 
-    def test_parent_flat_cache_reused(self, binary_table):
-        scorer = _CandidateScorer(binary_table, "I")
-        scorer.counts("c", (("a", 0), ("b", 0)))
-        cached = scorer._parent_index_cache._flat[(("a", 0), ("b", 0))]
-        scorer.counts("d", (("a", 0), ("b", 0)))
-        assert (
-            scorer._parent_index_cache._flat[(("a", 0), ("b", 0))] is cached
+    def test_repeated_counts_on_one_parent_set_are_equal(self, binary_table):
+        # Parent indexes are rebuilt on every call, never retained; every
+        # rebuild must give the same integers and so the same scores.
+        parents = (("a", 0), ("b", 0))
+        index = ParentIndexCache(binary_table)
+        first, second = (
+            _CandidateScorer(binary_table, "I", parent_index=index)
+            for _ in range(2)
         )
+        counts = [scorer.counts("c", parents)[0] for scorer in (first, first, second)]
+        assert all(np.array_equal(c, counts[0]) for c in counts)
+        candidates = [("c", parents), ("d", parents)]
+        assert np.array_equal(
+            first.score_batch(candidates), second.score_batch(candidates)
+        )
+        assert set(index._codes) == {("a", 0), ("b", 0), ("c", 0), ("d", 0)}
 
     def test_unknown_score_rejected(self, binary_table):
         with pytest.raises(ValueError, match="unknown score"):

@@ -182,6 +182,45 @@ class TestScoringCache:
         assert scorer._parent_index_cache is counter._parent_index
         assert registry.parent_index(binary_table) is counter._parent_index
 
+    def test_full_fit_retains_only_code_columns(self):
+        # A k=5 NLTCS fit counts ~3,000 parent sets; none of their per-row
+        # flat indexes may stay pinned in the shared cache, which keeps only
+        # one code column per (attribute, level) over the distinct rows.
+        from repro.core.greedy_bayes import greedy_bayes_fixed_k
+        from repro.core.noisy_conditionals import noisy_conditionals_fixed_k
+        from repro.datasets import load_nltcs
+
+        table = load_nltcs(seed=1)
+        registry = ScoringCache()
+        rng = np.random.default_rng(5)
+        network = greedy_bayes_fixed_k(
+            table, 5, 0.1, "F", rng, scorer=registry.scorer(table, "F")
+        )
+        noisy_conditionals_fixed_k(
+            table, network, 5, 0.3, rng, counter=registry.joint_counter(table)
+        )
+        index = registry.parent_index(table)
+        assert index.weights is not None and index.rows < table.n // 2
+        assert set(index._codes) == {(name, 0) for name in table.attribute_names}
+        assert all(codes.shape == (index.rows,) for codes, _ in index._codes.values())
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        held = [
+            a for name, value in vars(index).items() if name != "table"
+            for a in arrays(value)
+        ]
+        # d code columns plus the distinct-row index and weights.
+        assert sum(a.nbytes for a in held) <= (table.d + 2) * index.rows * 8
+
     def test_registry_bounded_fifo_eviction(self, binary_table, mixed_table):
         from repro.core.scoring import _MAX_CACHED_TABLES
         from repro.data.attribute import Attribute
