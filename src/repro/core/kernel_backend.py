@@ -32,10 +32,12 @@ tier:
   scoring call.
 
 Bit-identity is a hard contract, not an aspiration: the native kernel
-runs the same integer dynamic program as the NumPy blocked-bitset path
-and evaluates the final shortfall with the identical float64 expression,
-so every score is bit-equal (see ``core/_native/README.md`` for the
-argument and ``tests/core/test_score_kernels.py`` for the enforcement).
+computes the same minimum as the NumPy blocked-bitset path, over a
+frontier bounded by an exact integer incumbent, and evaluates the final
+shortfall with the identical float64 expression, so every score is
+bit-equal (see ``core/_native/README.md`` for the argument and
+``tests/core/test_score_kernels.py`` and
+``tests/core/test_frontier_bound.py`` for the enforcement).
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ because:
   float-monotonically dominated, and the final shortfall floats use the
   identical expression ``max(0, .5 - K0/n) + max(0, .5 - K1/n)``, so the
   minimum float over any dominating subset is bit-equal to the reference
-  dynamic program :func:`score_F_dp`.
+  dynamic program :func:`score_F_dp`.  The compiled backend also drops
+  states that cannot reach the minimum (below); the states it keeps
+  include one the minimum float is taken at.
 * ``I`` marginalizes batched (sums along a contiguous / middle axis are
   bit-equal to the per-candidate sums) and evaluates the entropies through
   the same :func:`repro.infotheory.measures.entropy` per candidate — its
@@ -62,15 +64,20 @@ assignments (Section 4.4).  Three regimes:
 
 The compiled backend
 --------------------
-The ``m > enum_max_cells`` regime has an optional **native** backend: the
-same frontier DP as a tight C loop (``core/_native/scoref.c``), selected
-once at import by :mod:`repro.core.kernel_backend`
-(``REPRO_KERNEL_BACKEND=auto|numpy|native``, default ``auto`` = use the
-compiled kernel when a toolchain exists, NumPy otherwise).  The native
-path is bit-identical to the NumPy path — all DP states are exact int64
-either way, and the final shortfall floats use the identical float64
-expression — so backend selection is invisible to every caller; the
-``backend=`` parameter exists for tests and benchmarks that pin one side.
+The ``m > enum_max_cells`` regime has an optional **native** backend
+(``core/_native/scoref.c``), selected once at import by
+:mod:`repro.core.kernel_backend` (``REPRO_KERNEL_BACKEND=auto|numpy|native``,
+default ``auto`` = use the compiled kernel when a toolchain exists, NumPy
+otherwise).  It computes the same minimum over a *bounded* frontier: each
+candidate's mixed cells run largest first, an achievable incumbent
+objective is tracked in exact int64, and every state whose lower bound is
+strictly above it is dropped (for ``n <= 2^48``; see the README next to
+the source for the proof).  The native path is bit-identical to the NumPy
+path — all DP states are exact int64 either way, the kept states include
+one the minimum is taken at, and the final shortfall floats use the
+identical float64 expression — so backend selection is invisible to every
+caller; the ``backend=`` parameter exists for tests and benchmarks that
+pin one side.
 
 The I kernel
 ------------
@@ -198,8 +205,12 @@ def validate_F_counts(counts: np.ndarray, n: int) -> np.ndarray:
     if np.issubdtype(array.dtype, np.integer):
         matrices = array.astype(np.int64, copy=False)
     else:
+        # Non-finite values have no int64 cast; the rest must equal their
+        # rounding exactly (a tolerance would pass 1000.004 as 1000).
+        if not np.isfinite(array).all():
+            raise ValueError("F expects integer contingency counts")
         matrices = np.rint(array).astype(np.int64)
-        if not np.allclose(array, matrices):
+        if not np.array_equal(array, matrices):
             raise ValueError("F expects integer contingency counts")
     totals = matrices.sum(axis=(1, 2))
     bad = np.nonzero(totals != n)[0]
@@ -440,8 +451,9 @@ def score_F_batch(
     backend:
         ``None`` (default) uses the backend selected at import;
         ``"numpy"`` / ``"native"`` pin one side for tests and benchmarks.
-        Either way the scores are bit-identical — the native kernel runs
-        the same integer DP and the same final float expression.
+        Either way the scores are bit-identical — the native kernel
+        computes the same minimum over a bounded frontier, with the same
+        final float expression.
 
     Returns the ``(batch,)`` float array of (non-positive) F scores, each
     bit-equal to ``score_F_dp`` on the same candidate.

@@ -234,6 +234,18 @@ class TestValidationUnified:
             score_F(np.array([0.5, 0.5]), 1)
         with pytest.raises(ValueError, match="integer"):
             score_F_batch(np.array([[0.5, 0.5], [1.0, 0.0]]), 1)
+        # Within a relative tolerance of an integer is still not an
+        # integer, and non-finite counts never are.
+        cases = [
+            (np.array([1000.004, 2.0, 3.0, 4.0]), 1009),
+            (np.array([500000.4, 499999.6]), 10**6),
+            (np.array([np.nan, 1.0]), 1),
+            (np.array([np.inf, 1.0]), 1),
+        ]
+        for counts, n in cases:
+            for score in (score_F, score_F_batch, score_F_dp):
+                with pytest.raises(ValueError, match="integer"):
+                    score(counts, n)
 
     def test_wrong_total_rejected_everywhere(self):
         with pytest.raises(ValueError, match="sum"):
