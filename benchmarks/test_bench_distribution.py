@@ -3,10 +3,11 @@
 Times phases 2-3 of the PrivBayes pipeline in the shape the figure sweeps
 use them — many fits over one table (the ε × repeat cells), then repeated
 draws from one fitted model (the serving pattern) — comparing the batched
-:class:`repro.core.noisy_conditionals.JointCounter` engine and the cached
-row-CDF sampler against the seed behavior (per-pair data scans, per-call
-``np.cumsum`` + generic CDF inversion).  Both paths consume identical RNG
-sequences and must produce bit-identical conditionals and synthetic tuples.
+:class:`repro.core.noisy_conditionals.JointCounter` engine and the library
+sampler against the seed behavior (per-pair data scans; a sampler written
+out here with a per-call ``np.cumsum``, broadcast CDF inversion and the
+validating ``Table``).  Both paths consume identical RNG sequences and must
+produce bit-identical conditionals and synthetic tuples.
 
 Emits ``BENCH_distribution.json`` next to this file with wall-clock timings
 per (dataset, d, n, k) grid point so future PRs can track the hot path:
@@ -14,19 +15,16 @@ per (dataset, d, n, k) grid point so future PRs can track the hot path:
     PYTHONPATH=src python -m pytest benchmarks/test_bench_distribution.py -q
 """
 
-import dataclasses
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-import repro.core.sampler as sampler_module
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
 from repro.data.table import Table
 from repro.core.noisy_conditionals import (
     JointCounter,
-    NoisyModel,
     noisy_conditionals_fixed_k,
     noisy_conditionals_general,
 )
@@ -104,53 +102,47 @@ def _time_learn(table, networks, k, seed, engine, fits=FITS):
     return models, time.perf_counter() - start
 
 
-def _sample_rows_seed(conditional, parent_rows, rng):
-    """The pre-engine sampler: cumsum per call, generic CDF inversion."""
-    matrix = conditional.matrix
-    cdf = np.cumsum(matrix, axis=1)
-    cdf[:, -1] = 1.0
-    uniforms = rng.random(parent_rows.shape[0])
-    return (uniforms[:, None] > cdf[parent_rows]).sum(axis=1).astype(np.int64)
+def _sample_seed(model, attributes, n, rng):
+    """The pre-engine sampler, attribute by attribute in network order.
+
+    Each draw recomputes every conditional's ``np.cumsum``, builds the
+    mixed-radix parent rows, inverts with the ``(n, C)`` broadcast, and
+    validates the result through the ``Table`` constructor.  Uniforms are
+    drawn in the engine's order, so the tuples must be identical.
+    """
+    by_name = {a.name: a for a in attributes}
+    sampled = {}
+    for pair in model.network:
+        conditional = model.conditional_for(pair.child)
+        cdf = np.cumsum(conditional.matrix, axis=1)
+        cdf[:, -1] = 1.0
+        rows = np.zeros(n, dtype=np.int64)
+        sizes = conditional.parent_sizes
+        for (name, level), size in zip(pair.parents, sizes):
+            codes = sampled[name]
+            if level != 0:
+                codes = by_name[name].generalization_map(level)[codes]
+            rows = rows * size + codes
+        uniforms = rng.random(n)
+        sampled[pair.child] = (
+            (uniforms[:, None] > cdf[rows]).sum(axis=1).astype(np.int64)
+        )
+    return Table(attributes, {a.name: sampled[a.name] for a in attributes})
 
 
 def _time_sample(table, model, seed, engine, draws=DRAWS):
     """``draws`` repeated synthetic draws from one fitted model."""
+    sample = sample_synthetic if engine else _sample_seed
     tables = []
-    if engine:
-        start = time.perf_counter()
-        for r in range(draws):
-            tables.append(
-                sample_synthetic(
-                    model, table.attributes, table.n,
-                    np.random.default_rng(seed * 131 + r),
-                )
-            )
-        return tables, time.perf_counter() - start
-    original = sampler_module._sample_rows
-    sampler_module._sample_rows = _sample_rows_seed
-    try:
-        start = time.perf_counter()
-        for r in range(draws):
-            # The seed path held no per-model CDF state either: rebuild the
-            # conditionals so nothing carries over between draws, and build
-            # the output through the validating Table constructor it used.
-            fresh = NoisyModel(
-                model.network,
-                tuple(dataclasses.replace(c) for c in model.conditionals),
-            )
-            synthetic = sample_synthetic(
-                fresh, table.attributes, table.n,
+    start = time.perf_counter()
+    for r in range(draws):
+        tables.append(
+            sample(
+                model, table.attributes, table.n,
                 np.random.default_rng(seed * 131 + r),
             )
-            tables.append(
-                Table(
-                    synthetic.attributes,
-                    {n_: synthetic.column(n_) for n_ in synthetic.attribute_names},
-                )
-            )
-        return tables, time.perf_counter() - start
-    finally:
-        sampler_module._sample_rows = original
+        )
+    return tables, time.perf_counter() - start
 
 
 def _assert_identical_models(naive_models, engine_models):

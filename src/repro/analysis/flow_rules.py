@@ -1076,6 +1076,36 @@ ABI_MANIFEST: Dict[int, Dict[str, Tuple[str, Tuple[str, ...]]]] = {
             ),
         ),
     },
+    2: {
+        "repro_scoref_abi_version": ("int64_t", ()),
+        "repro_score_f_batch": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "double*",
+            ),
+        ),
+        "repro_sample_block": (
+            "int",
+            (
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "double*",
+                "int64_t",
+                "double*",
+                "int64_t*",
+            ),
+        ),
+    },
 }
 
 _C_EXPORT = re.compile(

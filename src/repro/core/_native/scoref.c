@@ -1,7 +1,9 @@
-/* Native frontier-merge backend for the Section-4.4 F score.
+/* Native kernels: the Section-4.4 F score and the Section-3 ancestral
+ * sampler.
  *
- * Exact batched F scores for binary-child candidates: for each candidate
- * the dynamic program of Section 4.4 extends a Pareto frontier of
+ * repro_score_f_batch: exact batched F scores for binary-child
+ * candidates.  For each candidate the dynamic program of Section 4.4
+ * extends a Pareto frontier of
  * (K0, K1) mass states (Equation 10) over the parent cells, with
  * dominated states pruned per Definition 4.6.  This is the same
  * computation as the NumPy kernel's blocked-bitset path and the
@@ -20,6 +22,11 @@
  * holds every Pareto-optimal state of minimum objective, so the minimum
  * is the same double (see BOUND_MAX_N below).
  *
+ * repro_sample_block: one ancestral draw of a block of tuples, every
+ * attribute in network order — mixed-radix parent rows, generalization
+ * maps and CDF inversion — returning the codes sampler.py's NumPy loop
+ * returns on the same uniforms (see repro_sample_block below).
+ *
  * Deliberately free of Python.h: the ABI is flat int64/double arrays
  * driven through ctypes, so the file compiles with any C99 toolchain
  * ("cc -O2 -fPIC -shared") and the pure-Python install never needs it.
@@ -27,10 +34,11 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Bumped whenever the exported signatures change; checked at load time
  * so a stale cached artifact can never be driven with the wrong ABI. */
-#define REPRO_SCOREF_ABI 1
+#define REPRO_SCOREF_ABI 2
 
 int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
 
@@ -367,4 +375,176 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
     free(cells);
     free(rest0);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* Ancestral sampling (Section 3)                                      */
+
+/* Fields of one attribute header (attrs is d x ATTR_FIELDS) and of one
+ * parent entry (parents is nparents x PARENT_FIELDS). */
+enum { CDF_OFFSET, CDF_ROWS, CDF_WIDTH, FIRST_PARENT, PARENT_COUNT,
+       ATTR_FIELDS };
+enum { SOURCE, MAP_OFFSET, MAP_LENGTH, RADIX, PARENT_FIELDS };
+
+/* Index of the first CDF column >= x, for a row-CDF row on which
+ * `row[j] < x` holds for a prefix of j.  The last column is 1.0 in every
+ * row CDF and every uniform is below it, so the answer is at most
+ * width - 1 and only the first width - 1 columns are searched: a binary
+ * child costs one comparison, and every code returned is below width
+ * whatever the inputs.  Each step keeps the half holding the answer
+ * without a branch; the answer always lies in [base, base + len] with
+ * base + len <= width - 1, so every probe is in range. */
+static int64_t lower_bound(const double *row, int64_t width, double x)
+{
+    int64_t base = 0, len = width - 1;
+    if (len == 0) {
+        return 0;
+    }
+    while (len > 1) {
+        const int64_t half = len / 2;
+        base += (row[base + half - 1] < x) * half;
+        len -= half;
+    }
+    return base + (row[base] < x);
+}
+
+/* One ancestral draw of n tuples over d attributes, in place.
+ *
+ * attrs:    [d * 5] int64, per attribute in network order: CDF offset
+ *           into cdfs, CDF rows, CDF width (the child's domain size),
+ *           first parent entry, parent count.
+ * parents:  [nparents * 4] int64, one entry per parent, in the
+ *           conditional's mixed-radix order: source attribute index
+ *           (below the child's), map offset into maps or -1 for a raw
+ *           parent, map length, radix.
+ * maps:     [nmaps] int64 generalization maps, raw code -> level code.
+ * cdfs:     [ncdfs] double, row-major row-CDF matrices.
+ * block:    [d * n] double.  Row i holds attribute i's uniforms on entry
+ *           and its int64 codes on exit, moved with memcpy so the reuse
+ *           of the storage is well defined.
+ * rows:     [n] int64 scratch.
+ *
+ * Per attribute, rows[t] accumulates tuple t's CDF row over the parents,
+ * rows[t] = rows[t] * radix + code, each code mapped through its
+ * parent's generalization map first; then each tuple's code is the first
+ * column of its CDF row at or above its uniform: the number of columns
+ * on which `cdf < u` holds, exactly what the NumPy inversions return.
+ *
+ * Every gather is checked before any tuple is touched, which the code
+ * range makes possible: every code this call writes for attribute j is
+ * below j's CDF width (see lower_bound).  So the checks are that headers
+ * and buffers agree; that every source index is below its child's; that
+ * a raw parent's width is at most its radix (parent code < radix); that
+ * a map is at least as long as its source's width (map index < map
+ * length) and holds only values in [0, radix); and that an attribute's
+ * radices multiply to its CDF rows (row < rows, and no row overflows).
+ *
+ * Returns 0 on success, 2 on a violated check (the block is unchanged).
+ */
+int repro_sample_block(int64_t d, int64_t n, const int64_t *attrs,
+                       const int64_t *parents, int64_t nparents,
+                       const int64_t *maps, int64_t nmaps,
+                       const double *cdfs, int64_t ncdfs, double *block,
+                       int64_t *rows)
+{
+    int64_t i, p, t;
+
+    if (d < 0 || n < 0 || nparents < 0 || nmaps < 0 || ncdfs < 0 ||
+        attrs == NULL || parents == NULL || maps == NULL || cdfs == NULL ||
+        block == NULL || rows == NULL) {
+        return 2;
+    }
+    for (i = 0; i < d; i++) {
+        const int64_t *attr = attrs + i * ATTR_FIELDS;
+        const int64_t offset = attr[CDF_OFFSET], height = attr[CDF_ROWS];
+        const int64_t width = attr[CDF_WIDTH], first = attr[FIRST_PARENT];
+        const int64_t count = attr[PARENT_COUNT];
+        int64_t product = 1;
+        if (offset < 0 || height < 1 || width < 1 ||
+            height > (ncdfs - offset) / width || first < 0 || count < 0 ||
+            count > nparents - first) {
+            return 2;
+        }
+        for (p = first; p < first + count; p++) {
+            const int64_t *parent = parents + p * PARENT_FIELDS;
+            const int64_t source = parent[SOURCE], map = parent[MAP_OFFSET];
+            const int64_t length = parent[MAP_LENGTH], radix = parent[RADIX];
+            int64_t reach, j;
+            if (source < 0 || source >= i || radix < 1 ||
+                product > height / radix) {
+                return 2;
+            }
+            product *= radix;
+            /* Codes of the source lie in [0, reach). */
+            reach = attrs[source * ATTR_FIELDS + CDF_WIDTH];
+            if (map >= 0) {
+                if (length < reach || length > nmaps - map) {
+                    return 2;
+                }
+                reach = 0;
+                for (j = map; j < map + length; j++) {
+                    if (maps[j] < 0) {
+                        return 2;
+                    }
+                    reach = maps[j] >= reach ? maps[j] + 1 : reach;
+                }
+            } else if (map != -1) {
+                return 2;
+            }
+            if (reach > radix) {
+                return 2;
+            }
+        }
+        if (product != height) {
+            return 2;
+        }
+    }
+
+    for (i = 0; i < d; i++) {
+        const int64_t *attr = attrs + i * ATTR_FIELDS;
+        const int64_t *parent = parents + attr[FIRST_PARENT] * PARENT_FIELDS;
+        const int64_t count = attr[PARENT_COUNT];
+        const double *cdf = cdfs + attr[CDF_OFFSET];
+        const int64_t width = attr[CDF_WIDTH];
+        double *out = block + i * n;
+        for (t = 0; t < n; t++) {
+            rows[t] = 0;
+        }
+        for (p = 0; p < count; p++, parent += PARENT_FIELDS) {
+            const int64_t *after = parent + PARENT_FIELDS;
+            const double *source = block + parent[SOURCE] * n;
+            const int64_t radix = parent[RADIX];
+            int64_t code, next;
+            if (parent[MAP_OFFSET] >= 0) {
+                const int64_t *map = maps + parent[MAP_OFFSET];
+                for (t = 0; t < n; t++) {
+                    memcpy(&code, source + t, sizeof code);
+                    rows[t] = rows[t] * radix + map[code];
+                }
+            } else if (p + 1 < count && after[MAP_OFFSET] < 0) {
+                /* Two raw parents in one pass halve the traffic over rows
+                 * (binary tables have nothing but raw parents). */
+                const double *second = block + after[SOURCE] * n;
+                const int64_t radix2 = after[RADIX];
+                for (t = 0; t < n; t++) {
+                    memcpy(&code, source + t, sizeof code);
+                    memcpy(&next, second + t, sizeof next);
+                    rows[t] = (rows[t] * radix + code) * radix2 + next;
+                }
+                p++;
+                parent = after;
+            } else {
+                for (t = 0; t < n; t++) {
+                    memcpy(&code, source + t, sizeof code);
+                    rows[t] = rows[t] * radix + code;
+                }
+            }
+        }
+        for (t = 0; t < n; t++) {
+            const int64_t code = lower_bound(cdf + rows[t] * width, width,
+                                             out[t]);
+            memcpy(out + t, &code, sizeof code);
+        }
+    }
+    return 0;
 }

@@ -1,21 +1,24 @@
 """Compiled-kernel tier: backend selection and the on-demand C build.
 
-The batched ``F`` kernel (:func:`repro.core.score_kernels.score_F_batch`)
-has an optional *native* backend: a small C source
+Two hot loops have an optional *native* backend in one small C source
 (``core/_native/scoref.c`` — a flat int64/double array ABI, deliberately
 free of ``Python.h``) compiled on demand with the system C compiler and
-driven through :mod:`ctypes`.  This module owns everything about that
-tier:
+driven through :mod:`ctypes`:
+
+* the batched ``F`` score (:func:`repro.core.score_kernels.score_F_batch`);
+* ancestral sampling (:mod:`repro.core.sampler`), one call per draw.
+
+This module owns everything about that tier:
 
 * **Selection** happens once, at import, via :data:`SELECTED_BACKEND` /
   :data:`NATIVE_KERNEL`.  The ``REPRO_KERNEL_BACKEND`` environment
-  variable picks the mode:
+  variable picks the mode, for both kernels at once:
 
   - ``auto`` (default) — try to build/load the native kernel; fall back
-    to the pure-NumPy path silently if there is no toolchain (or the
+    to the pure-NumPy paths silently if there is no toolchain (or the
     build fails).  Pure-Python environments keep working with zero
     behavior change: both backends are bit-identical.
-  - ``numpy`` — never touch the compiler; the NumPy path only.
+  - ``numpy`` — never touch the compiler; the NumPy paths only.
   - ``native`` — require the native kernel; raise
     :class:`KernelBackendError` naming the missing toolchain otherwise.
 
@@ -29,15 +32,17 @@ tier:
   so concurrent builders (forked test workers) race benignly.
 
 * **Loading** verifies the artifact's exported ABI version before any
-  scoring call.
+  call.
 
-Bit-identity is a hard contract, not an aspiration: the native kernel
+Bit-identity is a hard contract, not an aspiration.  The native F kernel
 computes the same minimum as the NumPy blocked-bitset path, over a
 frontier bounded by an exact integer incumbent, and evaluates the final
 shortfall with the identical float64 expression, so every score is
-bit-equal (see ``core/_native/README.md`` for the argument and
-``tests/core/test_score_kernels.py`` and
-``tests/core/test_frontier_bound.py`` for the enforcement).
+bit-equal.  The native sampler evaluates the same ``cdf < u`` predicate
+on the same doubles as the NumPy inversion, so every code is equal.  See
+``core/_native/README.md`` for both arguments, and
+``tests/core/test_score_kernels.py``, ``tests/core/test_frontier_bound.py``
+and ``tests/core/test_native_sampler.py`` for the enforcement.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 #: Exported-symbol contract version; must match the C source's
 #: ``repro_scoref_abi_version()``.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _MODES = ("auto", "numpy", "native")
 
@@ -169,7 +174,7 @@ def build_native(force: bool = False) -> Path:
 
 
 class NativeKernel:
-    """ctypes handle to one compiled frontier-merge kernel artifact."""
+    """ctypes handle to one compiled kernel artifact (F score, sampler)."""
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
@@ -194,6 +199,22 @@ class NativeKernel:
             ctypes.POINTER(ctypes.c_double),
         ]
         self._score_f_batch = score
+        sample = library.repro_sample_block
+        sample.restype = ctypes.c_int
+        sample.argtypes = [
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_int64),
+        ]
+        self._sample_block = sample
 
     def score_f_batch(
         self, c0: np.ndarray, c1: np.ndarray, n: int
@@ -223,6 +244,67 @@ class NativeKernel:
             )
         return out
 
+    def sample_block(
+        self,
+        attrs: np.ndarray,
+        parents: np.ndarray,
+        maps: np.ndarray,
+        cdfs: np.ndarray,
+        block: np.ndarray,
+    ) -> None:
+        """One ancestral draw over a sampling plan, in place.
+
+        Row ``i`` of the ``(d, n)`` float64 ``block`` holds attribute
+        ``i``'s uniforms on entry and its int64 codes on exit (read them
+        through ``block.view(np.int64)``).  ``attrs`` (``(d, 5)``),
+        ``parents`` (``(P, 4)``), ``maps`` and ``cdfs`` are the flat plan
+        laid out in ``core/_native/README.md``.  Layouts are checked here;
+        the C side proves every gather in range before touching the block,
+        and a plan that fails raises :class:`KernelBackendError`.
+        """
+        for array, dtype in (
+            (attrs, np.int64),
+            (parents, np.int64),
+            (maps, np.int64),
+            (cdfs, np.float64),
+            (block, np.float64),
+        ):
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(
+                    "sampling plan arrays must be C-contiguous "
+                    f"{dtype.__name__}"
+                )
+        if block.ndim != 2 or not block.flags.writeable:
+            raise ValueError("block must be a writeable (d, n) matrix")
+        d, n = block.shape
+        if attrs.shape != (d, 5) or parents.ndim != 2 or parents.shape[1] != 4:
+            raise ValueError(
+                f"plan headers must be (d, 5) and (P, 4) for d={d}; got "
+                f"{attrs.shape} and {parents.shape}"
+            )
+        rows = np.empty(n, dtype=np.int64)
+        status = self._sample_block(
+            d,
+            n,
+            attrs.ctypes.data_as(_INT64_P),
+            parents.ctypes.data_as(_INT64_P),
+            parents.shape[0],
+            maps.ctypes.data_as(_INT64_P),
+            maps.size,
+            cdfs.ctypes.data_as(_DOUBLE_P),
+            cdfs.size,
+            block.ctypes.data_as(_DOUBLE_P),
+            rows.ctypes.data_as(_INT64_P),
+        )
+        if status != 0:
+            raise KernelBackendError(
+                f"native sampler {self.path} rejected the sampling plan "
+                f"(status {status})"
+            )
+
+
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 _loaded: Dict[Path, NativeKernel] = {}
 

@@ -86,10 +86,23 @@ class ConditionalTable:
         The values are exactly ``np.cumsum(matrix, axis=1)`` with the last
         column clamped to 1.0 (guarding rounding drift), so cached and
         fresh computations are bit-identical.  The array is read-only.
+
+        Raises :class:`ValueError` naming the child when ``matrix`` has a
+        negative or non-finite entry.  Every CDF inversion relies on
+        ``cdf < u`` holding on a prefix of each row, which the cumulative
+        sums of finite non-negative entries (last column 1.0) guarantee
+        for every uniform in ``[0, 1)``; on other rows the inversions can
+        disagree, or silently return code 0.
         """
         cached = getattr(self, "_row_cdfs", None)
         if cached is None:
-            cached = np.cumsum(self.matrix, axis=1)
+            matrix = self.matrix
+            if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+                raise ValueError(
+                    f"conditional for {self.child!r}: matrix has a negative "
+                    "or non-finite entry, so its row CDFs cannot be inverted"
+                )
+            cached = np.cumsum(matrix, axis=1)
             cached[:, -1] = 1.0
             cached.setflags(write=False)
             object.__setattr__(self, "_row_cdfs", cached)

@@ -4,26 +4,35 @@ Attributes are sampled in the network's construction order, so every parent
 is available (at raw granularity) before any child that conditions on it.
 Generalized parents are handled by mapping the already-sampled raw codes
 through the attribute's taxonomy before indexing the conditional table.
-Sampling is vectorized: all ``n`` tuples draw each attribute in one shot,
-inverting each conditional's row CDFs — which are computed once per fitted
-model and cached on the :class:`~repro.core.noisy_conditionals.ConditionalTable`
-(see its ``row_cdfs``), so repeated ``model.sample()`` calls never redo the
-``np.cumsum``.  Binary children take a single-comparison fast path that
-draws the same uniforms and returns the same codes as the general CDF
-inversion.
+
+One draw is one block: a ``(d, n)`` matrix whose row ``i`` holds the
+uniforms of the network's ``i``-th attribute and is overwritten with its
+codes (:func:`_ancestral_block`).  The model's network, generalization
+maps and row CDFs are flattened into a sampling plan once per (model,
+schema) and cached on the model; the CDFs themselves are computed once
+per conditional (see
+:attr:`~repro.core.noisy_conditionals.ConditionalTable.row_cdfs`), so
+repeated ``model.sample()`` calls redo neither.
 
 CDF inversion
 -------------
-The general path historically materialized the full ``(n, child_size)``
-comparison ``uniforms[:, None] > cdf[parent_rows]`` and summed it — O(n·C)
-work and memory per draw batch.  :func:`invert_row_cdfs` replaces that with
-a vectorized binary search over the CDF columns: O(n·log C) gathers, no
-``n × C`` intermediate, and — because each probe evaluates the *same*
-``cdf < u`` predicate on the same floats — a provably identical result
-(the count of CDF entries strictly below the uniform equals the lower
-bound of the first entry at or above it, by monotonicity of each CDF
-row).  :func:`broadcast_invert_row_cdfs` keeps the reference
-implementation for the equivalence tests and the scaling benchmark.
+A tuple's code is the first column of its CDF row at or above its uniform:
+the number of entries ``cdf < u`` holds on, because that predicate holds
+on a prefix of every row (cumulative sums of finite non-negative entries,
+last column clamped to 1.0, against ``u`` in ``[0, 1)``; ``row_cdfs``
+rejects any other matrix).  Every implementation evaluates that same
+comparison on the same doubles, so all of them return the same codes:
+
+* the native sampler (``repro_sample_block`` in ``core/_native/scoref.c``)
+  draws the whole block in one call — parent rows, map gathers and a
+  branch-free lower-bound search per tuple, every gather checked.  It runs
+  whenever :data:`repro.core.kernel_backend.NATIVE_KERNEL` is loaded.
+* without it, :func:`_numpy_block` runs per attribute: binary children
+  take a single comparison against the first CDF column, and the rest
+  :func:`invert_row_cdfs`, a vectorized binary search (O(n·log C)
+  gathers, no ``n × C`` intermediate).
+* :func:`broadcast_invert_row_cdfs` keeps the ``(n, C)`` comparison-and-
+  sum reference for the equivalence tests and the scaling benchmark.
 
 Streaming releases
 ------------------
@@ -39,10 +48,12 @@ a *different* (equally seeded-deterministic) stream than the single-stream
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernel_backend
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 from repro.core.rng import fallback_rng
 from repro.data.attribute import Attribute
@@ -68,15 +79,18 @@ def invert_row_cdfs(
 ) -> np.ndarray:
     """Batched per-row CDF inversion by vectorized binary search.
 
-    ``cdf`` is a ``(rows, C)`` matrix of nondecreasing row CDFs,
-    ``rows[t]`` selects tuple ``t``'s row and ``uniforms[t]`` its draw.
-    Returns, per tuple, the first column index whose CDF value is
-    ``>= uniform`` — equivalently the number of entries strictly below it,
-    exactly what :func:`broadcast_invert_row_cdfs` computes: every binary-
-    search probe evaluates the identical ``cdf < u`` float comparison, and
-    the probed predicate is monotone along each (nondecreasing) CDF row,
-    so the two inversions agree bit for bit on every input.  O(n·log C)
-    gathers instead of an ``n × C`` broadcast.
+    ``cdf`` is a ``(rows, C)`` matrix of row CDFs, ``rows[t]`` selects
+    tuple ``t``'s row and ``uniforms[t]`` its draw.  Returns, per tuple,
+    the first column index whose CDF value is ``>= uniform``.  On a row
+    where ``cdf < u`` holds for a prefix of the columns (every
+    nondecreasing row) that index is the prefix length: the number of
+    entries strictly below ``u``, exactly what
+    :func:`broadcast_invert_row_cdfs` and the native sampler compute,
+    since every probe evaluates the identical float comparison.  Other
+    rows (a negative or NaN entry, which
+    :attr:`~repro.core.noisy_conditionals.ConditionalTable.row_cdfs`
+    rejects) carry no such guarantee.  O(n·log C) gathers instead of an
+    ``n × C`` broadcast.
     """
     count = rows.shape[0]
     width = cdf.shape[1]
@@ -111,16 +125,6 @@ def _invert_conditional(
     return invert_row_cdfs(conditional.row_cdfs, parent_rows, uniforms)
 
 
-def _sample_rows(
-    conditional: ConditionalTable,
-    parent_rows: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one child value per tuple from the conditional's row CDFs."""
-    uniforms = rng.random(parent_rows.shape[0])
-    return _invert_conditional(conditional, parent_rows, uniforms)
-
-
 def _check_schema(
     model: NoisyModel, attributes: Sequence[Attribute]
 ) -> Dict[str, Attribute]:
@@ -143,42 +147,160 @@ def _check_schema(
     return by_name
 
 
-def _ancestral_block(
-    model: NoisyModel,
-    by_name: Dict[str, Attribute],
-    n: int,
-    draw: Callable[[int, ConditionalTable, np.ndarray], np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """Sample one block of ``n`` tuples, attribute by attribute.
+@dataclass(frozen=True, eq=False)
+class _SamplingPlan:
+    """A model's network flattened for one ancestral draw per call.
 
-    ``draw(index, conditional, parent_rows)`` produces the child codes of
-    the network's ``index``-th attribute — a single shared stream through
-    :func:`_sample_rows` for the monolithic path, one spawned stream per
-    attribute for the chunked path.
+    ``attrs`` holds one row per attribute in network order (CDF offset,
+    CDF rows, CDF width, first parent entry, parent count), ``parents``
+    one row per parent in mixed-radix order (source attribute index, map
+    offset or -1, map length, radix); ``maps`` and ``cdfs`` concatenate
+    the generalization maps and the row-CDF matrices.  ``schema`` is the
+    cache key: the schema attributes in network order, each beside its
+    taxonomy, because :class:`Attribute` equality ignores the taxonomy
+    the maps come from.
     """
-    sampled: Dict[str, np.ndarray] = {}
-    for index, pair in enumerate(model.network):
+
+    schema: Tuple
+    conditionals: Tuple[ConditionalTable, ...]
+    attrs: np.ndarray
+    parents: np.ndarray
+    maps: np.ndarray
+    cdfs: np.ndarray
+
+
+def _sampling_plan(
+    model: NoisyModel, by_name: Dict[str, Attribute]
+) -> _SamplingPlan:
+    """The model's sampling plan for this schema, built once and cached.
+
+    Cached on the model (as ``row_cdfs`` is on each conditional), so
+    repeated draws from one fitted model redo none of this.  Raises
+    :class:`ValueError` naming the child when a conditional does not fit
+    the schema: a CDF width other than the attribute's size, or a parent
+    radix below the codes the parent can take.  A mismatch would
+    otherwise emit out-of-range codes or alias conditional rows.
+    """
+    schema = tuple(
+        (by_name[pair.child], by_name[pair.child].taxonomy)
+        for pair in model.network
+    )
+    plan = getattr(model, "_sampling_plan", None)
+    if plan is not None and plan.schema == schema:
+        return plan
+    index_of = {pair.child: i for i, pair in enumerate(model.network)}
+    conditionals = []
+    attrs, parents, maps, cdfs = [], [], [], []
+    cdf_offset = map_offset = 0
+    for pair in model.network:
         conditional = model.conditional_for(pair.child)
-        if pair.parents:
-            parent_codes = []
-            for name, level in pair.parents:
-                codes = sampled[name]
-                if level != 0:
-                    codes = by_name[name].generalization_map(level)[codes]
-                parent_codes.append(codes)
-            # Mixed-radix accumulation, same integer arithmetic as
-            # data.marginals.flatten_index without its stack/validation
-            # overhead per draw batch: the conditional's matrix shape
-            # already proves the parent domain fits int64 indexing.
-            rows = parent_codes[0]
-            for codes, size in zip(
-                parent_codes[1:], conditional.parent_sizes[1:]
-            ):
-                rows = rows * int(size) + codes
-        else:
-            rows = np.zeros(n, dtype=np.int64)
-        sampled[pair.child] = draw(index, conditional, rows)
-    return sampled
+        size = by_name[pair.child].size
+        if conditional.child_size != size:
+            raise ValueError(
+                f"conditional for {pair.child!r} has {conditional.child_size} "
+                f"columns but the schema attribute has {size} values"
+            )
+        cdf = conditional.row_cdfs
+        attrs.append(
+            (cdf_offset, cdf.shape[0], cdf.shape[1], len(parents),
+             len(pair.parents))
+        )
+        cdfs.append(cdf.ravel())
+        cdf_offset += cdf.size
+        for (name, level), radix in zip(
+            pair.parents, conditional.parent_sizes
+        ):
+            if level == 0:
+                reach = by_name[name].size
+                parents.append((index_of[name], -1, 0, radix))
+            else:
+                generalize = by_name[name].generalization_map(level)
+                reach = int(generalize.max()) + 1
+                parents.append(
+                    (index_of[name], map_offset, generalize.size, radix)
+                )
+                maps.append(generalize)
+                map_offset += generalize.size
+            if reach > radix:
+                raise ValueError(
+                    f"conditional for {pair.child!r} gives parent "
+                    f"{name!r} (level {level}) {radix} values, but its "
+                    f"codes reach {reach}"
+                )
+        conditionals.append(conditional)
+    arrays = (
+        np.array(attrs, dtype=np.int64).reshape(-1, 5),
+        np.array(parents, dtype=np.int64).reshape(-1, 4),
+        np.concatenate(maps + [np.zeros(0, dtype=np.int64)]),
+        np.concatenate(cdfs + [np.zeros(0)]),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    plan = _SamplingPlan(schema, tuple(conditionals), *arrays)
+    object.__setattr__(model, "_sampling_plan", plan)
+    return plan
+
+
+def _numpy_block(plan: _SamplingPlan, block: np.ndarray) -> None:
+    """:func:`_ancestral_block` without the native kernel.
+
+    Per attribute: mixed-radix parent rows from the codes already drawn,
+    then :func:`_invert_conditional` on the attribute's uniforms.
+    """
+    codes = block.view(np.int64)
+    parents = plan.parents.tolist()
+    for index, conditional in enumerate(plan.conditionals):
+        first, count = plan.attrs[index, 3:].tolist()
+        rows = None
+        # Mixed-radix accumulation, same integer arithmetic as
+        # data.marginals.flatten_index: the plan already proved every
+        # code is below its radix.
+        for source, offset, length, radix in parents[first:first + count]:
+            parent = codes[source]
+            if offset >= 0:
+                parent = plan.maps[offset:offset + length][parent]
+            rows = parent if rows is None else rows * radix + parent
+        if rows is None:
+            rows = np.zeros(block.shape[1], dtype=np.int64)
+        codes[index] = _invert_conditional(conditional, rows, block[index])
+
+
+def _ancestral_block(
+    model: NoisyModel, by_name: Dict[str, Attribute], block: np.ndarray
+) -> np.ndarray:
+    """Sample one block of tuples, every attribute in network order.
+
+    ``block`` is a ``(d, n)`` float64 matrix whose row ``i`` holds the
+    uniforms of the network's ``i``-th attribute; it is overwritten in
+    place with the codes, returned as its int64 view.  One native call
+    draws the whole block when the compiled kernel is loaded
+    (:data:`repro.core.kernel_backend.NATIVE_KERNEL`); otherwise
+    :func:`_numpy_block` runs.  Both return the same codes.
+    """
+    plan = _sampling_plan(model, by_name)
+    kernel = kernel_backend.NATIVE_KERNEL
+    if kernel is None:
+        _numpy_block(plan, block)
+    else:
+        kernel.sample_block(
+            plan.attrs, plan.parents, plan.maps, plan.cdfs, block
+        )
+    return block.view(np.int64)
+
+
+def _release_table(
+    model: NoisyModel,
+    ordered_attrs: Sequence[Attribute],
+    codes: np.ndarray,
+) -> Table:
+    """The schema-ordered table over a block of codes in network order."""
+    index_of = {pair.child: i for i, pair in enumerate(model.network)}
+    # Codes are in [0, attr.size) by construction: each inverts a
+    # conditional whose width the plan checked equals attr.size.  Skip
+    # the validating constructor's per-column scans.
+    return Table.from_trusted_columns(
+        ordered_attrs, {a.name: codes[index_of[a.name]] for a in ordered_attrs}
+    )
 
 
 def sample_synthetic(
@@ -207,20 +329,13 @@ def sample_synthetic(
     if n < 0:
         raise ValueError("n must be non-negative")
     by_name = _check_schema(model, attributes)
-    # _sample_rows is resolved at call time so the benchmark's seed-path
-    # reference implementation can be swapped in for timing comparisons.
-    sampled = _ancestral_block(
-        model,
-        by_name,
-        n,
-        lambda index, conditional, rows: _sample_rows(conditional, rows, rng),
+    # Row i of the block is what d sequential rng.random(n) calls would
+    # give attribute i: the historical draw order, in one call.
+    codes = _ancestral_block(
+        model, by_name, rng.random((model.network.d, n))
     )
-    ordered_attrs = [by_name[a.name] for a in attributes]
-    # Codes are in [0, attr.size) by construction (each draw inverts a
-    # conditional with exactly attr.size columns), so skip the validating
-    # constructor's per-column scans.
-    return Table.from_trusted_columns(
-        ordered_attrs, {a.name: sampled[a.name] for a in ordered_attrs}
+    return _release_table(
+        model, [by_name[a.name] for a in attributes], codes
     )
 
 
@@ -289,19 +404,11 @@ def sample_synthetic_chunks(
     start = 0
     while True:
         count = min(chunk_rows, n - start)
-        sampled = _ancestral_block(
-            model,
-            by_name,
-            count,
-            lambda index, conditional, rows: _invert_conditional(
-                conditional, rows, streams[index].random(rows.shape[0])
-            ),
-        )
-        # Codes are in-range by construction, exactly as in
-        # sample_synthetic; skip the validating constructor's scans.
-        yield Table.from_trusted_columns(
-            ordered_attrs, {a.name: sampled[a.name] for a in ordered_attrs}
-        )
+        block = np.empty((model.network.d, count))
+        for row, stream in zip(block, streams):
+            stream.random(out=row)
+        codes = _ancestral_block(model, by_name, block)
+        yield _release_table(model, ordered_attrs, codes)
         start += count
         if start >= n:
             return

@@ -1,21 +1,24 @@
 """Kernel-backend diagnostic CLI: ``python -m repro.kernels``.
 
-Prints which score-kernel backend this environment selected
+Prints which kernel backend this environment selected
 (:mod:`repro.core.kernel_backend`), whether a C toolchain is available,
 and where the compiled artifact lives — then runs a ~1-second self-check
-that re-scores a seeded randomized grid and asserts the backends agree
-bit-for-bit.  Exit status 0 means the reported backend is healthy; 1
-means the self-check failed (or a requested backend cannot be provided).
+of both native kernels and asserts they agree with NumPy bit-for-bit.
+Exit status 0 means the reported backend is healthy; 1 means a check
+failed (or a requested backend cannot be provided).
 
 Typical uses::
 
     python -m repro.kernels                         # what am I running?
     REPRO_KERNEL_BACKEND=native python -m repro.kernels   # require the C tier
 
-The self-check compares the native kernel against the pure-NumPy kernel
-when both are available; in a NumPy-only environment it falls back to
-checking the batched kernel against the per-candidate reference DP, so
-the exit code is meaningful everywhere.
+The F check re-scores a seeded randomized grid with the native kernel and
+the pure-NumPy kernel when both are available; in a NumPy-only
+environment it falls back to checking the batched kernel against the
+per-candidate reference DP, so the exit code is meaningful everywhere.
+The sampler check draws one block over a fixed small network with a
+generalized parent natively and with the NumPy loop, and compares the
+codes; without the native kernel there is nothing to compare it with.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ import sys
 
 import numpy as np
 
-from repro.core import kernel_backend
+from repro.bn.network import APPair, BayesianNetwork
+from repro.core import kernel_backend, sampler
+from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 from repro.core.score_kernels import score_F_batch, score_F_dp
+from repro.data.attribute import Attribute
+from repro.data.taxonomy import TaxonomyTree
 
 #: Self-check shape: ~1 second of work on a small machine, while still
 #: exercising the blocked-DP regime (m > enum threshold) where the native
@@ -34,6 +41,9 @@ _CHECK_SEED = 20140622  # SIGMOD'14 flavor; any fixed seed works
 _CHECK_N = 4000
 _CHECK_CELLS = 20
 _CHECK_COUNT = 400
+
+#: Sampler check: tuples per block over the fixed network.
+_SAMPLE_N = 4096
 
 
 def _check_grid() -> np.ndarray:
@@ -85,6 +95,64 @@ def self_check() -> str:
     )
 
 
+def _sampler_network():
+    """Fixed network: p (16 bins) -> q | p at level 2 -> r | (p, q)."""
+    labels = tuple(str(value) for value in range(16))
+    attrs = [
+        Attribute("p", labels, taxonomy=TaxonomyTree.balanced_binary(labels)),
+        Attribute("q", ("x", "y", "z")),
+        Attribute.binary("r"),
+    ]
+    network = BayesianNetwork(
+        [
+            APPair.make("p", []),
+            APPair.make("q", [("p", 2)]),
+            APPair.make("r", ["p", "q"]),
+        ]
+    )
+    rng = np.random.default_rng(_CHECK_SEED)
+    conditionals = (
+        ConditionalTable("p", (), (), 16, rng.dirichlet(np.ones(16), 1)),
+        ConditionalTable(
+            "q", (("p", 2),), (4,), 3, rng.dirichlet(np.ones(3), 4)
+        ),
+        ConditionalTable(
+            "r", (("p", 0), ("q", 0)), (16, 3), 2,
+            rng.dirichlet(np.ones(2), 48),
+        ),
+    )
+    return NoisyModel(network, conditionals), attrs
+
+
+def sampler_check() -> str:
+    """Compare the native sampler's codes with the NumPy loop's.
+
+    Raises ``AssertionError`` on a mismatch, or
+    :class:`~repro.core.kernel_backend.KernelBackendError` when the
+    native sampler rejects the plan.
+    """
+    kernel = kernel_backend.NATIVE_KERNEL
+    if kernel is None:
+        return "numpy only: no native sampler to compare with"
+    model, attrs = _sampler_network()
+    plan = sampler._sampling_plan(model, sampler._check_schema(model, attrs))
+    uniforms = np.random.default_rng(_CHECK_SEED).random(
+        (len(attrs), _SAMPLE_N)
+    )
+    reference = uniforms.copy()
+    sampler._numpy_block(plan, reference)
+    native = uniforms.copy()
+    kernel.sample_block(plan.attrs, plan.parents, plan.maps, plan.cdfs, native)
+    if not np.array_equal(native.view(np.int64), reference.view(np.int64)):
+        raise AssertionError(
+            "native and numpy samplers disagree on the fixed network"
+        )
+    return (
+        f"native == numpy on {_SAMPLE_N} tuples x {len(attrs)} attributes "
+        "(one generalized parent): bit-identical"
+    )
+
+
 def main(argv=None) -> int:
     print(f"requested mode   : {kernel_backend.requested_mode()} "
           f"(${kernel_backend.BACKEND_ENV})")
@@ -95,12 +163,15 @@ def main(argv=None) -> int:
     artifact = kernel_backend.artifact_path()
     state = "present" if artifact.exists() else "not built"
     print(f"artifact         : {artifact} ({state})")
-    try:
-        print(f"self-check       : {self_check()}")
-    except (AssertionError, kernel_backend.KernelBackendError) as error:
-        print(f"self-check       : FAILED — {error}")
-        return 1
-    return 0
+    status = 0
+    checks = (("self-check", self_check), ("sampler check", sampler_check))
+    for label, check in checks:
+        try:
+            print(f"{label:<17}: {check()}")
+        except (AssertionError, kernel_backend.KernelBackendError) as error:
+            print(f"{label:<17}: FAILED — {error}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

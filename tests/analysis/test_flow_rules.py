@@ -576,12 +576,12 @@ class TestNativeAbiDrift:
         assert not rule.applies_to("src/repro/core/privbayes.py")
 
     def test_recorded_manifest_matches_the_tree(self):
-        """ABI_MANIFEST v1 is exactly today's scoref.c exported surface."""
+        """ABI_MANIFEST v2 is exactly today's scoref.c exported surface."""
         c_source = (
             REPO_ROOT / "src/repro/core/_native/scoref.c"
         ).read_text()
-        assert parse_c_abi_version(c_source) == 1
-        assert parse_c_exports(c_source) == ABI_MANIFEST[1]
+        assert parse_c_abi_version(c_source) == 2
+        assert parse_c_exports(c_source) == ABI_MANIFEST[2]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ class TestDiagnosticCLI:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "selected backend" in result.stdout
         assert "bit-identical" in result.stdout
+        assert "sampler check" in result.stdout
 
     @needs_native
     def test_cli_native_mode(self):
@@ -138,6 +139,7 @@ class TestDiagnosticCLI:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "selected backend : native" in result.stdout
+        assert "sampler check    : native == numpy" in result.stdout
 
 
 _FINGERPRINT_CODE = """

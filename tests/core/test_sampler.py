@@ -76,14 +76,14 @@ class TestSampling:
     def test_binary_fast_path_matches_general_cdf_inversion(self):
         """child_size == 2 takes a one-comparison path; codes must equal
         the generic count-of-exceeded-CDF-entries inversion."""
-        from repro.core.sampler import _sample_rows
+        from repro.core.sampler import _invert_conditional
 
         model, _ = _manual_model()
         conditional = model.conditionals[1]
         rows = np.random.default_rng(0).integers(0, 2, 5000)
-        draws = _sample_rows(conditional, rows, np.random.default_rng(9))
-        cdf = conditional.row_cdfs
         uniforms = np.random.default_rng(9).random(rows.shape[0])
+        draws = _invert_conditional(conditional, rows, uniforms)
+        cdf = conditional.row_cdfs
         reference = (
             (uniforms[:, None] > cdf[rows]).sum(axis=1).astype(np.int64)
         )
