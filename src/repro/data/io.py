@@ -10,19 +10,27 @@ Both directions work one column at a time, never one cell at a time.
 ``csv.reader`` and ``csv.writer`` stay the only parser and formatter, so
 quoting and dialect behaviour are exactly theirs.
 
-Two reading paths share one schema-inference core:
+Two reading paths share one parse loop and one schema-inference core.
+Every pass over a file opens it, reads and checks the header, parses the
+body in batches of :data:`BATCH_ROWS` rows, transposes each batch, checks
+its width and counts its rows in the same loop.  Every column's schema and
+raw-field → code dict come from :func:`_column_lookup`, which strips each
+distinct raw field once and infers the schema from the stripped values:
 
-* :func:`read_csv` — resident: the whole file becomes a ``Table``.
-* :class:`CsvSource` — streaming, in two passes over the file.  Pass 1
-  parses it in batches of :data:`BATCH_ROWS` rows, transposes each batch
-  and keeps only each column's *distinct raw fields*, so its memory is the
-  columns' domains plus one batch, never the row count.  It then strips
-  each distinct raw field once, infers the schema from the stripped values
-  and builds one raw-field → code dict per column.  Pass 2 re-parses the
-  same batches and encodes each column by dict lookup into fixed-size
-  chunks.  Pass 1 pins the file's size and modification time, and every
-  pass 2 re-checks the pin.  ``read_csv`` is literally ``Table.from_chunks``
-  over a ``CsvSource``, so the two paths cannot drift apart.
+* :func:`read_csv` — resident, in one pass: the whole file becomes a
+  ``Table``.  Each batch's columns are encoded to first-appearance ids as
+  they are parsed; at the end one ``np.take`` per column maps the ids to
+  the codes ``_column_lookup`` assigns.
+* :class:`CsvSource` — streaming, in two passes.  Pass 1 keeps only each
+  column's *distinct raw fields*, so its memory is the columns' domains
+  plus one batch, never the row count, and builds one raw-field → code
+  dict per column.  Pass 2 re-parses the same batches and encodes each
+  column by dict lookup into fixed-size chunks.  Pass 1 pins the file's
+  size and modification time, and every pass 2 re-checks the pin.
+
+The codes depend only on each column's distinct values, never on the order
+the rows come in, so the two paths give the same table; the tests hold
+both to a per-cell reference reader.
 
 :func:`write_csv` accepts a resident table, a chunked source, or an
 iterator of chunk tables (e.g.
@@ -34,17 +42,21 @@ million-row release never materializes ``n × d`` decoded labels.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
+import math
 import os
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -72,9 +84,10 @@ CONTINUOUS_THRESHOLD = 20
 #: Rows per encode/write batch when a resident table is written out.
 WRITE_CHUNK_ROWS = 32_768
 
-#: Rows ``CsvSource`` parses and transposes at a time, in both passes.  A
-#: few hundred is fastest: on a 45k-row Adult file (2-vCPU VM) pass 1 took
-#: 174 ms in 256-row batches, 339 ms in 4096-row ones and 482 ms in one.
+#: Rows every pass parses and transposes at a time.  A few hundred is
+#: fastest: on a 45k-row Adult file (2-vCPU VM), ``read_csv`` took a median
+#: 154 ms in 256-row batches, 157 ms in 128-row ones, 242 ms in 4096-row
+#: ones and 404 ms in one.
 BATCH_ROWS = 256
 
 
@@ -101,7 +114,8 @@ def _infer_schema(
       :func:`infer_attribute`);
     * numeric with more than ``continuous_threshold`` distinct values →
       continuous, discretized into ``bins`` equi-width bins over the
-      observed min/max;
+      observed min/max (a ``nan`` or infinite value, which has no bin,
+      raises :class:`ValueError`);
     * otherwise categorical over the sorted distinct labels.
 
     Binary and categorical codes are each label's index in ``labels``.
@@ -122,6 +136,12 @@ def _infer_schema(
         # (every value's parse is in the set), so the bin edges match a
         # one-shot full-column scan exactly.
         floats = [float(v) for v in labels]
+        for label, value in zip(labels, floats):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"column {name!r} is binned but holds the non-finite "
+                    f"number {label!r}"
+                )
         attr, edges = continuous_attribute(
             name, min(floats), max(floats), bins=bins
         )
@@ -164,14 +184,15 @@ def infer_attribute(
 
 def _column_lookup(
     name: str,
-    raw_fields: Set[str],
+    raw_fields: Iterable[str],
     bins: int,
     continuous_threshold: int,
 ) -> Tuple[Attribute, Dict[str, int]]:
     """A column's attribute and its raw field → code dict.
 
-    Each distinct raw field is stripped once; the schema is inferred from
-    the stripped values, as if every field had been stripped on its own.
+    ``raw_fields`` are the column's distinct raw fields.  Each is stripped
+    once; the schema is inferred from the stripped values, as if every
+    field had been stripped on its own.
     """
     stripped = {raw: raw.strip() for raw in raw_fields}
     attr, code_of = _infer_schema(
@@ -180,16 +201,19 @@ def _column_lookup(
     return attr, {raw: code_of[label] for raw, label in stripped.items()}
 
 
-def _batches(reader: Iterator[List[str]]) -> Iterator[List[List[str]]]:
-    """The reader's non-blank rows, one :data:`BATCH_ROWS`-row parse at a
-    time."""
-    while True:
-        batch = list(itertools.islice(reader, BATCH_ROWS))
-        if not batch:
-            return
-        rows = list(filter(None, batch))
-        if rows:
-            yield rows
+class _FirstAppearance(dict):
+    """Raw field → id, the ids numbering a column's distinct fields in
+    order of first appearance.
+
+    Looking up a field not yet seen stores and returns the next id, so
+    ``map(ids.__getitem__, column)`` ids a whole column in C and runs
+    Python code once per distinct field.  The keys are the column's
+    distinct raw fields, in id order.
+    """
+
+    def __missing__(self, field: str) -> int:
+        self[field] = next_id = len(self)
+        return next_id
 
 
 def _stat_pin(handle) -> Tuple[int, int]:
@@ -197,23 +221,114 @@ def _stat_pin(handle) -> Tuple[int, int]:
     return status.st_size, status.st_mtime_ns
 
 
+def _ragged_row(path: Path, delimiter: str, width: int) -> ValueError:
+    """The error for the file's first row whose width is not ``width``.
+
+    Only this path tracks file lines: it re-reads the file, so the line
+    numbers count blank lines and multi-line quoted records.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        first_line = 1
+        for row in reader:
+            if row and len(row) != width:
+                lines = (
+                    f"line {first_line}"
+                    if reader.line_num == first_line
+                    else f"lines {first_line}-{reader.line_num}"
+                )
+                return ValueError(
+                    f"{path}: the row on {lines} has {len(row)} fields, "
+                    f"expected {width}"
+                )
+            first_line = reader.line_num + 1
+    return ValueError(f"{path} changed while it was read")
+
+
+class _CsvPass:
+    """One ``csv.reader`` pass over a headed CSV file: the parse loop that
+    :func:`read_csv` and both :class:`CsvSource` passes share.
+
+    Entering it opens the file, pins its ``(st_size, st_mtime_ns)`` in
+    :attr:`pin` and reads :attr:`header`.  An empty file, or a header that
+    repeats a column name, raises before any body row is parsed.
+    """
+
+    def __init__(self, path: Path, delimiter: str) -> None:
+        self.path = path
+        self.delimiter = delimiter
+        self.n = 0
+
+    def __enter__(self) -> "_CsvPass":
+        self._handle = self.path.open(newline="")
+        try:
+            self.pin = _stat_pin(self._handle)
+            self._reader = csv.reader(self._handle, delimiter=self.delimiter)
+            self.header = next(self._reader, None)
+            if self.header is None:
+                raise ValueError(f"{self.path} is empty")
+            counts = collections.Counter(self.header)
+            repeated = [name for name, count in counts.items() if count > 1]
+            if repeated:
+                raise ValueError(
+                    f"{self.path} has duplicate column names: "
+                    + ", ".join(map(repr, repeated))
+                )
+        except BaseException:
+            self._handle.close()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._handle.close()
+
+    def batches(
+        self, misfit: Optional[Callable[[], ValueError]] = None
+    ) -> Iterator[Tuple[int, Iterator[Tuple[str, ...]]]]:
+        """The body's non-blank rows as ``(row count, column tuples)``,
+        parsed and transposed :data:`BATCH_ROWS` rows at a time.
+
+        Adds each batch's row count to :attr:`n` before yielding it.  A
+        row whose width is not the header's raises ``misfit()``, or by
+        default the error naming that row's file line; a body without rows
+        raises too.
+        """
+        width = len(self.header)
+        while True:
+            batch = list(itertools.islice(self._reader, BATCH_ROWS))
+            if not batch:
+                break
+            rows = list(filter(None, batch))
+            if not rows:
+                continue
+            if set(map(len, rows)) != {width}:
+                if misfit is None:
+                    raise _ragged_row(self.path, self.delimiter, width)
+                raise misfit()
+            self.n += len(rows)
+            yield len(rows), zip(*rows)
+        if self.n == 0:
+            raise ValueError(f"{self.path} has a header but no data rows")
+
+
 class CsvSource(ChunkedSource):
     """Two-pass streaming CSV reader (see the module docstring).
 
     Pass 1 (at construction) pins the file's ``(st_size, st_mtime_ns)``,
     then parses it once in batches of :data:`BATCH_ROWS` rows.  It
-    validates shape (header present, rows non-empty and rectangular; a
-    ragged row's error names its file line), counts rows, and keeps each
-    column's distinct raw fields plus the batch in flight — no row data
-    outlives its batch.  It ends by building one raw-field → code dict per
-    column, which the source keeps: one entry per distinct raw field.
+    validates shape (header present with distinct names, rows non-empty
+    and rectangular; a ragged row's error names its file line), counts
+    rows, and keeps each column's distinct raw fields plus the batch in
+    flight — no row data outlives its batch.  It ends by building one
+    raw-field → code dict per column, which the source keeps: one entry
+    per distinct raw field.
 
     Pass 2 (:meth:`chunks`) re-parses the same batches and encodes each
     column with a dict lookup, yielding chunks of exactly ``chunk_rows``
     rows (the last may be shorter), so chunked and monolithic codes are
     identical for any chunk size.  The file must not change between
-    passes: a moved pin, a changed row count or shape, or a raw field that
-    pass 1 never saw raises :class:`ValueError`.
+    passes: a moved pin, a changed header, row count or shape, or a raw
+    field that pass 1 never saw raises :class:`ValueError`.
     """
 
     def __init__(
@@ -229,54 +344,19 @@ class CsvSource(ChunkedSource):
         self._path = Path(path)
         self._chunk_rows = int(chunk_rows)
         self._delimiter = delimiter
-        count = 0
-        with self._path.open(newline="") as handle:
-            self._pin = _stat_pin(handle)
-            reader = csv.reader(handle, delimiter=delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{self._path} is empty") from None
-            width = len(header)
-            distinct: List[Set[str]] = [set() for _ in header]
-            for rows in _batches(reader):
-                if set(map(len, rows)) != {width}:
-                    raise self._ragged_row(width)
-                for seen, column in zip(distinct, zip(*rows)):
+        with _CsvPass(self._path, delimiter) as parse:
+            distinct: List[Set[str]] = [set() for _ in parse.header]
+            for _, columns in parse.batches():
+                for seen, column in zip(distinct, columns):
                     seen.update(column)
-                count += len(rows)
-        if count == 0:
-            raise ValueError(f"{self._path} has a header but no data rows")
         columns = [
             _column_lookup(name, raw_fields, bins, continuous_threshold)
-            for name, raw_fields in zip(header, distinct)
+            for name, raw_fields in zip(parse.header, distinct)
         ]
         self._attributes = tuple(attr for attr, _ in columns)
         self._lookups = tuple(lookup for _, lookup in columns)
-        self._n = count
-
-    def _ragged_row(self, width: int) -> ValueError:
-        """The error for the file's first row whose width is not ``width``.
-
-        Only this path tracks file lines: it re-reads the file, so the
-        line numbers count blank lines and multi-line quoted records.
-        """
-        with self._path.open(newline="") as handle:
-            reader = csv.reader(handle, delimiter=self._delimiter)
-            first_line = 1
-            for row in reader:
-                if row and len(row) != width:
-                    lines = (
-                        f"line {first_line}"
-                        if reader.line_num == first_line
-                        else f"lines {first_line}-{reader.line_num}"
-                    )
-                    return ValueError(
-                        f"{self._path}: the row on {lines} has {len(row)} "
-                        f"fields, expected {width}"
-                    )
-                first_line = reader.line_num + 1
-        return ValueError(f"{self._path} changed during schema inference")
+        self._n = parse.n
+        self._pin = parse.pin
 
     def _changed(self) -> ValueError:
         return ValueError(
@@ -286,27 +366,21 @@ class CsvSource(ChunkedSource):
 
     def chunks(self) -> Iterator[Mapping[str, np.ndarray]]:
         names = self.attribute_names
-        width = len(names)
         size = self._chunk_rows
-        seen = 0
-        with self._path.open(newline="") as handle:
-            if _stat_pin(handle) != self._pin:
+        with _CsvPass(self._path, self._delimiter) as parse:
+            if parse.pin != self._pin or tuple(parse.header) != names:
                 raise self._changed()
-            reader = csv.reader(handle, delimiter=self._delimiter)
-            next(reader)  # header (pass 1 guaranteed it exists)
             pending: List[List[np.ndarray]] = []
             buffered = 0
-            for rows in _batches(reader):
-                count = len(rows)
-                seen += count
-                if set(map(len, rows)) != {width} or seen > self._n:
+            for count, columns in parse.batches(self._changed):
+                if parse.n > self._n:
                     raise self._changed()
                 try:
                     pending.append([
                         np.fromiter(
                             map(lookup.__getitem__, column), np.int64, count
                         )
-                        for lookup, column in zip(self._lookups, zip(*rows))
+                        for lookup, column in zip(self._lookups, columns)
                     ])
                 except KeyError:
                     raise self._changed() from None
@@ -319,7 +393,7 @@ class CsvSource(ChunkedSource):
                         yield dict(zip(names, (c[start:stop] for c in columns)))
                     buffered -= full
                     pending = [[c[full:] for c in columns]] if buffered else []
-            if seen != self._n:
+            if parse.n != self._n:
                 raise self._changed()
             if buffered:
                 columns = [np.concatenate(part) for part in zip(*pending)]
@@ -332,14 +406,39 @@ def read_csv(
     continuous_threshold: int = CONTINUOUS_THRESHOLD,
     delimiter: str = ",",
 ) -> Table:
-    """Load a headed CSV file into a table with inferred schema."""
-    source = CsvSource(
-        path,
-        bins=bins,
-        continuous_threshold=continuous_threshold,
-        delimiter=delimiter,
-    )
-    return Table.from_chunks(source.attributes, source.chunks())
+    """Load a headed CSV file into a table with inferred schema.
+
+    One parse: each batch's columns are encoded to first-appearance ids as
+    they are parsed.  At the end :func:`_column_lookup` infers each
+    column's attribute and raw field → code dict from the ids' keys, its
+    distinct raw fields, and one ``np.take`` per column maps the ids to
+    those codes.  The codes depend only on the distinct values, so the
+    table is the one :class:`CsvSource` streams from the same file.
+    """
+    path = Path(path)
+    with _CsvPass(path, delimiter) as parse:
+        ids = [_FirstAppearance() for _ in parse.header]
+        d = len(ids)
+        # One ``d x count`` id block per batch, not one array per column:
+        # d times fewer small allocations kept a 45k-row Adult release's
+        # peak RSS 2-4 MB lower.
+        blocks = []
+        for count, columns in parse.batches():
+            batch_ids = itertools.chain.from_iterable(
+                map(seen.__getitem__, column)
+                for seen, column in zip(ids, columns)
+            )
+            blocks.append(
+                np.fromiter(batch_ids, np.int64, d * count).reshape(d, count)
+            )
+    attributes = []
+    codes = {}
+    for j, (name, seen) in enumerate(zip(parse.header, ids)):
+        attr, lookup = _column_lookup(name, seen, bins, continuous_threshold)
+        lut = np.fromiter(map(lookup.__getitem__, seen), np.int64, len(seen))
+        attributes.append(attr)
+        codes[name] = lut.take(np.concatenate([block[j] for block in blocks]))
+    return Table(attributes, codes)
 
 
 def _chunk_stream(

@@ -10,6 +10,7 @@ library.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -58,6 +59,12 @@ class ColumnSchema:
             return attr, attr.encode
         if _is_numeric(distinct) and len(distinct) > self.continuous_threshold:
             floats = [float(v) for v in distinct]
+            for value, number in zip(distinct, floats):
+                if math.isnan(number) or math.isinf(number):
+                    raise ValueError(
+                        f"column {self.name!r} is binned but holds the "
+                        f"non-finite number {value!r}"
+                    )
             attr, edges = continuous_attribute(
                 self.name, min(floats), max(floats), bins=self.bins
             )
@@ -82,8 +89,8 @@ def reference_read(
     """The attributes and the ``chunk_rows``-row code chunks of a CSV file.
 
     The first row is the header.  Skips blank rows after it and strips
-    every field; rejects an empty file, a header without rows and a row of
-    the wrong width.
+    every field; rejects an empty file, a header that repeats a name, a
+    header without rows and a row of the wrong width.
     """
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -91,6 +98,16 @@ def reference_read(
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path} is empty") from None
+        repeated = [
+            name
+            for i, name in enumerate(header)
+            if name not in header[:i] and name in header[i + 1:]
+        ]
+        if repeated:
+            raise ValueError(
+                f"{path} has duplicate column names: "
+                + ", ".join(repr(name) for name in repeated)
+            )
         body = [row for row in reader if row]
     if not body:
         raise ValueError(f"{path} has a header but no data rows")

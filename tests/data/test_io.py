@@ -1,11 +1,14 @@
 """CSV import/export: schema inference, round trips, validation."""
 
+import csv
 import os
+import types
 
 import numpy as np
 import pytest
 
-from io_reference import reference_write
+import repro.data.io
+from io_reference import reference_read, reference_write
 from repro.data.attribute import Attribute, AttributeKind
 from repro.data.io import BATCH_ROWS, CsvSource, infer_attribute, read_csv, write_csv
 from repro.data.table import Table
@@ -119,6 +122,92 @@ class TestRoundTrip:
         assert loaded.d == mixed_table.d
 
 
+def _readers(path):
+    """Each reader of ``path``, as a call that reads the whole file."""
+    return {
+        "read_csv": lambda: read_csv(path),
+        "CsvSource": lambda: list(CsvSource(path).chunks()),
+        "reference": lambda: reference_read(path, 100),
+    }
+
+
+class TestRejectedInput:
+    """Both readers and the reference oracle reject the same files with
+    the same error."""
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("a,a\n1,2\n", "'a'"),
+            ("a,b,a\n1,2,3\n3\n", "'a'"),
+            ("b,a,b,a,c\n1,2,3,4,5\n", "'b', 'a'"),
+            (",\n1,2\n", "''"),
+        ],
+    )
+    def test_duplicate_header_names(self, tmp_path, text, names):
+        """A repeated name would make one column stand in for another, so
+        the header fails before any body row is read: the ragged row in
+        the second case is never reached."""
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        message = f"{path} has duplicate column names: {names}"
+        for kind, read in _readers(path).items():
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == message, kind
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", " NaN "])
+    def test_non_finite_number_in_binned_column(self, tmp_path, field):
+        """A column binned over its min and max has no bin for nan or an
+        infinity: the error names the column and the field."""
+        path = tmp_path / "x.csv"
+        path.write_text("x\n" + "".join(f"{v}\n" for v in range(30)) + f"{field}\n")
+        message = (
+            f"column 'x' is binned but holds the non-finite number "
+            f"{field.strip()!r}"
+        )
+        for kind, read in _readers(path).items():
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == message, kind
+
+    def test_nan_in_few_distinct_values_stays_categorical(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("x\n1\nnan\n2\n1\n")
+        table = read_csv(path)
+        assert table.attribute("x") == Attribute(
+            "x", ("1", "2", "nan"), AttributeKind.CATEGORICAL
+        )
+        assert table.column("x").tolist() == [0, 2, 1, 0]
+
+
+def test_read_csv_parses_the_file_once(tmp_path, monkeypatch):
+    """The resident read builds one csv.reader and no CsvSource."""
+    path = tmp_path / "adult.csv"
+    write_csv(load_adult(n=300, seed=0), path)
+    expected = read_csv(path)
+    readers, sources = [], []
+
+    def reader(*args, **kwargs):
+        readers.append(args)
+        return csv.reader(*args, **kwargs)
+
+    source_init = CsvSource.__init__
+
+    def init(self, *args, **kwargs):
+        sources.append(args)
+        source_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(repro.data.io, "csv", types.SimpleNamespace(reader=reader))
+    monkeypatch.setattr(repro.data.io.CsvSource, "__init__", init)
+    table = read_csv(path)
+    assert len(readers) == 1
+    assert sources == []
+    assert table.attributes == expected.attributes
+    for name in table.attribute_names:
+        np.testing.assert_array_equal(table.column(name), expected.column(name))
+
+
 class TestCsvSource:
     """The streaming reader must match read_csv for every chunk size."""
 
@@ -199,6 +288,18 @@ class TestCsvSource:
         assert source.attributes[0].kind is kind
         status = path.stat()
         path.write_text(after)
+        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+        with pytest.raises(ValueError, match="changed between"):
+            list(source.chunks())
+
+    def test_renamed_header_detected(self, tmp_path):
+        """A same-size header edit the stat pin cannot see fails too, so
+        pass 2 never yields codes under another column's name."""
+        path = tmp_path / "t.csv"
+        path.write_text("c,d\nred,0\nblu,1\n")
+        source = CsvSource(path)
+        status = path.stat()
+        path.write_text("c,e\nred,0\nblu,1\n")
         os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
         with pytest.raises(ValueError, match="changed between"):
             list(source.chunks())

@@ -5,7 +5,9 @@ Generated files mix the cases that make CSV reading subtle: labels holding
 the delimiter, quotes, CR or LF, padded with spaces, empty or non-ASCII;
 whitespace variants that strip to one label; single-valued columns;
 numeric columns on both sides of ``CONTINUOUS_THRESHOLD``; blank lines;
-three delimiters; and chunk sizes around the reader's batch size.
+three delimiters; and chunk sizes around the reader's batch size.  Headers
+that repeat a name must fail the same way in every reader, and permuting a
+file's rows must permute its codes and nothing else.
 """
 
 import csv
@@ -14,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from io_reference import reference_read, reference_write
@@ -74,11 +77,15 @@ def _chunk_rows(choice: int, n: int) -> int:
 
 
 @st.composite
-def csv_files(draw):
-    """(file text, delimiter, row count, chunk rows) of a valid CSV file."""
+def csv_files(draw, duplicate_header=False):
+    """(file text, delimiter, row count, chunk rows) of a CSV file, valid
+    unless ``duplicate_header`` repeats a name in its header."""
     delimiter = draw(st.sampled_from(DELIMITERS))
     d = draw(st.integers(1, 4))
     header = draw(st.lists(TRICKY_TEXT, min_size=d, max_size=d, unique=True))
+    if duplicate_header:
+        header.insert(draw(st.integers(0, d)), draw(st.sampled_from(header)))
+        d += 1
     pools = [draw(column_pools()) for _ in range(d)]
     if d == 1 and draw(st.booleans()):
         pools[0] = sorted(set(pools[0]) | {""})
@@ -125,6 +132,57 @@ def test_reader_matches_reference(case):
     for name in table.attribute_names:
         np.testing.assert_array_equal(
             table.column(name), np.concatenate([c[name] for c in expected])
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(csv_files(duplicate_header=True))
+def test_duplicate_header_rejected_like_reference(case):
+    text, delimiter, _, chunk_rows = case
+    errors = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "data.csv"
+        with path.open("w", newline="") as handle:
+            handle.write(text)
+        for read in (
+            lambda: reference_read(path, chunk_rows, delimiter=delimiter),
+            lambda: CsvSource(path, chunk_rows=chunk_rows, delimiter=delimiter),
+            lambda: read_csv(path, delimiter=delimiter),
+        ):
+            with pytest.raises(ValueError) as caught:
+                read()
+            errors.append(str(caught.value))
+    assert "has duplicate column names: " in errors[0]
+    assert len(set(errors)) == 1, errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_files(), st.integers(0, 2**32 - 1))
+def test_row_order_permutes_codes_only(case, seed):
+    """Permuting the data rows keeps the attributes and permutes the codes
+    the same way: the order fields first appear in never reaches them."""
+    text, delimiter, n, _ = case
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    header = next(reader)
+    body = [row for row in reader if row]
+    assert len(body) == n
+    order = np.random.default_rng(seed).permutation(n)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter)
+    writer.writerow(header)
+    writer.writerows(body[i] for i in order)
+    with tempfile.TemporaryDirectory() as scratch:
+        tables = []
+        for name, content in (("rows", text), ("permuted", buffer.getvalue())):
+            path = Path(scratch) / f"{name}.csv"
+            with path.open("w", newline="") as handle:
+                handle.write(content)
+            tables.append(read_csv(path, delimiter=delimiter))
+    original, permuted = tables
+    assert permuted.attributes == original.attributes
+    for name in original.attribute_names:
+        np.testing.assert_array_equal(
+            permuted.column(name), original.column(name)[order]
         )
 
 

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line release tool."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,24 @@ class TestRelease:
     def test_missing_arguments(self, capsys):
         assert main([]) == 2
         assert "required" in capsys.readouterr().err
+
+    def test_release_bytes_golden(self, tmp_path, capsys):
+        """A fixed input, method and seed release these exact bytes, under
+        any hash seed and kernel backend."""
+        source = tmp_path / "adult.csv"
+        write_csv(load_adult(n=2000, seed=0), source)
+        out = tmp_path / "synthetic.csv"
+        rc = main(
+            [
+                "--input", str(source), "--output", str(out),
+                "--epsilon", "0.8", "--method", "hierarchical-R",
+                "--seed", "11",
+            ]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "07eb7c7090d3853f3e9ff3830e801fc66a88279d6bf4b1134dafb111239f2eee"
+        )
 
 
 class TestModelPersistence:
