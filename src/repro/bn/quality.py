@@ -4,6 +4,12 @@ The network-learning experiments (Figure 4) score a network by the sum of
 mutual information over its AP pairs, ``sum_i I(X_i, Π_i)`` — the quantity
 Algorithm 2 greedily maximizes (Equation 6 shows the KL divergence from the
 model to the data decreases as that sum grows).
+
+The module also holds :class:`ParentIndexCache`, the contingency counting
+of a resident table that scoring and distribution learning share: a
+Walsh–Hadamard transform of the full joint on all-binary tables up to
+:data:`MAX_WALSH_CELLS` cells, per-parent-set bincounts over the raw rows
+otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.core.score_kernels import score_I_segments
 from repro.data.attribute import Attribute
-from repro.data.chunks import GroupCounts
+from repro.data.chunks import CountGroup, GroupCounts
 from repro.data.marginals import (
     domain_size,
     ensure_int64_domain,
@@ -23,20 +29,16 @@ from repro.data.marginals import (
     joint_distribution,
     stacked_joint_counts,
     unflatten_index,
+    walsh_hadamard,
 )
 from repro.data.table import Table
 from repro.infotheory.measures import kl_divergence, segment_sums
 
-#: Count over a table's distinct rows only when they number at most this
-#: share of its rows.  A weighted ``np.bincount`` costs more per row than
-#: an unweighted one (float64 accumulation over a second input stream;
-#: ~1.1x on Adult's columns), and compressing costs a one-off
-#: ``np.unique`` plus a gathered copy of each column; requiring that it at
-#: least halve the rows keeps a wide margin over both.  NLTCS (~6k
-#: distinct of 21,574 rows) counts a 3-parent, 4-child group ~1.8x
-#: faster; Adult (~43k distinct of 45,222) would count it ~13% slower, so
-#: it keeps its raw rows.
-MAX_DISTINCT_SHARE = 0.5
+#: Largest full joint, in cells, that an all-binary table's counting
+#: keeps as Walsh–Hadamard coefficients: 2**24 int64 cells are 128 MB.
+#: NLTCS (2**16 cells, 512 KB) and ACS (2**23, 64 MB) fit; Adult
+#: binarized to 52 bits does not, and counts its raw rows.
+MAX_WALSH_CELLS = 1 << 24
 
 
 def _generalize(
@@ -80,100 +82,120 @@ def _flatten_columns(
     return flat
 
 
-def _distinct_rows(table: Table) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """First-occurrence indexes and multiplicities of the table's distinct
-    rows, or ``None`` when counting should run over the raw rows.
-
-    Every row packs into one mixed-radix int64; one sort and a count of
-    value changes decide (see :data:`MAX_DISTINCT_SHARE`), and only a
-    table that compresses pays for the indexes and multiplicities.  A table
-    whose full domain does not fit int64 cannot pack and keeps its rows.
-    """
-    attrs = table.attributes
-    sizes = [attr.size for attr in attrs]
-    if table.n == 0 or domain_size(sizes) > np.iinfo(np.int64).max:
-        return None
-    packed = _flatten_columns(
-        [table.column(attr.name) for attr in attrs], sizes, table.n
-    )
-    ordered = np.sort(packed)
-    distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-    if distinct > MAX_DISTINCT_SHARE * table.n:
-        return None
-    _, first, multiplicity = np.unique(
-        packed, return_index=True, return_counts=True
-    )
-    return first, multiplicity.astype(np.float64)
-
-
 class ParentIndexCache:
     """Contingency counting over one resident table — the single counting
     entry point of the candidate-scoring engine (:mod:`repro.core.scoring`)
     and the distribution learner's
     :class:`~repro.core.noisy_conditionals.JointCounter`.
 
-    Counting runs over the table's *distinct* rows, each weighted by its
-    multiplicity, when they number at most :data:`MAX_DISTINCT_SHARE` of
-    the rows (decided once, at construction); otherwise over the raw rows.
-    Either way :meth:`counts` returns the exact integers a per-row
-    ``np.bincount`` produces.  The cache keeps only the per-(attribute,
-    level) code columns over the counted rows; each parent set's flat
-    index is rebuilt in place on every :meth:`counts` call and never
-    retained, so memory stays ``O(d · rows)`` however many parent sets a
-    search visits.  One cache per table serves both consumers (shared
-    through :class:`~repro.core.scoring.ScoringCache`).  Everything here is
-    a deterministic data statistic; cached arrays must be treated as
+    Two engines, chosen once, at construction, from the input alone:
+
+    * **Walsh–Hadamard** when every attribute is binary, the full joint
+      has at most :data:`MAX_WALSH_CELLS` cells and ``n · 2**d`` fits
+      int64.  The full joint is counted once (through :meth:`counts`, one
+      ordinary flatten and bincount, attribute ``i`` at bit ``d-1-i``) and
+      transformed in place into its integer Walsh–Hadamard coefficients
+      (:func:`~repro.data.marginals.walsh_hadamard`).  A joint over a set
+      ``S`` of level-0 attributes is then the inverse transform of the
+      coefficients of the subsets of ``S`` (the identity behind the
+      Fourier baseline, :mod:`repro.baselines.fourier`): a gather of
+      ``2**|S|`` coefficients, ``|S|`` butterfly stages and a right shift
+      by ``|S|``, all exact int64 arithmetic.  Every coefficient is at
+      most ``n`` in magnitude and every butterfly value at most
+      ``2**|S| · n``, hence the int64 condition.
+    * **Raw rows** otherwise, and for any group with a generalized parent:
+      each parent set's flat index is rebuilt in place (:meth:`flat`) and
+      every child is one ``np.bincount`` over it.  The flat index is never
+      retained, so memory stays ``O(d · n)`` however many parent sets a
+      search visits.
+
+    Either way :meth:`grouped_counts` returns the exact integers a per-row
+    ``np.bincount`` produces.  The cache keeps the per-(attribute, level)
+    code columns and, on the Walsh path, the ``2**d`` coefficients.  One
+    cache per table serves both consumers (shared through
+    :class:`~repro.core.scoring.ScoringCache`).  Everything here is a
+    deterministic data statistic; cached arrays must be treated as
     read-only.
     """
 
     def __init__(self, table: Table) -> None:
         self.table = table
-        distinct = _distinct_rows(table)
-        #: Rows counted: the distinct rows' first occurrences, or every row.
-        self._row_index = None if distinct is None else distinct[0]
-        #: Multiplicity (float64) of each counted row; ``None`` counts the
-        #: raw rows unweighted.
-        self.weights = None if distinct is None else distinct[1]
         self._codes: Dict[Tuple[str, int], Tuple[np.ndarray, int]] = {}
-
-    @property
-    def rows(self) -> int:
-        """How many rows each count runs over."""
-        return self.table.n if self.weights is None else len(self.weights)
+        #: Walsh–Hadamard coefficients of the full joint, or ``None`` when
+        #: counting runs over the raw rows.
+        self.coefficients: Optional[np.ndarray] = None
+        names = table.attribute_names
+        d = len(names)
+        if (
+            d
+            and all(attr.size == 2 for attr in table.attributes)
+            and 1 << d <= MAX_WALSH_CELLS
+            and table.n << d <= np.iinfo(np.int64).max
+        ):
+            full = self.counts(
+                tuple((name, 0) for name in names[:-1]), names[-1:]
+            )
+            self.coefficients = walsh_hadamard(full[0], d)
+            self.coefficients.setflags(write=False)
+            #: Bit of each attribute in a coefficient's index.
+            self._bit = {name: 1 << (d - 1 - i) for i, name in enumerate(names)}
 
     def codes(self, name: str, level: int) -> Tuple[np.ndarray, int]:
-        """Memoized :func:`generalized_codes` over the counted rows."""
+        """Memoized :func:`generalized_codes`."""
         key = (name, level)
         if key not in self._codes:
-            codes = self.table.column(name)
-            if self._row_index is not None:
-                codes = codes[self._row_index]
-            self._codes[key] = _generalize(
-                self.table.attribute(name), codes, level
-            )
+            self._codes[key] = generalized_codes(self.table, name, level)
         return self._codes[key]
 
     def flat(
         self, parents: Tuple[Tuple[str, int], ...]
     ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Flattened parent configuration of every counted row, plus the
-        parent sizes (built afresh; not retained)."""
+        """Flattened parent configuration of every row, plus the parent
+        sizes (built afresh; not retained)."""
         coded = [self.codes(name, level) for name, level in parents]
         sizes = tuple(size for _, size in coded)
-        return _flatten_columns([c for c, _ in coded], sizes, self.rows), sizes
+        flat = _flatten_columns([c for c, _ in coded], sizes, self.table.n)
+        return flat, sizes
 
     def counts(
         self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
     ) -> GroupCounts:
         """Int64 contingency counts of ``Pr[Π, X]`` for every child of one
-        parent set, in one stacked block.
+        parent set: the one-group case of :meth:`grouped_counts`."""
+        return self.grouped_counts([(tuple(parents), tuple(children))])[0]
 
-        Returns ``(block, offsets, lengths, parent_sizes, child_sizes)``:
-        the :func:`~repro.data.marginals.stacked_joint_counts` layout plus
-        the size metadata, exactly as
-        :func:`repro.data.chunks.stream_stacked_joint_counts` returns it
-        for a chunked source.
+    def grouped_counts(
+        self, groups: Sequence[CountGroup]
+    ) -> List[GroupCounts]:
+        """Int64 contingency counts for many ``(parents, children)``
+        groups — the resident twin of
+        :func:`repro.data.chunks.stream_grouped_joint_counts`.
+
+        Each result is ``(block, offsets, lengths, parent_sizes,
+        child_sizes)``: the :func:`~repro.data.marginals.stacked_joint_counts`
+        layout (parents in the order given, the first most significant,
+        the child innermost) plus the size metadata.  On the Walsh path
+        all level-0 groups of one width share one gather and one
+        butterfly; other groups count their raw rows one by one.
         """
+        results: List[Optional[GroupCounts]] = [None] * len(groups)
+        by_width: Dict[int, List[int]] = {}
+        for position, (parents, children) in enumerate(groups):
+            if self.coefficients is not None and all(
+                level == 0 for _, level in parents
+            ):
+                by_width.setdefault(len(parents) + 1, []).append(position)
+            else:
+                results[position] = self._raw_counts(parents, children)
+        for width, positions in by_width.items():
+            counted = self._walsh_counts([groups[p] for p in positions], width)
+            for position, group in zip(positions, counted):
+                results[position] = group
+        return results
+
+    def _raw_counts(
+        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
+    ) -> GroupCounts:
         flat, parent_sizes = self.flat(parents)
         parent_dom = domain_size(parent_sizes)
         child_sizes = tuple(self.table.attribute(c).size for c in children)
@@ -186,9 +208,59 @@ class ParentIndexCache:
             parent_dom,
             [self.codes(child, 0)[0] for child in children],
             child_sizes,
-            weights=self.weights,
         )
         return block, offsets, lengths, parent_sizes, child_sizes
+
+    def _walsh_counts(
+        self, groups: Sequence[CountGroup], width: int
+    ) -> List[GroupCounts]:
+        """Joints of groups of ``width`` level-0 attributes each (parents
+        plus child) from the coefficients.
+
+        Local cell ``t`` of a joint puts parent ``j`` at bit
+        ``width-1-j`` and the child at bit 0, which is the
+        ``stacked_joint_counts`` layout; its coefficient index is the XOR
+        of the bits of the attributes ``t`` selects.  For distinct
+        attributes that is their OR, and for an attribute listed twice
+        its two characters cancel, as they do in the data.  The gather is
+        cell-major (one column per joint) so the butterfly runs along
+        contiguous rows; the shift writes the joints back row-major.
+        """
+        bit = self._bit
+        cells = np.zeros((1, len(groups)), dtype=np.int64)
+        for j in range(width - 1):
+            parent_bits = np.array(
+                [bit[parents[j][0]] for parents, _ in groups], dtype=np.int64
+            )
+            cells = np.stack([cells, cells ^ parent_bits], axis=1).reshape(
+                2 << j, len(groups)
+            )
+        fanout = [len(children) for _, children in groups]
+        cells = np.repeat(cells, fanout, axis=1)
+        child_bits = np.array(
+            [bit[child] for _, children in groups for child in children],
+            dtype=np.int64,
+        )
+        cell_count = 1 << width
+        index = np.stack([cells, cells ^ child_bits], axis=1)
+        spectra = self.coefficients[
+            index.reshape(cell_count, len(child_bits))
+        ]
+        walsh_hadamard(spectra, width)
+        joint = np.empty((len(child_bits), cell_count), dtype=np.int64)
+        np.right_shift(spectra.T, width, out=joint)
+        results: List[GroupCounts] = []
+        start = 0
+        for count in fanout:
+            results.append((
+                joint[start : start + count].reshape(-1),
+                tuple(range(0, count * cell_count, cell_count)),
+                (cell_count,) * count,
+                (2,) * (width - 1),
+                (2,) * count,
+            ))
+            start += count
+        return results
 
 
 def _flatten_generalized_parents(

@@ -14,9 +14,10 @@ Batched materialization
 The contingency counts behind every ``Pr[Π, X]`` are pure data statistics;
 only the Laplace perturbation consumes randomness or budget.  A
 :class:`JointCounter` therefore materializes all of a network's joints in
-grouped counting passes (pairs sharing a parent set share one flattened
-parent index and one stacked count block, counted through
-:class:`~repro.bn.quality.ParentIndexCache` on a resident table), then
+one grouped counting call (pairs sharing a parent set share one stacked
+count block, counted through
+:meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` on a resident
+table and in one streaming pass on a chunked source), then
 memoizes the integer counts per AP pair so repeated fits over the same
 table — an ε sweep, or the repeat cells of the figure experiments — never
 rescan the data.  Noise draws stay strictly per-pair in network order, so
@@ -41,8 +42,9 @@ from repro.data.marginals import (
     project_distribution,
 )
 
-# Counting runs in ParentIndexCache.counts; this module binding is kept
-# because the perfbench traced replay asserts it wraps the function here.
+# Counting runs in ParentIndexCache.grouped_counts; this module binding is
+# kept because the perfbench traced replay asserts it wraps the function
+# here.
 from repro.data.marginals import stacked_joint_counts  # noqa: F401
 from repro.data.table import Table
 from repro.dp.accountant import PrivacyAccountant, split_epsilon_even
@@ -151,16 +153,16 @@ class NoisyModel:
 class JointCounter:
     """Batched, memoized contingency counts for AP-pair joints.
 
-    All state is derived deterministically from the data: the code
-    columns over the counted rows (a
-    :class:`~repro.bn.quality.ParentIndexCache`, shareable with the
-    candidate scorer so the distinct-row decision and the columns are
-    built once per table) and the integer counts of each
-    ``(child, parents)`` joint.  Counting consumes no randomness and
-    spends no budget, so one counter may be shared across many fits over
-    the same table (e.g. via :class:`~repro.core.scoring.ScoringCache`)
-    without perturbing any seeded output.  Cached count arrays are
-    read-only; consumers copy on conversion to probabilities.
+    All state is derived deterministically from the data: the counting
+    engine (a :class:`~repro.bn.quality.ParentIndexCache`, shareable with
+    the candidate scorer so its code columns and, on an all-binary table,
+    the full joint's Walsh–Hadamard coefficients are built once per
+    table) and the integer counts of each ``(child, parents)`` joint.
+    Counting consumes no randomness and spends no budget, so one counter
+    may be shared across many fits over the same table (e.g. via
+    :class:`~repro.core.scoring.ScoringCache`) without perturbing any
+    seeded output.  Cached count arrays are read-only; consumers copy on
+    conversion to probabilities.
 
     ``table`` may also be a :class:`~repro.data.chunks.ChunkedSource`:
     counts then accumulate chunk by chunk (exact int64 addition — the same
@@ -189,13 +191,12 @@ class JointCounter:
         return (pair.child, pair.parents)
 
     def warm(self, pairs: Sequence[APPair]) -> None:
-        """Materialize the counts of every listed pair in grouped passes.
+        """Materialize the counts of every listed pair in one grouped call.
 
-        Pairs sharing a parent set are counted into one stacked block
-        over their flattened parent index (see
-        :meth:`repro.bn.quality.ParentIndexCache.counts`); the resulting
-        integer segments are identical to per-pair bincounts.  On a
-        chunked source, *all* groups are accumulated in one streaming
+        Pairs sharing a parent set are counted into one stacked block (see
+        :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`); the
+        resulting integer segments are identical to per-pair bincounts.
+        On a chunked source, *all* groups are accumulated in one streaming
         pass over the rows.
         """
         groups: Dict[Tuple, Dict[str, None]] = {}
@@ -206,21 +207,20 @@ class JointCounter:
                 groups.setdefault(pair.parents, {})[pair.child] = None
         if not groups:
             return
-        if self._resident:
-            for parents, children in groups.items():
-                self._count_group(parents, list(children))
-            return
-        # Lazy import: data.chunks is a sibling leaf module, imported here
-        # to keep the module import graph unchanged for resident callers.
-        from repro.data.chunks import stream_grouped_joint_counts
-
         group_list = [
             (parents, tuple(children)) for parents, children in groups.items()
         ]
-        for (parents, children), counted in zip(
-            group_list, stream_grouped_joint_counts(self.table, group_list)
-        ):
-            self._store_group(parents, children, counted)
+        if self._resident:
+            counted = self._parent_index.grouped_counts(group_list)
+        else:
+            # Lazy import: data.chunks is a sibling leaf module, imported
+            # here to keep the module import graph unchanged for resident
+            # callers.
+            from repro.data.chunks import stream_grouped_joint_counts
+
+            counted = stream_grouped_joint_counts(self.table, group_list)
+        for (parents, children), group in zip(group_list, counted):
+            self._store_group(parents, children, group)
 
     def _store_group(self, parents, children, counted) -> None:
         """File one group's counts under its per-pair keys."""
@@ -235,23 +235,10 @@ class JointCounter:
                 tuple(parent_sizes) + (int(child_size),),
             )
 
-    def _count_group(
-        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
-    ) -> None:
-        if self._resident:
-            counted = self._parent_index.counts(parents, children)
-        else:
-            from repro.data.chunks import stream_stacked_joint_counts
-
-            counted = stream_stacked_joint_counts(self.table, parents, children)
-        self._store_group(parents, tuple(children), counted)
-
     def counts(self, pair: APPair) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """Integer counts of ``Pr[Π, X]`` (child innermost) and the sizes."""
-        key = self._pair_key(pair)
-        if key not in self._counts:
-            self._count_group(pair.parents, [pair.child])
-        return self._counts[key]
+        self.warm([pair])
+        return self._counts[self._pair_key(pair)]
 
 
 def _pair_layout(

@@ -36,6 +36,7 @@ from repro.core.noisy_conditionals import (
 )
 from repro.core.rng import fallback_rng
 from repro.core.sampler import sample_synthetic, sample_synthetic_chunks
+from repro.core.scoring import ScoringCache
 from repro.core.theta import choose_k_binary
 from repro.data.chunks import DEFAULT_CHUNK_ROWS
 from repro.data.table import Table
@@ -246,16 +247,12 @@ class PrivBayes:
         epsilon1, epsilon2 = split_epsilon(
             config.epsilon, (config.beta,), remainder=True
         )
-        scorer = (
-            scoring_cache.scorer(table, score)
-            if scoring_cache is not None
-            else None
-        )
-        counter = (
-            scoring_cache.joint_counter(table)
-            if scoring_cache is not None
-            else None
-        )
+        # Without a caller's cache, a fit-local one still gives the scorer
+        # and the joint counter one counting engine over the table.
+        if scoring_cache is None:
+            scoring_cache = ScoringCache()
+        scorer = scoring_cache.scorer(table, score)
+        counter = scoring_cache.joint_counter(table)
         if mode == "binary":
             model, k = self._fit_binary(
                 table, score, epsilon1, epsilon2, accountant, rng, scorer,

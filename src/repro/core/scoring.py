@@ -18,15 +18,15 @@ All caches are keyed on *values derived deterministically from the table*:
   preserves the RNG draw sequence of a greedy run bit-for-bit: a memo hit
   returns the exact float a fresh computation would produce (same code
   path, same operand order).
-* Contingency tables for all *unscored* children sharing a parent set are
-  computed in one batched pass over a shared parent index instead of one
-  pass per candidate.  On a resident table the pass runs through
-  :meth:`repro.bn.quality.ParentIndexCache.counts`: it caches only the
-  per-(attribute, level) code columns, counts over the table's distinct
-  rows weighted by their multiplicities when that at least halves the
-  rows, and flattens each parent set afresh in place rather than keeping
+* Contingency tables for all *unscored* candidates of a round are
+  counted in one call.  On a resident table it is
+  :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`: on an
+  all-binary table whose full joint is small enough, every joint is a
+  gather and inverse Walsh–Hadamard transform of the full joint's
+  coefficients (one per round and width); otherwise each parent set is
+  flattened afresh in place and its children bincounted, without keeping
   an ``n``-row index per parent set.  Counts are integers, so batching
-  and weighting are exact.
+  is exact.
 * Scoring itself happens in the batched kernels of
   :mod:`repro.core.score_kernels`: ``I``/``R`` per parent-set group, and
   ``F`` across *all* groups of a round sharing a parent-domain size — the
@@ -147,8 +147,9 @@ class CandidateScorer:
         self.score = score
         self.incremental = incremental
         self.f_enum_max_cells = f_enum_max_cells
-        #: Counting over the resident table (code columns over its
-        #: counted rows); shareable with the distribution learner's
+        #: Counting over the resident table (its code columns and, on an
+        #: all-binary table, the full joint's Walsh–Hadamard
+        #: coefficients); shareable with the distribution learner's
         #: JointCounter via ScoringCache.  Only resident tables have one —
         #: a chunked source has no per-row arrays to cache; its flattening
         #: happens inside each pass.
@@ -217,44 +218,36 @@ class CandidateScorer:
     def _group_counts(
         self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
     ):
-        """One batched contingency pass for every child of one parent set.
+        """One batched contingency count for every child of one parent set.
 
         Returns the ``(block, offsets, lengths, parent_sizes, child_sizes)``
-        layout of :meth:`repro.bn.quality.ParentIndexCache.counts`, whose
-        integer count segments are identical to the per-candidate ones,
-        so downstream score floats are
-        bit-identical to the unbatched path.  On a chunked source the same
-        block accumulates over one streaming pass.
+        layout of :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`,
+        whose integer count segments are identical to the per-candidate
+        ones, so downstream score floats are bit-identical to the
+        unbatched path.  On a chunked source the same block accumulates
+        over one streaming pass.
         """
-        if self._resident:
-            return self._parent_index_cache.counts(parents, children)
-        from repro.data.chunks import stream_stacked_joint_counts
-
-        return stream_stacked_joint_counts(self.table, parents, children)
+        return self._counted_groups({parents: list(children)})[0][2]
 
     def _counted_groups(self, groups: Dict[Tuple, List[str]]):
-        """Count every unscored group of a round; one streaming pass total.
+        """Count every unscored group of a round in one call.
 
         Returns ``[(parents, children, group_counts), ...]`` where
         ``group_counts`` is the :meth:`_group_counts` tuple.  Resident
-        tables count per group through the shared
-        :class:`~repro.bn.quality.ParentIndexCache`; a chunked source
-        counts *all* groups in a single pass over the rows (see
+        tables count all groups through the shared
+        :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts`; a
+        chunked source counts them in a single pass over the rows (see
         :func:`repro.data.chunks.stream_grouped_joint_counts`) — the
         blocks are the same integers either way.
         """
         items = [(parents, list(children)) for parents, children in groups.items()]
+        group_list = [(parents, tuple(children)) for parents, children in items]
         if self._resident:
-            return [
-                (parents, children, self._group_counts(parents, children))
-                for parents, children in items
-            ]
-        from repro.data.chunks import stream_grouped_joint_counts
+            counted = self._parent_index_cache.grouped_counts(group_list)
+        else:
+            from repro.data.chunks import stream_grouped_joint_counts
 
-        counted = stream_grouped_joint_counts(
-            self.table,
-            [(parents, tuple(children)) for parents, children in items],
-        )
+            counted = stream_grouped_joint_counts(self.table, group_list)
         return [
             (parents, children, group)
             for (parents, children), group in zip(items, counted)
@@ -287,10 +280,8 @@ class CandidateScorer:
     def _score_F_groups(self, counted_groups) -> None:
         """Score all unscored ``F`` candidates of a round in batched kernels.
 
-        Counting stays per parent set (each set flattens its own row
-        index; one shared streaming pass on a chunked source), but scoring
-        batches *across* parent sets: every candidate whose parent set has
-        the same domain size joins one
+        Scoring batches *across* parent sets: every candidate whose parent
+        set has the same domain size joins one
         :func:`repro.core.score_kernels.score_F_batch` call, so a greedy
         round costs a handful of kernel invocations instead of one dynamic
         program per candidate.
@@ -489,7 +480,7 @@ class ScoringCache:
     """Per-table registry of scorers and derived-statistic caches.
 
     An ε sweep fits many models over the *same* table; candidate scores,
-    mutual information, parent-set enumerations, counted-row code columns
+    mutual information, parent-set enumerations, the counting engine
     and contingency counts are deterministic data statistics, so sharing
     their caches across fits changes no output and spends no privacy
     budget.  Tables are keyed by object identity (and kept alive by the
@@ -532,8 +523,9 @@ class ScoringCache:
         """Shared :class:`~repro.bn.quality.ParentIndexCache` for ``table``.
 
         Handed to both the table's scorers and its joint counter, so the
-        distinct-row decision and the code columns over the counted rows
-        are built once per table; per-parent-set indexes are never kept.
+        counting engine (the code columns and, on an all-binary table, the
+        full joint's Walsh–Hadamard coefficients) is built once per table;
+        per-parent-set indexes are never kept.
         Chunked sources have no per-row arrays to cache, so this returns
         ``None`` for them (scorer and counter then flatten inside each
         streaming pass).

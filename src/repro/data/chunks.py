@@ -18,15 +18,23 @@ A source must provide:
 * ``attributes`` — the ordered :class:`~repro.data.attribute.Attribute`
   schema (a tuple, as on ``Table``);
 * ``n`` — the total row count (known up front; two-pass readers learn it
-  during schema inference);
+  during schema inference).  Every pass must yield exactly ``n`` rows:
+  the Laplace and exponential-mechanism scales are set from ``n``;
 * ``chunks()`` — an iterator of ``{attribute name: int64 code array}``
-  mappings, each covering every attribute with equal-length columns, whose
-  concatenation in order is the full dataset.  ``chunks()`` must be
+  mappings, each covering exactly the schema's attributes with
+  equal-length columns of codes in ``[0, size)``, whose concatenation in
+  order is the full dataset.  ``chunks()`` must be
   **re-iterable and deterministic**: the counting layer makes several
   passes (one per round of greedy structure search, one for distribution
   learning) and every pass must see the identical rows.  Chunks may be
   ragged (a short final chunk) or even empty; empty chunks contribute
   nothing to any count.
+
+A source's chunks come from outside the library, so :func:`as_chunks`,
+through which every counting pass reads them, checks each chunk's
+columns, lengths and code ranges before it is counted, and the pass's row
+total against ``n`` when the pass ends; a violation raises
+:class:`ValueError` naming the source type.
 
 When to use which path
 ----------------------
@@ -189,10 +197,61 @@ RowSource = Union[Table, ChunkedSource]
 def as_chunks(
     source: RowSource, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Iterator[Mapping[str, np.ndarray]]:
-    """Chunk iterator over either a resident table or a chunked source."""
+    """Chunk iterator over either a resident table or a chunked source.
+
+    A table's codes were range-checked when it was built.  A source's
+    chunks are checked as they arrive (see the module docstring): each
+    must hold exactly the schema's columns, as one-dimensional integer
+    arrays of one length with codes in ``[0, size)`` (per-column
+    ``min``/``max``, which allocate nothing), and the pass must yield
+    ``source.n`` rows in total.  A chunk that fails is never counted.
+    """
     if isinstance(source, Table):
         return TableChunks(source, chunk_rows).chunks()
-    return source.chunks()
+    return _checked_chunks(source)
+
+
+def _checked_chunks(
+    source: ChunkedSource,
+) -> Iterator[Mapping[str, np.ndarray]]:
+    kind = type(source).__name__
+    attributes = source.attributes
+    names = {attr.name for attr in attributes}
+    seen = 0
+    for chunk in source.chunks():
+        if set(chunk) != names:
+            raise ValueError(
+                f"{kind} chunk columns {sorted(chunk)} do not match schema "
+                f"{sorted(names)}"
+            )
+        rows = None
+        for attr in attributes:
+            codes = np.asarray(chunk[attr.name])
+            if codes.ndim != 1 or codes.dtype.kind not in "iu":
+                raise ValueError(
+                    f"{kind} chunk column {attr.name!r} is not a "
+                    f"one-dimensional integer array ({codes.dtype}, "
+                    f"{codes.ndim}-d)"
+                )
+            if rows is None:
+                rows = codes.shape[0]
+            elif codes.shape[0] != rows:
+                raise ValueError(
+                    f"{kind} chunk columns have differing lengths "
+                    f"({attr.name!r} has {codes.shape[0]}, expected {rows})"
+                )
+            if codes.size and (codes.min() < 0 or codes.max() >= attr.size):
+                bad = codes[(codes < 0) | (codes >= attr.size)][0]
+                raise ValueError(
+                    f"{kind} chunk column {attr.name!r} has code {int(bad)} "
+                    f"outside [0, {attr.size})"
+                )
+        seen += rows or 0
+        yield chunk
+    if seen != source.n:
+        raise ValueError(
+            f"{kind} declares n={source.n} rows but its chunks yielded {seen}"
+        )
 
 
 def to_table(source: ChunkedSource) -> Table:

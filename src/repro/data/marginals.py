@@ -10,7 +10,7 @@ perturbs in its distribution-learning phase.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -81,12 +81,51 @@ def unflatten_index(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
+def walsh_hadamard(block: np.ndarray, bits: int) -> np.ndarray:
+    """Unnormalized Walsh–Hadamard transform of ``block`` along its first
+    axis, in place; returns ``block``.
+
+    ``block`` is a C-contiguous int64 array whose first axis has
+    ``2**bits`` cells, indexed by bit vectors; each trailing position is
+    an independent transform.  Each of the ``bits`` stages pairs every
+    cell ``a`` whose stage bit is clear with its partner ``b`` and writes
+    ``(a + b, a - b)`` as ``a += b; b *= -2; b += a``, on views, so no
+    block-sized temporary is allocated.  Along the first axis every stage
+    updates contiguous runs of ``2**stage`` times the trailing size, not
+    the short strided pairs of a last-axis transform, so a batch of small
+    transforms is best laid out one per column.  The arithmetic is exact
+    as long as no value leaves int64: a count vector with total ``n``
+    stays within ``2**bits · n`` at every stage.  Applying the transform
+    twice multiplies by ``2**bits``, so the transform followed by
+    ``>> bits`` inverts it exactly on the coefficients of non-negative
+    counts.
+    """
+    if block.dtype != np.int64 or not block.flags.c_contiguous:
+        raise ValueError("walsh_hadamard needs a C-contiguous int64 block")
+    if block.shape[0] != 1 << bits:
+        raise ValueError(
+            f"first axis has {block.shape[0]} cells, expected 2**{bits}"
+        )
+    trailing = block.shape[1:]
+    for stage in range(bits):
+        half = 1 << stage
+        # A reshape of a C-contiguous array is a view: the updates below
+        # land in ``block``.
+        pairs = block.reshape(
+            (block.shape[0] // (2 * half), 2, half) + trailing
+        )
+        low, high = pairs[:, 0], pairs[:, 1]
+        low += high
+        high *= -2
+        high += low
+    return block
+
+
 def stacked_joint_counts(
     parent_flat: np.ndarray,
     parent_dom: int,
     child_columns: Sequence[np.ndarray],
     child_sizes: Sequence[int],
-    weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Tuple[int, ...], Tuple[int, ...]]:
     """Contingency counts of several joints ``Pr[Π, X_j]`` sharing one
     flattened parent configuration, laid out in one stacked block.
@@ -105,12 +144,6 @@ def stacked_joint_counts(
     its segment: a stacked ``(children × rows)`` index matrix costs
     several block-sized temporaries per call, whose allocation outweighs
     the counting itself.
-
-    ``weights`` (float64, one per row) makes each row stand for that many
-    identical rows, as when counting over a table's distinct rows.  The
-    weighted bincount accumulates in float64 and is cast back to int64;
-    that is exact because every partial sum is an integer no larger than
-    the table's row count, far below ``2**53``.
     """
     lengths = tuple(int(parent_dom) * int(s) for s in child_sizes)
     offsets = [0]
@@ -125,9 +158,7 @@ def stacked_joint_counts(
     ):
         np.multiply(parent_flat, int(size), out=index)
         index += column
-        block[offset : offset + length] = np.bincount(
-            index, weights=weights, minlength=length
-        )
+        block[offset : offset + length] = np.bincount(index, minlength=length)
     return block, offsets, lengths
 
 
@@ -169,8 +200,11 @@ def marginal_counts(table, names: Sequence[str]) -> np.ndarray:
         codes = np.stack([table.column(name) for name in names], axis=1)
         flat = flatten_index(codes, sizes)
         return np.bincount(flat, minlength=total).astype(float)
+    # Lazy import: data.chunks builds on this module.
+    from repro.data.chunks import as_chunks
+
     accumulated = np.zeros(total, dtype=np.int64)
-    for chunk in table.chunks():
+    for chunk in as_chunks(table):
         codes = np.stack([chunk[name] for name in names], axis=1)
         flat = flatten_index(codes, sizes)
         accumulated += np.bincount(flat, minlength=total)

@@ -262,3 +262,24 @@ class TestExternalAccountant:
         )
         # Sampling is post-processing: only the fit's reservation landed.
         assert shared.spent == pytest.approx(1.0)
+
+
+class TestCountingCache:
+    @pytest.mark.parametrize("fixture", ["binary_table", "mixed_table"])
+    def test_resident_fit_builds_one_counting_cache(
+        self, fixture, request, monkeypatch
+    ):
+        """Scorer and joint counter share one ParentIndexCache per fit."""
+        from repro.bn.quality import ParentIndexCache
+
+        built = []
+        init = ParentIndexCache.__init__
+
+        def counting_init(self, table):
+            built.append(table)
+            init(self, table)
+
+        monkeypatch.setattr(ParentIndexCache, "__init__", counting_init)
+        table = request.getfixturevalue(fixture)
+        PrivBayes(epsilon=1.0).fit_sample(table, np.random.default_rng(0))
+        assert len(built) == 1 and built[0] is table

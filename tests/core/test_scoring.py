@@ -183,9 +183,10 @@ class TestScoringCache:
         assert registry.parent_index(binary_table) is counter._parent_index
 
     def test_full_fit_retains_only_code_columns(self):
-        # A k=5 NLTCS fit counts ~3,000 parent sets; none of their per-row
-        # flat indexes may stay pinned in the shared cache, which keeps only
-        # one code column per (attribute, level) over the distinct rows.
+        # A k=5 NLTCS fit counts ~3,000 parent sets; no per-parent-set
+        # state may stay pinned in the shared cache, which keeps only the
+        # full joint's 2**d Walsh-Hadamard coefficients and at most one
+        # code column per attribute.
         from repro.core.greedy_bayes import greedy_bayes_fixed_k
         from repro.core.noisy_conditionals import noisy_conditionals_fixed_k
         from repro.datasets import load_nltcs
@@ -200,9 +201,9 @@ class TestScoringCache:
             table, network, 5, 0.3, rng, counter=registry.joint_counter(table)
         )
         index = registry.parent_index(table)
-        assert index.weights is not None and index.rows < table.n // 2
-        assert set(index._codes) == {(name, 0) for name in table.attribute_names}
-        assert all(codes.shape == (index.rows,) for codes, _ in index._codes.values())
+        assert index.coefficients.shape == (2**table.d,)
+        assert set(index._codes) <= {(name, 0) for name in table.attribute_names}
+        assert all(codes.shape == (table.n,) for codes, _ in index._codes.values())
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -218,8 +219,8 @@ class TestScoringCache:
             a for name, value in vars(index).items() if name != "table"
             for a in arrays(value)
         ]
-        # d code columns plus the distinct-row index and weights.
-        assert sum(a.nbytes for a in held) <= (table.d + 2) * index.rows * 8
+        # At most d code columns plus the coefficients.
+        assert sum(a.nbytes for a in held) <= (table.d * table.n + 2**table.d) * 8
 
     def test_registry_bounded_fifo_eviction(self, binary_table, mixed_table):
         from repro.core.scoring import _MAX_CACHED_TABLES

@@ -226,6 +226,102 @@ class TestStreamingCounts:
         assert tuple(parent_sizes) == (2,) and tuple(child_sizes) == (3,)
 
 
+class _Declared(ChunkedSource):
+    """A table's rows under a declared row count of the caller's choice."""
+
+    def __init__(self, table, n):
+        self._rows = TableChunks(table, 97)
+        self._attributes = table.attributes
+        self._n = n
+
+    def chunks(self):
+        return self._rows.chunks()
+
+
+class _Feed(ChunkedSource):
+    """Yields the given chunks as they are, unchecked."""
+
+    def __init__(self, attributes, chunk_list, n):
+        self._attributes = tuple(attributes)
+        self._chunk_list = chunk_list
+        self._n = n
+
+    def chunks(self):
+        return iter(self._chunk_list)
+
+
+class TestSourceChecks:
+    """A source's declared ``n`` and its codes are checked on every pass."""
+
+    @pytest.fixture
+    def no_noise(self, monkeypatch):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a mechanism drew noise")
+
+        monkeypatch.setattr(
+            "repro.core.greedy_bayes.exponential_mechanism", tripwire
+        )
+        monkeypatch.setattr(
+            "repro.core.noisy_conditionals.laplace_mechanism", tripwire
+        )
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    @pytest.mark.parametrize(
+        "dataset, settings",
+        [
+            ("adult", {"score": "R"}),
+            ("adult", {"score": "I"}),
+            ("nltcs", {"score": "F", "k": 2}),
+        ],
+    )
+    def test_misdeclared_row_count_raises_before_noise(
+        self, no_noise, factor, dataset, settings
+    ):
+        table = load_dataset(dataset, n=300, seed=0)
+        source = _Declared(table, int(table.n * factor))
+        with pytest.raises(ValueError, match=(
+            rf"_Declared declares n={source.n} rows but its chunks "
+            rf"yielded {table.n}"
+        )):
+            PrivBayes(epsilon=1.0, **settings).fit(
+                source, np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_out_of_range_code_raises_for_parent_and_child(self, bad):
+        attrs = (Attribute.binary("a"), Attribute.binary("b"))
+        source = IterableChunks(
+            attrs, [{"a": np.array([0, 0, 1]), "b": np.array([bad, 0, 1])}]
+        )
+        message = (
+            rf"IterableChunks chunk column 'b' has code {bad} outside \[0, 2\)"
+        )
+        for parents, child in [((("a", 0),), "b"), ((("b", 0),), "a")]:
+            with pytest.raises(ValueError, match=message):
+                stream_stacked_joint_counts(source, parents, [child])
+        with pytest.raises(ValueError, match=message):
+            marginal_counts(source, ["a", "b"])
+
+    def test_malformed_chunks_raise(self):
+        attrs = (Attribute.binary("a"), Attribute.binary("b"))
+        cases = [
+            ({"a": np.array([0, 1])}, "do not match schema"),
+            (
+                {"a": np.array([0, 1]), "b": np.array([1])},
+                "differing lengths",
+            ),
+            (
+                {"a": np.array([0.0, 1.0]), "b": np.array([1, 0])},
+                "integer array",
+            ),
+        ]
+        for chunk, message in cases:
+            with pytest.raises(ValueError, match=f"_Feed chunk.*{message}"):
+                stream_stacked_joint_counts(
+                    _Feed(attrs, [chunk], 2), (("a", 0),), ["b"]
+                )
+
+
 class TestCounterAndScorerEquivalence:
     def test_joint_counter_warm_and_miss(self, mixed_table):
         pairs = [
