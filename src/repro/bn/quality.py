@@ -110,7 +110,11 @@ class ParentIndexCache:
       search visits.
 
     Either way :meth:`grouped_counts` returns the exact integers a per-row
-    ``np.bincount`` produces.  The cache keeps the per-(attribute, level)
+    ``np.bincount`` produces.  On the Walsh path, :meth:`walsh_joints` is
+    the array entry point under it: ``(m, w)`` parent positions and ``m``
+    child positions in, the ``(m, 2**(w+1))`` joints out, with no names
+    or per-group tuples; the greedy scorer feeds its fresh candidates to
+    it directly.  The cache keeps the per-(attribute, level)
     code columns and, on the Walsh path, the ``2**d`` coefficients.  One
     cache per table serves both consumers (shared through
     :class:`~repro.core.scoring.ScoringCache`).  Everything here is a
@@ -137,8 +141,9 @@ class ParentIndexCache:
             )
             self.coefficients = walsh_hadamard(full[0], d)
             self.coefficients.setflags(write=False)
-            #: Bit of each attribute in a coefficient's index.
-            self._bit = {name: 1 << (d - 1 - i) for i, name in enumerate(names)}
+            #: Position of each attribute; attribute ``i`` is bit
+            #: ``d-1-i`` of a coefficient's index.
+            self._position = {name: i for i, name in enumerate(names)}
 
     def codes(self, name: str, level: int) -> Tuple[np.ndarray, int]:
         """Memoized :func:`generalized_codes`."""
@@ -215,40 +220,19 @@ class ParentIndexCache:
         self, groups: Sequence[CountGroup], width: int
     ) -> List[GroupCounts]:
         """Joints of groups of ``width`` level-0 attributes each (parents
-        plus child) from the coefficients.
-
-        Local cell ``t`` of a joint puts parent ``j`` at bit
-        ``width-1-j`` and the child at bit 0, which is the
-        ``stacked_joint_counts`` layout; its coefficient index is the XOR
-        of the bits of the attributes ``t`` selects.  For distinct
-        attributes that is their OR, and for an attribute listed twice
-        its two characters cancel, as they do in the data.  The gather is
-        cell-major (one column per joint) so the butterfly runs along
-        contiguous rows; the shift writes the joints back row-major.
-        """
-        bit = self._bit
-        cells = np.zeros((1, len(groups)), dtype=np.int64)
-        for j in range(width - 1):
-            parent_bits = np.array(
-                [bit[parents[j][0]] for parents, _ in groups], dtype=np.int64
-            )
-            cells = np.stack([cells, cells ^ parent_bits], axis=1).reshape(
-                2 << j, len(groups)
-            )
+        plus child): one :meth:`walsh_joints` call, split per group."""
+        position = self._position
         fanout = [len(children) for _, children in groups]
-        cells = np.repeat(cells, fanout, axis=1)
-        child_bits = np.array(
-            [bit[child] for _, children in groups for child in children],
-            dtype=np.int64,
+        parents = np.array(
+            [[position[name] for name, _ in parents] for parents, _ in groups],
+            dtype=np.intp,
+        ).reshape(len(groups), width - 1)
+        children = np.array(
+            [position[child] for _, children in groups for child in children],
+            dtype=np.intp,
         )
+        joint = self.walsh_joints(np.repeat(parents, fanout, axis=0), children)
         cell_count = 1 << width
-        index = np.stack([cells, cells ^ child_bits], axis=1)
-        spectra = self.coefficients[
-            index.reshape(cell_count, len(child_bits))
-        ]
-        walsh_hadamard(spectra, width)
-        joint = np.empty((len(child_bits), cell_count), dtype=np.int64)
-        np.right_shift(spectra.T, width, out=joint)
         results: List[GroupCounts] = []
         start = 0
         for count in fanout:
@@ -261,6 +245,38 @@ class ParentIndexCache:
             ))
             start += count
         return results
+
+    def walsh_joints(
+        self, parents: np.ndarray, children: np.ndarray
+    ) -> np.ndarray:
+        """Joints of ``m`` (parents, child) candidates from the
+        coefficients, on the Walsh path only.
+
+        ``parents`` is an ``(m, w)`` array of attribute positions (table
+        order) and ``children`` an ``(m,)`` one.  Returns the ``(m,
+        2**(w+1))`` int64 joints.  Local cell ``t`` of a joint puts parent
+        ``j`` at bit ``w-j`` and the child at bit 0, which is the
+        ``stacked_joint_counts`` layout; its coefficient index is the XOR
+        of the bits of the attributes ``t`` selects.  For distinct
+        attributes that is their OR, and for an attribute listed twice
+        its two characters cancel, as they do in the data.  One gather,
+        one butterfly and one shift: the gather is cell-major (one column
+        per joint) so the butterfly runs along contiguous rows, and the
+        shift writes the joints back row-major.
+        """
+        count, width = parents.shape
+        top = len(self._position) - 1
+        cells = np.zeros((1, count), dtype=np.int64)
+        for j in range(width):
+            bits = np.left_shift(1, top - parents[:, j], dtype=np.int64)
+            cells = np.stack([cells, cells ^ bits], axis=1).reshape(2 << j, count)
+        bits = np.left_shift(1, top - children, dtype=np.int64)
+        cells = np.stack([cells, cells ^ bits], axis=1).reshape(2 << width, count)
+        spectra = self.coefficients[cells]
+        walsh_hadamard(spectra, width + 1)
+        joints = np.empty((count, 2 << width), dtype=np.int64)
+        np.right_shift(spectra.T, width + 1, out=joints)
+        return joints
 
 
 def _flatten_generalized_parents(

@@ -7,19 +7,30 @@ Figure 4).  Algorithm 2 handles binary domains with a fixed degree ``k``;
 Algorithm 4 handles general domains, constraining candidates through
 θ-usefulness and (optionally) taxonomy generalization.
 
-Every round hands its whole candidate list to
-:meth:`CandidateScorer.score_batch` unconditionally — including the
+Every round hands its whole candidate set to
+:meth:`CandidateScorer.score_batch` in one call — including the
 θ-usefulness regimes whose parent domains exceed the enumeration
 threshold: since the score-kernel layer (:mod:`repro.core.score_kernels`),
 large-domain ``F`` candidates run through the blocked-bitset batched DP
 instead of one per-candidate dynamic program each, so no domain size falls
 back to scalar scoring.
+
+Algorithm 2 keeps a round in integer arrays from start to end.  The
+placed and remaining attributes are table positions; the round's parent
+sets are one ``(C, width)`` array taken from a cached table of
+lexicographic combinations of positions in ``placed``; and its
+:class:`~repro.core.scoring.Candidates` grid pairs every remaining child
+with every parent set, child-major, in the order the tuple loop
+``for child in remaining: for parents in combinations(placed, width)``
+gives.  The score vector goes unchanged to the exponential mechanism (or
+to ``argmax``), and only the drawn candidate is turned back into names.
+Algorithm 4 builds tuple lists, which the scorer converts at entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,14 +40,52 @@ from repro.core.parent_sets import (
     maximal_parent_sets_generalized,
 )
 from repro.core.rng import fallback_rng
-from repro.core.scoring import Candidate, CandidateScorer
+from repro.core.scoring import Candidate, CandidateScorer, Candidates
 from repro.core.theta import usefulness_tau
 from repro.data.table import Table
 from repro.dp.accountant import split_epsilon_even
 from repro.dp.mechanisms import exponential_mechanism
 
-#: Backwards-compatible alias; the scorer now lives in repro.core.scoring.
-_CandidateScorer = CandidateScorer
+#: ``combinations(range(p), w)`` as a ``(C(p, w), w)`` position table per
+#: ``(p, w)``.  Pure data shared by every fit, like
+#: :class:`~repro.core.score_kernels.MaskCache`; filled in place.
+_POSITIONS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _positions(p: int, w: int) -> np.ndarray:
+    """Every ``w``-subset of ``range(p)`` in lexicographic order, one row
+    each (read-only)."""
+    table = _POSITIONS.get((p, w))
+    if table is None:
+        combos = list(itertools.combinations(range(p), w))
+        table = np.array(combos, dtype=np.intp).reshape(len(combos), w)
+        table.setflags(write=False)
+        _POSITIONS[(p, w)] = table
+    return table
+
+
+def _round_candidates(
+    names: Sequence[str], placed: List[int], remaining: List[int], width: int
+) -> Candidates:
+    """One Algorithm 2 round: every remaining child with every
+    ``width``-subset of the placed attributes, child-major.
+
+    The subsets are ``itertools.combinations(placed, width)``: the
+    lexicographic order of *positions in* ``placed`` (insertion order, not
+    attribute order), and each subset keeps its parents in placed order.
+    Candidate ``i`` is child ``remaining[i // C]`` with subset ``i % C``.
+    """
+    sets = np.asarray(placed, dtype=np.int64)[_positions(len(placed), width)]
+    count = len(sets)
+    flat = np.zeros((count, 2 * width), dtype=np.int64)
+    flat[:, 0::2] = sets
+    return Candidates(
+        names,
+        flat,
+        np.full(count, width, dtype=np.intp),
+        np.tile(np.arange(count, dtype=np.intp), len(remaining)),
+        np.repeat(np.asarray(remaining, dtype=np.intp), count),
+    )
 
 
 def _check_scorer(
@@ -56,7 +105,7 @@ def _check_scorer(
 
 def _select(
     scorer: CandidateScorer,
-    candidates: List[Candidate],
+    candidates: Sequence[Candidate],
     epsilon: Optional[float],
     rng: np.random.Generator,
 ) -> Candidate:
@@ -119,9 +168,10 @@ def greedy_bayes_fixed_k(
     first = first_attribute or names[int(rng.integers(len(names)))]
     if first not in names:
         raise ValueError(f"unknown first attribute {first!r}")
+    position = {name: i for i, name in enumerate(names)}
     pairs = [APPair.make(first, [])]
-    placed = [first]
-    remaining = [name for name in names if name != first]
+    placed = [position[first]]
+    remaining = [i for i in range(d) if i != placed[0]]
     per_round_epsilon = None
     if epsilon1 is not None:
         if epsilon1 <= 0:
@@ -129,17 +179,13 @@ def greedy_bayes_fixed_k(
         per_round_epsilon = split_epsilon_even(epsilon1, max(1, d - 1))
     scorer = _check_scorer(scorer, table, score)
     while remaining:
-        width = min(k, len(placed))
-        candidates: List[Candidate] = []
-        for child in remaining:
-            for parents in itertools.combinations(placed, width):
-                candidates.append(
-                    (child, tuple((name, 0) for name in parents))
-                )
+        candidates = _round_candidates(
+            names, placed, remaining, min(k, len(placed))
+        )
         child, parents = _select(scorer, candidates, per_round_epsilon, rng)
         pairs.append(APPair.make(child, parents))
-        placed.append(child)
-        remaining.remove(child)
+        placed.append(position[child])
+        remaining.remove(position[child])
     return BayesianNetwork(pairs)
 
 

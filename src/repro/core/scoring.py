@@ -12,27 +12,42 @@ Caching contract
 ----------------
 All caches are keyed on *values derived deterministically from the table*:
 
-* ``CandidateScorer`` memoizes, per ``(child, parents)`` candidate, the
-  score and the selection sensitivity, and per ``parents`` tuple the joint
-  parent-domain size.  Scoring consumes **no randomness**, so memoization
-  preserves the RNG draw sequence of a greedy run bit-for-bit: a memo hit
-  returns the exact float a fresh computation would produce (same code
-  path, same operand order).
+* A round's candidates travel as a :class:`Candidates` index grid: the
+  round's distinct parent sets as flat ``(attribute position, level)``
+  int arrays, plus a parent-set id and a child position per candidate.
+  Algorithm 2 builds its grids from arrays; a ``(child, parents)`` tuple
+  list is converted once, at entry, by :meth:`Candidates.of`.
+* ``CandidateScorer`` memoizes scores in one float matrix with a row per
+  *ordered* parent set and a column per child attribute, beside a
+  boolean matrix of the known cells and each row's joint parent-domain
+  size (read only by the ``I`` sensitivity).  A dict maps the flat int
+  key of each parent set to its row; parent order is part of the key
+  because ``I`` and ``R`` sum their joints in cell order, so one set
+  seen in two orders keeps two rows.  A round costs one dict lookup per
+  distinct parent set and one fancy-index for the known scores.
+  Scoring consumes **no randomness**, so memoization preserves the RNG
+  draw sequence of a greedy run bit-for-bit: a memo hit returns the
+  exact float a fresh computation would produce.
 * Contingency tables for all *unscored* candidates of a round are
-  counted in one call.  On a resident table it is
-  :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`: on an
-  all-binary table whose full joint is small enough, every joint is a
-  gather and inverse Walsh–Hadamard transform of the full joint's
-  coefficients (one per round and width); otherwise each parent set is
-  flattened afresh in place and its children bincounted, without keeping
-  an ``n``-row index per parent set.  Counts are integers, so batching
-  is exact.
+  counted together.  On a resident all-binary table whose full joint is
+  small enough, the joints of level-0 parent sets come from one
+  :meth:`repro.bn.quality.ParentIndexCache.walsh_joints` call per round
+  and width (a gather and inverse Walsh–Hadamard transform of the full
+  joint's coefficients).  Every other candidate is grouped by parent set
+  and counted with one
+  :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call per
+  round, or one streaming pass on a chunked source; each parent set is
+  flattened afresh in place and its children bincounted, without
+  keeping an ``n``-row index per parent set.  Counts are integers, so
+  batching is exact.
 * Scoring itself happens in the batched kernels of
-  :mod:`repro.core.score_kernels`: ``I``/``R`` per parent-set group, and
-  ``F`` across *all* groups of a round sharing a parent-domain size — the
-  blocked-bitset kernel handles every domain size, so no candidate ever
-  falls back to a per-candidate dynamic program.  Kernels are bit-equal to
-  the scalar score functions on every candidate.
+  :mod:`repro.core.score_kernels`: one ``F`` call per round and joint
+  length (parent-domain size), fed the counted blocks as they are, and
+  one segmented ``I``/``R`` call per round and width on the Walsh path,
+  or per counted parent set otherwise — the blocked-bitset kernel
+  handles every domain size, so no candidate ever falls back to a
+  per-candidate dynamic program.  Kernels are bit-equal to the scalar
+  score functions on every candidate, whatever else is in the batch.
 * ``MutualInformationCache`` memoizes empirical mutual information per
   ``(child, parents)`` for the non-private reference searches
   (:mod:`repro.bn.structure_search`) and the Figure 4 quality metric.
@@ -55,7 +70,10 @@ mutated (tables are treated as immutable everywhere in this codebase).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import itertools
+import operator
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +92,6 @@ from repro.core.scores import (
     sensitivity_I,
     sensitivity_R,
 )
-from repro.data.marginals import domain_size
 from repro.data.table import Table
 from repro.infotheory.measures import (
     mutual_information,
@@ -83,6 +100,103 @@ from repro.infotheory.measures import (
 
 #: A candidate is a child attribute plus a (possibly generalized) parent set.
 Candidate = Tuple[str, Tuple[Tuple[str, int], ...]]
+
+
+class Candidates(SequenceABC):
+    """A greedy round's candidates as an index grid.
+
+    Candidate ``i`` is child ``names[child[i]]`` with the distinct parent
+    set ``parent_set[i]``.  Row ``s`` of the int64 array ``sets`` lists
+    parent set ``s`` as flat ``(attribute position, level)`` pairs in the
+    candidate's parent order, ``widths[s]`` pairs of them (a shorter set's
+    row is zero-padded).  As a ``Sequence[Candidate]`` the grid rebuilds
+    the ``(child, ((name, level), ...))`` tuple of a candidate on demand,
+    so code that indexes or iterates candidates sees what a tuple list
+    gives it; :class:`CandidateScorer` reads the arrays.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        sets: np.ndarray,
+        widths: np.ndarray,
+        parent_set: np.ndarray,
+        child: np.ndarray,
+    ) -> None:
+        self.names = tuple(names)
+        self.sets = sets
+        self.widths = widths
+        self.parent_set = parent_set
+        self.child = child
+        self._keys = None
+
+    @classmethod
+    def of(cls, candidates: Sequence[Candidate], names: Sequence[str]) -> "Candidates":
+        """The grid of a ``(child, parents)`` tuple sequence over the
+        attributes ``names``; a grid over the same attributes is returned
+        as it is.  Equal parent tuples share one set, in order of first
+        appearance."""
+        names = tuple(names)
+        if isinstance(candidates, cls):
+            if candidates.names != names:
+                raise ValueError("candidates were built for other attributes")
+            return candidates
+        position = {name: i for i, name in enumerate(names)}
+
+        def at(name: str) -> int:
+            if name not in position:
+                raise KeyError(f"no attribute named {name!r}")
+            return position[name]
+
+        set_ids: Dict[Tuple, int] = {}
+        parent_set = [
+            set_ids.setdefault(parents, len(set_ids)) for _, parents in candidates
+        ]
+        child = [at(name) for name, _ in candidates]
+        widths = [len(parents) for parents in set_ids]
+        sets = np.zeros((len(set_ids), 2 * max(widths, default=0)), dtype=np.int64)
+        for row, parents in enumerate(set_ids):
+            for j, (name, level) in enumerate(parents):
+                sets[row, 2 * j : 2 * j + 2] = at(name), level
+        return cls(
+            names,
+            sets,
+            np.array(widths, dtype=np.intp),
+            np.array(parent_set, dtype=np.intp),
+            np.array(child, dtype=np.intp),
+        )
+
+    def keys(self) -> List[Tuple[int, ...]]:
+        """Each distinct parent set as a flat tuple of ints: attribute
+        position and level per parent, in candidate order (the score
+        memo's key)."""
+        if self._keys is None:
+            rows = self.sets.tolist()
+            if np.all(self.widths == self.sets.shape[1] // 2):
+                self._keys = list(map(tuple, rows))
+            else:
+                self._keys = [
+                    tuple(row[: 2 * width])
+                    for row, width in zip(rows, self.widths.tolist())
+                ]
+        return self._keys
+
+    def parents(self, set_id: int) -> Tuple[Tuple[str, int], ...]:
+        """Parent set ``set_id`` as ``((name, level), ...)``."""
+        flat = self.sets[set_id, : 2 * int(self.widths[set_id])].tolist()
+        return tuple(zip(map(self.names.__getitem__, flat[0::2]), flat[1::2]))
+
+    def __len__(self) -> int:
+        return len(self.child)
+
+    def __getitem__(self, index: int) -> Candidate:
+        i = range(len(self.child))[operator.index(index)]
+        return self.names[self.child[i]], self.parents(self.parent_set[i])
+
+    def __iter__(self) -> Iterator[Candidate]:
+        parents = [self.parents(s) for s in range(len(self.widths))]
+        for set_id, child in zip(self.parent_set.tolist(), self.child.tolist()):
+            yield self.names[child], parents[set_id]
 
 
 def _score_sensitivity(
@@ -96,6 +210,13 @@ def _score_sensitivity(
     if score == "I":
         return sensitivity_I(n, binary=(child_size == 2 or parent_domain == 2))
     raise ValueError(f"unknown score function {score!r}")
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` with its first axis extended to ``rows``, zero-filled."""
+    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 class CandidateScorer:
@@ -114,7 +235,7 @@ class CandidateScorer:
     score:
         One of ``'I' | 'F' | 'R'`` (Table 4 of the paper).
     incremental:
-        When ``False``, disable the score/sensitivity memos and the batched
+        When ``False``, disable the score memo and the batched
         contingency pass — every call recomputes from scratch (the seed
         behavior).  Kept as the reference for the structure-search
         benchmark; production callers never need it.
@@ -161,10 +282,19 @@ class CandidateScorer:
             )
         else:
             self._parent_index_cache = None
-        self._score_memo: Dict[Candidate, float] = {}
-        self._sensitivity_memo: Dict[Candidate, float] = {}
-        self._parent_domain: Dict[Tuple, int] = {}
+        self._names = tuple(table.attribute_names)
         self._attrs_by_name = {a.name: a for a in table.attributes}
+        self._sizes = np.array([a.size for a in table.attributes], dtype=np.int64)
+        #: The score memo: a row per ordered parent set (``_row_ids`` maps
+        #: its :meth:`Candidates.keys` tuple to the row) and a column per
+        #: child attribute.  ``_known`` marks the computed scores and
+        #: ``_domain`` holds each row's joint parent-domain size, NaN until
+        #: a sensitivity first reads it.  Capacity doubles as rows come.
+        self._row_ids: Dict[Tuple[int, ...], int] = {}
+        self._row_count = 0
+        self._scores = np.zeros((0, len(self._names)))
+        self._known = np.zeros((0, len(self._names)), dtype=bool)
+        self._domain = np.zeros(0)
         #: Memo for maximal-parent-set enumeration (Algorithms 5/6); the
         #: greedy θ-mode loop shares it across rounds, and a scorer reused
         #: via ScoringCache shares it across the runs of a sweep.
@@ -174,8 +304,22 @@ class CandidateScorer:
         self, child: str, parents: Tuple[Tuple[str, int], ...]
     ) -> Tuple[np.ndarray, int]:
         """Contingency counts ``Pr[Π, X]`` (child innermost)."""
-        block, _, _, _, child_sizes = self._group_counts(parents, [child])
+        block, _, _, _, child_sizes = self._count_groups(
+            [(tuple(parents), (child,))]
+        )[0]
         return block.astype(float), child_sizes[0]
+
+    def _count_groups(self, groups):
+        """Int64 counts of ``(parents, children)`` groups in one call: the
+        shared :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts`
+        on a resident table, one pass over the rows on a chunked source
+        (:func:`repro.data.chunks.stream_grouped_joint_counts`) — the
+        blocks are the same integers either way."""
+        if self._resident:
+            return self._parent_index_cache.grouped_counts(groups)
+        from repro.data.chunks import stream_grouped_joint_counts
+
+        return stream_grouped_joint_counts(self.table, groups)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -208,183 +352,231 @@ class CandidateScorer:
         """Score one candidate (memoized when ``incremental``)."""
         if not self.incremental:
             return self._compute_score(child, parents)
-        key = (child, parents)
-        if key not in self._score_memo:
-            self._score_memo[key] = self._compute_score(child, parents)
-        return self._score_memo[key]
+        grid = Candidates.of([(child, parents)], self._names)
+        return float(self._grid_scores(grid)[0])
 
     __call__ = score_candidate
 
-    def _group_counts(
-        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
-    ):
-        """One batched contingency count for every child of one parent set.
-
-        Returns the ``(block, offsets, lengths, parent_sizes, child_sizes)``
-        layout of :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`,
-        whose integer count segments are identical to the per-candidate
-        ones, so downstream score floats are bit-identical to the
-        unbatched path.  On a chunked source the same block accumulates
-        over one streaming pass.
-        """
-        return self._counted_groups({parents: list(children)})[0][2]
-
-    def _counted_groups(self, groups: Dict[Tuple, List[str]]):
-        """Count every unscored group of a round in one call.
-
-        Returns ``[(parents, children, group_counts), ...]`` where
-        ``group_counts`` is the :meth:`_group_counts` tuple.  Resident
-        tables count all groups through the shared
-        :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts`; a
-        chunked source counts them in a single pass over the rows (see
-        :func:`repro.data.chunks.stream_grouped_joint_counts`) — the
-        blocks are the same integers either way.
-        """
-        items = [(parents, list(children)) for parents, children in groups.items()]
-        group_list = [(parents, tuple(children)) for parents, children in items]
-        if self._resident:
-            counted = self._parent_index_cache.grouped_counts(group_list)
-        else:
-            from repro.data.chunks import stream_grouped_joint_counts
-
-            counted = stream_grouped_joint_counts(self.table, group_list)
-        return [
-            (parents, children, group)
-            for (parents, children), group in zip(items, counted)
-        ]
-
-    def _score_group(
-        self,
-        parents: Tuple[Tuple[str, int], ...],
-        children: Sequence[str],
-        counted=None,
-    ) -> None:
-        """Score every listed child against one parent set (``I``/``R``).
-
-        The stacked count block feeds the ragged segmented kernels
-        directly — no per-size bucketing or ``np.stack`` materialization;
-        the kernels are bit-equal to the scalar score functions on each
-        candidate's joint.  ``counted`` optionally supplies the group's
-        :meth:`_group_counts` tuple (from a shared streaming pass).
-        """
-        block, offsets, lengths, _, sizes = (
-            counted if counted is not None else self._group_counts(parents, children)
-        )
-        n = self.table.n
-        floats = block.astype(float)
-        kernel = score_I_segments if self.score == "I" else score_R_segments
-        values = kernel(floats / n if n else floats, offsets, lengths, sizes)
-        for position, value in enumerate(values):
-            self._score_memo[(children[position], parents)] = float(value)
-
-    def _score_F_groups(self, counted_groups) -> None:
-        """Score all unscored ``F`` candidates of a round in batched kernels.
-
-        Scoring batches *across* parent sets: every candidate whose parent
-        set has the same domain size joins one
-        :func:`repro.core.score_kernels.score_F_batch` call, so a greedy
-        round costs a handful of kernel invocations instead of one dynamic
-        program per candidate.
-        """
-        n = self.table.n
-        by_dom: Dict[int, Tuple[List[Candidate], List[np.ndarray]]] = {}
-        for parents, children, counted in counted_groups:
-            for child in children:
-                if self.table.attribute(child).size != 2:
-                    raise ValueError(
-                        f"score 'F' requires a binary child; {child!r} has "
-                        f"{self.table.attribute(child).size} values"
-                    )
-            block, offsets, lengths, parent_sizes, _ = counted
-            parent_dom = domain_size(parent_sizes)
-            cands, segments = by_dom.setdefault(parent_dom, ([], []))
-            for child, offset, length in zip(children, offsets, lengths):
-                cands.append((child, parents))
-                segments.append(block[offset : offset + length])
-        for parent_dom, (cands, segments) in by_dom.items():
-            matrices = np.stack(segments).reshape(len(cands), parent_dom, 2)
-            values = score_F_batch(
-                matrices, n, enum_max_cells=self.f_enum_max_cells
-            )
-            for cand, value in zip(cands, values):
-                self._score_memo[cand] = float(value)
-
     def score_batch(self, candidates: Sequence[Candidate]) -> np.ndarray:
-        """Scores for a candidate list, computing only the unscored ones.
+        """Scores for a candidate grid or tuple list, computing only the
+        unscored ones.
 
-        Unscored candidates are grouped by parent set and counted in one
-        vectorized contingency pass per group; ``F`` candidates are then
-        scored across groups in one kernel call per parent-domain size —
-        every domain size goes through the batched kernel, small and large
-        alike.
+        A tuple list becomes a :class:`Candidates` grid first.  The
+        grid's parent sets are looked up in the memo, one dict lookup per
+        distinct set, and the known scores are one fancy-index.  The
+        fresh candidates are counted and scored in one batch per round
+        (see :meth:`_score_fresh`).
         """
         if not self.incremental:
             return np.array(
                 [self._compute_score(child, parents) for child, parents in candidates]
             )
-        groups: Dict[Tuple, Dict[str, None]] = {}
-        for child, parents in candidates:
-            if (child, parents) not in self._score_memo:
-                groups.setdefault(parents, {})[child] = None
-        if groups:
-            counted_groups = self._counted_groups(
-                {parents: list(children) for parents, children in groups.items()}
+        return self._grid_scores(Candidates.of(candidates, self._names))
+
+    def _grid_scores(self, grid: Candidates) -> np.ndarray:
+        rows = self._rows(grid)[grid.parent_set]
+        fresh = np.flatnonzero(~self._known[rows, grid.child])
+        if fresh.size:
+            self._score_fresh(grid, rows, fresh)
+        return self._scores[rows, grid.child]
+
+    def _rows(self, grid: Candidates) -> np.ndarray:
+        """The memo row of each distinct parent set of ``grid``; sets seen
+        for the first time get new rows."""
+        keys = grid.keys()
+        rows = np.fromiter(
+            map(self._row_ids.get, keys, itertools.repeat(-1)),
+            dtype=np.intp,
+            count=len(keys),
+        )
+        new = np.flatnonzero(rows < 0)
+        if new.size:
+            first = self._row_count
+            self._row_count += new.size
+            if self._row_count > len(self._scores):
+                capacity = max(self._row_count, 2 * len(self._scores))
+                self._scores = _grown(self._scores, capacity)
+                self._known = _grown(self._known, capacity)
+                self._domain = _grown(self._domain, capacity)
+            ids = np.arange(first, self._row_count)
+            self._domain[ids] = np.nan
+            self._row_ids.update(zip(map(keys.__getitem__, new.tolist()), ids.tolist()))
+            rows[new] = ids
+        return rows
+
+    def _score_fresh(
+        self, grid: Candidates, rows: np.ndarray, fresh: np.ndarray
+    ) -> None:
+        """Count and score the unscored candidates ``fresh`` of ``grid``
+        (``rows`` holds each candidate's memo row) into the memo.
+
+        Each memo cell is scored once, whatever the duplicates in the
+        grid.  On a Walsh–Hadamard table, cells whose parents are all at
+        level 0 get their joints from one
+        :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call per
+        parent-set width.  The other cells are grouped by parent set, in
+        order of first appearance, and counted with one
+        :meth:`_count_groups` call.  ``F`` then scores every joint length
+        (parent-domain size) in one :func:`score_F_batch` call, and
+        ``I``/``R`` make one segmented kernel call per Walsh width or
+        counted parent set, fed the int64 blocks as they come; the
+        kernels are bit-equal to the scalar score functions on every
+        candidate.
+        """
+        _, first = np.unique(
+            rows[fresh] * len(self._names) + grid.child[fresh], return_index=True
+        )
+        fresh = fresh[np.sort(first)]
+        cell_rows = rows[fresh]
+        children = grid.child[fresh]
+        set_ids = grid.parent_set[fresh]
+        index = self._parent_index_cache
+        if index is not None and index.coefficients is not None:
+            walsh = ~grid.sets[set_ids, 1::2].any(axis=1)
+        else:
+            walsh = np.zeros(fresh.size, dtype=bool)
+        # (positions among the fresh cells, int64 joints, lengths, child sizes)
+        parts = []
+        widths = grid.widths[set_ids]
+        # Distinct values through a set: np.unique without index outputs
+        # imports numpy.ma on first use, ~1.5 MB resident for the process.
+        for width in sorted(set(widths[walsh].tolist())):
+            at = np.flatnonzero(walsh & (widths == width))
+            joints = index.walsh_joints(
+                grid.sets[set_ids[at], 0 : 2 * width : 2], children[at]
             )
-            if self.score == "F":
-                self._score_F_groups(counted_groups)
+            parts.append((
+                at,
+                joints.reshape(-1),
+                np.full(at.size, joints.shape[1]),
+                np.full(at.size, 2),
+            ))
+        rest = np.flatnonzero(~walsh)
+        if rest.size:
+            parts.extend(self._counted_parts(grid, rest, cell_rows, children, set_ids))
+        if self.score == "F":
+            at, values, lengths, _ = (
+                parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            )
+            self._scores[cell_rows[at], children[at]] = self._F_scores(values, lengths)
+        else:
+            n = self.table.n
+            kernel = score_I_segments if self.score == "I" else score_R_segments
+            for at, values, lengths, child_sizes in parts:
+                floats = values.astype(float)
+                self._scores[cell_rows[at], children[at]] = kernel(
+                    floats / n if n else floats,
+                    np.cumsum(lengths) - lengths,
+                    lengths,
+                    child_sizes,
+                )
+        self._known[cell_rows, children] = True
+
+    def _counted_parts(self, grid, rest, cell_rows, children, set_ids):
+        """Count the fresh cells ``rest`` grouped by parent set, in order
+        of first appearance, with one :meth:`_count_groups` call."""
+        _, first, inverse = np.unique(
+            cell_rows[rest], return_index=True, return_inverse=True
+        )
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        rest = rest[np.argsort(rank[inverse], kind="stable")]
+        if self.score == "F":
+            sizes = self._sizes[children[rest]]
+            bad = np.flatnonzero(sizes != 2)
+            if bad.size:
+                child = self._names[children[rest[bad[0]]]]
+                raise ValueError(
+                    f"score 'F' requires a binary child; {child!r} has "
+                    f"{sizes[bad[0]]} values"
+                )
+        grouped = cell_rows[rest]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        bounds = list(zip(starts.tolist(), starts[1:].tolist() + [rest.size]))
+        counted = self._count_groups([
+            (
+                grid.parents(set_ids[rest[lo]]),
+                tuple(self._names[c] for c in children[rest[lo:hi]].tolist()),
+            )
+            for lo, hi in bounds
+        ])
+        return [
+            (rest[lo:hi], block, np.asarray(lengths), np.asarray(child_sizes))
+            for (lo, hi), (block, _, lengths, _, child_sizes) in zip(bounds, counted)
+        ]
+
+    def _F_scores(self, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """``F`` of the joints laid end to end in ``values``: one
+        :func:`score_F_batch` call per joint length."""
+        offsets = np.cumsum(lengths) - lengths
+        scores = np.empty(lengths.size)
+        for length in sorted(set(lengths.tolist())):
+            at = np.flatnonzero(lengths == length)
+            if at.size == lengths.size:
+                block = values.reshape(-1, length)
             else:
-                for parents, children, counted in counted_groups:
-                    self._score_group(parents, children, counted)
-        return np.array([self._score_memo[cand] for cand in candidates])
+                block = values[offsets[at, None] + np.arange(length)]
+            scores[at] = score_F_batch(
+                block, self.table.n, enum_max_cells=self.f_enum_max_cells
+            )
+        return scores
 
     # ------------------------------------------------------------------
     # Sensitivity
     # ------------------------------------------------------------------
-    def _candidate_parent_domain(
-        self, parents: Tuple[Tuple[str, int], ...]
-    ) -> int:
-        if parents not in self._parent_domain:
-            self._parent_domain[parents] = parent_set_domain_size(
-                frozenset(parents), self._attrs_by_name
+    def _domains(self, grid: Candidates, rows: np.ndarray) -> np.ndarray:
+        """The joint parent-domain size of each distinct parent set of
+        ``grid`` (memo rows ``rows``), computed on a row's first use as
+        :func:`~repro.core.parent_sets.parent_set_domain_size` over the
+        set of its ``(name, level)`` pairs.  Float64, NaN until computed:
+        only its equality with 2 is ever read."""
+        for i in np.flatnonzero(np.isnan(self._domain[rows])).tolist():
+            self._domain[rows[i]] = parent_set_domain_size(
+                frozenset(grid.parents(i)), self._attrs_by_name
             )
-        return self._parent_domain[parents]
+        return self._domain[rows]
 
     def sensitivity(
         self, child: str, parents: Tuple[Tuple[str, int], ...]
     ) -> float:
-        """Selection sensitivity of one candidate (memoized when incremental)."""
-        if not self.incremental:
-            return _score_sensitivity(
-                self.score,
-                self.table.n,
-                self._attrs_by_name[child].size,
-                parent_set_domain_size(frozenset(parents), self._attrs_by_name),
-            )
-        key = (child, parents)
-        if key not in self._sensitivity_memo:
-            self._sensitivity_memo[key] = _score_sensitivity(
-                self.score,
-                self.table.n,
-                self._attrs_by_name[child].size,
-                self._candidate_parent_domain(parents),
-            )
-        return self._sensitivity_memo[key]
+        """Selection sensitivity of one candidate."""
+        return self.selection_sensitivity([(child, parents)])
 
     def selection_sensitivity(self, candidates: Sequence[Candidate]) -> float:
         """The per-selection sensitivity: the max over the candidate set Ω.
 
         ``F`` and ``R`` sensitivities are candidate-independent (Theorems
         4.5 and 5.3), so the max collapses to a single evaluation; only
-        ``I`` varies with the domain shape (Lemma 4.1).
+        ``I`` varies with the domain shape (Lemma 4.1), and it takes one
+        of two values, so its max is over the values the candidates'
+        shapes select.
         """
-        if not candidates:
+        if not len(candidates):
             raise ValueError("need a non-empty candidate set")
-        if self.incremental and self.score in ("F", "R"):
-            child, parents = candidates[0]
-            return self.sensitivity(child, parents)
-        return max(
-            self.sensitivity(child, parents) for child, parents in candidates
-        )
+        n = self.table.n
+        if not self.incremental:
+            return max(
+                _score_sensitivity(
+                    self.score,
+                    n,
+                    self._attrs_by_name[child].size,
+                    parent_set_domain_size(frozenset(parents), self._attrs_by_name),
+                )
+                for child, parents in candidates
+            )
+        if self.score == "F":
+            return sensitivity_F(n)
+        if self.score == "R":
+            return sensitivity_R(n)
+        grid = Candidates.of(candidates, self._names)
+        domains = self._domains(grid, self._rows(grid))
+        binary = (self._sizes[grid.child] == 2) | (domains[grid.parent_set] == 2)
+        values = []
+        if binary.any():
+            values.append(sensitivity_I(n, binary=True))
+        if not binary.all():
+            values.append(sensitivity_I(n, binary=False))
+        return max(values)
 
 
 class MutualInformationCache:

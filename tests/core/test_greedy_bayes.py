@@ -1,13 +1,20 @@
-"""GreedyBayes (Algorithms 2 & 4): structural invariants, Chow-Liu check."""
+"""GreedyBayes (Algorithms 2 & 4): structural invariants, Chow-Liu check,
+and the fixed-k rounds against the tuple-candidate reference loop."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.bn.quality as quality
+from greedy_reference import reference_fixed_k
 from repro.bn.network import BayesianNetwork
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
+from repro.core.scoring import CandidateScorer
 from repro.data.attribute import Attribute
+from repro.data.chunks import TableChunks
+from repro.data.marginals import domain_size, unflatten_index
 from repro.data.table import Table
 from repro.infotheory.measures import mutual_information_from_table
 
@@ -186,3 +193,124 @@ class TestThetaVariant:
             greedy_bayes_theta(
                 mixed_table, 0.3, 0.7, 4.0, "F", rng=rng, first_attribute="color"
             )
+
+
+# ----------------------------------------------------------------------
+# Fixed-k rounds against the reference loop (tests/core/greedy_reference.py)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def fixed_k_tables(draw):
+    """A score, with a binary table of d from 1 to 10 (any score) or a
+    mixed-size table of d up to 6 (I and R).  Rows come from a few
+    distinct rows, so parents carry real information, or are drawn
+    independently; n is 0 to 3 or 4 to 300."""
+    score = draw(st.sampled_from("FIR"))
+    binary = score == "F" or draw(st.booleans())
+    if binary:
+        d = draw(st.integers(1, 10))
+        sizes = [2] * d
+    else:
+        d = draw(st.integers(1, 6))
+        sizes = draw(st.lists(st.integers(2, 5), min_size=d, max_size=d))
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, 2, 3]), st.integers(4, 300), st.integers(4, 300)
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    domain = domain_size(sizes)
+    if draw(st.booleans()):
+        pool = rng.integers(0, domain, max(1, n // 8))
+        packed = rng.choice(pool, n)
+    else:
+        packed = rng.integers(0, domain, n)
+    columns = unflatten_index(packed, sizes)
+    attrs = [
+        Attribute(f"x{j}", tuple(f"v{v}" for v in range(size)))
+        for j, size in enumerate(sizes)
+    ]
+    table = Table(attrs, {a.name: columns[:, j] for j, a in enumerate(attrs)})
+    return table, score
+
+
+def _outcome(fit):
+    """The network a fit returns, or the type and text of its error."""
+    try:
+        return fit()
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+def _fit_both(source, k, epsilon, score, seed, first, scorer=None):
+    new_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    got = _outcome(lambda: greedy_bayes_fixed_k(
+        source, k, epsilon, score, new_rng, first_attribute=first, scorer=scorer
+    ))
+    want = _outcome(lambda: reference_fixed_k(
+        source, k, epsilon, score, ref_rng, first_attribute=first
+    ))
+    assert got == want
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+_EPSILONS = st.one_of(st.none(), st.floats(0.05, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fixed_k_tables(),
+    st.data(),
+    _EPSILONS,
+    st.sampled_from(["walsh", "raw", "chunked"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fixed_k_matches_reference(case, data, epsilon, path, seed):
+    """Same network, same RNG state afterwards, or the same error as the
+    reference loop: every k from 0 to d+1, the first attribute given or
+    drawn, on the Walsh-Hadamard path, on raw-row counts and on a chunked
+    source."""
+    table, score = case
+    k = data.draw(st.integers(0, table.d + 1), label="k")
+    first = data.draw(
+        st.one_of(st.none(), st.sampled_from(table.attribute_names)),
+        label="first",
+    )
+    source = TableChunks(table, 37) if path == "chunked" else table
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "raw":
+            patch.setattr(quality, "MAX_WALSH_CELLS", 2**table.d - 1)
+        scorer = CandidateScorer(source, score)
+    walsh = path == "walsh" and all(a.size == 2 for a in table.attributes)
+    if path != "chunked":
+        assert (scorer._parent_index_cache.coefficients is not None) == walsh
+    _fit_both(source, k, epsilon, score, seed, first, scorer)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fixed_k_tables(),
+    st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+    st.data(),
+    _EPSILONS,
+)
+def test_shared_scorer_matches_reference_across_fits(case, seeds, data, epsilon):
+    """One scorer serves three fits with different seeds and k; its memo
+    must not change any of them."""
+    table, score = case
+    scorer = CandidateScorer(table, score)
+    for seed in seeds:
+        k = data.draw(st.integers(0, table.d + 1), label="k")
+        _fit_both(table, k, epsilon, score, seed, None, scorer)
+
+
+def test_fixed_k_reference_agrees_on_nltcs():
+    """A full-width case: NLTCS rows, k = 3, all three scores."""
+    from repro.datasets import load_nltcs
+
+    table = load_nltcs(n=600, seed=2)
+    for score in "FIR":
+        network = _fit_both(table, 3, 0.8, score, 5, None)
+        assert isinstance(network, BayesianNetwork)
+        assert network.degree == 3

@@ -100,16 +100,28 @@ def test_general_mode_matches_seed_pipeline():
     assert max(pair.degree for pair in model.network) >= 2
 
 
-def test_binary_mode_matches_seed_with_shared_cache():
+def test_binary_mode_matches_seed_with_shared_cache(monkeypatch):
+    import repro.core.scoring as scoring
     from repro.core.scoring import ScoringCache
 
+    kernel_calls = []
+    kernel = scoring.score_F_batch
+
+    def counting(*args, **kwargs):
+        kernel_calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "score_F_batch", counting)
     table = load_dataset("nltcs", n=800, seed=3)
     cache = ScoringCache()
+    calls = []
     for _ in range(2):  # second fit runs entirely off the memo
         model = PrivBayes(
             epsilon=1.0, k=2, first_attribute=table.attribute_names[0]
         ).fit(table, rng=np.random.default_rng(1234), scoring_cache=cache)
         assert _fingerprint(model) == GOLDEN_BINARY
+        calls.append(len(kernel_calls))
+    assert calls[0] > 0 and calls[1] == calls[0]
 
 
 def _golden_binary_model(scoring_cache=None):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.scoring import (
     CandidateScorer,
+    Candidates,
     MutualInformationCache,
     ScoringCache,
 )
@@ -68,7 +69,8 @@ class TestMemoization:
     def test_non_incremental_mode_recomputes(self, binary_table):
         scorer = CandidateScorer(binary_table, "R", incremental=False)
         scorer.score_batch([("b", (("a", 0),))])
-        assert scorer._score_memo == {}
+        # No memo row is made, and none is known.
+        assert scorer._row_ids == {} and not scorer._known.any()
 
     def test_f_score_batched(self, binary_table):
         batched = CandidateScorer(binary_table, "F")
@@ -97,6 +99,95 @@ class TestMemoization:
         scores = batched.score_batch(candidates)
         reference = np.array([fresh(ch, pa) for ch, pa in candidates])
         assert np.array_equal(scores, reference)
+
+
+def _generalized_candidates(table):
+    """Every child with every parent set of up to two other attributes,
+    each parent at every taxonomy level it has, in both parent orders."""
+    import itertools
+
+    candidates = []
+    for child in table.attribute_names:
+        others = [a for a in table.attributes if a.name != child]
+        for size in range(3):
+            for chosen in itertools.permutations(others, size):
+                for levels in itertools.product(*(range(a.height) for a in chosen)):
+                    candidates.append(
+                        (child, tuple((a.name, lv) for a, lv in zip(chosen, levels)))
+                    )
+    return candidates
+
+
+class TestCandidateGrid:
+    def test_grid_is_the_tuple_sequence(self, mixed_table):
+        candidates = _generalized_candidates(mixed_table)
+        grid = Candidates.of(candidates, mixed_table.attribute_names)
+        assert len(grid) == len(candidates)
+        assert list(grid) == candidates
+        assert [grid[i] for i in range(len(grid))] == candidates
+        assert grid[-1] == candidates[-1]
+        with pytest.raises(IndexError):
+            grid[len(candidates)]
+        # Equal parent tuples share one set, and the key keeps the order.
+        assert len(grid.keys()) == len({parents for _, parents in candidates})
+        assert grid.keys()[grid.parent_set[1]] == (1, 0)  # (("warm_flag", 0),)
+        assert Candidates.of(grid, mixed_table.attribute_names) is grid
+
+    def test_grid_rejects_other_attributes(self, binary_table, mixed_table):
+        grid = Candidates.of([("b", (("a", 0),))], binary_table.attribute_names)
+        with pytest.raises(ValueError, match="other attributes"):
+            CandidateScorer(mixed_table, "R").score_batch(grid)
+        with pytest.raises(KeyError, match="no attribute named 'zz'"):
+            Candidates.of([("zz", ())], binary_table.attribute_names)
+
+    @pytest.mark.parametrize("score", ["I", "R", "F"])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_list_grid_and_single_scores_are_bit_equal(
+        self, mixed_table, score, chunked
+    ):
+        from repro.data.chunks import TableChunks
+
+        source = TableChunks(mixed_table, 97) if chunked else mixed_table
+        candidates = [
+            (child, parents)
+            for child, parents in _generalized_candidates(mixed_table)
+            if score != "F" or mixed_table.attribute(child).size == 2
+        ]
+        grid = Candidates.of(candidates, mixed_table.attribute_names)
+        from_list = CandidateScorer(source, score).score_batch(candidates)
+        from_grid = CandidateScorer(source, score).score_batch(grid)
+        single = CandidateScorer(source, score)
+        one_by_one = np.array([single.score_candidate(*c) for c in candidates])
+        reference = CandidateScorer(source, score, incremental=False)
+        fresh = np.array([reference.score_candidate(*c) for c in candidates])
+        assert np.array_equal(from_list, from_grid)
+        assert np.array_equal(from_list, one_by_one)
+        assert np.array_equal(from_list, fresh)
+        # The memo answers a second call with the same floats.
+        assert np.array_equal(single.score_batch(grid), from_list)
+
+    def test_fixed_k_fit_scores_each_round_once(self, monkeypatch):
+        """One score_batch call per round; the grid sizes sum to
+        Σ (d-p)·C(p, min(k, p)) over p = 1 .. d-1 placed attributes."""
+        from math import comb
+
+        from repro.core.greedy_bayes import greedy_bayes_fixed_k
+        from repro.datasets import load_nltcs
+
+        submitted = []
+        original = CandidateScorer.score_batch
+
+        def recording(self, candidates):
+            submitted.append(len(candidates))
+            return original(self, candidates)
+
+        monkeypatch.setattr(CandidateScorer, "score_batch", recording)
+        table = load_nltcs(seed=1)
+        d, k = table.d, 5
+        greedy_bayes_fixed_k(table, k, 0.4, "F", np.random.default_rng(3))
+        expected = [(d - p) * comb(p, min(k, p)) for p in range(1, d)]
+        assert submitted == expected
+        assert sum(submitted) == 19_502
 
 
 class TestSensitivity:
