@@ -103,8 +103,8 @@ def _candidate_batch(n, width, n_sets, seed=1):
     matrices = []
     for _ in range(n_sets):
         combo = list(rng.choice(names, size=width, replace=False))
-        columns = np.stack([table.column(c) for c in combo], axis=1)
-        parent_flat = flatten_index(columns, [2] * width)
+        columns = [table.column(c) for c in combo]
+        parent_flat = flatten_index(columns, [2] * width, table.n)
         for child in names:
             if child in combo:
                 continue

@@ -44,6 +44,12 @@ FIT_K = 2
 #: asserted unconditionally.
 MIN_SPEEDUP = 2.0
 
+#: Each way of serving is timed on this many fresh samplers with the same
+#: seed, and its fastest burst is the one compared: the coalesced burst
+#: is one ~15 ms draw, so a single garbage-collection pause or scheduler
+#: stall in one pass must not decide the speedup.
+REPEATS = 3
+
 
 def _assert_tables_equal(actual, expected):
     assert actual.attribute_names == expected.attribute_names
@@ -77,14 +83,22 @@ def _timed_burst(model, seed, coalesce):
         return asyncio.run(drive(sampler))
 
 
+def _best_burst(model, seed, coalesce):
+    """:func:`_timed_burst` REPEATS times; the first pass's tables and
+    batch counts (every pass draws the same ones), the fastest seconds."""
+    runs = [_timed_burst(model, seed, coalesce) for _ in range(REPEATS)]
+    tables, batches, _ = runs[0]
+    return tables, batches, min(seconds for _, _, seconds in runs)
+
+
 def test_serve_benchmark():
     table = load_dataset("nltcs", n=FIT_N)
     model = PrivBayes(epsilon=1.0, k=FIT_K).fit(table, np.random.default_rng(3))
 
-    sequential_tables, sequential_batches, seconds_per_request = _timed_burst(
+    sequential_tables, sequential_batches, seconds_per_request = _best_burst(
         model, seed=101, coalesce=False
     )
-    coalesced_tables, coalesced_batches, seconds_coalesced = _timed_burst(
+    coalesced_tables, coalesced_batches, seconds_coalesced = _best_burst(
         model, seed=202, coalesce=True
     )
 

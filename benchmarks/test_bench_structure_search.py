@@ -2,10 +2,11 @@
 
 Times greedy network construction (Algorithms 2 and 4) on NLTCS- and
 Adult-sized tables, comparing the incremental scoring engine
-(:class:`repro.core.scoring.CandidateScorer`) against the seed behavior
-(``incremental=False``: every candidate rescored from scratch each round).
-Both runs use the same seed and must produce bit-identical networks —
-scoring consumes no randomness, so the memo cannot perturb the draws.
+(:class:`repro.core.scoring.CandidateScorer`) against the seed behavior,
+written out here as :class:`SeedScorer`: every candidate counted and
+scored from scratch each round.  Both runs use the same seed and must
+produce bit-identical networks — scoring consumes no randomness, so the
+memo cannot perturb the draws.
 
 Emits ``BENCH_structure.json`` next to this file with wall-clock timings
 per (d, n, k) grid point so future PRs can track the hot path:
@@ -19,9 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bn.quality import ParentIndexCache
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
+from repro.core.parent_sets import parent_set_domain_size
+from repro.core.score_kernels import score_F_batch
+from repro.core.scores import sensitivity_F, sensitivity_I, sensitivity_R
 from repro.core.scoring import CandidateScorer
 from repro.datasets import load_dataset
+from repro.infotheory.measures import mutual_information
 
 from conftest import report
 
@@ -38,8 +44,58 @@ GRID = (
 MIN_NLTCS_SPEEDUP = 3.0
 
 
+class SeedScorer:
+    """The seed scorer: each candidate of each round is counted on its own
+    through :meth:`ParentIndexCache.counts` and scored on its own — ``F``
+    as a batch of one, ``I`` and ``R`` by their per-candidate formulas
+    (mutual information; Equation 11), as the seed's scalar score
+    functions did — and the selection sensitivity is the max over the
+    candidates' own.  Nothing is memoized: no scores, and no maximal
+    parent sets (``parent_sets`` is ``None``)."""
+
+    parent_sets = None
+
+    def __init__(self, table, score):
+        self.table = table
+        self.score = score
+        self._index = ParentIndexCache(table)
+        self._attrs = {attr.name: attr for attr in table.attributes}
+
+    def score_candidate(self, child, parents):
+        block, _, _, _, child_sizes = self._index.counts(parents, (child,))
+        counts = block.astype(float)
+        n = self.table.n
+        if self.score == "F":
+            return float(score_F_batch(counts, n)[0])
+        joint = counts / n if n else counts
+        if self.score == "I":
+            return mutual_information(joint, child_sizes[0])
+        m = joint.reshape(-1, child_sizes[0])
+        return float(0.5 * np.abs(m - np.outer(m.sum(1), m.sum(0))).sum())
+
+    def score_batch(self, candidates):
+        return np.array([self.score_candidate(*cand) for cand in candidates])
+
+    def selection_sensitivity(self, candidates):
+        n = self.table.n
+        values = []
+        for child, parents in candidates:
+            if self.score == "F":
+                values.append(sensitivity_F(n))
+            elif self.score == "R":
+                values.append(sensitivity_R(n))
+            else:
+                domain = parent_set_domain_size(frozenset(parents), self._attrs)
+                binary = self._attrs[child].size == 2 or domain == 2
+                values.append(sensitivity_I(n, binary=binary))
+        return max(values)
+
+
 def _learn(table, k, score, seed, incremental):
-    scorer = CandidateScorer(table, score, incremental=incremental)
+    if incremental:
+        scorer = CandidateScorer(table, score)
+    else:
+        scorer = SeedScorer(table, score)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     if k is None:

@@ -89,8 +89,8 @@ class ContingencyMarginals:
                 f"full domain has {total} cells > limit {self.max_cells}; "
                 "the Contingency baseline does not scale to this dataset"
             )
-        codes = table.records()
-        flat = flatten_index(codes, sizes)
+        columns = [table.column(name) for name in names]
+        flat = flatten_index(columns, sizes, table.n)
         counts = np.bincount(flat, minlength=total).astype(float)
         joint = counts / max(table.n, 1)
         noisy = normalize_distribution(

@@ -74,9 +74,10 @@ class MWEM:
         for marginal_names in workload:
             keep = [position[name] for name in marginal_names]
             m_sizes = [sizes[i] for i in keep]
-            codes = np.stack([table.column(name) for name in marginal_names], axis=1)
+            columns = [table.column(name) for name in marginal_names]
             counts = np.bincount(
-                flatten_index(codes, m_sizes), minlength=domain_size(m_sizes)
+                flatten_index(columns, m_sizes, table.n),
+                minlength=domain_size(m_sizes),
             ).astype(float)
             marginals.append((tuple(marginal_names), keep, counts))
 

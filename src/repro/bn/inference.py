@@ -137,9 +137,7 @@ def _generalization_factor(
         if level != 0:
             column = attribute_maps[(name, level)][column]
         gen_columns.append(column)
-    gen_rows = flatten_index(
-        np.stack(gen_columns, axis=1), list(conditional.parent_sizes)
-    )
+    gen_rows = flatten_index(gen_columns, list(conditional.parent_sizes), total)
     lifted = ConditionalTable(
         child=conditional.child,
         parents=tuple((name, 0) for name in parent_names),

@@ -61,27 +61,6 @@ def generalized_codes(table: Table, name: str, level: int) -> Tuple[np.ndarray, 
     return _generalize(table.attribute(name), table.column(name), level)
 
 
-def _flatten_columns(
-    columns: Sequence[np.ndarray], sizes: Sequence[int], rows: int
-) -> np.ndarray:
-    """Mixed-radix flattening of parallel code columns (first column most
-    significant) into one int64 index per row.
-
-    The index accumulates in place in a single array: the integers of
-    :func:`~repro.data.marginals.flatten_index`, under the same int64
-    domain check, without first stacking the columns into an ``n × m``
-    matrix.  No columns give ``rows`` zeros.
-    """
-    ensure_int64_domain(domain_size(sizes))
-    if not columns:
-        return np.zeros(rows, dtype=np.int64)
-    flat = np.array(columns[0], dtype=np.int64)
-    for codes, size in zip(columns[1:], sizes[1:]):
-        flat *= size
-        flat += codes
-    return flat
-
-
 class ParentIndexCache:
     """Contingency counting over one resident table — the single counting
     entry point of the candidate-scoring engine (:mod:`repro.core.scoring`)
@@ -159,7 +138,7 @@ class ParentIndexCache:
         sizes (built afresh; not retained)."""
         coded = [self.codes(name, level) for name, level in parents]
         sizes = tuple(size for _, size in coded)
-        flat = _flatten_columns([c for c, _ in coded], sizes, self.table.n)
+        flat = flatten_index([c for c, _ in coded], sizes, self.table.n)
         return flat, sizes
 
     def counts(
@@ -288,7 +267,7 @@ def _flatten_generalized_parents(
     module so the flattening semantics cannot drift between them."""
     coded = [generalized_codes(table, name, level) for name, level in parents]
     sizes = [size for _, size in coded]
-    return _flatten_columns([c for c, _ in coded], sizes, table.n), sizes
+    return flatten_index([c for c, _ in coded], sizes, table.n), sizes
 
 
 def pair_joint_distribution(
@@ -419,10 +398,9 @@ def exact_model_joint(table: Table, network: BayesianNetwork) -> np.ndarray:
             conditional = np.where(
                 row_sums > 0, conditional / safe, 1.0 / child_size
             )
-            parent_coords = np.stack(
-                [coords[:, position[p]] for p in parent_names], axis=1
+            parent_flat = flatten_index(
+                [coords[:, position[p]] for p in parent_names], parent_sizes, total
             )
-            parent_flat = flatten_index(parent_coords, parent_sizes)
             grid *= conditional[parent_flat, coords[:, child_idx]]
         else:
             marginal = joint_distribution(table, [pair.child])

@@ -4,10 +4,12 @@ Public surface:
 
 * :class:`~repro.core.privbayes.PrivBayes` — end-to-end release pipeline
   (network learning → distribution learning → sampling, Section 3).
-* :mod:`~repro.core.scores` — score functions ``I``, ``F``, ``R``
-  (Sections 4.2, 4.3, 5.3).
-* :mod:`~repro.core.scoring` — incremental candidate-scoring engine
-  (cross-round score memo, batched contingencies, shared MI cache).
+* :mod:`~repro.core.scores` — sensitivities of the score functions
+  ``I``, ``F``, ``R`` (Lemma 4.1, Theorems 4.5 and 5.3).
+* :mod:`~repro.core.score_kernels` — the batched score kernels
+  (Sections 4.2, 4.4, 5.3).
+* :mod:`~repro.core.scoring` — candidate-scoring engine (cross-round
+  score memo, batched contingencies, shared MI cache).
 * :mod:`~repro.core.greedy_bayes` — Algorithms 2 and 4.
 * :mod:`~repro.core.parent_sets` — Algorithms 5 and 6.
 * :mod:`~repro.core.noisy_conditionals` — Algorithms 1 and 3.
@@ -17,9 +19,6 @@ Public surface:
 
 from repro.core.privbayes import PrivBayes, PrivBayesConfig, PrivBayesModel
 from repro.core.scores import (
-    score_F,
-    score_I,
-    score_R,
     sensitivity_F,
     sensitivity_I,
     sensitivity_R,
@@ -51,9 +50,6 @@ __all__ = [
     "PrivBayes",
     "PrivBayesConfig",
     "PrivBayesModel",
-    "score_I",
-    "score_F",
-    "score_R",
     "sensitivity_I",
     "sensitivity_F",
     "sensitivity_R",

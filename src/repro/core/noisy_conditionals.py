@@ -20,9 +20,10 @@ count block, counted through
 table and in one streaming pass on a chunked source), then
 memoizes the integer counts per AP pair so repeated fits over the same
 table — an ε sweep, or the repeat cells of the figure experiments — never
-rescan the data.  Noise draws stay strictly per-pair in network order, so
-seeded outputs are bit-identical to the historical per-pair path (pinned
-by the golden-fingerprint regression tests).
+rescan the data.  Noise draws stay strictly per-pair in network order, and
+the counts are the integers a per-pair scan of the rows gives, so seeded
+outputs are bit-identical to the historical per-pair path (pinned by the
+golden-fingerprint regression tests).
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bn.network import APPair, BayesianNetwork
-from repro.bn.quality import ParentIndexCache, generalized_codes
+from repro.bn.quality import ParentIndexCache
 from repro.data.marginals import (
     conditional_from_joint,
     domain_size,
-    flatten_index,
     normalize_distribution,
     project_distribution,
 )
@@ -241,27 +241,12 @@ class JointCounter:
         return self._counts[self._pair_key(pair)]
 
 
-def _pair_layout(
-    table: Table, pair: APPair
-) -> Tuple[List[np.ndarray], List[int]]:
-    """Columns and sizes for ``Pr[Π, X]`` (parents in pair order, child last)."""
-    columns: List[np.ndarray] = []
-    sizes: List[int] = []
-    for name, level in pair.parents:
-        codes, size = generalized_codes(table, name, level)
-        columns.append(codes)
-        sizes.append(size)
-    columns.append(table.column(pair.child))
-    sizes.append(table.attribute(pair.child).size)
-    return columns, sizes
-
-
 def _noisy_joint(
     table,
     pair: APPair,
     epsilon_share: Optional[float],
     rng: np.random.Generator,
-    counter: Optional[JointCounter] = None,
+    counter: JointCounter,
 ) -> Tuple[np.ndarray, List[int]]:
     """Materialize ``Pr[Π, X]``, perturb, clamp, normalize (Alg 1/3 lines 3-5).
 
@@ -270,20 +255,15 @@ def _noisy_joint(
     paper's ``2(d-k)/(n·ε₂)`` resp. ``2d/(n·ε₂)``.  ``None`` skips the
     noise entirely — the non-private BestMarginal diagnostic of Figure 11.
 
-    With a ``counter``, the integer counts come from its (batched, memoized)
-    cache; they are the exact integers the direct scan produces, so the
-    derived floats — and every downstream noise draw — are bit-identical.
+    The integer counts come from the ``counter``'s (batched, memoized)
+    cache; they are the exact integers a direct scan of the rows produces,
+    so the derived floats — and every downstream noise draw — are
+    bit-identical to it.
     """
-    if counter is not None:
-        raw, sizes = counter.counts(pair)
-        counts = raw.astype(float)
-        sizes = list(sizes)
-        total = counts.size
-    else:
-        columns, sizes = _pair_layout(table, pair)
-        total = domain_size(sizes)
-        flat = flatten_index(np.stack(columns, axis=1), sizes)
-        counts = np.bincount(flat, minlength=total).astype(float)
+    raw, sizes = counter.counts(pair)
+    counts = raw.astype(float)
+    sizes = list(sizes)
+    total = counts.size
     joint = counts / table.n if table.n else np.full(total, 1.0 / total)
     if epsilon_share is None:
         return normalize_distribution(joint), sizes
@@ -316,32 +296,25 @@ def noisy_conditionals_general(
     rng: np.random.Generator,
     accountant: Optional[PrivacyAccountant] = None,
     counter: Optional[JointCounter] = None,
-    batched: bool = True,
 ) -> NoisyModel:
     """Algorithm 3: one noisy joint per AP pair, ε₂ split over all ``d``.
 
     ``epsilon2 = None`` releases exact conditionals (non-private; the
-    BestMarginal diagnostic of Figure 11).  ``counter`` reuses a shared
-    :class:`JointCounter` (e.g. across the fits of a sweep); without one,
-    ``batched=True`` (the default) builds a fresh counter so the network's
-    joints are still materialized in grouped single-pass bincounts.
-    ``batched=False`` with no counter keeps the historical per-pair scan —
-    the naive reference for the distribution-learning benchmark.
+    BestMarginal diagnostic of Figure 11).  ``counter`` is any object with
+    a ``table``, ``warm(pairs)`` and ``counts(pair)`` like
+    :class:`JointCounter`: pass a shared one to reuse its counts (e.g.
+    across the fits of a sweep).  Without one, a fresh
+    :class:`JointCounter` materializes the network's joints in grouped
+    single-pass bincounts.
     """
     if epsilon2 is not None and epsilon2 <= 0:
         raise ValueError("epsilon2 must be positive")
-    if counter is None and batched:
+    if counter is None:
         # repro: allow[PRIV003] -- constructor only binds the source; counting runs per-pair after each in-loop charge
         counter = JointCounter(table)
-    if counter is None and not isinstance(table, Table):
-        raise ValueError(
-            "batched=False requires a resident Table; a chunked source "
-            "must count through a JointCounter"
-        )
-    if counter is not None:
-        if counter.table is not table:
-            raise ValueError("counter was built for a different table")
-        counter.warm(list(network.pairs))
+    if counter.table is not table:
+        raise ValueError("counter was built for a different table")
+    counter.warm(list(network.pairs))
     d = network.d
     share = None if epsilon2 is None else split_epsilon_even(epsilon2, d)
     conditionals: List[ConditionalTable] = []
@@ -361,7 +334,6 @@ def noisy_conditionals_fixed_k(
     rng: np.random.Generator,
     accountant: Optional[PrivacyAccountant] = None,
     counter: Optional[JointCounter] = None,
-    batched: bool = True,
 ) -> NoisyModel:
     """Algorithm 1: materialize ``d - k`` joints; derive the first ``k``
     conditionals from the ``(k+1)``-th noisy joint at zero privacy cost.
@@ -372,28 +344,22 @@ def noisy_conditionals_fixed_k(
     (that costs budget, so callers built via Algorithm 2 never hit it).
 
     ``epsilon2 = None`` releases exact conditionals (non-private; the
-    BestMarginal diagnostic of Figure 11).  ``counter`` / ``batched`` work
-    as in :func:`noisy_conditionals_general`; only the ``d - k``
-    materialized pairs are pre-counted (fallback pairs count on demand).
+    BestMarginal diagnostic of Figure 11).  ``counter`` works as in
+    :func:`noisy_conditionals_general`; only the ``d - k`` materialized
+    pairs are pre-counted (fallback pairs count on demand).
     """
     if epsilon2 is not None and epsilon2 <= 0:
         raise ValueError("epsilon2 must be positive")
     d = network.d
     if not 0 <= k < max(d, 1):
         raise ValueError(f"k={k} out of range for d={d}")
-    if counter is None and batched:
+    if counter is None:
         # repro: allow[PRIV003] -- constructor only binds the source; counting runs per-pair after each in-loop charge
         counter = JointCounter(table)
-    if counter is None and not isinstance(table, Table):
-        raise ValueError(
-            "batched=False requires a resident Table; a chunked source "
-            "must count through a JointCounter"
-        )
+    if counter.table is not table:
+        raise ValueError("counter was built for a different table")
     pairs = list(network.pairs)
-    if counter is not None:
-        if counter.table is not table:
-            raise ValueError("counter was built for a different table")
-        counter.warm(pairs[k:])
+    counter.warm(pairs[k:])
     share = None if epsilon2 is None else split_epsilon_even(
         epsilon2, max(d - k, 1)
     )

@@ -31,8 +31,8 @@ comparison on the same doubles, so all of them return the same codes:
   take a single comparison against the first CDF column, and the rest
   :func:`invert_row_cdfs`, a vectorized binary search (O(n·log C)
   gathers, no ``n × C`` intermediate).
-* :func:`broadcast_invert_row_cdfs` keeps the ``(n, C)`` comparison-and-
-  sum reference for the equivalence tests and the scaling benchmark.
+* the ``(n, C)`` comparison-and-sum broadcast is the reference: the
+  equivalence tests and the scaling benchmark write it out themselves.
 
 Streaming releases
 ------------------
@@ -61,19 +61,6 @@ from repro.data.chunks import DEFAULT_CHUNK_ROWS
 from repro.data.table import Table
 
 
-def broadcast_invert_row_cdfs(
-    cdf: np.ndarray, rows: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Reference CDF inversion: full ``(n, C)`` comparison, then sum.
-
-    For each tuple ``t``, counts how many entries of ``cdf[rows[t]]`` its
-    uniform strictly exceeds.  Kept as the brute-force reference that
-    :func:`invert_row_cdfs` is tested against (and benchmarked against in
-    ``benchmarks/test_bench_scale.py``); O(n·C) time and memory.
-    """
-    return (uniforms[:, None] > cdf[rows]).sum(axis=1).astype(np.int64)
-
-
 def invert_row_cdfs(
     cdf: np.ndarray, rows: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
@@ -84,10 +71,10 @@ def invert_row_cdfs(
     the first column index whose CDF value is ``>= uniform``.  On a row
     where ``cdf < u`` holds for a prefix of the columns (every
     nondecreasing row) that index is the prefix length: the number of
-    entries strictly below ``u``, exactly what
-    :func:`broadcast_invert_row_cdfs` and the native sampler compute,
-    since every probe evaluates the identical float comparison.  Other
-    rows (a negative or NaN entry, which
+    entries strictly below ``u``, exactly what the ``(n, C)`` broadcast
+    ``(uniforms[:, None] > cdf[rows]).sum(axis=1)`` and the native
+    sampler compute, since every probe evaluates the identical float
+    comparison.  Other rows (a negative or NaN entry, which
     :attr:`~repro.core.noisy_conditionals.ConditionalTable.row_cdfs`
     rejects) carry no such guarantee.  O(n·log C) gathers instead of an
     ``n × C`` broadcast.

@@ -7,14 +7,17 @@ round sharing a parent-domain size — instead of one Python call per
 candidate.  The layering is::
 
     score_kernels   pure batched numerics (this module)
-        ^ scores    thin per-candidate wrappers (public score functions)
         ^ scoring   CandidateScorer / MutualInformationCache (memo + counting)
         ^ greedy_bayes, bn.structure_search, bn.quality, experiments
 
 Bit-identity contract
 ---------------------
-Every kernel returns, for each candidate, the exact float the corresponding
-per-candidate function produces — not merely a numerically close value.
+Every kernel returns, for each candidate, the exact float a computation on
+that candidate alone produces — not merely a numerically close value, and
+whatever else is in the batch: ``F`` equals the reference dynamic program
+:func:`score_F_dp`, ``I`` equals
+:func:`repro.infotheory.measures.mutual_information`, and ``R`` equals
+Equation 11 evaluated on the candidate's ``(parent cells, child)`` matrix.
 The golden-fingerprint regression tests pin this.  The contract holds
 because:
 
@@ -28,16 +31,15 @@ because:
   states that cannot reach the minimum (below); the states it keeps
   include one the minimum float is taken at.
 * ``I`` marginalizes batched (sums along a contiguous / middle axis are
-  bit-equal to the per-candidate sums) and evaluates the entropies through
-  the same :func:`repro.infotheory.measures.entropy` per candidate — its
-  nonzero-compaction makes rows ragged, so that last step stays scalar.
+  bit-equal to the per-candidate sums) and evaluates the entropies in one
+  segmented exact-sum pass (below).
 * ``R`` vectorizes completely: the outer product has inner dimension one
   (each element a single IEEE multiplication) and the final reduction sums
   the same contiguous buffer per candidate.
 
 The F kernel
 ------------
-``score_F`` on ``|dom(Pi)| = m`` parent cells is exact over ``2^m`` column
+``F`` on ``|dom(Pi)| = m`` parent cells is exact over ``2^m`` column
 assignments (Section 4.4).  Three regimes:
 
 * ``m <= enum_max_cells`` — **bitset enumeration**: all ``2^m`` assignment
@@ -79,18 +81,26 @@ identical float64 expression — so backend selection is invisible to every
 caller; the ``backend=`` parameter exists for tests and benchmarks that
 pin one side.
 
-The I kernel
-------------
-``score_I_batch`` and the ragged :func:`score_I_segments` evaluate every
-candidate's three entropies through one segmented exact-sum pass
-(:func:`repro.infotheory.measures.entropy_segmented`): nonzero compaction
+The I and R kernels
+-------------------
+:func:`score_I_segments` and :func:`score_R_segments` take a *ragged*
+batch: flat joints laid end to end, as
+:func:`repro.data.marginals.stacked_joint_counts` lays them out (a
+rectangular batch is the equal-length case).  Both sort the candidates
+once by (length, child size), gather them in that order with one ragged
+gather, score each same-shape run as a ``(run, parent cells, child
+size)`` stack and un-permute the scores once at the end.  ``I``
+evaluates every candidate's three entropies through one segmented
+exact-sum pass (the core of
+:func:`repro.infotheory.measures.entropy_segmented`): nonzero compaction
 and ``log`` run once over the concatenated batch, and per-candidate sums
 are reduced in NumPy's own per-array pairwise order, so each output stays
 bit-equal to ``mutual_information`` on that candidate alone.
 
-Validation is unified here: batched and scalar paths reject malformed
-counts identically (binary-child shape, integer counts, counts summing to
-``n`` per candidate) — see :func:`validate_F_counts`.
+Validation: :func:`validate_F_counts` checks ``F`` counts (binary-child
+shape, integer counts, counts summing to ``n`` per candidate) for the
+batched kernel and the reference DP alike, and :func:`_regrouped` checks
+the ragged kernels' segment arguments.
 """
 
 from __future__ import annotations
@@ -110,9 +120,7 @@ __all__ = [
     "validate_F_counts",
     "score_F_batch",
     "score_F_dp",
-    "score_I_batch",
     "score_I_segments",
-    "score_R_batch",
     "score_R_segments",
 ]
 
@@ -174,7 +182,7 @@ shared_mask_cache = MaskCache()
 
 
 # ---------------------------------------------------------------------------
-# Validation (shared by the scalar wrapper and every batched path)
+# Validation (shared by the batched kernel and the reference DP)
 # ---------------------------------------------------------------------------
 
 
@@ -183,9 +191,9 @@ def validate_F_counts(counts: np.ndarray, n: int) -> np.ndarray:
 
     ``counts`` is one flat joint (1-D), a batch of flat joints (2-D,
     candidate-major) or a batch of ``(m, 2)`` matrices (3-D).  Returns the
-    int64 ``(batch, m, 2)`` stack.  Raises exactly the errors the scalar
-    ``score_F`` has always raised — the batched and scalar paths reject
-    malformed counts identically:
+    int64 ``(batch, m, 2)`` stack.  :func:`score_F_batch` and
+    :func:`score_F_dp` both validate through it, so they reject malformed
+    counts identically:
 
     * odd joint length (non-binary child),
     * non-integer counts,
@@ -437,7 +445,7 @@ def score_F_batch(
         Batch of integer contingency counts, candidate-major: flat joints
         ``(batch, 2m)`` or matrices ``(batch, m, 2)`` (a single flat joint
         is promoted to a batch of one).  Every candidate's counts must sum
-        to ``n`` — validation is identical to the scalar path.
+        to ``n`` (see :func:`validate_F_counts`).
     n:
         Number of tuples.
     enum_max_cells:
@@ -545,84 +553,25 @@ def score_F_batch(
 # ---------------------------------------------------------------------------
 
 
-def _as_joint_stack(joints: np.ndarray, child_size: int) -> np.ndarray:
-    """Canonicalize to a float ``(batch, parent_dom, child_size)`` stack."""
-    stack = np.asarray(joints, dtype=float)
-    if stack.ndim == 1:
-        stack = stack[None, :]
-    if stack.ndim == 2:
-        stack = stack.reshape(stack.shape[0], -1, child_size)
-    if stack.ndim != 3 or stack.shape[2] != child_size:
-        raise ValueError(
-            "joints must be flat vectors or (parent_dom, child_size) "
-            "matrices per candidate"
-        )
-    return stack
+#: One same-shape run of a regrouped batch: ``(lo, hi, stack)``.
+_Run = Tuple[int, int, np.ndarray]
 
 
-def _rows_entropy(matrix: np.ndarray) -> np.ndarray:
-    """Per-row Shannon entropies of a rectangular float batch.
-
-    One segmented exact-sum pass over all rows; each output is bit-equal
-    to :func:`repro.infotheory.measures.entropy` on that row alone.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    count, width = matrix.shape
-    return _entropy_by_count(
-        matrix.reshape(-1), np.full(count, width, dtype=np.int64)
-    )
-
-
-def score_I_batch(joints: np.ndarray, child_size: int) -> np.ndarray:
-    """Mutual information for a batch of joints sharing a child size.
-
-    Marginalization and all three entropy terms are vectorized across the
-    batch — the entropies go through the segmented exact-sum pass of
-    :func:`_rows_entropy`, whose per-row reduction order matches the
-    scalar :func:`~repro.infotheory.measures.entropy`.  Each output is
-    bit-equal to ``mutual_information(joint, child_size)`` on the same
-    joint.
-    """
-    stack = _as_joint_stack(joints, child_size)
-    count = stack.shape[0]
-    h_parent = _rows_entropy(stack.sum(axis=2))
-    h_child = _rows_entropy(stack.sum(axis=1))
-    h_joint = _rows_entropy(stack.reshape(count, -1))
-    return np.maximum(0.0, h_child + h_parent - h_joint)
-
-
-def _segment_groups(
-    lengths: np.ndarray, child_sizes: np.ndarray
-) -> List[Tuple[int, int, np.ndarray]]:
-    """Candidate indices grouped by (segment length, child size).
-
-    Returns ``(length, child_size, candidate_indices)`` triples; grouping
-    is a stable lexsort so traversal is deterministic given the candidate
-    order.
-    """
-    count = lengths.shape[0]
-    if count == 0:
-        return []
-    order = np.lexsort((child_sizes, lengths))
-    changed = (np.diff(lengths[order]) != 0) | (np.diff(child_sizes[order]) != 0)
-    bounds = np.concatenate([[0], np.nonzero(changed)[0] + 1, [count]])
-    return [
-        (
-            int(lengths[order[lo]]),
-            int(child_sizes[order[lo]]),
-            order[lo:hi],
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-def _ragged_args(
+def _regrouped(
     values: np.ndarray,
     offsets: np.ndarray,
     lengths: np.ndarray,
     child_sizes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Canonicalize the ragged-batch arguments shared by the segment kernels."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[_Run]]:
+    """Check a ragged batch and regroup it by (length, child size).
+
+    Returns the stable ``lexsort`` order of the candidates by (segment
+    length, child size); the joints gathered in that order by one ragged
+    gather, with their lengths and child sizes in that order; and one
+    ``(lo, hi, stack)`` per same-shape run: candidates ``lo:hi`` of the
+    order as a ``(hi - lo, parent cells, child size)`` view of the
+    gathered joints.
+    """
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
     lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
@@ -633,7 +582,29 @@ def _ragged_args(
         offsets.min() < 0 or int((offsets + lengths).max()) > flat.size
     ):
         raise ValueError("segment [offset, offset+length) out of bounds")
-    return flat, offsets, lengths, sizes
+    if (sizes < 1).any():
+        raise ValueError("child_sizes must be positive")
+    if (lengths % sizes).any():
+        raise ValueError(
+            "each segment length must be a multiple of its child size"
+        )
+    order = np.lexsort((sizes, lengths))
+    lengths = lengths[order]
+    sizes = sizes[order]
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    shift = np.repeat(offsets[order] - bounds[:-1], lengths)
+    grouped = flat[shift + np.arange(bounds[-1], dtype=np.int64)]
+    changed = (lengths[1:] != lengths[:-1]) | (sizes[1:] != sizes[:-1])
+    starts = [0] + (changed.nonzero()[0] + 1).tolist() if order.size else []
+    edges = bounds.tolist()
+    runs = []
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
+        size = int(sizes[lo])
+        cells = int(lengths[lo]) // size
+        runs.append(
+            (lo, hi, grouped[edges[lo] : edges[hi]].reshape(hi - lo, cells, size))
+        )
+    return order, grouped, lengths, sizes, runs
 
 
 def score_I_segments(
@@ -653,63 +624,34 @@ def score_I_segments(
     same-size bucketing on their side.
 
     Candidates are permuted into ``(length, child_size)`` order by one
-    ragged gather, so every same-shape group is a contiguous block: the
-    joint entropy is a single segmented pass over the whole batch, and
-    each group's parent and child marginals are plain slice-reshape-sums
-    of its ``(group, parent_dom, child_size)`` stack — the exact
-    ``matrix.sum(axis=1)`` / ``matrix.sum(axis=0)`` reduction shapes of
-    the scalar path (NumPy's axis-0 order differs from a contiguous 1-D
-    sum, so the child term in particular must keep that stack shape).
-    The scores un-permute once at the end; every output is bit-equal to
-    ``mutual_information(values[segment], child_size)`` on that candidate
-    alone.
+    ragged gather (:func:`_regrouped`), so every same-shape group is a
+    contiguous block: the joint entropy is a single segmented pass over
+    the whole batch, and each group's parent and child marginals are
+    plain sums of its ``(group, parent_dom, child_size)`` stack — the
+    exact ``matrix.sum(axis=1)`` / ``matrix.sum(axis=0)`` reduction shapes
+    of ``mutual_information`` (NumPy's axis-0 order differs from a
+    contiguous 1-D sum, so the child term in particular must keep that
+    stack shape).  The scores un-permute once at the end; every output is
+    bit-equal to ``mutual_information(values[segment], child_size)`` on
+    that candidate alone.
     """
-    flat, offsets, lengths, sizes = _ragged_args(
+    order, grouped, lengths, sizes, runs = _regrouped(
         values, offsets, lengths, child_sizes
     )
-    count = offsets.shape[0]
-    if count == 0:
-        return np.empty(0)
-    if np.any(sizes < 1):
-        raise ValueError("child_sizes must be positive")
-    if np.any(lengths % sizes):
-        raise ValueError(
-            "each segment length must be a multiple of its child size"
-        )
-    total = int(lengths.sum())
-    order = np.lexsort((sizes, lengths))
-    g_lengths = lengths[order]
-    g_sizes = sizes[order]
-    bounds = np.concatenate([[0], np.cumsum(g_lengths)])
-    shift = np.repeat(offsets[order] - bounds[:-1], g_lengths)
-    grouped = flat[shift + np.arange(total, dtype=np.int64)]
-
-    h_joint = _entropy_by_count(grouped, g_lengths)
-
-    g_cells = g_lengths // g_sizes
-    parent_values = np.empty(int(g_cells.sum()))
-    child_values = np.empty(int(g_sizes.sum()))
-    edges = bounds.tolist()
-    p_edges = np.concatenate([[0], np.cumsum(g_cells)]).tolist()
-    c_edges = np.concatenate([[0], np.cumsum(g_sizes)]).tolist()
-    changed = (np.diff(g_lengths) != 0) | (np.diff(g_sizes) != 0)
-    starts = np.concatenate([[0], np.nonzero(changed)[0] + 1, [count]]).tolist()
-    for g in range(len(starts) - 1):
-        lo, hi = starts[g], starts[g + 1]
-        if g_lengths[lo] == 0:  # empty joints: both marginals are zeros
-            child_values[c_edges[lo] : c_edges[hi]] = 0.0
-            continue
-        stack = grouped[edges[lo] : edges[hi]].reshape(
-            hi - lo, -1, int(g_sizes[lo])
-        )
+    h_joint = _entropy_by_count(grouped, lengths)
+    cells = lengths // sizes
+    parent_values = np.empty(int(cells.sum()))
+    child_values = np.empty(int(sizes.sum()))
+    p_edges = np.concatenate([[0], np.cumsum(cells)]).tolist()
+    c_edges = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    for lo, hi, stack in runs:
         # Parent cells are contiguous child-size blocks (trailing axis);
-        # the child marginal keeps the scalar path's axis-0 sum shape.
+        # the child marginal keeps the axis-0 sum shape.
         parent_values[p_edges[lo] : p_edges[hi]] = stack.sum(axis=2).reshape(-1)
         child_values[c_edges[lo] : c_edges[hi]] = stack.sum(axis=1).reshape(-1)
-    h_parent = _entropy_by_count(parent_values, g_cells)
-    h_child = _entropy_by_count(child_values, g_sizes)
-
-    scores = np.empty(count)
+    h_parent = _entropy_by_count(parent_values, cells)
+    h_child = _entropy_by_count(child_values, sizes)
+    scores = np.empty(order.size)
     scores[order] = np.maximum(0.0, h_child + h_parent - h_joint)
     return scores
 
@@ -722,31 +664,24 @@ def score_R_segments(
 ) -> np.ndarray:
     """``R`` (Equation 11) for a ragged batch of flat joints.
 
-    Same ragged layout and grouping as :func:`score_I_segments`; each
-    ``(length, child_size)`` group delegates to the fully vectorized
-    :func:`score_R_batch`, preserving its per-candidate bit-identity.
+    Same ragged layout and regrouping as :func:`score_I_segments`.  Each
+    same-shape group scores its whole ``(group, parent_dom, child_size)``
+    stack at once: the independent joint is the product of the parent and
+    child marginals (inner dimension one, so every element is a single
+    exact multiplication), and each candidate's ``0.5 * |stack -
+    independent|`` sums its own contiguous row.  The scores un-permute
+    once at the end; each is bit-equal to Equation 11 on that candidate
+    alone.
     """
-    flat, offsets, lengths, sizes = _ragged_args(
-        values, offsets, lengths, child_sizes
-    )
-    out = np.empty(offsets.shape[0])
-    for length, child_size, idx in _segment_groups(lengths, sizes):
-        gathered = flat[offsets[idx][:, None] + np.arange(length)]
-        out[idx] = score_R_batch(gathered, child_size)
-    return out
-
-
-def score_R_batch(joints: np.ndarray, child_size: int) -> np.ndarray:
-    """``R`` (Equation 11) for a batch of joints sharing a child size.
-
-    Fully vectorized; each output is bit-equal to the scalar ``score_R``
-    (the outer product's inner dimension is one, so every element is a
-    single exact multiplication, and the final reduction sums the same
-    contiguous values per candidate).
-    """
-    stack = _as_joint_stack(joints, child_size)
-    count = stack.shape[0]
-    parent = stack.sum(axis=2, keepdims=True)
-    child = stack.sum(axis=1, keepdims=True)
-    independent = parent @ child
-    return 0.5 * np.abs(stack - independent).reshape(count, -1).sum(axis=1)
+    order, _, _, _, runs = _regrouped(values, offsets, lengths, child_sizes)
+    grouped_scores = np.empty(order.size)
+    for lo, hi, stack in runs:
+        independent = stack.sum(axis=2, keepdims=True) @ stack.sum(
+            axis=1, keepdims=True
+        )
+        grouped_scores[lo:hi] = 0.5 * np.abs(stack - independent).reshape(
+            hi - lo, -1
+        ).sum(axis=1)
+    scores = np.empty(order.size)
+    scores[order] = grouped_scores
+    return scores

@@ -1,54 +1,22 @@
-"""Score functions for exponential-mechanism AP-pair selection.
+"""Sensitivities of the score functions for exponential-mechanism AP-pair
+selection.
 
-Three score functions, matching Table 4 of the paper:
+The three score functions of Table 4 of the paper are computed in batches
+by :mod:`repro.core.score_kernels` (through
+:class:`repro.core.scoring.CandidateScorer`); this module holds the
+sensitivity each one contributes to the exponential mechanism:
 
-* ``I(X, Π)`` — mutual information (Section 4.2).  Sensitivity per
-  Lemma 4.1; large relative to its range, hence noisy selection.
+* ``I(X, Π)`` — mutual information (Section 4.2): Lemma 4.1, large
+  relative to its range, hence noisy selection.
 * ``F(X, Π)`` — negative half L1 distance to the closest *maximum* joint
-  distribution (Equation 7).  Sensitivity ``1/n`` (Theorem 4.5).  Exact
-  computation is NP-hard in general (Theorem 5.1); for a binary child the
-  pseudo-polynomial dynamic program of Section 4.4 (with dominated-state
-  pruning, Definition 4.6) computes it in ``O(n * |dom(Π)|)``.
-* ``R(X, Π)`` — half L1 distance to the independent (zero mutual
-  information) joint (Equation 11).  Sensitivity ``3/n + 2/n²``
-  (Theorem 5.3); computable on any domain.
-
-All functions take the empirical joint ``Pr[Π, X]`` as a flat vector with
-the child attribute innermost (the layout produced by
-:func:`repro.data.marginals.marginal_counts` with the child listed last).
-
-These are thin per-candidate wrappers over the batched kernels of
-:mod:`repro.core.score_kernels` — each delegates with a batch of one, so a
-scalar call returns exactly the float the batched engine produces for the
-same candidate — and the batched F kernel in turn rides whichever backend
-:mod:`repro.core.kernel_backend` selected (the compiled ``scoref.c``
-frontier-merge tier when a C toolchain is available, NumPy otherwise;
-both bit-identical, see ``python -m repro.kernels``).
-:func:`score_F_bruteforce` stays here as the independent
-exponential-time test oracle.
+  distribution (Equation 7): ``1/n`` (Theorem 4.5).
+* ``R(X, Π)`` — half L1 distance to the independent joint (Equation 11):
+  ``3/n + 2/n²`` (Theorem 5.3).
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from repro.core.score_kernels import (
-    score_F_batch,
-    score_I_batch,
-    score_R_batch,
-)
-
-# ---------------------------------------------------------------------------
-# Mutual information I and its sensitivity (Lemma 4.1)
-# ---------------------------------------------------------------------------
-
-
-def score_I(joint: np.ndarray, child_size: int) -> float:
-    """Mutual information score (Section 4.2)."""
-    flat = np.asarray(joint, dtype=float).reshape(-1)
-    return float(score_I_batch(flat, child_size)[0])
 
 
 def sensitivity_I(n: int, binary: bool) -> float:
@@ -67,84 +35,11 @@ def sensitivity_I(n: int, binary: bool) -> float:
     ) * math.log2((n + 1.0) / (n - 1.0))
 
 
-# ---------------------------------------------------------------------------
-# Surrogate F (Sections 4.3-4.4): binary child, dynamic program
-# ---------------------------------------------------------------------------
-
-
-def score_F(joint_counts: np.ndarray, n: int) -> float:
-    """Exact ``F(X, Π)`` for a binary child (Sections 4.3-4.4).
-
-    Parameters
-    ----------
-    joint_counts:
-        Integer contingency counts laid out as ``Pr[Π, X]`` with the binary
-        child innermost: a flat vector of length ``2 * |dom(Π)|`` whose
-        entry ``2j + x`` counts tuples with ``Π = π_j, X = x``.
-    n:
-        Number of tuples (the counts must sum to ``n``).
-
-    Returns the (non-positive) score
-    ``F = -min_{Pr⋄} ||Pr - Pr⋄||_1 / 2`` over all maximum joint
-    distributions ``Pr⋄`` (Equation 7), evaluated over the reachable
-    ``(K0, K1)`` mass states of Equation 10 with dominated-state pruning
-    (Definition 4.6).  Delegates to the batched kernel
-    (:func:`repro.core.score_kernels.score_F_batch`) with a batch of one;
-    the per-candidate dynamic program survives as
-    :func:`repro.core.score_kernels.score_F_dp`, the kernel's oracle.
-    """
-    flat = np.asarray(joint_counts).reshape(-1)
-    return float(score_F_batch(flat, n)[0])
-
-
-def score_F_bruteforce(joint_counts: np.ndarray, n: int) -> float:
-    """Exponential-time reference implementation of ``F`` (for tests).
-
-    Enumerates all ``2^|dom(Π)|`` assignments of columns to ``Z⁺₀ / Z⁺₁``
-    (the equivalence classes of Section 4.4).
-    """
-    counts = np.asarray(joint_counts)
-    matrix = np.rint(counts.reshape(-1, 2)).astype(np.int64)
-    m = matrix.shape[0]
-    if m > 20:
-        raise ValueError("brute force limited to 20 parent cells")
-    if n == 0:
-        return -0.5
-    best = float("inf")
-    for mask in range(1 << m):
-        k0 = 0
-        k1 = 0
-        for j in range(m):
-            if mask & (1 << j):
-                k0 += int(matrix[j, 0])
-            else:
-                k1 += int(matrix[j, 1])
-        value = max(0.0, 0.5 - k0 / n) + max(0.0, 0.5 - k1 / n)
-        best = min(best, value)
-    return -best
-
-
 def sensitivity_F(n: int) -> float:
     """``S(F) = 1/n`` (Theorem 4.5)."""
     if n <= 0:
         raise ValueError("n must be positive")
     return 1.0 / n
-
-
-# ---------------------------------------------------------------------------
-# Surrogate R (Section 5.3): any domain
-# ---------------------------------------------------------------------------
-
-
-def score_R(joint: np.ndarray, child_size: int) -> float:
-    """``R(X, Π)`` (Equation 11): TV distance to the independent joint.
-
-    ``R = ||Pr[X, Π] - Pr[X] ⊗ Pr[Π]||_1 / 2``; by Pinsker's inequality
-    ``R ≤ sqrt(I * ln2 / 2)``, so large ``R`` witnesses large mutual
-    information.
-    """
-    flat = np.asarray(joint, dtype=float).reshape(-1)
-    return float(score_R_batch(flat, child_size)[0])
 
 
 def sensitivity_R(n: int) -> float:

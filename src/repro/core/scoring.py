@@ -1,4 +1,4 @@
-"""Incremental candidate-scoring engine for greedy structure search.
+"""Candidate-scoring engine for greedy structure search.
 
 The greedy algorithms (Algorithms 2 and 4) re-enumerate all
 ``O(d · C(d, k))`` (child, parent-set) candidates every round, but a
@@ -46,8 +46,9 @@ All caches are keyed on *values derived deterministically from the table*:
   one segmented ``I``/``R`` call per round and width on the Walsh path,
   or per counted parent set otherwise — the blocked-bitset kernel
   handles every domain size, so no candidate ever falls back to a
-  per-candidate dynamic program.  Kernels are bit-equal to the scalar
-  score functions on every candidate, whatever else is in the batch.
+  per-candidate dynamic program.  Each kernel output is bit-equal to
+  the score of that candidate computed alone, whatever else is in the
+  batch.
 * ``MutualInformationCache`` memoizes empirical mutual information per
   ``(child, parents)`` for the non-private reference searches
   (:mod:`repro.bn.structure_search`) and the Figure 4 quality metric.
@@ -79,19 +80,11 @@ import numpy as np
 
 from repro.core.parent_sets import ParentSetCache, parent_set_domain_size
 from repro.core.score_kernels import (
-    DEFAULT_ENUM_MAX_CELLS,
     score_F_batch,
     score_I_segments,
     score_R_segments,
 )
-from repro.core.scores import (
-    score_F,
-    score_I,
-    score_R,
-    sensitivity_F,
-    sensitivity_I,
-    sensitivity_R,
-)
+from repro.core.scores import sensitivity_F, sensitivity_I, sensitivity_R
 from repro.data.table import Table
 from repro.infotheory.measures import (
     mutual_information,
@@ -199,19 +192,6 @@ class Candidates(SequenceABC):
             yield self.names[child], parents[set_id]
 
 
-def _score_sensitivity(
-    score: str, n: int, child_size: int, parent_domain: int
-) -> float:
-    """Per-candidate sensitivity of the selected score function."""
-    if score == "F":
-        return sensitivity_F(n)
-    if score == "R":
-        return sensitivity_R(n)
-    if score == "I":
-        return sensitivity_I(n, binary=(child_size == 2 or parent_domain == 2))
-    raise ValueError(f"unknown score function {score!r}")
-
-
 def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     """``array`` with its first axis extended to ``rows``, zero-filled."""
     grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
@@ -234,25 +214,13 @@ class CandidateScorer:
         chunk size.  Scores are bit-identical either way.
     score:
         One of ``'I' | 'F' | 'R'`` (Table 4 of the paper).
-    incremental:
-        When ``False``, disable the score memo and the batched
-        contingency pass — every call recomputes from scratch (the seed
-        behavior).  Kept as the reference for the structure-search
-        benchmark; production callers never need it.
-    f_enum_max_cells:
-        Enumeration/DP crossover forwarded to the ``F`` kernel (see
-        :data:`repro.core.score_kernels.DEFAULT_ENUM_MAX_CELLS`).  Any
-        value yields bit-identical scores; only speed changes.
+    parent_index:
+        Optional :class:`~repro.bn.quality.ParentIndexCache` built for
+        ``table`` (a resident table only), shared with other consumers of
+        the same table; without one the scorer builds its own.
     """
 
-    def __init__(
-        self,
-        table,
-        score: str,
-        incremental: bool = True,
-        parent_index=None,
-        f_enum_max_cells: int = DEFAULT_ENUM_MAX_CELLS,
-    ) -> None:
+    def __init__(self, table, score: str, parent_index=None) -> None:
         if score not in ("I", "F", "R"):
             raise ValueError(f"unknown score function {score!r}")
         # Imported lazily: bn.quality sits above this module in the
@@ -266,8 +234,6 @@ class CandidateScorer:
             raise ValueError("parent_index was built for a different table")
         self.table = table
         self.score = score
-        self.incremental = incremental
-        self.f_enum_max_cells = f_enum_max_cells
         #: Counting over the resident table (its code columns and, on an
         #: all-binary table, the full joint's Walsh–Hadamard
         #: coefficients); shareable with the distribution learner's
@@ -324,34 +290,10 @@ class CandidateScorer:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _score_from_counts(
-        self, child: str, counts: np.ndarray, child_size: int
-    ) -> float:
-        n = self.table.n
-        if self.score == "F":
-            if child_size != 2:
-                raise ValueError(
-                    f"score 'F' requires a binary child; {child!r} has "
-                    f"{child_size} values"
-                )
-            return score_F(counts, n)
-        joint = counts / n if n else counts
-        if self.score == "I":
-            return score_I(joint, child_size)
-        return score_R(joint, child_size)
-
-    def _compute_score(
-        self, child: str, parents: Tuple[Tuple[str, int], ...]
-    ) -> float:
-        counts, child_size = self.counts(child, parents)
-        return self._score_from_counts(child, counts, child_size)
-
     def score_candidate(
         self, child: str, parents: Tuple[Tuple[str, int], ...]
     ) -> float:
-        """Score one candidate (memoized when ``incremental``)."""
-        if not self.incremental:
-            return self._compute_score(child, parents)
+        """Score one candidate (memoized)."""
         grid = Candidates.of([(child, parents)], self._names)
         return float(self._grid_scores(grid)[0])
 
@@ -367,10 +309,6 @@ class CandidateScorer:
         fresh candidates are counted and scored in one batch per round
         (see :meth:`_score_fresh`).
         """
-        if not self.incremental:
-            return np.array(
-                [self._compute_score(child, parents) for child, parents in candidates]
-            )
         return self._grid_scores(Candidates.of(candidates, self._names))
 
     def _grid_scores(self, grid: Candidates) -> np.ndarray:
@@ -419,9 +357,9 @@ class CandidateScorer:
         :meth:`_count_groups` call.  ``F`` then scores every joint length
         (parent-domain size) in one :func:`score_F_batch` call, and
         ``I``/``R`` make one segmented kernel call per Walsh width or
-        counted parent set, fed the int64 blocks as they come; the
-        kernels are bit-equal to the scalar score functions on every
-        candidate.
+        counted parent set, fed the int64 blocks as they come; each
+        kernel output is bit-equal to that candidate's score computed
+        alone.
         """
         _, first = np.unique(
             rows[fresh] * len(self._names) + grid.child[fresh], return_index=True
@@ -516,9 +454,7 @@ class CandidateScorer:
                 block = values.reshape(-1, length)
             else:
                 block = values[offsets[at, None] + np.arange(length)]
-            scores[at] = score_F_batch(
-                block, self.table.n, enum_max_cells=self.f_enum_max_cells
-            )
+            scores[at] = score_F_batch(block, self.table.n)
         return scores
 
     # ------------------------------------------------------------------
@@ -554,16 +490,6 @@ class CandidateScorer:
         if not len(candidates):
             raise ValueError("need a non-empty candidate set")
         n = self.table.n
-        if not self.incremental:
-            return max(
-                _score_sensitivity(
-                    self.score,
-                    n,
-                    self._attrs_by_name[child].size,
-                    parent_set_domain_size(frozenset(parents), self._attrs_by_name),
-                )
-                for child, parents in candidates
-            )
         if self.score == "F":
             return sensitivity_F(n)
         if self.score == "R":

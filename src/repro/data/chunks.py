@@ -66,6 +66,7 @@ from repro.data.attribute import Attribute
 from repro.data.marginals import (
     domain_size,
     ensure_int64_domain,
+    flatten_index,
     stacked_joint_counts,
 )
 from repro.data.table import Table
@@ -357,18 +358,11 @@ def stream_grouped_joint_counts(
         for position, (parents, children, parent_sizes, parent_dom, child_sizes) in enumerate(
             plans
         ):
-            if parents:
-                # Mixed-radix accumulation (same integer arithmetic as
-                # data.marginals.flatten_index; the domain was int64-checked
-                # above, once, instead of per chunk).
-                flat = np.asarray(
-                    maps.codes(chunk, parents[0][0], parents[0][1]),
-                    dtype=np.int64,
-                )
-                for (name, level), size in zip(parents[1:], parent_sizes[1:]):
-                    flat = flat * int(size) + maps.codes(chunk, name, level)
-            else:
-                flat = np.zeros(rows, dtype=np.int64)
+            flat = flatten_index(
+                [maps.codes(chunk, name, level) for name, level in parents],
+                parent_sizes,
+                rows,
+            )
             block, offsets, lengths = stacked_joint_counts(
                 flat,
                 parent_dom,

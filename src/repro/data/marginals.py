@@ -50,28 +50,35 @@ def ensure_int64_domain(total: int, context: str = "joint domain") -> int:
     return int(total)
 
 
-def flatten_index(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Mixed-radix flatten: ``(n, m)`` code matrix -> ``(n,)`` flat indices.
+def flatten_index(
+    columns: Sequence[np.ndarray], sizes: Sequence[int], rows: int
+) -> np.ndarray:
+    """Mixed-radix flattening of parallel code columns (first column most
+    significant) into one int64 index per row.
 
+    The index accumulates in place in a single array, without stacking
+    the columns into an ``n × m`` matrix; no columns give ``rows`` zeros.
     Raises :class:`ValueError` (instead of silently wrapping) when the
-    joint domain of ``sizes`` does not fit in int64.
+    joint domain of ``sizes`` does not fit in int64, and when the numbers
+    of columns and sizes differ.
     """
     ensure_int64_domain(domain_size(sizes))
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim == 1:
-        codes = codes[:, None]
-    if codes.shape[1] != len(sizes):
+    if len(columns) != len(sizes):
         raise ValueError(
-            f"code matrix has {codes.shape[1]} columns, expected {len(sizes)}"
+            f"{len(columns)} code columns for {len(sizes)} sizes"
         )
-    flat = np.zeros(codes.shape[0], dtype=np.int64)
-    for j, size in enumerate(sizes):
-        flat = flat * int(size) + codes[:, j]
+    if not len(columns):
+        return np.zeros(rows, dtype=np.int64)
+    flat = np.array(columns[0], dtype=np.int64)
+    for codes, size in zip(columns[1:], sizes[1:]):
+        flat *= size
+        flat += codes
     return flat
 
 
 def unflatten_index(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`flatten_index`: flat indices -> code matrix."""
+    """Inverse of :func:`flatten_index`: flat indices -> ``(n, m)`` code
+    matrix (its columns are :func:`flatten_index`'s input)."""
     flat = np.asarray(flat, dtype=np.int64)
     out = np.zeros((flat.shape[0], len(sizes)), dtype=np.int64)
     for j in range(len(sizes) - 1, -1, -1):
@@ -162,26 +169,6 @@ def stacked_joint_counts(
     return block, offsets, lengths
 
 
-def segments_by_size(
-    sizes: Sequence[int],
-    offsets: Sequence[int],
-    lengths: Sequence[int],
-) -> "dict[int, list[Tuple[int, int, int]]]":
-    """Group a :func:`stacked_joint_counts` layout by child-domain size.
-
-    Returns ``{child_size: [(position, offset, length), ...]}`` so callers
-    can stack the equal-shape count segments of each group into one
-    rectangular batch for the score kernels.  ``position`` indexes the
-    original child order.
-    """
-    groups: "dict[int, list[Tuple[int, int, int]]]" = {}
-    for position, (size, offset, length) in enumerate(
-        zip(sizes, offsets, lengths)
-    ):
-        groups.setdefault(int(size), []).append((position, offset, length))
-    return groups
-
-
 def marginal_counts(table, names: Sequence[str]) -> np.ndarray:
     """Contingency counts of the named attributes as a flat vector.
 
@@ -197,16 +184,16 @@ def marginal_counts(table, names: Sequence[str]) -> np.ndarray:
     if not names:
         return np.array([float(table.n)])
     if isinstance(table, Table):
-        codes = np.stack([table.column(name) for name in names], axis=1)
-        flat = flatten_index(codes, sizes)
+        columns = [table.column(name) for name in names]
+        flat = flatten_index(columns, sizes, table.n)
         return np.bincount(flat, minlength=total).astype(float)
     # Lazy import: data.chunks builds on this module.
     from repro.data.chunks import as_chunks
 
     accumulated = np.zeros(total, dtype=np.int64)
     for chunk in as_chunks(table):
-        codes = np.stack([chunk[name] for name in names], axis=1)
-        flat = flatten_index(codes, sizes)
+        columns = [chunk[name] for name in names]
+        flat = flatten_index(columns, sizes, len(columns[0]))
         accumulated += np.bincount(flat, minlength=total)
     return accumulated.astype(float)
 

@@ -86,12 +86,9 @@ def _sample_spec_block(
     sampled: Dict[str, np.ndarray] = {}
     sizes: Dict[str, int] = {}
     for index, spec in enumerate(specs):
-        if spec.parents:
-            parent_cols = np.stack([sampled[p] for p in spec.parents], axis=1)
-            parent_sizes = [sizes[p] for p in spec.parents]
-            rows = flatten_index(parent_cols, parent_sizes)
-        else:
-            rows = np.zeros(n, dtype=np.int64)
+        rows = flatten_index(
+            [sampled[p] for p in spec.parents], [sizes[p] for p in spec.parents], n
+        )
         sampled[spec.attribute.name] = invert_row_cdfs(
             cdfs[index], rows, uniforms_for(index, n)
         )

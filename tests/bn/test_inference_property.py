@@ -8,7 +8,7 @@ from repro.bn.inference import model_marginal
 from repro.bn.network import APPair, BayesianNetwork
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 from repro.data.attribute import Attribute
-from repro.data.marginals import domain_size, unflatten_index
+from repro.data.marginals import domain_size, flatten_index, unflatten_index
 
 
 def _random_model(sizes, max_parents, rng):
@@ -59,23 +59,16 @@ def _bruteforce_marginal(model, attrs, query):
     probs = np.ones(total)
     for pair in model.network:
         cond = model.conditional_for(pair.child)
-        if cond.parents:
-            parent_coords = np.stack(
-                [coords[:, position[name]] for name, _ in cond.parents], axis=1
-            )
-            from repro.data.marginals import flatten_index
-
-            rows = flatten_index(parent_coords, cond.parent_sizes)
-        else:
-            rows = np.zeros(total, dtype=np.int64)
+        rows = flatten_index(
+            [coords[:, position[name]] for name, _ in cond.parents],
+            cond.parent_sizes,
+            total,
+        )
         probs *= cond.matrix[rows, coords[:, position[pair.child]]]
     query_sizes = [attrs[position[name]].size for name in query]
     out = np.zeros(domain_size(query_sizes))
-    from repro.data.marginals import flatten_index
-
     cells = flatten_index(
-        np.stack([coords[:, position[name]] for name in query], axis=1),
-        query_sizes,
+        [coords[:, position[name]] for name in query], query_sizes, total
     )
     np.add.at(out, cells, probs)
     return out

@@ -1,5 +1,6 @@
 """Property tests: contingency counts on both counting engines against a
-per-pair ``np.bincount`` over the raw columns.
+per-pair ``np.bincount`` over the raw columns
+(``core_reference.reference_counts``).
 
 :class:`~repro.bn.quality.ParentIndexCache` counts an all-binary table
 whose full joint has at most ``MAX_WALSH_CELLS`` cells (and ``n · 2**d``
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.bn.quality as quality
+from core_reference import reference_counts, reference_score
 from repro.bn.network import APPair
 from repro.bn.quality import MAX_WALSH_CELLS, ParentIndexCache
 from repro.core.noisy_conditionals import JointCounter
-from repro.core.scores import score_F, score_I, score_R
 from repro.core.scoring import CandidateScorer
 from repro.data.attribute import Attribute
 from repro.data.marginals import domain_size, unflatten_index
@@ -122,28 +123,6 @@ def _random_groups(table: Table, rng: np.random.Generator, count: int = 12):
     return groups
 
 
-def _reference_counts(table: Table, child: str, parents) -> np.ndarray:
-    """Per-pair ``np.bincount`` over the raw columns (child innermost)."""
-    flat = np.zeros(table.n, dtype=np.int64)
-    parent_dom = 1
-    for name, level in parents:
-        mapping = table.attribute(name).generalization_map(level)
-        size = int(mapping.max()) + 1
-        flat = flat * size + mapping[table.column(name)]
-        parent_dom *= size
-    child_size = table.attribute(child).size
-    return np.bincount(
-        flat * child_size + table.column(child), minlength=parent_dom * child_size
-    )
-
-
-def _reference_score(score: str, counts: np.ndarray, n: int, child_size: int) -> float:
-    if score == "F":
-        return score_F(counts.astype(float), n)
-    joint = counts / n if n else counts.astype(float)
-    return (score_I if score == "I" else score_R)(joint, child_size)
-
-
 def _assert_grouped_counts_exact(index: ParentIndexCache, groups) -> None:
     table = index.table
     for (parents, children), counted in zip(groups, index.grouped_counts(groups)):
@@ -166,7 +145,7 @@ def _assert_grouped_counts_exact(index: ParentIndexCache, groups) -> None:
         for child, offset, length in zip(children, offsets, lengths):
             assert np.array_equal(
                 block[offset : offset + length],
-                _reference_counts(table, child, parents),
+                reference_counts(table, child, parents),
             )
 
 
@@ -181,7 +160,7 @@ def _assert_counts_exact(table: Table) -> None:
         for attr in table.attributes
         for parents in _parent_sets(table, attr.name, max_parents)
     ]
-    expected = {cand: _reference_counts(table, *cand) for cand in candidates}
+    expected = {cand: reference_counts(table, *cand) for cand in candidates}
     scorer = CandidateScorer(table, "R", parent_index=index)
     counter = JointCounter(table, parent_index=index)
     for (child, parents), reference in expected.items():
@@ -205,7 +184,7 @@ def _assert_counts_exact(table: Table) -> None:
             continue
         values = CandidateScorer(table, score, parent_index=index).score_batch(scored)
         reference = [
-            _reference_score(score, expected[cand], table.n, table.attribute(cand[0]).size)
+            reference_score(score, expected[cand], table.n, table.attribute(cand[0]).size)
             for cand in scored
         ]
         assert np.array_equal(values, np.array(reference))
@@ -316,7 +295,7 @@ def test_rows_that_do_not_pack_into_int64_stay_raw():
     scorer = CandidateScorer(table, "R", parent_index=index)
     counter = JointCounter(table, parent_index=index)
     for child, parents in candidates:
-        reference = _reference_counts(table, child, parents)
+        reference = reference_counts(table, child, parents)
         assert np.array_equal(scorer.counts(child, parents)[0], reference)
         assert np.array_equal(counter.counts(APPair(child, parents))[0], reference)
 

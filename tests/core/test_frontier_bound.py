@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from core_reference import score_F_bruteforce
 from repro.core import kernel_backend
 from repro.core.score_kernels import score_F_batch, score_F_dp
-from repro.core.scores import score_F_bruteforce
 from repro.core.scoring import CandidateScorer
 from repro.datasets import load_nltcs
 

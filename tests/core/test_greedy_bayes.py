@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.bn.quality as quality
-from greedy_reference import reference_fixed_k
+from core_reference import reference_fixed_k
 from repro.bn.network import BayesianNetwork
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
 from repro.core.scoring import CandidateScorer
@@ -196,7 +196,7 @@ class TestThetaVariant:
 
 
 # ----------------------------------------------------------------------
-# Fixed-k rounds against the reference loop (tests/core/greedy_reference.py)
+# Fixed-k rounds against the reference loop (tests/core/core_reference.py)
 # ----------------------------------------------------------------------
 
 

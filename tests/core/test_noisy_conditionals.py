@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from core_reference import PerPairCounter
 from repro.bn.network import APPair, BayesianNetwork
 from repro.core.greedy_bayes import greedy_bayes_fixed_k
 from repro.core.noisy_conditionals import (
@@ -11,6 +12,7 @@ from repro.core.noisy_conditionals import (
     noisy_conditionals_fixed_k,
     noisy_conditionals_general,
 )
+from repro.data.chunks import TableChunks
 from repro.data.marginals import joint_distribution, marginal_counts
 from repro.dp.accountant import PrivacyAccountant, PrivacyBudgetError
 
@@ -150,9 +152,32 @@ class TestJointCounter:
             mixed_table, network, 0.7, np.random.default_rng(5)
         )
         naive = noisy_conditionals_general(
-            mixed_table, network, 0.7, np.random.default_rng(5), batched=False
+            mixed_table,
+            network,
+            0.7,
+            np.random.default_rng(5),
+            counter=PerPairCounter(mixed_table),
         )
         for a, b in zip(batched.conditionals, naive.conditionals):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def test_chunked_source_with_per_pair_counter(self, mixed_table):
+        """A chunked source counts through whatever counter it is given:
+        the per-pair scan over its chunks gives the resident model."""
+        network = _chain_network(list(mixed_table.attribute_names))
+        resident = noisy_conditionals_general(
+            mixed_table, network, 0.7, np.random.default_rng(5)
+        )
+        source = TableChunks(mixed_table, 7)
+        chunked = noisy_conditionals_general(
+            source,
+            network,
+            0.7,
+            np.random.default_rng(5),
+            counter=PerPairCounter(source),
+        )
+        for a, b in zip(resident.conditionals, chunked.conditionals):
+            assert a.child == b.child and a.parents == b.parents
             np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
@@ -200,6 +225,27 @@ class TestFixedK:
         network = _chain_network(list(binary_table.attribute_names))
         with pytest.raises(ValueError):
             noisy_conditionals_fixed_k(binary_table, network, 99, 1.0, rng)
+
+    def test_chunked_source_with_per_pair_counter(self, binary_table, rng):
+        """Algorithm 1 on a chunked source through the per-pair scan: the
+        anchor joint and every later pair match the resident model."""
+        k = 2
+        network = greedy_bayes_fixed_k(binary_table, k, 1.0, "F", rng)
+        resident = noisy_conditionals_fixed_k(
+            binary_table, network, k, 0.7, np.random.default_rng(9)
+        )
+        source = TableChunks(binary_table, 13)
+        chunked = noisy_conditionals_fixed_k(
+            source,
+            network,
+            k,
+            0.7,
+            np.random.default_rng(9),
+            counter=PerPairCounter(source),
+        )
+        for a, b in zip(resident.conditionals, chunked.conditionals):
+            assert a.child == b.child and a.parents == b.parents
+            np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_conditional_table_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from core_reference import PerPairCounter
 from repro.core.noisy_conditionals import (
     JointCounter,
     noisy_conditionals_fixed_k,
@@ -184,8 +185,8 @@ def test_batched_distribution_learning_matches_naive_path():
     table = load_dataset("nltcs", n=800, seed=3)
     network = _golden_binary_model().network
     variants = [
-        dict(batched=False),                      # seed per-pair scan
-        dict(batched=True),                       # fresh grouped counter
+        dict(counter=PerPairCounter(table)),      # seed per-pair scan
+        dict(),                                   # fresh grouped counter
         dict(counter=JointCounter(table)),        # caller-shared counter
     ]
     models = [
@@ -208,7 +209,11 @@ def test_shared_counter_reused_across_fits_is_bit_exact():
     )
     counter = JointCounter(table)
     reference = noisy_conditionals_general(
-        table, model.network, 1.3, np.random.default_rng(8), batched=False
+        table,
+        model.network,
+        1.3,
+        np.random.default_rng(8),
+        counter=PerPairCounter(table),
     )
     for _ in range(2):  # second pass hits the count memo for every pair
         again = noisy_conditionals_general(

@@ -159,10 +159,8 @@ class TestCdfInversion:
 
     @pytest.mark.parametrize("child_size", [1, 2, 3, 5, 17])
     def test_matches_broadcast_reference(self, child_size):
-        from repro.core.sampler import (
-            broadcast_invert_row_cdfs,
-            invert_row_cdfs,
-        )
+        from core_reference import broadcast_invert_row_cdfs
+        from repro.core.sampler import invert_row_cdfs
 
         rng = np.random.default_rng(child_size)
         n_rows = 11
@@ -179,10 +177,8 @@ class TestCdfInversion:
     def test_zero_probability_cells_and_duplicates(self):
         """Repeated CDF values (zero-mass cells) must resolve identically:
         both inversions count entries *strictly below* the uniform."""
-        from repro.core.sampler import (
-            broadcast_invert_row_cdfs,
-            invert_row_cdfs,
-        )
+        from core_reference import broadcast_invert_row_cdfs
+        from repro.core.sampler import invert_row_cdfs
 
         cdf = np.array(
             [
@@ -202,10 +198,8 @@ class TestCdfInversion:
     def test_uniform_exactly_on_cdf_entry(self):
         """u == cdf entry is the tie case: `cdf < u` is False there, so the
         entry's own cell is selected — by both implementations."""
-        from repro.core.sampler import (
-            broadcast_invert_row_cdfs,
-            invert_row_cdfs,
-        )
+        from core_reference import broadcast_invert_row_cdfs
+        from repro.core.sampler import invert_row_cdfs
 
         cdf = np.array([[0.25, 0.5, 0.75, 1.0]])
         rows = np.zeros(4, dtype=np.int64)

@@ -1,7 +1,9 @@
 """The batched score-kernel layer: bit-identity, validation, parameters.
 
 The kernels promise *bit-identical* floats to the per-candidate reference
-implementations on every input — these tests enforce that with
+implementations on every input (the Section 4.4 dynamic program and the
+brute-force enumeration for ``F``, ``mutual_information`` for ``I`` and
+Equation 11 written out for ``R``) — these tests enforce that with
 ``np.array_equal`` (never ``approx``) across randomized grids, the
 enumeration/DP crossover, and the degenerate edges (zero-count cells,
 ``n = 0``, ``n = 1``, empty batches, forced one-sided candidates).
@@ -17,23 +19,21 @@ NumPy contract in full.
 import numpy as np
 import pytest
 
+from core_reference import (
+    ReferenceScorer,
+    reference_counts,
+    reference_R,
+    score_F_bruteforce,
+)
 from repro.core import kernel_backend
 from repro.core.score_kernels import (
     DEFAULT_ENUM_MAX_CELLS,
     MaskCache,
     score_F_batch,
     score_F_dp,
-    score_I_batch,
     score_I_segments,
-    score_R_batch,
     score_R_segments,
     validate_F_counts,
-)
-from repro.core.scores import (
-    score_F,
-    score_F_bruteforce,
-    score_I,
-    score_R,
 )
 from repro.infotheory.measures import mutual_information
 
@@ -165,7 +165,6 @@ class TestBlockedKernelCrossCheck:
         rng = np.random.default_rng(7)
         matrices, n = _random_batch(rng, 16, count=4)
         for m in matrices:
-            assert score_F(m.reshape(-1), n) == score_F_dp(m.reshape(-1), n)
             assert score_F_batch(m.reshape(-1), n, backend=backend)[
                 0
             ] == score_F_dp(m.reshape(-1), n)
@@ -221,17 +220,18 @@ class TestEnumerationThreshold:
 
 
 class TestValidationUnified:
-    """Batched and scalar paths reject malformed counts identically."""
+    """The batched kernel, on a batch or on one flat joint, and the
+    reference DP reject malformed counts identically."""
 
     def test_odd_length_rejected_everywhere(self):
         with pytest.raises(ValueError, match="binary child"):
-            score_F(np.ones(3), 3)
+            score_F_batch(np.ones(3), 3)
         with pytest.raises(ValueError, match="binary child"):
             validate_F_counts(np.ones((2, 3)), 3)
 
     def test_non_integer_rejected_everywhere(self):
         with pytest.raises(ValueError, match="integer"):
-            score_F(np.array([0.5, 0.5]), 1)
+            score_F_batch(np.array([0.5, 0.5]), 1)
         with pytest.raises(ValueError, match="integer"):
             score_F_batch(np.array([[0.5, 0.5], [1.0, 0.0]]), 1)
         # Within a relative tolerance of an integer is still not an
@@ -243,13 +243,13 @@ class TestValidationUnified:
             (np.array([np.inf, 1.0]), 1),
         ]
         for counts, n in cases:
-            for score in (score_F, score_F_batch, score_F_dp):
+            for score in (score_F_batch, score_F_dp):
                 with pytest.raises(ValueError, match="integer"):
                     score(counts, n)
 
     def test_wrong_total_rejected_everywhere(self):
         with pytest.raises(ValueError, match="sum"):
-            score_F(np.array([1.0, 1.0]), 5)
+            score_F_batch(np.array([1.0, 1.0]), 5)
         with pytest.raises(ValueError, match="sum"):
             score_F_dp(np.array([1.0, 1.0]), 5)
         # The batched path names the first offending candidate's total.
@@ -272,53 +272,62 @@ class TestValidationUnified:
             validate_F_counts(np.zeros((2, 3, 4)), 0)
 
 
+def _rectangular(kernel, joints, child_size):
+    """``kernel`` on a rectangular batch: an equal-length ragged batch."""
+    count, length = joints.shape
+    return kernel(
+        joints.reshape(-1),
+        np.arange(count) * length,
+        np.full(count, length),
+        np.full(count, child_size),
+    )
+
+
 class TestIRBatchKernels:
+    """The ragged I and R kernels; a rectangular batch is an equal-length
+    ragged batch (``_rectangular``)."""
+
     def test_score_I_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         for child_size in (2, 3, 5):
             joints = rng.dirichlet(
                 np.ones(4 * child_size), size=11
             )
-            got = score_I_batch(joints, child_size)
+            got = _rectangular(score_I_segments, joints, child_size)
             ref = np.array(
                 [mutual_information(j, child_size) for j in joints]
             )
             assert np.array_equal(got, ref)
-            assert score_I(joints[0], child_size) == ref[0]
 
     def test_score_R_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
         for child_size in (2, 4):
             joints = rng.dirichlet(np.ones(6 * child_size), size=9)
-            got = score_R_batch(joints, child_size)
+            got = _rectangular(score_R_segments, joints, child_size)
             for j, value in zip(joints, got):
-                assert score_R(j, child_size) == value
+                assert reference_R(j, child_size) == value
 
     def test_sparse_joints_with_zero_cells(self):
         rng = np.random.default_rng(8)
         joints = rng.dirichlet(np.ones(12), size=8)
         joints[joints < 0.08] = 0.0
-        got_i = score_I_batch(joints, 3)
-        got_r = score_R_batch(joints, 3)
+        got_i = _rectangular(score_I_segments, joints, 3)
+        got_r = _rectangular(score_R_segments, joints, 3)
         for j, vi, vr in zip(joints, got_i, got_r):
             assert mutual_information(j, 3) == vi
-            assert score_R(j, 3) == vr
+            assert reference_R(j, 3) == vr
 
     def test_all_zero_joint(self):
         """n = 0 tables produce all-zero joints; kernels must not blow up."""
-        joints = np.zeros((2, 4, 2))
+        joints = np.zeros((2, 8))
         assert np.array_equal(
-            score_I_batch(joints, 2),
+            _rectangular(score_I_segments, joints, 2),
             np.array([mutual_information(np.zeros(8), 2)] * 2),
         )
         assert np.array_equal(
-            score_R_batch(joints, 2),
-            np.array([score_R(np.zeros(8), 2)] * 2),
+            _rectangular(score_R_segments, joints, 2),
+            np.array([reference_R(np.zeros(8), 2)] * 2),
         )
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match="joints"):
-            score_I_batch(np.zeros((2, 3, 4)), 2)
 
     @staticmethod
     def _ragged_batch(rng, count):
@@ -355,7 +364,7 @@ class TestIRBatchKernels:
         got = score_R_segments(flat, offsets, lengths, sizes)
         ref = np.array(
             [
-                score_R(flat[o : o + l], cs)
+                reference_R(flat[o : o + l], cs)
                 for o, l, cs in zip(offsets, lengths, sizes)
             ]
         )
@@ -366,12 +375,21 @@ class TestIRBatchKernels:
         assert score_R_segments(np.zeros(0), [], [], []).size == 0
 
     def test_segments_misaligned_args_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            score_I_segments(np.zeros(4), [0], [4, 0], [2])
+        for kernel in (score_I_segments, score_R_segments):
+            with pytest.raises(ValueError, match="align"):
+                kernel(np.zeros(4), [0], [4, 0], [2])
 
     def test_segments_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="bounds"):
-            score_I_segments(np.zeros(4), [2], [4], [2])
+        for kernel in (score_I_segments, score_R_segments):
+            with pytest.raises(ValueError, match="bounds"):
+                kernel(np.zeros(4), [2], [4], [2])
+
+    def test_segments_bad_child_sizes_rejected(self):
+        for kernel in (score_I_segments, score_R_segments):
+            with pytest.raises(ValueError, match="positive"):
+                kernel(np.zeros(4), [0], [4], [0])
+            with pytest.raises(ValueError, match="multiple"):
+                kernel(np.zeros(6), [0], [6], [4])
 
 
 class TestEngineIntegration:
@@ -392,7 +410,7 @@ class TestEngineIntegration:
 
     def test_large_domain_f_batch_matches_reference(self, wide_binary_table):
         """Parent domains of 32 and 64 cells (> enum threshold) through
-        score_batch equal the non-incremental per-candidate path."""
+        score_batch equal the per-candidate reference scorer."""
         import itertools
 
         from repro.core.scoring import CandidateScorer
@@ -400,7 +418,7 @@ class TestEngineIntegration:
         table = wide_binary_table
         names = list(table.attribute_names)
         batched = CandidateScorer(table, "F")
-        reference = CandidateScorer(table, "F", incremental=False)
+        reference = ReferenceScorer(table, "F")
         for width in (5, 6):
             candidates = []
             for parents in itertools.combinations(names[:-1], width):
@@ -411,21 +429,27 @@ class TestEngineIntegration:
             ref = np.array([reference(c, p) for c, p in candidates])
             assert np.array_equal(got, ref)
 
-    def test_f_enum_max_cells_forwarded(self, wide_binary_table):
+    def test_scorer_f_matches_dp_either_side_of_threshold(
+        self, wide_binary_table
+    ):
+        """Parent domains of 2 to 64 cells, enumerated and DP-scored by the
+        kernel's default crossover, equal the Section 4.4 DP bit for bit."""
         from repro.core.scoring import CandidateScorer
 
         table = wide_binary_table
         names = list(table.attribute_names)
-        default = CandidateScorer(table, "F")
-        forced_dp = CandidateScorer(table, "F", f_enum_max_cells=0)
         candidates = [
-            (names[-1], tuple((p, 0) for p in names[:3])),
-            (names[-2], tuple((p, 0) for p in names[:3])),
+            (names[-1], tuple((p, 0) for p in names[:width]))
+            for width in range(1, 7)
         ]
-        assert forced_dp.f_enum_max_cells == 0
-        assert np.array_equal(
-            default.score_batch(candidates), forced_dp.score_batch(candidates)
+        got = CandidateScorer(table, "F").score_batch(candidates)
+        dp = np.array(
+            [
+                score_F_dp(reference_counts(table, child, parents), table.n)
+                for child, parents in candidates
+            ]
         )
+        assert np.array_equal(got, dp)
 
     def test_pairwise_mi_batch_matches_direct(self, wide_binary_table):
         from repro.bn.structure_search import pairwise_mutual_information

@@ -1,19 +1,16 @@
-"""Score functions I, F, R: known values, paper examples, sensitivities."""
+"""Score functions I, F, R: known values, paper examples, sensitivities.
+
+``score_F``, ``score_I`` and ``score_R`` score one candidate through the
+production kernels (see ``core_reference``), so these properties hold of
+the floats the library computes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scores import (
-    score_F,
-    score_F_bruteforce,
-    score_I,
-    score_R,
-    sensitivity_F,
-    sensitivity_I,
-    sensitivity_R,
-)
+from core_reference import score_F, score_F_bruteforce, score_I, score_R
+from repro.core.scores import sensitivity_F, sensitivity_I, sensitivity_R
 
 
 def _counts_strategy(max_columns=6, max_per_cell=12):

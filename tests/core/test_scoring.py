@@ -1,8 +1,12 @@
-"""The incremental scoring engine: memoization, batching, shared caches."""
+"""The candidate-scoring engine: memoization, batching, shared caches.
+
+Scores are checked against :class:`core_reference.ReferenceScorer`, which
+counts and scores every candidate afresh."""
 
 import numpy as np
 import pytest
 
+from core_reference import ReferenceScorer
 from repro.core.scoring import (
     CandidateScorer,
     Candidates,
@@ -34,7 +38,7 @@ def _fixed_k_candidates(table, k=2):
 class TestMemoization:
     def test_batch_matches_single(self, binary_table):
         batched = CandidateScorer(binary_table, "R")
-        single = CandidateScorer(binary_table, "R", incremental=False)
+        single = ReferenceScorer(binary_table, "R")
         for candidates in _fixed_k_candidates(binary_table):
             scores = batched.score_batch(candidates)
             reference = np.array(
@@ -66,15 +70,35 @@ class TestMemoization:
             scorer.score_batch(candidates)
         assert len(scored) == len(unique)
 
-    def test_non_incremental_mode_recomputes(self, binary_table):
-        scorer = CandidateScorer(binary_table, "R", incremental=False)
-        scorer.score_batch([("b", (("a", 0),))])
-        # No memo row is made, and none is known.
-        assert scorer._row_ids == {} and not scorer._known.any()
+    def test_single_candidate_calls_share_the_memo(
+        self, binary_table, monkeypatch
+    ):
+        """``score_candidate`` and ``__call__`` go through the batch memo:
+        a candidate scored alone is not scored again in a batch."""
+        import repro.core.scoring as scoring_module
+
+        scorer = CandidateScorer(binary_table, "R")
+        scored = []
+        original = scoring_module.score_R_segments
+
+        def counting(values, offsets, lengths, child_sizes):
+            result = original(values, offsets, lengths, child_sizes)
+            scored.extend(range(result.size))
+            return result
+
+        monkeypatch.setattr(scoring_module, "score_R_segments", counting)
+        first = ("b", (("a", 0),))
+        second = ("c", (("a", 0),))
+        alone = scorer.score_candidate(*first)
+        assert scorer(*first) == alone and len(scored) == 1
+        batch = scorer.score_batch([first, second])
+        assert len(scored) == 2
+        assert batch[0] == alone
+        assert batch[1] == ReferenceScorer(binary_table, "R")(*second)
 
     def test_f_score_batched(self, binary_table):
         batched = CandidateScorer(binary_table, "F")
-        fresh = CandidateScorer(binary_table, "F", incremental=False)
+        fresh = ReferenceScorer(binary_table, "F")
         candidates = [
             ("c", (("a", 0), ("b", 0))),
             ("d", (("a", 0), ("b", 0))),
@@ -91,7 +115,7 @@ class TestMemoization:
 
     def test_generalized_parents_batched(self, mixed_table):
         batched = CandidateScorer(mixed_table, "R")
-        fresh = CandidateScorer(mixed_table, "R", incremental=False)
+        fresh = ReferenceScorer(mixed_table, "R")
         candidates = [
             ("warm_flag", (("color", 1),)),
             ("size", (("color", 1),)),
@@ -158,7 +182,7 @@ class TestCandidateGrid:
         from_grid = CandidateScorer(source, score).score_batch(grid)
         single = CandidateScorer(source, score)
         one_by_one = np.array([single.score_candidate(*c) for c in candidates])
-        reference = CandidateScorer(source, score, incremental=False)
+        reference = ReferenceScorer(source, score)
         fresh = np.array([reference.score_candidate(*c) for c in candidates])
         assert np.array_equal(from_list, from_grid)
         assert np.array_equal(from_list, one_by_one)
@@ -206,7 +230,7 @@ class TestSensitivity:
 
     def test_matches_non_incremental(self, mixed_table):
         cached = CandidateScorer(mixed_table, "I")
-        fresh = CandidateScorer(mixed_table, "I", incremental=False)
+        fresh = ReferenceScorer(mixed_table, "I")
         candidates = [
             ("color", (("size", 0),)),
             ("warm_flag", (("color", 0), ("size", 0))),
@@ -383,7 +407,7 @@ class TestRNGPreservation:
         naive = greedy_bayes_theta(
             mixed_table, 0.5, 0.5, theta=2.0, rng=np.random.default_rng(11),
             first_attribute="color",
-            scorer=CandidateScorer(mixed_table, "R", incremental=False),
+            scorer=ReferenceScorer(mixed_table, "R"),
         )
         assert incremental == naive
 

@@ -417,18 +417,3 @@ class TestEndToEndEquivalence:
                 np.testing.assert_array_equal(
                     chunked.column(name), resident.column(name)
                 )
-
-    def test_batched_false_requires_resident(self, nltcs):
-        from repro.core.noisy_conditionals import noisy_conditionals_general
-
-        network = PrivBayes(epsilon=1.0, k=2, mode="binary").fit(
-            nltcs, np.random.default_rng(3)
-        ).network
-        with pytest.raises(ValueError, match="resident"):
-            noisy_conditionals_general(
-                TableChunks(nltcs, 64),
-                network,
-                0.7,
-                np.random.default_rng(0),
-                batched=False,
-            )

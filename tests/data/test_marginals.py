@@ -21,33 +21,40 @@ from repro.data.table import Table
 
 class TestFlatten:
     def test_flatten_basic(self):
-        codes = np.array([[0, 0], [0, 1], [1, 0], [1, 2]])
-        flat = flatten_index(codes, [2, 3])
+        first = np.array([0, 0, 1, 1])
+        second = np.array([0, 1, 0, 2])
+        flat = flatten_index([first, second], [2, 3], 4)
         assert flat.tolist() == [0, 1, 3, 5]
+        # The index accumulates in its own array, not in a caller's column.
+        assert first.tolist() == [0, 0, 1, 1]
+        assert flatten_index([], [], 3).tolist() == [0, 0, 0]
 
     def test_unflatten_inverse(self):
         flat = np.arange(6)
         codes = unflatten_index(flat, [2, 3])
-        assert flatten_index(codes, [2, 3]).tolist() == flat.tolist()
+        assert flatten_index(codes.T, [2, 3], 6).tolist() == flat.tolist()
 
     def test_int64_overflow_rejected(self):
         # 2**40 * 2**40 cells overflows int64; must raise, not wrap.
-        codes = np.zeros((4, 2), dtype=np.int64)
+        columns = [np.zeros(4, dtype=np.int64)] * 2
         with pytest.raises(ValueError, match="int64 indexing limit"):
-            flatten_index(codes, [2**40, 2**40])
+            flatten_index(columns, [2**40, 2**40], 4)
 
     def test_domain_size_is_exact_python_int(self):
         total = domain_size([2**40, 2**40])
         assert total == 2**80  # no wraparound: plain Python int
 
     def test_widest_legal_domain_accepted(self):
-        codes = np.zeros((2, 2), dtype=np.int64)
-        flat = flatten_index(codes, [2**31, 2**31])  # 2**62 cells: fits
+        columns = [np.zeros(2, dtype=np.int64)] * 2
+        flat = flatten_index(columns, [2**31, 2**31], 2)  # 2**62 cells: fits
         assert flat.tolist() == [0, 0]
 
     def test_shape_mismatch_rejected(self):
+        # zip would silently drop the second column.
         with pytest.raises(ValueError, match="columns"):
-            flatten_index(np.zeros((3, 2), dtype=int), [2])
+            flatten_index([np.zeros(3, dtype=int)] * 2, [2], 3)
+        with pytest.raises(ValueError, match="columns"):
+            flatten_index([np.zeros(3, dtype=int)], [2, 2], 3)
 
     @given(
         sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
@@ -57,12 +64,10 @@ class TestFlatten:
     def test_roundtrip_property(self, sizes, data):
         rows = data.draw(st.integers(1, 20))
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        codes = np.stack(
-            [rng.integers(0, s, rows) for s in sizes], axis=1
-        )
-        flat = flatten_index(codes, sizes)
+        columns = [rng.integers(0, s, rows) for s in sizes]
+        flat = flatten_index(columns, sizes, rows)
         assert (flat >= 0).all() and (flat < domain_size(sizes)).all()
-        assert (unflatten_index(flat, sizes) == codes).all()
+        assert (unflatten_index(flat, sizes) == np.stack(columns, axis=1)).all()
 
 
 class TestMarginals:
