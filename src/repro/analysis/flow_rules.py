@@ -1106,6 +1106,75 @@ ABI_MANIFEST: Dict[int, Dict[str, Tuple[str, Tuple[str, ...]]]] = {
             ),
         ),
     },
+    3: {
+        "repro_scoref_abi_version": ("int64_t", ()),
+        "repro_score_f_batch": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "double*",
+            ),
+        ),
+        "repro_sample_block": (
+            "int",
+            (
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "double*",
+                "int64_t",
+                "double*",
+                "int64_t*",
+            ),
+        ),
+        "repro_csv_tokenize": (
+            "int",
+            (
+                "uint8_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "int64_t*",
+                "int32_t*",
+                "int64_t",
+                "int64_t*",
+            ),
+        ),
+        "repro_csv_assemble": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+            ),
+        ),
+    },
 }
 
 _C_EXPORT = re.compile(
@@ -1122,6 +1191,7 @@ _CTYPES_TOKENS = {
     "c_float": "float",
     "c_int32": "int32_t",
     "c_uint64": "uint64_t",
+    "c_uint8": "uint8_t",
 }
 
 

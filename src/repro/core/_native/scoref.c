@@ -1,5 +1,5 @@
-/* Native kernels: the Section-4.4 F score and the Section-3 ancestral
- * sampler.
+/* Native kernels: the Section-4.4 F score, the Section-3 ancestral
+ * sampler, and the CSV codec of the release path.
  *
  * repro_score_f_batch: exact batched F scores for binary-child
  * candidates.  For each candidate the dynamic program of Section 4.4
@@ -27,9 +27,15 @@
  * maps and CDF inversion — returning the codes sampler.py's NumPy loop
  * returns on the same uniforms (see repro_sample_block below).
  *
- * Deliberately free of Python.h: the ABI is flat int64/double arrays
- * driven through ctypes, so the file compiles with any C99 toolchain
- * ("cc -O2 -fPIC -shared") and the pure-Python install never needs it.
+ * repro_csv_tokenize / repro_csv_assemble: the CSV reader and writer of
+ * repro.data.io — UTF-8 bytes parsed exactly as csv.reader parses them,
+ * each field numbered by first appearance in its column, and rows joined
+ * from csv.writer-quoted label bytes (see the CSV section below).
+ *
+ * Deliberately free of Python.h: the ABI is flat int64/double/byte
+ * arrays driven through ctypes, so the file compiles with any C99
+ * toolchain ("cc -O2 -fPIC -shared") and the pure-Python install never
+ * needs it.
  */
 
 #include <stdint.h>
@@ -38,7 +44,7 @@
 
 /* Bumped whenever the exported signatures change; checked at load time
  * so a stale cached artifact can never be driven with the wrong ABI. */
-#define REPRO_SCOREF_ABI 2
+#define REPRO_SCOREF_ABI 3
 
 int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
 
@@ -547,4 +553,671 @@ int repro_sample_block(int64_t d, int64_t n, const int64_t *attrs,
         }
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* CSV tokenizer and row assembler                                     */
+
+/* Statuses of repro_csv_tokenize.  CSV_CUT never leaves this file: a
+ * record that runs past the end of a non-final block is undone and left
+ * for the next call. */
+enum { CSV_OK, CSV_FULL, CSV_BAD_ARGS, CSV_RAGGED, CSV_FIELD_LIMIT,
+       CSV_NOT_UTF8, CSV_CUT = -1 };
+
+/* The tokenizer's state vector: in/out byte position (always a record
+ * start), rows in the id block, entries used, entries indexed in the
+ * hash slots, arena bytes used; out: the buffer a CSV_FULL names, the
+ * offset of the sequence a CSV_NOT_UTF8 rejects. */
+enum { TK_POS, TK_ROWS, TK_USED, TK_INDEXED, TK_ARENA, TK_FULL, TK_AT,
+       TK_FIELDS };
+
+/* Buffers a CSV_FULL status names. */
+enum { FULL_IDS, FULL_SLOTS, FULL_ENTRIES, FULL_ARENA };
+
+/* Fields of one distinct-field entry: hash, arena offset, byte length,
+ * column, first-appearance id within the column. */
+enum { EN_HASH, EN_OFFSET, EN_LENGTH, EN_COLUMN, EN_ID, EN_FIELDS };
+
+/* Byte classes: ordinary, the quote, a UTF-8 lead or continuation byte,
+ * the delimiter, CR or LF.  Everything at or above BYTE_DELIMITER ends an
+ * unquoted field. */
+enum { BYTE_PLAIN, BYTE_QUOTE, BYTE_HIGH, BYTE_DELIMITER, BYTE_EOL };
+
+/* How a field ended: at a delimiter, at CR or LF, or at the end of the
+ * final block. */
+enum { ENDS_FIELD, ENDS_RECORD, ENDS_DATA };
+
+typedef struct {
+    const uint8_t *data;
+    int64_t end;
+    int final;
+    uint8_t delimiter;
+    int64_t width; /* fields per record; -1 reads the header record */
+    int64_t limit; /* csv.field_size_limit(), in code points */
+    int64_t *slots;
+    int64_t mask;
+    int64_t *entries;
+    int64_t capacity;
+    uint8_t *arena;
+    int64_t arena_size;
+    int64_t *counts;
+    int32_t *ids;
+    int64_t stride;
+    int64_t rows;
+    int64_t used;
+    int64_t arena_used;
+    int64_t full;
+    int64_t at;
+    uint8_t kind[256];
+} csv_t;
+
+typedef struct {
+    const uint8_t *bytes;
+    int64_t length;
+    int in_arena; /* built at arena + arena_used by the slow path */
+    int64_t next; /* first byte after the field's terminator */
+    int ends;
+} field_t;
+
+/* Length of the UTF-8 sequence whose lead byte (>= 0x80) is data[p], as
+ * CPython's strict decoder accepts it: 2 to 4; 0 when it is invalid; -1
+ * when a non-final block ends inside it. */
+static int64_t utf8_length(const csv_t *t, int64_t p)
+{
+    const uint8_t *s = t->data + p;
+    const uint8_t lead = s[0];
+    uint8_t low = 0x80, high = 0xBF;
+    int64_t need, k;
+    if (lead >= 0xC2 && lead <= 0xDF) {
+        need = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+        need = 3;
+        if (lead == 0xE0) {
+            low = 0xA0; /* no overlong forms */
+        } else if (lead == 0xED) {
+            high = 0x9F; /* no surrogates */
+        }
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+        need = 4;
+        if (lead == 0xF0) {
+            low = 0x90;
+        } else if (lead == 0xF4) {
+            high = 0x8F; /* nothing above U+10FFFF */
+        }
+    } else {
+        return 0;
+    }
+    for (k = 1; k < need; k++) {
+        if (p + k >= t->end) {
+            return t->final ? 0 : -1;
+        }
+        if (s[k] < low || s[k] > high) {
+            return 0;
+        }
+        low = 0x80;
+        high = 0xBF;
+    }
+    return need;
+}
+
+/* The status for a UTF-8 sequence at p that utf8_length did not accept. */
+static int utf8_status(csv_t *t, int64_t p, int64_t length)
+{
+    if (length < 0) {
+        return CSV_CUT;
+    }
+    t->at = p;
+    return CSV_NOT_UTF8;
+}
+
+#define BYTES_ONE ((uint64_t)0x0101010101010101u)
+#define BYTES_HIGH ((uint64_t)0x8080808080808080u)
+
+/* The high bit of each byte of w equal to b; exact up to the first such
+ * byte, which is all skip_words needs. */
+static uint64_t has_byte(uint64_t w, uint8_t b)
+{
+    const uint64_t x = w ^ (BYTES_ONE * b);
+    return (x - BYTES_ONE) & ~x & BYTES_HIGH;
+}
+
+/* The first q' >= q such that the eight bytes at q' (or the fewer before
+ * end) may hold a, b, c or a byte >= 0x80: whole words without any are
+ * skipped a load at a time. */
+static int64_t skip_words(const uint8_t *data, int64_t q, int64_t end,
+                          uint8_t a, uint8_t b, uint8_t c)
+{
+    uint64_t w;
+    while (end - q >= 8) {
+        memcpy(&w, data + q, 8);
+        if ((has_byte(w, a) | has_byte(w, b) | has_byte(w, c) |
+             (w & BYTES_HIGH)) != 0) {
+            break;
+        }
+        q += 8;
+    }
+    return q;
+}
+
+/* Code points in n valid UTF-8 bytes: the bytes that do not continue a
+ * sequence. */
+static int64_t code_points(const uint8_t *s, int64_t n)
+{
+    int64_t i, points = 0;
+    for (i = 0; i < n; i++) {
+        points += (s[i] & 0xC0) != 0x80;
+    }
+    return points;
+}
+
+/* A field the fast path found in the block: bytes [start, stop), ended
+ * by the delimiter, CR or LF at `term`, or by the end of the final block
+ * when term == end. */
+static int fast_field(csv_t *t, int64_t start, int64_t stop, int64_t term,
+                      field_t *f)
+{
+    f->bytes = t->data + start;
+    f->length = stop - start;
+    f->in_arena = 0;
+    if (term == t->end) {
+        f->ends = ENDS_DATA;
+        f->next = term;
+    } else {
+        f->ends = t->kind[t->data[term]] == BYTE_DELIMITER ? ENDS_FIELD
+                                                           : ENDS_RECORD;
+        f->next = term + 1;
+    }
+    if (f->length > t->limit && code_points(f->bytes, f->length) > t->limit) {
+        return CSV_FIELD_LIMIT;
+    }
+    return CSV_OK;
+}
+
+/* A block that ends inside the field [start, end): the record is cut,
+ * unless the field already holds more code points than the limit. */
+static int cut_field(const csv_t *t, int64_t start)
+{
+    if (t->end - start > t->limit &&
+        code_points(t->data + start, t->end - start) > t->limit) {
+        return CSV_FIELD_LIMIT;
+    }
+    return CSV_CUT;
+}
+
+/* A field that opens with a quote and whose first quote after that does
+ * not end it: the IN_QUOTED_FIELD, QUOTE_IN_QUOTED_FIELD and IN_FIELD
+ * states of CPython 3.11's Modules/_csv.c, non-strict.  The field is built
+ * at arena + arena_used, counting code points as parse_add_char does. */
+static int slow_field(csv_t *t, int64_t p, field_t *f)
+{
+    enum { IN_QUOTED, QUOTE_IN_QUOTED, IN_FIELD } state = IN_QUOTED;
+    uint8_t *out = t->arena + t->arena_used;
+    const int64_t room = t->arena_size - t->arena_used;
+    int64_t q, n, length = 0, points = 0;
+    int kind = BYTE_PLAIN;
+    for (q = p + 1; q < t->end; q += n) {
+        kind = t->kind[t->data[q]];
+        n = 1;
+        if (state == IN_QUOTED) {
+            if (kind == BYTE_QUOTE) {
+                state = QUOTE_IN_QUOTED;
+                continue;
+            }
+        } else if (state == QUOTE_IN_QUOTED) {
+            if (kind >= BYTE_DELIMITER) {
+                break;
+            }
+            /* "" adds one quote; anything else is kept, unquoted. */
+            state = kind == BYTE_QUOTE ? IN_QUOTED : IN_FIELD;
+        } else if (kind >= BYTE_DELIMITER) {
+            break;
+        }
+        if (kind == BYTE_HIGH) {
+            n = utf8_length(t, q);
+            if (n <= 0) {
+                return utf8_status(t, q, n);
+            }
+        }
+        if (++points > t->limit) {
+            return CSV_FIELD_LIMIT;
+        }
+        if (n > room - length) {
+            t->full = FULL_ARENA;
+            return CSV_FULL;
+        }
+        memcpy(out + length, t->data + q, (size_t)n);
+        length += n;
+    }
+    if (q == t->end && !t->final) {
+        return CSV_CUT;
+    }
+    f->bytes = out;
+    f->length = length;
+    f->in_arena = 1;
+    if (q == t->end) {
+        f->ends = ENDS_DATA; /* an open quote ends the last record */
+        f->next = q;
+    } else {
+        f->ends = kind == BYTE_DELIMITER ? ENDS_FIELD : ENDS_RECORD;
+        f->next = q + 1;
+    }
+    return CSV_OK;
+}
+
+/* One field from START_FIELD at p. */
+static int parse_field(csv_t *t, int64_t p, field_t *f)
+{
+    const uint8_t *data = t->data;
+    const int64_t end = t->end;
+    int64_t q, n;
+    int kind = BYTE_PLAIN;
+    if (p == end) {
+        /* After a delimiter: the EOL event saves an empty field. */
+        return t->final ? fast_field(t, p, p, p, f) : CSV_CUT;
+    }
+    if (t->kind[data[p]] != BYTE_QUOTE) {
+        /* IN_FIELD: a quote is an ordinary character here. */
+        for (q = p;;) {
+            q = skip_words(data, q, end, t->delimiter, '\r', '\n');
+            while (q < end && (kind = t->kind[data[q]]) < BYTE_HIGH) {
+                q++;
+            }
+            if (q == end || kind >= BYTE_DELIMITER) {
+                break;
+            }
+            n = utf8_length(t, q);
+            if (n <= 0) {
+                return utf8_status(t, q, n);
+            }
+            q += n;
+        }
+        if (q == end && !t->final) {
+            return cut_field(t, p);
+        }
+        return fast_field(t, p, q, q, f);
+    }
+    /* A quoted field whose next quote is followed by a delimiter, CR, LF
+     * or the end of the data ends there, holding exactly the bytes
+     * between the quotes: IN_QUOTED_FIELD adds every byte up to that
+     * quote, and QUOTE_IN_QUOTED_FIELD saves the field at what follows. */
+    for (q = p + 1;;) {
+        q = skip_words(data, q, end, '"', '"', '"');
+        while (q < end && ((kind = t->kind[data[q]]) == BYTE_PLAIN ||
+                           kind >= BYTE_DELIMITER)) {
+            q++;
+        }
+        if (q == end || kind == BYTE_QUOTE) {
+            break;
+        }
+        n = utf8_length(t, q);
+        if (n <= 0) {
+            return utf8_status(t, q, n);
+        }
+        q += n;
+    }
+    if (q >= end - 1 && !t->final) {
+        return q == end ? cut_field(t, p + 1) : CSV_CUT;
+    }
+    if (q == end) {
+        return fast_field(t, p + 1, end, end, f); /* an open quote at EOF */
+    }
+    if (q + 1 == end || t->kind[data[q + 1]] >= BYTE_DELIMITER) {
+        return fast_field(t, p + 1, q, q + 1, f);
+    }
+    return slow_field(t, p, f);
+}
+
+/* 64-bit hash of a field's bytes, seeded with its column; eight bytes a
+ * step. */
+static uint64_t field_hash(const uint8_t *s, int64_t n, int64_t column)
+{
+    uint64_t h = ((uint64_t)column + 1) * 0x9E3779B97F4A7C15u ^ (uint64_t)n;
+    uint64_t word;
+    while (n >= 8) {
+        memcpy(&word, s, 8);
+        h = (h ^ word) * 0xFF51AFD7ED558CCDu;
+        h ^= h >> 32;
+        s += 8;
+        n -= 8;
+    }
+    for (word = 0; n > 0; n--) {
+        word = word << 8 | s[n - 1];
+    }
+    h = (h ^ word) * 0xC4CEB9FE1A85EC53u;
+    return h ^ (h >> 29);
+}
+
+/* Puts entry e in the first free slot of its probe sequence. */
+static void index_entry(csv_t *t, int64_t e)
+{
+    uint64_t slot = (uint64_t)t->entries[e * EN_FIELDS + EN_HASH];
+    slot &= (uint64_t)t->mask;
+    while (t->slots[slot] >= 0) {
+        slot = (slot + 1) & (uint64_t)t->mask;
+    }
+    t->slots[slot] = e;
+}
+
+/* The first-appearance id of a body field in its column, adding the
+ * field as a new entry (the column's next id) when the column has not
+ * held it yet.  In the header, every field is a new entry. */
+static int field_id(csv_t *t, int64_t column, const field_t *f, int32_t *id)
+{
+    uint64_t h = 0, slot = 0;
+    int64_t *entry;
+    if (t->width >= 0) {
+        h = field_hash(f->bytes, f->length, column);
+        for (slot = h & (uint64_t)t->mask; t->slots[slot] >= 0;
+             slot = (slot + 1) & (uint64_t)t->mask) {
+            entry = t->entries + t->slots[slot] * EN_FIELDS;
+            if ((uint64_t)entry[EN_HASH] == h &&
+                entry[EN_LENGTH] == f->length && entry[EN_COLUMN] == column &&
+                memcmp(t->arena + entry[EN_OFFSET], f->bytes,
+                       (size_t)f->length) == 0) {
+                *id = (int32_t)entry[EN_ID];
+                return CSV_OK;
+            }
+        }
+        if (2 * (t->used + 1) > t->mask + 1) {
+            t->full = FULL_SLOTS; /* keep the load at most one half */
+            return CSV_FULL;
+        }
+    }
+    if (t->used == t->capacity) {
+        t->full = FULL_ENTRIES;
+        return CSV_FULL;
+    }
+    if (!f->in_arena) {
+        if (f->length > t->arena_size - t->arena_used) {
+            t->full = FULL_ARENA;
+            return CSV_FULL;
+        }
+        memcpy(t->arena + t->arena_used, f->bytes, (size_t)f->length);
+    }
+    entry = t->entries + t->used * EN_FIELDS;
+    entry[EN_HASH] = (int64_t)h;
+    entry[EN_OFFSET] = t->arena_used;
+    entry[EN_LENGTH] = f->length;
+    entry[EN_COLUMN] = column;
+    if (t->width >= 0) {
+        entry[EN_ID] = t->counts[column]++;
+        t->slots[slot] = t->used;
+    } else {
+        entry[EN_ID] = column;
+    }
+    *id = (int32_t)entry[EN_ID];
+    t->arena_used += f->length;
+    t->used++;
+    return CSV_OK;
+}
+
+/* Undoes the entries added since `used`, newest first.  Taking the most
+ * recent entries out of a linear-probing table in LIFO order restores it
+ * exactly: every entry that probed past a slot was added after the slot's
+ * own entry, so it is already gone when that slot is emptied. */
+static void rollback(csv_t *t, int64_t used, int64_t arena_used)
+{
+    while (t->used > used) {
+        const int64_t *entry = t->entries + --t->used * EN_FIELDS;
+        if (t->width >= 0) {
+            uint64_t slot = (uint64_t)entry[EN_HASH] & (uint64_t)t->mask;
+            while (t->slots[slot] != t->used) {
+                slot = (slot + 1) & (uint64_t)t->mask;
+            }
+            t->slots[slot] = -1;
+            t->counts[entry[EN_COLUMN]]--;
+        }
+    }
+    t->arena_used = arena_used;
+}
+
+/* One record from START_RECORD at *pos (< end).  Outside quotes every CR
+ * or LF ends a record: a CR LF pair ends the record at the CR and leaves
+ * a blank record at the LF, which is dropped as csv.reader's [] rows are.
+ * So the file iterator's line splitting never needs a look-ahead. */
+static int parse_record(csv_t *t, int64_t *pos, int *blank)
+{
+    int64_t p = *pos, column = 0;
+    field_t f;
+    int32_t id;
+    int status;
+    *blank = t->kind[t->data[p]] == BYTE_EOL;
+    if (*blank) {
+        *pos = p + 1;
+        return CSV_OK;
+    }
+    for (;;) {
+        status = parse_field(t, p, &f);
+        if (status != CSV_OK) {
+            return status;
+        }
+        if (t->width < 0 || column < t->width) {
+            if (column == 0 && t->width > 0 && t->rows == t->stride) {
+                t->full = FULL_IDS;
+                return CSV_FULL;
+            }
+            status = field_id(t, column, &f, &id);
+            if (status != CSV_OK) {
+                return status;
+            }
+            if (t->width > 0) {
+                t->ids[column * t->stride + t->rows] = id;
+            }
+        }
+        column++;
+        p = f.next;
+        if (f.ends != ENDS_FIELD) {
+            break;
+        }
+    }
+    /* A whole record first, as csv.reader returns it: a bad field later
+     * in a ragged record fails as that field. */
+    if (t->width >= 0 && column != t->width) {
+        return CSV_RAGGED;
+    }
+    *pos = p;
+    return CSV_OK;
+}
+
+/* Tokenizes the complete records of data[state[TK_POS]:nbytes], exactly
+ * as csv.reader(open(path, newline="", encoding="utf-8"), delimiter=...)
+ * reads them (excel dialect, non-strict), numbering each field by first
+ * appearance in its column.
+ *
+ * data:      [nbytes] the block; final != 0 when the file ends with it.
+ * delimiter: one ASCII byte other than the quote, CR and LF.
+ * width:     fields per record, or -1 to read the header record: one
+ *            record (a blank one included), each field a new entry.
+ * limit:     csv.field_size_limit(), in code points.
+ * slots:     [nslots] hash slots (a power of two), -1 when empty.
+ * entries:   [capacity * 5] distinct fields in order of first appearance:
+ *            hash, arena offset, byte length, column, id in the column.
+ * arena:     [arena_size] the distinct fields' bytes.
+ * counts:    [width] distinct fields per column.
+ * ids:       [width * stride] int32, column-major: record r's field j has
+ *            id ids[j * stride + r].  Blank records get no row.
+ * state:     [7] see TK_*.  The entries from state[TK_INDEXED] on are put
+ *            into the slots first, so fresh slots need only INDEXED = 0.
+ *
+ * A record that a non-final block cuts is never half-committed: its ids,
+ * and every entry it added, are undone, and state[TK_POS] stays at its
+ * first byte.  Every buffer is the caller's; this function allocates
+ * nothing.
+ *
+ * Returns CSV_OK when every complete record is consumed; CSV_FULL with
+ * state[TK_FULL] naming the buffer (the id block, slots, entries or
+ * arena) that the next record needs grown or, for the id block, emptied;
+ * CSV_BAD_ARGS; CSV_RAGGED for a non-blank record of another width;
+ * CSV_FIELD_LIMIT; CSV_NOT_UTF8 with the sequence's offset in
+ * state[TK_AT].  State is written back on every status. */
+int repro_csv_tokenize(const uint8_t *data, int64_t nbytes, int64_t final,
+                       int64_t delimiter, int64_t width, int64_t limit,
+                       int64_t *slots, int64_t nslots, int64_t *entries,
+                       int64_t capacity, uint8_t *arena, int64_t arena_size,
+                       int64_t *counts, int32_t *ids, int64_t stride,
+                       int64_t *state)
+{
+    csv_t t;
+    int64_t p, e, used, arena_used;
+    int status = CSV_OK, blank, b;
+
+    if (data == NULL || slots == NULL || entries == NULL || arena == NULL ||
+        counts == NULL || ids == NULL || state == NULL || nbytes < 0 ||
+        width < -1 || width > INT32_MAX || limit < 0 || nslots < 2 ||
+        (nslots & (nslots - 1)) != 0 || capacity < 0 ||
+        capacity > INT32_MAX || arena_size < 0 || stride < 0 ||
+        delimiter < 0 || delimiter > 0x7F || delimiter == '"' ||
+        delimiter == '\r' || delimiter == '\n' || state[TK_POS] < 0 ||
+        state[TK_POS] > nbytes || state[TK_ROWS] < 0 ||
+        state[TK_ROWS] > stride || state[TK_USED] < 0 ||
+        state[TK_USED] > capacity || state[TK_INDEXED] < 0 ||
+        state[TK_INDEXED] > state[TK_USED] || state[TK_ARENA] < 0 ||
+        state[TK_ARENA] > arena_size) {
+        return CSV_BAD_ARGS;
+    }
+    t.data = data;
+    t.end = nbytes;
+    t.final = final != 0;
+    t.delimiter = (uint8_t)delimiter;
+    t.width = width;
+    t.limit = limit;
+    t.slots = slots;
+    t.mask = nslots - 1;
+    t.entries = entries;
+    t.capacity = capacity;
+    t.arena = arena;
+    t.arena_size = arena_size;
+    t.counts = counts;
+    t.ids = ids;
+    t.stride = stride;
+    t.rows = state[TK_ROWS];
+    t.used = state[TK_USED];
+    t.arena_used = state[TK_ARENA];
+    t.full = -1;
+    t.at = -1;
+    for (b = 0; b < 256; b++) {
+        t.kind[b] = b >= 0x80 ? BYTE_HIGH : BYTE_PLAIN;
+    }
+    t.kind['"'] = BYTE_QUOTE;
+    t.kind[delimiter] = BYTE_DELIMITER;
+    t.kind['\r'] = BYTE_EOL;
+    t.kind['\n'] = BYTE_EOL;
+    if (width >= 0) {
+        if (2 * t.used > nslots) {
+            return CSV_BAD_ARGS;
+        }
+        for (e = state[TK_INDEXED]; e < t.used; e++) {
+            index_entry(&t, e);
+        }
+    }
+
+    for (p = state[TK_POS]; p < nbytes;) {
+        const int64_t start = p;
+        used = t.used;
+        arena_used = t.arena_used;
+        status = parse_record(&t, &p, &blank);
+        if (status == CSV_CUT || status == CSV_FULL) {
+            rollback(&t, used, arena_used);
+            p = start;
+            status = status == CSV_CUT ? CSV_OK : CSV_FULL;
+            break;
+        }
+        if (status != CSV_OK) {
+            break;
+        }
+        if (width < 0) {
+            t.rows = 1;
+            break;
+        }
+        t.rows += !blank;
+    }
+    state[TK_POS] = p;
+    state[TK_ROWS] = t.rows;
+    state[TK_USED] = t.used;
+    state[TK_INDEXED] = t.used;
+    state[TK_ARENA] = t.arena_used;
+    state[TK_FULL] = t.full;
+    state[TK_AT] = t.at;
+    return status;
+}
+
+/* Rows of labels: d x n int64 codes (code codes[j * n + i] of attribute j
+ * in row i) become n rows, each field label code of attribute j, joined
+ * by the delimiter and ended by the terminator.
+ *
+ * counts:  [d] labels per attribute.
+ * offsets: [sum(counts) + 1] non-decreasing: attribute j's label c is
+ *          blob[offsets[k]:offsets[k + 1]], k = counts[0] + ... +
+ *          counts[j - 1] + c.  The labels come quoted as csv.writer
+ *          writes them, so the rows are its bytes.
+ * out:     [nout] exactly the rows' length.
+ *
+ * Every code is checked against its attribute's label count before a
+ * byte is written.  Returns 0 on success, 2 on invalid arguments (an out
+ * of the wrong size included), 3 on a code outside its labels. */
+int repro_csv_assemble(const int64_t *codes, int64_t d, int64_t n,
+                       const int64_t *counts, const int64_t *offsets,
+                       const uint8_t *blob, int64_t nblob,
+                       const uint8_t *delimiter, int64_t ndelimiter,
+                       const uint8_t *terminator, int64_t nterminator,
+                       uint8_t *out, int64_t nout)
+{
+    int64_t i, j, k, labels = 0, o = 0;
+
+    if (codes == NULL || counts == NULL || offsets == NULL || blob == NULL ||
+        delimiter == NULL || terminator == NULL || out == NULL || d < 0 ||
+        n < 0 || nblob < 0 || ndelimiter < 0 || nterminator < 0 ||
+        nout < 0) {
+        return 2;
+    }
+    for (j = 0; j < d; j++) {
+        if (counts[j] < 0 || counts[j] > INT64_MAX - labels) {
+            return 2;
+        }
+        labels += counts[j];
+    }
+    if (offsets[0] < 0 || offsets[labels] > nblob) {
+        return 2;
+    }
+    for (k = 0; k < labels; k++) {
+        if (offsets[k + 1] < offsets[k]) {
+            return 2;
+        }
+    }
+    for (j = 0; j < d; j++) {
+        const int64_t *row = codes + j * n;
+        for (i = 0; i < n; i++) {
+            if (row[i] < 0 || row[i] >= counts[j]) {
+                return 3;
+            }
+        }
+    }
+    for (i = 0; i < n; i++) {
+        int64_t base = 0;
+        for (j = 0; j < d; j++) {
+            const int64_t label = base + codes[j * n + i];
+            const int64_t length = offsets[label + 1] - offsets[label];
+            const uint8_t *after = j + 1 < d ? delimiter : terminator;
+            const int64_t nafter = j + 1 < d ? ndelimiter : nterminator;
+            if (length > nout - o || nafter > nout - o - length) {
+                return 2;
+            }
+            /* A short label moves as one 16-byte copy when both buffers
+             * hold 16 bytes there: the bytes past it are overwritten by
+             * the next field or separator, or lie before nout. */
+            if (length <= 16 && nout - o >= 16 &&
+                nblob - offsets[label] >= 16) {
+                memcpy(out + o, blob + offsets[label], 16);
+            } else {
+                memcpy(out + o, blob + offsets[label], (size_t)length);
+            }
+            o += length;
+            for (k = 0; k < nafter; k++) {
+                out[o + k] = after[k];
+            }
+            o += nafter;
+            base += counts[j];
+        }
+    }
+    return o == nout ? 0 : 2;
 }

@@ -1,24 +1,28 @@
 """Compiled-kernel tier: backend selection and the on-demand C build.
 
-Two hot loops have an optional *native* backend in one small C source
-(``core/_native/scoref.c`` — a flat int64/double array ABI, deliberately
-free of ``Python.h``) compiled on demand with the system C compiler and
-driven through :mod:`ctypes`:
+Four hot loops have an optional *native* backend in one small C source
+(``core/_native/scoref.c`` — a flat int64/double/byte array ABI,
+deliberately free of ``Python.h``) compiled on demand with the system C
+compiler and driven through :mod:`ctypes`:
 
 * the batched ``F`` score (:func:`repro.core.score_kernels.score_F_batch`);
-* ancestral sampling (:mod:`repro.core.sampler`), one call per draw.
+* ancestral sampling (:mod:`repro.core.sampler`), one call per draw;
+* the CSV tokenizer under :func:`repro.data.io.read_csv` and both
+  :class:`repro.data.io.CsvSource` passes;
+* the CSV row assembler under :func:`repro.data.io.write_csv`.
 
 This module owns everything about that tier:
 
 * **Selection** happens once, at import, via :data:`SELECTED_BACKEND` /
   :data:`NATIVE_KERNEL`.  The ``REPRO_KERNEL_BACKEND`` environment
-  variable picks the mode, for both kernels at once:
+  variable picks the mode, for every kernel at once:
 
   - ``auto`` (default) — try to build/load the native kernel; fall back
     to the pure-NumPy paths silently if there is no toolchain (or the
     build fails).  Pure-Python environments keep working with zero
     behavior change: both backends are bit-identical.
-  - ``numpy`` — never touch the compiler; the NumPy paths only.
+  - ``numpy`` — never touch the compiler; the NumPy (and ``csv``
+    module) paths only.
   - ``native`` — require the native kernel; raise
     :class:`KernelBackendError` naming the missing toolchain otherwise.
 
@@ -39,10 +43,13 @@ computes the same minimum as the NumPy blocked-bitset path, over a
 frontier bounded by an exact integer incumbent, and evaluates the final
 shortfall with the identical float64 expression, so every score is
 bit-equal.  The native sampler evaluates the same ``cdf < u`` predicate
-on the same doubles as the NumPy inversion, so every code is equal.  See
-``core/_native/README.md`` for both arguments, and
-``tests/core/test_score_kernels.py``, ``tests/core/test_frontier_bound.py``
-and ``tests/core/test_native_sampler.py`` for the enforcement.
+on the same doubles as the NumPy inversion, so every code is equal.  The
+tokenizer transcribes ``csv.reader``'s states, so every field is equal,
+and the assembler joins the labels ``csv.writer`` quoted, so every byte
+is.  See ``core/_native/README.md`` for the arguments, and
+``tests/core/test_score_kernels.py``, ``tests/core/test_frontier_bound.py``,
+``tests/core/test_native_sampler.py`` and
+``tests/data/test_csv_tokenizer.py`` for the enforcement.
 """
 
 from __future__ import annotations
@@ -84,7 +91,26 @@ CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 #: Exported-symbol contract version; must match the C source's
 #: ``repro_scoref_abi_version()``.
-ABI_VERSION = 2
+ABI_VERSION = 3
+
+#: ``repro_csv_tokenize`` statuses (0 is ok, 2 bad arguments).
+CSV_FULL, CSV_RAGGED, CSV_FIELD_LIMIT, CSV_NOT_UTF8 = 1, 3, 4, 5
+
+#: The tokenizer's state vector: byte position, rows in the id block,
+#: entries used, entries indexed in the hash slots, arena bytes used, the
+#: buffer a ``CSV_FULL`` names, the offset a ``CSV_NOT_UTF8`` rejects.
+(
+    CSV_POS, CSV_ROWS, CSV_USED, CSV_INDEXED, CSV_ARENA, CSV_WHICH, CSV_AT,
+    CSV_STATE_FIELDS,
+) = range(8)
+
+#: The buffers a ``CSV_FULL`` status names.
+CSV_IDS, CSV_SLOTS, CSV_ENTRIES, CSV_ARENA_BYTES = range(4)
+
+#: One distinct-field entry holds CSV_ENTRY_FIELDS int64s: hash, arena
+#: offset (field ENTRY_OFFSET), byte length, column, first-appearance id
+#: in the column.
+ENTRY_OFFSET, CSV_ENTRY_FIELDS = 1, 5
 
 _MODES = ("auto", "numpy", "native")
 
@@ -174,7 +200,8 @@ def build_native(force: bool = False) -> Path:
 
 
 class NativeKernel:
-    """ctypes handle to one compiled kernel artifact (F score, sampler)."""
+    """ctypes handle to one compiled kernel artifact (F score, sampler,
+    CSV tokenizer and row assembler)."""
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
@@ -215,6 +242,45 @@ class NativeKernel:
             ctypes.POINTER(ctypes.c_int64),
         ]
         self._sample_block = sample
+        tokenize = library.repro_csv_tokenize
+        tokenize.restype = ctypes.c_int
+        tokenize.argtypes = [
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_int32),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+        ]
+        self._csv_tokenize = tokenize
+        assemble = library.repro_csv_assemble
+        assemble.restype = ctypes.c_int
+        assemble.argtypes = [
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int64,
+        ]
+        self._csv_assemble = assemble
 
     def score_f_batch(
         self, c0: np.ndarray, c1: np.ndarray, n: int
@@ -303,7 +369,145 @@ class NativeKernel:
             )
 
 
+    def csv_tokenize(
+        self,
+        data: np.ndarray,
+        nbytes: int,
+        final: bool,
+        delimiter: int,
+        width: int,
+        limit: int,
+        slots: np.ndarray,
+        entries: np.ndarray,
+        arena: np.ndarray,
+        counts: np.ndarray,
+        ids: np.ndarray,
+        state: np.ndarray,
+    ) -> int:
+        """Tokenize the complete records of ``data[state[CSV_POS]:nbytes]``
+        and return the status; every buffer is the caller's.
+
+        ``width`` is the fields per record, or -1 for the header record.
+        ``slots`` (a power of two, -1 when empty), ``entries``
+        (``(capacity, CSV_ENTRY_FIELDS)``), ``arena``, ``counts``
+        (``width``) and ``ids`` (``(width, stride)`` int32) are laid out
+        in ``core/_native/README.md``; ``state`` is updated in place.
+        Layouts are checked here, so every index the C side forms is in
+        range; a call it rejects raises :class:`KernelBackendError`.
+        """
+        for array, dtype in (
+            (data, np.uint8),
+            (slots, np.int64),
+            (entries, np.int64),
+            (arena, np.uint8),
+            (counts, np.int64),
+            (ids, np.int32),
+            (state, np.int64),
+        ):
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(
+                    f"tokenizer buffers must be C-contiguous {dtype.__name__}"
+                )
+        if (
+            not 0 <= nbytes <= data.size
+            or entries.ndim != 2
+            or entries.shape[1] != CSV_ENTRY_FIELDS
+            or ids.ndim != 2
+            or ids.shape[0] < width
+            or counts.size < width
+            or state.size != CSV_STATE_FIELDS
+        ):
+            raise ValueError("tokenizer buffers do not fit the call")
+        status = self._csv_tokenize(
+            data.ctypes.data_as(_UINT8_P),
+            nbytes,
+            int(final),
+            delimiter,
+            width,
+            limit,
+            slots.ctypes.data_as(_INT64_P),
+            slots.size,
+            entries.ctypes.data_as(_INT64_P),
+            entries.shape[0],
+            arena.ctypes.data_as(_UINT8_P),
+            arena.size,
+            counts.ctypes.data_as(_INT64_P),
+            ids.ctypes.data_as(_INT32_P),
+            ids.shape[1],
+            state.ctypes.data_as(_INT64_P),
+        )
+        if status == 2:
+            raise KernelBackendError(
+                f"native CSV tokenizer {self.path} rejected its arguments"
+            )
+        return status
+
+    def csv_assemble(
+        self,
+        codes: np.ndarray,
+        counts: np.ndarray,
+        offsets: np.ndarray,
+        blob: np.ndarray,
+        delimiter: np.ndarray,
+        terminator: np.ndarray,
+        out: np.ndarray,
+    ) -> bool:
+        """Join the rows of the ``(d, n)`` int64 ``codes`` into ``out``.
+
+        Attribute ``j``'s label ``c`` is ``blob[offsets[k]:offsets[k+1]]``
+        with ``k = counts[:j].sum() + c``; fields are joined by the
+        ``delimiter`` bytes, rows ended by the ``terminator`` bytes, and
+        ``out`` must be exactly the rows' length.  Returns ``False``,
+        having written nothing, when a code is outside its attribute's
+        labels; any other rejected call raises
+        :class:`KernelBackendError`.
+        """
+        for array, dtype in (
+            (codes, np.int64),
+            (counts, np.int64),
+            (offsets, np.int64),
+            (blob, np.uint8),
+            (delimiter, np.uint8),
+            (terminator, np.uint8),
+            (out, np.uint8),
+        ):
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(
+                    f"assembler buffers must be C-contiguous {dtype.__name__}"
+                )
+        if (
+            codes.ndim != 2
+            or counts.shape != (codes.shape[0],)
+            or offsets.shape != (int(counts.sum()) + 1,)
+        ):
+            raise ValueError("assembler buffers do not fit the codes")
+        d, n = codes.shape
+        status = self._csv_assemble(
+            codes.ctypes.data_as(_INT64_P),
+            d,
+            n,
+            counts.ctypes.data_as(_INT64_P),
+            offsets.ctypes.data_as(_INT64_P),
+            blob.ctypes.data_as(_UINT8_P),
+            blob.size,
+            delimiter.ctypes.data_as(_UINT8_P),
+            delimiter.size,
+            terminator.ctypes.data_as(_UINT8_P),
+            terminator.size,
+            out.ctypes.data_as(_UINT8_P),
+            out.size,
+        )
+        if status not in (0, 3):
+            raise KernelBackendError(
+                f"native CSV assembler {self.path} rejected its arguments "
+                f"(status {status})"
+            )
+        return status == 0
+
+
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
+_INT32_P = ctypes.POINTER(ctypes.c_int32)
+_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 _loaded: Dict[Path, NativeKernel] = {}

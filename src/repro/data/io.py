@@ -4,29 +4,35 @@ Real deployments feed PrivBayes from delimited files.  This module reads a
 CSV into a :class:`~repro.data.Table` (inferring binary / categorical /
 continuous attributes column by column) and writes tables back out with
 their labels, so the synthetic release round-trips through the same
-format as the input.
+format as the input.  Files are read and written as UTF-8 whatever the
+locale; a byte that is not UTF-8 fails the read with an error naming the
+file and the byte's offset.
 
-Both directions work one column at a time, never one cell at a time.
-``csv.reader`` and ``csv.writer`` stay the only parser and formatter, so
-quoting and dialect behaviour are exactly theirs.
+Both directions work one column at a time, never one cell at a time, and
+keep ``csv.reader`` and ``csv.writer``'s exact behaviour.  With the native
+kernel (:mod:`repro.core.kernel_backend`) a C tokenizer parses the bytes
+as ``csv.reader`` parses the text, and a C assembler joins the labels
+``csv.writer`` quoted; without it, or for a delimiter that is not one
+ASCII byte, ``csv.reader`` and a string join do the same work.
 
 Two reading paths share one parse loop and one schema-inference core.
-Every pass over a file opens it, reads and checks the header, parses the
-body in batches of :data:`BATCH_ROWS` rows, transposes each batch, checks
-its width and counts its rows in the same loop.  Every column's schema and
-raw-field → code dict come from :func:`_column_lookup`, which strips each
-distinct raw field once and infers the schema from the stripped values:
+Every pass over a file opens it, reads and checks the header, and yields
+the body as blocks of per-column first-appearance ids, checking every
+record's width and counting the rows as it goes; it keeps each column's
+distinct raw fields in id order.  Every column's schema and raw-field →
+code dict come from :func:`_column_lookup`, which strips each distinct raw
+field once and infers the schema from the stripped values:
 
 * :func:`read_csv` — resident, in one pass: the whole file becomes a
-  ``Table``.  Each batch's columns are encoded to first-appearance ids as
-  they are parsed; at the end one ``np.take`` per column maps the ids to
-  the codes ``_column_lookup`` assigns.
+  ``Table``.  At the end one ``np.take`` per column maps the ids to the
+  codes ``_column_lookup`` assigns.
 * :class:`CsvSource` — streaming, in two passes.  Pass 1 keeps only each
   column's *distinct raw fields*, so its memory is the columns' domains
-  plus one batch, never the row count, and builds one raw-field → code
-  dict per column.  Pass 2 re-parses the same batches and encodes each
-  column by dict lookup into fixed-size chunks.  Pass 1 pins the file's
-  size and modification time, and every pass 2 re-checks the pin.
+  plus one block, never the row count, and builds one raw-field → code
+  dict per column.  Pass 2 re-parses the file, maps each column's new
+  distinct fields through those dicts into a growing lookup table, and
+  gathers each block's codes into fixed-size chunks.  Pass 1 pins the
+  file's size and modification time, and every pass 2 re-checks the pin.
 
 The codes depend only on each column's distinct values, never on the order
 the rows come in, so the two paths give the same table; the tests hold
@@ -35,13 +41,13 @@ both to a per-cell reference reader.
 :func:`write_csv` accepts a resident table, a chunked source, or an
 iterator of chunk tables (e.g.
 :func:`repro.core.sampler.sample_synthetic_chunks`).  It has ``csv.writer``
-quote each attribute's labels once, then gathers the quoted fields with one
-``np.take`` per attribute and joins each chunk's rows in one write — a
-million-row release never materializes ``n × d`` decoded labels.
+quote each attribute's labels once, then writes each chunk's rows in one
+write — a million-row release never materializes ``n × d`` decoded labels.
 """
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import io
@@ -58,13 +64,32 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 import numpy as np
 
+from repro.core import kernel_backend
+from repro.core.kernel_backend import (
+    CSV_ARENA,
+    CSV_AT,
+    CSV_ENTRIES,
+    CSV_ENTRY_FIELDS,
+    CSV_FIELD_LIMIT,
+    CSV_FULL,
+    CSV_IDS,
+    CSV_INDEXED,
+    CSV_NOT_UTF8,
+    CSV_POS,
+    CSV_RAGGED,
+    CSV_ROWS,
+    CSV_SLOTS,
+    CSV_STATE_FIELDS,
+    CSV_USED,
+    CSV_WHICH,
+    ENTRY_OFFSET,
+)
 from repro.data.attribute import (
     Attribute,
     AttributeKind,
@@ -84,11 +109,21 @@ CONTINUOUS_THRESHOLD = 20
 #: Rows per encode/write batch when a resident table is written out.
 WRITE_CHUNK_ROWS = 32_768
 
-#: Rows every pass parses and transposes at a time.  A few hundred is
-#: fastest: on a 45k-row Adult file (2-vCPU VM), ``read_csv`` took a median
-#: 154 ms in 256-row batches, 157 ms in 128-row ones, 242 ms in 4096-row
-#: ones and 404 ms in one.
+#: Rows the ``csv.reader`` path parses and transposes at a time.  A few
+#: hundred is fastest: on a 45k-row Adult file (2-vCPU VM), ``read_csv``
+#: took a median 154 ms in 256-row batches, 157 ms in 128-row ones, 242 ms
+#: in 4096-row ones and 404 ms in one.
 BATCH_ROWS = 256
+
+#: Bytes the native tokenizer reads at a time, and the size of its int32
+#: id block.  A record the end of a block cuts is carried, from its first
+#: byte, into the next block, so a block outgrows this only to hold one
+#: longer record; a full id block is handed over and refilled.  A
+#: streaming pass holds one of each, so a chunked ingest stays within a few
+#: chunks of memory, and the calls cost nothing measurable: on a 45k-row
+#: Adult file (2-vCPU VM), ``read_csv`` took a best 28.7 ms in 256 KiB
+#: blocks and 31.8 ms in one 16 MiB block.
+BLOCK_BYTES = 1 << 18
 
 
 def _is_numeric(values: List[str]) -> bool:
@@ -207,12 +242,17 @@ class _FirstAppearance(dict):
 
     Looking up a field not yet seen stores and returns the next id, so
     ``map(ids.__getitem__, column)`` ids a whole column in C and runs
-    Python code once per distinct field.  The keys are the column's
-    distinct raw fields, in id order.
+    Python code once per distinct field.  :attr:`fields` lists the
+    column's distinct raw fields in id order.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fields: List[str] = []
 
     def __missing__(self, field: str) -> int:
         self[field] = next_id = len(self)
+        self.fields.append(field)
         return next_id
 
 
@@ -221,13 +261,42 @@ def _stat_pin(handle) -> Tuple[int, int]:
     return status.st_size, status.st_mtime_ns
 
 
-def _ragged_row(path: Path, delimiter: str, width: int) -> ValueError:
-    """The error for the file's first row whose width is not ``width``.
+def _not_utf8(path: Path, offset: int, byte: int) -> ValueError:
+    return ValueError(
+        f"{path}: byte 0x{byte:02x} at offset {offset} is not valid UTF-8"
+    )
+
+
+def _first_bad_byte(path: Path) -> ValueError:
+    """The error for the file's first byte that does not decode as UTF-8,
+    found by decoding it again, one block at a time."""
+    decoded = 0
+    pending = b""
+    with path.open("rb") as handle:
+        while True:
+            block = handle.read(BLOCK_BYTES)
+            data = pending + block
+            try:
+                _, used = codecs.utf_8_decode(data, "strict", not block)
+            except UnicodeDecodeError as error:
+                at = error.start
+                return _not_utf8(path, decoded + at, data[at])
+            decoded += used
+            pending = data[used:]
+            if not block:
+                return ValueError(f"{path} changed while it was read")
+
+
+def _ragged_row(path: Path, delimiter: str, width: int) -> Optional[ValueError]:
+    """The error for the file's first non-blank row whose width is not
+    ``width``, or ``None`` when no row is ragged.
 
     Only this path tracks file lines: it re-reads the file, so the line
-    numbers count blank lines and multi-line quoted records.
+    numbers count blank lines and multi-line quoted records.  A byte that
+    is not UTF-8 decodes to U+FFFD, which is never a delimiter or a line
+    end, so no row's width or lines change.
     """
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8", errors="replace") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         first_line = 1
         for row in reader:
@@ -242,16 +311,218 @@ def _ragged_row(path: Path, delimiter: str, width: int) -> ValueError:
                     f"expected {width}"
                 )
             first_line = reader.line_num + 1
-    return ValueError(f"{path} changed while it was read")
+    return None
+
+
+class _RaggedRecord(Exception):
+    """A non-blank record whose width is not the header's."""
+
+
+class _ReaderTokens:
+    """Id blocks from ``csv.reader`` over a UTF-8 text handle: the path
+    without the native kernel, and for a delimiter that is not one ASCII
+    byte.  Each batch of :data:`BATCH_ROWS` rows is transposed, and each
+    column ided by a :class:`_FirstAppearance`."""
+
+    def __init__(self, handle, path: Path, delimiter: str) -> None:
+        self._path = path
+        self._delimiter = delimiter
+        self._reader = csv.reader(handle, delimiter=delimiter)
+        self.fields: List[List[str]] = []
+
+    def header(self) -> Optional[List[str]]:
+        try:
+            return next(self._reader, None)
+        except UnicodeDecodeError:
+            raise _first_bad_byte(self._path) from None
+
+    def blocks(self, width: int) -> Iterator[Tuple[int, np.ndarray]]:
+        seen = [_FirstAppearance() for _ in range(width)]
+        self.fields = [ids.fields for ids in seen]
+        while True:
+            try:
+                batch = list(itertools.islice(self._reader, BATCH_ROWS))
+            except UnicodeDecodeError:
+                raise _first_bad_byte(self._path) from None
+            except csv.Error:
+                # The batch fails at its bad field as a whole; a ragged row
+                # ahead of that field fails first, as it does natively.
+                # (The re-read raises this csv.Error itself if it gets
+                # there first.)
+                if _ragged_row(self._path, self._delimiter, width):
+                    raise _RaggedRecord from None
+                raise
+            if not batch:
+                return
+            rows = list(filter(None, batch))
+            if not rows:
+                continue
+            if set(map(len, rows)) != {width}:
+                raise _RaggedRecord
+            count = len(rows)
+            ids = itertools.chain.from_iterable(
+                map(first.__getitem__, column)
+                for first, column in zip(seen, zip(*rows))
+            )
+            yield count, np.fromiter(ids, np.int32, width * count).reshape(
+                width, count
+            )
+
+
+def _grown(array: np.ndarray, keep: int) -> np.ndarray:
+    """``array`` at twice its length along axis 0, its first ``keep``
+    entries copied."""
+    grown = np.empty((2 * len(array),) + array.shape[1:], array.dtype)
+    grown[:keep] = array[:keep]
+    return grown
+
+
+class _NativeTokens:
+    """Id blocks from the native tokenizer over a binary handle, read
+    :data:`BLOCK_BYTES` at a time.
+
+    Every buffer the tokenizer uses is a NumPy array allocated here — the
+    byte block, the hash slots, the distinct-field entries and their byte
+    arena, the per-column counts and the id block — and a call that finds
+    one full is repeated after it grows (the id block is emptied instead).
+    So ``tracemalloc`` sees the whole of a pass's memory.  Each distinct
+    field is decoded once, when the call that found it returns.
+    """
+
+    def __init__(self, kernel, handle, path: Path, delimiter: str) -> None:
+        self._kernel = kernel
+        self._handle = handle
+        self._path = path
+        self._delimiter = ord(delimiter)
+        self._limit = csv.field_size_limit()
+        self._data = np.empty(BLOCK_BYTES, np.uint8)
+        self._filled = 0
+        self._offset = 0  # file offset of the block's first byte
+        self._final = False
+        self._slots = np.full(1024, -1, np.int64)
+        self._entries = np.empty((256, CSV_ENTRY_FIELDS), np.int64)
+        self._arena = np.empty(1 << 14, np.uint8)
+        self._state = np.zeros(CSV_STATE_FIELDS, np.int64)
+        self.fields: List[List[str]] = []
+
+    def _read(self) -> None:
+        """Move the bytes not yet consumed to the front of the block and
+        fill the rest from the file."""
+        start = int(self._state[CSV_POS])
+        tail = self._filled - start
+        self._data[:tail] = self._data[start:self._filled]
+        self._offset += start
+        self._state[CSV_POS] = 0
+        if tail == self._data.size:
+            self._data = _grown(self._data, tail)
+        read = self._handle.readinto(memoryview(self._data)[tail:])
+        self._final = not read
+        self._filled = tail + read
+
+    def _tokenize(self, width: int, counts: np.ndarray, ids: np.ndarray) -> int:
+        """One call over the block, repeated while it finds a buffer other
+        than the id block full; raises for a field over the limit and for
+        bytes that are not UTF-8."""
+        state = self._state
+        while True:
+            status = self._kernel.csv_tokenize(
+                self._data, self._filled, self._final, self._delimiter,
+                width, self._limit, self._slots, self._entries, self._arena,
+                counts, ids, state,
+            )
+            which = state[CSV_WHICH]
+            if status != CSV_FULL or which == CSV_IDS:
+                break
+            if which == CSV_SLOTS:
+                self._slots = np.full(2 * self._slots.size, -1, np.int64)
+                state[CSV_INDEXED] = 0
+            elif which == CSV_ENTRIES:
+                used = int(state[CSV_USED])
+                self._entries = _grown(self._entries, used)
+            else:
+                used = int(state[CSV_ARENA])
+                self._arena = _grown(self._arena, used)
+        if status == CSV_FIELD_LIMIT:
+            raise csv.Error(f"field larger than field limit ({self._limit})")
+        if status == CSV_NOT_UTF8:
+            at = int(state[CSV_AT])
+            raise _not_utf8(self._path, self._offset + at, int(self._data[at]))
+        return status
+
+    def _decoded(self, start: int, stop: int) -> List[Tuple[int, str]]:
+        """(column, field) of entries ``start:stop``, whose bytes lie one
+        after another in the arena."""
+        entries = self._entries[start:stop, ENTRY_OFFSET:].tolist()
+        if not entries:
+            return []
+        first = entries[0][0]
+        blob = self._arena[first:entries[-1][0] + entries[-1][1]].tobytes()
+        return [
+            (column, blob[offset - first:offset - first + length].decode())
+            for offset, length, column, _ in entries
+        ]
+
+    def header(self) -> Optional[List[str]]:
+        state = self._state
+        none = np.zeros(0, np.int64)
+        while True:
+            self._read()
+            self._tokenize(-1, none, np.zeros((0, 0), np.int32))
+            if state[CSV_ROWS]:
+                header = self._decoded(0, int(state[CSV_USED]))
+                # The body starts a table of its own.
+                state[[CSV_ROWS, CSV_USED, CSV_INDEXED, CSV_ARENA]] = 0
+                return [field for _, field in header]
+            if self._final:
+                return None
+
+    def blocks(self, width: int) -> Iterator[Tuple[int, np.ndarray]]:
+        state = self._state
+        counts = np.zeros(width, np.int64)
+        rows = max(1, BLOCK_BYTES // 4 // max(width, 1))
+        ids = np.empty((width, rows), np.int32)
+        self.fields = [[] for _ in range(width)]
+        decoded = 0
+        while True:
+            state[CSV_ROWS] = 0
+            status = self._tokenize(width, counts, ids)
+            used = int(state[CSV_USED])
+            if used > decoded:
+                for column, field in self._decoded(decoded, used):
+                    self.fields[column].append(field)
+                decoded = used
+            if status == CSV_RAGGED:
+                raise _RaggedRecord
+            rows = int(state[CSV_ROWS])
+            if rows:
+                yield rows, ids[:, :rows]
+            if status == CSV_FULL:
+                continue
+            if self._final:
+                return
+            self._read()
+
+
+def _native_delimiter(delimiter: str) -> bool:
+    """Whether the native tokenizer reads files with this delimiter: one
+    ASCII byte other than the quote, CR and LF."""
+    return (
+        len(delimiter) == 1
+        and delimiter.isascii()
+        and delimiter not in '"\r\n'
+    )
 
 
 class _CsvPass:
-    """One ``csv.reader`` pass over a headed CSV file: the parse loop that
+    """One pass over a headed CSV file: the parse loop that
     :func:`read_csv` and both :class:`CsvSource` passes share.
 
     Entering it opens the file, pins its ``(st_size, st_mtime_ns)`` in
     :attr:`pin` and reads :attr:`header`.  An empty file, or a header that
-    repeats a column name, raises before any body row is parsed.
+    repeats a column name, raises before any body row is parsed.  The
+    native tokenizer reads the file when it is loaded and takes the
+    delimiter; ``csv.reader`` reads it otherwise.  Both give the same
+    header, ids and fields.
     """
 
     def __init__(self, path: Path, delimiter: str) -> None:
@@ -260,11 +531,23 @@ class _CsvPass:
         self.n = 0
 
     def __enter__(self) -> "_CsvPass":
-        self._handle = self.path.open(newline="")
+        kernel = (
+            kernel_backend.NATIVE_KERNEL
+            if _native_delimiter(self.delimiter)
+            else None
+        )
+        if kernel is None:
+            self._handle = self.path.open(newline="", encoding="utf-8")
+        else:
+            self._handle = self.path.open("rb")
         try:
             self.pin = _stat_pin(self._handle)
-            self._reader = csv.reader(self._handle, delimiter=self.delimiter)
-            self.header = next(self._reader, None)
+            self._tokens = (
+                _ReaderTokens(self._handle, self.path, self.delimiter)
+                if kernel is None
+                else _NativeTokens(kernel, self._handle, self.path, self.delimiter)
+            )
+            self.header = self._tokens.header()
             if self.header is None:
                 raise ValueError(f"{self.path} is empty")
             counts = collections.Counter(self.header)
@@ -282,31 +565,35 @@ class _CsvPass:
     def __exit__(self, *exc_info: object) -> None:
         self._handle.close()
 
-    def batches(
-        self, misfit: Optional[Callable[[], ValueError]] = None
-    ) -> Iterator[Tuple[int, Iterator[Tuple[str, ...]]]]:
-        """The body's non-blank rows as ``(row count, column tuples)``,
-        parsed and transposed :data:`BATCH_ROWS` rows at a time.
+    @property
+    def fields(self) -> List[List[str]]:
+        """Each column's distinct raw fields so far, in id order."""
+        return self._tokens.fields
 
-        Adds each batch's row count to :attr:`n` before yielding it.  A
-        row whose width is not the header's raises ``misfit()``, or by
+    def blocks(
+        self, misfit: Optional[Callable[[], ValueError]] = None
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """The body's non-blank records as ``(row count, ids)``: ``ids`` is
+        a ``(width, row count)`` int32 block, field ``j`` of a record ided
+        by its first appearance in column ``j`` (the index of the field in
+        ``fields[j]``).  A block is valid until the next one is drawn.
+
+        Adds each block's row count to :attr:`n` before yielding it.  A
+        record whose width is not the header's raises ``misfit()``, or by
         default the error naming that row's file line; a body without rows
         raises too.
         """
         width = len(self.header)
-        while True:
-            batch = list(itertools.islice(self._reader, BATCH_ROWS))
-            if not batch:
-                break
-            rows = list(filter(None, batch))
-            if not rows:
-                continue
-            if set(map(len, rows)) != {width}:
-                if misfit is None:
-                    raise _ragged_row(self.path, self.delimiter, width)
-                raise misfit()
-            self.n += len(rows)
-            yield len(rows), zip(*rows)
+        try:
+            for count, ids in self._tokens.blocks(width):
+                self.n += count
+                yield count, ids
+        except _RaggedRecord:
+            if misfit is not None:
+                raise misfit() from None
+            raise _ragged_row(self.path, self.delimiter, width) or ValueError(
+                f"{self.path} changed while it was read"
+            ) from None
         if self.n == 0:
             raise ValueError(f"{self.path} has a header but no data rows")
 
@@ -315,20 +602,21 @@ class CsvSource(ChunkedSource):
     """Two-pass streaming CSV reader (see the module docstring).
 
     Pass 1 (at construction) pins the file's ``(st_size, st_mtime_ns)``,
-    then parses it once in batches of :data:`BATCH_ROWS` rows.  It
-    validates shape (header present with distinct names, rows non-empty
-    and rectangular; a ragged row's error names its file line), counts
-    rows, and keeps each column's distinct raw fields plus the batch in
-    flight — no row data outlives its batch.  It ends by building one
-    raw-field → code dict per column, which the source keeps: one entry
-    per distinct raw field.
+    then parses it once, a block at a time.  It validates shape (header
+    present with distinct names, rows non-empty and rectangular; a ragged
+    row's error names its file line), counts rows, and keeps each column's
+    distinct raw fields plus the block in flight — no row data outlives
+    its block.  It ends by building one raw-field → code dict per column,
+    which the source keeps: one entry per distinct raw field.
 
-    Pass 2 (:meth:`chunks`) re-parses the same batches and encodes each
-    column with a dict lookup, yielding chunks of exactly ``chunk_rows``
-    rows (the last may be shorter), so chunked and monolithic codes are
-    identical for any chunk size.  The file must not change between
-    passes: a moved pin, a changed header, row count or shape, or a raw
-    field that pass 1 never saw raises :class:`ValueError`.
+    Pass 2 (:meth:`chunks`) re-parses the file.  Each new distinct field
+    is looked up in pass 1's dict and appended to its column's lookup
+    table, and each block's codes are gathered from those tables into
+    chunks of exactly ``chunk_rows`` rows (the last may be shorter), so
+    chunked and monolithic codes are identical for any chunk size.  The
+    file must not change between passes: a moved pin, a changed header,
+    row count or shape, or a raw field that pass 1 never saw raises
+    :class:`ValueError`.
     """
 
     def __init__(
@@ -345,13 +633,11 @@ class CsvSource(ChunkedSource):
         self._chunk_rows = int(chunk_rows)
         self._delimiter = delimiter
         with _CsvPass(self._path, delimiter) as parse:
-            distinct: List[Set[str]] = [set() for _ in parse.header]
-            for _, columns in parse.batches():
-                for seen, column in zip(distinct, columns):
-                    seen.update(column)
+            for _ in parse.blocks():
+                pass
         columns = [
             _column_lookup(name, raw_fields, bins, continuous_threshold)
-            for name, raw_fields in zip(parse.header, distinct)
+            for name, raw_fields in zip(parse.header, parse.fields)
         ]
         self._attributes = tuple(attr for attr, _ in columns)
         self._lookups = tuple(lookup for _, lookup in columns)
@@ -370,34 +656,38 @@ class CsvSource(ChunkedSource):
         with _CsvPass(self._path, self._delimiter) as parse:
             if parse.pin != self._pin or tuple(parse.header) != names:
                 raise self._changed()
-            pending: List[List[np.ndarray]] = []
-            buffered = 0
-            for count, columns in parse.batches(self._changed):
+            luts = [np.zeros(0, np.int64) for _ in names]
+            chunk = np.empty((len(names), min(size, self._n)), np.int64)
+            filled = emitted = 0
+            for count, ids in parse.blocks(self._changed):
                 if parse.n > self._n:
                     raise self._changed()
-                try:
-                    pending.append([
-                        np.fromiter(
-                            map(lookup.__getitem__, column), np.int64, count
+                for j, (lookup, fields) in enumerate(
+                    zip(self._lookups, parse.fields)
+                ):
+                    if len(fields) > len(luts[j]):
+                        try:
+                            new = [lookup[raw] for raw in fields[len(luts[j]):]]
+                        except KeyError:
+                            raise self._changed() from None
+                        luts[j] = np.append(luts[j], new)
+                start = 0
+                while start < count:
+                    stop = min(count, start + chunk.shape[1] - filled)
+                    rows = slice(filled, filled + stop - start)
+                    for lut, column, codes in zip(luts, ids, chunk):
+                        lut.take(column[start:stop], out=codes[rows])
+                    filled += stop - start
+                    start = stop
+                    if filled == chunk.shape[1]:
+                        yield dict(zip(names, chunk))
+                        emitted += filled
+                        chunk = np.empty(
+                            (len(names), min(size, self._n - emitted)), np.int64
                         )
-                        for lookup, column in zip(self._lookups, columns)
-                    ])
-                except KeyError:
-                    raise self._changed() from None
-                buffered += count
-                if buffered >= size:
-                    columns = [np.concatenate(part) for part in zip(*pending)]
-                    full = buffered - buffered % size
-                    for start in range(0, full, size):
-                        stop = start + size
-                        yield dict(zip(names, (c[start:stop] for c in columns)))
-                    buffered -= full
-                    pending = [[c[full:] for c in columns]] if buffered else []
+                        filled = 0
             if parse.n != self._n:
                 raise self._changed()
-            if buffered:
-                columns = [np.concatenate(part) for part in zip(*pending)]
-                yield dict(zip(names, columns))
 
 
 def read_csv(
@@ -408,34 +698,24 @@ def read_csv(
 ) -> Table:
     """Load a headed CSV file into a table with inferred schema.
 
-    One parse: each batch's columns are encoded to first-appearance ids as
-    they are parsed.  At the end :func:`_column_lookup` infers each
-    column's attribute and raw field → code dict from the ids' keys, its
-    distinct raw fields, and one ``np.take`` per column maps the ids to
-    those codes.  The codes depend only on the distinct values, so the
-    table is the one :class:`CsvSource` streams from the same file.
+    One parse: the body comes as blocks of per-column first-appearance
+    ids.  At the end :func:`_column_lookup` infers each column's attribute
+    and raw field → code dict from its distinct raw fields, and one
+    ``np.take`` per column maps the ids to those codes.  The codes depend
+    only on the distinct values, so the table is the one
+    :class:`CsvSource` streams from the same file.
     """
     path = Path(path)
     with _CsvPass(path, delimiter) as parse:
-        ids = [_FirstAppearance() for _ in parse.header]
-        d = len(ids)
-        # One ``d x count`` id block per batch, not one array per column:
-        # d times fewer small allocations kept a 45k-row Adult release's
-        # peak RSS 2-4 MB lower.
-        blocks = []
-        for count, columns in parse.batches():
-            batch_ids = itertools.chain.from_iterable(
-                map(seen.__getitem__, column)
-                for seen, column in zip(ids, columns)
-            )
-            blocks.append(
-                np.fromiter(batch_ids, np.int64, d * count).reshape(d, count)
-            )
+        # One d x count int32 id block per parse block, not one array per
+        # column: d times fewer small allocations kept a 45k-row Adult
+        # release's peak RSS 2-4 MB lower.
+        blocks = [ids.copy() for _, ids in parse.blocks()]
     attributes = []
     codes = {}
-    for j, (name, seen) in enumerate(zip(parse.header, ids)):
-        attr, lookup = _column_lookup(name, seen, bins, continuous_threshold)
-        lut = np.fromiter(map(lookup.__getitem__, seen), np.int64, len(seen))
+    for j, (name, fields) in enumerate(zip(parse.header, parse.fields)):
+        attr, lookup = _column_lookup(name, fields, bins, continuous_threshold)
+        lut = np.fromiter(map(lookup.__getitem__, fields), np.int64, len(fields))
         attributes.append(attr)
         codes[name] = lut.take(np.concatenate([block[j] for block in blocks]))
     return Table(attributes, codes)
@@ -496,34 +776,116 @@ def _quoted_labels(
     return quoted
 
 
+def _code_error(
+    attributes: Sequence[Attribute], codes: Sequence[np.ndarray]
+) -> Optional[IndexError]:
+    """The error for the first attribute with a code outside its labels."""
+    for attr, column in zip(attributes, codes):
+        outside = (column < 0) | (column >= attr.size)
+        if outside.any():
+            return IndexError(
+                f"attribute {attr.name!r} has code {column[outside][0]}, "
+                f"outside its {attr.size} labels"
+            )
+    return None
+
+
+class _RowWriter:
+    """A chunk of codes as the UTF-8 bytes of its rows.
+
+    With the native kernel, each attribute's quoted labels are encoded
+    once into one blob, NumPy sums each chunk's label lengths into the
+    exact output size, and the assembler joins the rows into that buffer.
+    Without it, each chunk is gathered with one ``np.take`` per attribute
+    and joined as a string.  Both raise :class:`IndexError` naming the
+    attribute for a code outside its labels, before any of the chunk is
+    written.
+    """
+
+    def __init__(
+        self,
+        attributes: Sequence[Attribute],
+        delimiter: str,
+        terminator: str,
+        kernel: Optional[kernel_backend.NativeKernel],
+    ) -> None:
+        self._attributes = attributes
+        self._quoted = quoted = _quoted_labels(attributes, delimiter)
+        self._delimiter = delimiter
+        self._terminator = terminator
+        self._kernel = kernel
+        if kernel is None:
+            return
+        encoded = [[field.encode() for field in fields] for fields in quoted]
+        self._lengths = [
+            np.array(list(map(len, fields)), np.int64) for fields in encoded
+        ]
+        self._counts = np.array(list(map(len, encoded)), np.int64)
+        labels = list(itertools.chain.from_iterable(encoded))
+        self._offsets = np.cumsum([0, *map(len, labels)], dtype=np.int64)
+        self._blob = np.frombuffer(b"".join(labels), np.uint8)
+        self._separators = [
+            np.frombuffer(text.encode(), np.uint8)
+            for text in (delimiter, terminator)
+        ]
+
+    def __call__(self, chunk: Mapping[str, np.ndarray]) -> bytes:
+        codes = [chunk[attr.name] for attr in self._attributes]
+        if self._kernel is None:
+            error = _code_error(self._attributes, codes)
+            if error is not None:
+                raise error
+            decoded = map(np.take, self._quoted, codes)
+            rows = self._terminator.join(
+                map(self._delimiter.join, zip(*decoded))
+            )
+            return (rows + self._terminator).encode() if rows else b""
+        if not codes or not len(codes[0]):
+            return b""
+        block = np.ascontiguousarray(np.stack(codes), dtype=np.int64)
+        delimiter, terminator = self._separators
+        d, n = block.shape
+        size = n * ((d - 1) * delimiter.size + terminator.size) + sum(
+            int(lengths.take(column, mode="clip").sum())
+            for lengths, column in zip(self._lengths, block)
+        )
+        out = np.empty(size, np.uint8)
+        if not self._kernel.csv_assemble(
+            block, self._counts, self._offsets, self._blob, delimiter,
+            terminator, out,
+        ):
+            raise _code_error(self._attributes, block)
+        return out
+
+
 def write_csv(
     source: Union[Table, ChunkedSource, Iterable[Table]],
     path: PathLike,
     delimiter: str = ",",
 ) -> None:
-    """Write decoded labels to a headed CSV file, chunk by chunk.
+    """Write decoded labels to a headed UTF-8 CSV file, chunk by chunk.
 
     ``source`` may be a resident :class:`~repro.data.Table`, any
     :class:`~repro.data.chunks.ChunkedSource`, or an iterator of chunk
     tables (the shape :func:`repro.core.sampler.sample_synthetic_chunks`
     yields) — the streaming release path holds one chunk of decoded labels
-    at a time.  ``csv.writer`` quotes each attribute's labels once; each
-    chunk then decodes with a single ``np.take`` gather per attribute over
-    those quoted fields and is written as one joined string.  Output bytes
-    are identical to writing every row with ``csv.writer``.
+    at a time.  ``csv.writer`` writes the header and quotes each
+    attribute's labels once; each chunk's rows are then joined from those
+    quoted labels (natively when the kernel is loaded) and written at
+    once.  Output bytes are identical to writing every row with
+    ``csv.writer``.
     """
     attributes, chunk_iter = _chunk_stream(source)
-    quoted = _quoted_labels(attributes, delimiter)
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow([attr.name for attr in attributes])
-        terminator = writer.dialect.lineterminator
+    header = io.StringIO()
+    writer = csv.writer(header, delimiter=delimiter)
+    writer.writerow([attr.name for attr in attributes])
+    rows = _RowWriter(
+        attributes,
+        delimiter,
+        writer.dialect.lineterminator,
+        kernel_backend.NATIVE_KERNEL,
+    )
+    with Path(path).open("wb") as handle:
+        handle.write(header.getvalue().encode())
         for chunk in chunk_iter:
-            decoded = [
-                fields.take(chunk[attr.name])
-                for fields, attr in zip(quoted, attributes)
-            ]
-            rows = terminator.join(map(delimiter.join, zip(*decoded)))
-            if rows:
-                handle.write(rows + terminator)
+            handle.write(rows(chunk))

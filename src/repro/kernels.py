@@ -18,12 +18,19 @@ environment it falls back to checking the batched kernel against the
 per-candidate reference DP, so the exit code is meaningful everywhere.
 The sampler check draws one block over a fixed small network with a
 generalized parent natively and with the NumPy loop, and compares the
-codes; without the native kernel there is nothing to compare it with.
+codes.  The CSV check tokenizes a fixed tricky file natively and with
+``csv.reader``, and joins a fixed table's rows natively and as strings,
+and compares the rows and the bytes.  Without the native kernel neither
+has anything to compare with.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from repro.bn.network import APPair, BayesianNetwork
 from repro.core import kernel_backend, sampler
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 from repro.core.score_kernels import score_F_batch, score_F_dp
+from repro.data import io as data_io
 from repro.data.attribute import Attribute
 from repro.data.taxonomy import TaxonomyTree
 
@@ -153,6 +161,59 @@ def sampler_check() -> str:
     )
 
 
+#: CSV check input: doubled quotes, CR LF inside quotes, a blank line, a
+#: lone CR, non-ASCII text, a NUL, text after a closing quote, a quote
+#: inside an unquoted field and a quote left open at EOF.
+_CSV_TEXT = (
+    'name,"no""te",3\r\n"a ""b""","x\r\ny",São\r\n\r\n'
+    'Zürich,q\0r,"s"t\rw"x,"u,v",\n\né,  ," end'
+)
+
+
+def csv_check() -> str:
+    """Compare the native tokenizer's rows with ``csv.reader``'s, and the
+    native assembler's bytes with the string join's.
+
+    Raises ``AssertionError`` on a mismatch.
+    """
+    kernel = kernel_backend.NATIVE_KERNEL
+    if kernel is None:
+        return "numpy only: no native CSV codec to compare with"
+    reference = list(
+        filter(None, csv.reader(io.StringIO(_CSV_TEXT, newline="")))
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "check.csv"
+        path.write_bytes(_CSV_TEXT.encode())
+        with data_io._CsvPass(path, ",") as parse:
+            rows = [parse.header]
+            for _, ids in parse.blocks():
+                rows += [
+                    [parse.fields[j][i] for j, i in enumerate(record)]
+                    for record in ids.T.tolist()
+                ]
+    if rows != reference:
+        raise AssertionError(
+            f"native tokenizer read {rows!r}, csv.reader {reference!r}"
+        )
+    attrs = [
+        Attribute(name, tuple(dict.fromkeys(values)))
+        for name, values in zip(reference[0], zip(*reference))
+    ]
+    codes = np.random.default_rng(_CHECK_SEED).integers(0, 4, (3, 1000))
+    chunk = {
+        attr.name: column % attr.size for attr, column in zip(attrs, codes)
+    }
+    joined = data_io._RowWriter(attrs, ",", "\r\n", None)(chunk)
+    assembled = data_io._RowWriter(attrs, ",", "\r\n", kernel)(chunk)
+    if bytes(assembled) != joined:
+        raise AssertionError("native assembler and string join disagree")
+    return (
+        f"native == csv module on {len(reference)} tricky records and "
+        f"{len(joined)} written bytes: identical"
+    )
+
+
 def main(argv=None) -> int:
     print(f"requested mode   : {kernel_backend.requested_mode()} "
           f"(${kernel_backend.BACKEND_ENV})")
@@ -164,7 +225,11 @@ def main(argv=None) -> int:
     state = "present" if artifact.exists() else "not built"
     print(f"artifact         : {artifact} ({state})")
     status = 0
-    checks = (("self-check", self_check), ("sampler check", sampler_check))
+    checks = (
+        ("self-check", self_check),
+        ("sampler check", sampler_check),
+        ("csv check", csv_check),
+    )
     for label, check in checks:
         try:
             print(f"{label:<17}: {check()}")

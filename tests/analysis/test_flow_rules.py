@@ -575,13 +575,45 @@ class TestNativeAbiDrift:
         assert rule.applies_to(KERNEL_PATH)
         assert not rule.applies_to("src/repro/core/privbayes.py")
 
+    def test_byte_buffer_declared_as_int64_is_flagged(self):
+        """A ``const uint8_t *`` parameter driven as ``POINTER(c_int64)``
+        is drift: ctypes would pass eight-byte strides over a byte block."""
+        c_source = GOOD_C + """
+int repro_csv_tokenize(const uint8_t *data, int64_t nbytes) {
+    return 0;
+}
+"""
+        declared = GOOD_PY + """
+        tokenize = library.repro_csv_tokenize
+        tokenize.restype = ctypes.c_int
+        tokenize.argtypes = [
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+        ]
+"""
+        hits = findings_of(
+            NativeAbiDrift(), declared, KERNEL_PATH, abi_context(c_source)
+        )
+        assert any(
+            "signature drift" in message and "uint8_t*" in message
+            for _, _, message in hits
+        )
+        matched = declared.replace(
+            "ctypes.POINTER(ctypes.c_int64),\n            ctypes.c_int64,\n        ]",
+            "ctypes.POINTER(ctypes.c_uint8),\n            ctypes.c_int64,\n        ]",
+        )
+        hits = findings_of(
+            NativeAbiDrift(), matched, KERNEL_PATH, abi_context(c_source)
+        )
+        assert not any("signature drift" in message for _, _, message in hits)
+
     def test_recorded_manifest_matches_the_tree(self):
-        """ABI_MANIFEST v2 is exactly today's scoref.c exported surface."""
+        """ABI_MANIFEST v3 is exactly today's scoref.c exported surface."""
         c_source = (
             REPO_ROOT / "src/repro/core/_native/scoref.c"
         ).read_text()
-        assert parse_c_abi_version(c_source) == 2
-        assert parse_c_exports(c_source) == ABI_MANIFEST[2]
+        assert parse_c_abi_version(c_source) == 3
+        assert parse_c_exports(c_source) == ABI_MANIFEST[3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """CSV import/export: schema inference, round trips, validation."""
 
 import csv
+import json
 import os
-import types
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,27 +184,38 @@ class TestRejectedInput:
         assert table.column("x").tolist() == [0, 2, 1, 0]
 
 
-def test_read_csv_parses_the_file_once(tmp_path, monkeypatch):
-    """The resident read builds one csv.reader and no CsvSource."""
+def test_read_csv_parses_the_file_once(tmp_path, monkeypatch, csv_backend):
+    """The resident read makes one pass and builds no CsvSource: one
+    native tokenizer pass and no csv.reader under the native backend, one
+    csv.reader under NumPy."""
     path = tmp_path / "adult.csv"
     write_csv(load_adult(n=300, seed=0), path)
     expected = read_csv(path)
-    readers, sources = [], []
+    readers, tokenizers, sources = [], [], []
+    csv_reader = csv.reader
+    tokens_init = repro.data.io._NativeTokens.__init__
+    source_init = CsvSource.__init__
 
     def reader(*args, **kwargs):
         readers.append(args)
-        return csv.reader(*args, **kwargs)
+        return csv_reader(*args, **kwargs)
 
-    source_init = CsvSource.__init__
+    def tokens(self, *args, **kwargs):
+        tokenizers.append(args)
+        tokens_init(self, *args, **kwargs)
 
     def init(self, *args, **kwargs):
         sources.append(args)
         source_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(repro.data.io, "csv", types.SimpleNamespace(reader=reader))
+    monkeypatch.setattr(csv, "reader", reader)
+    monkeypatch.setattr(repro.data.io._NativeTokens, "__init__", tokens)
     monkeypatch.setattr(repro.data.io.CsvSource, "__init__", init)
     table = read_csv(path)
-    assert len(readers) == 1
+    if csv_backend == "native":
+        assert (len(tokenizers), len(readers)) == (1, 0)
+    else:
+        assert (len(tokenizers), len(readers)) == (0, 1)
     assert sources == []
     assert table.attributes == expected.attributes
     for name in table.attribute_names:
@@ -407,3 +421,123 @@ class TestVectorizedWrite:
     def test_empty_chunk_stream_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty chunk stream"):
             write_csv(iter(()), tmp_path / "nope.csv")
+
+
+#: Reads the UTF-8 file argv[1], writes a table holding its labels to
+#: argv[2], reads that back, and reads the invalid file argv[3]; prints
+#: the results as ASCII JSON.
+_ENCODING_SCRIPT = """
+import json, sys
+from repro.data.io import read_csv, write_csv
+table = read_csv(sys.argv[1])
+write_csv(table, sys.argv[2])
+again = read_csv(sys.argv[2])
+try:
+    read_csv(sys.argv[3])
+    error = None
+except ValueError as caught:
+    error = str(caught)
+print(json.dumps({
+    "attributes": [[a.name, list(a.values)] for a in table.attributes],
+    "codes": [table.column(n).tolist() for n in table.attribute_names],
+    "same": again.attributes == table.attributes and all(
+        again.column(n).tolist() == table.column(n).tolist()
+        for n in table.attribute_names
+    ),
+    "error": error,
+}))
+"""
+
+
+class TestEncoding:
+    """Files are UTF-8 whatever the locale, under both backends."""
+
+    TEXT = "city,n\r\nSão Paulo,1\r\nZürich,2\r\nSão Paulo,3\r\n"
+
+    def test_ascii_locale_reads_and_writes_utf8(self, tmp_path, csv_backend):
+        """Under ``PYTHONUTF8=0 LC_ALL=C`` the locale's encoding is ASCII:
+        reading gives the attributes an in-process read gives, writing a
+        table with a ``São Paulo`` label gives the same bytes, those bytes
+        read back to the same table, and a byte that is not UTF-8 raises
+        the error naming the file and the offset."""
+        source = tmp_path / "cities.csv"
+        source.write_bytes(self.TEXT.encode("utf-8"))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,x\xffy\n")
+        table = read_csv(source)
+        assert table.attribute("city").values == ("São Paulo", "Zürich")
+        expected = tmp_path / "expected.csv"
+        write_csv(table, expected)
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))
+        }
+        env.update(
+            PYTHONUTF8="0",
+            LC_ALL="C",
+            PYTHONPATH=str(Path(repro.data.io.__file__).parents[2]),
+            REPRO_KERNEL_BACKEND=csv_backend,
+        )
+        written = tmp_path / "written.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", _ENCODING_SCRIPT, source, written, bad],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        got = json.loads(result.stdout)
+        assert got["attributes"] == [
+            [attr.name, list(attr.values)] for attr in table.attributes
+        ]
+        assert got["codes"] == [
+            table.column(name).tolist() for name in table.attribute_names
+        ]
+        assert written.read_bytes() == expected.read_bytes()
+        assert got["same"]
+        assert got["error"] == f"{bad}: byte 0xff at offset 7 is not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "data, offset, byte",
+        [
+            (b"a,b\n1,x\xffy\n", 7, 0xFF),
+            (b"a,\xc3\n1,2\n", 2, 0xC3),
+            (b'a,b\n"1\xed\xa0\x80",2\n', 6, 0xED),
+            (b"a,b\n" + b"1,2\n" * 90000 + b"1,\xe2\x82", 360006, 0xE2),
+        ],
+        ids=["stray", "truncated", "surrogate", "truncated-at-eof"],
+    )
+    def test_invalid_utf8_names_the_file_and_offset(
+        self, tmp_path, csv_backend, data, offset, byte
+    ):
+        """A stray byte, a truncated sequence, an encoded surrogate, and a
+        truncated sequence at the end of a file of several blocks."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = f"{path}: byte 0x{byte:02x} at offset {offset} is not valid UTF-8"
+        for read in (lambda: read_csv(path), lambda: CsvSource(path)):
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == message
+
+    def test_bom_stays_in_the_first_name(self, tmp_path, csv_backend):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\r\n1,2\r\n")
+        assert read_csv(path).attribute_names == ("\ufeffa", "b")
+
+    def test_out_of_range_code_names_the_attribute(self, tmp_path, csv_backend):
+        """A chunk code outside its attribute's labels fails before any of
+        the chunk is written, naming the attribute: above the labels, as
+        np.take fails, and below them, which np.take would wrap."""
+        attrs = [Attribute("x", ("p", "q")), Attribute("y", ("r", "s", "t"))]
+        for bad in (3, -1):
+            chunk = Table.from_trusted_columns(
+                attrs, {"x": np.array([0, 1]), "y": np.array([2, bad])}
+            )
+            path = tmp_path / "out.csv"
+            message = f"attribute 'y' has code {bad}, outside its 3 labels"
+            with pytest.raises(IndexError, match=message):
+                write_csv(iter([chunk]), path)
+            assert path.read_bytes() == b"x,y\r\n"
+
