@@ -133,10 +133,10 @@ def _ragged_I_batch(count, seed=2):
 
     Mostly-binary children (the paper's Section-4 encoding and the repo's
     default mode) with a tail of wider general-mode domains, over a
-    spread of parent domains — the shape
-    :func:`repro.bn.quality.pair_group_mutual_information` and the
-    candidate scorer feed the segmented kernel (many candidates, few
-    distinct ``(length, child_size)`` shapes, ragged lengths).
+    spread of parent domains — the shape the ``I`` candidate scorer
+    (which also serves :func:`repro.bn.quality.network_mutual_information`)
+    feeds the segmented kernel (many candidates, few distinct
+    ``(length, child_size)`` shapes, ragged lengths).
     """
     rng = np.random.default_rng(seed)
     parent_doms = (2, 4, 8, 16, 32, 64)

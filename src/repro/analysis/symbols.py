@@ -22,7 +22,7 @@ import ast
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Import chains longer than this are cyclic re-exports; resolution stops.
 _MAX_CHAIN = 32
@@ -171,14 +171,6 @@ class SymbolGraph:
                 return qualified
             qualified = target
         return qualified
-
-    def defining_module(self, qualified: str) -> Optional[str]:
-        """The graph module defining ``qualified``, if any."""
-        owner, _, leaf = qualified.rpartition(".")
-        symbols = self.modules.get(owner)
-        if symbols is not None and leaf in symbols.defs:
-            return owner
-        return None
 
     def fingerprint(self) -> str:
         """Deterministic digest of the whole graph (cache signature part)."""

@@ -1,27 +1,18 @@
-"""Bayesian-network substrate: structure, validation, exact joints, quality."""
+"""Bayesian-network substrate: structure, validation, inference, quality.
+
+:func:`network_mutual_information` is the network quality of Figure 4,
+``Σ I(X_i, Π_i)``, read from an ``I``
+:class:`~repro.core.scoring.CandidateScorer`.
+"""
 
 from repro.bn.network import APPair, BayesianNetwork
-from repro.bn.quality import (
-    exact_model_joint,
-    model_kl_to_data,
-    network_mutual_information,
-)
+from repro.bn.quality import network_mutual_information
 from repro.bn.inference import model_marginal, model_marginals
-from repro.bn.structure_search import (
-    chow_liu_tree,
-    exhaustive_best_network,
-    network_score,
-)
 
 __all__ = [
     "APPair",
     "BayesianNetwork",
     "network_mutual_information",
-    "exact_model_joint",
-    "model_kl_to_data",
     "model_marginal",
     "model_marginals",
-    "chow_liu_tree",
-    "exhaustive_best_network",
-    "network_score",
 ]

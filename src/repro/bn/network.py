@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,6 @@ class BayesianNetwork:
         """Maximum parent-set size (the ``k`` of Section 2.2)."""
         return max((pair.degree for pair in self._pairs), default=0)
 
-    def pair_for(self, child: str) -> APPair:
-        for pair in self._pairs:
-            if pair.child == child:
-                return pair
-        raise KeyError(f"no AP pair with child {child!r}")
-
     def edges(self) -> List[Tuple[str, str]]:
         """Directed edges (parent, child), ignoring generalization levels."""
         out = []
@@ -116,13 +110,6 @@ class BayesianNetwork:
             for name in pair.parent_names:
                 out.append((name, pair.child))
         return out
-
-    def parent_levels(self) -> Dict[str, Dict[str, int]]:
-        """Per child, the generalization level used for each parent."""
-        return {
-            pair.child: {name: level for name, level in pair.parents}
-            for pair in self._pairs
-        }
 
     def __iter__(self):
         return iter(self._pairs)

@@ -3,7 +3,10 @@
 The network-learning experiments (Figure 4) score a network by the sum of
 mutual information over its AP pairs, ``sum_i I(X_i, Π_i)`` — the quantity
 Algorithm 2 greedily maximizes (Equation 6 shows the KL divergence from the
-model to the data decreases as that sum grows).
+model to the data decreases as that sum grows).  Each term is the ``I``
+score of Section 4.2, so :func:`network_mutual_information` reads it from
+an ``I`` :class:`~repro.core.scoring.CandidateScorer`, the same counting,
+kernel and memo the greedy learner uses.
 
 The module also holds :class:`ParentIndexCache`, the contingency counting
 of a resident table that scoring and distribution learning share: a
@@ -19,20 +22,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
-from repro.core.score_kernels import score_I_segments
 from repro.data.attribute import Attribute
 from repro.data.chunks import CountGroup, GroupCounts
 from repro.data.marginals import (
     domain_size,
     ensure_int64_domain,
     flatten_index,
-    joint_distribution,
     stacked_joint_counts,
-    unflatten_index,
     walsh_hadamard,
 )
 from repro.data.table import Table
-from repro.infotheory.measures import kl_divergence, segment_sums
 
 #: Largest full joint, in cells, that an all-binary table's counting
 #: keeps as Walsh–Hadamard coefficients: 2**24 int64 cells are 128 MB.
@@ -258,159 +257,23 @@ class ParentIndexCache:
         return joints
 
 
-def _flatten_generalized_parents(
-    table: Table, parents: Sequence[Tuple[str, int]]
-) -> Tuple[np.ndarray, List[int]]:
-    """Per-row parent configuration codes and sizes for a (possibly
-    generalized) parent set — the uncached counterpart of
-    :meth:`ParentIndexCache.flat`, shared by every joint builder in this
-    module so the flattening semantics cannot drift between them."""
-    coded = [generalized_codes(table, name, level) for name, level in parents]
-    sizes = [size for _, size in coded]
-    return flatten_index([c for c, _ in coded], sizes, table.n), sizes
+def network_mutual_information(network: BayesianNetwork, scorer) -> float:
+    """``sum_i I(X_i, Π_i)`` of the network on the empirical distribution
+    of the table ``scorer`` was built for.
 
-
-def pair_joint_distribution(
-    table: Table,
-    child: str,
-    parents: Sequence[Tuple[str, int]],
-) -> Tuple[np.ndarray, int]:
-    """Empirical ``Pr[Π, X]`` (child innermost) for a possibly generalized
-    parent set.  Returns the flat joint and the child domain size."""
-    parent_flat, sizes = _flatten_generalized_parents(table, parents)
-    child_attr = table.attribute(child)
-    total = ensure_int64_domain(
-        domain_size(sizes + [child_attr.size]), "pair joint domain"
-    )
-    flat = parent_flat * child_attr.size + table.column(child)
-    counts = np.bincount(flat, minlength=total).astype(float)
-    joint = counts / counts.sum() if counts.sum() > 0 else counts
-    return joint, child_attr.size
-
-
-def pair_group_mutual_information(
-    table: Table,
-    parents: Sequence[Tuple[str, int]],
-    children: Sequence[str],
-) -> List[float]:
-    """``I(child, Π)`` for every child sharing one (generalized) parent set.
-
-    The parent configuration is flattened once, all children's joints are
-    counted into one stacked block, and the block goes
-    *straight* into the ragged segmented kernel
-    (:func:`repro.core.score_kernels.score_I_segments`) — no per-candidate
-    reshaping or same-size bucketing here.  Normalization divides each
-    element by its candidate's exact segment total
-    (:func:`repro.infotheory.measures.segment_sums`), so each value is
-    bit-equal to ``mutual_information(*pair_joint_distribution(...))`` on
-    the same pair.  This is the batched core under both
-    :func:`network_mutual_information` and
-    :meth:`repro.core.scoring.MutualInformationCache.pair_mi_batch`.
+    Each term is the Section 4.2 ``I`` score of an AP pair, so ``scorer``
+    must be an ``I`` :class:`~repro.core.scoring.CandidateScorer` (read by
+    duck typing, which keeps this module below :mod:`repro.core.scoring`
+    in the import order).  The non-root pairs go to one ``score_batch``
+    call in network order, so pairs the greedy learner already scored cost
+    a memo lookup, and the values are added left to right from ``0.0``.
     """
-    parent_flat, sizes = _flatten_generalized_parents(table, parents)
-    parent_dom = domain_size(sizes)
-    child_sizes = [table.attribute(c).size for c in children]
-    block, offsets, lengths = stacked_joint_counts(
-        parent_flat, parent_dom,
-        [table.column(c) for c in children], child_sizes,
-    )
-    floats = block.astype(float)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ids = np.repeat(np.arange(len(children), dtype=np.int64), lengths)
-    totals = segment_sums(floats, ids, len(children))
-    # Empty table: pair_joint_distribution leaves the all-zero vector
-    # unnormalized (divide by 1 here), and the kernel scores it to the
-    # same exact 0.0 the normalized path produces.
-    divisors = np.where(totals > 0.0, totals, 1.0)
-    normalized = floats / np.repeat(divisors, lengths)
-    values = score_I_segments(normalized, offsets, lengths, child_sizes)
-    return [float(v) for v in values]
-
-
-def network_mutual_information(
-    table: Table, network: BayesianNetwork, mi_cache=None
-) -> float:
-    """``sum_i I(X_i, Π_i)`` of the network on the empirical distribution.
-
-    AP pairs sharing a parent set are measured together through
-    :func:`pair_group_mutual_information` (bit-equal to the pair-by-pair
-    path, summed in network order).  ``mi_cache`` is an optional
-    :class:`~repro.core.scoring.MutualInformationCache` (duck-typed to keep
-    this module import-light); pass one when scoring many networks over the
-    same table so repeated AP pairs are measured once.
-    """
-    if mi_cache is not None and mi_cache.table is not table:
-        raise ValueError("mi_cache was built for a different table")
-    groups: Dict[Tuple, List[str]] = {}
-    for pair in network:
-        if pair.parents:
-            groups.setdefault(pair.parents, []).append(pair.child)
-    pair_values: Dict[Tuple, float] = {}
-    for parents, children in groups.items():
-        if mi_cache is not None:
-            mi_cache.pair_mi_batch(parents, children)
-            for child in children:
-                pair_values[(child, parents)] = mi_cache.pair_mi(
-                    child, parents
-                )
-        else:
-            for child, value in zip(
-                children,
-                pair_group_mutual_information(table, parents, children),
-            ):
-                pair_values[(child, parents)] = value
+    if scorer.score != "I":
+        raise ValueError(
+            f"network quality needs an 'I' scorer, not {scorer.score!r}"
+        )
+    pairs = [(pair.child, pair.parents) for pair in network if pair.parents]
     total = 0.0
-    for pair in network:
-        if pair.parents:
-            total += pair_values[(pair.child, pair.parents)]
+    for value in scorer.score_batch(pairs):
+        total += float(value)
     return total
-
-
-def exact_model_joint(table: Table, network: BayesianNetwork) -> np.ndarray:
-    """Materialize ``Pr_N[A]`` over the full domain (small domains only).
-
-    Attributes follow the network's construction order.  Intended for tests
-    and tiny illustrative examples — the whole point of PrivBayes is to never
-    need this at scale.
-    """
-    order = list(network.attribute_order)
-    sizes = [table.attribute(name).size for name in order]
-    total = domain_size(sizes)
-    if total > 2_000_000:
-        raise ValueError(f"domain size {total} too large to materialize")
-    grid = np.ones(total, dtype=float)
-    coords = unflatten_index(np.arange(total), sizes)  # (total, d)
-    position = {name: i for i, name in enumerate(order)}
-    for pair in network:
-        child_idx = position[pair.child]
-        child_size = sizes[child_idx]
-        if pair.parents:
-            if any(level != 0 for _, level in pair.parents):
-                raise ValueError(
-                    "exact_model_joint does not support generalized parents"
-                )
-            parent_names = list(pair.parent_names)
-            joint = joint_distribution(table, parent_names + [pair.child])
-            parent_sizes = [table.attribute(p).size for p in parent_names]
-            conditional = joint.reshape(-1, child_size)
-            row_sums = conditional.sum(axis=1, keepdims=True)
-            safe = np.where(row_sums > 0, row_sums, 1.0)
-            conditional = np.where(
-                row_sums > 0, conditional / safe, 1.0 / child_size
-            )
-            parent_flat = flatten_index(
-                [coords[:, position[p]] for p in parent_names], parent_sizes, total
-            )
-            grid *= conditional[parent_flat, coords[:, child_idx]]
-        else:
-            marginal = joint_distribution(table, [pair.child])
-            grid *= marginal[coords[:, child_idx]]
-    return grid
-
-
-def model_kl_to_data(table: Table, network: BayesianNetwork) -> float:
-    """``D_KL(Pr[A] || Pr_N[A])`` over the full domain (small domains only)."""
-    order = list(network.attribute_order)
-    data_joint = joint_distribution(table, order)
-    model_joint = exact_model_joint(table, network)
-    return kl_divergence(data_joint, model_joint)

@@ -9,7 +9,7 @@ Public surface:
 * :mod:`~repro.core.score_kernels` — the batched score kernels
   (Sections 4.2, 4.4, 5.3).
 * :mod:`~repro.core.scoring` — candidate-scoring engine (cross-round
-  score memo, batched contingencies, shared MI cache).
+  score memo, batched contingencies, per-table shared caches).
 * :mod:`~repro.core.greedy_bayes` — Algorithms 2 and 4.
 * :mod:`~repro.core.parent_sets` — Algorithms 5 and 6.
 * :mod:`~repro.core.noisy_conditionals` — Algorithms 1 and 3.
@@ -26,7 +26,6 @@ from repro.core.scores import (
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
 from repro.core.scoring import (
     CandidateScorer,
-    MutualInformationCache,
     ScoringCache,
 )
 from repro.core.parent_sets import (
@@ -56,7 +55,6 @@ __all__ = [
     "greedy_bayes_fixed_k",
     "greedy_bayes_theta",
     "CandidateScorer",
-    "MutualInformationCache",
     "ScoringCache",
     "maximal_parent_sets",
     "maximal_parent_sets_generalized",

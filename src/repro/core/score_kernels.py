@@ -7,8 +7,8 @@ round sharing a parent-domain size — instead of one Python call per
 candidate.  The layering is::
 
     score_kernels   pure batched numerics (this module)
-        ^ scoring   CandidateScorer / MutualInformationCache (memo + counting)
-        ^ greedy_bayes, bn.structure_search, bn.quality, experiments
+        ^ scoring   CandidateScorer (memo + counting)
+        ^ greedy_bayes, bn.quality (network quality), experiments
 
 Bit-identity contract
 ---------------------
@@ -91,11 +91,11 @@ once by (length, child size), gather them in that order with one ragged
 gather, score each same-shape run as a ``(run, parent cells, child
 size)`` stack and un-permute the scores once at the end.  ``I``
 evaluates every candidate's three entropies through one segmented
-exact-sum pass (the core of
-:func:`repro.infotheory.measures.entropy_segmented`): nonzero compaction
-and ``log`` run once over the concatenated batch, and per-candidate sums
-are reduced in NumPy's own per-array pairwise order, so each output stays
-bit-equal to ``mutual_information`` on that candidate alone.
+exact-sum pass (:func:`repro.infotheory.measures._entropy_by_count`):
+nonzero compaction and ``log`` run once over the concatenated batch, and
+per-candidate sums are reduced in NumPy's own per-array pairwise order,
+so each output stays bit-equal to ``mutual_information`` on that
+candidate alone.
 
 Validation: :func:`validate_F_counts` checks ``F`` counts (binary-child
 shape, integer counts, counts summing to ``n`` per candidate) for the

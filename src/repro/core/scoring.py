@@ -49,14 +49,16 @@ All caches are keyed on *values derived deterministically from the table*:
   per-candidate dynamic program.  Each kernel output is bit-equal to
   the score of that candidate computed alone, whatever else is in the
   batch.
-* ``MutualInformationCache`` memoizes empirical mutual information per
-  ``(child, parents)`` for the non-private reference searches
-  (:mod:`repro.bn.structure_search`) and the Figure 4 quality metric.
+* An ``I`` scorer is also the library's one mutual-information engine:
+  the Figure 4 network-quality metric
+  (:func:`repro.bn.quality.network_mutual_information`) sums its scores,
+  so an AP pair the greedy learner already scored costs a memo lookup.
 * Each ``CandidateScorer`` carries a
   :class:`~repro.core.parent_sets.ParentSetCache` so the θ-mode greedy
   loop's maximal-parent-set enumerations (Algorithms 5/6) are memoized
   across rounds and, through a shared scorer, across the runs of a sweep.
-* ``ScoringCache`` keys scorers, MI caches and
+* ``ScoringCache`` keys scorers, the shared
+  :class:`~repro.bn.quality.ParentIndexCache` and
   :class:`~repro.core.noisy_conditionals.JointCounter` instances (the
   distribution-learning phase's batched contingency counts) on table
   identity so a sweep (many releases over one table) shares them across
@@ -86,10 +88,6 @@ from repro.core.score_kernels import (
 )
 from repro.core.scores import sensitivity_F, sensitivity_I, sensitivity_R
 from repro.data.table import Table
-from repro.infotheory.measures import (
-    mutual_information,
-    mutual_information_from_table,
-)
 
 #: A candidate is a child attribute plus a (possibly generalized) parent set.
 Candidate = Tuple[str, Tuple[Tuple[str, int], ...]]
@@ -223,8 +221,8 @@ class CandidateScorer:
     def __init__(self, table, score: str, parent_index=None) -> None:
         if score not in ("I", "F", "R"):
             raise ValueError(f"unknown score function {score!r}")
-        # Imported lazily: bn.quality sits above this module in the
-        # package import order (bn.structure_search imports scoring).
+        # Imported lazily: the repro.bn package imports bn.inference,
+        # which imports repro.core, whose package import reaches here.
         from repro.bn.quality import ParentIndexCache
 
         self._resident = isinstance(table, Table)
@@ -505,87 +503,6 @@ class CandidateScorer:
         return max(values)
 
 
-class MutualInformationCache:
-    """Memoized empirical mutual information over one table.
-
-    Shared by the non-private reference searches (Chow-Liu, exhaustive DP —
-    where the same parent combination is rescored under many subset masks)
-    and by the Figure 4 network-quality metric (where repeats rescore the
-    same AP pairs).  Values are exactly what the uncached helpers return.
-    """
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-        self._mi: Dict[Tuple[str, Tuple[str, ...]], float] = {}
-        self._pair_mi: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], float] = {}
-
-    def mi(self, child: str, parents: Sequence[str]) -> float:
-        """``I(child, parents)`` for raw (non-generalized) attributes."""
-        key = (child, tuple(parents))
-        if key not in self._mi:
-            self._mi[key] = mutual_information_from_table(
-                self.table, child, list(parents)
-            )
-        return self._mi[key]
-
-    def mi_batch(self, parent: str, children: Sequence[str]) -> None:
-        """Prime the memo with ``I(child, (parent,))`` for many children.
-
-        One stacked contingency pass over the table plus one batched kernel
-        call per child-domain size, instead of one table scan per pair.
-        Values are bit-equal to what :meth:`mi` computes pair by pair (a
-        raw parent is a level-0 generalized parent with the identical count
-        layout and normalization), so priming changes no downstream float.
-        """
-        # Lazy import: bn.quality is above this module in the import order.
-        from repro.bn.quality import pair_group_mutual_information
-
-        missing = [c for c in children if (c, (parent,)) not in self._mi]
-        if not missing:
-            return
-        values = pair_group_mutual_information(
-            self.table, ((parent, 0),), missing
-        )
-        for child, value in zip(missing, values):
-            self._mi[(child, (parent,))] = float(value)
-
-    def pair_mi_batch(
-        self, parents: Sequence[Tuple[str, int]], children: Sequence[str]
-    ) -> None:
-        """Prime the generalized-pair memo for many children of one parent
-        set, through the same batched counting + ``I`` kernel path as
-        :mod:`repro.bn.quality` (bit-equal to :meth:`pair_mi` per pair)."""
-        # Lazy import: bn.quality is above this module in the import order.
-        from repro.bn.quality import pair_group_mutual_information
-
-        key_parents = tuple(parents)
-        missing = [
-            c for c in children if (c, key_parents) not in self._pair_mi
-        ]
-        if not missing:
-            return
-        values = pair_group_mutual_information(
-            self.table, key_parents, missing
-        )
-        for child, value in zip(missing, values):
-            self._pair_mi[(child, key_parents)] = float(value)
-
-    def pair_mi(
-        self, child: str, parents: Sequence[Tuple[str, int]]
-    ) -> float:
-        """``I(child, parents)`` where parents carry generalization levels."""
-        # Lazy import: bn.quality is above this module in the import order.
-        from repro.bn.quality import pair_joint_distribution
-
-        key = (child, tuple(parents))
-        if key not in self._pair_mi:
-            joint, child_size = pair_joint_distribution(
-                self.table, child, list(parents)
-            )
-            self._pair_mi[key] = mutual_information(joint, child_size)
-        return self._pair_mi[key]
-
-
 #: Distinct tables a ScoringCache pins before evicting the oldest (FIFO).
 #: A sweep touches one or two tables; callers that churn through fresh
 #: tables (e.g. repeated multitable releases, each truncating anew) would
@@ -598,12 +515,12 @@ class ScoringCache:
     """Per-table registry of scorers and derived-statistic caches.
 
     An ε sweep fits many models over the *same* table; candidate scores,
-    mutual information, parent-set enumerations, the counting engine
-    and contingency counts are deterministic data statistics, so sharing
-    their caches across fits changes no output and spends no privacy
-    budget.  Tables are keyed by object identity (and kept alive by the
-    registry so an id() can never be recycled onto a different table); the
-    registry is bounded to ``_MAX_CACHED_TABLES`` distinct tables, evicting
+    parent-set enumerations, the counting engine and contingency counts
+    are deterministic data statistics, so sharing their caches across
+    fits changes no output and spends no privacy budget.  Tables are
+    keyed by object identity (and kept alive by the registry so an id()
+    can never be recycled onto a different table); the registry is
+    bounded to ``_MAX_CACHED_TABLES`` distinct tables, evicting
     whole-table entries oldest-first.  Evicted consumers keep working off
     their own references — only future lookups rebuild.
     """
@@ -612,7 +529,6 @@ class ScoringCache:
         #: Insertion-ordered registry of live tables (id -> table).
         self._tables: Dict[int, Table] = {}
         self._scorers: Dict[Tuple[int, str], CandidateScorer] = {}
-        self._mi_caches: Dict[int, MutualInformationCache] = {}
         self._joint_counters: Dict[int, object] = {}
         self._parent_indexes: Dict[int, object] = {}
 
@@ -631,7 +547,6 @@ class ScoringCache:
 
     def _evict(self, key: int) -> None:
         self._tables.pop(key, None)
-        self._mi_caches.pop(key, None)
         self._joint_counters.pop(key, None)
         self._parent_indexes.pop(key, None)
         for scorer_key in [k for k in self._scorers if k[0] == key]:
@@ -665,16 +580,10 @@ class ScoringCache:
             )
         return self._scorers[key]
 
-    def mi_cache(self, table: Table) -> MutualInformationCache:
-        key = self._register(table)
-        if key not in self._mi_caches:
-            self._mi_caches[key] = MutualInformationCache(table)
-        return self._mi_caches[key]
-
     def joint_counter(self, table):
         """Shared :class:`~repro.core.noisy_conditionals.JointCounter`.
 
-        Contingency counts are data statistics like scores and MI, so the
+        Contingency counts are data statistics like scores, so the
         fits of a sweep share one counter per table: each AP-pair joint is
         scanned from the data at most once across all releases.
         """

@@ -255,11 +255,6 @@ def _checked_chunks(
         )
 
 
-def to_table(source: ChunkedSource) -> Table:
-    """Materialize a source as a resident table (see ``Table.from_chunks``)."""
-    return Table.from_chunks(source.attributes, source.chunks())
-
-
 # ---------------------------------------------------------------------------
 # Streaming contingency counting
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ from repro.data.attribute import (
     continuous_attribute,
     encode_continuous,
 )
-from repro.data.chunks import ChunkedSource, DEFAULT_CHUNK_ROWS, TableChunks
+from repro.data.chunks import ChunkedSource, DEFAULT_CHUNK_ROWS, as_chunks
 from repro.data.table import Table
 
 PathLike = Union[str, Path]
@@ -724,11 +724,13 @@ def read_csv(
 def _chunk_stream(
     source: Union[Table, ChunkedSource, Iterable[Table]],
 ) -> Tuple[Tuple[Attribute, ...], Iterator[Mapping[str, np.ndarray]]]:
-    """Normalize any writable source to (attributes, chunk iterator)."""
-    if isinstance(source, Table):
-        return source.attributes, TableChunks(source, WRITE_CHUNK_ROWS).chunks()
-    if isinstance(source, ChunkedSource):
-        return source.attributes, source.chunks()
+    """Normalize any writable source to (attributes, chunk iterator).
+
+    A table or chunked source goes through
+    :func:`~repro.data.chunks.as_chunks`, so a source's chunks are checked
+    as counting checks them."""
+    if isinstance(source, (Table, ChunkedSource)):
+        return source.attributes, as_chunks(source, WRITE_CHUNK_ROWS)
     iterator = iter(source)
     try:
         first = next(iterator)
@@ -869,7 +871,11 @@ def write_csv(
     :class:`~repro.data.chunks.ChunkedSource`, or an iterator of chunk
     tables (the shape :func:`repro.core.sampler.sample_synthetic_chunks`
     yields) — the streaming release path holds one chunk of decoded labels
-    at a time.  ``csv.writer`` writes the header and quotes each
+    at a time.  A chunked source's chunks are checked as they arrive, as
+    counting checks them (:func:`~repro.data.chunks.as_chunks`): a chunk
+    whose columns differ in length, or a pass that yields other than the
+    ``n`` rows the source declares, raises ``ValueError`` naming the
+    column or the counts.  ``csv.writer`` writes the header and quotes each
     attribute's labels once; each chunk's rows are then joined from those
     quoted labels (natively when the kernel is loaded) and written at
     once.  Output bytes are identical to writing every row with

@@ -180,14 +180,6 @@ class Table:
         cut = int(round(self._n * fraction))
         return self.take(perm[:cut]), self.take(perm[cut:])
 
-    def with_column(self, attr: Attribute, codes: np.ndarray) -> "Table":
-        """New table with one extra column appended."""
-        if attr.name in self._by_name:
-            raise ValueError(f"attribute {attr.name!r} already present")
-        cols = dict(self._columns)
-        cols[attr.name] = np.asarray(codes, dtype=np.int64)
-        return Table(self._attributes + (attr,), cols)
-
     def drop(self, names: Iterable[str]) -> "Table":
         drop_set = set(names)
         keep = [a.name for a in self._attributes if a.name not in drop_set]
@@ -221,21 +213,6 @@ class Table:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_records(
-        attributes: Sequence[Attribute], matrix: np.ndarray
-    ) -> "Table":
-        """Build a table from an ``(n, d)`` code matrix in schema order."""
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(attributes):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {len(attributes)} attributes"
-            )
-        cols = {
-            attr.name: matrix[:, j].copy() for j, attr in enumerate(attributes)
-        }
-        return Table(attributes, cols)
-
     @staticmethod
     def from_chunks(
         attributes: Sequence[Attribute],
@@ -271,20 +248,3 @@ class Table:
             for name, arrays in parts.items()
         }
         return Table(attributes, columns)
-
-    @staticmethod
-    def from_labels(
-        attributes: Sequence[Attribute],
-        rows: Sequence[Sequence[str]],
-    ) -> "Table":
-        """Build a table from label tuples (encoding each via its attribute)."""
-        columns: Dict[str, List[str]] = {a.name: [] for a in attributes}
-        for row in rows:
-            if len(row) != len(attributes):
-                raise ValueError("row length does not match schema")
-            for attr, label in zip(attributes, row):
-                columns[attr.name].append(label)
-        encoded = {
-            attr.name: attr.encode(columns[attr.name]) for attr in attributes
-        }
-        return Table(attributes, encoded)

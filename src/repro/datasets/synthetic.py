@@ -235,11 +235,3 @@ def random_binary_source(
     attrs = [Attribute.binary(f"x{i}") for i in range(d)]
     specs = random_network_specs(attrs, max_parents, structure_rng, concentration)
     return NetworkSource(specs, n, seed=seed, chunk_rows=chunk_rows)
-
-
-def cpt_from_logits(logits: np.ndarray) -> np.ndarray:
-    """Row-softmax helper for hand-built CPTs."""
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)

@@ -216,11 +216,3 @@ class PrivacyAccountant:
     ) -> Tuple[float, ...]:
         """Shares of this accountant's *total* budget (no spend recorded)."""
         return split_epsilon(self.total_epsilon, fractions, remainder)
-
-    def assert_exhausted(self, tolerance: float = 1e-6) -> None:
-        """Check that the whole budget was used (optional sanity check)."""
-        if abs(self.remaining) > tolerance:
-            raise PrivacyBudgetError(
-                f"budget not exhausted: {self.remaining:g} of "
-                f"{self.total_epsilon:g} remains"
-            )

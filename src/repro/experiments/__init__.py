@@ -19,7 +19,6 @@ from repro.experiments.parallel import (
     cell_seed,
     mean_reduce,
 )
-from repro.experiments.plotting import render_chart
 from repro.experiments.table5 import run_table5
 from repro.experiments.fig4_scores import run_fig4
 from repro.experiments.fig5_6_encodings_marginals import run_encoding_marginals
@@ -38,7 +37,6 @@ __all__ = [
     "cell_seed",
     "mean_reduce",
     "render_result",
-    "render_chart",
     "subsample_workload",
     "run_table5",
     "run_fig4",

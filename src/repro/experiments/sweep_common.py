@@ -27,7 +27,6 @@ from repro.experiments.parallel import (
     SweepCell,
     get_worker_state,
     run_cells,
-    set_worker_state,
 )
 
 #: dataset -> (Q_α for the counting task, SVM task index, release method).
@@ -153,17 +152,6 @@ def evaluate_svm_synthetic(synthetic, task, X_test, y_test) -> float:
 
 #: Worker-state key under which the sweep's context is fork-inherited.
 SWEEP_CONTEXT_KEY = "sweep_common.context"
-
-
-def activate_sweep_context(context: SweepContext) -> None:
-    """Install ``context`` as the state :func:`release_cell` reads.
-
-    The install half of what :func:`run_sweep_cells` does around a whole
-    sweep (the fig 9/10/11 path — it also clears the state afterwards);
-    use this directly only to drive :func:`release_cell` by hand, paired
-    with ``clear_worker_state(SWEEP_CONTEXT_KEY)`` when done.
-    """
-    set_worker_state(SWEEP_CONTEXT_KEY, context)
 
 
 def run_sweep_cells(context: SweepContext, cells, jobs: int = 1):

@@ -5,23 +5,15 @@ used in this paper are to the base 2").
 """
 
 from repro.infotheory.measures import (
-    conditional_entropy,
     entropy,
-    entropy_segmented,
-    kl_divergence,
     mutual_information,
     mutual_information_from_table,
-    segment_sums,
     total_variation_distance,
 )
 
 __all__ = [
     "entropy",
-    "entropy_segmented",
-    "segment_sums",
-    "conditional_entropy",
     "mutual_information",
     "mutual_information_from_table",
-    "kl_divergence",
     "total_variation_distance",
 ]

@@ -1,4 +1,4 @@
-"""Entropy, mutual information, KL divergence, total variation distance.
+"""Entropy, mutual information and total variation distance.
 
 Inputs are flat probability vectors (see :mod:`repro.data.marginals` for the
 mixed-radix layout).  Mutual information between a child attribute ``X`` and
@@ -26,30 +26,20 @@ def entropy(dist: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum() / _LOG2)
 
 
-def _validate_segment_ids(
-    size: int, ids: np.ndarray, num_segments: int
-) -> None:
-    if num_segments < 0:
-        raise ValueError("num_segments must be non-negative")
-    if size != ids.size:
-        raise ValueError("values and segment_ids must have the same length")
-    if ids.size:
-        if np.any(np.diff(ids) < 0):
-            raise ValueError("segment_ids must be sorted non-decreasing")
-        if ids[0] < 0 or ids[-1] >= num_segments:
-            raise ValueError("segment_ids must lie in [0, num_segments)")
-
-
 def _sums_by_count(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Exact sums of contiguous segments with the given element counts.
+    """Exact sums of contiguous segments of ``flat`` with the given
+    element counts.
 
-    Shared core of :func:`segment_sums` and :func:`entropy_segmented`
-    (which validate and derive ``counts`` from ``segment_ids``).  Segments
-    are permuted into length order once so each length class is a single
-    contiguous block, then every block reduces as the rows of a rectangular
-    view — NumPy sums the trailing contiguous axis of a 2-D array with the
-    same pairwise order it applies to each row as a standalone 1-D array,
-    so each output is bit-identical to that segment's own ``.sum()``.
+    The result is **bit-identical** to ``segment.sum()`` computed per
+    segment, and an empty segment sums to ``0.0``.  Segments are permuted
+    into length order once so each length class is a single contiguous
+    block, then every block reduces as the rows of a rectangular view —
+    NumPy sums the trailing contiguous axis of a 2-D array with the same
+    pairwise order it applies to each row as a standalone 1-D array.  This
+    is the exact-sum core under the segmented score kernels
+    (:mod:`repro.core.score_kernels`): "vectorize across candidates
+    without changing any candidate's float" is only possible because the
+    per-segment reduction order is preserved.
     """
     num_segments = counts.size
     sums = np.zeros(num_segments)
@@ -84,42 +74,17 @@ def _sums_by_count(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def segment_sums(
-    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Exact per-segment sums of a flat float64 array.
-
-    ``segment_ids`` assigns each element to a segment and must be sorted
-    non-decreasing (segments are contiguous runs — the layout every
-    concatenated-joint caller already has).  The result is **bit-identical**
-    to ``values[segment].sum()`` computed per segment: segments are grouped
-    by length and reduced as the rows of rectangular views, and NumPy
-    reduces the trailing contiguous axis of a 2-D array with the same
-    pairwise-summation order it applies to each row as a standalone 1-D
-    array.  Empty segments sum to ``0.0``, like ``np.sum`` of an empty
-    array.
-
-    This is the exact-sum core under :func:`entropy_segmented` and the
-    segmented score kernels (:mod:`repro.core.score_kernels`): "vectorize
-    across candidates without changing any candidate's float" is only
-    possible because the per-segment reduction order is preserved.
-    """
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
-    _validate_segment_ids(flat.size, ids, num_segments)
-    counts = np.bincount(ids, minlength=num_segments)
-    return _sums_by_count(flat, counts)
-
-
 def _entropy_by_count(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Entropies of contiguous segments with the given element counts.
+    """Shannon entropies (bits) of the contiguous segments of ``p`` with
+    the given element counts.
 
-    Core of :func:`entropy_segmented`, also driven directly by the ragged
-    score kernels (which know their segment lengths and need no id
-    vector).  The zero compaction and ``log`` are elementwise, and the
+    Each output is bit-equal to :func:`entropy` on that segment alone:
+    the zero compaction, ``log`` and multiply are elementwise, the
     per-segment nonzero counts fall out of one cumulative sum of the mask,
-    so the only per-segment work is the exact reduction in
-    :func:`_sums_by_count`.
+    and the only per-segment work is the exact reduction in
+    :func:`_sums_by_count`.  The ragged ``I`` kernel
+    (:func:`repro.core.score_kernels.score_I_segments`) computes all three
+    entropies of every candidate with it.
     """
     mask = p > 0.0
     if mask.all():  # common for marginals: nothing to compact
@@ -132,36 +97,6 @@ def _entropy_by_count(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
     terms = np.log(nz)
     terms *= nz
     return _sums_by_count(terms, nz_counts) / -_LOG2
-
-
-def entropy_segmented(
-    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Shannon entropies (bits) of many probability vectors at once.
-
-    ``values`` concatenates the vectors; ``segment_ids`` (sorted
-    non-decreasing) says which vector each element belongs to.  Each output
-    is bit-equal to :func:`entropy` on that segment alone: the nonzero
-    compaction, ``log`` and multiply are elementwise (position-independent),
-    and the ragged per-segment reduction goes through
-    :func:`segment_sums`, which preserves NumPy's per-array pairwise
-    summation order.  The expensive parts — compaction and ``np.log`` —
-    run once over the whole batch instead of once per vector, which is the
-    whole speedup.
-    """
-    p = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
-    _validate_segment_ids(p.size, ids, num_segments)
-    counts = np.bincount(ids, minlength=num_segments)
-    return _entropy_by_count(p, counts)
-
-
-def conditional_entropy(joint: np.ndarray, child_size: int) -> float:
-    """``H(X | Π)`` from a flat ``Pr[Π, X]`` vector with child innermost."""
-    joint = np.asarray(joint, dtype=float)
-    matrix = joint.reshape(-1, child_size)
-    parent = matrix.sum(axis=1)
-    return entropy(joint) - entropy(parent)
 
 
 def mutual_information(joint: np.ndarray, child_size: int) -> float:
@@ -190,18 +125,6 @@ def mutual_information_from_table(
     if total <= 0:
         return 0.0
     return mutual_information(counts / total, table.attribute(child).size)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """``D_KL(P || Q)`` in bits; ``inf`` when P puts mass where Q has none."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must have the same shape")
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return float("inf")
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum() / _LOG2)
 
 
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:

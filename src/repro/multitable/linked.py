@@ -45,12 +45,6 @@ class LinkedTables:
         counts = self.fanout_counts()
         return int(counts.max()) if counts.size else 0
 
-    def children_of(self, individual: int) -> Table:
-        """The child rows owned by one primary row."""
-        if not 0 <= individual < self.primary.n:
-            raise IndexError(f"individual {individual} out of range")
-        return self.child.take(np.nonzero(self.owners == individual)[0])
-
     def truncate(
         self, max_rows: int, rng: Optional[np.random.Generator] = None
     ) -> "LinkedTables":

@@ -15,14 +15,36 @@ under the accountant's lock, (2) written to disk, and only then (3)
 returned to the caller — the caller touches data strictly after the
 grant is durable.  If the write fails, the in-memory charge is unwound
 (no data was accessed under it) and the error propagates.
+
+Across processes the file is the source of truth.  For a file-backed
+ledger every call that reads or changes budget state — registration,
+each spend, :meth:`DatasetLedger.datasets` and
+:meth:`DatasetLedger.report` — runs under the ledger's thread lock plus
+an exclusive ``fcntl.flock`` on the sidecar ``<ledger>.lock`` file, and
+first re-reads the ledger file (with the load-time checks).  So two
+processes (or two ledgers in one process) sharing a file check every
+charge against all the charges any of them has made, and a grant is in
+the file before its spender sees it, so a ``kill -9`` cannot lose it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.serialize import atomic_write_text
 from repro.dp.accountant import PrivacyAccountant
@@ -40,28 +62,36 @@ _REPLAY_TOLERANCE = 1e-9
 class _PersistentAccountant(PrivacyAccountant):
     """An accountant whose grants are durable before they are usable.
 
-    ``spend`` runs the whole charge-then-persist transaction under the
-    owning ledger's transaction lock, so concurrent spenders (and the
-    rollback of a failed persist) can never interleave: the entry
-    unwound on failure is always the one this call appended.
+    ``spend`` runs the whole charge-then-persist transaction inside the
+    owning ledger's transaction (which first refreshes this accountant
+    from the ledger file), so concurrent spenders (and the rollback of a
+    failed persist) can never interleave: the entry unwound on failure
+    is always the one this call appended.
     """
 
     def __init__(
         self,
         total_epsilon: float,
         entries: Sequence[Tuple[str, float]],
-        transaction_lock: threading.Lock,
+        transaction: Callable[[], ContextManager[None]],
         persist_locked: Callable[[], None],
     ) -> None:
         super().__init__(
             float(total_epsilon),
             [(str(label), float(amount)) for label, amount in entries],
         )
-        self._transaction_lock = transaction_lock
+        self._transaction = transaction
         self._persist_locked = persist_locked
 
+    def _take(self, other: PrivacyAccountant) -> None:
+        """Take the budget and charges of ``other``, read from the file."""
+        with self._lock:
+            self.total_epsilon = other.total_epsilon
+            self._ledger[:] = other._ledger
+            self._spent = other._spent
+
     def spend(self, label: str, epsilon: float) -> float:
-        with self._transaction_lock:
+        with self._transaction():
             granted = PrivacyAccountant.spend(self, label, epsilon)
             try:
                 self._persist_locked()
@@ -86,7 +116,9 @@ class DatasetLedger:
         in-memory (tests, demos); otherwise the file is loaded if present
         and every grant is atomically rewritten through a temp file +
         ``os.replace``, so readers and restarts see either the previous
-        complete document or the new one.
+        complete document or the new one.  Each call re-reads the file
+        under an exclusive ``flock`` on ``<path>.lock`` first, so ledgers
+        in other processes sharing the file are accounted for.
 
     Usage::
 
@@ -100,11 +132,28 @@ class DatasetLedger:
     def __init__(self, path: Optional[PathLike] = None) -> None:
         self._path = Path(path) if path is not None else None
         # Transaction lock: serializes every (charge, persist) pair and
-        # dataset registration across all of this ledger's accountants.
+        # dataset registration across all of this ledger's accountants;
+        # the sidecar file lock extends that to other processes.
         self._lock = threading.Lock()
         self._accountants: Dict[str, _PersistentAccountant] = {}
         if self._path is not None and self._path.exists():
             self._load()
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """Hold the thread lock and, for a file-backed ledger, an exclusive
+        ``flock`` on ``<ledger>.lock``, with every accountant refreshed
+        from the ledger file."""
+        with self._lock:
+            if self._path is None:
+                yield
+                return
+            lock_path = self._path.with_name(self._path.name + ".lock")
+            with open(lock_path, "a") as lock_file:
+                fcntl.flock(lock_file, fcntl.LOCK_EX)
+                if self._path.exists():
+                    self._load()
+                yield
 
     # ------------------------------------------------------------------
     # Accountant access
@@ -119,7 +168,7 @@ class DatasetLedger:
         given, must match the recorded budget (a silently re-opened
         budget would be a composition bug, so a mismatch raises).
         """
-        with self._lock:
+        with self._transaction():
             existing = self._accountants.get(dataset)
             if existing is not None:
                 if (
@@ -138,7 +187,7 @@ class DatasetLedger:
                     "total_epsilon to register it"
                 )
             account = _PersistentAccountant(
-                float(total_epsilon), [], self._lock, self._persist_locked
+                float(total_epsilon), [], self._transaction, self._persist_locked
             )
             self._accountants[dataset] = account
             try:
@@ -150,27 +199,32 @@ class DatasetLedger:
 
     def datasets(self) -> List[str]:
         """Registered dataset names, sorted."""
-        with self._lock:
+        with self._transaction():
             return sorted(self._accountants)
 
     def report(self) -> Dict[str, Dict]:
         """Budget summary per dataset (for the CLI / monitoring)."""
-        with self._lock:
-            accounts = dict(self._accountants)
-        return {
-            name: {
-                "total_epsilon": account.total_epsilon,
-                "spent": account.spent,
-                "remaining": account.remaining,
-                "charges": account.ledger,
+        with self._transaction():
+            return {
+                name: {
+                    "total_epsilon": account.total_epsilon,
+                    "spent": account.spent,
+                    "remaining": account.remaining,
+                    "charges": account.ledger,
+                }
+                for name, account in sorted(self._accountants.items())
             }
-            for name, account in sorted(accounts.items())
-        }
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def _load(self) -> None:
+        """Read the ledger file into the accountants, after checking it.
+
+        A dataset already held keeps its accountant object (callers hold
+        it) and takes the file's budget and charges; a dataset held only
+        in memory is kept, so its charges are written back, never lost.
+        """
         try:
             doc = json.loads(self._path.read_text())
         except json.JSONDecodeError as exc:
@@ -189,6 +243,7 @@ class DatasetLedger:
             raise ValueError(
                 f"ledger file {self._path}: missing 'datasets' mapping"
             )
+        loaded = {}
         for name in sorted(datasets):
             entry = datasets[name]
             try:
@@ -198,7 +253,7 @@ class DatasetLedger:
                         (str(label), float(amount))
                         for label, amount in entry["ledger"]
                     ],
-                    self._lock,
+                    self._transaction,
                     self._persist_locked,
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -213,10 +268,17 @@ class DatasetLedger:
                     f"budget {account.total_epsilon:g} — refusing a "
                     "ledger the accountant could not have written"
                 )
-            self._accountants[name] = account
+            loaded[name] = account
+        for name, account in loaded.items():
+            held = self._accountants.get(name)
+            if held is None:
+                self._accountants[name] = account
+            else:
+                held._take(account)
 
     def _persist_locked(self) -> None:
-        """Write the full ledger state; caller holds ``self._lock``."""
+        """Write the full ledger state; caller is inside
+        :meth:`_transaction`."""
         if self._path is None:
             return
         doc = {

@@ -121,16 +121,6 @@ class TestResolution:
         # No defining module exists; resolution must stop, not recurse.
         assert graph.resolve("a", "thing") in ("a.thing", "b.thing", "thing")
 
-    def test_defining_module(self):
-        graph = graph_of(
-            src__repro__dp__accountant="class PrivacyAccountant:\n    pass\n",
-        )
-        assert (
-            graph.defining_module("repro.dp.accountant.PrivacyAccountant")
-            == "repro.dp.accountant"
-        )
-        assert graph.defining_module("repro.dp.accountant.nope") is None
-
     def test_syntax_errors_are_skipped_not_fatal(self):
         graph = graph_of(
             src__ok="x = 1\n",

@@ -1,16 +1,25 @@
-"""Non-private reference structure search: Chow-Liu trees and brute force.
+"""Reference implementations for the ``repro.bn`` tests.
 
-These are the gold standards the private algorithms approximate:
+Non-private structure searches and exact-model oracles that the library
+never calls, kept as test oracles:
 
 * :func:`chow_liu_tree` — the exact optimal 1-degree network (Chow & Liu
   1968): a maximum spanning tree over pairwise mutual information, rooted
   at a chosen attribute.  Algorithm 2 with ``k = 1`` and argmax selection
-  is equivalent (Section 4.1); this module provides the independent MST
-  construction used to verify that claim in tests.
+  is equivalent (Section 4.1); this is the independent MST construction
+  that checks the claim.
 * :func:`exhaustive_best_network` — the true optimum ``max Σ I(X_i, Π_i)``
   over *all* attribute orders and parent sets, by dynamic programming over
   subsets.  Exponential in ``d`` (the problem is NP-hard for ``k > 1``,
   Section 4.1), usable for ``d ≤ ~12``.
+* :func:`network_score` — ``Σ I(X_i, Π_i)`` of a raw-parent network,
+  pair by pair through
+  :func:`~repro.infotheory.measures.mutual_information_from_table`.
+* :func:`exact_model_joint` — the model's ``Pr_N[A]`` over the full
+  domain, and :func:`model_kl_to_data` its KL divergence from the data
+  (:func:`kl_divergence`), the two sides of Equation 6.
+
+Slow and plainly correct; never used by the library.
 """
 
 from __future__ import annotations
@@ -22,48 +31,28 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bn.network import APPair, BayesianNetwork
-from repro.core.scoring import MutualInformationCache
+from repro.data.marginals import (
+    domain_size,
+    flatten_index,
+    joint_distribution,
+    unflatten_index,
+)
 from repro.data.table import Table
+from repro.infotheory.measures import mutual_information_from_table
+
+_LOG2 = np.log(2.0)
 
 
-def _check_mi_cache(
-    mi_cache: Optional[MutualInformationCache], table: Table
-) -> MutualInformationCache:
-    """Use the caller's cache after checking it was built on this table."""
-    if mi_cache is None:
-        return MutualInformationCache(table)
-    if mi_cache.table is not table:
-        raise ValueError("mi_cache was built for a different table")
-    return mi_cache
+def pairwise_mutual_information(table: Table) -> Dict[Tuple[str, str], float]:
+    """``I(X, Y)`` for every unordered attribute pair ``(X, Y)``, as
+    ``I(Y, {X})``."""
+    return {
+        (a, b): mutual_information_from_table(table, b, [a])
+        for a, b in itertools.combinations(table.attribute_names, 2)
+    }
 
 
-def pairwise_mutual_information(
-    table: Table, mi_cache: Optional[MutualInformationCache] = None
-) -> Dict[Tuple[str, str], float]:
-    """``I(X, Y)`` for every unordered attribute pair.
-
-    All pairs anchored on one attribute are counted in a single stacked
-    contingency pass and scored through the batched ``I`` kernel
-    (:meth:`~repro.core.scoring.MutualInformationCache.mi_batch`) — ``d``
-    table scans instead of ``d²/2``, bit-identical values.  ``mi_cache``
-    (a shared :class:`~repro.core.scoring.MutualInformationCache`) makes
-    repeated calls over the same table free.
-    """
-    mi_cache = _check_mi_cache(mi_cache, table)
-    names = list(table.attribute_names)
-    for i, anchor in enumerate(names[:-1]):
-        mi_cache.mi_batch(anchor, names[i + 1 :])
-    out = {}
-    for a, b in itertools.combinations(names, 2):
-        out[(a, b)] = mi_cache.mi(b, (a,))
-    return out
-
-
-def chow_liu_tree(
-    table: Table,
-    root: Optional[str] = None,
-    mi_cache: Optional[MutualInformationCache] = None,
-) -> BayesianNetwork:
+def chow_liu_tree(table: Table, root: Optional[str] = None) -> BayesianNetwork:
     """Exact optimal 1-degree network via maximum spanning tree.
 
     Kruskal over edges weighted by mutual information, then oriented away
@@ -78,7 +67,7 @@ def chow_liu_tree(
         raise ValueError(f"unknown root {root!r}")
     if len(names) == 1:
         return BayesianNetwork([APPair.make(root, [])])
-    weights = pairwise_mutual_information(table, mi_cache)
+    weights = pairwise_mutual_information(table)
     edges = sorted(weights.items(), key=lambda kv: -kv[1])
     # Kruskal with union-find.
     parent_of = {name: name for name in names}
@@ -120,32 +109,27 @@ def chow_liu_tree(
     return BayesianNetwork(pairs)
 
 
-def network_score(
-    table: Table,
-    network: BayesianNetwork,
-    mi_cache: Optional[MutualInformationCache] = None,
-) -> float:
-    """``Σ I(X_i, Π_i)`` of a network on the empirical distribution."""
-    mi_cache = _check_mi_cache(mi_cache, table)
+def network_score(table: Table, network: BayesianNetwork) -> float:
+    """``Σ I(X_i, Π_i)`` of a raw-parent network on the empirical
+    distribution."""
     total = 0.0
     for pair in network:
         if pair.parents:
-            total += mi_cache.mi(pair.child, pair.parent_names)
+            total += mutual_information_from_table(
+                table, pair.child, list(pair.parent_names)
+            )
     return total
 
 
 def exhaustive_best_network(
-    table: Table,
-    k: int,
-    max_d: int = 12,
-    mi_cache: Optional[MutualInformationCache] = None,
+    table: Table, k: int, max_d: int = 12
 ) -> BayesianNetwork:
     """The true optimal ``k``-degree network by subset dynamic programming.
 
     State: the set ``S`` of already-placed attributes; value: the best
     achievable ``Σ I`` placing exactly the attributes of ``S`` first.
     Transition: append attribute ``x ∉ S`` with its best parent set
-    ``Π ⊆ S, |Π| ≤ k``.  ``O(2^d · d · C(d, k))`` — reference only.
+    ``Π ⊆ S, |Π| ≤ k``.  ``O(2^d · d · C(d, k))``.
     """
     names = list(table.attribute_names)
     d = len(names)
@@ -153,8 +137,6 @@ def exhaustive_best_network(
         raise ValueError(f"exhaustive search limited to d <= {max_d}")
     if d == 0:
         return BayesianNetwork([])
-    mi_cache = _check_mi_cache(mi_cache, table)
-    index = {name: i for i, name in enumerate(names)}
 
     # Best parent set (and its MI) for each (attribute, available-mask).
     best_mi: Dict[Tuple[int, int], Tuple[float, Tuple[str, ...]]] = {}
@@ -167,9 +149,7 @@ def exhaustive_best_network(
         best = (0.0, ())
         width = min(k, len(available))
         for combo in itertools.combinations(available, width):
-            # The MI cache dedupes the same (child, combo) across the
-            # exponentially many masks that expose it.
-            mi = mi_cache.mi(names[x], combo)
+            mi = mutual_information_from_table(table, names[x], list(combo))
             if mi > best[0]:
                 best = (mi, combo)
         best_mi[key] = best
@@ -200,3 +180,63 @@ def exhaustive_best_network(
         mask &= ~(1 << x)
     order.reverse()
     return BayesianNetwork([APPair.make(child, parents) for child, parents in order])
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """``D_KL(P || Q)`` in bits; ``inf`` when P puts mass where Q has none."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("distributions must have the same shape")
+    mask = p > 0.0
+    if np.any(q[mask] <= 0.0):
+        return float("inf")
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum() / _LOG2)
+
+
+def exact_model_joint(table: Table, network: BayesianNetwork) -> np.ndarray:
+    """Materialize ``Pr_N[A]`` over the full domain (small domains only).
+
+    Attributes follow the network's construction order.
+    """
+    order = list(network.attribute_order)
+    sizes = [table.attribute(name).size for name in order]
+    total = domain_size(sizes)
+    if total > 2_000_000:
+        raise ValueError(f"domain size {total} too large to materialize")
+    grid = np.ones(total, dtype=float)
+    coords = unflatten_index(np.arange(total), sizes)  # (total, d)
+    position = {name: i for i, name in enumerate(order)}
+    for pair in network:
+        child_idx = position[pair.child]
+        child_size = sizes[child_idx]
+        if pair.parents:
+            if any(level != 0 for _, level in pair.parents):
+                raise ValueError(
+                    "exact_model_joint does not support generalized parents"
+                )
+            parent_names = list(pair.parent_names)
+            joint = joint_distribution(table, parent_names + [pair.child])
+            parent_sizes = [table.attribute(p).size for p in parent_names]
+            conditional = joint.reshape(-1, child_size)
+            row_sums = conditional.sum(axis=1, keepdims=True)
+            safe = np.where(row_sums > 0, row_sums, 1.0)
+            conditional = np.where(
+                row_sums > 0, conditional / safe, 1.0 / child_size
+            )
+            parent_flat = flatten_index(
+                [coords[:, position[p]] for p in parent_names], parent_sizes, total
+            )
+            grid *= conditional[parent_flat, coords[:, child_idx]]
+        else:
+            marginal = joint_distribution(table, [pair.child])
+            grid *= marginal[coords[:, child_idx]]
+    return grid
+
+
+def model_kl_to_data(table: Table, network: BayesianNetwork) -> float:
+    """``D_KL(Pr[A] || Pr_N[A])`` over the full domain (small domains only)."""
+    order = list(network.attribute_order)
+    data_joint = joint_distribution(table, order)
+    model_joint = exact_model_joint(table, network)
+    return kl_divergence(data_joint, model_joint)

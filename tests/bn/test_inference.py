@@ -57,7 +57,7 @@ class TestExactness:
         assert np.allclose(ab.reshape(2, 2), ba.reshape(2, 2).T)
 
     def test_full_joint_matches_model(self, binary_table):
-        from repro.bn.quality import exact_model_joint
+        from bn_reference import exact_model_joint
 
         model = _oracle_model(binary_table)
         names = list(binary_table.attribute_names)

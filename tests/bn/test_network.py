@@ -63,18 +63,6 @@ class TestBayesianNetwork:
         )
         assert net.edges() == [("a", "b")]
 
-    def test_pair_for(self):
-        net = BayesianNetwork([APPair.make("a", [])])
-        assert net.pair_for("a").child == "a"
-        with pytest.raises(KeyError):
-            net.pair_for("zz")
-
-    def test_parent_levels(self):
-        net = BayesianNetwork(
-            [APPair.make("a", []), APPair.make("b", [("a", 1)])]
-        )
-        assert net.parent_levels() == {"a": {}, "b": {"a": 1}}
-
     def test_equality_and_hash(self):
         n1 = BayesianNetwork([APPair.make("a", [])])
         n2 = BayesianNetwork([APPair.make("a", [])])

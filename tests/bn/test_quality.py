@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
+from bn_reference import exact_model_joint, kl_divergence, model_kl_to_data
+from core_reference import reference_counts
 from repro.bn.network import APPair, BayesianNetwork
 from repro.bn.quality import (
-    exact_model_joint,
+    ParentIndexCache,
     generalized_codes,
-    model_kl_to_data,
     network_mutual_information,
-    pair_joint_distribution,
 )
+from repro.core.scoring import CandidateScorer
 from repro.data.attribute import Attribute
 from repro.data.marginals import joint_distribution
 from repro.data.table import Table
 from repro.data.taxonomy import TaxonomyTree
+
+
+def _I(table):
+    return CandidateScorer(table, "I")
 
 
 def _chain(names):
@@ -28,11 +33,11 @@ class TestNetworkMI:
         net = BayesianNetwork(
             [APPair.make(n, []) for n in binary_table.attribute_names]
         )
-        assert network_mutual_information(binary_table, net) == 0.0
+        assert network_mutual_information(net, _I(binary_table)) == 0.0
 
     def test_chain_on_correlated_data_positive(self, binary_table):
         net = _chain(list(binary_table.attribute_names))
-        assert network_mutual_information(binary_table, net) > 0.2
+        assert network_mutual_information(net, _I(binary_table)) > 0.2
 
     def test_better_structure_scores_higher(self, binary_table):
         # b follows a strongly; pairing (b|a) must beat (b|c).
@@ -44,9 +49,24 @@ class TestNetworkMI:
         bad = BayesianNetwork(
             [APPair.make("c", []), APPair.make("b", ["c"])]
         )
-        assert network_mutual_information(t, good) > network_mutual_information(
-            bad_t, bad
+        assert network_mutual_information(good, _I(t)) > network_mutual_information(
+            bad, _I(bad_t)
         )
+
+    @pytest.mark.parametrize("score", ["R", "F"])
+    def test_needs_an_I_scorer(self, binary_table, score):
+        net = _chain(list(binary_table.attribute_names))
+        with pytest.raises(ValueError, match=f"'I' scorer, not '{score}'"):
+            network_mutual_information(net, CandidateScorer(binary_table, score))
+
+    def test_attribute_outside_the_scorers_table_raises(self, binary_table):
+        """The scorer carries the table: a network over other attributes
+        is refused, not scored as zero."""
+        net = BayesianNetwork(
+            [APPair.make("a", []), APPair.make("zz", ["a"])]
+        )
+        with pytest.raises(KeyError, match="zz"):
+            network_mutual_information(net, _I(binary_table))
 
 
 class TestGeneralizedCodes:
@@ -63,19 +83,31 @@ class TestGeneralizedCodes:
 
 
 class TestPairJoint:
+    """One AP pair's joint from the shared counting cache, against the
+    per-row reference count."""
+
     def test_layout_child_innermost(self, mixed_table):
-        joint, child_size = pair_joint_distribution(
-            mixed_table, "warm_flag", (("color", 0),)
+        parents = (("color", 0),)
+        block, _, _, _, child_sizes = ParentIndexCache(mixed_table).counts(
+            parents, ("warm_flag",)
         )
-        assert child_size == 2
-        assert joint.size == 8
-        assert joint.sum() == pytest.approx(1.0)
+        assert child_sizes == (2,)
+        assert block.size == 8
+        assert block.sum() == mixed_table.n
+        assert np.array_equal(
+            block, reference_counts(mixed_table, "warm_flag", parents)
+        )
 
     def test_generalized_parent(self, mixed_table):
-        joint, child_size = pair_joint_distribution(
-            mixed_table, "warm_flag", (("color", 1),)
+        parents = (("color", 1),)
+        block, _, _, parent_sizes, _ = ParentIndexCache(mixed_table).counts(
+            parents, ("warm_flag",)
         )
-        assert joint.size == 4
+        assert parent_sizes == (2,)
+        assert block.size == 4
+        assert np.array_equal(
+            block, reference_counts(mixed_table, "warm_flag", parents)
+        )
 
 
 class TestExactJoint:
@@ -117,7 +149,7 @@ class TestExactJoint:
 
         net = _chain(list(binary_table.attribute_names))
         names = list(binary_table.attribute_names)
-        sum_mi = network_mutual_information(binary_table, net)
+        sum_mi = network_mutual_information(net, _I(binary_table))
         sum_h = sum(
             entropy(joint_distribution(binary_table, [n])) for n in names
         )
@@ -138,3 +170,25 @@ class TestExactJoint:
         net = _chain([a.name for a in attrs])
         with pytest.raises(ValueError, match="too large"):
             exact_model_joint(table, net)
+
+
+class TestKL:
+    def test_zero_for_identical(self):
+        p = np.array([0.3, 0.7])
+        assert kl_divergence(p, p) == pytest.approx(0.0)
+
+    def test_infinite_when_support_missing(self):
+        assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == float(
+            "inf"
+        )
+
+    def test_nonnegative(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            p = rng.dirichlet(np.ones(6))
+            q = rng.dirichlet(np.ones(6))
+            assert kl_divergence(p, q) >= -1e-9
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            kl_divergence(np.ones(2) / 2, np.ones(3) / 3)

@@ -1,9 +1,10 @@
-"""Reference structure search: Chow-Liu MST and exhaustive DP optimum."""
+"""Reference structure search: Chow-Liu MST and exhaustive DP optimum,
+against the greedy learner (Section 4.1)."""
 
 import numpy as np
 import pytest
 
-from repro.bn.structure_search import (
+from bn_reference import (
     chow_liu_tree,
     exhaustive_best_network,
     network_score,
@@ -107,51 +108,3 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="limited"):
             exhaustive_best_network(t, k=1)
 
-
-class TestSharedMICache:
-    def test_pairwise_uses_cache(self, chain_table):
-        from repro.core.scoring import MutualInformationCache
-
-        cache = MutualInformationCache(chain_table)
-        cached = pairwise_mutual_information(chain_table, mi_cache=cache)
-        fresh = pairwise_mutual_information(chain_table)
-        assert cached == fresh
-        # Every pair landed in the shared memo.
-        assert len(cache._mi) == len(fresh)
-
-    def test_chow_liu_identical_with_cache(self, chain_table):
-        from repro.core.scoring import MutualInformationCache
-
-        cache = MutualInformationCache(chain_table)
-        assert chow_liu_tree(chain_table, mi_cache=cache) == chow_liu_tree(
-            chain_table
-        )
-
-    def test_exhaustive_identical_with_cache(self, chain_table):
-        from repro.core.scoring import MutualInformationCache
-
-        cache = MutualInformationCache(chain_table)
-        with_cache = exhaustive_best_network(chain_table, 1, mi_cache=cache)
-        without = exhaustive_best_network(chain_table, 1)
-        assert with_cache == without
-
-    def test_network_score_identical_with_cache(self, chain_table):
-        from repro.core.scoring import MutualInformationCache
-
-        cache = MutualInformationCache(chain_table)
-        tree = chow_liu_tree(chain_table)
-        assert network_score(chain_table, tree, mi_cache=cache) == network_score(
-            chain_table, tree
-        )
-
-    def test_cache_for_other_table_rejected(self, chain_table, rng):
-        from repro.core.scoring import MutualInformationCache
-
-        other = Table(
-            [Attribute.binary("x")], {"x": rng.integers(0, 2, 100)}
-        )
-        cache = MutualInformationCache(other)
-        with pytest.raises(ValueError, match="different table"):
-            pairwise_mutual_information(chain_table, mi_cache=cache)
-        with pytest.raises(ValueError, match="different table"):
-            network_score(chain_table, chow_liu_tree(chain_table), mi_cache=cache)

@@ -1,7 +1,14 @@
 """Shared fixtures: small deterministic tables used across the suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The counting and scoring oracles in ``tests/core/core_reference.py`` are
+# imported by module name from every test directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "core"))
 
 from repro.data.attribute import Attribute, AttributeKind
 from repro.data.table import Table

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bn.quality import network_mutual_information
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
+from repro.core.scoring import CandidateScorer
 from repro.datasets import load_dataset
 
 
@@ -19,6 +20,7 @@ def nltcs():
 
 
 def _mean_quality_fixed_k(table, score, epsilon1, seeds, k=1):
+    quality = CandidateScorer(table, "I")
     values = []
     for seed in seeds:
         network = greedy_bayes_fixed_k(
@@ -26,7 +28,7 @@ def _mean_quality_fixed_k(table, score, epsilon1, seeds, k=1):
             rng=np.random.default_rng(seed),
             first_attribute=table.attribute_names[0],
         )
-        values.append(network_mutual_information(table, network))
+        values.append(network_mutual_information(network, quality))
     return float(np.mean(values))
 
 
@@ -56,6 +58,8 @@ class TestScoreFunctionAdvantage:
         table = load_dataset("br2000", n=3000, seed=0)
         first = table.attribute_names[0]
 
+        quality = CandidateScorer(table, "I")
+
         def mean_quality(score):
             values = []
             for seed in range(8):
@@ -63,7 +67,7 @@ class TestScoreFunctionAdvantage:
                     table, 0.05, 0.3, 4.0, score=score,
                     rng=np.random.default_rng(seed), first_attribute=first,
                 )
-                values.append(network_mutual_information(table, network))
+                values.append(network_mutual_information(network, quality))
             return float(np.mean(values))
 
         assert mean_quality("R") > mean_quality("I")

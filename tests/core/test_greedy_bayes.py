@@ -178,7 +178,7 @@ class TestThetaVariant:
         )
         # tau = 4000*0.032/16 = 8; child grp (4) allows parent domain <= 2,
         # so 'wide' can only participate generalized (level >= 1).
-        pair = network.pair_for("grp")
+        (pair,) = [p for p in network if p.child == "grp"]
         if pair.parents:
             assert all(level >= 1 for _, level in pair.parents)
 

@@ -26,7 +26,7 @@ class TestBudgetNeverExceeded:
         )
         # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert model.accountant.spent <= epsilon + 1e-9
-        model.accountant.assert_exhausted()
+        assert model.accountant.remaining == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])
     def test_general_fit_spends_at_most_epsilon(self, mixed_table, epsilon):
@@ -35,7 +35,7 @@ class TestBudgetNeverExceeded:
         )
         # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert model.accountant.spent <= epsilon + 1e-9
-        model.accountant.assert_exhausted()
+        assert model.accountant.remaining == pytest.approx(0.0, abs=1e-6)
 
     def test_algorithm1_fallback_cannot_overdraw(self, binary_table):
         """A network violating the Algorithm 2 structural guarantee forces

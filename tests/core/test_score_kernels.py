@@ -451,23 +451,10 @@ class TestEngineIntegration:
         )
         assert np.array_equal(got, dp)
 
-    def test_pairwise_mi_batch_matches_direct(self, wide_binary_table):
-        from repro.bn.structure_search import pairwise_mutual_information
-        from repro.infotheory.measures import mutual_information_from_table
-
-        weights = pairwise_mutual_information(wide_binary_table)
-        for (a, b), value in weights.items():
-            assert value == mutual_information_from_table(
-                wide_binary_table, b, [a]
-            )
-
     def test_network_mi_group_path_matches_pairwise(self, wide_binary_table):
         from repro.bn.network import APPair, BayesianNetwork
-        from repro.bn.quality import (
-            network_mutual_information,
-            pair_joint_distribution,
-        )
-        from repro.core.scoring import MutualInformationCache
+        from repro.bn.quality import network_mutual_information
+        from repro.core.scoring import CandidateScorer
 
         names = list(wide_binary_table.attribute_names)
         # A fan-out network: many children share the same parent set.
@@ -478,14 +465,11 @@ class TestEngineIntegration:
         expected = 0.0
         for pair in network:
             if pair.parents:
-                joint, child_size = pair_joint_distribution(
+                counts = reference_counts(
                     wide_binary_table, pair.child, pair.parents
                 )
-                expected += mutual_information(joint, child_size)
-        got_plain = network_mutual_information(wide_binary_table, network)
-        cache = MutualInformationCache(wide_binary_table)
-        got_cached = network_mutual_information(
-            wide_binary_table, network, mi_cache=cache
-        )
-        assert got_plain == expected
-        assert got_cached == expected
+                expected += mutual_information(counts / wide_binary_table.n, 2)
+        scorer = CandidateScorer(wide_binary_table, "I")
+        assert network_mutual_information(network, scorer) == expected
+        # Second call: every pair is a memo hit.
+        assert network_mutual_information(network, scorer) == expected

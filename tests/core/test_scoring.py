@@ -6,14 +6,16 @@ counts and scores every candidate afresh."""
 import numpy as np
 import pytest
 
-from core_reference import ReferenceScorer
+from core_reference import ReferenceScorer, reference_counts
 from repro.core.scoring import (
     CandidateScorer,
     Candidates,
-    MutualInformationCache,
     ScoringCache,
 )
-from repro.infotheory.measures import mutual_information_from_table
+from repro.infotheory.measures import (
+    mutual_information,
+    mutual_information_from_table,
+)
 
 
 def _fixed_k_candidates(table, k=2):
@@ -244,36 +246,34 @@ class TestSensitivity:
             CandidateScorer(binary_table, "F").selection_sensitivity([])
 
 
-class TestMutualInformationCache:
+class TestMutualInformation:
+    """The ``I`` scorer is the library's mutual-information engine."""
+
     def test_matches_direct_computation(self, binary_table):
-        cache = MutualInformationCache(binary_table)
+        scorer = CandidateScorer(binary_table, "I")
         direct = mutual_information_from_table(binary_table, "b", ["a"])
-        assert cache.mi("b", ("a",)) == direct
-        assert cache.mi("b", ("a",)) == direct  # cached hit
+        assert scorer.score_candidate("b", (("a", 0),)) == direct
+        assert scorer.score_candidate("b", (("a", 0),)) == direct  # memo hit
 
-    def test_pair_mi_handles_generalized_parents(self, mixed_table):
-        from repro.bn.quality import pair_joint_distribution
-        from repro.infotheory.measures import mutual_information
+    def test_generalized_parents(self, mixed_table):
+        scorer = CandidateScorer(mixed_table, "I")
+        counts = reference_counts(mixed_table, "warm_flag", [("color", 1)])
+        assert scorer.score_candidate(
+            "warm_flag", (("color", 1),)
+        ) == mutual_information(counts / mixed_table.n, 2)
 
-        cache = MutualInformationCache(mixed_table)
-        joint, child_size = pair_joint_distribution(
-            mixed_table, "warm_flag", [("color", 1)]
-        )
-        assert cache.pair_mi("warm_flag", (("color", 1),)) == mutual_information(
-            joint, child_size
-        )
-
-    def test_network_quality_with_cache(self, binary_table):
+    def test_network_quality_from_a_warm_scorer(self, binary_table):
         from repro.bn.network import APPair, BayesianNetwork
         from repro.bn.quality import network_mutual_information
 
         network = BayesianNetwork(
             [APPair.make("a", []), APPair.make("b", ["a"])]
         )
-        cache = MutualInformationCache(binary_table)
+        warm = CandidateScorer(binary_table, "I")
+        warm.score_candidate("b", (("a", 0),))
         assert network_mutual_information(
-            binary_table, network, mi_cache=cache
-        ) == network_mutual_information(binary_table, network)
+            network, warm
+        ) == network_mutual_information(network, CandidateScorer(binary_table, "I"))
 
 
 class TestScoringCache:
@@ -283,10 +283,6 @@ class TestScoringCache:
         assert registry.scorer(binary_table, "F") is first
         assert registry.scorer(binary_table, "I") is not first
         assert registry.scorer(mixed_table, "F") is not first
-
-    def test_mi_cache_reused(self, binary_table):
-        registry = ScoringCache()
-        assert registry.mi_cache(binary_table) is registry.mi_cache(binary_table)
 
     def test_joint_counter_reused_and_shares_parent_index(self, binary_table):
         registry = ScoringCache()
@@ -411,12 +407,3 @@ class TestRNGPreservation:
         )
         assert incremental == naive
 
-
-def test_network_quality_rejects_foreign_cache(binary_table, mixed_table):
-    from repro.bn.network import APPair, BayesianNetwork
-    from repro.bn.quality import network_mutual_information
-
-    network = BayesianNetwork([APPair.make("a", []), APPair.make("b", ["a"])])
-    cache = MutualInformationCache(mixed_table)
-    with pytest.raises(ValueError, match="different table"):
-        network_mutual_information(binary_table, network, mi_cache=cache)

@@ -92,7 +92,7 @@ def reference_read(
     every field; rejects an empty file, a header that repeats a name, a
     header without rows and a row of the wrong width.
     """
-    with Path(path).open(newline="") as handle:
+    with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -136,7 +136,7 @@ def reference_write(
 ) -> None:
     """Write the header and every row with ``csv.writer.writerow``."""
     n = len(columns[attributes[0].name]) if attributes else 0
-    with Path(path).open("w", newline="") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow([attr.name for attr in attributes])
         for i in range(n):

@@ -21,8 +21,8 @@ from repro.data.chunks import (
     TableChunks,
     stream_grouped_joint_counts,
     stream_stacked_joint_counts,
-    to_table,
 )
+from repro.data.io import write_csv
 from repro.data.marginals import marginal_counts
 from repro.data.table import Table
 from repro.datasets import load_dataset
@@ -57,7 +57,7 @@ class TestSourceMetadata:
     def test_chunks_concatenate_to_table(self, mixed_table):
         for chunk_rows in chunk_size_grid(mixed_table.n):
             source = TableChunks(mixed_table, chunk_rows)
-            rebuilt = to_table(source)
+            rebuilt = Table.from_chunks(source.attributes, source.chunks())
             for name in mixed_table.attribute_names:
                 np.testing.assert_array_equal(
                     rebuilt.column(name), mixed_table.column(name)
@@ -320,6 +320,44 @@ class TestSourceChecks:
                 stream_stacked_joint_counts(
                     _Feed(attrs, [chunk], 2), (("a", 0),), ["b"]
                 )
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"a": np.array([1, 0, 1])}, "do not match schema"),
+            (
+                {"a": np.array([1.0, 0.0, 1.0]), "b": np.array([0, 0, 1])},
+                "'a' is not a one-dimensional integer array",
+            ),
+            (
+                {"a": np.array([1, 0, 1]), "b": np.array([0])},
+                r"differing lengths \('b' has 1, expected 3\)",
+            ),
+            (
+                {"a": np.array([1, 0, 1]), "b": np.array([0, 2, 1])},
+                r"'b' has code 2 outside \[0, 2\)",
+            ),
+            (
+                {"a": np.array([1, 0]), "b": np.array([0, 0])},
+                "declares n=5 rows but its chunks yielded 4",
+            ),
+            (
+                {"a": np.array([1, 0, 1, 1]), "b": np.array([0, 0, 1, 1])},
+                "declares n=5 rows but its chunks yielded 6",
+            ),
+        ],
+        ids=["schema", "dtype", "ragged", "code", "short", "long"],
+    )
+    def test_write_csv_checks_chunks_like_counting(
+        self, tmp_path, csv_backend, second, message
+    ):
+        """Under either CSV backend, ``write_csv`` refuses a source whose
+        second chunk fails any check that counting makes, naming the
+        column, and a pass that yields other than the declared rows."""
+        attrs = (Attribute.binary("a"), Attribute.binary("b"))
+        first = {"a": np.array([0, 1]), "b": np.array([1, 0])}
+        with pytest.raises(ValueError, match=f"_Feed.*{message}"):
+            write_csv(_Feed(attrs, [first, second], 5), tmp_path / "out.csv")
 
 
 class TestCounterAndScorerEquivalence:

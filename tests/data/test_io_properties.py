@@ -114,7 +114,7 @@ def test_reader_matches_reference(case):
     text, delimiter, n, chunk_rows = case
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "data.csv"
-        with path.open("w", newline="") as handle:
+        with path.open("w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         attributes, expected = reference_read(path, chunk_rows, delimiter=delimiter)
         source = CsvSource(path, chunk_rows=chunk_rows, delimiter=delimiter)
@@ -142,7 +142,7 @@ def test_duplicate_header_rejected_like_reference(case):
     errors = []
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "data.csv"
-        with path.open("w", newline="") as handle:
+        with path.open("w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         for read in (
             lambda: reference_read(path, chunk_rows, delimiter=delimiter),
@@ -175,7 +175,7 @@ def test_row_order_permutes_codes_only(case, seed):
         tables = []
         for name, content in (("rows", text), ("permuted", buffer.getvalue())):
             path = Path(scratch) / f"{name}.csv"
-            with path.open("w", newline="") as handle:
+            with path.open("w", newline="", encoding="utf-8") as handle:
                 handle.write(content)
             tables.append(read_csv(path, delimiter=delimiter))
     original, permuted = tables

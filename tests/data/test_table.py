@@ -90,15 +90,6 @@ class TestDerivations:
         with pytest.raises(ValueError):
             _small().split(1.5, np.random.default_rng(0))
 
-    def test_with_column(self):
-        t = _small().with_column(Attribute.binary("c"), np.array([1, 0, 1, 0]))
-        assert t.d == 3
-        assert t.column("c").tolist() == [1, 0, 1, 0]
-
-    def test_with_duplicate_column_rejected(self):
-        with pytest.raises(ValueError, match="already present"):
-            _small().with_column(Attribute.binary("a"), np.zeros(4, dtype=int))
-
     def test_drop(self):
         t = _small().drop(["a"])
         assert t.attribute_names == ("b",)
@@ -142,20 +133,14 @@ class TestTrustedConstruction:
 class TestRecords:
     def test_records_roundtrip(self):
         t = _small()
-        rebuilt = Table.from_records(t.attributes, t.records())
+        records = t.records()
+        rebuilt = Table(
+            t.attributes,
+            {attr.name: records[:, j] for j, attr in enumerate(t.attributes)},
+        )
         assert rebuilt.column("a").tolist() == t.column("a").tolist()
         assert rebuilt.column("b").tolist() == t.column("b").tolist()
 
     def test_decoded_records(self):
         rows = _small().decoded_records(limit=2)
         assert rows == [("0", "z"), ("1", "x")]
-
-    def test_from_labels(self):
-        attrs = [Attribute.binary("a"), Attribute("b", ("x", "y", "z"))]
-        t = Table.from_labels(attrs, [("0", "z"), ("1", "x")])
-        assert t.column("a").tolist() == [0, 1]
-        assert t.column("b").tolist() == [2, 0]
-
-    def test_from_records_shape_check(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Table.from_records([Attribute.binary("a")], np.zeros((2, 2), dtype=int))

@@ -8,7 +8,6 @@ import pytest
 from repro.datasets import LOADERS, TABLE5, load_dataset
 from repro.datasets.synthetic import (
     NodeSpec,
-    cpt_from_logits,
     random_binary_table,
     random_network_specs,
     sample_network,
@@ -153,8 +152,3 @@ class TestSyntheticGenerators:
         assert any(
             (t1.column(a) != t2.column(a)).any() for a in t1.attribute_names
         )
-
-    def test_cpt_from_logits_stochastic(self):
-        rows = cpt_from_logits(np.array([[0.0, 1.0], [3.0, -3.0]]))
-        assert np.allclose(rows.sum(axis=1), 1.0)
-        assert rows[0, 1] > rows[0, 0]

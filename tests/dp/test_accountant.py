@@ -63,17 +63,6 @@ class TestAccountant:
         labels = [label for label, _ in acc.ledger]
         assert labels == ["network", "marginal[a]"]
 
-    def test_assert_exhausted(self):
-        acc = PrivacyAccountant(1.0)
-        acc.charge("x", 1.0)
-        acc.assert_exhausted()
-
-    def test_assert_exhausted_raises_when_unspent(self):
-        acc = PrivacyAccountant(1.0)
-        acc.charge("x", 0.5)
-        with pytest.raises(PrivacyBudgetError, match="not exhausted"):
-            acc.assert_exhausted()
-
     def test_spend_is_the_primary_name_and_charge_aliases_it(self):
         acc = PrivacyAccountant(1.0)
         granted = acc.spend("a", 0.25)
@@ -95,7 +84,6 @@ class TestAccountant:
         acc = PrivacyAccountant(2.0)
         acc.spend("all", 2.0)
         assert acc.remaining == pytest.approx(0.0, abs=1e-12)
-        acc.assert_exhausted()
         with pytest.raises(PrivacyBudgetError):
             acc.spend("extra", 1e-6)
 

@@ -16,10 +16,38 @@ from repro.experiments import (
     run_theta_sweep,
     subsample_workload,
 )
+from repro.bn.quality import network_mutual_information
+from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
+from repro.core.scoring import CandidateScorer
+from repro.datasets import load_dataset
 from repro.experiments.framework import ExperimentResult
 from repro.experiments.table5 import render_table5
 
 _TINY = dict(epsilons=(0.2, 1.6), repeats=1, n=800, seed=0)
+
+#: ``run_fig4(dataset, epsilons=(0.1, 0.4, 1.6), repeats=2, n=3000,
+#: seed=1).series`` as ``float.hex()`` strings, recorded before the metric
+#: moved onto the ``I`` scorer.
+_FIG4_GOLDEN = {
+    "nltcs": {
+        "I": ["0x1.0cd9ed65504b9p+0", "0x1.a8d650f4259eep+0", "0x1.a975b8b42b6b4p+1"],
+        "R": ["0x1.24ac22b996d5ap+0", "0x1.a0500acf5f84fp+0", "0x1.c8bef61f365d0p+1"],
+        "F": ["0x1.36cf0f1f2770dp+0", "0x1.1f482ca0917e1p+1", "0x1.d6980057b1ef2p+1"],
+        "NoPrivacy": [
+            "0x1.b4bbceec12b6bp+1", "0x1.b4bbceec12b6bp+1", "0x1.e6d35a84df6bep+1",
+        ],
+    },
+    "br2000": {
+        "I": ["0x0.0p+0", "0x1.51378024e6420p-6", "0x1.87ea6ab3a85ccp-3"],
+        "R": ["0x0.0p+0", "0x1.51378024e6420p-6", "0x1.1a85243f4ea99p-1"],
+        "NoPrivacy": ["0x0.0p+0", "0x1.57c162f983940p-5", "0x1.5360f850cc13ap-1"],
+    },
+    "adult": {
+        "I": ["0x0.0p+0", "0x1.d4506ea8f2b00p-7", "0x1.262acf29ccefep-1"],
+        "R": ["0x0.0p+0", "0x1.d4506ea8f2b00p-7", "0x1.39ac8fe95ade1p-1"],
+        "NoPrivacy": ["0x0.0p+0", "0x1.d4506ea8f2b00p-7", "0x1.39404037655dap-1"],
+    },
+}
 
 
 class TestFramework:
@@ -86,6 +114,68 @@ class TestFig4:
         ceiling = result.series["NoPrivacy"][0]
         for name in ("I", "R", "F"):
             assert result.series[name][0] <= ceiling + 1e-6
+
+    @pytest.mark.parametrize("dataset", sorted(_FIG4_GOLDEN))
+    def test_series_golden(self, dataset):
+        """Every float of three small panels, bit for bit: nltcs runs the
+        fixed-k learner on Walsh–Hadamard counts, br2000 and adult the
+        θ-mode learner on raw-row counts, adult over attributes of
+        different sizes."""
+        result = run_fig4(
+            dataset, epsilons=(0.1, 0.4, 1.6), repeats=2, n=3000, seed=1
+        )
+        got = {
+            name: [value.hex() for value in values]
+            for name, values in result.series.items()
+        }
+        assert got == _FIG4_GOLDEN[dataset]
+
+    def test_generalized_network_quality_golden(self):
+        """The metric on a θ-mode Adult network with taxonomy-generalized
+        parents (7 of its pairs), bit for bit."""
+        table = load_dataset("adult", n=3000, seed=1)
+        network = greedy_bayes_theta(
+            table, 0.4, 1.2, 4.0, score="I", generalize=True,
+            rng=np.random.default_rng(3), first_attribute=table.attribute_names[0],
+        )
+        assert sum(any(level for _, level in p.parents) for p in network) == 7
+        scorer = CandidateScorer(table, "I")
+        assert network_mutual_information(network, scorer).hex() == (
+            "0x1.eec8edb046440p-3"
+        )
+
+    def test_network_quality_sums_left_to_right(self):
+        """A fixed-k NLTCS network (15 non-root pairs) whose metric a
+        pairwise ``np.sum`` of the same scores misses by one ulp; the
+        golden was recorded before the metric moved onto the scorer."""
+        table = load_dataset("nltcs", n=3000, seed=1)
+        network = greedy_bayes_fixed_k(
+            table, 2, 0.4, "F", np.random.default_rng(23),
+            first_attribute=table.attribute_names[0],
+        )
+        scorer = CandidateScorer(table, "I")
+        assert network_mutual_information(network, scorer).hex() == (
+            "0x1.aad1d9db3aa6bp+1"
+        )
+
+    def test_metric_reads_the_scorer_memo(self, monkeypatch):
+        """Pairs the ``I`` scorer has already scored cost no kernel call."""
+        import repro.core.scoring as scoring
+
+        table = load_dataset("br2000", n=1000, seed=2)
+        scorer = CandidateScorer(table, "I")
+        network = greedy_bayes_theta(
+            table, None, 1.0, 4.0, score="I", rng=np.random.default_rng(0),
+            scorer=scorer,
+        )
+        first = network_mutual_information(network, scorer)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the I kernel ran for a memoized pair")
+
+        monkeypatch.setattr(scoring, "score_I_segments", forbidden)
+        assert network_mutual_information(network, scorer) == first
+        assert first > 0.0
 
 
 class TestEncodings:

@@ -10,12 +10,15 @@ from repro.experiments import (
     run_svm_comparison,
     run_theta_sweep,
 )
-from repro.experiments.parallel import SweepCell, clear_worker_state
+from repro.experiments.parallel import (
+    SweepCell,
+    clear_worker_state,
+    set_worker_state,
+)
 from repro.experiments.sweep_common import (
     SWEEP_CONTEXT_KEY,
     SWEEP_TASKS,
     SweepContext,
-    activate_sweep_context,
     private_release,
     release_cell,
 )
@@ -60,15 +63,15 @@ class TestSweepContext:
 class TestReleaseCell:
     @pytest.fixture(autouse=True)
     def _clean_context_state(self):
-        # These tests drive release_cell by hand (activate without the
-        # run_sweep_cells wrapper); don't leave the context pinned.
+        # These tests drive release_cell by hand (install the context
+        # without the run_sweep_cells wrapper); don't leave it pinned.
         yield
         clear_worker_state(SWEEP_CONTEXT_KEY)
 
     def test_matches_direct_release(self):
         """release_cell(cell) == private_release with the cell's knobs."""
         ctx = SweepContext("nltcs", "count", n=500, max_marginals=4, seed=0)
-        activate_sweep_context(ctx)
+        set_worker_state(SWEEP_CONTEXT_KEY, ctx)
         cell = SweepCell(
             "nltcs", 0.8, 0, 1234, params=(("beta", 0.3), ("theta", 4.0))
         )
@@ -81,7 +84,7 @@ class TestReleaseCell:
 
     def test_oracle_params_travel_in_cell(self):
         ctx = SweepContext("nltcs", "count", n=400, max_marginals=3, seed=0)
-        activate_sweep_context(ctx)
+        set_worker_state(SWEEP_CONTEXT_KEY, ctx)
         cell = SweepCell(
             "nltcs", 0.5, 0, 77,
             params=(

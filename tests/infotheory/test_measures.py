@@ -1,4 +1,5 @@
-"""Entropy / mutual information / KL / TVD: known values and invariants."""
+"""Entropy / mutual information / TVD: known values and invariants, and the
+exact segmented-sum cores under the ragged ``I`` kernel."""
 
 import numpy as np
 import pytest
@@ -6,25 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.infotheory.measures import (
-    conditional_entropy,
+    _entropy_by_count,
+    _sums_by_count,
     entropy,
-    entropy_segmented,
-    kl_divergence,
     mutual_information,
     mutual_information_from_table,
-    segment_sums,
     total_variation_distance,
 )
 
 
 def _ragged_segments(rng, count, max_len=40):
-    """Concatenated random vectors (with zeros) and their segment ids."""
+    """Concatenated random vectors (with zeros) and their segment lengths."""
     lengths = rng.integers(0, max_len, size=count)
     values = rng.random(int(lengths.sum()))
     values[rng.random(values.size) < 0.3] = 0.0
-    ids = np.repeat(np.arange(count, dtype=np.int64), lengths)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    return values, ids, offsets, lengths
+    return values, offsets, lengths
 
 
 class TestSegmentSums:
@@ -32,8 +30,8 @@ class TestSegmentSums:
 
     def test_bit_identical_to_per_segment_sums(self):
         rng = np.random.default_rng(21)
-        values, ids, offsets, lengths = _ragged_segments(rng, 200)
-        got = segment_sums(values, ids, 200)
+        values, offsets, lengths = _ragged_segments(rng, 200)
+        got = _sums_by_count(values, lengths)
         want = np.array(
             [values[o : o + l].sum() for o, l in zip(offsets, lengths)]
         )
@@ -42,10 +40,9 @@ class TestSegmentSums:
     def test_long_segments_cross_pairwise_blocks(self):
         """Lengths beyond NumPy's pairwise-summation block size stay exact."""
         rng = np.random.default_rng(22)
-        lengths = [1, 7, 129, 500, 1000]
-        values = rng.random(sum(lengths))
-        ids = np.repeat(np.arange(len(lengths)), lengths)
-        got = segment_sums(values, ids, len(lengths))
+        lengths = np.array([1, 7, 129, 500, 1000])
+        values = rng.random(lengths.sum())
+        got = _sums_by_count(values, lengths)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         want = np.array(
             [values[o : o + l].sum() for o, l in zip(offsets, lengths)]
@@ -53,35 +50,24 @@ class TestSegmentSums:
         assert np.array_equal(got, want)
 
     def test_empty_segments_are_zero(self):
-        got = segment_sums(np.array([1.5, 2.5]), np.array([1, 1]), 4)
+        got = _sums_by_count(np.array([1.5, 2.5]), np.array([0, 2, 0, 0]))
         assert np.array_equal(got, np.array([0.0, 4.0, 0.0, 0.0]))
 
     def test_empty_input(self):
-        assert np.array_equal(segment_sums(np.zeros(0), np.zeros(0), 3), np.zeros(3))
-        assert segment_sums(np.zeros(0), np.zeros(0), 0).size == 0
-
-    def test_unsorted_ids_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            segment_sums(np.ones(3), np.array([0, 2, 1]), 3)
-
-    def test_out_of_range_ids_rejected(self):
-        with pytest.raises(ValueError, match="num_segments"):
-            segment_sums(np.ones(2), np.array([0, 5]), 3)
-        with pytest.raises(ValueError, match="num_segments"):
-            segment_sums(np.ones(2), np.array([-1, 0]), 3)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same length"):
-            segment_sums(np.ones(3), np.array([0, 1]), 2)
+        empty = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(
+            _sums_by_count(np.zeros(0), np.zeros(3, dtype=np.int64)), np.zeros(3)
+        )
+        assert _sums_by_count(np.zeros(0), empty).size == 0
 
 
-class TestEntropySegmented:
+class TestEntropyByCount:
     """Each output is bit-equal to entropy() on that segment alone."""
 
     def test_bit_identical_to_scalar_entropy(self):
         rng = np.random.default_rng(23)
-        values, ids, offsets, lengths = _ragged_segments(rng, 150)
-        got = entropy_segmented(values, ids, 150)
+        values, offsets, lengths = _ragged_segments(rng, 150)
+        got = _entropy_by_count(values, lengths)
         want = np.array(
             [entropy(values[o : o + l]) for o, l in zip(offsets, lengths)]
         )
@@ -90,8 +76,7 @@ class TestEntropySegmented:
     def test_all_zero_segment_matches_scalar(self):
         """entropy() of an all-zero vector is -0.0; segmented agrees."""
         values = np.array([0.0, 0.0, 0.5, 0.5])
-        ids = np.array([0, 0, 1, 1])
-        got = entropy_segmented(values, ids, 2)
+        got = _entropy_by_count(values, np.array([2, 2]))
         assert got[0] == entropy(np.zeros(2))
         assert got[1] == entropy(np.array([0.5, 0.5]))
 
@@ -99,13 +84,23 @@ class TestEntropySegmented:
         rng = np.random.default_rng(24)
         p = rng.dirichlet(np.ones(40))
         p[p < 0.01] = 0.0
-        got = entropy_segmented(p, np.zeros(p.size, dtype=np.int64), 1)
+        got = _entropy_by_count(p, np.array([p.size]))
         assert got.shape == (1,)
         assert got[0] == entropy(p)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same length"):
-            entropy_segmented(np.ones(3), np.array([0, 1]), 2)
+    def test_long_segments_cross_pairwise_blocks(self):
+        """Segments longer than NumPy's pairwise block, with zeros to
+        compact, stay bit-equal to the scalar entropy."""
+        rng = np.random.default_rng(25)
+        lengths = np.array([1, 7, 129, 500, 1000])
+        values = rng.random(lengths.sum())
+        values[rng.random(values.size) < 0.2] = 0.0
+        got = _entropy_by_count(values, lengths)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        want = np.array(
+            [entropy(values[o : o + l]) for o, l in zip(offsets, lengths)]
+        )
+        assert np.array_equal(got, want)
 
 
 class TestEntropy:
@@ -159,6 +154,25 @@ class TestMutualInformation:
             hp = entropy(matrix.sum(axis=1))
             assert mutual_information(joint, 2) <= min(hx, hp) + 1e-9
 
+    def test_entropy_identity(self):
+        """Equation 12: I(X, Π) = H(X) + H(Π) - H(X, Π)."""
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            joint = rng.dirichlet(np.ones(6))
+            matrix = joint.reshape(3, 2)
+            hx = entropy(matrix.sum(axis=0))
+            hp = entropy(matrix.sum(axis=1))
+            assert mutual_information(joint, 2) == pytest.approx(
+                hx + hp - entropy(joint), abs=1e-12
+            )
+
+    def test_deterministic_child_carries_its_entropy(self):
+        # X is a function of a 3-valued Π, so H(X | Π) = 0 and I = H(X).
+        joint = np.array([[0.2, 0.0], [0.0, 0.5], [0.3, 0.0]]).reshape(-1)
+        assert mutual_information(joint, 2) == pytest.approx(
+            entropy(np.array([0.5, 0.5]))
+        )
+
     def test_from_table(self, binary_table):
         mi_ab = mutual_information_from_table(binary_table, "b", ["a"])
         mi_ac = mutual_information_from_table(binary_table, "c", ["a"])
@@ -167,41 +181,6 @@ class TestMutualInformation:
 
     def test_from_table_empty_parents(self, binary_table):
         assert mutual_information_from_table(binary_table, "a", []) == 0.0
-
-
-class TestConditionalEntropy:
-    def test_chain_rule(self):
-        rng = np.random.default_rng(7)
-        joint = rng.dirichlet(np.ones(6))
-        h_joint = entropy(joint)
-        h_parent = entropy(joint.reshape(-1, 2).sum(axis=1))
-        assert conditional_entropy(joint, 2) == pytest.approx(h_joint - h_parent)
-
-    def test_deterministic_child_zero(self):
-        joint = np.array([0.5, 0.0, 0.0, 0.5])
-        assert conditional_entropy(joint, 2) == pytest.approx(0.0)
-
-
-class TestKL:
-    def test_zero_for_identical(self):
-        p = np.array([0.3, 0.7])
-        assert kl_divergence(p, p) == pytest.approx(0.0)
-
-    def test_infinite_when_support_missing(self):
-        assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == float(
-            "inf"
-        )
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            p = rng.dirichlet(np.ones(6))
-            q = rng.dirichlet(np.ones(6))
-            assert kl_divergence(p, q) >= -1e-9
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence(np.ones(2) / 2, np.ones(3) / 3)
 
 
 class TestTVD:

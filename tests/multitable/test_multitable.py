@@ -43,16 +43,6 @@ class TestLinkedTables:
         assert counts.sum() == linked.n_child_rows
         assert counts.size == linked.n_individuals
 
-    def test_children_of(self):
-        linked = _linked()
-        owner = int(linked.owners[0])
-        rows = linked.children_of(owner)
-        assert rows.n == int((linked.owners == owner).sum())
-
-    def test_children_of_out_of_range(self):
-        with pytest.raises(IndexError):
-            _linked().children_of(10_000)
-
     def test_owner_validation(self):
         linked = _linked()
         with pytest.raises(ValueError, match="outside"):

@@ -1,6 +1,9 @@
 """DatasetLedger: durable cumulative ε across fits, processes, threads."""
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 
 import numpy as np
@@ -158,3 +161,184 @@ class TestConcurrentFits:
         persisted = json.loads(path.read_text())["datasets"]["race"]["ledger"]
         assert len(persisted) == 4
         assert sum(amount for _, amount in persisted) <= 1.0 + 1e-9
+
+
+def _ledger_charges(path, dataset):
+    return json.loads(path.read_text())["datasets"][dataset]["ledger"]
+
+
+class TestAcrossProcesses:
+    """The ledger file is the source of truth: every spend re-reads it
+    under an exclusive lock on ``<ledger>.lock``."""
+
+    def test_two_ledgers_on_one_file_never_overgrant(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        first = DatasetLedger(path)
+        first.accountant("adult", 1.0)
+        second = DatasetLedger(path)
+        first.accountant("adult").spend("fit-a", 0.6)
+        with pytest.raises(PrivacyBudgetError):
+            second.accountant("adult").spend("fit-b", 0.6)
+        assert _ledger_charges(path, "adult") == [["fit-a", 0.6]]
+        # The refused ledger now sees the other ledger's charge.
+        assert second.report()["adult"]["spent"] == 0.6
+
+    def test_registration_is_visible_to_another_ledger(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        second = DatasetLedger(path)
+        DatasetLedger(path).accountant("adult", 1.0).spend("fit-a", 0.25)
+        assert second.datasets() == ["adult"]
+        # Known from the file, so no budget is needed to open it.
+        assert second.accountant("adult").remaining == 0.75
+
+    def test_registrations_from_two_ledgers_both_persist(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        first, second = DatasetLedger(path), DatasetLedger(path)
+        first.accountant("adult", 1.0)
+        second.accountant("nltcs", 2.0)
+        assert sorted(json.loads(path.read_text())["datasets"]) == [
+            "adult",
+            "nltcs",
+        ]
+        assert DatasetLedger(path).report()["adult"]["total_epsilon"] == 1.0
+
+    def test_budget_mismatch_checked_against_the_file(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        second = DatasetLedger(path)
+        DatasetLedger(path).accountant("adult", 1.0)
+        with pytest.raises(ValueError, match="already has budget"):
+            second.accountant("adult", 2.0)
+        assert json.loads(path.read_text())["datasets"]["adult"][
+            "total_epsilon"
+        ] == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{ truncated", "not valid JSON"),
+            (
+                json.dumps(
+                    {
+                        "format_version": 1,
+                        "datasets": {
+                            "adult": {
+                                "total_epsilon": 1.0,
+                                "ledger": [["x", 2.0]],
+                            }
+                        },
+                    }
+                ),
+                "exceeding its total",
+            ),
+        ],
+        ids=["corrupt", "overdrawn"],
+    )
+    def test_bad_file_refused_before_any_grant(self, tmp_path, text, message):
+        """A file another writer spoiled is refused at the next spend,
+        and the refusal leaves it as it is."""
+        path = tmp_path / "ledger.json"
+        account = DatasetLedger(path).accountant("adult", 1.0)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            account.spend("fit", 0.1)
+        assert path.read_text() == text
+
+    def test_deleted_file_is_rewritten_with_every_held_charge(self, tmp_path):
+        """Charges a ledger holds are never dropped because the file lost
+        them: the next spend writes them back."""
+        path = tmp_path / "ledger.json"
+        account = DatasetLedger(path).accountant("adult", 1.0)
+        account.spend("fit-a", 0.25)
+        path.unlink()
+        account.spend("fit-b", 0.5)
+        assert _ledger_charges(path, "adult") == [["fit-a", 0.25], ["fit-b", 0.5]]
+
+    def test_lock_is_a_sidecar_file(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        DatasetLedger(path).accountant("adult", 1.0).spend("fit", 0.5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ledger.json",
+            "ledger.json.lock",
+        ]
+        assert _ledger_charges(path, "adult") == [["fit", 0.5]]
+
+    def test_in_memory_ledger_touches_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ledger = DatasetLedger()
+        ledger.accountant("adult", 1.0).spend("fit", 0.5)
+        assert ledger.report()["adult"]["spent"] == 0.5
+        assert list(tmp_path.iterdir()) == []
+
+    def test_forked_spenders_grant_exactly_the_budget(self, tmp_path):
+        """4 processes × 6 spends of 0.125 against 1.0: exactly 8 grants,
+        and the file records exactly those 8."""
+        path = tmp_path / "ledger.json"
+        DatasetLedger(path).accountant("race", 1.0)
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(4)
+        grants = context.Queue()
+
+        def spender(index):
+            account = DatasetLedger(path).accountant("race")
+            barrier.wait()
+            granted = []
+            for attempt in range(6):
+                label = f"p{index}-{attempt}"
+                try:
+                    account.spend(label, 0.125)
+                except PrivacyBudgetError:
+                    continue
+                granted.append(label)
+            grants.put(granted)
+
+        workers = [context.Process(target=spender, args=(i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        granted = [label for _ in workers for label in grants.get(timeout=60)]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        assert len(granted) == 8
+        recorded = _ledger_charges(path, "race")
+        assert sorted(label for label, _ in recorded) == sorted(granted)
+        assert DatasetLedger(path).accountant("race").spent == 1.0
+
+    def test_kill_9_loses_no_granted_charge(self, tmp_path):
+        """A spender killed in the middle of its loop: every grant it
+        reported (only after ``spend`` returned) is in the file, and the
+        file stays within its budget."""
+        path = tmp_path / "ledger.json"
+        DatasetLedger(path).accountant("crash", 1.0)
+        read_end, write_end = os.pipe()
+
+        def spender():
+            os.close(read_end)
+            account = DatasetLedger(path).accountant("crash")
+            for attempt in range(900):
+                label = f"g{attempt}"
+                account.spend(label, 0.001)
+                os.write(write_end, f"{label}\n".encode())
+
+        worker = multiprocessing.get_context("fork").Process(target=spender)
+        worker.start()
+        os.close(write_end)
+        received = b""
+        with os.fdopen(read_end, "rb", buffering=0) as reader:
+            while received.count(b"\n") < 20:
+                chunk = reader.read(4096)
+                assert chunk, "spender exited before it was killed"
+                received += chunk
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=60)
+            while True:
+                chunk = reader.read(4096)
+                if not chunk:
+                    break
+                received += chunk
+        assert worker.exitcode == -signal.SIGKILL
+        reported = received.decode().split("\n")[:-1]  # complete lines only
+        recorded = {label for label, _ in _ledger_charges(path, "crash")}
+        assert 20 <= len(reported) <= len(recorded) < 900  # killed mid-loop
+        assert set(reported) <= recorded
+        account = DatasetLedger(path).accountant("crash")
+        assert account.spent <= account.total_epsilon
