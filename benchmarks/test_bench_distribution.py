@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bn.quality import generalized_codes
 from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
 from repro.data.marginals import domain_size, flatten_index
 from repro.data.table import Table
@@ -103,7 +102,12 @@ class PerPairCounter:
     def counts(self, pair):
         columns, sizes = [], []
         for name, level in pair.parents:
-            codes, size = generalized_codes(self.table, name, level)
+            codes = self.table.column(name)
+            if level:
+                mapping = self.table.attribute(name).generalization_map(level)
+                codes, size = mapping[codes], int(mapping.max()) + 1
+            else:
+                size = self.table.attribute(name).size
             columns.append(codes)
             sizes.append(size)
         columns.append(self.table.column(pair.child))

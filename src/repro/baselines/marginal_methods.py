@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.data.marginals import (
     domain_size,
-    flatten_index,
     marginal_counts,
     normalize_distribution,
     project_distribution,
@@ -89,9 +88,7 @@ class ContingencyMarginals:
                 f"full domain has {total} cells > limit {self.max_cells}; "
                 "the Contingency baseline does not scale to this dataset"
             )
-        columns = [table.column(name) for name in names]
-        flat = flatten_index(columns, sizes, table.n)
-        counts = np.bincount(flat, minlength=total).astype(float)
+        counts = marginal_counts(table, names)
         joint = counts / max(table.n, 1)
         noisy = normalize_distribution(
             laplace_mechanism(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.marginals import (
     domain_size,
-    flatten_index,
+    marginal_counts,
     normalize_distribution,
     project_distribution,
 )
@@ -68,17 +68,12 @@ class MWEM:
         position = {name: i for i, name in enumerate(names)}
         n = max(table.n, 1)
 
-        # Workload bookkeeping: per marginal, the axes it keeps and the
-        # flat cell index of every row of the data.
+        # Workload bookkeeping: per marginal, the axes it keeps and its
+        # counts in the data.
         marginals: List[Tuple[Tuple[str, ...], List[int], np.ndarray]] = []
         for marginal_names in workload:
             keep = [position[name] for name in marginal_names]
-            m_sizes = [sizes[i] for i in keep]
-            columns = [table.column(name) for name in marginal_names]
-            counts = np.bincount(
-                flatten_index(columns, m_sizes, table.n),
-                minlength=domain_size(m_sizes),
-            ).astype(float)
+            counts = marginal_counts(table, marginal_names)
             marginals.append((tuple(marginal_names), keep, counts))
 
         # Round count only sizes the loop; the actual spend below flows

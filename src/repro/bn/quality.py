@@ -8,22 +8,22 @@ score of Section 4.2, so :func:`network_mutual_information` reads it from
 an ``I`` :class:`~repro.core.scoring.CandidateScorer`, the same counting,
 kernel and memo the greedy learner uses.
 
-The module also holds :class:`ParentIndexCache`, the contingency counting
-of a resident table that scoring and distribution learning share: a
-Walsh–Hadamard transform of the full joint on all-binary tables up to
-:data:`MAX_WALSH_CELLS` cells, per-parent-set bincounts over the raw rows
-otherwise.
+The module also holds :class:`ParentIndexCache`, the library's one
+contingency-counting engine, which scoring and distribution learning
+share over a resident table or a chunked source alike: a Walsh–Hadamard
+transform of the full joint on all-binary inputs up to
+:data:`MAX_WALSH_CELLS` cells, per-parent-set bincounts over the raw
+rows otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
-from repro.data.attribute import Attribute
-from repro.data.chunks import CountGroup, GroupCounts
+from repro.data.chunks import RowSource, as_chunks
 from repro.data.marginals import (
     domain_size,
     ensure_int64_domain,
@@ -31,47 +31,40 @@ from repro.data.marginals import (
     stacked_joint_counts,
     walsh_hadamard,
 )
-from repro.data.table import Table
 
-#: Largest full joint, in cells, that an all-binary table's counting
+#: Largest full joint, in cells, that an all-binary input's counting
 #: keeps as Walsh–Hadamard coefficients: 2**24 int64 cells are 128 MB.
 #: NLTCS (2**16 cells, 512 KB) and ACS (2**23, 64 MB) fit; Adult
 #: binarized to 52 bits does not, and counts its raw rows.
 MAX_WALSH_CELLS = 1 << 24
 
+#: One (possibly generalized) parent set, as used throughout the library.
+ParentSet = Tuple[Tuple[str, int], ...]
 
-def _generalize(
-    attr: Attribute, codes: np.ndarray, level: int
-) -> Tuple[np.ndarray, int]:
-    """``codes`` of ``attr`` mapped to taxonomy ``level``, plus the
-    generalized domain size."""
-    if level == 0:
-        return codes, attr.size
-    mapping = attr.generalization_map(level)
-    return mapping[codes], int(mapping.max()) + 1 if mapping.size else 1
+#: One counting group: a shared parent set and the children joined to it.
+CountGroup = Tuple[ParentSet, Tuple[str, ...]]
 
-
-def generalized_codes(table: Table, name: str, level: int) -> Tuple[np.ndarray, int]:
-    """Column codes of ``name`` generalized to taxonomy ``level``.
-
-    Returns the codes and the generalized domain size.  Level 0 returns the
-    raw column.
-    """
-    return _generalize(table.attribute(name), table.column(name), level)
+#: Result per group: (block, offsets, lengths, parent_sizes, child_sizes) —
+#: the ``stacked_joint_counts`` layout plus the mixed-radix size metadata.
+GroupCounts = Tuple[
+    np.ndarray, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
+]
 
 
 class ParentIndexCache:
-    """Contingency counting over one resident table — the single counting
-    entry point of the candidate-scoring engine (:mod:`repro.core.scoring`)
-    and the distribution learner's
+    """Contingency counting over one row source, a resident
+    :class:`~repro.data.table.Table` or a
+    :class:`~repro.data.chunks.ChunkedSource`: the single counting entry
+    point of the candidate-scoring engine (:mod:`repro.core.scoring`) and
+    the distribution learner's
     :class:`~repro.core.noisy_conditionals.JointCounter`.
 
     Two engines, chosen once, at construction, from the input alone:
 
     * **Walsh–Hadamard** when every attribute is binary, the full joint
       has at most :data:`MAX_WALSH_CELLS` cells and ``n · 2**d`` fits
-      int64.  The full joint is counted once (through :meth:`counts`, one
-      ordinary flatten and bincount, attribute ``i`` at bit ``d-1-i``) and
+      int64.  The full joint is counted once, in one pass over the rows
+      (through :meth:`counts`, attribute ``i`` at bit ``d-1-i``), and
       transformed in place into its integer Walsh–Hadamard coefficients
       (:func:`~repro.data.marginals.walsh_hadamard`).  A joint over a set
       ``S`` of level-0 attributes is then the inverse transform of the
@@ -82,9 +75,13 @@ class ParentIndexCache:
       most ``n`` in magnitude and every butterfly value at most
       ``2**|S| · n``, hence the int64 condition.
     * **Raw rows** otherwise, and for any group with a generalized parent:
-      each parent set's flat index is rebuilt in place (:meth:`flat`) and
-      every child is one ``np.bincount`` over it.  The flat index is never
-      retained, so memory stays ``O(d · n)`` however many parent sets a
+      one :meth:`grouped_counts` call counts all of its raw groups in one
+      pass over :func:`~repro.data.chunks.as_chunks` (a table is read as
+      column views, one chunk per ``DEFAULT_CHUNK_ROWS`` rows).  In each
+      chunk every parent set's flat index is built in place
+      (:meth:`flat`), every child is one ``np.bincount`` over it, and the
+      chunks' int64 counts add up exactly.  No flat index is retained,
+      so memory stays bounded by the chunk however many parent sets a
       search visits.
 
     Either way :meth:`grouped_counts` returns the exact integers a per-row
@@ -92,27 +89,30 @@ class ParentIndexCache:
     the array entry point under it: ``(m, w)`` parent positions and ``m``
     child positions in, the ``(m, 2**(w+1))`` joints out, with no names
     or per-group tuples; the greedy scorer feeds its fresh candidates to
-    it directly.  The cache keeps the per-(attribute, level)
-    code columns and, on the Walsh path, the ``2**d`` coefficients.  One
-    cache per table serves both consumers (shared through
-    :class:`~repro.core.scoring.ScoringCache`).  Everything here is a
-    deterministic data statistic; cached arrays must be treated as
-    read-only.
+    it directly.  The cache keeps each generalized attribute's
+    leaf-to-level map (domain-sized, never per-row) and, on the Walsh
+    path, the ``2**d`` coefficients.  One cache per source serves both
+    consumers (shared through :class:`~repro.core.scoring.ScoringCache`).
+    Everything here is a deterministic data statistic; cached arrays must
+    be treated as read-only.
     """
 
-    def __init__(self, table: Table) -> None:
-        self.table = table
-        self._codes: Dict[Tuple[str, int], Tuple[np.ndarray, int]] = {}
+    def __init__(self, source: RowSource) -> None:
+        self.table = source
+        #: Per ``(attribute, level)``: its leaf-to-level map (``None`` at
+        #: level 0, where the codes stand as they are) and the level's
+        #: domain size.
+        self._levels: Dict[Tuple[str, int], Tuple[Optional[np.ndarray], int]] = {}
         #: Walsh–Hadamard coefficients of the full joint, or ``None`` when
         #: counting runs over the raw rows.
         self.coefficients: Optional[np.ndarray] = None
-        names = table.attribute_names
+        names = source.attribute_names
         d = len(names)
         if (
             d
-            and all(attr.size == 2 for attr in table.attributes)
+            and all(attr.size == 2 for attr in source.attributes)
             and 1 << d <= MAX_WALSH_CELLS
-            and table.n << d <= np.iinfo(np.int64).max
+            and int(source.n) << d <= np.iinfo(np.int64).max
         ):
             full = self.counts(
                 tuple((name, 0) for name in names[:-1]), names[-1:]
@@ -123,25 +123,36 @@ class ParentIndexCache:
             #: ``d-1-i`` of a coefficient's index.
             self._position = {name: i for i, name in enumerate(names)}
 
-    def codes(self, name: str, level: int) -> Tuple[np.ndarray, int]:
-        """Memoized :func:`generalized_codes`."""
+    def _level(self, name: str, level: int) -> Tuple[Optional[np.ndarray], int]:
+        """The memoized leaf-to-level map of ``name`` at taxonomy
+        ``level`` and that level's domain size."""
         key = (name, level)
-        if key not in self._codes:
-            self._codes[key] = generalized_codes(self.table, name, level)
-        return self._codes[key]
+        if key not in self._levels:
+            attr = self.table.attribute(name)
+            if level == 0:
+                self._levels[key] = None, attr.size
+            else:
+                mapping = attr.generalization_map(level)
+                size = int(mapping.max()) + 1 if mapping.size else 1
+                self._levels[key] = mapping, size
+        return self._levels[key]
 
     def flat(
-        self, parents: Tuple[Tuple[str, int], ...]
+        self, parents: ParentSet, chunk: Mapping[str, np.ndarray]
     ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Flattened parent configuration of every row, plus the parent
-        sizes (built afresh; not retained)."""
-        coded = [self.codes(name, level) for name, level in parents]
-        sizes = tuple(size for _, size in coded)
-        flat = flatten_index([c for c, _ in coded], sizes, self.table.n)
-        return flat, sizes
+        """Flattened parent configuration of every row of ``chunk``, plus
+        the parent sizes (built afresh; not retained)."""
+        levels = [self._level(name, level) for name, level in parents]
+        columns = [
+            chunk[name] if mapping is None else mapping[chunk[name]]
+            for (name, _), (mapping, _) in zip(parents, levels)
+        ]
+        sizes = tuple(size for _, size in levels)
+        rows = len(next(iter(chunk.values())))
+        return flatten_index(columns, sizes, rows), sizes
 
     def counts(
-        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
+        self, parents: ParentSet, children: Sequence[str]
     ) -> GroupCounts:
         """Int64 contingency counts of ``Pr[Π, X]`` for every child of one
         parent set: the one-group case of :meth:`grouped_counts`."""
@@ -151,45 +162,76 @@ class ParentIndexCache:
         self, groups: Sequence[CountGroup]
     ) -> List[GroupCounts]:
         """Int64 contingency counts for many ``(parents, children)``
-        groups — the resident twin of
-        :func:`repro.data.chunks.stream_grouped_joint_counts`.
+        groups.
 
         Each result is ``(block, offsets, lengths, parent_sizes,
         child_sizes)``: the :func:`~repro.data.marginals.stacked_joint_counts`
         layout (parents in the order given, the first most significant,
         the child innermost) plus the size metadata.  On the Walsh path
         all level-0 groups of one width share one gather and one
-        butterfly; other groups count their raw rows one by one.
+        butterfly; the other groups are counted together in one pass over
+        the raw rows, and a call with none of them reads no rows.
         """
         results: List[Optional[GroupCounts]] = [None] * len(groups)
         by_width: Dict[int, List[int]] = {}
+        raw: List[int] = []
         for position, (parents, children) in enumerate(groups):
             if self.coefficients is not None and all(
                 level == 0 for _, level in parents
             ):
                 by_width.setdefault(len(parents) + 1, []).append(position)
             else:
-                results[position] = self._raw_counts(parents, children)
+                raw.append(position)
+        if raw:
+            counted = self._raw_counts([groups[p] for p in raw])
+            for position, group in zip(raw, counted):
+                results[position] = group
         for width, positions in by_width.items():
             counted = self._walsh_counts([groups[p] for p in positions], width)
             for position, group in zip(positions, counted):
                 results[position] = group
         return results
 
-    def _raw_counts(
-        self, parents: Tuple[Tuple[str, int], ...], children: Sequence[str]
-    ) -> GroupCounts:
-        flat, parent_sizes = self.flat(parents)
-        parent_dom = domain_size(parent_sizes)
-        child_sizes = tuple(self.table.attribute(c).size for c in children)
-        for child, child_size in zip(children, child_sizes):
-            ensure_int64_domain(
-                parent_dom * child_size, f"joint domain of (Π, {child!r})"
+    def _raw_counts(self, groups: Sequence[CountGroup]) -> List[GroupCounts]:
+        """Counts of ``groups`` in one pass over the raw rows: each later
+        chunk's blocks add into the first chunk's, which is exact int64
+        addition.  A source that yields no chunk counts as one empty
+        chunk."""
+        for parents, children in groups:
+            parent_dom = domain_size(
+                self._level(name, level)[1] for name, level in parents
             )
+            for child in children:
+                ensure_int64_domain(
+                    parent_dom * self._level(child, 0)[1],
+                    f"joint domain of (Π, {child!r})",
+                )
+        chunks = as_chunks(self.table)
+        first = next(chunks, None)
+        if first is None:
+            first = {
+                name: np.zeros(0, dtype=np.int64)
+                for name in self.table.attribute_names
+            }
+        totals = [self._chunk_counts(first, group) for group in groups]
+        del first  # free the first chunk before the source makes the next
+        for chunk in chunks:
+            for total, group in zip(totals, groups):
+                block = total[0]
+                block += self._chunk_counts(chunk, group)[0]
+        return totals
+
+    def _chunk_counts(
+        self, chunk: Mapping[str, np.ndarray], group: CountGroup
+    ) -> GroupCounts:
+        """One group's counts over the rows of one chunk."""
+        parents, children = group
+        flat, parent_sizes = self.flat(parents, chunk)
+        child_sizes = tuple(self._level(child, 0)[1] for child in children)
         block, offsets, lengths = stacked_joint_counts(
             flat,
-            parent_dom,
-            [self.codes(child, 0)[0] for child in children],
+            domain_size(parent_sizes),
+            [chunk[child] for child in children],
             child_sizes,
         )
         return block, offsets, lengths, parent_sizes, child_sizes
@@ -230,7 +272,7 @@ class ParentIndexCache:
         """Joints of ``m`` (parents, child) candidates from the
         coefficients, on the Walsh path only.
 
-        ``parents`` is an ``(m, w)`` array of attribute positions (table
+        ``parents`` is an ``(m, w)`` array of attribute positions (source
         order) and ``children`` an ``(m,)`` one.  Returns the ``(m,
         2**(w+1))`` int64 joints.  Local cell ``t`` of a joint puts parent
         ``j`` at bit ``w-j`` and the child at bit 0, which is the

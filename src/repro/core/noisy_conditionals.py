@@ -16,8 +16,8 @@ only the Laplace perturbation consumes randomness or budget.  A
 :class:`JointCounter` therefore materializes all of a network's joints in
 one grouped counting call (pairs sharing a parent set share one stacked
 count block, counted through
-:meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` on a resident
-table and in one streaming pass on a chunked source), then
+:meth:`~repro.bn.quality.ParentIndexCache.grouped_counts`, which reads a
+resident table or a chunked source in at most one pass), then
 memoizes the integer counts per AP pair so repeated fits over the same
 table — an ε sweep, or the repeat cells of the figure experiments — never
 rescan the data.  Noise draws stay strictly per-pair in network order, and
@@ -46,7 +46,6 @@ from repro.data.marginals import (
 # kept because the perfbench traced replay asserts it wraps the function
 # here.
 from repro.data.marginals import stacked_joint_counts  # noqa: F401
-from repro.data.table import Table
 from repro.dp.accountant import PrivacyAccountant, split_epsilon_even
 from repro.dp.mechanisms import laplace_mechanism
 
@@ -155,35 +154,30 @@ class JointCounter:
 
     All state is derived deterministically from the data: the counting
     engine (a :class:`~repro.bn.quality.ParentIndexCache`, shareable with
-    the candidate scorer so its code columns and, on an all-binary table,
-    the full joint's Walsh–Hadamard coefficients are built once per
-    table) and the integer counts of each ``(child, parents)`` joint.
-    Counting consumes no randomness and spends no budget, so one counter
-    may be shared across many fits over the same table (e.g. via
+    the candidate scorer so that, on an all-binary input, the full
+    joint's Walsh–Hadamard coefficients are built once per table) and
+    the integer counts of each ``(child, parents)`` joint.  Counting
+    consumes no randomness and spends no budget, so one counter may be
+    shared across many fits over the same table (e.g. via
     :class:`~repro.core.scoring.ScoringCache`) without perturbing any
     seeded output.  Cached count arrays are read-only; consumers copy on
     conversion to probabilities.
 
     ``table`` may also be a :class:`~repro.data.chunks.ChunkedSource`:
-    counts then accumulate chunk by chunk (exact int64 addition — the same
-    integers the resident scan produces), with :meth:`warm` counting all
-    of a network's parent-set groups in a single pass over the rows.  The
-    parent-index cache only applies to resident tables.
+    the same engine then accumulates counts chunk by chunk (exact int64
+    addition — the same integers the resident scan produces), with
+    :meth:`warm` counting all of a network's raw parent-set groups in a
+    single pass over the rows.
     """
 
     def __init__(
         self, table, parent_index: Optional[ParentIndexCache] = None
     ) -> None:
-        self._resident = isinstance(table, Table)
-        if parent_index is not None and (
-            not self._resident or parent_index.table is not table
-        ):
+        if parent_index is not None and parent_index.table is not table:
             raise ValueError("parent_index was built for a different table")
         self.table = table
         self._parent_index = (
-            parent_index
-            if parent_index is not None
-            else (ParentIndexCache(table) if self._resident else None)
+            parent_index if parent_index is not None else ParentIndexCache(table)
         )
         self._counts: Dict[Tuple, Tuple[np.ndarray, Tuple[int, ...]]] = {}
 
@@ -196,8 +190,7 @@ class JointCounter:
         Pairs sharing a parent set are counted into one stacked block (see
         :meth:`repro.bn.quality.ParentIndexCache.grouped_counts`); the
         resulting integer segments are identical to per-pair bincounts.
-        On a chunked source, *all* groups are accumulated in one streaming
-        pass over the rows.
+        All raw groups are accumulated in one pass over the rows.
         """
         groups: Dict[Tuple, Dict[str, None]] = {}
         for pair in pairs:
@@ -210,15 +203,7 @@ class JointCounter:
         group_list = [
             (parents, tuple(children)) for parents, children in groups.items()
         ]
-        if self._resident:
-            counted = self._parent_index.grouped_counts(group_list)
-        else:
-            # Lazy import: data.chunks is a sibling leaf module, imported
-            # here to keep the module import graph unchanged for resident
-            # callers.
-            from repro.data.chunks import stream_grouped_joint_counts
-
-            counted = stream_grouped_joint_counts(self.table, group_list)
+        counted = self._parent_index.grouped_counts(group_list)
         for (parents, children), group in zip(group_list, counted):
             self._store_group(parents, children, group)
 
@@ -310,7 +295,7 @@ def noisy_conditionals_general(
     if epsilon2 is not None and epsilon2 <= 0:
         raise ValueError("epsilon2 must be positive")
     if counter is None:
-        # repro: allow[PRIV003] -- constructor only binds the source; counting runs per-pair after each in-loop charge
+        # repro: allow[PRIV003] -- counting here and in warm() below releases nothing; each noisy joint is drawn only after its in-loop charge
         counter = JointCounter(table)
     if counter.table is not table:
         raise ValueError("counter was built for a different table")
@@ -354,7 +339,7 @@ def noisy_conditionals_fixed_k(
     if not 0 <= k < max(d, 1):
         raise ValueError(f"k={k} out of range for d={d}")
     if counter is None:
-        # repro: allow[PRIV003] -- constructor only binds the source; counting runs per-pair after each in-loop charge
+        # repro: allow[PRIV003] -- counting here and in warm() below releases nothing; each noisy joint is drawn only after its in-loop charge
         counter = JointCounter(table)
     if counter.table is not table:
         raise ValueError("counter was built for a different table")

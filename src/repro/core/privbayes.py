@@ -187,12 +187,15 @@ class PrivBayes:
 
         ``table`` is a resident :class:`~repro.data.Table` or any
         :class:`~repro.data.chunks.ChunkedSource`: both phases touch the
-        data only through contingency counts, which accumulate chunk by
-        chunk on a source — one streaming pass per greedy round plus one
-        for distribution learning, in memory bounded by the chunk size,
-        with bit-identical counts (noise draws depend only on those
-        counts and the rng, so a ``TableChunks`` view of a table yields
-        the exact release the resident fit produces).
+        data only through contingency counts, which one counting engine
+        (:class:`~repro.bn.quality.ParentIndexCache`) accumulates chunk
+        by chunk on either, in memory bounded by the chunk size, with
+        bit-identical counts (noise draws depend only on those counts and
+        the rng, so a ``TableChunks`` view of a table yields the exact
+        release the resident fit produces).  An all-binary source is read
+        once, for the Walsh–Hadamard coefficients of its full joint; any
+        other source once per greedy round that has fresh parent sets to
+        count, plus once for distribution learning.
 
         ``scoring_cache`` is an optional
         :class:`~repro.core.scoring.ScoringCache`; pass one when fitting

@@ -29,15 +29,17 @@ All caches are keyed on *values derived deterministically from the table*:
   draw sequence of a greedy run bit-for-bit: a memo hit returns the
   exact float a fresh computation would produce.
 * Contingency tables for all *unscored* candidates of a round are
-  counted together.  On a resident all-binary table whose full joint is
-  small enough, the joints of level-0 parent sets come from one
-  :meth:`repro.bn.quality.ParentIndexCache.walsh_joints` call per round
-  and width (a gather and inverse Walsh–Hadamard transform of the full
-  joint's coefficients).  Every other candidate is grouped by parent set
-  and counted with one
+  counted together, by the one counting engine
+  (:class:`repro.bn.quality.ParentIndexCache`) whatever the input, a
+  resident table or a chunked source.  On an all-binary input whose
+  full joint is small enough, the joints of level-0 parent sets come
+  from one :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call
+  per round and width (a gather and inverse Walsh–Hadamard transform of
+  the full joint's coefficients).  Every other candidate is grouped by
+  parent set and counted with one
   :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call per
-  round, or one streaming pass on a chunked source; each parent set is
-  flattened afresh in place and its children bincounted, without
+  round, which is one pass over the rows; in each chunk every parent set
+  is flattened afresh in place and its children bincounted, without
   keeping an ``n``-row index per parent set.  Counts are integers, so
   batching is exact.
 * Scoring itself happens in the batched kernels of
@@ -60,11 +62,11 @@ All caches are keyed on *values derived deterministically from the table*:
 * ``ScoringCache`` keys scorers, the shared
   :class:`~repro.bn.quality.ParentIndexCache` and
   :class:`~repro.core.noisy_conditionals.JointCounter` instances (the
-  distribution-learning phase's batched contingency counts) on table
-  identity so a sweep (many releases over one table) shares them across
-  runs.  Scores and counts are data statistics, not noisy releases —
-  reusing them across ε values changes no distribution and spends no
-  budget.
+  distribution-learning phase's batched contingency counts) on the
+  identity of the table or source, so a sweep (many releases over one
+  table) shares them across runs.  Scores and counts are data
+  statistics, not noisy releases — reusing them across ε values changes
+  no distribution and spends no budget.
 
 Caches hold no RNG state and are safe to share across runs on the same
 table object; they must not be reused after the table's columns are
@@ -87,7 +89,7 @@ from repro.core.score_kernels import (
     score_R_segments,
 )
 from repro.core.scores import sensitivity_F, sensitivity_I, sensitivity_R
-from repro.data.table import Table
+from repro.data.chunks import RowSource
 
 #: A candidate is a child attribute plus a (possibly generalized) parent set.
 Candidate = Tuple[str, Tuple[Tuple[str, int], ...]]
@@ -204,18 +206,19 @@ class CandidateScorer:
     ----------
     table:
         The sensitive dataset: a resident :class:`~repro.data.Table` or a
-        :class:`~repro.data.chunks.ChunkedSource`.  On a chunked source
-        every contingency accumulates chunk by chunk (exact int64
-        addition), and :meth:`score_batch` counts all of a round's
-        unscored parent-set groups in a *single* pass over the rows, so a
-        greedy fit costs one data scan per round in memory bounded by the
-        chunk size.  Scores are bit-identical either way.
+        :class:`~repro.data.chunks.ChunkedSource`.  :meth:`score_batch`
+        counts all of a round's unscored raw parent-set groups in a
+        *single* pass over the rows, chunk by chunk (exact int64
+        addition), so a greedy fit on a source costs at most one data
+        scan per round in memory bounded by the chunk size; an all-binary
+        source is scanned once, for its Walsh–Hadamard coefficients.
+        Scores are bit-identical either way.
     score:
         One of ``'I' | 'F' | 'R'`` (Table 4 of the paper).
     parent_index:
         Optional :class:`~repro.bn.quality.ParentIndexCache` built for
-        ``table`` (a resident table only), shared with other consumers of
-        the same table; without one the scorer builds its own.
+        ``table``, shared with other consumers of the same table; without
+        one the scorer builds its own.
     """
 
     def __init__(self, table, score: str, parent_index=None) -> None:
@@ -225,27 +228,16 @@ class CandidateScorer:
         # which imports repro.core, whose package import reaches here.
         from repro.bn.quality import ParentIndexCache
 
-        self._resident = isinstance(table, Table)
-        if parent_index is not None and (
-            not self._resident or parent_index.table is not table
-        ):
+        if parent_index is not None and parent_index.table is not table:
             raise ValueError("parent_index was built for a different table")
         self.table = table
         self.score = score
-        #: Counting over the resident table (its code columns and, on an
-        #: all-binary table, the full joint's Walsh–Hadamard
-        #: coefficients); shareable with the distribution learner's
-        #: JointCounter via ScoringCache.  Only resident tables have one —
-        #: a chunked source has no per-row arrays to cache; its flattening
-        #: happens inside each pass.
-        if self._resident:
-            self._parent_index_cache = (
-                parent_index
-                if parent_index is not None
-                else ParentIndexCache(table)
-            )
-        else:
-            self._parent_index_cache = None
+        #: The counting engine over ``table`` (on an all-binary input, the
+        #: full joint's Walsh–Hadamard coefficients); shareable with the
+        #: distribution learner's JointCounter via ScoringCache.
+        self._parent_index_cache = (
+            parent_index if parent_index is not None else ParentIndexCache(table)
+        )
         self._names = tuple(table.attribute_names)
         self._attrs_by_name = {a.name: a for a in table.attributes}
         self._sizes = np.array([a.size for a in table.attributes], dtype=np.int64)
@@ -268,22 +260,10 @@ class CandidateScorer:
         self, child: str, parents: Tuple[Tuple[str, int], ...]
     ) -> Tuple[np.ndarray, int]:
         """Contingency counts ``Pr[Π, X]`` (child innermost)."""
-        block, _, _, _, child_sizes = self._count_groups(
-            [(tuple(parents), (child,))]
-        )[0]
+        block, _, _, _, child_sizes = self._parent_index_cache.counts(
+            parents, (child,)
+        )
         return block.astype(float), child_sizes[0]
-
-    def _count_groups(self, groups):
-        """Int64 counts of ``(parents, children)`` groups in one call: the
-        shared :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts`
-        on a resident table, one pass over the rows on a chunked source
-        (:func:`repro.data.chunks.stream_grouped_joint_counts`) — the
-        blocks are the same integers either way."""
-        if self._resident:
-            return self._parent_index_cache.grouped_counts(groups)
-        from repro.data.chunks import stream_grouped_joint_counts
-
-        return stream_grouped_joint_counts(self.table, groups)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -347,17 +327,17 @@ class CandidateScorer:
         (``rows`` holds each candidate's memo row) into the memo.
 
         Each memo cell is scored once, whatever the duplicates in the
-        grid.  On a Walsh–Hadamard table, cells whose parents are all at
+        grid.  On a Walsh–Hadamard input, cells whose parents are all at
         level 0 get their joints from one
         :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call per
         parent-set width.  The other cells are grouped by parent set, in
         order of first appearance, and counted with one
-        :meth:`_count_groups` call.  ``F`` then scores every joint length
-        (parent-domain size) in one :func:`score_F_batch` call, and
-        ``I``/``R`` make one segmented kernel call per Walsh width or
-        counted parent set, fed the int64 blocks as they come; each
-        kernel output is bit-equal to that candidate's score computed
-        alone.
+        :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call.
+        ``F`` then scores every joint length (parent-domain size) in one
+        :func:`score_F_batch` call, and ``I``/``R`` make one segmented
+        kernel call per Walsh width or counted parent set, fed the int64
+        blocks as they come; each kernel output is bit-equal to that
+        candidate's score computed alone.
         """
         _, first = np.unique(
             rows[fresh] * len(self._names) + grid.child[fresh], return_index=True
@@ -367,7 +347,7 @@ class CandidateScorer:
         children = grid.child[fresh]
         set_ids = grid.parent_set[fresh]
         index = self._parent_index_cache
-        if index is not None and index.coefficients is not None:
+        if index.coefficients is not None:
             walsh = ~grid.sets[set_ids, 1::2].any(axis=1)
         else:
             walsh = np.zeros(fresh.size, dtype=bool)
@@ -410,7 +390,8 @@ class CandidateScorer:
 
     def _counted_parts(self, grid, rest, cell_rows, children, set_ids):
         """Count the fresh cells ``rest`` grouped by parent set, in order
-        of first appearance, with one :meth:`_count_groups` call."""
+        of first appearance, with one
+        :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call."""
         _, first, inverse = np.unique(
             cell_rows[rest], return_index=True, return_inverse=True
         )
@@ -429,7 +410,7 @@ class CandidateScorer:
         grouped = cell_rows[rest]
         starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
         bounds = list(zip(starts.tolist(), starts[1:].tolist() + [rest.size]))
-        counted = self._count_groups([
+        counted = self._parent_index_cache.grouped_counts([
             (
                 grid.parents(set_ids[rest[lo]]),
                 tuple(self._names[c] for c in children[rest[lo:hi]].tolist()),
@@ -517,22 +498,22 @@ class ScoringCache:
     An ε sweep fits many models over the *same* table; candidate scores,
     parent-set enumerations, the counting engine and contingency counts
     are deterministic data statistics, so sharing their caches across
-    fits changes no output and spends no privacy budget.  Tables are
-    keyed by object identity (and kept alive by the registry so an id()
-    can never be recycled onto a different table); the registry is
-    bounded to ``_MAX_CACHED_TABLES`` distinct tables, evicting
-    whole-table entries oldest-first.  Evicted consumers keep working off
-    their own references — only future lookups rebuild.
+    fits changes no output and spends no privacy budget.  Tables and
+    chunked sources are keyed by object identity (and kept alive by the
+    registry so an id() can never be recycled onto a different table);
+    the registry is bounded to ``_MAX_CACHED_TABLES`` distinct tables,
+    evicting whole-table entries oldest-first.  Evicted consumers keep
+    working off their own references — only future lookups rebuild.
     """
 
     def __init__(self) -> None:
         #: Insertion-ordered registry of live tables (id -> table).
-        self._tables: Dict[int, Table] = {}
+        self._tables: Dict[int, RowSource] = {}
         self._scorers: Dict[Tuple[int, str], CandidateScorer] = {}
         self._joint_counters: Dict[int, object] = {}
         self._parent_indexes: Dict[int, object] = {}
 
-    def _register(self, table: Table) -> int:
+    def _register(self, table: RowSource) -> int:
         """Pin ``table``, evicting the oldest table past the bound."""
         key = id(table)
         held = self._tables.get(key)
@@ -556,17 +537,12 @@ class ScoringCache:
         """Shared :class:`~repro.bn.quality.ParentIndexCache` for ``table``.
 
         Handed to both the table's scorers and its joint counter, so the
-        counting engine (the code columns and, on an all-binary table, the
-        full joint's Walsh–Hadamard coefficients) is built once per table;
-        per-parent-set indexes are never kept.
-        Chunked sources have no per-row arrays to cache, so this returns
-        ``None`` for them (scorer and counter then flatten inside each
-        streaming pass).
+        counting engine (on an all-binary input, the full joint's
+        Walsh–Hadamard coefficients) is built once per table or chunked
+        source; per-parent-set indexes are never kept.
         """
         from repro.bn.quality import ParentIndexCache
 
-        if not isinstance(table, Table):
-            return None
         key = self._register(table)
         if key not in self._parent_indexes:
             self._parent_indexes[key] = ParentIndexCache(table)

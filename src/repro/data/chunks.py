@@ -24,11 +24,10 @@ A source must provide:
   mappings, each covering exactly the schema's attributes with
   equal-length columns of codes in ``[0, size)``, whose concatenation in
   order is the full dataset.  ``chunks()`` must be
-  **re-iterable and deterministic**: the counting layer makes several
-  passes (one per round of greedy structure search, one for distribution
-  learning) and every pass must see the identical rows.  Chunks may be
-  ragged (a short final chunk) or even empty; empty chunks contribute
-  nothing to any count.
+  **re-iterable and deterministic**: the counting layer may make several
+  passes (see below) and every pass must see the identical rows.  Chunks
+  may be ragged (a short final chunk) or even empty; empty chunks
+  contribute nothing to any count.
 
 A source's chunks come from outside the library, so :func:`as_chunks`,
 through which every counting pass reads them, checks each chunk's
@@ -43,41 +42,40 @@ When to use which path
   scale.  ``Table.from_chunks`` concatenates a source when a caller wants
   it resident.
 * **Streaming** (``ChunkedSource``): million-row fits and releases.
-  ``PrivBayes.fit`` accepts a source directly (scoring and distribution
-  learning accumulate their bincounts chunk-by-chunk), and
+  ``PrivBayes.fit`` accepts a source directly, and
   :func:`repro.core.sampler.sample_synthetic_chunks` +
   :func:`repro.data.io.write_csv` stream the release back out, so no
   ``n × d`` matrix of codes or decoded labels ever materializes.
 
-Everything here is a deterministic data statistic: chunked and monolithic
-counting produce the *same int64 integers* (asserted across chunk sizes,
-including ragged and empty trailing chunks, in ``tests/data/test_chunks.py``),
-so every downstream float, noise draw, and released tuple is bit-identical
-to the resident path.
+Counting itself lives in :class:`repro.bn.quality.ParentIndexCache`, one
+engine for both kinds of input: it reads a table and a source alike
+through :func:`as_chunks` (a table as zero-copy column slices).  An
+all-binary source whose full joint fits
+:data:`~repro.bn.quality.MAX_WALSH_CELLS` is read once, and its memory
+then includes the ``2**d`` Walsh–Hadamard coefficients of that joint (at
+most 128 MB, as for a table); any other source is read once per greedy
+round that has fresh parent sets to count, plus once for distribution
+learning.  Chunked and monolithic counting produce the *same int64
+integers* (asserted across chunk sizes, including ragged and empty
+trailing chunks, in ``tests/data/test_chunks.py`` and
+``tests/core/test_counting_paths.py``), so every downstream float, noise
+draw, and released tuple is bit-identical to the resident path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.data.attribute import Attribute
-from repro.data.marginals import (
-    domain_size,
-    ensure_int64_domain,
-    flatten_index,
-    stacked_joint_counts,
-)
+from repro.data.marginals import domain_size
 from repro.data.table import Table
 
 #: Default rows per chunk: 64k rows x 16 attributes x 8 bytes = 8 MiB of
 #: codes per chunk — large enough to amortize numpy call overhead, small
 #: enough that a handful of in-flight chunks stay cache-friendly.
 DEFAULT_CHUNK_ROWS = 65_536
-
-#: One (possibly generalized) parent set, as used throughout the library.
-ParentSet = Tuple[Tuple[str, int], ...]
 
 
 class ChunkedSource:
@@ -253,144 +251,3 @@ def _checked_chunks(
         raise ValueError(
             f"{kind} declares n={source.n} rows but its chunks yielded {seen}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Streaming contingency counting
-# ---------------------------------------------------------------------------
-def generalized_level_size(attr: Attribute, level: int) -> int:
-    """Domain size of ``attr`` generalized to taxonomy ``level``.
-
-    Pure schema metadata (derived from the taxonomy's leaf map, not from
-    data), equal to the size :func:`repro.bn.quality.generalized_codes`
-    reports for the same level.
-    """
-    if level == 0:
-        return attr.size
-    mapping = attr.generalization_map(level)
-    return int(mapping.max()) + 1 if mapping.size else 1
-
-
-class _LevelMapCache:
-    """Per-pass cache of taxonomy leaf->level maps, keyed (name, level)."""
-
-    def __init__(self, source: RowSource) -> None:
-        self._source = source
-        self._maps: Dict[Tuple[str, int], np.ndarray] = {}
-
-    def codes(
-        self, chunk: Mapping[str, np.ndarray], name: str, level: int
-    ) -> np.ndarray:
-        if level == 0:
-            return chunk[name]
-        key = (name, level)
-        if key not in self._maps:
-            self._maps[key] = self._source.attribute(name).generalization_map(
-                level
-            )
-        return self._maps[key][chunk[name]]
-
-
-#: One counting group: a shared parent set and the children joined to it.
-CountGroup = Tuple[ParentSet, Tuple[str, ...]]
-
-#: Result per group: (block, offsets, lengths, parent_sizes, child_sizes) —
-#: the ``stacked_joint_counts`` layout plus the mixed-radix size metadata.
-GroupCounts = Tuple[
-    np.ndarray, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
-]
-
-
-def stream_grouped_joint_counts(
-    source: RowSource,
-    groups: Sequence[CountGroup],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> List[GroupCounts]:
-    """Contingency counts for many parent-set groups in ONE pass over the rows.
-
-    For each group ``(parents, children)`` this accumulates exactly the
-    ``(block, offsets, lengths)`` layout of
-    :func:`repro.data.marginals.stacked_joint_counts`, chunk by chunk:
-    every chunk's bincount lands in int64 and integer addition is exact and
-    order-free, so the accumulated block equals the single-pass block over
-    the concatenated rows bit for bit.  Counting all groups of a greedy
-    round (or all of a network's parent sets) in one pass is what turns
-    structure learning from one data scan per parent set into one scan per
-    round.
-
-    Memory is bounded by the chunk size plus the count blocks themselves
-    (which scale with the joint domains, not with ``n``).
-    """
-    plans = []
-    blocks: List[np.ndarray] = []
-    for parents, children in groups:
-        parent_sizes = tuple(
-            generalized_level_size(source.attribute(name), level)
-            for name, level in parents
-        )
-        parent_dom = domain_size(parent_sizes)
-        child_sizes = tuple(
-            source.attribute(child).size for child in children
-        )
-        for child, child_size in zip(children, child_sizes):
-            ensure_int64_domain(
-                parent_dom * child_size, f"joint domain of (Π, {child!r})"
-            )
-        total = ensure_int64_domain(
-            sum(parent_dom * s for s in child_sizes),
-            "batched joint-count block",
-        )
-        plans.append((parents, children, parent_sizes, parent_dom, child_sizes))
-        blocks.append(np.zeros(total, dtype=np.int64))
-    maps = _LevelMapCache(source)
-    offsets: Tuple[int, ...] = ()
-    lengths: Tuple[int, ...] = ()
-    layouts: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = [
-        ((), ()) for _ in plans
-    ]
-    for chunk in as_chunks(source, chunk_rows):
-        rows = next(iter(chunk.values())).shape[0] if chunk else 0
-        for position, (parents, children, parent_sizes, parent_dom, child_sizes) in enumerate(
-            plans
-        ):
-            flat = flatten_index(
-                [maps.codes(chunk, name, level) for name, level in parents],
-                parent_sizes,
-                rows,
-            )
-            block, offsets, lengths = stacked_joint_counts(
-                flat,
-                parent_dom,
-                [chunk[child] for child in children],
-                child_sizes,
-            )
-            blocks[position] += block
-            layouts[position] = (offsets, lengths)
-    results: List[GroupCounts] = []
-    for position, (parents, children, parent_sizes, parent_dom, child_sizes) in enumerate(
-        plans
-    ):
-        offsets, lengths = layouts[position]
-        if not lengths:
-            # Source yielded no chunks at all: derive the layout directly.
-            lengths = tuple(parent_dom * s for s in child_sizes)
-            acc = [0]
-            for length in lengths[:-1]:
-                acc.append(acc[-1] + length)
-            offsets = tuple(acc)
-        results.append(
-            (blocks[position], offsets, lengths, parent_sizes, child_sizes)
-        )
-    return results
-
-
-def stream_stacked_joint_counts(
-    source: RowSource,
-    parents: ParentSet,
-    children: Sequence[str],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> GroupCounts:
-    """Single-group convenience wrapper of :func:`stream_grouped_joint_counts`."""
-    return stream_grouped_joint_counts(
-        source, [(tuple(parents), tuple(children))], chunk_rows
-    )[0]

@@ -880,6 +880,12 @@ def write_csv(
     quoted labels (natively when the kernel is loaded) and written at
     once.  Output bytes are identical to writing every row with
     ``csv.writer``.
+
+    The rows go to a new file beside ``path``, created with the mode a
+    plain ``open(path, "wb")`` gives, which replaces ``path`` only once
+    the whole stream is written: when a check or a write fails, the
+    temporary file is removed and whatever was at ``path`` stays as it
+    was.  Nothing is fsync'd; the replace is atomic, not crash-durable.
     """
     attributes, chunk_iter = _chunk_stream(source)
     header = io.StringIO()
@@ -891,7 +897,19 @@ def write_csv(
         writer.dialect.lineterminator,
         kernel_backend.NATIVE_KERNEL,
     )
-    with Path(path).open("wb") as handle:
-        handle.write(header.getvalue().encode())
-        for chunk in chunk_iter:
-            handle.write(rows(chunk))
+    target = Path(path)
+    temporary = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        handle = temporary.open("xb")
+    except OSError as error:
+        # Name the path the caller gave, not the temporary file.
+        raise type(error)(error.errno, error.strerror, str(target)) from None
+    try:
+        with handle:
+            handle.write(header.getvalue().encode())
+            for chunk in chunk_iter:
+                handle.write(rows(chunk))
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

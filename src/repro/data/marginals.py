@@ -173,28 +173,36 @@ def marginal_counts(table, names: Sequence[str]) -> np.ndarray:
     """Contingency counts of the named attributes as a flat vector.
 
     ``table`` is a resident :class:`~repro.data.Table` or any
-    :class:`~repro.data.chunks.ChunkedSource`; for a source the int64
-    bincounts accumulate chunk by chunk, which is exact integer addition,
-    so the result is bit-identical to the resident scan.  The result has
-    ``prod(sizes)`` entries summing to ``table.n``.  An empty ``names``
-    yields the single count ``[n]``.
+    :class:`~repro.data.chunks.ChunkedSource`, read chunk by chunk
+    through :func:`~repro.data.chunks.as_chunks` (a table as column
+    views); the int64 bincounts accumulate, which is exact integer
+    addition, so the result is the same whatever the chunking.  The
+    result has ``prod(sizes)`` entries summing to ``table.n``.  An empty
+    ``names`` yields the single count ``[n]``.
     """
     sizes = [table.attribute(name).size for name in names]
     total = ensure_int64_domain(domain_size(sizes))
     if not names:
         return np.array([float(table.n)])
-    if isinstance(table, Table):
-        columns = [table.column(name) for name in names]
-        flat = flatten_index(columns, sizes, table.n)
-        return np.bincount(flat, minlength=total).astype(float)
     # Lazy import: data.chunks builds on this module.
     from repro.data.chunks import as_chunks
 
-    accumulated = np.zeros(total, dtype=np.int64)
-    for chunk in as_chunks(table):
-        columns = [chunk[name] for name in names]
-        flat = flatten_index(columns, sizes, len(columns[0]))
-        accumulated += np.bincount(flat, minlength=total)
+    # Later chunks add into the first chunk's counts, so a table read as
+    # one chunk holds no second domain-sized array.
+    per_chunk = (
+        np.bincount(
+            flatten_index(
+                [chunk[name] for name in names], sizes, len(chunk[names[0]])
+            ),
+            minlength=total,
+        )
+        for chunk in as_chunks(table)
+    )
+    accumulated = next(per_chunk, None)
+    if accumulated is None:
+        return np.zeros(total)
+    for counts in per_chunk:
+        accumulated += counts
     return accumulated.astype(float)
 
 

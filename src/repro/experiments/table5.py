@@ -76,7 +76,8 @@ def run_scale_panel(
 
     Per grid point: a :class:`~repro.datasets.NetworkSource` emits ``n``
     rows of ``d`` correlated binary attributes in chunks; ``PrivBayes``
-    fits on the source (one streaming pass per greedy round); the release
+    fits on the source (one pass over it, which counts its full joint for
+    the Walsh–Hadamard coefficients every greedy round reads); the release
     streams through ``sample_chunks`` → ``write_csv``; with ``ingest``,
     the released CSV is re-read through the two-pass
     :class:`~repro.data.io.CsvSource` and one streaming marginal proves

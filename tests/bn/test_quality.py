@@ -6,11 +6,7 @@ import pytest
 from bn_reference import exact_model_joint, kl_divergence, model_kl_to_data
 from core_reference import reference_counts
 from repro.bn.network import APPair, BayesianNetwork
-from repro.bn.quality import (
-    ParentIndexCache,
-    generalized_codes,
-    network_mutual_information,
-)
+from repro.bn.quality import ParentIndexCache, network_mutual_information
 from repro.core.scoring import CandidateScorer
 from repro.data.attribute import Attribute
 from repro.data.marginals import joint_distribution
@@ -67,19 +63,6 @@ class TestNetworkMI:
         )
         with pytest.raises(KeyError, match="zz"):
             network_mutual_information(net, _I(binary_table))
-
-
-class TestGeneralizedCodes:
-    def test_level_zero_identity(self, mixed_table):
-        codes, size = generalized_codes(mixed_table, "color", 0)
-        assert size == 4
-        assert (codes == mixed_table.column("color")).all()
-
-    def test_level_one_groups(self, mixed_table):
-        codes, size = generalized_codes(mixed_table, "color", 1)
-        assert size == 2
-        raw = mixed_table.column("color")
-        assert ((raw < 2) == (codes == 0)).all()
 
 
 class TestPairJoint:

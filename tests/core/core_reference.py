@@ -25,6 +25,8 @@ with batched ones, kept as test oracles:
 * :func:`score_F`, :func:`score_I` and :func:`score_R` score one
   candidate through the production kernels, for the property tests of
   the paper's claims about the scores.
+* :func:`held_bytes` sums the arrays a counting engine keeps, for the
+  tests that bound what it retains.
 
 Slow and plainly correct; never used by the library.
 """
@@ -291,3 +293,26 @@ def score_R(joint: np.ndarray, child_size: int) -> float:
     """``R`` (Equation 11) of one flat ``Pr[Π, X]`` through
     :func:`~repro.core.score_kernels.score_R_segments`."""
     return _one_segment(score_R_segments, joint, child_size)
+
+
+def held_bytes(index) -> int:
+    """Bytes of every array ``index`` keeps in its attributes, through
+    nested dicts, tuples and lists; its input (``index.table``) is not
+    counted."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    return sum(
+        array.nbytes
+        for name, value in vars(index).items()
+        if name != "table"
+        for array in arrays(value)
+    )

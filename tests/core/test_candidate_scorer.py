@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.bn.quality as quality
+from core_reference import held_bytes
 from repro.bn.quality import ParentIndexCache
 from repro.core.scoring import CandidateScorer
 from repro.data.marginals import marginal_counts
@@ -27,11 +29,16 @@ class TestCounts:
         assert counts.size == 2 * 2  # generalized color (2) x flag (2)
         assert counts.sum() == mixed_table.n
 
-    def test_repeated_counts_on_one_parent_set_are_equal(self, binary_table):
-        # Parent indexes are rebuilt on every call, never retained; every
-        # rebuild must give the same integers and so the same scores.
+    def test_repeated_counts_on_one_parent_set_are_equal(
+        self, binary_table, monkeypatch
+    ):
+        # On the raw rows, parent indexes are rebuilt on every call, never
+        # retained; every rebuild must give the same integers and so the
+        # same scores.
+        monkeypatch.setattr(quality, "MAX_WALSH_CELLS", 0)
         parents = (("a", 0), ("b", 0))
         index = ParentIndexCache(binary_table)
+        assert index.coefficients is None
         first, second = (
             CandidateScorer(binary_table, "I", parent_index=index)
             for _ in range(2)
@@ -42,7 +49,8 @@ class TestCounts:
         assert np.array_equal(
             first.score_batch(candidates), second.score_batch(candidates)
         )
-        assert set(index._codes) == {("a", 0), ("b", 0), ("c", 0), ("d", 0)}
+        # A little metadata per attribute, and no array per row.
+        assert held_bytes(index) <= 64 * binary_table.d
 
     def test_unknown_score_rejected(self, binary_table):
         with pytest.raises(ValueError, match="unknown score"):

@@ -2,19 +2,22 @@
 per-pair ``np.bincount`` over the raw columns
 (``core_reference.reference_counts``).
 
-:class:`~repro.bn.quality.ParentIndexCache` counts an all-binary table
+:class:`~repro.bn.quality.ParentIndexCache` counts an all-binary input
 whose full joint has at most ``MAX_WALSH_CELLS`` cells (and ``n · 2**d``
 fits int64) by gathering and inverse-transforming the full joint's
-Walsh–Hadamard coefficients; every other table, and every group with a
+Walsh–Hadamard coefficients; every other input, and every group with a
 generalized parent, counts its raw rows.  Generated tables take both
 paths: mixed tables with binary and taxonomy attributes, and all-binary
 tables with d from 1 to 12, heavy row duplication and binary attributes
-that carry a taxonomy; n = 0, 1, 2 and 3 included.  On every path the
-grouped counts and their layout, the scorer's counts and scores and the
-joint counter's counts must be exactly the reference integers and the
-scores computed from them.
+that carry a taxonomy; n = 0, 1, 2 and 3 included.  The engine counts
+the table itself or a ``TableChunks`` view of it, with chunks of 1, 7,
+n - 1, n or n + 13 rows, and a zero cell cap forces the raw rows on any
+input.  On every path the grouped counts and their layout, the scorer's
+counts and scores and the joint counter's counts must be exactly the
+reference integers and the scores computed from them.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.bn.quality import MAX_WALSH_CELLS, ParentIndexCache
 from repro.core.noisy_conditionals import JointCounter
 from repro.core.scoring import CandidateScorer
 from repro.data.attribute import Attribute
+from repro.data.chunks import TableChunks
 from repro.data.marginals import domain_size, unflatten_index
 from repro.data.table import Table
 from repro.data.taxonomy import TaxonomyTree
@@ -80,6 +84,28 @@ def tables(draw):
     return Table(attrs, {attr.name: columns[:, j] for j, attr in enumerate(attrs)})
 
 
+@st.composite
+def sources(draw):
+    """A drawn table and the input the engine counts: the table itself or
+    a ``TableChunks`` view of it."""
+    table = draw(tables())
+    n = table.n
+    chunk_rows = draw(st.sampled_from([None, 1, 7, n - 1, n, n + 13]))
+    if chunk_rows is None or chunk_rows < 1:
+        return table, table
+    return table, TableChunks(table, chunk_rows)
+
+
+@contextlib.contextmanager
+def _engine(raw: bool):
+    """Caches built inside count raw rows when ``raw``, whatever the
+    input; otherwise the engine rule picks."""
+    with pytest.MonkeyPatch.context() as patch:
+        if raw:
+            patch.setattr(quality, "MAX_WALSH_CELLS", 0)
+        yield
+
+
 def _walsh_expected(table: Table) -> bool:
     """The engine rule, from the input alone."""
     d = table.d
@@ -123,8 +149,10 @@ def _random_groups(table: Table, rng: np.random.Generator, count: int = 12):
     return groups
 
 
-def _assert_grouped_counts_exact(index: ParentIndexCache, groups) -> None:
-    table = index.table
+def _assert_grouped_counts_exact(
+    index: ParentIndexCache, groups, table: Table
+) -> None:
+    """``table`` holds the rows of ``index``'s input, resident."""
     for (parents, children), counted in zip(groups, index.grouped_counts(groups)):
         block, offsets, lengths, parent_sizes, child_sizes = counted
         expected_parents = tuple(
@@ -149,8 +177,11 @@ def _assert_grouped_counts_exact(index: ParentIndexCache, groups) -> None:
             )
 
 
-def _assert_counts_exact(table: Table) -> None:
-    index = ParentIndexCache(table)
+def _assert_counts_exact(table: Table, source=None) -> None:
+    """Counts on ``source`` (``table`` itself by default, or a chunked
+    view of it) against the reference counts of ``table``."""
+    source = table if source is None else source
+    index = ParentIndexCache(source)
     assert (index.coefficients is not None) == _walsh_expected(table)
     # Wide binary tables: single parents keep the candidate count small;
     # the grouped tests reach five parents.
@@ -161,8 +192,8 @@ def _assert_counts_exact(table: Table) -> None:
         for parents in _parent_sets(table, attr.name, max_parents)
     ]
     expected = {cand: reference_counts(table, *cand) for cand in candidates}
-    scorer = CandidateScorer(table, "R", parent_index=index)
-    counter = JointCounter(table, parent_index=index)
+    scorer = CandidateScorer(source, "R", parent_index=index)
+    counter = JointCounter(source, parent_index=index)
     for (child, parents), reference in expected.items():
         counts, child_size = scorer.counts(child, parents)
         assert counts.dtype == np.float64
@@ -171,7 +202,7 @@ def _assert_counts_exact(table: Table) -> None:
         assert joint.dtype == np.int64
         assert np.array_equal(joint, reference)
         assert sizes[-1] == child_size == table.attribute(child).size
-    warmed = JointCounter(table, parent_index=index)
+    warmed = JointCounter(source, parent_index=index)
     warmed.warm([APPair(child, parents) for child, parents in candidates])
     for (child, parents), reference in expected.items():
         assert np.array_equal(warmed.counts(APPair(child, parents))[0], reference)
@@ -182,7 +213,8 @@ def _assert_counts_exact(table: Table) -> None:
         ]
         if not scored:
             continue
-        values = CandidateScorer(table, score, parent_index=index).score_batch(scored)
+        scorer = CandidateScorer(source, score, parent_index=index)
+        values = scorer.score_batch(scored)
         reference = [
             reference_score(score, expected[cand], table.n, table.attribute(cand[0]).size)
             for cand in scored
@@ -191,27 +223,35 @@ def _assert_counts_exact(table: Table) -> None:
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables())
-def test_counts_and_scores_equal_raw_bincounts(table):
-    _assert_counts_exact(table)
+@given(sources(), st.booleans())
+def test_counts_and_scores_equal_raw_bincounts(drawn, raw):
+    table, source = drawn
+    with _engine(raw):
+        _assert_counts_exact(table, source)
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables(), st.integers(0, 2**32 - 1))
-def test_grouped_counts_of_several_widths_equal_raw_bincounts(table, seed):
-    index = ParentIndexCache(table)
+@given(sources(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_grouped_counts_of_several_widths_equal_raw_bincounts(
+    drawn, raw, seed
+):
+    table, source = drawn
+    with _engine(raw):
+        index = ParentIndexCache(source)
+    assert (index.coefficients is None) == (raw or not _walsh_expected(table))
     groups = _random_groups(table, np.random.default_rng(seed))
-    _assert_grouped_counts_exact(index, groups)
+    _assert_grouped_counts_exact(index, groups, table)
 
 
 @settings(max_examples=40, deadline=None)
-@given(tables(), st.integers(0, 2**32 - 1))
-def test_raw_path_gives_the_walsh_integers(table, seed):
+@given(sources(), st.integers(0, 2**32 - 1))
+def test_raw_path_gives_the_walsh_integers(drawn, seed):
+    table, source = drawn
     groups = _random_groups(table, np.random.default_rng(seed))
-    walsh = ParentIndexCache(table)
+    walsh = ParentIndexCache(source)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quality, "MAX_WALSH_CELLS", 2**table.d - 1)
-        raw = ParentIndexCache(table)
+        raw = ParentIndexCache(source)
     assert raw.coefficients is None
     for ours, theirs in zip(walsh.grouped_counts(groups), raw.grouped_counts(groups)):
         assert np.array_equal(ours[0], theirs[0])
@@ -231,7 +271,7 @@ def test_repeated_attributes_count_like_the_data():
         ((("b1", 0), ("b1", 0)), ("b2",)),
         ((("b3", 0), ("b0", 0)), ("b3", "b0", "b4")),
     ]
-    _assert_grouped_counts_exact(index, groups)
+    _assert_grouped_counts_exact(index, groups, table)
 
 
 def test_engine_rule_checks_the_int64_bound(monkeypatch):
@@ -244,7 +284,7 @@ def test_engine_rule_checks_the_int64_bound(monkeypatch):
     index = ParentIndexCache(table)
     assert index.coefficients is None
     _assert_grouped_counts_exact(
-        index, [((("b0", 0), ("b61", 0)), ("b7",)), ((), ("b1",))]
+        index, [((("b0", 0), ("b61", 0)), ("b7",)), ((), ("b1",))], table
     )
 
 

@@ -265,21 +265,56 @@ class TestExternalAccountant:
 
 
 class TestCountingCache:
+    @pytest.mark.parametrize("chunk_rows", [None, 97])
     @pytest.mark.parametrize("fixture", ["binary_table", "mixed_table"])
-    def test_resident_fit_builds_one_counting_cache(
-        self, fixture, request, monkeypatch
+    def test_fit_builds_one_counting_cache(
+        self, fixture, chunk_rows, request, monkeypatch
     ):
-        """Scorer and joint counter share one ParentIndexCache per fit."""
+        """Scorer and joint counter share one ParentIndexCache per fit,
+        on a resident table and on a chunked source alike."""
         from repro.bn.quality import ParentIndexCache
+        from repro.data.chunks import TableChunks
 
         built = []
         init = ParentIndexCache.__init__
 
-        def counting_init(self, table):
-            built.append(table)
-            init(self, table)
+        def counting_init(self, source):
+            built.append(source)
+            init(self, source)
 
         monkeypatch.setattr(ParentIndexCache, "__init__", counting_init)
         table = request.getfixturevalue(fixture)
-        PrivBayes(epsilon=1.0).fit_sample(table, np.random.default_rng(0))
-        assert len(built) == 1 and built[0] is table
+        source = table if chunk_rows is None else TableChunks(table, chunk_rows)
+        PrivBayes(epsilon=1.0).fit_sample(source, np.random.default_rng(0))
+        assert len(built) == 1 and built[0] is source
+
+    @pytest.mark.parametrize(
+        "case, passes",
+        [("binary", 1), ("general", 5)],
+    )
+    def test_passes_over_a_chunked_source(self, case, passes):
+        """An all-binary source is read once, for its Walsh-Hadamard
+        coefficients, however many greedy rounds the fit runs; a general
+        one once per round with fresh raw counts plus once for the
+        conditionals."""
+        from repro.data.chunks import TableChunks
+        from repro.datasets import load_adult, random_binary_source
+
+        if case == "binary":
+            source = random_binary_source(50_000, 8, chunk_rows=4096)
+            fit = PrivBayes(epsilon=1.0, k=2, mode="binary")
+            rng = np.random.default_rng(0)
+        else:
+            source = TableChunks(load_adult(n=3000, seed=1), 257)
+            fit = PrivBayes(epsilon=0.8)
+            rng = np.random.default_rng(3)
+        calls = []
+        chunks = source.chunks
+
+        def counted_chunks():
+            calls.append(1)
+            return chunks()
+
+        source.chunks = counted_chunks
+        fit.fit(source, rng)
+        assert len(calls) == passes

@@ -10,18 +10,14 @@ explicit empty trailing chunks.
 import numpy as np
 import pytest
 
+import repro.bn.quality as quality
 from repro.bn.network import APPair
+from repro.bn.quality import ParentIndexCache
 from repro.data.attribute import Attribute
 from repro.core.noisy_conditionals import JointCounter
 from repro.core.privbayes import PrivBayes
 from repro.core.scoring import CandidateScorer, ScoringCache
-from repro.data.chunks import (
-    ChunkedSource,
-    IterableChunks,
-    TableChunks,
-    stream_grouped_joint_counts,
-    stream_stacked_joint_counts,
-)
+from repro.data.chunks import ChunkedSource, IterableChunks, TableChunks
 from repro.data.io import write_csv
 from repro.data.marginals import marginal_counts
 from repro.data.table import Table
@@ -149,8 +145,8 @@ class TestStreamingCounts:
         expected, expected_sizes = counter.counts(pair)
         for chunk_rows in chunk_size_grid(mixed_table.n):
             block, offsets, lengths, parent_sizes, child_sizes = (
-                stream_stacked_joint_counts(
-                    TableChunks(mixed_table, chunk_rows), parents, children
+                ParentIndexCache(TableChunks(mixed_table, chunk_rows)).counts(
+                    parents, children
                 )
             )
             np.testing.assert_array_equal(
@@ -166,12 +162,10 @@ class TestStreamingCounts:
             (((names[1], 0), (names[2], 0)), (names[4],)),
         ]
         source = TableChunks(nltcs, 97)
-        streamed = stream_grouped_joint_counts(source, groups)
+        streamed = ParentIndexCache(source).grouped_counts(groups)
+        resident = ParentIndexCache(nltcs)
         for (parents, children), counted in zip(groups, streamed):
-            single = [
-                stream_stacked_joint_counts(nltcs, parents, [child])
-                for child in children
-            ]
+            single = [resident.counts(parents, [child]) for child in children]
             block, offsets, lengths, _, _ = counted
             for position, child_counts in enumerate(single):
                 sblock, soff, slen, _, _ = child_counts
@@ -197,11 +191,11 @@ class TestStreamingCounts:
             marginal_counts(padded, names),
             marginal_counts(binary_table, names),
         )
-        block_a, *_ = stream_stacked_joint_counts(
-            padded, ((names[0], 0),), [names[1]]
+        block_a, *_ = ParentIndexCache(padded).counts(
+            ((names[0], 0),), [names[1]]
         )
-        block_b, *_ = stream_stacked_joint_counts(
-            binary_table, ((names[0], 0),), [names[1]]
+        block_b, *_ = ParentIndexCache(binary_table).counts(
+            ((names[0], 0),), [names[1]]
         )
         np.testing.assert_array_equal(block_a, block_b)
 
@@ -218,7 +212,7 @@ class TestStreamingCounts:
 
         attrs = (Attribute.binary("a"), Attribute("b", ("x", "y", "z")))
         block, offsets, lengths, parent_sizes, child_sizes = (
-            stream_stacked_joint_counts(NoChunks(attrs), (("a", 0),), ["b"])
+            ParentIndexCache(NoChunks(attrs)).counts((("a", 0),), ["b"])
         )
         assert block.shape == (6,)
         assert not block.any()
@@ -288,7 +282,9 @@ class TestSourceChecks:
             )
 
     @pytest.mark.parametrize("bad", [2, -1])
-    def test_out_of_range_code_raises_for_parent_and_child(self, bad):
+    def test_out_of_range_code_raises_for_parent_and_child(
+        self, bad, monkeypatch
+    ):
         attrs = (Attribute.binary("a"), Attribute.binary("b"))
         source = IterableChunks(
             attrs, [{"a": np.array([0, 0, 1]), "b": np.array([bad, 0, 1])}]
@@ -296,9 +292,15 @@ class TestSourceChecks:
         message = (
             rf"IterableChunks chunk column 'b' has code {bad} outside \[0, 2\)"
         )
+        # The Walsh-Hadamard engine counts the full joint as it is built;
+        # the raw-row engine counts the group it is asked for.
+        with pytest.raises(ValueError, match=message):
+            ParentIndexCache(source)
+        monkeypatch.setattr(quality, "MAX_WALSH_CELLS", 0)
+        index = ParentIndexCache(source)
         for parents, child in [((("a", 0),), "b"), ((("b", 0),), "a")]:
             with pytest.raises(ValueError, match=message):
-                stream_stacked_joint_counts(source, parents, [child])
+                index.counts(parents, [child])
         with pytest.raises(ValueError, match=message):
             marginal_counts(source, ["a", "b"])
 
@@ -317,8 +319,8 @@ class TestSourceChecks:
         ]
         for chunk, message in cases:
             with pytest.raises(ValueError, match=f"_Feed chunk.*{message}"):
-                stream_stacked_joint_counts(
-                    _Feed(attrs, [chunk], 2), (("a", 0),), ["b"]
+                ParentIndexCache(_Feed(attrs, [chunk], 2)).counts(
+                    (("a", 0),), ["b"]
                 )
 
     @pytest.mark.parametrize(
@@ -353,11 +355,17 @@ class TestSourceChecks:
     ):
         """Under either CSV backend, ``write_csv`` refuses a source whose
         second chunk fails any check that counting makes, naming the
-        column, and a pass that yields other than the declared rows."""
+        column, and a pass that yields other than the declared rows; the
+        file already at the path keeps its bytes, and no temporary file
+        is left beside it."""
         attrs = (Attribute.binary("a"), Attribute.binary("b"))
         first = {"a": np.array([0, 1]), "b": np.array([1, 0])}
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"x,y\nprevious,release\n")
         with pytest.raises(ValueError, match=f"_Feed.*{message}"):
-            write_csv(_Feed(attrs, [first, second], 5), tmp_path / "out.csv")
+            write_csv(_Feed(attrs, [first, second], 5), target)
+        assert target.read_bytes() == b"x,y\nprevious,release\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCounterAndScorerEquivalence:
@@ -379,8 +387,6 @@ class TestCounterAndScorerEquivalence:
                 assert tuple(sizes_a) == tuple(sizes_b)
 
     def test_joint_counter_rejects_foreign_parent_index(self, mixed_table):
-        from repro.bn.quality import ParentIndexCache
-
         index = ParentIndexCache(mixed_table)
         with pytest.raises(ValueError):
             JointCounter(TableChunks(mixed_table, 64), parent_index=index)
@@ -416,10 +422,14 @@ class TestCounterAndScorerEquivalence:
                 candidates
             ) == CandidateScorer(nltcs, score).selection_sensitivity(candidates)
 
-    def test_scoring_cache_parent_index_none_for_sources(self, nltcs):
+    def test_scoring_cache_shares_one_engine_per_source(self, nltcs):
         cache = ScoringCache()
-        assert cache.parent_index(TableChunks(nltcs, 64)) is None
-        assert cache.parent_index(nltcs) is not None
+        source = TableChunks(nltcs, 64)
+        index = cache.parent_index(source)
+        assert index.table is source
+        assert cache.parent_index(nltcs) is not index
+        assert cache.scorer(source, "F")._parent_index_cache is index
+        assert cache.joint_counter(source)._parent_index is index
 
 
 class TestEndToEndEquivalence:

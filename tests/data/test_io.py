@@ -377,6 +377,8 @@ class TestVectorizedWrite:
         }
         reference_write(mixed_table.attributes, columns, naive_path)
         assert fast_path.read_bytes() == naive_path.read_bytes()
+        # Published through a temporary file, with a plain open's mode.
+        assert fast_path.stat().st_mode == naive_path.stat().st_mode
 
     def test_single_column_empty_label(self, tmp_path):
         """csv.writer writes a one-field row holding "" as ``""`` so it is
@@ -408,6 +410,14 @@ class TestVectorizedWrite:
         streamed_path = tmp_path / "streamed.csv"
         write_csv(chunk_tables(), streamed_path)
         assert streamed_path.read_bytes() == resident_path.read_bytes()
+
+    def test_write_into_a_missing_directory_names_the_target(
+        self, tmp_path, mixed_table
+    ):
+        target = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_csv(mixed_table, target)
+        assert raised.value.filename == str(target)
 
     def test_write_from_chunked_source(self, tmp_path, mixed_table):
         from repro.data.chunks import TableChunks
@@ -527,9 +537,9 @@ class TestEncoding:
         assert read_csv(path).attribute_names == ("\ufeffa", "b")
 
     def test_out_of_range_code_names_the_attribute(self, tmp_path, csv_backend):
-        """A chunk code outside its attribute's labels fails before any of
-        the chunk is written, naming the attribute: above the labels, as
-        np.take fails, and below them, which np.take would wrap."""
+        """A chunk code outside its attribute's labels fails, naming the
+        attribute: above the labels, as np.take fails, and below them,
+        which np.take would wrap.  Nothing is published at the path."""
         attrs = [Attribute("x", ("p", "q")), Attribute("y", ("r", "s", "t"))]
         for bad in (3, -1):
             chunk = Table.from_trusted_columns(
@@ -539,5 +549,5 @@ class TestEncoding:
             message = f"attribute 'y' has code {bad}, outside its 3 labels"
             with pytest.raises(IndexError, match=message):
                 write_csv(iter([chunk]), path)
-            assert path.read_bytes() == b"x,y\r\n"
+            assert list(tmp_path.iterdir()) == []
 
