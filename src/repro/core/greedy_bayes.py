@@ -47,8 +47,8 @@ from repro.dp.accountant import split_epsilon_even
 from repro.dp.mechanisms import exponential_mechanism
 
 #: ``combinations(range(p), w)`` as a ``(C(p, w), w)`` position table per
-#: ``(p, w)``.  Pure data shared by every fit, like
-#: :class:`~repro.core.score_kernels.MaskCache`; filled in place.
+#: ``(p, w)``.  Pure data shared by every fit, like the F kernel's
+#: assignment masks (``score_kernels._MASKS``); filled in place.
 _POSITIONS: Dict[Tuple[int, int], np.ndarray] = {}
 
 

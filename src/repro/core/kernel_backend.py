@@ -549,6 +549,6 @@ def resolve(mode: Optional[str] = None) -> Tuple[str, Optional[NativeKernel]]:
         return "numpy", None
 
 
-#: Backend selected once at import; :mod:`repro.core.score_kernels` reads
-#: these for every call that does not pass an explicit ``backend=``.
+#: Backend selected once at import.  The F kernel, the sampler and the CSV
+#: codec read ``NATIVE_KERNEL`` on every call, so it is the one switch.
 SELECTED_BACKEND, NATIVE_KERNEL = resolve()

@@ -305,7 +305,7 @@ def noisy_conditionals_general(
     conditionals: List[ConditionalTable] = []
     for pair in network:
         if accountant is not None and share is not None:
-            accountant.charge(f"marginal[{pair.child}]", share)
+            accountant.spend(f"marginal[{pair.child}]", share)
         joint, sizes = _noisy_joint(table, pair, share, rng, counter)
         conditionals.append(_conditional_from(pair, joint, sizes))
     return NoisyModel(network=network, conditionals=tuple(conditionals))
@@ -355,7 +355,7 @@ def noisy_conditionals_fixed_k(
     for i in range(k, d):
         pair = pairs[i]
         if accountant is not None and share is not None:
-            accountant.charge(f"marginal[{pair.child}]", share)
+            accountant.spend(f"marginal[{pair.child}]", share)
         joint, sizes = _noisy_joint(table, pair, share, rng, counter)
         conditionals[pair.child] = _conditional_from(pair, joint, sizes)
         if i == k:
@@ -369,7 +369,7 @@ def noisy_conditionals_fixed_k(
         if derived is None:
             # Structural guarantee missing: materialize directly (charged).
             if accountant is not None and share is not None:
-                accountant.charge(f"marginal[{pair.child}] (fallback)", share)
+                accountant.spend(f"marginal[{pair.child}] (fallback)", share)
             joint, sizes = _noisy_joint(table, pair, share, rng, counter)
             derived = _conditional_from(pair, joint, sizes)
         conditionals[pair.child] = derived

@@ -7,16 +7,22 @@ another attribute, or (with taxonomies) by refining an attribute to a less
 generalized level — without busting the budget.
 
 Parent sets are represented as frozensets of ``(attribute_name, level)``
-pairs; level 0 is the raw attribute.  Algorithm 5 is the level-free special
-case of Algorithm 6.
+pairs; level 0 is the raw attribute.
+
+Both algorithms run through one recursion.  It peels the head attribute
+and recurses on the tail once for each level the head may join at, then
+once without the head.  A ``levels`` function gives the domain size of
+each such level: Algorithm 5 offers an attribute at its raw size only,
+Algorithm 6 at every taxonomy level.  So Algorithm 5 is Algorithm 6 on
+the same attributes with their taxonomies stripped.
 
 Memoization
 -----------
-Both recursions peel the head attribute and recurse on the tail, so every
-subproblem is identified by ``(attribute tail, τ)``.  The results are pure
-functions of those inputs, and the computed *set* of maximal parent sets is
-independent of the attribute ordering (the returned list is canonically
-sorted), so results can be cached and shared:
+Every subproblem is identified by ``(attribute tail, τ)``, each attribute
+keyed by its name and the level sizes it is offered at.  The results are
+pure functions of those inputs, and the computed *set* of maximal parent
+sets is independent of the attribute ordering (the returned list is
+canonically sorted), so results can be cached and shared:
 
 * within one call, repeated ``(tail, τ)`` subproblems — common when domain
   sizes repeat, e.g. all-binary tables where ``τ/2/2`` meets ``τ/4`` — are
@@ -26,25 +32,45 @@ sorted), so results can be cached and shared:
   placed attributes newest-first, so each round's tail subproblems are
   exactly the previous round's full problems and hit the cache directly.
 
-Cache keys include each attribute's (level) domain sizes, so a cache is
-safe to share across tables; τ is keyed by exact float value (equal floats
-behave identically throughout the recursion, so hits are always exact).
+One memo serves both entry points: a key with one level per attribute
+means the same subproblem under either.  Keys carry the level domain
+sizes, so a cache is also safe to share across tables; τ is keyed by
+exact float value (equal floats behave identically throughout the
+recursion, so hits are always exact).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.data.attribute import Attribute
 
 ParentSet = FrozenSet[Tuple[str, int]]
 
-#: Memo table: (attribute-signature tuple, τ) -> sorted tuple of parent sets.
+#: Memo table: ((name, level sizes) per attribute, τ) -> sorted tuple of
+#: parent sets.
 _Memo = Dict[Tuple[Tuple, float], Tuple[ParentSet, ...]]
+
+#: Domain sizes of the levels an attribute may join a parent set at.
+_Levels = Callable[[Attribute], Tuple[int, ...]]
+
+
+def _raw_size(attr: Attribute) -> Tuple[int, ...]:
+    """Algorithm 5: the raw attribute only."""
+    return (attr.size,)
 
 
 def _level_sizes(attr: Attribute) -> Tuple[int, ...]:
-    """Domain size of ``attr`` at every generalization level."""
+    """Algorithm 6: domain size of ``attr`` at every generalization level."""
     if attr.taxonomy is None:
         return (attr.size,)
     return tuple(
@@ -56,76 +82,44 @@ class ParentSetCache:
     """Reusable memo passed to :func:`maximal_parent_sets` and its
     generalized variant via their ``cache`` parameter.
 
-    One cache instance may serve many calls — and many tables: keys carry
-    the attribute names *and* their per-level domain sizes, so distinct
-    schemas never collide.  Entries are immutable tuples of frozensets;
-    callers must not mutate the returned lists' elements.
+    One cache instance may serve many calls of either — and many tables:
+    keys carry the attribute names *and* the level domain sizes they are
+    offered at, so distinct schemas never collide.  Entries are immutable
+    tuples of frozensets; callers must not mutate the returned lists'
+    elements.
     """
 
     def __init__(self) -> None:
-        self._plain: _Memo = {}
-        self._generalized: _Memo = {}
+        self._memo: _Memo = {}
 
 
-def _plain_key(attributes: Tuple[Attribute, ...], tau: float):
-    return (tuple((a.name, a.size) for a in attributes), tau)
-
-
-def _generalized_key(attributes: Tuple[Attribute, ...], tau: float):
-    return (tuple((a.name, _level_sizes(a)) for a in attributes), tau)
-
-
-def _maximal_plain(
-    attributes: Tuple[Attribute, ...], tau: float, memo: _Memo
+def _maximal(
+    attributes: Tuple[Attribute, ...], tau: float, memo: _Memo, levels: _Levels
 ) -> Tuple[ParentSet, ...]:
-    """Algorithm 5 recursion with subproblem memoization."""
+    """Algorithm 6 recursion, each attribute offered at ``levels(attr)``,
+    with subproblem memoization."""
     if tau < 1.0:
         return ()
     if not attributes:
         return (frozenset(),)
-    key = _plain_key(attributes, tau)
+    key = (tuple((a.name, levels(a)) for a in attributes), tau)
     hit = memo.get(key)
     if hit is not None:
         return hit
     head, rest = attributes[0], attributes[1:]
-    # Maximal subsets that omit `head`.
-    result: Set[ParentSet] = set(_maximal_plain(rest, tau, memo))
-    # Maximal subsets that include `head`: recurse with the tightened budget.
-    for subset in _maximal_plain(rest, tau / head.size, memo):
-        result.discard(subset)  # subset ⊂ subset ∪ {head}: no longer maximal
-        result.add(subset | {(head.name, 0)})
-    out = tuple(sorted(result, key=_canonical_key))
-    memo[key] = out
-    return out
-
-
-def _maximal_generalized(
-    attributes: Tuple[Attribute, ...], tau: float, memo: _Memo
-) -> Tuple[ParentSet, ...]:
-    """Algorithm 6 recursion with subproblem memoization."""
-    if tau < 1.0:
-        return ()
-    if not attributes:
-        return (frozenset(),)
-    key = _generalized_key(attributes, tau)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    head, rest = attributes[0], attributes[1:]
-    sizes = _level_sizes(head)
     result: Set[ParentSet] = set()
     used: Set[ParentSet] = set()
     # Levels from least generalized (0) upward: the first level that admits a
     # given remainder-set Z wins, so Z is combined with the most specific
     # usable version of `head` (lines 5-8 of Algorithm 6).
-    for level, size in enumerate(sizes):
-        for subset in _maximal_generalized(rest, tau / size, memo):
+    for level, size in enumerate(levels(head)):
+        for subset in _maximal(rest, tau / size, memo, levels):
             if subset in used:
                 continue
             used.add(subset)
             result.add(subset | {(head.name, level)})
     # Remainder sets that cannot host `head` at any level (lines 9-11).
-    for subset in _maximal_generalized(rest, tau, memo):
+    for subset in _maximal(rest, tau, memo, levels):
         if subset not in used:
             result.add(subset)
     out = tuple(sorted(result, key=_canonical_key))
@@ -146,8 +140,8 @@ def maximal_parent_sets(
     the subproblem memo across calls (see :class:`ParentSetCache`); without
     one, a fresh memo still dedupes repeated subproblems within the call.
     """
-    memo: _Memo = cache._plain if cache is not None else {}
-    return list(_maximal_plain(tuple(attributes), float(tau), memo))
+    memo: _Memo = cache._memo if cache is not None else {}
+    return list(_maximal(tuple(attributes), float(tau), memo, _raw_size))
 
 
 def maximal_parent_sets_generalized(
@@ -162,8 +156,8 @@ def maximal_parent_sets_generalized(
     (more specific) level while keeping the joint domain within ``τ``.
     ``cache`` works as in :func:`maximal_parent_sets`.
     """
-    memo: _Memo = cache._generalized if cache is not None else {}
-    return list(_maximal_generalized(tuple(attributes), float(tau), memo))
+    memo: _Memo = cache._memo if cache is not None else {}
+    return list(_maximal(tuple(attributes), float(tau), memo, _level_sizes))
 
 
 def parent_set_domain_size(

@@ -40,7 +40,11 @@ from repro.core.scoring import ScoringCache
 from repro.core.theta import choose_k_binary
 from repro.data.chunks import DEFAULT_CHUNK_ROWS
 from repro.data.table import Table
-from repro.dp.accountant import PrivacyAccountant, split_epsilon
+from repro.dp.accountant import (
+    PrivacyAccountant,
+    check_epsilon,
+    split_epsilon,
+)
 
 #: Paper defaults (Section 6.4): β = 0.3, θ = 4.
 DEFAULT_BETA = 0.3
@@ -54,7 +58,7 @@ class PrivBayesConfig:
     Parameters
     ----------
     epsilon:
-        Total privacy budget ε.
+        Total privacy budget ε, a finite positive number.
     beta:
         Fraction of ε for network learning (ε₁ = βε).  Figure 9 studies
         this; [0.2, 0.5] is the good range, 0.3 the default.  Must lie in
@@ -91,16 +95,15 @@ class PrivBayesConfig:
     oracle_marginals: bool = False
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon)
         if not 0.0 < self.beta < 1.0:
             raise ValueError(
                 f"beta must be in (0, 1); got {self.beta!r} — beta = 0 "
                 "would leave network learning (epsilon1 = beta * epsilon) "
                 "with no budget"
             )
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be positive; got {self.theta!r}")
         if self.score not in ("auto", "I", "F", "R"):
             raise ValueError(f"unknown score {self.score!r}")
         if self.mode not in ("auto", "binary", "general"):
@@ -318,7 +321,7 @@ class PrivBayes:
             )
         else:
             if not config.oracle_network:
-                accountant.charge("network-learning (exponential mechanism)", epsilon1)
+                accountant.spend("network-learning (exponential mechanism)", epsilon1)
             network = greedy_bayes_fixed_k(
                 # repro: allow[PRIV003] -- charged just above on the ε-spending path; the uncharged path passes epsilon=None (oracle mode)
                 table,
@@ -354,7 +357,7 @@ class PrivBayes:
             )
         else:
             if not config.oracle_network:
-                accountant.charge("network-learning (exponential mechanism)", epsilon1)
+                accountant.spend("network-learning (exponential mechanism)", epsilon1)
             network = greedy_bayes_theta(
                 # repro: allow[PRIV003] -- charged just above on the ε-spending path; the uncharged path passes epsilon=None (oracle mode)
                 table,

@@ -42,17 +42,17 @@ The F kernel
 ``F`` on ``|dom(Pi)| = m`` parent cells is exact over ``2^m`` column
 assignments (Section 4.4).  Three regimes:
 
-* ``m <= enum_max_cells`` — **bitset enumeration**: all ``2^m`` assignment
+* ``m <= ENUM_MAX_CELLS`` — **bitset enumeration**: all ``2^m`` assignment
   masks at once via one matmul against the cached 0/1 mask matrix.  The
   matmul runs in float64 for BLAS speed; every partial sum is an integer
   below 2**53, so the result is exact.
-* ``m > enum_max_cells`` — **blocked-bitset dynamic program**: parent cells
+* ``m > ENUM_MAX_CELLS`` — **blocked-bitset dynamic program**: parent cells
   whose two counts are not both positive are folded into the start state
   (their optimal side is forced — the other branch is dominated).  The
   remaining *mixed* cells are processed in blocks of adaptive width
-  ``B <= DEFAULT_BLOCK_CELLS``: one matmul against the shared mask cache
-  enumerates the block's ``2^B`` assignments as packed state shifts, and
-  the block combines into the running Pareto frontier of Definition 4.6
+  ``B <= BLOCK_CELLS``: one matmul against the cached masks enumerates
+  the block's ``2^B`` assignments as packed state shifts, and the block
+  combines into the running Pareto frontier of Definition 4.6
   vectorized across the candidate axis.  Each state packs
   ``(candidate, K0, K1)`` into a single int64 key with power-of-two bit
   fields, so the frontier combine is: one broadcast subtract, one value
@@ -64,22 +64,25 @@ assignments (Section 4.4).  Three regimes:
 * ``n`` too large for the bit fields (``3 * bit_length(n) > 62``) — falls
   back to the per-candidate reference DP; exactness is never at risk.
 
+Both constants are read at call time; any values score bit-identically,
+so they trade speed and memory only.
+
 The compiled backend
 --------------------
-The ``m > enum_max_cells`` regime has an optional **native** backend
-(``core/_native/scoref.c``), selected once at import by
-:mod:`repro.core.kernel_backend` (``REPRO_KERNEL_BACKEND=auto|numpy|native``,
-default ``auto`` = use the compiled kernel when a toolchain exists, NumPy
-otherwise).  It computes the same minimum over a *bounded* frontier: each
-candidate's mixed cells run largest first, an achievable incumbent
-objective is tracked in exact int64, and every state whose lower bound is
-strictly above it is dropped (for ``n <= 2^48``; see the README next to
-the source for the proof).  The native path is bit-identical to the NumPy
-path — all DP states are exact int64 either way, the kept states include
-one the minimum is taken at, and the final shortfall floats use the
-identical float64 expression — so backend selection is invisible to every
-caller; the ``backend=`` parameter exists for tests and benchmarks that
-pin one side.
+The ``m > ENUM_MAX_CELLS`` regime has an optional **native** backend
+(``core/_native/scoref.c``).  :func:`score_F_batch` follows
+:data:`repro.core.kernel_backend.NATIVE_KERNEL` on every call, as the
+sampler and the CSV codec do; the kernel is selected once at import
+(``REPRO_KERNEL_BACKEND=auto|numpy|native``, default ``auto`` = use the
+compiled kernel when a toolchain exists, NumPy otherwise).  It computes
+the same minimum over a *bounded* frontier: each candidate's mixed cells
+run largest first, an achievable incumbent objective is tracked in exact
+int64, and every state whose lower bound is strictly above it is
+dropped (for ``n <= 2^48``; see the README next to the source for the
+proof).  The native path is bit-identical to the NumPy path — all DP
+states are exact int64 either way, the kept states include one the
+minimum is taken at, and the final shortfall floats use the identical
+float64 expression — so backend selection is invisible to every caller.
 
 The I and R kernels
 -------------------
@@ -113,10 +116,8 @@ from repro.core import kernel_backend
 from repro.infotheory.measures import _entropy_by_count
 
 __all__ = [
-    "DEFAULT_ENUM_MAX_CELLS",
-    "DEFAULT_BLOCK_CELLS",
-    "MaskCache",
-    "shared_mask_cache",
+    "ENUM_MAX_CELLS",
+    "BLOCK_CELLS",
     "validate_F_counts",
     "score_F_batch",
     "score_F_dp",
@@ -125,19 +126,20 @@ __all__ = [
 ]
 
 #: Enumeration / blocked-DP crossover: largest parent-cell count scored by
-#: direct enumeration of all ``2^m`` column assignments.  A documented kernel
-#: parameter (``enum_max_cells``) rather than a hidden module constant: any
-#: value yields bit-identical scores (both regimes minimize the same
-#: objective over the same assignment set), so the threshold is purely a
+#: direct enumeration of all ``2^m`` column assignments (never above 16:
+#: beyond that the mask matrix itself outgrows the cache).  Any value
+#: yields bit-identical scores (both regimes minimize the same objective
+#: over the same assignment set), so the threshold is purely a
 #: speed/memory trade — ``2^m x batch`` enumeration states versus the
 #: frontier DP's sorting passes.  12 (4096 masks) keeps the enumeration
 #: matmul comfortably in cache while covering every fixed-k binary workload
 #: up to k = 12.
-DEFAULT_ENUM_MAX_CELLS = 12
+ENUM_MAX_CELLS = 12
 
-#: Largest mini-block width the blocked DP enumerates per step.  The actual
-#: width adapts downward so a step expands at most ``_STEP_STATES`` states.
-DEFAULT_BLOCK_CELLS = 12
+#: Largest mini-block width the blocked DP enumerates per step (at least
+#: 1).  The actual width adapts downward so a step expands at most
+#: ``_STEP_STATES`` states; any value is bit-identity-neutral.
+BLOCK_CELLS = 12
 
 #: Expansion budget per DP step (states before pruning).  Small enough to
 #: prune often (the frontier stays compact), large enough to amortize the
@@ -151,34 +153,24 @@ _CHUNK_STATES = 1 << 18
 #: State budget for the enumeration regime (``2^m x chunk`` matmul output).
 _ENUM_STATES = 1 << 22
 
-
-class MaskCache:
-    """Cached 0/1 column-assignment masks, shared across kernel calls.
-
-    ``masks(w)`` returns the ``(2^w, w)`` matrix whose row ``r`` is the
-    binary expansion of ``r`` (which cells of a block go to ``Z0+``), plus
-    its complement (which go to ``Z1+``), both float64 for BLAS matmuls.
-    Masks are pure functions of the width, so one module-level instance
-    (:data:`shared_mask_cache`) serves every scorer, including fork-
-    inherited sweep workers.
-    """
-
-    def __init__(self) -> None:
-        self._masks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def masks(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        if width not in self._masks:
-            indices = np.arange(1 << width, dtype=np.int64)
-            bits = (indices[:, None] >> np.arange(width, dtype=np.int64)) & 1
-            self._masks[width] = (
-                bits.astype(np.float64),
-                (1 - bits).astype(np.float64),
-            )
-        return self._masks[width]
+#: 0/1 column-assignment masks per block width, shared by every call (and
+#: by fork-inherited sweep workers): pure functions of the width.
+_MASKS: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
-#: Default mask cache used when a kernel call does not supply one.
-shared_mask_cache = MaskCache()
+def _masks(width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(2^w, w)`` matrix whose row ``r`` is the binary expansion of
+    ``r`` (which cells of a block go to ``Z0+``), and its complement (which
+    go to ``Z1+``), both float64 for BLAS matmuls."""
+    masks = _MASKS.get(width)
+    if masks is None:
+        indices = np.arange(1 << width, dtype=np.int64)
+        bits = (indices[:, None] >> np.arange(width, dtype=np.int64)) & 1
+        masks = _MASKS[width] = (
+            bits.astype(np.float64),
+            (1 - bits).astype(np.float64),
+        )
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +272,14 @@ def score_F_dp(joint_counts: np.ndarray, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_F(
-    matrices: np.ndarray, n: int, mask_cache: MaskCache
-) -> np.ndarray:
+def _enumerate_F(matrices: np.ndarray, n: int) -> np.ndarray:
     """All ``2^m`` column assignments for every candidate, by matmul.
 
     Partial sums are integers bounded by ``m * n < 2**53``, so the float64
     matmul is exact and the scores are bit-equal to the integer DP.
     """
     count, m, _ = matrices.shape
-    masks, complements = mask_cache.masks(m)
+    masks, complements = _masks(m)
     out = np.empty(count)
     chunk = max(1, _ENUM_STATES >> m)
     for lo in range(0, count, chunk):
@@ -311,8 +301,6 @@ def _blocked_F_chunk(
     mixed_counts: np.ndarray,
     n: int,
     field_bits: int,
-    block_cells: int,
-    mask_cache: MaskCache,
 ) -> np.ndarray:
     """Blocked-bitset DP over one chunk of candidates.
 
@@ -352,12 +340,12 @@ def _blocked_F_chunk(
         width = max(
             1,
             min(
-                block_cells,
+                BLOCK_CELLS,
                 max_mixed - j,
                 (_STEP_STATES // max(1, size)).bit_length() - 1,
             ),
         )
-        masks, complements = mask_cache.masks(width)
+        masks, complements = _masks(width)
         # Subset sums of the block's cells on both sides, packed as state
         # shifts: sending a cell to Z0 adds c0 to K0 (subtracts c0 << s from
         # the key), to Z1 adds c1 to K1 (subtracts c1).
@@ -410,80 +398,41 @@ def _cid_of(ends: np.ndarray, active: int, size: int) -> np.ndarray:
     )
 
 
-def _native_for(backend: Optional[str]) -> Optional[kernel_backend.NativeKernel]:
-    """Resolve a per-call backend override to a native kernel (or None).
-
-    ``None`` defers to the import-time selection
-    (:data:`repro.core.kernel_backend.NATIVE_KERNEL`); ``"numpy"`` pins the
-    pure-NumPy path; ``"native"`` requires the compiled kernel, building it
-    on demand and raising :class:`~repro.core.kernel_backend.KernelBackendError`
-    when no toolchain exists.
-    """
-    if backend is None:
-        return kernel_backend.NATIVE_KERNEL
-    if backend == "numpy":
-        return None
-    if backend == "native":
-        return kernel_backend.NATIVE_KERNEL or kernel_backend.load_native()
-    raise ValueError(f"backend must be 'numpy' or 'native', got {backend!r}")
-
-
-def score_F_batch(
-    counts: np.ndarray,
-    n: int,
-    *,
-    enum_max_cells: int = DEFAULT_ENUM_MAX_CELLS,
-    block_cells: int = DEFAULT_BLOCK_CELLS,
-    mask_cache: MaskCache = None,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def score_F_batch(counts: np.ndarray, n: int) -> np.ndarray:
     """Exact ``F`` for a whole batch of binary-child candidates at once.
 
-    Parameters
-    ----------
-    counts:
-        Batch of integer contingency counts, candidate-major: flat joints
-        ``(batch, 2m)`` or matrices ``(batch, m, 2)`` (a single flat joint
-        is promoted to a batch of one).  Every candidate's counts must sum
-        to ``n`` (see :func:`validate_F_counts`).
-    n:
-        Number of tuples.
-    enum_max_cells:
-        Enumeration/DP crossover (see :data:`DEFAULT_ENUM_MAX_CELLS`).
-        Any value >= 0 produces bit-identical scores; only speed changes.
-    block_cells:
-        Upper bound on the blocked DP's mini-block width (adaptive per
-        step); also bit-identity-neutral.
-    mask_cache:
-        Optional :class:`MaskCache`; defaults to the module-shared one.
-    backend:
-        ``None`` (default) uses the backend selected at import;
-        ``"numpy"`` / ``"native"`` pin one side for tests and benchmarks.
-        Either way the scores are bit-identical — the native kernel
-        computes the same minimum over a bounded frontier, with the same
-        final float expression.
+    ``counts`` is a batch of integer contingency counts, candidate-major:
+    flat joints ``(batch, 2m)`` or matrices ``(batch, m, 2)`` (a single
+    flat joint is promoted to a batch of one).  Every candidate's counts
+    must sum to ``n``, the number of tuples (see
+    :func:`validate_F_counts`).  The blocked DP runs natively when
+    :data:`repro.core.kernel_backend.NATIVE_KERNEL` is loaded; the scores
+    are bit-identical either way.
 
     Returns the ``(batch,)`` float array of (non-positive) F scores, each
     bit-equal to ``score_F_dp`` on the same candidate.
     """
-    if enum_max_cells < 0:
-        raise ValueError("enum_max_cells must be non-negative")
-    if block_cells < 1:
-        raise ValueError("block_cells must be positive")
-    native = _native_for(backend)
-    matrices = validate_F_counts(counts, n)
+    return _score_F(
+        validate_F_counts(counts, n), n, kernel_backend.NATIVE_KERNEL
+    )
+
+
+def _score_F(
+    matrices: np.ndarray,
+    n: int,
+    native: Optional[kernel_backend.NativeKernel],
+) -> np.ndarray:
+    """:func:`score_F_batch` on validated ``(batch, m, 2)`` int64
+    ``matrices``, with the blocked DP run by ``native`` (``None``: NumPy)."""
     count, m, _ = matrices.shape
     if count == 0:
         return np.zeros(0)
     if n == 0:
         return np.full(count, -0.5)
-    cache = mask_cache if mask_cache is not None else shared_mask_cache
-    # Enumeration is capped at 2^16 masks regardless of the requested
-    # threshold — beyond that the mask matrix itself outgrows the cache.
     # This regime is cheap and shared: the native kernel only replaces the
-    # frontier DP below it.
-    if m <= min(enum_max_cells, 16):
-        return _enumerate_F(matrices, n, cache)
+    # frontier DP above it.
+    if m <= min(ENUM_MAX_CELLS, 16):
+        return _enumerate_F(matrices, n)
     if native is not None:
         # The C frontier DP also covers the wide-n regime that would
         # overflow the NumPy path's packed bit fields — its coordinates
@@ -542,8 +491,6 @@ def score_F_batch(
             mixed_counts[lo:hi],
             n,
             field_bits,
-            block_cells,
-            cache,
         )
     return out[inverse]
 

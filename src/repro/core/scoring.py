@@ -256,27 +256,9 @@ class CandidateScorer:
         #: via ScoringCache shares it across the runs of a sweep.
         self.parent_sets = ParentSetCache()
 
-    def counts(
-        self, child: str, parents: Tuple[Tuple[str, int], ...]
-    ) -> Tuple[np.ndarray, int]:
-        """Contingency counts ``Pr[Π, X]`` (child innermost)."""
-        block, _, _, _, child_sizes = self._parent_index_cache.counts(
-            parents, (child,)
-        )
-        return block.astype(float), child_sizes[0]
-
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score_candidate(
-        self, child: str, parents: Tuple[Tuple[str, int], ...]
-    ) -> float:
-        """Score one candidate (memoized)."""
-        grid = Candidates.of([(child, parents)], self._names)
-        return float(self._grid_scores(grid)[0])
-
-    __call__ = score_candidate
-
     def score_batch(self, candidates: Sequence[Candidate]) -> np.ndarray:
         """Scores for a candidate grid or tuple list, computing only the
         unscored ones.
@@ -287,9 +269,7 @@ class CandidateScorer:
         fresh candidates are counted and scored in one batch per round
         (see :meth:`_score_fresh`).
         """
-        return self._grid_scores(Candidates.of(candidates, self._names))
-
-    def _grid_scores(self, grid: Candidates) -> np.ndarray:
+        grid = Candidates.of(candidates, self._names)
         rows = self._rows(grid)[grid.parent_set]
         fresh = np.flatnonzero(~self._known[rows, grid.child])
         if fresh.size:
@@ -450,12 +430,6 @@ class CandidateScorer:
                 frozenset(grid.parents(i)), self._attrs_by_name
             )
         return self._domain[rows]
-
-    def sensitivity(
-        self, child: str, parents: Tuple[Tuple[str, int], ...]
-    ) -> float:
-        """Selection sensitivity of one candidate."""
-        return self.selection_sensitivity([(child, parents)])
 
     def selection_sensitivity(self, candidates: Sequence[Candidate]) -> float:
         """The per-selection sensitivity: the max over the candidate set Ω.

@@ -13,6 +13,8 @@ they never inspect the data, so they carry no privacy cost.
 
 from __future__ import annotations
 
+from repro.dp.accountant import check_epsilon
+
 
 def usefulness_ratio_binary(n: int, d: int, k: int, epsilon2: float) -> float:
     """The θ of Lemma 4.8: ``n·ε₂ / ((d-k)·2^(k+2))`` for binary domains."""
@@ -43,10 +45,13 @@ def usefulness_tau(n: int, d: int, epsilon2: float, theta: float) -> float:
     Section 5.2: with Algorithm 3 adding ``Lap(2d/nε₂)`` per cell, a
     marginal with ``m`` cells is θ-useful iff ``m ≤ n·ε₂/(2dθ)``.  The
     parent-set search for child ``X`` then uses ``τ / |dom(X)|`` as the
-    bound on the parent-set domain size.
+    bound on the parent-set domain size.  A NaN ``ε₂`` or ``θ`` is refused:
+    a NaN ``τ`` passes every ``τ < 1`` test of the parent-set search, which
+    would then take every placed attribute as a parent.
     """
     if n <= 0 or d <= 0:
         raise ValueError("n and d must be positive")
-    if epsilon2 <= 0 or theta <= 0:
-        raise ValueError("epsilon2 and theta must be positive")
+    check_epsilon(epsilon2, "epsilon2")
+    if not theta > 0:
+        raise ValueError(f"theta must be positive; got {theta!r}")
     return (n * epsilon2) / (2.0 * d * theta)  # repro: allow[PRIV001] -- theta-usefulness formula over public quantities, not a budget split

@@ -8,6 +8,7 @@ that would exceed the total budget.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -25,6 +26,20 @@ class PrivacyBudgetError(ValueError, RuntimeError):
     """
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Raise :class:`ValueError`, naming ``name`` and the value, unless
+    ``epsilon`` is a finite positive number.
+
+    Every ε entering the accountant or a mechanism passes through here:
+    a NaN fails both ``<= 0`` and every budget comparison, so a bare sign
+    check would let it through and turn the budget off.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(
+            f"{name} must be a finite positive number; got {epsilon!r}"
+        )
+
+
 def split_epsilon(
     total: float, fractions: Sequence[float], remainder: bool = False
 ) -> Tuple[float, ...]:
@@ -37,7 +52,7 @@ def split_epsilon(
     Parameters
     ----------
     total:
-        The budget being split; must be positive.
+        The budget being split; must be finite and positive.
     fractions:
         Positive fractions; their sum may not exceed 1 (beyond float
         tolerance).
@@ -47,8 +62,7 @@ def split_epsilon(
         ``(beta * eps, eps - beta * eps)``, bit-identical to the historical
         two-line split of :class:`~repro.core.privbayes.PrivBayes`.
     """
-    if total <= 0:
-        raise ValueError("total epsilon must be positive")
+    check_epsilon(total, "total epsilon")
     fractions = tuple(float(f) for f in fractions)
     if not fractions:
         raise ValueError("need at least one fraction")
@@ -78,8 +92,7 @@ def split_epsilon_even(total: float, parts: int) -> float:
     share (exactly ``total / parts``, so routing existing division sites
     through this helper is bit-identical).
     """
-    if total <= 0:
-        raise ValueError("total epsilon must be positive")
+    check_epsilon(total, "total epsilon")
     if parts < 1:
         raise ValueError(f"parts must be at least 1; got {parts}")
     return total / parts
@@ -93,8 +106,7 @@ def scale_for_group_privacy(epsilon: float, group_size: int) -> float:
     privacy under sequential composition); used by the two-table release
     where the child-table fanout is bounded by ``max_fanout``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if group_size < 1:
         raise ValueError(f"group_size must be at least 1; got {group_size}")
     return epsilon / group_size
@@ -116,6 +128,10 @@ class PrivacyAccountant:
     registry snapshots) drops it and a fresh lock is created on
     unpickling.
 
+    :meth:`spend` is the one way to charge.  The total, every charge and
+    every replayed ledger amount must be a finite positive number: a NaN
+    would pass every budget comparison and grant everything after it.
+
     Parameters
     ----------
     total_epsilon:
@@ -127,12 +143,12 @@ class PrivacyAccountant:
     _ledger: List[Tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.total_epsilon <= 0:
-            raise ValueError("total_epsilon must be positive")
+        check_epsilon(self.total_epsilon, "total_epsilon")
         # Seed the running total from any pre-supplied ledger (replay of a
         # persisted ledger) in list order — bit-identical to sum().
         spent = 0.0
-        for _, amount in self._ledger:
+        for label, amount in self._ledger:
+            check_epsilon(amount, f"replayed charge {label!r}")
             spent = spent + float(amount)
         self._spent = spent
         self._lock = threading.Lock()
@@ -164,13 +180,14 @@ class PrivacyAccountant:
     def spend(self, label: str, epsilon: float) -> float:
         """Record an ε charge; returns the ε actually granted.
 
-        Raises :class:`PrivacyBudgetError` (a :class:`ValueError`) when the
-        charge would overdraw the budget by more than floating-point
-        tolerance.  The check and the append happen under one lock, so
-        racing spenders are granted at most the total budget between them.
+        Raises :class:`ValueError` unless ``epsilon`` is a finite positive
+        number, and :class:`PrivacyBudgetError` (a :class:`ValueError`)
+        when the charge would overdraw the budget by more than
+        floating-point tolerance.  The check and the append happen under
+        one lock, so racing spenders are granted at most the total budget
+        between them.
         """
-        if epsilon <= 0:
-            raise ValueError("charges must be positive")
+        check_epsilon(epsilon, f"charge {label!r}")
         with self._lock:
             if self._spent + epsilon > self.total_epsilon + _TOLERANCE:
                 raise PrivacyBudgetError(
@@ -180,9 +197,6 @@ class PrivacyAccountant:
             self._ledger.append((label, float(epsilon)))
             self._spent = self._spent + float(epsilon)
         return float(epsilon)
-
-    #: Historical name for :meth:`spend`; kept for existing callers.
-    charge = spend
 
     def unwind(self, count: int = 1) -> None:
         """Remove the ``count`` most recent charges (transactional rollback).

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from repro.dp.accountant import check_epsilon
 
 
 def laplace_scale(sensitivity: float, epsilon: float) -> float:
@@ -15,8 +17,7 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
     expression to flow through a sensitivity helper, so calibration errors
     (wrong sensitivity, raw ε arithmetic) stay greppable in one module.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     return sensitivity / epsilon
@@ -44,8 +45,7 @@ def laplace_mechanism(
     Adds ``Lap(sensitivity / epsilon)`` noise to every entry (Definition 2.2
     and the surrounding discussion).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     values = np.asarray(values, dtype=float)
@@ -59,22 +59,17 @@ def exponential_mechanism(
     sensitivity: float,
     epsilon: float,
     rng: np.random.Generator,
-    probabilities_out: Optional[list] = None,
 ) -> int:
     """ε-DP selection of an index with probability ∝ exp(score / 2Δ).
 
     ``Δ = sensitivity / epsilon`` is the scaling factor of Section 2.1.
     Scores are shifted by their maximum before exponentiation for numerical
-    stability (the mechanism is invariant to constant shifts).
-
-    Parameters
-    ----------
-    probabilities_out:
-        Optional list; when given, the normalized sampling probabilities are
-        appended to it (used by tests to check the sampling distribution).
+    stability (the mechanism is invariant to constant shifts).  The draw is
+    one ``rng.choice(len(scores), p=probabilities)`` call; a zero
+    sensitivity (data-independent scores) puts all the mass on the argmax.
+    ``epsilon`` must be a finite positive number.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     scores = np.asarray(scores, dtype=float)
@@ -89,6 +84,4 @@ def exponential_mechanism(
         shifted = (scores - scores.max()) / (2.0 * delta)
         weights = np.exp(shifted)
         probabilities = weights / weights.sum()
-    if probabilities_out is not None:
-        probabilities_out.append(probabilities)
     return int(rng.choice(scores.size, p=probabilities))

@@ -37,7 +37,7 @@ import numpy as np
 from repro.bn.network import APPair, BayesianNetwork
 from repro.core import kernel_backend, sampler
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
-from repro.core.score_kernels import score_F_batch, score_F_dp
+from repro.core.score_kernels import _score_F, score_F_dp, validate_F_counts
 from repro.data import io as data_io
 from repro.data.attribute import Attribute
 from repro.data.taxonomy import TaxonomyTree
@@ -79,9 +79,10 @@ def self_check() -> str:
     :class:`~repro.core.kernel_backend.KernelBackendError` on failure.
     """
     counts = _check_grid()
-    reference = score_F_batch(counts, _CHECK_N, backend="numpy")
+    matrices = validate_F_counts(counts, _CHECK_N)
+    reference = _score_F(matrices, _CHECK_N, None)
     if kernel_backend.NATIVE_KERNEL is not None:
-        native = score_F_batch(counts, _CHECK_N, backend="native")
+        native = _score_F(matrices, _CHECK_N, kernel_backend.NATIVE_KERNEL)
         if not np.array_equal(reference, native):
             raise AssertionError(
                 "native and numpy kernels disagree on the self-check grid"
@@ -90,15 +91,14 @@ def self_check() -> str:
             f"native == numpy on {_CHECK_COUNT} candidates "
             f"(m={_CHECK_CELLS}, n={_CHECK_N}): bit-identical"
         )
-    sample = counts[:: max(1, _CHECK_COUNT // 50)]
-    dp = np.array([score_F_dp(row, _CHECK_N) for row in sample])
-    batch = score_F_batch(sample, _CHECK_N, backend="numpy")
-    if not np.array_equal(dp, batch):
+    sample = slice(None, None, max(1, _CHECK_COUNT // 50))
+    dp = np.array([score_F_dp(row, _CHECK_N) for row in counts[sample]])
+    if not np.array_equal(dp, reference[sample]):
         raise AssertionError(
             "numpy kernel and reference DP disagree on the self-check grid"
         )
     return (
-        f"numpy == reference DP on {sample.shape[0]} candidates "
+        f"numpy == reference DP on {dp.size} candidates "
         f"(m={_CHECK_CELLS}, n={_CHECK_N}): bit-identical"
     )
 

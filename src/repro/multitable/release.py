@@ -127,13 +127,13 @@ def release_two_tables(
     truncated = linked.truncate(max_fanout, rng)
 
     # --- primary table: plain single-table PrivBayes -------------------
-    accountant.charge("primary table (PrivBayes)", eps_primary)
+    accountant.spend("primary table (PrivBayes)", eps_primary)
     primary_model = PrivBayes(epsilon=eps_primary, **privbayes_kwargs).fit(
         truncated.primary, rng=rng, scoring_cache=scoring_cache
     )
 
     # --- fanout histogram: one Laplace release --------------------------
-    accountant.charge("fanout histogram (Laplace)", eps_fanout)
+    accountant.spend("fanout histogram (Laplace)", eps_fanout)
     counts = np.bincount(
         truncated.fanout_counts(), minlength=max_fanout + 1
     ).astype(float)
@@ -147,7 +147,7 @@ def release_two_tables(
     fanout_distribution = normalize_distribution(noisy)
 
     # --- child table: group-privacy-scaled PrivBayes --------------------
-    accountant.charge(
+    accountant.spend(
         f"child table (PrivBayes at eps/{max_fanout} for group privacy)",
         eps_child,
     )

@@ -102,9 +102,6 @@ class _PersistentAccountant(PrivacyAccountant):
                 raise
         return granted
 
-    #: Keep the historical alias pointing at the persistent override.
-    charge = spend
-
 
 class DatasetLedger:
     """Thread-safe, persistent per-dataset privacy accountants.

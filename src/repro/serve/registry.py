@@ -151,9 +151,10 @@ class ModelRegistry:
             config = PrivBayesConfig(**doc["config"])
             source_n = int(doc["source_n"])
             k = doc.get("k")
-            ledger_entries = [
-                (str(label), float(amount)) for label, amount in doc["ledger"]
-            ]
+            accountant = PrivacyAccountant(
+                config.epsilon,
+                [(str(label), float(amount)) for label, amount in doc["ledger"]],
+            )
             model_doc = doc["model"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
@@ -163,7 +164,6 @@ class ModelRegistry:
             noisy, attributes = model_from_dict(model_doc)
         except ValueError as exc:
             raise ValueError(f"registry entry {path}: {exc}") from exc
-        accountant = PrivacyAccountant(config.epsilon, ledger_entries)
         model = PrivBayesModel(
             noisy=noisy,
             table_attributes=tuple(attributes),

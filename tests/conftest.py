@@ -10,6 +10,7 @@ import pytest
 # imported by module name from every test directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent / "core"))
 
+from repro.core import kernel_backend
 from repro.data.attribute import Attribute, AttributeKind
 from repro.data.table import Table
 from repro.data.taxonomy import TaxonomyTree
@@ -18,6 +19,26 @@ from repro.data.taxonomy import TaxonomyTree
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["numpy", "native"])
+def backend(request, monkeypatch):
+    """Run a test on each side of the one kernel switch.
+
+    The F kernel, the sampler and the CSV codec read
+    ``kernel_backend.NATIVE_KERNEL`` on every call, so pinning a side is
+    setting it: ``None`` for the NumPy (and ``csv`` module) paths, the
+    loaded kernel for the native ones.  The native side skips when there
+    is no C toolchain.
+    """
+    kernel = None
+    if request.param == "native":
+        try:
+            kernel = kernel_backend.load_native()
+        except kernel_backend.KernelBackendError:
+            pytest.skip("no C toolchain for the native kernels")
+    monkeypatch.setattr(kernel_backend, "NATIVE_KERNEL", kernel)
+    return request.param
 
 
 @pytest.fixture

@@ -192,12 +192,11 @@ def _assert_counts_exact(table: Table, source=None) -> None:
         for parents in _parent_sets(table, attr.name, max_parents)
     ]
     expected = {cand: reference_counts(table, *cand) for cand in candidates}
-    scorer = CandidateScorer(source, "R", parent_index=index)
     counter = JointCounter(source, parent_index=index)
     for (child, parents), reference in expected.items():
-        counts, child_size = scorer.counts(child, parents)
-        assert counts.dtype == np.float64
-        assert np.array_equal(counts, reference.astype(float))
+        counts, _, _, _, (child_size,) = index.counts(parents, (child,))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, reference)
         joint, sizes = counter.counts(APPair(child, parents))
         assert joint.dtype == np.int64
         assert np.array_equal(joint, reference)
@@ -332,11 +331,10 @@ def test_rows_that_do_not_pack_into_int64_stay_raw():
         ("a", ()), ("a", (("b", 0),)), ("b", (("a", 0), ("w0", 0))),
         ("w0", (("a", 0),)), ("w1", ()),
     ]
-    scorer = CandidateScorer(table, "R", parent_index=index)
     counter = JointCounter(table, parent_index=index)
     for child, parents in candidates:
         reference = reference_counts(table, child, parents)
-        assert np.array_equal(scorer.counts(child, parents)[0], reference)
+        assert np.array_equal(index.counts(parents, (child,))[0], reference)
         assert np.array_equal(counter.counts(APPair(child, parents))[0], reference)
 
 

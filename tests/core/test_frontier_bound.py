@@ -12,40 +12,22 @@ cell sizes, one dominant cell, a skewed child and all-tiny counts, over
 13-40 cells and odd and even n.  Fixed cases sit either side of the
 ``BOUND_MAX_N = 2^48`` guard, and a real-scale case scores k = 5
 candidates over the full NLTCS table, where the bound drops most states.
-Every check runs under both backends; the native side skips without a C
-toolchain.
+Every check runs under both backends (the ``backend`` fixture); the
+native side skips without a C toolchain.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from core_reference import score_F_bruteforce
+from repro.bn.quality import ParentIndexCache
 from repro.core import kernel_backend
 from repro.core.score_kernels import score_F_batch, score_F_dp
-from repro.core.scoring import CandidateScorer
 from repro.datasets import load_nltcs
-
-
-def _native_available() -> bool:
-    try:
-        kernel_backend.load_native()
-        return True
-    except kernel_backend.KernelBackendError:
-        return False
-
-
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not _native_available(), reason="no C toolchain for native kernel"
-        ),
-    ),
-]
 
 #: The largest n at which the native kernel applies the bound.
 BOUND_MAX_N = 1 << 48
@@ -127,12 +109,18 @@ def _reference(matrices, n):
     return np.array([score_F_dp(matrix.reshape(-1), n) for matrix in matrices])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@settings(max_examples=60, deadline=None)
+# The backend fixture pins one side for the whole test, the same for every
+# generated example.
+@pytest.mark.usefixtures("backend")
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(batches())
-def test_batch_equals_dp_and_bruteforce(backend, batch):
+def test_batch_equals_dp_and_bruteforce(batch):
     matrices, n = batch
-    got = score_F_batch(matrices, n, backend=backend)
+    got = score_F_batch(matrices, n)
     assert np.array_equal(got, _reference(matrices, n))
     if matrices.shape[1] <= 14:
         oracle = [score_F_bruteforce(matrix.reshape(-1), n) for matrix in matrices]
@@ -153,16 +141,16 @@ def _scaled_to(n, rng, shape_of, cells=15, count=6):
     return np.stack([c0, c1], axis=2).astype(np.int64)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("backend")
 @pytest.mark.parametrize("n", [BOUND_MAX_N, BOUND_MAX_N + 1])
 @pytest.mark.parametrize("shape_of", [_equal_sides, _near_ties, _heavy_tailed])
-def test_either_side_of_the_bound_guard(backend, n, shape_of):
+def test_either_side_of_the_bound_guard(n, shape_of):
     """n = 2^48 runs the bounded merge, 2^48 + 1 the unbounded one; at this
     scale a shortfall step of 1/(2n) is a few ulps of the double result."""
     rng = np.random.default_rng([n, SHAPES.index(shape_of)])
     matrices = _scaled_to(n, rng, shape_of)
     assert (matrices.reshape(len(matrices), -1).sum(axis=1) == n).all()
-    got = score_F_batch(matrices, n, backend=backend)
+    got = score_F_batch(matrices, n)
     assert np.array_equal(got, _reference(matrices, n))
 
 
@@ -170,22 +158,27 @@ def test_either_side_of_the_bound_guard(backend, n, shape_of):
 def nltcs_k5_batch():
     """k = 5 candidates over the full 21,574-row NLTCS table: every 5-subset
     of 7 attributes as parents of each of the 9 others (189 candidates of
-    32 cells)."""
+    32 cells), with their NumPy scores."""
     table = load_nltcs(seed=1)
     names = list(table.attribute_names)
-    scorer = CandidateScorer(table, "F")
-    rows = [
-        scorer.counts(child, tuple((name, 0) for name in parents))[0]
+    index = ParentIndexCache(table)
+    counts = np.stack([
+        index.counts(tuple((name, 0) for name in parents), (child,))[0]
         for parents in itertools.combinations(names[:7], 5)
         for child in names[7:]
-    ]
-    return np.stack(rows), table.n
+    ])
+    with mock.patch.object(kernel_backend, "NATIVE_KERNEL", None):
+        scores = score_F_batch(counts, table.n)
+    return counts, table.n, scores
 
 
+@pytest.mark.usefixtures("backend")
 def test_real_scale_backends_agree_bit_for_bit(nltcs_k5_batch):
-    counts, n = nltcs_k5_batch
-    reference = score_F_batch(counts, n, backend="numpy")
-    if _native_available():
-        assert np.array_equal(score_F_batch(counts, n, backend="native"), reference)
+    counts, n, numpy_scores = nltcs_k5_batch
+    assert np.array_equal(score_F_batch(counts, n), numpy_scores)
+
+
+def test_real_scale_numpy_equals_dp(nltcs_k5_batch):
+    counts, n, numpy_scores = nltcs_k5_batch
     subset = slice(None, None, 9)
-    assert np.array_equal(reference[subset], _reference(counts[subset], n))
+    assert np.array_equal(numpy_scores[subset], _reference(counts[subset], n))

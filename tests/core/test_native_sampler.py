@@ -48,21 +48,11 @@ needs_native = pytest.mark.skipif(
     NATIVE is None, reason="no C toolchain for native kernel"
 )
 
-BACKENDS = ["numpy", pytest.param("native", marks=needs_native)]
-
 #: Child domain sizes: empty search, binary, odd, and Adult-sized widths.
 SIZES = (1, 2, 3, 16, 41)
 
 #: Cap on a generated conditional's rows (its parent domain).
 MAX_ROWS = 4096
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Pin the sampler's backend for one test."""
-    kernel = NATIVE if request.param == "native" else None
-    monkeypatch.setattr(kernel_backend, "NATIVE_KERNEL", kernel)
-    return request.param
 
 
 def _attribute(name, size, generalizable):

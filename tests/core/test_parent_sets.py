@@ -1,6 +1,7 @@
 """Maximal parent sets (Algorithms 5 & 6): vs brute force, invariants."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ class TestAlgorithm5:
         assert result == _bruteforce_maximal(attrs, tau)
 
 
+@st.composite
+def _schemas(draw):
+    """0-7 attributes of sizes 2-11, about half with a balanced taxonomy."""
+    attrs = []
+    for i in range(draw(st.integers(0, 7))):
+        labels = tuple(f"v{j}" for j in range(draw(st.integers(2, 11))))
+        taxed = draw(st.booleans())
+        taxonomy = TaxonomyTree.balanced_binary(labels) if taxed else None
+        attrs.append(Attribute(f"x{i}", labels, taxonomy=taxonomy))
+    return attrs
+
+
 class TestAlgorithm6:
     def _taxonomied_attrs(self):
         tax4 = TaxonomyTree.from_groups(
@@ -109,12 +122,31 @@ class TestAlgorithm6:
         result = set(maximal_parent_sets_generalized(attrs, 8.0))
         assert result == {frozenset({("p", 0), ("q", 0)})}
 
-    def test_no_taxonomy_reduces_to_algorithm5(self):
-        attrs = _attrs([2, 3, 4])
-        for tau in (1.0, 3.0, 6.0, 24.0, 100.0):
-            gen = set(maximal_parent_sets_generalized(attrs, tau))
-            plain = set(maximal_parent_sets(attrs, tau))
-            assert gen == plain
+    @given(
+        attrs=_schemas(),
+        tau=st.floats(0.5, 1e4),
+        order=st.permutations(range(3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_taxonomy_reduces_to_algorithm5(self, attrs, tau, order):
+        """Algorithm 5 is Algorithm 6 on one level: on the same attributes
+        with their taxonomies stripped, the two return the same list, order
+        included — from fresh memos, and from one shared cache whatever
+        the order of the calls (a generalized call on the taxonomies
+        included)."""
+        stripped = [replace(attr, taxonomy=None) for attr in attrs]
+        plain = maximal_parent_sets(attrs, tau)
+        assert plain == maximal_parent_sets_generalized(stripped, tau)
+        generalized = maximal_parent_sets_generalized(attrs, tau)
+        calls = [
+            (maximal_parent_sets, attrs, plain),
+            (maximal_parent_sets_generalized, stripped, plain),
+            (maximal_parent_sets_generalized, attrs, generalized),
+        ]
+        cache = ParentSetCache()
+        for i in order:
+            enumerate_sets, schema, expected = calls[i]
+            assert enumerate_sets(schema, tau, cache=cache) == expected
 
     def test_tau_below_one(self):
         assert maximal_parent_sets_generalized(self._taxonomied_attrs(), 0.9) == []
@@ -229,9 +261,9 @@ class TestMemoization:
         cache = ParentSetCache()
         attrs = _attrs([2, 3, 4])
         maximal_parent_sets(attrs, 12.0, cache=cache)
-        entries = len(cache._plain)
+        entries = len(cache._memo)
         result = maximal_parent_sets(attrs[1:], 12.0, cache=cache)
-        assert len(cache._plain) == entries  # no new subproblems computed
+        assert len(cache._memo) == entries  # no new subproblems computed
         assert set(result) == _bruteforce_maximal(attrs[1:], 12.0)
 
 

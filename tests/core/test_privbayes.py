@@ -19,6 +19,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             PrivBayesConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected_naming_it(self, epsilon):
+        message = f"epsilon must be a finite positive number; got {epsilon}"
+        with pytest.raises(ValueError, match=message):
+            PrivBayesConfig(epsilon=epsilon)
+
+    def test_nan_theta_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="theta must be positive; got nan"):
+            PrivBayesConfig(epsilon=1.0, theta=float("nan"))
+
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             PrivBayesConfig(epsilon=1.0, beta=1.0)

@@ -9,11 +9,13 @@ enumeration/DP crossover, and the degenerate edges (zero-count cells,
 ``n = 0``, ``n = 1``, empty batches, forced one-sided candidates).
 
 The ``F`` cross-check grids run under **both** kernel backends (the
-pure-NumPy blocked DP and the compiled C frontier merge) whenever a C
-toolchain is available, so the native tier is held to the exact same
-bit-identity contract — not a looser "close enough" one.  Environments
-without a compiler skip the native side cleanly and still enforce the
-NumPy contract in full.
+pure-NumPy blocked DP and the compiled C frontier merge) through the
+``backend`` fixture, which pins ``kernel_backend.NATIVE_KERNEL``, so the
+native tier is held to the exact same bit-identity contract — not a
+looser "close enough" one.  Environments without a compiler skip the
+native side cleanly and still enforce the NumPy contract in full.  The
+regime constants ``ENUM_MAX_CELLS`` and ``BLOCK_CELLS`` are read at call
+time, so tests force a regime by patching them.
 """
 
 import numpy as np
@@ -25,10 +27,8 @@ from core_reference import (
     reference_R,
     score_F_bruteforce,
 )
-from repro.core import kernel_backend
+from repro.core import kernel_backend, score_kernels
 from repro.core.score_kernels import (
-    DEFAULT_ENUM_MAX_CELLS,
-    MaskCache,
     score_F_batch,
     score_F_dp,
     score_I_segments,
@@ -36,27 +36,6 @@ from repro.core.score_kernels import (
     validate_F_counts,
 )
 from repro.infotheory.measures import mutual_information
-
-
-def _native_available() -> bool:
-    try:
-        kernel_backend.load_native()
-        return True
-    except kernel_backend.KernelBackendError:
-        return False
-
-
-#: Both kernel backends; the native side skips (not silently passes) when
-#: the environment has no C toolchain.
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not _native_available(), reason="no C toolchain for native kernel"
-        ),
-    ),
-]
 
 
 def _random_batch(rng, cells, count, zero_heavy=False):
@@ -74,79 +53,85 @@ def _random_batch(rng, cells, count, zero_heavy=False):
     return matrices, n
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def _blocked_regime(monkeypatch):
+    """Score every domain with the blocked DP (no enumeration)."""
+    monkeypatch.setattr(score_kernels, "ENUM_MAX_CELLS", 0)
+
+
+@pytest.mark.usefixtures("backend")
 class TestBlockedKernelCrossCheck:
     @pytest.mark.parametrize("cells", list(range(1, 21)))
-    def test_kernel_matches_dp_domains_1_to_20(self, cells, backend):
+    def test_kernel_matches_dp_domains_1_to_20(self, cells, monkeypatch):
         """Blocked kernel == per-candidate DP, bitwise, domains 1..20."""
         rng = np.random.default_rng(1000 + cells)
         matrices, n = _random_batch(rng, cells, count=13)
-        got = score_F_batch(matrices, n, backend=backend)
+        got = score_F_batch(matrices, n)
         ref = np.array([score_F_dp(m.reshape(-1), n) for m in matrices])
         assert np.array_equal(got, ref)
         # Forcing the DP regime on small domains changes nothing either
         # (under "native" this is where the C kernel actually runs).
-        blocked = score_F_batch(matrices, n, enum_max_cells=0, backend=backend)
+        _blocked_regime(monkeypatch)
+        blocked = score_F_batch(matrices, n)
         assert np.array_equal(blocked, ref)
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 5, 8, 11, 13, 14])
-    def test_kernel_matches_bruteforce(self, cells, backend):
+    def test_kernel_matches_bruteforce(self, cells, monkeypatch):
         """Kernel == exponential-time oracle wherever the oracle is feasible."""
         rng = np.random.default_rng(2000 + cells)
         matrices, n = _random_batch(rng, cells, count=5)
-        got = score_F_batch(matrices, n, enum_max_cells=0, backend=backend)
+        _blocked_regime(monkeypatch)
+        got = score_F_batch(matrices, n)
         oracle = np.array(
             [score_F_bruteforce(m.reshape(-1), n) for m in matrices]
         )
         assert np.array_equal(got, oracle)
 
     @pytest.mark.parametrize("cells", [4, 9, 15, 18])
-    def test_zero_heavy_counts(self, cells, backend):
+    def test_zero_heavy_counts(self, cells, monkeypatch):
         """Zero-count cells and fully one-sided candidates stay exact."""
         rng = np.random.default_rng(3000 + cells)
         matrices, n = _random_batch(rng, cells, count=17, zero_heavy=True)
-        got = score_F_batch(matrices, n, enum_max_cells=0, backend=backend)
+        _blocked_regime(monkeypatch)
+        got = score_F_batch(matrices, n)
         ref = np.array([score_F_dp(m.reshape(-1), n) for m in matrices])
         assert np.array_equal(got, ref)
 
-    def test_all_one_sided_candidate(self, backend):
+    def test_all_one_sided_candidate(self, monkeypatch):
         """Every cell forced: the DP loop never runs, bases decide alone."""
         matrices = np.array(
             [[[5, 0], [0, 3], [7, 0], [0, 5]]], dtype=np.int64
         )
         n = 20
-        got = score_F_batch(matrices, n, enum_max_cells=0, backend=backend)
+        _blocked_regime(monkeypatch)
+        got = score_F_batch(matrices, n)
         assert np.array_equal(
             got, np.array([score_F_dp(matrices[0].reshape(-1), n)])
         )
 
-    def test_n_zero(self, backend):
+    def test_n_zero(self):
         matrices = np.zeros((3, 15, 2), dtype=np.int64)
-        assert np.array_equal(
-            score_F_batch(matrices, 0, backend=backend), np.full(3, -0.5)
-        )
+        assert np.array_equal(score_F_batch(matrices, 0), np.full(3, -0.5))
         assert score_F_dp(matrices[0].reshape(-1), 0) == -0.5
 
-    def test_n_one(self, backend):
+    def test_n_one(self, monkeypatch):
         matrices = np.zeros((2, 14, 2), dtype=np.int64)
         matrices[0, 3, 0] = 1
         matrices[1, 9, 1] = 1
-        got = score_F_batch(matrices, 1, enum_max_cells=0, backend=backend)
+        _blocked_regime(monkeypatch)
+        got = score_F_batch(matrices, 1)
         ref = np.array([score_F_dp(m.reshape(-1), 1) for m in matrices])
         assert np.array_equal(got, ref)
 
-    def test_empty_batch(self, backend):
+    def test_empty_batch(self):
         batch = np.zeros((0, 13, 2), dtype=np.int64)
-        assert score_F_batch(batch, 7, backend=backend).size == 0
+        assert score_F_batch(batch, 7).size == 0
 
-    def test_single_flat_joint_promoted(self, backend):
+    def test_single_flat_joint_promoted(self):
         flat = np.array([4, 1, 0, 3, 2, 2], dtype=np.int64)
-        assert score_F_batch(flat, 12, backend=backend).shape == (1,)
-        assert score_F_batch(flat, 12, backend=backend)[0] == score_F_dp(
-            flat, 12
-        )
+        assert score_F_batch(flat, 12).shape == (1,)
+        assert score_F_batch(flat, 12)[0] == score_F_dp(flat, 12)
 
-    def test_huge_n_wide_domain(self, backend):
+    def test_huge_n_wide_domain(self):
         """n too wide for the NumPy path's packed bit fields stays exact.
 
         The NumPy side falls back to the per-candidate reference DP; the
@@ -157,66 +142,46 @@ class TestBlockedKernelCrossCheck:
         matrices, small_n = _random_batch(rng, 18, count=3)
         n = (1 << 40) + small_n
         matrices[:, 0, 0] += n - small_n
-        got = score_F_batch(matrices, n, backend=backend)
+        got = score_F_batch(matrices, n)
         ref = np.array([score_F_dp(m.reshape(-1), n) for m in matrices])
         assert np.array_equal(got, ref)
 
-    def test_scalar_wrapper_delegates(self, backend):
+    def test_scalar_wrapper_delegates(self):
         rng = np.random.default_rng(7)
         matrices, n = _random_batch(rng, 16, count=4)
         for m in matrices:
-            assert score_F_batch(m.reshape(-1), n, backend=backend)[
-                0
-            ] == score_F_dp(m.reshape(-1), n)
+            assert score_F_batch(m.reshape(-1), n)[0] == score_F_dp(
+                m.reshape(-1), n
+            )
 
 
 class TestEnumerationThreshold:
-    """The crossover is a speed knob only — every value scores identically."""
+    """The crossover and the block width are speed knobs only — every
+    value scores identically."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("threshold", [0, 1, 3, 7, 12, 16, 30])
-    def test_any_threshold_is_bit_identical(self, threshold, backend):
+    def test_any_threshold_is_bit_identical(
+        self, threshold, backend, monkeypatch
+    ):
         rng = np.random.default_rng(42)
         matrices, n = _random_batch(rng, 13, count=9)
-        reference = score_F_batch(
-            matrices, n, enum_max_cells=DEFAULT_ENUM_MAX_CELLS
-        )
-        got = score_F_batch(
-            matrices, n, enum_max_cells=threshold, backend=backend
-        )
+        reference = score_F_batch(matrices, n)
+        monkeypatch.setattr(score_kernels, "ENUM_MAX_CELLS", threshold)
+        got = score_F_batch(matrices, n)
         assert np.array_equal(got, reference)
 
-    def test_unknown_backend_rejected(self):
-        matrices = np.zeros((1, 2, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match="backend"):
-            score_F_batch(matrices, 0, backend="fortran")
-
-    @pytest.mark.parametrize("block_cells", [1, 2, 5, 12])
-    def test_any_block_width_is_bit_identical(self, block_cells):
+    @pytest.mark.parametrize("width", [1, 2, 5, 12])
+    def test_any_block_width_is_bit_identical(self, width, monkeypatch):
+        """The block width shapes the NumPy blocked DP only, so the NumPy
+        side is pinned."""
+        monkeypatch.setattr(kernel_backend, "NATIVE_KERNEL", None)
         rng = np.random.default_rng(43)
         matrices, n = _random_batch(rng, 17, count=9)
-        reference = score_F_batch(matrices, n, enum_max_cells=0)
-        got = score_F_batch(
-            matrices, n, enum_max_cells=0, block_cells=block_cells
-        )
+        _blocked_regime(monkeypatch)
+        reference = score_F_batch(matrices, n)
+        monkeypatch.setattr(score_kernels, "BLOCK_CELLS", width)
+        got = score_F_batch(matrices, n)
         assert np.array_equal(got, reference)
-
-    def test_invalid_parameters_rejected(self):
-        matrices = np.zeros((1, 2, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match="enum_max_cells"):
-            score_F_batch(matrices, 0, enum_max_cells=-1)
-        with pytest.raises(ValueError, match="block_cells"):
-            score_F_batch(matrices, 0, block_cells=0)
-
-    def test_private_mask_cache_usable(self):
-        rng = np.random.default_rng(44)
-        matrices, n = _random_batch(rng, 6, count=3)
-        cache = MaskCache()
-        got = score_F_batch(matrices, n, mask_cache=cache)
-        assert np.array_equal(
-            got, np.array([score_F_dp(m.reshape(-1), n) for m in matrices])
-        )
-        assert 6 in cache._masks
 
 
 class TestValidationUnified:

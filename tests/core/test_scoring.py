@@ -75,8 +75,8 @@ class TestMemoization:
     def test_single_candidate_calls_share_the_memo(
         self, binary_table, monkeypatch
     ):
-        """``score_candidate`` and ``__call__`` go through the batch memo:
-        a candidate scored alone is not scored again in a batch."""
+        """A candidate scored in a batch of its own is in the memo: it is
+        not scored again, alone or in a larger batch."""
         import repro.core.scoring as scoring_module
 
         scorer = CandidateScorer(binary_table, "R")
@@ -91,8 +91,8 @@ class TestMemoization:
         monkeypatch.setattr(scoring_module, "score_R_segments", counting)
         first = ("b", (("a", 0),))
         second = ("c", (("a", 0),))
-        alone = scorer.score_candidate(*first)
-        assert scorer(*first) == alone and len(scored) == 1
+        alone = scorer.score_batch([first])[0]
+        assert scorer.score_batch([first])[0] == alone and len(scored) == 1
         batch = scorer.score_batch([first, second])
         assert len(scored) == 2
         assert batch[0] == alone
@@ -183,7 +183,7 @@ class TestCandidateGrid:
         from_list = CandidateScorer(source, score).score_batch(candidates)
         from_grid = CandidateScorer(source, score).score_batch(grid)
         single = CandidateScorer(source, score)
-        one_by_one = np.array([single.score_candidate(*c) for c in candidates])
+        one_by_one = np.array([single.score_batch([c])[0] for c in candidates])
         reference = ReferenceScorer(source, score)
         fresh = np.array([reference.score_candidate(*c) for c in candidates])
         assert np.array_equal(from_list, from_grid)
@@ -226,8 +226,8 @@ class TestSensitivity:
     def test_i_sensitivity_uses_domain_shape(self, mixed_table):
         scorer = CandidateScorer(mixed_table, "I")
         # color (4 values) with a ternary parent: non-binary branch.
-        wide = scorer.sensitivity("color", (("size", 0),))
-        narrow = scorer.sensitivity("warm_flag", (("size", 0),))
+        wide = scorer.selection_sensitivity([("color", (("size", 0),))])
+        narrow = scorer.selection_sensitivity([("warm_flag", (("size", 0),))])
         assert narrow != wide  # binary child takes the tighter bound
 
     def test_matches_non_incremental(self, mixed_table):
@@ -252,15 +252,16 @@ class TestMutualInformation:
     def test_matches_direct_computation(self, binary_table):
         scorer = CandidateScorer(binary_table, "I")
         direct = mutual_information_from_table(binary_table, "b", ["a"])
-        assert scorer.score_candidate("b", (("a", 0),)) == direct
-        assert scorer.score_candidate("b", (("a", 0),)) == direct  # memo hit
+        candidate = [("b", (("a", 0),))]
+        assert scorer.score_batch(candidate)[0] == direct
+        assert scorer.score_batch(candidate)[0] == direct  # memo hit
 
     def test_generalized_parents(self, mixed_table):
         scorer = CandidateScorer(mixed_table, "I")
         counts = reference_counts(mixed_table, "warm_flag", [("color", 1)])
-        assert scorer.score_candidate(
-            "warm_flag", (("color", 1),)
-        ) == mutual_information(counts / mixed_table.n, 2)
+        assert scorer.score_batch([("warm_flag", (("color", 1),))])[
+            0
+        ] == mutual_information(counts / mixed_table.n, 2)
 
     def test_network_quality_from_a_warm_scorer(self, binary_table):
         from repro.bn.network import APPair, BayesianNetwork
@@ -270,7 +271,7 @@ class TestMutualInformation:
             [APPair.make("a", []), APPair.make("b", ["a"])]
         )
         warm = CandidateScorer(binary_table, "I")
-        warm.score_candidate("b", (("a", 0),))
+        warm.score_batch([("b", (("a", 0),))])
         assert network_mutual_information(
             network, warm
         ) == network_mutual_information(network, CandidateScorer(binary_table, "I"))

@@ -71,3 +71,10 @@ class TestTau:
             usefulness_tau(100, 10, 0.0, 4.0)
         with pytest.raises(ValueError):
             usefulness_tau(100, 10, 1.0, -1.0)
+
+    def test_nan_inputs_refused(self):
+        """A NaN τ would admit every placed attribute as a parent."""
+        with pytest.raises(ValueError, match="epsilon2 must be a finite"):
+            usefulness_tau(100, 10, float("nan"), 4.0)
+        with pytest.raises(ValueError, match="theta must be positive; got nan"):
+            usefulness_tau(100, 10, 1.0, float("nan"))

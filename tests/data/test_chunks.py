@@ -351,7 +351,7 @@ class TestSourceChecks:
         ids=["schema", "dtype", "ragged", "code", "short", "long"],
     )
     def test_write_csv_checks_chunks_like_counting(
-        self, tmp_path, csv_backend, second, message
+        self, tmp_path, backend, second, message
     ):
         """Under either CSV backend, ``write_csv`` refuses a source whose
         second chunk fails any check that counting makes, naming the
@@ -407,10 +407,10 @@ class TestCounterAndScorerEquivalence:
             np.testing.assert_array_equal(
                 chunked.score_batch(candidates), expected
             )
-            # Memo hits and the single-candidate path agree too.
-            for child, parents in candidates:
-                assert chunked.score_candidate(child, parents) == pytest.approx(
-                    resident.score_candidate(child, parents), abs=0
+            # Memo hits and one-candidate batches agree too.
+            for candidate in candidates:
+                assert chunked.score_batch([candidate])[0] == pytest.approx(
+                    resident.score_batch([candidate])[0], abs=0
                 )
 
     def test_scorer_sensitivity_identical(self, nltcs):

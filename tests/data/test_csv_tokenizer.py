@@ -165,7 +165,7 @@ def test_pass_reads_what_csv_reader_reads(text, delimiter, limit):
         ('"éaaaaaaaa', 9),
     ],
 )
-def test_field_limit_counts_code_points(tmp_path, csv_backend, field, points):
+def test_field_limit_counts_code_points(tmp_path, backend, field, points):
     """The limit counts code points, not bytes, on every path: under a
     limit of 8 a field of 8 code points (9 bytes, one of them é) passes
     and one of 9 fails, unquoted, quoted, with a doubled quote, with text
@@ -184,7 +184,7 @@ def test_field_limit_counts_code_points(tmp_path, csv_backend, field, points):
         csv.field_size_limit(saved)
 
 
-def test_buffers_grow_to_the_input(tmp_path, csv_backend):
+def test_buffers_grow_to_the_input(tmp_path, backend):
     """Thousands of distinct fields outgrow the tokenizer's first slots,
     entries and arena, and a long quoted field with doubled quotes
     outgrows its arena while the slow path builds it; the table is the

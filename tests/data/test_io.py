@@ -184,7 +184,7 @@ class TestRejectedInput:
         assert table.column("x").tolist() == [0, 2, 1, 0]
 
 
-def test_read_csv_parses_the_file_once(tmp_path, monkeypatch, csv_backend):
+def test_read_csv_parses_the_file_once(tmp_path, monkeypatch, backend):
     """The resident read makes one pass and builds no CsvSource: one
     native tokenizer pass and no csv.reader under the native backend, one
     csv.reader under NumPy."""
@@ -212,7 +212,7 @@ def test_read_csv_parses_the_file_once(tmp_path, monkeypatch, csv_backend):
     monkeypatch.setattr(repro.data.io._NativeTokens, "__init__", tokens)
     monkeypatch.setattr(repro.data.io.CsvSource, "__init__", init)
     table = read_csv(path)
-    if csv_backend == "native":
+    if backend == "native":
         assert (len(tokenizers), len(readers)) == (1, 0)
     else:
         assert (len(tokenizers), len(readers)) == (0, 1)
@@ -464,7 +464,7 @@ class TestEncoding:
 
     TEXT = "city,n\r\nSão Paulo,1\r\nZürich,2\r\nSão Paulo,3\r\n"
 
-    def test_ascii_locale_reads_and_writes_utf8(self, tmp_path, csv_backend):
+    def test_ascii_locale_reads_and_writes_utf8(self, tmp_path, backend):
         """Under ``PYTHONUTF8=0 LC_ALL=C`` the locale's encoding is ASCII:
         reading gives the attributes an in-process read gives, writing a
         table with a ``São Paulo`` label gives the same bytes, those bytes
@@ -487,7 +487,7 @@ class TestEncoding:
             PYTHONUTF8="0",
             LC_ALL="C",
             PYTHONPATH=str(Path(repro.data.io.__file__).parents[2]),
-            REPRO_KERNEL_BACKEND=csv_backend,
+            REPRO_KERNEL_BACKEND=backend,
         )
         written = tmp_path / "written.csv"
         result = subprocess.run(
@@ -519,7 +519,7 @@ class TestEncoding:
         ids=["stray", "truncated", "surrogate", "truncated-at-eof"],
     )
     def test_invalid_utf8_names_the_file_and_offset(
-        self, tmp_path, csv_backend, data, offset, byte
+        self, tmp_path, backend, data, offset, byte
     ):
         """A stray byte, a truncated sequence, an encoded surrogate, and a
         truncated sequence at the end of a file of several blocks."""
@@ -531,12 +531,12 @@ class TestEncoding:
                 read()
             assert str(caught.value) == message
 
-    def test_bom_stays_in_the_first_name(self, tmp_path, csv_backend):
+    def test_bom_stays_in_the_first_name(self, tmp_path, backend):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfa,b\r\n1,2\r\n")
         assert read_csv(path).attribute_names == ("\ufeffa", "b")
 
-    def test_out_of_range_code_names_the_attribute(self, tmp_path, csv_backend):
+    def test_out_of_range_code_names_the_attribute(self, tmp_path, backend):
         """A chunk code outside its attribute's labels fails, naming the
         attribute: above the labels, as np.take fails, and below them,
         which np.take would wrap.  Nothing is published at the path."""

@@ -10,26 +10,29 @@ from repro.dp.accountant import (
     split_epsilon_even,
 )
 
+#: ε values no budget may hold: NaN passes every sign check.
+BAD_EPSILONS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
 
 class TestAccountant:
     def test_charges_accumulate(self):
         acc = PrivacyAccountant(1.0)
-        acc.charge("a", 0.3)
-        acc.charge("b", 0.2)
+        acc.spend("a", 0.3)
+        acc.spend("b", 0.2)
         assert acc.spent == pytest.approx(0.5)
         assert acc.remaining == pytest.approx(0.5)
 
     def test_overspend_rejected(self):
         acc = PrivacyAccountant(1.0)
-        acc.charge("a", 0.9)
+        acc.spend("a", 0.9)
         with pytest.raises(PrivacyBudgetError, match="exceeds remaining"):
-            acc.charge("b", 0.2)
+            acc.spend("b", 0.2)
 
     def test_overspend_leaves_ledger_unchanged(self):
         acc = PrivacyAccountant(1.0)
-        acc.charge("a", 0.9)
+        acc.spend("a", 0.9)
         try:
-            acc.charge("b", 0.2)
+            acc.spend("b", 0.2)
         except PrivacyBudgetError:
             pass
         assert acc.spent == pytest.approx(0.9)
@@ -38,14 +41,14 @@ class TestAccountant:
     def test_exact_spend_allowed(self):
         acc = PrivacyAccountant(1.0)
         for _ in range(10):
-            acc.charge("x", 0.1)
+            acc.spend("x", 0.1)
         assert acc.remaining == pytest.approx(0.0, abs=1e-9)
 
     def test_float_tolerance(self):
         # 7 charges of 1/7 must not trip on rounding.
         acc = PrivacyAccountant(1.0)
         for _ in range(7):
-            acc.charge("x", 1.0 / 7.0)
+            acc.spend("x", 1.0 / 7.0)
 
     def test_nonpositive_total_rejected(self):
         with pytest.raises(ValueError):
@@ -54,22 +57,44 @@ class TestAccountant:
     def test_nonpositive_charge_rejected(self):
         acc = PrivacyAccountant(1.0)
         with pytest.raises(ValueError):
-            acc.charge("x", 0.0)
+            acc.spend("x", 0.0)
 
     def test_ledger_records_labels(self):
         acc = PrivacyAccountant(1.0)
-        acc.charge("network", 0.3)
-        acc.charge("marginal[a]", 0.35)
+        acc.spend("network", 0.3)
+        acc.spend("marginal[a]", 0.35)
         labels = [label for label, _ in acc.ledger]
         assert labels == ["network", "marginal[a]"]
 
-    def test_spend_is_the_primary_name_and_charge_aliases_it(self):
+    def test_spend_returns_the_granted_epsilon(self):
         acc = PrivacyAccountant(1.0)
         granted = acc.spend("a", 0.25)
         assert granted == 0.25
-        assert PrivacyAccountant.charge is PrivacyAccountant.spend
-        acc.charge("b", 0.25)
+        acc.spend("b", 0.25)
         assert acc.spent == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_non_finite_spend_refused_and_ledger_unchanged(self, epsilon):
+        """A NaN fails every budget comparison, so a sign check alone
+        would grant it and every later charge; ±inf are no budget."""
+        acc = PrivacyAccountant(1.0)
+        acc.spend("a", 0.5)
+        with pytest.raises(ValueError, match=r"charge 'bad' must be a finite"):
+            acc.spend("bad", epsilon)
+        assert acc.ledger == [("a", 0.5)] and acc.spent == 0.5
+        acc.spend("b", 0.5)
+        with pytest.raises(PrivacyBudgetError):
+            acc.spend("c", 5.0)
+
+    @pytest.mark.parametrize("total", BAD_EPSILONS)
+    def test_non_finite_total_refused(self, total):
+        with pytest.raises(ValueError, match="total_epsilon must be a finite"):
+            PrivacyAccountant(total)
+
+    @pytest.mark.parametrize("amount", BAD_EPSILONS)
+    def test_non_finite_replayed_charge_refused(self, amount):
+        with pytest.raises(ValueError, match="replayed charge 'x'"):
+            PrivacyAccountant(1.0, [("ok", 0.25), ("x", amount)])
 
     def test_overspend_is_a_value_error(self):
         acc = PrivacyAccountant(1.0)
@@ -136,6 +161,13 @@ class TestSplitEpsilon:
             split_epsilon_even(-1.0, 2)
         with pytest.raises(ValueError):
             split_epsilon_even(1.0, 0)
+
+    @pytest.mark.parametrize("total", BAD_EPSILONS)
+    def test_non_finite_total_refused(self, total):
+        with pytest.raises(ValueError, match="total epsilon must be a finite"):
+            split_epsilon(total, (0.5,))
+        with pytest.raises(ValueError, match="total epsilon must be a finite"):
+            split_epsilon_even(total, 3)
 
 
 class TestGroupPrivacy:

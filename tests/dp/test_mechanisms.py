@@ -3,7 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.dp.mechanisms import exponential_mechanism, laplace_mechanism, laplace_noise
+from repro.dp.mechanisms import (
+    exponential_mechanism,
+    laplace_mechanism,
+    laplace_noise,
+    laplace_scale,
+)
+
+#: ε values no mechanism may accept: NaN passes every sign check.
+BAD_EPSILONS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+
+class _RecordingRng:
+    """Stands in for a Generator: records the probabilities of each draw
+    and picks index 0."""
+
+    def __init__(self):
+        self.probabilities = []
+
+    def choice(self, size, p):
+        self.probabilities.append(p)
+        return 0
 
 
 class TestLaplaceNoise:
@@ -40,9 +60,12 @@ class TestLaplaceMechanism:
         out = laplace_mechanism(np.zeros(200_000), sensitivity=3.0, epsilon=1.5, rng=rng)
         assert abs(np.abs(out).mean() - 2.0) < 0.05  # scale = 3/1.5 = 2
 
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            laplace_mechanism(np.zeros(3), 1.0, 0.0, np.random.default_rng(0))
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_invalid_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="finite positive"):
+            laplace_mechanism(np.zeros(3), 1.0, epsilon, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite positive"):
+            laplace_scale(1.0, epsilon)
 
     def test_invalid_sensitivity(self):
         with pytest.raises(ValueError):
@@ -65,11 +88,9 @@ class TestExponentialMechanism:
         assert abs(ratio - np.e) / np.e < 0.12
 
     def test_probabilities_out(self):
-        out = []
-        exponential_mechanism(
-            np.array([0.0, 1.0]), 1.0, 2.0, np.random.default_rng(0), out
-        )
-        probs = out[0]
+        rng = _RecordingRng()
+        exponential_mechanism(np.array([0.0, 1.0]), 1.0, 2.0, rng)
+        (probs,) = rng.probabilities
         assert np.isclose(probs.sum(), 1.0)
         assert probs[1] / probs[0] == pytest.approx(np.e)
 
@@ -95,14 +116,15 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError):
             exponential_mechanism(np.array([]), 1.0, 1.0, np.random.default_rng(0))
 
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            exponential_mechanism(np.array([1.0]), 1.0, -1.0, np.random.default_rng(0))
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_invalid_epsilon(self, epsilon):
+        rng = _RecordingRng()
+        with pytest.raises(ValueError, match="finite positive"):
+            exponential_mechanism(np.array([1.0, 2.0]), 1.0, epsilon, rng)
+        assert rng.probabilities == []
 
     def test_small_epsilon_flattens_distribution(self):
-        out = []
-        exponential_mechanism(
-            np.array([0.0, 1.0]), 1.0, 1e-6, np.random.default_rng(0), out
-        )
-        probs = out[0]
+        rng = _RecordingRng()
+        exponential_mechanism(np.array([0.0, 1.0]), 1.0, 1e-6, rng)
+        (probs,) = rng.probabilities
         assert abs(probs[0] - 0.5) < 1e-3

@@ -102,6 +102,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="ledger.json"):
             DatasetLedger(path)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_spend_persists_nothing(self, tmp_path, epsilon):
+        path = tmp_path / "ledger.json"
+        account = DatasetLedger(path).accountant("adult", 1.0)
+        account.spend("fit", 0.5)
+        before = path.read_text()
+        with pytest.raises(ValueError, match="finite positive"):
+            account.spend("bad", epsilon)
+        assert path.read_text() == before
+        assert DatasetLedger(path).report()["adult"]["charges"] == [
+            ("fit", 0.5)
+        ]
+
+    def test_non_finite_budget_not_registered(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        ledger = DatasetLedger(path)
+        with pytest.raises(ValueError, match="finite positive"):
+            ledger.accountant("adult", float("nan"))
+        assert ledger.datasets() == []
+        assert not path.exists()
+
     def test_overdrawn_ledger_file_refused(self, tmp_path):
         path = tmp_path / "ledger.json"
         path.write_text(
@@ -230,8 +251,38 @@ class TestAcrossProcesses:
                 ),
                 "exceeding its total",
             ),
+            (
+                json.dumps(
+                    {
+                        "format_version": 1,
+                        "datasets": {
+                            "adult": {
+                                "total_epsilon": 1.0,
+                                "ledger": [["x", float("nan")]],
+                            }
+                        },
+                    }
+                ),
+                r"malformed \(replayed charge 'x' must be a finite positive "
+                r"number; got nan\)",
+            ),
+            (
+                json.dumps(
+                    {
+                        "format_version": 1,
+                        "datasets": {
+                            "adult": {
+                                "total_epsilon": float("nan"),
+                                "ledger": [],
+                            }
+                        },
+                    }
+                ),
+                r"malformed \(total_epsilon must be a finite positive "
+                r"number; got nan\)",
+            ),
         ],
-        ids=["corrupt", "overdrawn"],
+        ids=["corrupt", "overdrawn", "nan-charge", "nan-budget"],
     )
     def test_bad_file_refused_before_any_grant(self, tmp_path, text, message):
         """A file another writer spoiled is refused at the next spend,

@@ -94,6 +94,25 @@ class TestWarmRestart:
         with pytest.raises(ValueError, match="negative"):
             ModelRegistry(tmp_path)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("ledger", "replayed charge"), ("epsilon", "epsilon must be a finite")],
+    )
+    def test_nan_epsilon_refused_naming_file(
+        self, tmp_path, fitted, field, message
+    ):
+        registry = ModelRegistry(tmp_path)
+        registry.put("demo", fitted)
+        entry = next(tmp_path.glob("*.json"))
+        doc = json.loads(entry.read_text())
+        if field == "ledger":
+            doc["ledger"][0][1] = float("nan")
+        else:
+            doc["config"]["epsilon"] = float("nan")
+        entry.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{entry.name}.*{message}"):
+            ModelRegistry(tmp_path)
+
     def test_unsupported_version_refused(self, tmp_path, fitted):
         registry = ModelRegistry(tmp_path)
         registry.put("demo", fitted)

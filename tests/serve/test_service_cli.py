@@ -102,6 +102,36 @@ class TestService:
             for values in answers.values():
                 assert np.asarray(values).sum() == pytest.approx(1.0)
 
+    def test_nan_spend_refused_and_budget_kept(self, tmp_path, table):
+        """A NaN charge is refused and persists nothing, so the budget
+        still holds: of two fits at 0.9 on a 1.0 budget, one is granted."""
+        with SynthesisService(tmp_path) as service:
+            account = service.ledger.accountant("demo", 1.0)
+            ledger_file = tmp_path / "ledger.json"
+            before = ledger_file.read_text()
+            with pytest.raises(ValueError, match="finite positive"):
+                account.spend("fit", float("nan"))
+            with pytest.raises(ValueError, match="finite positive"):
+                PrivBayesConfig(epsilon=float("nan"))
+            assert ledger_file.read_text() == before
+            service.fit(
+                "demo",
+                table,
+                PrivBayesConfig(epsilon=0.9),
+                rng=np.random.default_rng(0),
+            )
+            with pytest.raises(PrivacyBudgetError):
+                service.fit(
+                    "demo",
+                    table,
+                    PrivBayesConfig(epsilon=0.9, beta=0.4),
+                    rng=np.random.default_rng(1),
+                )
+            assert account.spent == pytest.approx(0.9)
+        assert json.loads(ledger_file.read_text())["datasets"]["demo"][
+            "total_epsilon"
+        ] == 1.0
+
     def test_config_kwargs_shortcut(self, table):
         with SynthesisService(None) as service:
             model = service.fit(
