@@ -81,19 +81,29 @@ def main(argv=None) -> int:
     if not args.input or not args.output:
         print("error: --input and --output are required", file=sys.stderr)
         return 2
-    table = read_csv(args.input)
-    print(f"loaded {args.input}: n={table.n}, d={table.d}")
     encoding, score = parse_method(args.method)
     encoder = make_encoder(encoding)
+    # The config is checked before any CSV is read; it and the fit's own
+    # config checks (which run before any count) refuse in one line.
+    try:
+        pipeline = PrivBayes(
+            epsilon=args.epsilon,
+            beta=args.beta,
+            theta=args.theta,
+            score=score,
+            generalize=encoder.uses_generalization,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    table = read_csv(args.input)
+    print(f"loaded {args.input}: n={table.n}, d={table.d}")
     encoded = encoder.encode(table)
-    pipeline = PrivBayes(
-        epsilon=args.epsilon,
-        beta=args.beta,
-        theta=args.theta,
-        score=score,
-        generalize=encoder.uses_generalization,
-    )
-    model = pipeline.fit(encoded, rng=rng)
+    try:
+        model = pipeline.fit(encoded, rng=rng)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     synthetic_encoded = model.sample(args.rows, rng)
     synthetic = encoder.decode(synthetic_encoded)
     write_csv(synthetic, args.output)

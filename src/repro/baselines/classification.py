@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dp.accountant import split_epsilon_even
+from repro.dp.accountant import check_epsilon, split_epsilon_even
 from repro.dp.mechanisms import exponential_mechanism, laplace_noise, laplace_scale
 from repro.svm.linear import HuberSVM
 
@@ -40,8 +40,7 @@ class MajorityClassifier:
         epsilon: float,
         rng: np.random.Generator,
     ) -> "MajorityClassifier":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         positives = float(np.sum(y > 0))
         noisy = positives + float(
             laplace_noise(laplace_scale(1.0, epsilon), 1, rng)[0]
@@ -78,8 +77,7 @@ class PrivateERM:
         epsilon: float,
         rng: np.random.Generator,
     ) -> "PrivateERM":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         n, p = X.shape
         c = 1.0 / (2.0 * self.huber_h)
         lam = self.lam
@@ -145,8 +143,7 @@ class PrivGene:
         epsilon: float,
         rng: np.random.Generator,
     ) -> "PrivGene":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         n, p = X.shape
         selections = self.iterations * self.n_parents
         eps_each = split_epsilon_even(epsilon, selections)

@@ -34,6 +34,7 @@ from repro.data.marginals import (
     unflatten_index,
 )
 from repro.data.table import Table
+from repro.dp.accountant import check_epsilon
 from repro.dp.mechanisms import laplace_noise
 from repro.encoding.bitwise import BinaryEncoder, bits_needed
 
@@ -55,8 +56,7 @@ class FourierMarginals:
         epsilon: float,
         rng: np.random.Generator,
     ) -> Dict[Tuple[str, ...], np.ndarray]:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         encoder = BinaryEncoder()
         encoded = encoder.encode(table)
         bit_names = list(encoded.attribute_names)

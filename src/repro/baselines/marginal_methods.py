@@ -18,7 +18,7 @@ from repro.data.marginals import (
     project_distribution,
 )
 from repro.data.table import Table
-from repro.dp.accountant import split_epsilon_even
+from repro.dp.accountant import check_epsilon, split_epsilon_even
 from repro.dp.mechanisms import laplace_mechanism
 
 Workload = Sequence[Tuple[str, ...]]
@@ -42,8 +42,7 @@ class LaplaceMarginals:
         epsilon: float,
         rng: np.random.Generator,
     ) -> Dict[Tuple[str, ...], np.ndarray]:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         workload = [tuple(names) for names in workload]
         share = split_epsilon_even(epsilon, max(len(workload), 1))
         released = {}
@@ -78,8 +77,7 @@ class ContingencyMarginals:
         epsilon: float,
         rng: np.random.Generator,
     ) -> Dict[Tuple[str, ...], np.ndarray]:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         names = list(table.attribute_names)
         sizes = [table.attribute(name).size for name in names]
         total = domain_size(sizes)

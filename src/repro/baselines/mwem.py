@@ -27,7 +27,7 @@ from repro.data.marginals import (
     project_distribution,
 )
 from repro.data.table import Table
-from repro.dp.accountant import split_epsilon_even
+from repro.dp.accountant import check_epsilon, split_epsilon_even
 from repro.dp.mechanisms import exponential_mechanism, laplace_noise, laplace_scale
 
 Workload = Sequence[Tuple[str, ...]]
@@ -55,8 +55,7 @@ class MWEM:
         epsilon: float,
         rng: np.random.Generator,
     ) -> Dict[Tuple[str, ...], np.ndarray]:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         names = list(table.attribute_names)
         sizes = [table.attribute(name).size for name in names]
         total = domain_size(sizes)

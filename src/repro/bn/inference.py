@@ -17,7 +17,7 @@ networks PrivBayes builds this stays far below the full domain.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,12 +74,9 @@ class _Factor:
         # Broadcast: reshape the conditional to align parent axes.
         cond = conditional.matrix.reshape(parent_sizes + [conditional.child_size])
         # Axes of cond in the new factor: parents at their positions, child last.
-        expand_shape = [1] * len(new_names)
         perm_src = []
         for name in parent_names:
             perm_src.append(self.names.index(name))
-        # Build an array with cond values placed on (parent axes..., child).
-        aligned = np.ones(expand_shape)
         # Move cond's axes into position via transpose + reshape with newaxis.
         # Order cond axes to match increasing factor axis index.
         positions = perm_src + [len(new_names) - 1]

@@ -43,7 +43,7 @@ from repro.core.rng import fallback_rng
 from repro.core.scoring import Candidate, CandidateScorer, Candidates
 from repro.core.theta import usefulness_tau
 from repro.data.table import Table
-from repro.dp.accountant import split_epsilon_even
+from repro.dp.accountant import check_epsilon, split_epsilon_even
 from repro.dp.mechanisms import exponential_mechanism
 
 #: ``combinations(range(p), w)`` as a ``(C(p, w), w)`` position table per
@@ -121,6 +121,18 @@ def _select(
     return candidates[index]
 
 
+def check_score_domains(attributes, score: str) -> None:
+    """Raise :class:`ValueError` unless ``score`` is computable on every
+    attribute: ``F`` (Section 4.4) is defined on binary domains only."""
+    if score == "F":
+        for attr in attributes:
+            if attr.size != 2:
+                raise ValueError(
+                    "score 'F' requires binary attributes; "
+                    f"{attr.name!r} has {attr.size} values"
+                )
+
+
 def greedy_bayes_fixed_k(
     table: Table,
     k: int,
@@ -158,13 +170,7 @@ def greedy_bayes_fixed_k(
         return BayesianNetwork([])
     if k < 0:
         raise ValueError("k must be non-negative")
-    if score == "F":
-        for attr in table.attributes:
-            if attr.size != 2:
-                raise ValueError(
-                    "score 'F' requires binary attributes; "
-                    f"{attr.name!r} has {attr.size} values"
-                )
+    check_score_domains(table.attributes, score)
     first = first_attribute or names[int(rng.integers(len(names)))]
     if first not in names:
         raise ValueError(f"unknown first attribute {first!r}")
@@ -174,8 +180,7 @@ def greedy_bayes_fixed_k(
     remaining = [i for i in range(d) if i != placed[0]]
     per_round_epsilon = None
     if epsilon1 is not None:
-        if epsilon1 <= 0:
-            raise ValueError("epsilon1 must be positive")
+        check_epsilon(epsilon1, "epsilon1")
         per_round_epsilon = split_epsilon_even(epsilon1, max(1, d - 1))
     scorer = _check_scorer(scorer, table, score)
     while remaining:
@@ -235,8 +240,7 @@ def greedy_bayes_theta(
     remaining = [name for name in names if name != first]
     per_round_epsilon = None
     if epsilon1 is not None:
-        if epsilon1 <= 0:
-            raise ValueError("epsilon1 must be positive")
+        check_epsilon(epsilon1, "epsilon1")
         per_round_epsilon = split_epsilon_even(epsilon1, max(1, d - 1))
     enumerate_sets = (
         maximal_parent_sets_generalized if generalize else maximal_parent_sets

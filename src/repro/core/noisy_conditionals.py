@@ -3,7 +3,9 @@
 Implements Algorithm 1 (binary domains, degree-``k`` networks: the first
 ``k`` conditionals are derived from the ``(k+1)``-th noisy joint at no
 extra privacy cost) and Algorithm 3 (general domains: one noisy joint per
-AP pair, budget split evenly over all ``d``).
+AP pair, budget split evenly over all ``d``).  Algorithm 3 is Algorithm 1
+at ``k = 0`` — all ``d`` joints materialized at ``ε₂/d``, none derived —
+so both entry points run one body.
 
 Each released conditional is a :class:`ConditionalTable`: a row-stochastic
 matrix ``Pr*[X | Π]`` indexed by the mixed-radix flattening of the parent
@@ -46,7 +48,11 @@ from repro.data.marginals import (
 # kept because the perfbench traced replay asserts it wraps the function
 # here.
 from repro.data.marginals import stacked_joint_counts  # noqa: F401
-from repro.dp.accountant import PrivacyAccountant, split_epsilon_even
+from repro.dp.accountant import (
+    PrivacyAccountant,
+    check_epsilon,
+    split_epsilon_even,
+)
 from repro.dp.mechanisms import laplace_mechanism
 
 #: L1 sensitivity of a joint probability distribution of one table:
@@ -284,6 +290,9 @@ def noisy_conditionals_general(
 ) -> NoisyModel:
     """Algorithm 3: one noisy joint per AP pair, ε₂ split over all ``d``.
 
+    This is Algorithm 1 at ``k = 0``: every pair is materialized at
+    ``ε₂/d`` and none is derived, so the two share one body.
+
     ``epsilon2 = None`` releases exact conditionals (non-private; the
     BestMarginal diagnostic of Figure 11).  ``counter`` is any object with
     a ``table``, ``warm(pairs)`` and ``counts(pair)`` like
@@ -292,23 +301,9 @@ def noisy_conditionals_general(
     :class:`JointCounter` materializes the network's joints in grouped
     single-pass bincounts.
     """
-    if epsilon2 is not None and epsilon2 <= 0:
-        raise ValueError("epsilon2 must be positive")
-    if counter is None:
-        # repro: allow[PRIV003] -- counting here and in warm() below releases nothing; each noisy joint is drawn only after its in-loop charge
-        counter = JointCounter(table)
-    if counter.table is not table:
-        raise ValueError("counter was built for a different table")
-    counter.warm(list(network.pairs))
-    d = network.d
-    share = None if epsilon2 is None else split_epsilon_even(epsilon2, d)
-    conditionals: List[ConditionalTable] = []
-    for pair in network:
-        if accountant is not None and share is not None:
-            accountant.spend(f"marginal[{pair.child}]", share)
-        joint, sizes = _noisy_joint(table, pair, share, rng, counter)
-        conditionals.append(_conditional_from(pair, joint, sizes))
-    return NoisyModel(network=network, conditionals=tuple(conditionals))
+    return _noisy_conditionals(
+        table, network, 0, epsilon2, rng, accountant, counter
+    )
 
 
 def noisy_conditionals_fixed_k(
@@ -328,13 +323,32 @@ def noisy_conditionals_fixed_k(
     materializing a pair directly if the guarantee does not hold for it
     (that costs budget, so callers built via Algorithm 2 never hit it).
 
-    ``epsilon2 = None`` releases exact conditionals (non-private; the
-    BestMarginal diagnostic of Figure 11).  ``counter`` works as in
+    ``epsilon2`` and ``counter`` work as in
     :func:`noisy_conditionals_general`; only the ``d - k`` materialized
     pairs are pre-counted (fallback pairs count on demand).
     """
-    if epsilon2 is not None and epsilon2 <= 0:
-        raise ValueError("epsilon2 must be positive")
+    return _noisy_conditionals(
+        table, network, k, epsilon2, rng, accountant, counter
+    )
+
+
+def _noisy_conditionals(
+    table,
+    network: BayesianNetwork,
+    k: int,
+    epsilon2: Optional[float],
+    rng: np.random.Generator,
+    accountant: Optional[PrivacyAccountant],
+    counter: Optional[JointCounter],
+) -> NoisyModel:
+    """The body of Algorithms 1 and 3 (Algorithm 3 passes ``k = 0``).
+
+    Pairs ``k..d-1`` are materialized at ``ε₂/(d-k)`` each, charged as
+    ``marginal[<child>]`` in network order; pairs ``0..k-1`` are derived
+    from pair ``k``'s noisy joint.  An empty network gives an empty model.
+    """
+    if epsilon2 is not None:
+        check_epsilon(epsilon2, "epsilon2")
     d = network.d
     if not 0 <= k < max(d, 1):
         raise ValueError(f"k={k} out of range for d={d}")
@@ -361,7 +375,7 @@ def noisy_conditionals_fixed_k(
         if i == k:
             anchor_joint, anchor_sizes = joint, sizes
             anchor_names = [name for name, _ in pair.parents] + [pair.child]
-    for i in range(min(k, d)):
+    for i in range(k):
         pair = pairs[i]
         derived = _derive_from_anchor(
             pair, anchor_joint, anchor_sizes, anchor_names

@@ -5,15 +5,22 @@ exponential mechanism) and ε₂ = (1−β)ε (distribution learning, Laplace
 mechanism); sampling is post-processing and free.  Theorem 3.2: the whole
 pipeline is (ε₁ + ε₂)-differentially private.
 
-Two operating modes, chosen automatically from the schema:
+Two operating modes, chosen automatically from the schema, run one phase
+sequence in :meth:`PrivBayes.fit` and differ only in which learner each
+phase calls:
 
 * ``binary`` — every attribute is binary: Algorithm 2 with degree ``k``
   chosen by θ-usefulness (Lemma 4.8), score ``F`` by default, and
   Algorithm 1 for distribution learning.
 * ``general`` — arbitrary discrete domains: Algorithm 4 (θ-usefulness via
-  the domain-size bound τ), score ``R`` by default, and Algorithm 3.
-  With ``generalize=True``, parent sets may use taxonomy-generalized
-  attributes (Algorithm 6) — the Hierarchical encoding of Section 5.1.
+  the domain-size bound τ), score ``R`` by default, and Algorithm 3
+  (Algorithm 1 at ``k = 0``).  With ``generalize=True``, parent sets may
+  use taxonomy-generalized attributes (Algorithm 6) — the Hierarchical
+  encoding of Section 5.1.
+
+The config checks (mode, score, ``k``, first attribute) read only the
+config, the schema and ``n`` — public quantities — and run before an
+external accountant is charged, so a refused config reserves no ε.
 
 Diagnostic switches ``oracle_network`` / ``oracle_marginals`` reproduce the
 BestNetwork / BestMarginal references of Figure 11.  They break differential
@@ -22,13 +29,17 @@ privacy and exist only for error attribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from repro.bn.network import APPair, BayesianNetwork
-from repro.core.greedy_bayes import greedy_bayes_fixed_k, greedy_bayes_theta
+from repro.core.greedy_bayes import (
+    check_score_domains,
+    greedy_bayes_fixed_k,
+    greedy_bayes_theta,
+)
 from repro.core.noisy_conditionals import (
     NoisyModel,
     noisy_conditionals_fixed_k,
@@ -209,7 +220,9 @@ class PrivBayes:
         ``accountant`` is an optional *external* (e.g. per-dataset)
         :class:`~repro.dp.accountant.PrivacyAccountant` that this fit
         charges its whole ``config.epsilon`` into, as **one atomic
-        reservation made before any data is touched** — so repeated fits
+        reservation made before any data is touched** and after the
+        config checks (a config the table refuses raises
+        :class:`ValueError` without a charge) — so repeated fits
         against the same table compose cumulative ε under sequential
         composition, and a fit that would exceed the dataset budget
         raises :class:`~repro.dp.accountant.PrivacyBudgetError` without
@@ -228,50 +241,89 @@ class PrivBayes:
         if table.d == 0 or table.n == 0:
             raise ValueError("cannot fit an empty table")
         config = self.config
-        if accountant is not None:
-            # Reserve before touching counts; raises PrivacyBudgetError
-            # when the dataset budget cannot cover this fit.
-            accountant.spend("privbayes-fit", config.epsilon)
+        names = table.attribute_names
         mode = config.mode
         if mode == "auto":
             all_binary = all(a.size == 2 for a in table.attributes)
             mode = "binary" if all_binary else "general"
-        if mode == "general" and config.k is not None:
+        score = config.score
+        if score == "auto":
+            score = "F" if mode == "binary" else "R"
+        # ε₁ = βε exactly as the historical two-line split (bit-identical).
+        epsilon1, epsilon2 = split_epsilon(
+            config.epsilon, (config.beta,), remainder=True
+        )
+        k = None
+        if mode == "binary":
+            k = config.k
+            if k is None:
+                k = choose_k_binary(table.n, table.d, epsilon2, config.theta)
+            k = min(k, table.d - 1)
+        elif config.k is not None:
             raise ValueError(
                 f"config.k={config.k} is only used in binary mode "
                 "(Algorithm 2), but this table resolved to general mode — "
                 "unset k or force mode='binary'"
             )
-        score = config.score
-        if score == "auto":
-            score = "F" if mode == "binary" else "R"
+        elif score == "F":
+            raise ValueError("score 'F' is not computable on general domains")
+        # With one attribute or k = 0 there is only one possible structure:
+        # skip the exponential mechanism and give the whole budget to the
+        # marginals (footnote 6).
+        learn_network = table.d > 1 and k != 0
+        first = config.first_attribute
+        if learn_network:
+            check_score_domains(table.attributes, score)
+            if first and first not in names:
+                raise ValueError(f"unknown first attribute {first!r}")
+        # The config is valid for this table.  Reserve before touching
+        # counts; raises PrivacyBudgetError when the dataset budget cannot
+        # cover this fit.
+        if accountant is not None:
+            accountant.spend("privbayes-fit", config.epsilon)
         # The model's own per-phase ledger; the external reservation (if
         # any) was already taken above, so this stays a fresh accountant
         # and the phases below are bit-identical either way.
         accountant = PrivacyAccountant(config.epsilon)
-        # ε₁ = βε exactly as the historical two-line split (bit-identical).
-        epsilon1, epsilon2 = split_epsilon(
-            config.epsilon, (config.beta,), remainder=True
-        )
         # Without a caller's cache, a fit-local one still gives the scorer
         # and the joint counter one counting engine over the table.
         if scoring_cache is None:
             scoring_cache = ScoringCache()
         scorer = scoring_cache.scorer(table, score)
         counter = scoring_cache.joint_counter(table)
+        if not learn_network:
+            epsilon2 = config.epsilon
+            network = BayesianNetwork([APPair.make(name, []) for name in names])
+        else:
+            if not config.oracle_network:
+                accountant.spend(
+                    "network-learning (exponential mechanism)", epsilon1
+                )
+            selection_epsilon = None if config.oracle_network else epsilon1
+            search = dict(
+                score=score, rng=rng, first_attribute=first, scorer=scorer
+            )
+            if mode == "binary":
+                network = greedy_bayes_fixed_k(
+                    table, k, selection_epsilon, **search
+                )
+            else:
+                network = greedy_bayes_theta(
+                    table, selection_epsilon, epsilon2, config.theta,
+                    generalize=config.generalize, **search,
+                )
+        if config.oracle_marginals:
+            epsilon2 = None
         if mode == "binary":
-            model, k = self._fit_binary(
-                table, score, epsilon1, epsilon2, accountant, rng, scorer,
-                counter,
+            noisy = noisy_conditionals_fixed_k(
+                table, network, k, epsilon2, rng, accountant, counter=counter
             )
         else:
-            model = self._fit_general(
-                table, score, epsilon1, epsilon2, accountant, rng, scorer,
-                counter,
+            noisy = noisy_conditionals_general(
+                table, network, epsilon2, rng, accountant, counter=counter
             )
-            k = None
         return PrivBayesModel(
-            noisy=model,
+            noisy=noisy,
             table_attributes=table.attributes,
             source_n=table.n,
             config=config,
@@ -300,81 +352,3 @@ class PrivBayes:
             table, rng, scoring_cache=scoring_cache, accountant=accountant
         )
         return model.sample(n, rng)
-
-    # ------------------------------------------------------------------
-    def _fit_binary(
-        self, table, score, epsilon1, epsilon2, accountant, rng, scorer=None,
-        counter=None,
-    ):
-        config = self.config
-        d = table.d
-        k = config.k
-        if k is None:
-            k = choose_k_binary(table.n, d, epsilon2, config.theta)
-        k = min(k, d - 1)
-        if k == 0 or d == 1:
-            # Only one possible structure: skip the exponential mechanism
-            # and give the whole budget to the marginals (footnote 6).
-            epsilon2 = config.epsilon
-            network = BayesianNetwork(
-                [APPair.make(name, []) for name in table.attribute_names]
-            )
-        else:
-            if not config.oracle_network:
-                accountant.spend("network-learning (exponential mechanism)", epsilon1)
-            network = greedy_bayes_fixed_k(
-                # repro: allow[PRIV003] -- charged just above on the ε-spending path; the uncharged path passes epsilon=None (oracle mode)
-                table,
-                k,
-                None if config.oracle_network else epsilon1,
-                score=score,
-                rng=rng,
-                first_attribute=config.first_attribute,
-                scorer=scorer,
-            )
-        model = noisy_conditionals_fixed_k(
-            table,
-            network,
-            k,
-            None if config.oracle_marginals else epsilon2,
-            rng,
-            accountant,
-            counter=counter,
-        )
-        return model, k
-
-    def _fit_general(
-        self, table, score, epsilon1, epsilon2, accountant, rng, scorer=None,
-        counter=None,
-    ):
-        config = self.config
-        if score == "F":
-            raise ValueError("score 'F' is not computable on general domains")
-        if table.d == 1:
-            epsilon2 = config.epsilon
-            network = BayesianNetwork(
-                [APPair.make(name, []) for name in table.attribute_names]
-            )
-        else:
-            if not config.oracle_network:
-                accountant.spend("network-learning (exponential mechanism)", epsilon1)
-            network = greedy_bayes_theta(
-                # repro: allow[PRIV003] -- charged just above on the ε-spending path; the uncharged path passes epsilon=None (oracle mode)
-                table,
-                None if config.oracle_network else epsilon1,
-                epsilon2,
-                config.theta,
-                score=score,
-                generalize=config.generalize,
-                rng=rng,
-                first_attribute=config.first_attribute,
-                scorer=scorer,
-            )
-        return noisy_conditionals_general(
-            table,
-            network,
-            None if config.oracle_marginals else epsilon2,
-            rng,
-            accountant,
-            counter=counter,
-        )

@@ -5,6 +5,11 @@ is available (at raw granularity) before any child that conditions on it.
 Generalized parents are handled by mapping the already-sampled raw codes
 through the attribute's taxonomy before indexing the conditional table.
 
+This is the library's one CDF inversion: the ground-truth generators of
+:mod:`repro.datasets.synthetic` convert their networks into a
+:class:`~repro.core.noisy_conditionals.NoisyModel` and draw through
+:func:`sample_synthetic` and :func:`sample_synthetic_chunks` too.
+
 One draw is one block: a ``(d, n)`` matrix whose row ``i`` holds the
 uniforms of the network's ``i``-th attribute and is overwritten with its
 codes (:func:`_ancestral_block`).  The model's network, generalization

@@ -146,7 +146,7 @@ def _infer_schema(
 
     * ≤ 2 distinct values → binary (a single-valued column is padded with
       a ``__other_<label>`` placeholder — see the caveat on
-      :func:`infer_attribute`);
+      :func:`read_csv`);
     * numeric with more than ``continuous_threshold`` distinct values →
       continuous, discretized into ``bins`` equi-width bins over the
       observed min/max (a ``nan`` or infinite value, which has no bin,
@@ -184,37 +184,6 @@ def _infer_schema(
         return attr, dict(zip(labels, codes))
     attr = Attribute(name, tuple(labels), AttributeKind.CATEGORICAL)
     return attr, dict(zip(labels, range(len(labels))))
-
-
-def infer_attribute(
-    name: str,
-    values: List[str],
-    bins: int = DEFAULT_BINS,
-    continuous_threshold: int = CONTINUOUS_THRESHOLD,
-):
-    """Infer one column's attribute and integer codes.
-
-    * ≤ 2 distinct values → binary;
-    * numeric with more than ``continuous_threshold`` distinct values →
-      continuous, discretized into ``bins`` equi-width bins;
-    * otherwise categorical over the sorted distinct labels.
-
-    .. caution::
-       A column with a **single** distinct value is padded to a binary
-       domain with a synthetic ``__other_<label>`` second value (several
-       layers assume ≥ 2-value domains).  The placeholder never appears in
-       the encoded input (all codes are 0), but a *noisy* release learns a
-       perturbed distribution over both values, so synthetic rows can emit
-       the placeholder label.  ``tests/data/test_io.py`` pins this
-       behavior with a round-trip test; downstream consumers of released
-       CSVs should treat ``__other_*`` labels as "the constant column's
-       other value".
-    """
-    attr, code_of = _infer_schema(
-        name, sorted(set(values)), bins, continuous_threshold
-    )
-    codes = map(code_of.__getitem__, values)
-    return attr, np.fromiter(codes, np.int64, len(values))
 
 
 def _column_lookup(
@@ -704,6 +673,17 @@ def read_csv(
     ``np.take`` per column maps the ids to those codes.  The codes depend
     only on the distinct values, so the table is the one
     :class:`CsvSource` streams from the same file.
+
+    .. caution::
+       A column with a **single** distinct value is padded to a binary
+       domain with a synthetic ``__other_<label>`` second value (several
+       layers assume ≥ 2-value domains).  The placeholder never appears in
+       the encoded input (all codes are 0), but a *noisy* release learns a
+       perturbed distribution over both values, so synthetic rows can emit
+       the placeholder label.  ``tests/data/test_io.py`` pins this
+       behavior with a round-trip test; downstream consumers of released
+       CSVs should treat ``__other_*`` labels as "the constant column's
+       other value".
     """
     path = Path(path)
     with _CsvPass(path, delimiter) as parse:

@@ -5,15 +5,19 @@ substrate for the schema-faithful dataset generators: a ground-truth
 network with known conditionals is the natural way to produce correlated
 discrete data whose low-dimensional structure PrivBayes should recover.
 
-Two emission modes share one ancestral-sampling core:
+A network is authored as :class:`NodeSpec` s and drawn by the release
+sampler (:mod:`repro.core.sampler`): the specs become one
+:class:`~repro.core.noisy_conditionals.NoisyModel`, so the ground truth
+and the synthetic release share one CDF inversion, native whenever the
+compiled kernel is loaded.  Two emission modes:
 
 * :func:`sample_network` — resident: all ``n`` rows in one
-  :class:`~repro.data.Table` (the historical path; its seeded outputs,
-  including the four schema-faithful dataset generators built on it, are
-  pinned by golden tests and unchanged).
+  :class:`~repro.data.Table`, through
+  :func:`~repro.core.sampler.sample_synthetic`.
 * :class:`NetworkSource` — streaming: the same network emitted as a
   re-iterable :class:`~repro.data.chunks.ChunkedSource` of bounded
-  chunks, the million-row workload feed for the scale benchmarks.  Each
+  chunks, the million-row workload feed for the scale benchmarks,
+  through :func:`~repro.core.sampler.sample_synthetic_chunks`.  Each
   node draws from its own deterministic child stream, so the emitted
   rows are invariant to the chunk size and identical on every pass —
   but (by the per-node stream split) not row-identical to
@@ -23,13 +27,14 @@ Two emission modes share one ancestral-sampling core:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bn.network import APPair, BayesianNetwork
 from repro.data.attribute import Attribute
 from repro.data.chunks import ChunkedSource, DEFAULT_CHUNK_ROWS
-from repro.data.marginals import domain_size, flatten_index
+from repro.data.marginals import domain_size
 from repro.data.table import Table
 
 
@@ -56,66 +61,72 @@ class NodeSpec:
             raise ValueError(f"CPT rows for {self.attribute.name!r} must sum to 1")
 
 
-def _spec_cdfs(specs: Sequence[NodeSpec]) -> List[np.ndarray]:
-    """Row CDFs of every spec's CPT, last column clamped to exactly 1.0."""
-    cdfs = []
-    for spec in specs:
-        cdf = np.cumsum(spec.cpt, axis=1)
-        cdf[:, -1] = 1.0
-        cdfs.append(cdf)
-    return cdfs
+def _spec_model(specs: Sequence[NodeSpec]):
+    """The specs as a :class:`~repro.core.noisy_conditionals.NoisyModel`.
 
-
-def _sample_spec_block(
-    specs: Sequence[NodeSpec],
-    cdfs: Sequence[np.ndarray],
-    n: int,
-    uniforms_for: Callable[[int, int], np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """One ancestral-sampling pass of ``n`` rows over the network.
-
-    ``uniforms_for(index, count)`` supplies spec ``index``'s uniforms; the
-    CDF inversion is the shared binary search of
-    :func:`repro.core.sampler.invert_row_cdfs`, bit-identical to the
-    historical ``(uniforms[:, None] > cdf[rows]).sum(axis=1)`` broadcast.
+    An :class:`~repro.bn.network.APPair` sorts its parents by name, and a
+    conditional's rows follow that order, so each CPT's rows are permuted
+    from the listed parent order into the sorted one.  Every row keeps
+    its values, so every tuple inverts the same CDF row.
     """
-    # Imported here: repro.core.sampler sits above the data layer this
-    # module otherwise stays within.
-    from repro.core.sampler import invert_row_cdfs
+    # Imported here: repro.core sits above the data layer this module
+    # otherwise stays within.
+    from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 
-    sampled: Dict[str, np.ndarray] = {}
-    sizes: Dict[str, int] = {}
-    for index, spec in enumerate(specs):
-        rows = flatten_index(
-            [sampled[p] for p in spec.parents], [sizes[p] for p in spec.parents], n
+    sizes = {spec.attribute.name: spec.attribute.size for spec in specs}
+    pairs, conditionals = [], []
+    for spec in specs:
+        pair = APPair.make(spec.attribute.name, spec.parents)
+        listed = list(spec.parents)
+        radix = [sizes[name] for name in listed]
+        if spec.cpt.shape[0] != domain_size(radix):
+            raise ValueError(
+                f"CPT for {pair.child!r} has {spec.cpt.shape[0]} rows; its "
+                f"parents {listed} have {domain_size(radix)} configurations"
+            )
+        order = [listed.index(name) for name in pair.parent_names]
+        child_size = spec.attribute.size
+        matrix = (
+            spec.cpt.reshape(radix + [child_size])
+            .transpose(order + [len(listed)])
+            .reshape(-1, child_size)
         )
-        sampled[spec.attribute.name] = invert_row_cdfs(
-            cdfs[index], rows, uniforms_for(index, n)
+        pairs.append(pair)
+        conditionals.append(
+            ConditionalTable(
+                child=pair.child,
+                parents=pair.parents,
+                parent_sizes=tuple(sizes[name] for name in pair.parent_names),
+                child_size=child_size,
+                matrix=np.ascontiguousarray(matrix),
+            )
         )
-        sizes[spec.attribute.name] = spec.attribute.size
-    return sampled
+    return NoisyModel(BayesianNetwork(pairs), tuple(conditionals))
 
 
 def sample_network(
     specs: Sequence[NodeSpec], n: int, rng: np.random.Generator
 ) -> Table:
-    """Ancestral sampling of ``n`` rows from a ground-truth network."""
-    sampled = _sample_spec_block(
-        specs, _spec_cdfs(specs), n, lambda index, count: rng.random(count)
-    )
-    attrs = [spec.attribute for spec in specs]
-    return Table(attrs, {a.name: sampled[a.name] for a in attrs})
+    """Ancestral sampling of ``n`` rows from a ground-truth network.
+
+    Node ``i`` inverts the ``i``-th block of ``n`` uniforms that ``rng``
+    draws, as :func:`~repro.core.sampler.sample_synthetic` does.
+    """
+    from repro.core.sampler import sample_synthetic
+
+    attributes = [spec.attribute for spec in specs]
+    return sample_synthetic(_spec_model(specs), attributes, n, rng)
 
 
 class NetworkSource(ChunkedSource):
     """A ground-truth network emitted as a chunked source (see module doc).
 
     ``seed`` fully determines the rows: every call to :meth:`chunks`
-    rebuilds one child stream per spec from it (``rng.spawn`` semantics
-    via :class:`numpy.random.SeedSequence`), and spec ``i``'s stream draws
-    its ``n`` uniforms in row order across chunks — so the stream is
-    re-iterable, deterministic, and invariant to ``chunk_rows``, as the
-    :class:`~repro.data.chunks.ChunkedSource` protocol requires.
+    spawns one child stream per spec from ``default_rng(seed)``, and spec
+    ``i``'s stream draws its ``n`` uniforms in row order across chunks
+    (:func:`~repro.core.sampler.sample_synthetic_chunks`) — so the stream
+    is re-iterable, deterministic, and invariant to ``chunk_rows``, as
+    the :class:`~repro.data.chunks.ChunkedSource` protocol requires.
     """
 
     def __init__(
@@ -129,27 +140,23 @@ class NetworkSource(ChunkedSource):
             raise ValueError("n must be non-negative")
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
-        self._specs = list(specs)
-        self._cdfs = _spec_cdfs(self._specs)
-        self._attributes = tuple(spec.attribute for spec in self._specs)
+        self._model = _spec_model(specs)
+        self._attributes = tuple(spec.attribute for spec in specs)
         self._n = int(n)
         self._seed = int(seed)
         self._chunk_rows = int(chunk_rows)
 
     def chunks(self) -> Iterator[Mapping[str, np.ndarray]]:
-        streams = np.random.default_rng(self._seed).spawn(len(self._specs))
-        start = 0
-        while True:
-            count = min(self._chunk_rows, self._n - start)
-            yield _sample_spec_block(
-                self._specs,
-                self._cdfs,
-                count,
-                lambda index, rows: streams[index].random(rows),
-            )
-            start += count
-            if start >= self._n:
-                return
+        from repro.core.sampler import sample_synthetic_chunks
+
+        for chunk in sample_synthetic_chunks(
+            self._model,
+            self._attributes,
+            self._n,
+            np.random.default_rng(self._seed),
+            self._chunk_rows,
+        ):
+            yield {name: chunk.column(name) for name in chunk.attribute_names}
 
 
 def random_network_specs(

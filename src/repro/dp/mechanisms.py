@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,15 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
 def laplace_noise(
     scale: float, size, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw i.i.d. ``Lap(scale)`` noise (pdf ``exp(-|x|/scale) / (2 scale)``)."""
-    if scale < 0:
-        raise ValueError("Laplace scale must be non-negative")
+    """Draw i.i.d. ``Lap(scale)`` noise (pdf ``exp(-|x|/scale) / (2 scale)``).
+
+    ``scale`` must be finite and non-negative; 0 gives zeros.  A NaN or
+    infinite scale raises, since it would draw NaN or infinite noise.
+    """
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(
+            f"Laplace scale must be finite and non-negative; got {scale!r}"
+        )
     if scale == 0:
         return np.zeros(size)
     return rng.laplace(loc=0.0, scale=scale, size=size)

@@ -34,6 +34,7 @@ from repro.core.rng import fallback_rng
 from repro.data.marginals import normalize_distribution
 from repro.dp.accountant import (
     PrivacyAccountant,
+    check_epsilon,
     scale_for_group_privacy,
     split_epsilon,
 )
@@ -111,8 +112,7 @@ def release_two_tables(
         (``beta``, ``theta``, ``score``, ...).
     """
     rng = fallback_rng(rng)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or min(split) <= 0:
         raise ValueError("split must be three positive fractions summing to 1")
     if max_fanout is None:

@@ -18,11 +18,12 @@ Three components, each usable on its own:
   :func:`~repro.core.serialize.save_model` path for warm restarts.
 * :class:`~repro.serve.coalescer.CoalescingSampler` — an asyncio front
   end that batches concurrent ``sample(n_i)`` requests into one
-  vectorized draw (bit-identical to the equivalent single draw, sliced)
-  and answers marginal workloads directly from the model.
+  vectorized draw (bit-identical to the equivalent single draw, sliced).
 
 :class:`~repro.serve.service.SynthesisService` wires the three together
-under one root directory; ``python -m repro.serve`` is the CLI.
+under one root directory and answers marginal workloads directly from a
+registered model (:meth:`~repro.serve.service.SynthesisService.marginals`);
+``python -m repro.serve`` is the CLI.
 """
 
 from repro.serve.coalescer import CoalescingSampler

@@ -72,22 +72,30 @@ def _config_from_args(args: argparse.Namespace) -> PrivBayesConfig:
     return PrivBayesConfig(epsilon=args.epsilon, **kwargs)
 
 
+def _refuse_config(error: ValueError) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
-    service = SynthesisService(args.root)
     table = read_csv(args.csv)
-    config = _config_from_args(args)
+    service = SynthesisService(args.root)
     rng = np.random.default_rng(args.seed)
     try:
         model = service.fit(
             args.dataset,
             table,
-            config,
+            args.config,
             rng=rng,
             dataset_budget=args.dataset_budget,
         )
     except PrivacyBudgetError as error:
         print(f"refused: {error}", file=sys.stderr)
         return 3
+    except ValueError as error:
+        # A config this table refuses (mode, score, k, first attribute):
+        # checked before the ledger reserves anything.
+        return _refuse_config(error)
     account = service.ledger.accountant(args.dataset)
     print(
         f"fitted {args.dataset!r} (n={model.source_n}, "
@@ -105,10 +113,9 @@ async def _coalesced_request_tables(sampler, counts):
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     service = SynthesisService(args.root)
-    config = _config_from_args(args)
     try:
         sampler = service.sampler(
-            args.dataset, config, np.random.default_rng(args.seed)
+            args.dataset, args.config, np.random.default_rng(args.seed)
         )
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -133,10 +140,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_marginals(args: argparse.Namespace) -> int:
     service = SynthesisService(args.root)
-    config = _config_from_args(args)
     workload = [query.split(",") for query in args.query]
     try:
-        answers = service.marginals(args.dataset, config, workload)
+        answers = service.marginals(args.dataset, args.config, workload)
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -265,6 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "epsilon" in vars(args):
+        # fit, sample and marginals: check the model config before any CSV
+        # is read or any service state is opened.
+        try:
+            args.config = _config_from_args(args)
+        except ValueError as error:
+            return _refuse_config(error)
     return args.func(args)
 
 

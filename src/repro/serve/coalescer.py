@@ -18,21 +18,21 @@ stream server — but never on thread scheduling *within* a batch, and a
 replay that issues the same requests in the same order with the same
 seed reproduces every response exactly.
 
-The draw itself runs on a single-worker :class:`ThreadPoolExecutor`
-(numpy releases the GIL in the hot loops), keeping the event loop free
-to accumulate the next batch while the current one is being drawn.
+The draw itself runs on the sampler's private single-worker
+:class:`ThreadPoolExecutor` (numpy releases the GIL in the hot loops),
+keeping the event loop free to accumulate the next batch while the
+current one is being drawn; its one worker runs batches in submission
+order, so no two draws ever share the stream.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bn.inference import model_marginals
 from repro.core.privbayes import PrivBayesModel
 from repro.core.rng import fallback_rng
 from repro.core.sampler import sample_synthetic_split
@@ -52,29 +52,20 @@ class CoalescingSampler:
         The sampler's single seeded stream.  Pass one for reproducible
         serving; the default falls back to OS entropy via the sanctioned
         :func:`~repro.core.rng.fallback_rng`.
-    executor:
-        Optional executor for the draws.  The default is a private
-        single-worker pool, which also guarantees batches draw from the
-        stream in submission order; a wider custom executor keeps
-        correctness (a lock serializes draws) but may reorder batches.
     """
 
     def __init__(
         self,
         model: PrivBayesModel,
         rng: Optional[np.random.Generator] = None,
-        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         self._model = model
         self._rng = fallback_rng(rng)
-        self._own_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-draw"
         )
         self._pending: List[Tuple[int, asyncio.Future]] = []
         self._drain_scheduled = False
-        self._draw_lock = threading.Lock()
-        self._marginal_cache: Dict[Tuple[Tuple[str, ...], ...], Dict] = {}
         #: Number of requests served by each coalesced draw, in draw
         #: order — ``[3, 1]`` means one batch of three then a singleton.
         self.batch_request_counts: List[int] = []
@@ -131,52 +122,17 @@ class CoalescingSampler:
         task.add_done_callback(_resolve)
 
     def _draw(self, counts: Sequence[int]) -> List[Table]:
-        # Serialize stream access: with a multi-worker custom executor two
-        # batches could otherwise interleave their uniform draws.
-        with self._draw_lock:
-            return sample_synthetic_split(
-                self._model.noisy,
-                self._model.table_attributes,
-                counts,
-                self._rng,
-            )
-
-    # ------------------------------------------------------------------
-    # Model-based marginal answers
-    # ------------------------------------------------------------------
-    async def marginals(self, workload: Sequence[Sequence[str]]) -> Dict:
-        """Answer a marginal workload directly from the model.
-
-        Variable elimination on the fitted network
-        (:func:`~repro.bn.inference.model_marginals`) — deterministic,
-        free of sampling noise, and free of ε (post-processing), so
-        responses are cached per workload for the life of the sampler.
-        """
-        key = tuple(tuple(str(name) for name in names) for names in workload)
-        cached = self._marginal_cache.get(key)
-        if cached is not None:
-            return cached
-        loop = asyncio.get_running_loop()
-        answers = await loop.run_in_executor(
-            self._executor, self._compute_marginals, key
-        )
-        self._marginal_cache[key] = answers
-        return answers
-
-    def _compute_marginals(
-        self, key: Tuple[Tuple[str, ...], ...]
-    ) -> Dict:
-        return model_marginals(
+        return sample_synthetic_split(
             self._model.noisy,
             self._model.table_attributes,
-            [list(names) for names in key],
+            counts,
+            self._rng,
         )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the private executor (no-op for a shared one)."""
-        if self._own_executor:
-            self._executor.shutdown(wait=True)
+        """Shut down the draw worker, after the draws already submitted."""
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "CoalescingSampler":
         return self

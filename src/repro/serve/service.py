@@ -28,6 +28,27 @@ MODELS_DIRNAME = "models"
 LEDGER_FILENAME = "ledger.json"
 
 
+class _Reservation:
+    """The dataset's ledger account, opened at the fit's one ``spend``.
+
+    :meth:`PrivBayes.fit <repro.core.privbayes.PrivBayes.fit>` charges its
+    external accountant only after its config checks, so opening the
+    account there (registering a new dataset's budget) leaves the ledger
+    untouched by a refused config.
+    """
+
+    def __init__(
+        self, ledger: DatasetLedger, dataset: str, budget: Optional[float]
+    ) -> None:
+        self._ledger = ledger
+        self._dataset = dataset
+        self._budget = budget
+
+    def spend(self, label: str, epsilon: float) -> float:
+        account = self._ledger.accountant(self._dataset, self._budget)
+        return account.spend(label, epsilon)
+
+
 class SynthesisService:
     """Fit-once, serve-forever front end over the PrivBayes pipeline.
 
@@ -71,14 +92,16 @@ class SynthesisService:
         ledger *before touching data* and raises
         :class:`~repro.dp.accountant.PrivacyBudgetError` when the
         remaining dataset budget cannot cover it; on success the model
-        is registered (resident + persisted) and returned.
+        is registered (resident + persisted) and returned.  A config the
+        table refuses raises :class:`ValueError` before the reservation,
+        so it neither charges nor registers the dataset.
         """
         if config is None:
             config = PrivBayesConfig(**config_kwargs)
         elif config_kwargs:
             raise ValueError("pass either config or config kwargs, not both")
-        accountant = self.ledger.accountant(dataset, dataset_budget)
-        model = PrivBayes(config).fit(table, rng, accountant=accountant)
+        reservation = _Reservation(self.ledger, dataset, dataset_budget)
+        model = PrivBayes(config).fit(table, rng, accountant=reservation)
         self.registry.put(dataset, model)
         return model
 

@@ -269,3 +269,38 @@ class TestFixedK:
         assert model._by_child.keys() == {
             t.child for t in model.conditionals
         }
+
+
+class TestAlgorithm3IsAlgorithm1AtKZero:
+    """Algorithm 3 is Algorithm 1 with no derived conditionals."""
+
+    @pytest.mark.parametrize("epsilon2", [0.7, None])
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_same_matrices_and_ledger(self, mixed_table, epsilon2, generalized):
+        names = list(mixed_table.attribute_names)
+        network = _chain_network(names)
+        if generalized:
+            # The taxonomy level of "color" as a parent of the last pair.
+            network = BayesianNetwork(
+                list(network.pairs[:-1])
+                + [APPair.make(names[-1], [(names[0], 1)])]
+            )
+        models, ledgers = [], []
+        for k in (None, 0):
+            accountant = PrivacyAccountant(1.0)
+            rng = np.random.default_rng(17)
+            if k is None:
+                model = noisy_conditionals_general(
+                    mixed_table, network, epsilon2, rng, accountant
+                )
+            else:
+                model = noisy_conditionals_fixed_k(
+                    mixed_table, network, k, epsilon2, rng, accountant
+                )
+            models.append(model)
+            ledgers.append(accountant.ledger)
+        assert ledgers[0] == ledgers[1]
+        assert len(ledgers[0]) == (0 if epsilon2 is None else network.d)
+        for a, b in zip(models[0].conditionals, models[1].conditionals):
+            assert (a.child, a.parents) == (b.child, b.parents)
+            np.testing.assert_array_equal(a.matrix, b.matrix)

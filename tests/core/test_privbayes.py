@@ -220,12 +220,18 @@ class TestExternalAccountant:
         """An unaffordable fit must not touch the data at all."""
 
         class TripwireTable:
-            """Delegates schema probes; explodes on any data access."""
+            """Delegates schema probes; explodes on any data access.
+
+            The config checks before the reservation read the schema and
+            ``n``, public quantities; counts need ``column``/``chunks``.
+            """
 
             def __init__(self, inner):
                 self._inner = inner
                 self.d = inner.d
                 self.n = inner.n
+                self.attributes = inner.attributes
+                self.attribute_names = inner.attribute_names
 
             def __getattr__(self, name):
                 raise AssertionError(

@@ -221,3 +221,104 @@ def test_shared_counter_reused_across_fits_is_bit_exact():
         )
         for a, b in zip(reference.conditionals, again.conditionals):
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def _nltcs_table():
+    return load_dataset("nltcs", n=800, seed=3)
+
+
+def _adult_table():
+    return load_dataset("adult", n=1500, seed=5)
+
+
+def _ledger_fingerprint(accountant):
+    return hashlib.sha256(repr(accountant.ledger).encode()).hexdigest()
+
+
+#: One case per branch of ``PrivBayes.fit``: (table, config, fit seed).
+FIT_BRANCHES = {
+    "binary-k0": (_nltcs_table, dict(epsilon=1.0, k=0), 41),
+    "binary-d1": (
+        lambda: _nltcs_table().project(["eating"]), dict(epsilon=1.0), 42
+    ),
+    "general-d1": (
+        lambda: _adult_table().project(["education"]), dict(epsilon=1.0), 43
+    ),
+    "binary-oracle-network": (
+        _nltcs_table, dict(epsilon=1.0, k=2, oracle_network=True), 44
+    ),
+    "binary-oracle-marginals": (
+        _nltcs_table, dict(epsilon=1.0, k=2, oracle_marginals=True), 45
+    ),
+    "general-oracle-network": (
+        _adult_table, dict(epsilon=4.0, theta=2.0, oracle_network=True), 46
+    ),
+    "general-oracle-marginals": (
+        _adult_table, dict(epsilon=4.0, theta=2.0, oracle_marginals=True), 47
+    ),
+    "general-generalize": (
+        _adult_table, dict(epsilon=4.0, theta=2.0, generalize=True), 48
+    ),
+}
+
+#: Per branch: the full model fingerprint (network and matrices), the
+#: accountant ledger and ``model.sample(300, default_rng(7))``.
+GOLDEN_FIT_BRANCHES = {
+    "binary-k0": (
+        "c7384853b1854600be54eba8681e31a5646b91fae5aebf315bcf18cce27f6b89",
+        "d0d7e9f09685f7f24e19ca4b27b233d7492f80fe38ed828502430e2b0c91845f",
+        "db30abe75a634e69f22ff82e76fd83a83e9f19e266baa329924bcb00b0edb757",
+    ),
+    "binary-d1": (
+        "ea4adce8ea8e9413cb9a6a6721382d88b5d22a9d457d2d9db13faa3a956a502d",
+        "7d948fef042779467ea08b9a1e6fb85153e94a821b675f51fabf81d53ab83b4b",
+        "fb169c67b9d9ee644138f7e440fc34457f5a2cea99e8c12585507509e161e6ac",
+    ),
+    "general-d1": (
+        "5480a7e9a862cfdd8ce9577fdb26496b80de74abbc28dbeff2b9f0eb937d7f2d",
+        "d5251e01bfa81411afec144da9f8fb384d2edebefd0e48da79fd70411eb7c473",
+        "14682c27c97d65330f604c897ae80e8968983b7ce168a5c5924ec6cd73167743",
+    ),
+    "binary-oracle-network": (
+        "f20f2a0c46accc16aa2193d2d28f3ea8688100752a9badf6771dcbd0ebcfe363",
+        "0576f02083e109654731290bfd56d0620e023cf312465148e4649703beec5533",
+        "d5d29a238a76bd754dc050da812f1e23fe54c77b2830e3b80d7068f56b370f12",
+    ),
+    "binary-oracle-marginals": (
+        "d194ac2bbe85959fb8215ac5acb25340d876a5e5bf3b15777d19e616862684e8",
+        "73db03ffcb128c1b3eb02d8ac8d05a271a8f69624889fdf2daa3fbb538e2228d",
+        "08c2187f43ab3d965ff57380da879c2886c2320def1650c237aaef2ed54cdb66",
+    ),
+    "general-oracle-network": (
+        "eb59a98ab95c16eea128e10a098c9dd890af0dd941532d3bd9c52bbcec199507",
+        "b6bdd605c99796b4cf67994be9df5df3f36f8cddbb4be1723a7710ea4c963b79",
+        "f6014efa941dc8c716c637516cda0be868d93bfaafcad0b7f9766cfd604ad188",
+    ),
+    "general-oracle-marginals": (
+        "1ae428550fc319e9e6d184af1482bbfeb40971e941dbf43f3ebc02c0f224dda6",
+        "2517551ac0a49a92602aef52b818f85f46b82c9ba6120689fb27e0ecd67f6af9",
+        "227a1f2d1d0d6392e5fa4e1ac8508a062f7c049087afa117d2da6300743db2ba",
+    ),
+    "general-generalize": (
+        "f22547af1482a053f019f65b4e8d5446fd1a417277a143707edecebfc97f8454",
+        "733d729ed4ecd3e213906bf90863ac19a9088b049a13a5c6757536deb6dee073",
+        "59d224791eb131af52a6242db0d74e40ee17120e716733b445e4a0c051ef4038",
+    ),
+}
+
+
+def _fit_branch_fingerprints(name):
+    make_table, config, seed = FIT_BRANCHES[name]
+    model = PrivBayes(**config).fit(make_table(), np.random.default_rng(seed))
+    synthetic = model.sample(300, np.random.default_rng(7))
+    return (
+        _fingerprint(model)[1],
+        _ledger_fingerprint(model.accountant),
+        _table_fingerprint(synthetic),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FIT_BRANCHES))
+def test_fit_branch_matches_golden(backend, name):
+    """Every fit branch keeps its conditionals, ledger and sample."""
+    assert _fit_branch_fingerprints(name) == GOLDEN_FIT_BRANCHES[name]

@@ -13,41 +13,50 @@ import pytest
 import repro.data.io
 from io_reference import reference_read, reference_write
 from repro.data.attribute import Attribute, AttributeKind
-from repro.data.io import BATCH_ROWS, CsvSource, infer_attribute, read_csv, write_csv
+from repro.data.io import BATCH_ROWS, CsvSource, read_csv, write_csv
 from repro.data.table import Table
 from repro.datasets import load_adult
 
 
-class TestInferAttribute:
-    def test_binary_inference(self):
-        attr, codes = infer_attribute("x", ["yes", "no", "yes", "yes"])
+def _read_column(tmp_path, values):
+    """``read_csv`` of a one-column file ``x`` holding ``values``."""
+    path = tmp_path / "column.csv"
+    path.write_text("".join(f"{line}\n" for line in ["x", *values]))
+    table = read_csv(path)
+    return table.attribute("x"), table.column("x")
+
+
+class TestSchemaInference:
+    def test_binary_inference(self, tmp_path):
+        attr, codes = _read_column(tmp_path, ["yes", "no", "yes", "yes"])
         assert attr.kind is AttributeKind.BINARY
         assert attr.size == 2
         assert codes.tolist() == [1, 0, 1, 1]  # sorted: no, yes
 
-    def test_single_value_column_padded_to_binary(self):
-        attr, codes = infer_attribute("x", ["only", "only"])
+    def test_single_value_column_padded_to_binary(self, tmp_path):
+        attr, codes = _read_column(tmp_path, ["only", "only"])
         assert attr.size == 2
+        assert attr.values == ("only", "__other_only")
         assert codes.tolist() == [0, 0]
 
-    def test_categorical_inference(self):
-        attr, codes = infer_attribute("x", ["r", "g", "b", "r"])
+    def test_categorical_inference(self, tmp_path):
+        attr, codes = _read_column(tmp_path, ["r", "g", "b", "r"])
         assert attr.kind is AttributeKind.CATEGORICAL
         assert attr.size == 3
 
-    def test_continuous_inference(self):
+    def test_continuous_inference(self, tmp_path):
         values = [str(v) for v in np.linspace(0, 100, 60)]
-        attr, codes = infer_attribute("x", values)
+        attr, codes = _read_column(tmp_path, values)
         assert attr.kind is AttributeKind.CONTINUOUS
         assert attr.size == 16  # default bins
 
-    def test_numeric_with_few_values_stays_categorical(self):
-        attr, _ = infer_attribute("x", ["1", "2", "3", "1"])
+    def test_numeric_with_few_values_stays_categorical(self, tmp_path):
+        attr, _ = _read_column(tmp_path, ["1", "2", "3", "1"])
         assert attr.kind is AttributeKind.CATEGORICAL
 
-    def test_empty_column_rejected(self):
-        with pytest.raises(ValueError):
-            infer_attribute("x", [])
+    def test_empty_column_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            _read_column(tmp_path, [])
 
 
 class TestRoundTrip:

@@ -130,6 +130,16 @@ class TestSyntheticGenerators:
         with pytest.raises(ValueError, match="shape"):
             NodeSpec(a, (), np.array([[0.5, 0.25, 0.25]]))
 
+    def test_cpt_rows_must_match_parent_configurations(self, rng):
+        a = Attribute.binary("a")
+        b = Attribute.binary("b")
+        specs = [
+            NodeSpec(a, (), np.array([[0.2, 0.8]])),
+            NodeSpec(b, ("a",), np.full((3, 2), 0.5)),
+        ]
+        with pytest.raises(ValueError, match="'b' has 3 rows"):
+            sample_network(specs, 10, rng)
+
     def test_random_network_specs_valid(self, rng):
         attrs = [Attribute.binary(f"x{i}") for i in range(6)]
         specs = random_network_specs(attrs, 2, rng)

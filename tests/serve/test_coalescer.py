@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bn.inference import model_marginals
-from repro.core.privbayes import PrivBayes
+from repro.core.privbayes import PrivBayes, PrivBayesConfig
 from repro.core.sampler import sample_synthetic, sample_synthetic_split
 from repro.datasets.synthetic import random_binary_table
 from repro.serve.coalescer import CoalescingSampler
+from repro.serve.service import SynthesisService
 
 
 @pytest.fixture
@@ -134,29 +135,21 @@ class TestCoalescing:
 
 
 class TestMarginals:
-    def test_marginals_match_direct_inference(self, model):
+    def test_marginals_match_direct_inference(self):
+        """Model marginals have one entry: the service's, which is
+        exactly variable elimination on the registered model."""
+        table = random_binary_table(n=800, d=5, seed=21)
+        config = PrivBayesConfig(epsilon=1.0)
         workload = [["x0", "x1"], ["x2"]]
-
-        async def drive():
-            with CoalescingSampler(model, np.random.default_rng(1)) as sampler:
-                return await sampler.marginals(workload)
-
-        answers = asyncio.run(drive())
+        with SynthesisService(None) as service:
+            model = service.fit(
+                "demo", table, config, np.random.default_rng(2),
+                dataset_budget=1.0,
+            )
+            answers = service.marginals("demo", config, workload)
         expected = model_marginals(
             model.noisy, model.table_attributes, workload
         )
         assert sorted(answers) == sorted(expected)
         for key, values in expected.items():
-            np.testing.assert_allclose(answers[key], values)
-
-    def test_marginals_are_cached_per_workload(self, model):
-        workload = [["x0"]]
-
-        async def drive():
-            with CoalescingSampler(model, np.random.default_rng(1)) as sampler:
-                first = await sampler.marginals(workload)
-                second = await sampler.marginals(list(workload))
-                return first, second
-
-        first, second = asyncio.run(drive())
-        assert first is second
+            np.testing.assert_array_equal(answers[key], values)

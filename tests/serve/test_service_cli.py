@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.privbayes import PrivBayesConfig
 from repro.data.io import write_csv
+from repro.datasets import load_adult
 from repro.datasets.synthetic import random_binary_table
 from repro.dp.accountant import PrivacyBudgetError
 from repro.serve.service import SynthesisService
@@ -152,6 +153,68 @@ class TestService:
                 )
 
 
+#: Configs an Adult table refuses: each must raise before the ledger
+#: reserves anything.
+REFUSED_CONFIGS = {
+    "F-on-general": dict(score="F"),
+    "k-on-general": dict(k=2),
+    "unknown-first-attribute": dict(first_attribute="nope"),
+    "binary-F-on-wide-attributes": dict(mode="binary", score="F"),
+}
+
+
+@pytest.fixture(scope="module")
+def adult():
+    return load_adult(n=2000, seed=0)
+
+
+class TestRefusedConfigReservesNothing:
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "file"])
+    @pytest.mark.parametrize("name", sorted(REFUSED_CONFIGS))
+    def test_no_charge(self, tmp_path, adult, name, durable):
+        root = tmp_path / "state" if durable else None
+        config = PrivBayesConfig(epsilon=0.5, **REFUSED_CONFIGS[name])
+        with SynthesisService(root) as service:
+
+            def refused_fit():
+                with pytest.raises(ValueError) as refused:
+                    service.fit(
+                        "adult",
+                        adult,
+                        config,
+                        rng=np.random.default_rng(0),
+                        dataset_budget=2.0,
+                    )
+                assert not isinstance(refused.value, PrivacyBudgetError)
+
+            refused_fit()  # first contact: the dataset is not registered
+            assert service.ledger.datasets() == []
+            service.ledger.accountant("adult", 2.0)
+            refused_fit()  # registered: no charge
+            assert service.ledger.accountant("adult").ledger == []
+            assert len(service.registry) == 0
+        if durable:
+            with SynthesisService(root) as reopened:
+                assert reopened.ledger.accountant("adult").ledger == []
+
+    def test_binary_F_at_k0_still_fits(self, adult):
+        """With k = 0 Algorithm 2 never scores, so F on wide attributes
+        is not refused."""
+        config = PrivBayesConfig(epsilon=0.5, mode="binary", score="F", k=0)
+        with SynthesisService(None) as service:
+            model = service.fit(
+                "adult",
+                adult,
+                config,
+                rng=np.random.default_rng(0),
+                dataset_budget=2.0,
+            )
+            assert model.k == 0
+            assert service.ledger.accountant("adult").ledger == [
+                ("privbayes-fit", 0.5)
+            ]
+
+
 def _run_cli(*arguments, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + (
@@ -230,3 +293,46 @@ class TestCli:
         )
         assert result.returncode == 2
         assert "no model registered" in result.stderr
+
+    @pytest.mark.parametrize("command", ["fit", "sample", "marginals"])
+    def test_refused_config_is_one_line(self, tmp_path, command):
+        """A config the CLI refuses prints one line and exits 2, before
+        any CSV is read or any service state is written."""
+        root = tmp_path / "state"
+        extra = {
+            "fit": ["--csv", str(tmp_path / "missing.csv")],
+            "sample": ["--rows", "10"],
+            "marginals": ["--query", "x0"],
+        }[command]
+        result = _run_cli(
+            command,
+            "--root", str(root),
+            "--dataset", "demo",
+            "--epsilon", "nan",
+            *extra,
+        )
+        assert result.returncode == 2
+        assert result.stderr.strip().splitlines() == [
+            "error: epsilon must be a finite positive number; got nan"
+        ]
+        assert not root.exists()
+
+    def test_config_the_table_refuses_is_one_line(self, tmp_path, adult):
+        csv_path = tmp_path / "adult.csv"
+        write_csv(adult, csv_path)
+        root = tmp_path / "state"
+        result = _run_cli(
+            "fit",
+            "--root", str(root),
+            "--dataset", "adult",
+            "--csv", str(csv_path),
+            "--epsilon", "0.5",
+            "--score", "F",
+            "--dataset-budget", "2.0",
+        )
+        assert result.returncode == 2
+        assert result.stderr.strip().splitlines() == [
+            "error: score 'F' is not computable on general domains"
+        ]
+        assert not (root / "ledger.json").exists()
+        assert not list((root / "models").glob("*.json"))

@@ -68,6 +68,30 @@ class TestRelease:
         assert main([]) == 2
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epsilon", "nan", "epsilon must be a finite positive number; got nan"),
+            ("--beta", "0", "beta must be in (0, 1); got 0.0"),
+        ],
+    )
+    def test_refused_config_is_one_line(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """The config is checked before the input is read: a missing
+        input never gets opened, one line is printed, nothing written."""
+        out = tmp_path / "synthetic.csv"
+        rc = main(
+            [
+                "--input", str(tmp_path / "missing.csv"),
+                "--output", str(out), flag, value,
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_release_bytes_golden(self, tmp_path, capsys):
         """A fixed input, method and seed release these exact bytes, under
         any hash seed and kernel backend."""
