@@ -256,7 +256,8 @@ def test_scoreF_kernel_benchmark():
     # ------------------------------------------------------------------
     epsilon, beta, theta = 1.6, 0.3, 4.0
     table = load_dataset("nltcs", n=8000, seed=0)
-    # repro: allow[PRIV001] -- pins the historical slice; split_epsilon's remainder form is not bit-identical to (1 - beta) * epsilon
+    # The historical slice: split_epsilon's remainder form is not
+    # bit-identical to (1 - beta) * epsilon.
     k = choose_k_binary(table.n, table.d, (1 - beta) * epsilon, theta)
     assert 2 ** k > 12, "slice must exercise the blocked kernel"
     start = time.perf_counter()

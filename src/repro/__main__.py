@@ -20,7 +20,7 @@ from repro.core.privbayes import DEFAULT_BETA, DEFAULT_THETA
 from repro.core.serialize import load_model, save_model
 from repro.core.sampler import sample_synthetic
 from repro.data.io import read_csv, write_csv
-from repro.encoding import make_encoder
+from repro.encoding import BinaryEncoder, GrayEncoder, make_encoder
 from repro.metrics import utility_report
 from repro.release import METHODS, parse_method
 from repro.core.privbayes import PrivBayes
@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--save-model", help="also store the fitted model as JSON"
+        "--save-model",
+        help="also store the fitted model as JSON (vanilla-R and "
+        "hierarchical-R; a bitwise model is refused)",
     )
     parser.add_argument(
         "--from-model",
@@ -65,6 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as error:
+        # A refused config, or a bad input CSV or model file.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
 
     if args.from_model:
@@ -83,27 +94,27 @@ def main(argv=None) -> int:
         return 2
     encoding, score = parse_method(args.method)
     encoder = make_encoder(encoding)
+    if args.save_model and isinstance(encoder, (BinaryEncoder, GrayEncoder)):
+        print(
+            f"error: --save-model cannot store a {args.method} model: it "
+            "models bit columns, so --from-model would not write the "
+            "input's attributes",
+            file=sys.stderr,
+        )
+        return 2
     # The config is checked before any CSV is read; it and the fit's own
     # config checks (which run before any count) refuse in one line.
-    try:
-        pipeline = PrivBayes(
-            epsilon=args.epsilon,
-            beta=args.beta,
-            theta=args.theta,
-            score=score,
-            generalize=encoder.uses_generalization,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    pipeline = PrivBayes(
+        epsilon=args.epsilon,
+        beta=args.beta,
+        theta=args.theta,
+        score=score,
+        generalize=encoder.uses_generalization,
+    )
     table = read_csv(args.input)
     print(f"loaded {args.input}: n={table.n}, d={table.d}")
     encoded = encoder.encode(table)
-    try:
-        model = pipeline.fit(encoded, rng=rng)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    model = pipeline.fit(encoded, rng=rng)
     synthetic_encoded = model.sample(args.rows, rng)
     synthetic = encoder.decode(synthetic_encoded)
     write_csv(synthetic, args.output)

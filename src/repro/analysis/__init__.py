@@ -1,21 +1,16 @@
 """Determinism & privacy-budget static analyzer (the repo's CI gate).
 
-AST-based rules targeting this codebase's three historical bug classes —
-determinism drift (DET001-003), privacy-budget flow (PRIV001-002) and
-numeric overflow (NUM001) — with inline suppression pragmas, a checked-in
-baseline for grandfathered sites, per-file result caching and a
-``python -m repro.analysis`` CLI.  The analyzer is self-hosted: CI runs it
-over ``src`` and ``tests`` and fails on any unsuppressed finding.
+Rules targeting this codebase's historical bug classes — determinism
+drift (DET001-004), privacy-budget flow (PRIV002-003), numeric overflow
+(NUM001), lock discipline (CONC001) and native ABI drift (ABI001) — with
+inline suppression pragmas (a finding is accepted only by a pragma that
+says why), per-file result caching and a ``python -m repro.analysis``
+CLI.  The analyzer is self-hosted: CI runs it over ``src``, ``tests``,
+``benchmarks`` and ``examples`` and fails on any unsuppressed finding.
 
 See ``src/repro/analysis/README.md`` for the rule catalogue and workflow.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cache import ResultCache
 from repro.analysis.engine import (
     REPORT_SCHEMA_VERSION,
@@ -42,10 +37,6 @@ __all__ = [
     "Rule",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "default_rules",
-    "finding_fingerprint",
     "iter_python_files",
-    "load_baseline",
-    "write_baseline",
 ]

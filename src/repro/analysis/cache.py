@@ -2,9 +2,9 @@
 
 Findings are a pure function of (file bytes, rule set), so repeated runs —
 the common local loop of fix / re-run — only re-analyze files whose content
-hash changed.  The cache stores findings *after* pragma resolution (pragmas
-live in the file content, hence in the hash) but *before* baseline
-matching, which depends on an external file and is re-applied every run.
+hash changed.  The cache stores findings *after* pragma resolution: pragmas
+live in the file content, hence in the hash, so a cached finding's status
+is final.
 
 The cache file is local state (gitignored), versioned by
 ``ANALYZER_VERSION`` plus the active rule ids so rule changes invalidate it

@@ -1,7 +1,8 @@
 """``python -m repro.analysis`` — the self-hosted CI gate.
 
 Exit codes: 0 = no unsuppressed findings, 1 = unsuppressed findings,
-2 = usage error (argparse).
+2 = usage error (argparse), including a path that is neither a ``.py``
+file nor a directory.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.cache import DEFAULT_CACHE_NAME, ResultCache
 from repro.analysis.engine import AnalysisReport, analyze_paths
 from repro.analysis.rules import default_rules
 
-DEFAULT_BASELINE_NAME = "analysis_baseline.json"
-
-_STATUS_TAGS = {"open": "", "suppressed": " [suppressed]", "baselined": " [baselined]"}
+_STATUS_TAGS = {"open": "", "suppressed": " [suppressed]"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,20 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("human", "json"),
         default="human",
         help="report format (default: human)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file of grandfathered findings (default: "
-            f"./{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current open findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--cache",
@@ -91,7 +75,7 @@ def _print_human(report: AnalysisReport, stream) -> None:
     counts = report.to_json_dict()["counts"]
     print(
         f"{report.files_scanned} files scanned: {counts['open']} open, "
-        f"{counts['suppressed']} suppressed, {counts['baselined']} baselined "
+        f"{counts['suppressed']} suppressed "
         f"(cache: {report.cache_hits} hits / {report.cache_misses} misses)",
         file=stream,
     )
@@ -109,29 +93,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (try: python -m repro.analysis src tests)")
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = Path(DEFAULT_BASELINE_NAME)
-        baseline_path = candidate if candidate.is_file() else None
-    baseline = load_baseline(baseline_path) if baseline_path else {}
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache or Path(DEFAULT_CACHE_NAME))
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    report = analyze_paths(
-        args.paths, cache=cache, baseline=baseline, jobs=args.jobs
-    )
+    try:
+        report = analyze_paths(args.paths, cache=cache, jobs=args.jobs)
+    except FileNotFoundError as error:
+        parser.error(str(error))
     if cache is not None:
         cache.save()
-
-    if args.write_baseline:
-        target = args.baseline or Path(DEFAULT_BASELINE_NAME)
-        entries = write_baseline(target, report.findings)
-        print(f"wrote {len(entries)} baseline entries to {target}")
-        return 0
 
     if args.format == "json":
         json.dump(report.to_json_dict(), sys.stdout, indent=2)

@@ -1,6 +1,8 @@
 """Analysis engine: file discovery, rule execution, suppression, reporting.
 
-Since schema v2 the engine runs in two passes:
+A finding is open unless a ``# repro: allow[RULE] -- why`` pragma in the
+file itself accepts it; there is no other way to suppress one.  The
+engine runs in two passes:
 
 * **pass 1** parses every file once, builds the project-wide
   :class:`~repro.analysis.symbols.SymbolGraph` and collects the native
@@ -25,7 +27,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import apply_baseline, finding_fingerprint
 from repro.analysis.cache import ResultCache, content_digest, rules_signature
 from repro.analysis.flow_rules import AnalysisContext
 from repro.analysis.pragmas import pragma_for, scan_pragmas
@@ -41,7 +42,8 @@ from repro.analysis.symbols import build_symbol_graph
 
 #: Version of the JSON report layout; tests pin it.
 #: 2: findings carry a "tier" field; rule entries carry "tier".
-REPORT_SCHEMA_VERSION = 2
+#: 3: no "baselined" count and no per-finding "fingerprint".
+REPORT_SCHEMA_VERSION = 3
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
@@ -54,7 +56,7 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
             for candidate in sorted(path.rglob("*.py")):
                 if not _SKIP_DIR_NAMES.intersection(candidate.parts):
                     out.append(candidate)
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" and path.is_file():
             out.append(path)
         else:
             raise FileNotFoundError(f"not a python file or directory: {path}")
@@ -98,8 +100,6 @@ def analyze_source(
 
     Flow-tier rules receive ``context`` (None degrades gracefully: name
     resolution falls back to literal names, ABI001 stays silent).
-    Baseline matching is *not* applied here — it depends on an external
-    file; see :func:`analyze_paths`.
     """
     rules = list(default_rules()) if rules is None else list(rules)
     lines = source.splitlines()
@@ -110,15 +110,13 @@ def analyze_source(
     def _make(
         rule_id: str, line: int, col: int, message: str, tier: str = "ast"
     ) -> Finding:
-        text = _line_text(line)
         return Finding(
             rule=rule_id,
             path=path,
             line=line,
             col=col,
             message=message,
-            fingerprint=finding_fingerprint(path, rule_id, text),
-            snippet=text.strip()[:160],
+            snippet=_line_text(line).strip()[:160],
             tier=tier,
         )
 
@@ -203,7 +201,6 @@ class AnalysisReport:
             "counts": {
                 "open": len(self.by_status("open")),
                 "suppressed": len(self.by_status("suppressed")),
-                "baselined": len(self.by_status("baselined")),
             },
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -232,15 +229,14 @@ def analyze_paths(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
     cache: Optional[ResultCache] = None,
-    baseline: Optional[Dict[str, int]] = None,
     root: Optional[Path] = None,
     jobs: int = 1,
 ) -> AnalysisReport:
     """Analyze every ``.py`` file under ``paths`` (two-pass).
 
     Paths in findings are rendered relative to ``root`` (default: the
-    current directory) with posix separators, so reports, baselines and
-    caches are machine-independent.  ``jobs > 1`` fans pass 2 out over a
+    current directory) with posix separators, so reports and caches are
+    machine-independent.  ``jobs > 1`` fans pass 2 out over a
     process pool; findings are identical to a serial run (gathered in
     file order, then sorted).
     """
@@ -304,8 +300,6 @@ def analyze_paths(
     findings: List[Finding] = []
     for shown, _ in loaded:
         findings.extend(results[shown])
-    if baseline:
-        findings = apply_baseline(findings, baseline)
     findings.sort(key=Finding.sort_key)
     return AnalysisReport(
         findings=findings,

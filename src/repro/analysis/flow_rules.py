@@ -39,7 +39,7 @@ from repro.analysis.dataflow import (
     none_guard_filter,
     reaching_definitions,
 )
-from repro.analysis.rules import Rule, dotted_name, is_budget_name
+from repro.analysis.rules import Rule, dotted_name
 from repro.analysis.symbols import SymbolGraph, module_name_for
 
 
@@ -139,6 +139,22 @@ def _calls_in(expr: ast.AST) -> Iterator[ast.Call]:
 
 
 _ACCOUNTANT_NAME = re.compile(r"(^|_)acc(ountant)?($|_)|accountant", re.IGNORECASE)
+
+_EPS_TOKEN = re.compile(r"^(eps|epsilon)\d*$")
+
+#: Final tokens marking an ordinal/count over budgets, not a budget value
+#: (``eps_idx`` indexes an ε grid, it is not an ε).
+_ORDINAL_TOKENS = {"idx", "index", "i", "j", "num", "count", "pos", "position"}
+
+
+def is_budget_name(identifier: str) -> bool:
+    """True for ε/budget-bearing identifiers (epsilon, eps2, eps_child...)."""
+    tokens = identifier.lower().split("_")
+    if tokens[-1] in _ORDINAL_TOKENS:
+        return False
+    return any(
+        _EPS_TOKEN.match(token) or token == "budget" for token in tokens
+    )
 
 #: Attribute reads that touch only the schema, not the data (the PR 8
 #: TripwireTable contract: these are legal before the reservation).
@@ -1416,6 +1432,7 @@ __all__ = [
     "NativeAbiDrift",
     "RngStreamDiscipline",
     "flow_rules",
+    "is_budget_name",
     "parse_c_abi_version",
     "parse_c_exports",
     "parse_ctypes_declarations",

@@ -4,7 +4,7 @@ Syntax (one comment, same line as the finding or a comment-only line
 immediately above it)::
 
     risky_call()  # repro: allow[DET001] -- justification for the exception
-    # repro: allow[PRIV001, PRIV002] -- one justification covering both
+    # repro: allow[DET001, NUM001] -- one justification covering both
 
 Every pragma must carry at least one known rule id *and* a non-empty
 justification after ``--``; malformed pragmas are themselves reported as

@@ -7,12 +7,11 @@ classes (see README.md for the full rationale table):
 * DET002 — builtin ``hash()`` outside ``__hash__`` (PYTHONHASHSEED drift).
 * DET003 — iteration over unordered collections feeding numeric
   accumulation or RNG state.
-* PRIV001 — raw ε arithmetic outside the accountant/mechanism modules.
 * PRIV002 — noise calls whose scale expression bypasses the sensitivity
   helpers.
 * NUM001 — unguarded products over domain-size arrays (int64 overflow).
 
-Rules yield ``(line, col, message)`` triples; suppression, baselining and
+Rules yield ``(line, col, message)`` triples; pragma suppression and
 caching happen in :mod:`repro.analysis.engine`.
 """
 
@@ -20,12 +19,13 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Bumped whenever rule behavior changes; part of the result-cache key.
 #: "2": flow tier (PRIV003/DET004/CONC001/ABI001), findings carry `tier`.
-ANALYZER_VERSION = "2"
+#: "3": PRIV001 and the findings' baseline `fingerprint` removed.
+ANALYZER_VERSION = "3"
 
 #: Engine-level pseudo-rules (not in the registry, but valid finding ids).
 PARSE_ERROR_RULE = "ANA000"
@@ -34,16 +34,15 @@ BAD_PRAGMA_RULE = "ANA001"
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer finding, after suppression/baseline resolution."""
+    """One analyzer finding, after pragma resolution."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    status: str = "open"  # open | suppressed | baselined
+    status: str = "open"  # open | suppressed
     justification: str = ""
-    fingerprint: str = ""
     snippet: str = ""
     #: Which analysis tier produced it: "ast" (per-line pattern rules) or
     #: "flow" (CFG/symbol-graph rules).  Schema v2 field.
@@ -61,7 +60,6 @@ class Finding:
             "message": self.message,
             "status": self.status,
             "justification": self.justification,
-            "fingerprint": self.fingerprint,
             "snippet": self.snippet,
             "tier": self.tier,
         }
@@ -359,75 +357,6 @@ class UnorderedIterationFeedingState(Rule):
 
 
 # ---------------------------------------------------------------------------
-# PRIV001
-
-
-_EPS_TOKEN = re.compile(r"^(eps|epsilon)\d*$")
-
-#: Final tokens marking an ordinal/count over budgets, not a budget value
-#: (``eps_idx`` indexes an ε grid; arithmetic on it is loop bookkeeping).
-_ORDINAL_TOKENS = {"idx", "index", "i", "j", "num", "count", "pos", "position"}
-
-
-def is_budget_name(identifier: str) -> bool:
-    """True for ε/budget-bearing identifiers (epsilon, eps2, eps_child...)."""
-    tokens = identifier.lower().split("_")
-    if tokens[-1] in _ORDINAL_TOKENS:
-        return False
-    return any(
-        _EPS_TOKEN.match(token) or token == "budget" for token in tokens
-    )
-
-
-def _budget_leaf(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name) and is_budget_name(node.id):
-        return node.id
-    if isinstance(node, ast.Attribute) and is_budget_name(node.attr):
-        return node.attr
-    return None
-
-
-class RawBudgetArithmetic(Rule):
-    id = "PRIV001"
-    title = "raw ε arithmetic outside the accountant"
-    rationale = (
-        "Every ε split must flow through repro.dp.accountant helpers "
-        "(split_epsilon, split_epsilon_even, scale_for_group_privacy) so "
-        "the serving-ledger arc has a single budget choke point and "
-        "Algorithm 1's never-exceed-ε invariant stays auditable."
-    )
-    exempt_path_suffixes = ("dp/accountant.py", "dp/mechanisms.py")
-
-    def check(self, tree, path):
-        seen: Set[Tuple[int, int]] = set()
-        for node in ast.walk(tree):
-            operands: List[ast.AST] = []
-            if isinstance(node, ast.BinOp):
-                operands = [node.left, node.right]
-            elif isinstance(node, ast.AugAssign):
-                operands = [node.target, node.value]
-            else:
-                continue
-            for operand in operands:
-                name = _budget_leaf(operand)
-                if name is None:
-                    continue
-                key = (node.lineno, node.col_offset)
-                if key in seen:
-                    break
-                seen.add(key)
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"arithmetic on budget parameter {name!r} outside "
-                    "repro.dp: route splits through split_epsilon/"
-                    "split_epsilon_even/scale_for_group_privacy (or annotate "
-                    "a deliberate formula)",
-                )
-                break
-
-
-# ---------------------------------------------------------------------------
 # PRIV002
 
 
@@ -552,7 +481,6 @@ def ast_rules() -> List[Rule]:
         UnseededRandomness(),
         BuiltinHashOutsideDunder(),
         UnorderedIterationFeedingState(),
-        RawBudgetArithmetic(),
         NoiseScaleBypassesSensitivity(),
         UnguardedDomainProduct(),
     ]
@@ -584,5 +512,4 @@ __all__ = [
     "ast_rules",
     "default_rules",
     "dotted_name",
-    "is_budget_name",
 ]

@@ -81,21 +81,19 @@ class PrivateERM:
         n, p = X.shape
         c = 1.0 / (2.0 * self.huber_h)
         lam = self.lam
-        # repro: allow[PRIV001] -- Chaudhuri et al. objective-perturbation calibration, not a budget split
         eps_prime = epsilon - math.log(
             1.0 + 2.0 * c / (n * lam) + (c * c) / (n * n * lam * lam)
         )
         if eps_prime > 0:
             delta = 0.0
         else:
-            # repro: allow[PRIV001] -- Chaudhuri et al. objective-perturbation calibration, not a budget split
             delta = c / (n * (math.exp(epsilon / 4.0) - 1.0)) - lam
-            eps_prime = epsilon / 2.0  # repro: allow[PRIV001] -- Chaudhuri et al. low-epsilon branch calibration
+            eps_prime = epsilon / 2.0
         # b has density ∝ exp(-ε'·||b|| / 2): direction uniform on the
         # sphere, norm ~ Gamma(p, 2/ε').
         direction = rng.standard_normal(p)
         direction /= np.linalg.norm(direction)
-        norm = rng.gamma(shape=p, scale=2.0 / eps_prime)  # repro: allow[PRIV001] -- perturbation-norm density parameter from the calibrated eps'
+        norm = rng.gamma(shape=p, scale=2.0 / eps_prime)
         b = norm * direction
         model = HuberSVM(lam=lam, huber_h=self.huber_h)
         model.fit(X, y, perturbation=b, extra_regularization=delta)

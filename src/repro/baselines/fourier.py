@@ -91,7 +91,7 @@ class FourierMarginals:
         n = max(table.n, 1)
         # Fused single-release scale 2M/(n eps); kept as one expression so
         # historical goldens stay bit-identical.
-        scale = 2.0 * M / (n * epsilon)  # repro: allow[PRIV001] -- fused Laplace scale for the whole coefficient family (sensitivity 2M/n)
+        scale = 2.0 * M / (n * epsilon)
         coefficients: Dict[Tuple[int, ...], float] = {}
         noise = laplace_noise(scale, M, rng)
         for idx, S in enumerate(subsets):

@@ -77,7 +77,7 @@ class MWEM:
 
         # Round count only sizes the loop; the actual spend below flows
         # through split_epsilon_even.
-        rounds = max(1, min(self.max_rounds, int(round(epsilon / self.per_round_epsilon))))  # repro: allow[PRIV001] -- ratio picks the round count, not a budget share
+        rounds = max(1, min(self.max_rounds, int(round(epsilon / self.per_round_epsilon))))
         # Half of each round's share for selection, half for measurement.
         eps_round = split_epsilon_even(epsilon, rounds)
         eps_half = split_epsilon_even(eps_round, 2)

@@ -32,6 +32,10 @@ FORMAT_VERSION = 1
 #: bit-exactly, so real drift here means the file was edited or damaged).
 ROW_SUM_TOLERANCE = 1e-6
 
+#: What parsing a damaged JSON entry raises: a missing key, a value of the
+#: wrong JSON type, or a value a constructor refuses.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
 
 def atomic_write_text(path: PathLike, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
@@ -94,16 +98,41 @@ def _attribute_to_dict(attr: Attribute) -> dict:
     return out
 
 
-def _attribute_from_dict(data: dict) -> Attribute:
-    taxonomy = (
-        _taxonomy_from_dict(data["taxonomy"]) if "taxonomy" in data else None
-    )
-    return Attribute(
-        name=data["name"],
-        values=tuple(data["values"]),
-        kind=AttributeKind(data["kind"]),
-        taxonomy=taxonomy,
-    )
+def _malformed(section: str, key: str, entry, index: int, exc) -> ValueError:
+    """A ValueError naming the entry (by its ``key`` field, else its index)
+    and what was wrong with it."""
+    name = entry.get(key) if isinstance(entry, dict) else None
+    label = repr(name) if isinstance(name, str) else f"#{index}"
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{section} {label}: malformed entry ({detail})")
+
+
+def _attribute_from_entry(entry: dict, index: int) -> Attribute:
+    try:
+        if not isinstance(entry["name"], str):
+            raise TypeError(f"name {entry['name']!r} is not a string")
+        taxonomy = (
+            _taxonomy_from_dict(entry["taxonomy"])
+            if "taxonomy" in entry
+            else None
+        )
+        return Attribute(
+            name=entry["name"],
+            values=tuple(entry["values"]),
+            kind=AttributeKind(entry["kind"]),
+            taxonomy=taxonomy,
+        )
+    except _MALFORMED as exc:
+        raise _malformed("attribute", "name", entry, index, exc) from exc
+
+
+def _pair_from_entry(entry: dict, index: int) -> APPair:
+    try:
+        if not isinstance(entry["child"], str):
+            raise TypeError(f"child {entry['child']!r} is not a string")
+        return APPair.make(entry["child"], [tuple(p) for p in entry["parents"]])
+    except _MALFORMED as exc:
+        raise _malformed("network pair", "child", entry, index, exc) from exc
 
 
 def model_to_dict(model: NoisyModel, attributes) -> dict:
@@ -130,8 +159,6 @@ def model_to_dict(model: NoisyModel, attributes) -> dict:
 
 def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
     """Deserialize + validate one conditional, naming it in every error."""
-    name = entry.get("child") if isinstance(entry, dict) else None
-    label = repr(name) if isinstance(name, str) else f"#{index}"
     try:
         child = str(entry["child"])
         parents = tuple(
@@ -140,10 +167,9 @@ def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
         parent_sizes = tuple(int(s) for s in entry["parent_sizes"])
         child_size = int(entry["child_size"])
         matrix = np.asarray(entry["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"conditional {label}: malformed entry ({exc})"
-        ) from exc
+    except _MALFORMED as exc:
+        raise _malformed("conditional", "child", entry, index, exc) from exc
+    label = repr(child)
     if any(size < 1 for size in parent_sizes) or child_size < 1:
         raise ValueError(
             f"conditional {label}: domain sizes must be positive; got "
@@ -265,27 +291,34 @@ def model_from_dict(data: dict):
     conditionals and the schema, parent domains match the attribute /
     taxonomy-level sizes) — raising :class:`ValueError` that names the
     bad conditional, so a damaged registry entry fails at load time
-    rather than as garbage samples or a late ``IndexError``.
+    rather than as garbage samples or a late ``IndexError``.  A damaged
+    attribute or network entry is named the same way.
     """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"model document must be a JSON object; got {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    try:
-        attribute_entries = data["attributes"]
-        network_entries = data["network"]
-        conditional_entries = data["conditionals"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model document is missing section {exc}") from exc
-    attributes = [_attribute_from_dict(a) for a in attribute_entries]
+    for section in ("attributes", "network", "conditionals"):
+        if section not in data:
+            raise ValueError(f"model document is missing section {section!r}")
+        if not isinstance(data[section], list):
+            raise ValueError(f"model document section {section!r} is not a list")
+    attributes = [
+        _attribute_from_entry(entry, index)
+        for index, entry in enumerate(data["attributes"])
+    ]
     network = BayesianNetwork(
         [
-            APPair.make(entry["child"], [tuple(p) for p in entry["parents"]])
-            for entry in network_entries
+            _pair_from_entry(entry, index)
+            for index, entry in enumerate(data["network"])
         ]
     )
     conditionals = tuple(
         _conditional_from_entry(entry, index)
-        for index, entry in enumerate(conditional_entries)
+        for index, entry in enumerate(data["conditionals"])
     )
     _validate_model(network, conditionals, attributes)
     return NoisyModel(network=network, conditionals=conditionals), attributes

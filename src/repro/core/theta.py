@@ -20,7 +20,7 @@ def usefulness_ratio_binary(n: int, d: int, k: int, epsilon2: float) -> float:
     """The θ of Lemma 4.8: ``n·ε₂ / ((d-k)·2^(k+2))`` for binary domains."""
     if not 0 <= k < d:
         raise ValueError("k must satisfy 0 <= k < d")
-    return (n * epsilon2) / ((d - k) * 2 ** (k + 2))  # repro: allow[PRIV001] -- theta-usefulness formula over public quantities, not a budget split
+    return (n * epsilon2) / ((d - k) * 2 ** (k + 2))
 
 
 def choose_k_binary(n: int, d: int, epsilon2: float, theta: float) -> int:
@@ -54,4 +54,4 @@ def usefulness_tau(n: int, d: int, epsilon2: float, theta: float) -> float:
     check_epsilon(epsilon2, "epsilon2")
     if not theta > 0:
         raise ValueError(f"theta must be positive; got {theta!r}")
-    return (n * epsilon2) / (2.0 * d * theta)  # repro: allow[PRIV001] -- theta-usefulness formula over public quantities, not a budget split
+    return (n * epsilon2) / (2.0 * d * theta)

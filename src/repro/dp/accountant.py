@@ -45,9 +45,9 @@ def split_epsilon(
 ) -> Tuple[float, ...]:
     """Split a budget into shares ``total * f`` for each fraction.
 
-    This is the single sanctioned way to divide ε outside the accountant
-    (static-analysis rule PRIV001 flags raw ε arithmetic elsewhere), so the
-    future serving ledger has one choke point for every split.
+    PrivBayes's ``ε₁ = βε`` / ``ε₂ = (1 − β)ε`` phases and the two-table
+    release's three shares are split here.  The shares compose
+    sequentially, so the checks below keep their sum within ``total``.
 
     Parameters
     ----------

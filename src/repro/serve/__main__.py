@@ -72,11 +72,6 @@ def _config_from_args(args: argparse.Namespace) -> PrivBayesConfig:
     return PrivBayesConfig(epsilon=args.epsilon, **kwargs)
 
 
-def _refuse_config(error: ValueError) -> int:
-    print(f"error: {error}", file=sys.stderr)
-    return 2
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     table = read_csv(args.csv)
     service = SynthesisService(args.root)
@@ -92,10 +87,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     except PrivacyBudgetError as error:
         print(f"refused: {error}", file=sys.stderr)
         return 3
-    except ValueError as error:
-        # A config this table refuses (mode, score, k, first attribute):
-        # checked before the ledger reserves anything.
-        return _refuse_config(error)
     account = service.ledger.accountant(args.dataset)
     print(
         f"fitted {args.dataset!r} (n={model.source_n}, "
@@ -271,14 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "epsilon" in vars(args):
-        # fit, sample and marginals: check the model config before any CSV
-        # is read or any service state is opened.
-        try:
+    try:
+        if "epsilon" in vars(args):
+            # fit, sample and marginals: check the model config before any
+            # CSV is read or any service state is opened.
             args.config = _config_from_args(args)
-        except ValueError as error:
-            return _refuse_config(error)
-    return args.func(args)
+        return args.func(args)
+    except ValueError as error:
+        # A refused config (fit checks the table's before the ledger
+        # reserves anything), or a bad CSV, registry entry or ledger file.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -140,6 +140,11 @@ class ModelRegistry:
                 f"registry entry {path} is not valid JSON (truncated or "
                 f"corrupt write?): {exc}"
             ) from exc
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"registry entry {path} is not a JSON object; got "
+                f"{type(doc).__name__}"
+            )
         version = doc.get("registry_version")
         if version != REGISTRY_FORMAT_VERSION:
             raise ValueError(

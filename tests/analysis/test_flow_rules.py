@@ -10,6 +10,8 @@ import ast
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_source
 from repro.analysis.flow_rules import (
     ABI_MANIFEST,
@@ -18,6 +20,7 @@ from repro.analysis.flow_rules import (
     LockDiscipline,
     NativeAbiDrift,
     RngStreamDiscipline,
+    is_budget_name,
     parse_c_abi_version,
     parse_c_exports,
 )
@@ -43,6 +46,35 @@ def rules_hit(snippet, path="fixture.py"):
 
 
 class TestBudgetFlow:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("epsilon", True),
+            ("eps2", True),
+            ("eps_child", True),
+            ("total_epsilon", True),
+            ("dataset_budget", True),
+            ("eps_idx", False),
+            ("epsilon_index", False),
+            ("eps_count", False),
+            ("epsilons", False),
+            ("steps", False),
+        ],
+    )
+    def test_is_budget_name(self, name, expected):
+        """PRIV003 looks only at ε-bearing parameters; an ordinal over an
+        ε grid (``eps_idx``) is not one."""
+        assert is_budget_name(name) is expected
+
+    def test_epsilon_index_parameter_does_not_activate(self):
+        snippet = """
+        def release(table, eps_idx, accountant):
+            return table.counts()
+        """
+        assert findings_of(BudgetFlow(), snippet) == []
+        as_epsilon = snippet.replace("eps_idx", "eps")
+        assert len(findings_of(BudgetFlow(), as_epsilon)) == 1
+
     def test_access_before_charge_is_flagged(self):
         bad = """
         def release(table, epsilon, accountant):

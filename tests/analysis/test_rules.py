@@ -172,61 +172,6 @@ class TestDET003:
         assert len(findings_for(bad, "DET003")) == 1
 
 
-class TestPRIV001:
-    def test_raw_epsilon_split_fixture_flagged(self):
-        # Synthetic raw-ε-arithmetic fixture: the historical inline split.
-        bad = """
-        def fit(table, epsilon, beta):
-            epsilon1 = beta * epsilon
-            epsilon2 = epsilon - epsilon1
-            return epsilon1, epsilon2
-        """
-        assert len(findings_for(bad, "PRIV001")) == 2
-
-    def test_split_helper_call_clean(self):
-        good = """
-        from repro.dp.accountant import split_epsilon
-
-        def fit(table, epsilon, beta):
-            return split_epsilon(epsilon, (beta,), remainder=True)
-        """
-        assert findings_for(good, "PRIV001") == []
-
-    def test_accountant_module_exempt(self):
-        inline = """
-        def spend(total_epsilon, epsilon):
-            return total_epsilon - epsilon
-        """
-        assert (
-            findings_for(inline, "PRIV001", path="src/repro/dp/accountant.py")
-            == []
-        )
-        assert (
-            len(findings_for(inline, "PRIV001", path="src/repro/core/x.py"))
-            > 0
-        )
-
-    def test_epsilon_index_variables_not_flagged(self):
-        good = """
-        for eps_idx, epsilon in enumerate(epsilons):
-            seed = base + eps_idx * 101
-        """
-        assert findings_for(good, "PRIV001") == []
-
-    def test_budget_attribute_flagged(self):
-        bad = """
-        leftover = ledger.budget - 0.5
-        """
-        assert len(findings_for(bad, "PRIV001")) == 1
-
-    def test_comparisons_are_not_arithmetic(self):
-        good = """
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        """
-        assert findings_for(good, "PRIV001") == []
-
-
 class TestPRIV002:
     def test_inline_scale_expression_flagged(self):
         bad = """
@@ -317,7 +262,7 @@ class TestEngineBasics:
             == []
         )
 
-    def test_findings_sorted_and_fingerprinted(self):
+    def test_findings_sorted_with_snippets(self):
         found = findings_for(
             """
             import numpy as np
@@ -326,4 +271,7 @@ class TestEngineBasics:
             """
         )
         assert [f.line for f in found] == sorted(f.line for f in found)
-        assert all(f.fingerprint for f in found)
+        assert [f.snippet for f in found] == [
+            "b = np.random.default_rng()",
+            "a = int(np.prod(sizes))",
+        ]

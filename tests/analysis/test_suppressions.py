@@ -1,17 +1,9 @@
-"""Suppression-pragma and baseline round-trip tests."""
+"""Suppression-pragma tests: a written pragma is the only way to accept a
+finding."""
 
-import json
 import textwrap
 
-import pytest
-
-from repro.analysis import (
-    analyze_source,
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import analyze_source
 from repro.analysis.pragmas import scan_pragmas
 
 
@@ -79,6 +71,17 @@ class TestPragmas:
         assert [f.rule for f in found] == ["ANA001"]
         assert "NOPE999" in found[0].message
 
+    def test_pragma_for_the_deleted_priv001_is_rejected(self):
+        """PRIV001 is gone: a leftover pragma naming it is an open ANA001,
+        so the gate cannot pass with one in the tree."""
+        found = analyzed(
+            """
+            share = epsilon / 2  # repro: allow[PRIV001] -- calibration
+            """
+        )
+        assert [(f.rule, f.status) for f in found] == [("ANA001", "open")]
+        assert "PRIV001" in found[0].message
+
     def test_empty_rule_list_is_rejected(self):
         found = analyzed(
             """
@@ -97,121 +100,10 @@ class TestPragmas:
 
     def test_scan_pragmas_parses_fields(self):
         pragmas, errors = scan_pragmas(
-            "x = 1  # repro: allow[DET001,PRIV001] -- why not\n"
+            "x = 1  # repro: allow[DET001,PRIV003] -- why not\n"
         )
         assert errors == []
         pragma = pragmas[1]
-        assert pragma.rules == ("DET001", "PRIV001")
+        assert pragma.rules == ("DET001", "PRIV003")
         assert pragma.justification == "why not"
         assert not pragma.comment_only
-
-
-BAD_SNIPPET = """\
-import numpy as np
-rng = np.random.default_rng()
-"""
-
-
-class TestBaseline:
-    def test_round_trip_marks_findings_baselined(self, tmp_path):
-        findings = analyze_source(BAD_SNIPPET, "pkg/mod.py")
-        assert [f.status for f in findings] == ["open"]
-
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        baseline = load_baseline(baseline_file)
-        after = apply_baseline(findings, baseline)
-        assert [f.status for f in after] == ["baselined"]
-
-    def test_baseline_expires_when_line_changes(self, tmp_path):
-        findings = analyze_source(BAD_SNIPPET, "pkg/mod.py")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        baseline = load_baseline(baseline_file)
-
-        edited = analyze_source(
-            BAD_SNIPPET.replace("rng =", "generator ="), "pkg/mod.py"
-        )
-        after = apply_baseline(edited, baseline)
-        assert [f.status for f in after] == ["open"]
-
-    def test_baseline_count_is_consumed_per_occurrence(self, tmp_path):
-        two = BAD_SNIPPET + "rng = np.random.default_rng()\n"
-        one_entry = analyze_source(BAD_SNIPPET, "pkg/mod.py")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, one_entry)
-        baseline = load_baseline(baseline_file)
-
-        after = apply_baseline(analyze_source(two, "pkg/mod.py"), baseline)
-        # Both occurrences share the same line text / fingerprint, but the
-        # baseline recorded only one: the second stays open.
-        assert sorted(f.status for f in after) == ["baselined", "open"]
-
-    def test_identical_lines_write_two_entry_counts(self, tmp_path):
-        """Fingerprint collisions are counted, not deduplicated."""
-        two = BAD_SNIPPET + "rng = np.random.default_rng()\n"
-        findings = analyze_source(two, "pkg/mod.py")
-        assert len(findings) == 2
-        assert findings[0].fingerprint == findings[1].fingerprint
-
-        baseline_file = tmp_path / "baseline.json"
-        entries = write_baseline(baseline_file, findings)
-        assert entries == {findings[0].fingerprint: 2}
-
-        after = apply_baseline(findings, load_baseline(baseline_file))
-        assert [f.status for f in after] == ["baselined", "baselined"]
-
-    def test_editing_one_colliding_line_expires_only_that_occurrence(
-        self, tmp_path
-    ):
-        two = BAD_SNIPPET + "rng = np.random.default_rng()\n"
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, analyze_source(two, "pkg/mod.py"))
-        baseline = load_baseline(baseline_file)
-
-        # Edit the *second* occurrence: its fingerprint changes, the
-        # first line's entry (count 2, one consumed) still covers line 2.
-        edited = two.replace(
-            "rng = np.random.default_rng()\n" "rng = np.random.default_rng()",
-            "rng = np.random.default_rng()\n"
-            "other = np.random.default_rng()",
-        )
-        after = apply_baseline(analyze_source(edited, "pkg/mod.py"), baseline)
-        by_line = {f.line: f.status for f in after}
-        assert by_line == {2: "baselined", 3: "open"}
-
-    def test_fingerprint_ignores_surrounding_whitespace(self):
-        assert finding_fingerprint(
-            "a.py", "DET001", "  x = hash(y)  "
-        ) == finding_fingerprint("a.py", "DET001", "x = hash(y)")
-
-    def test_missing_baseline_loads_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_write_baseline_is_atomic_under_crash(self, tmp_path, monkeypatch):
-        """A failed rewrite may not tear the existing baseline (satellite:
-        write_baseline routes through serialize.atomic_write_text)."""
-        findings = analyze_source(BAD_SNIPPET, "pkg/mod.py")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        before = baseline_file.read_text()
-
-        import repro.core.serialize as serialize
-
-        def boom(src, dst):
-            raise OSError("simulated crash at publish time")
-
-        monkeypatch.setattr(serialize.os, "replace", boom)
-        with pytest.raises(OSError, match="simulated crash"):
-            write_baseline(baseline_file, [])
-        monkeypatch.undo()
-
-        # The old baseline is intact (not truncated/torn) and still loads,
-        # and the failed attempt left no temp litter behind.
-        assert baseline_file.read_text() == before
-        assert load_baseline(baseline_file) == {
-            findings[0].fingerprint: 1
-        }
-        assert [p.name for p in tmp_path.iterdir()] == [baseline_file.name]
-        payload = json.loads(before)
-        assert payload["schema_version"] == 1

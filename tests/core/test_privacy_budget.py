@@ -24,7 +24,6 @@ class TestBudgetNeverExceeded:
         model = PrivBayes(epsilon=epsilon, k=2).fit(
             binary_table, rng=np.random.default_rng(0)
         )
-        # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert model.accountant.spent <= epsilon + 1e-9
         assert model.accountant.remaining == pytest.approx(0.0, abs=1e-6)
 
@@ -33,7 +32,6 @@ class TestBudgetNeverExceeded:
         model = PrivBayes(epsilon=epsilon, generalize=True).fit(
             mixed_table, rng=np.random.default_rng(0)
         )
-        # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert model.accountant.spent <= epsilon + 1e-9
         assert model.accountant.remaining == pytest.approx(0.0, abs=1e-6)
 
@@ -61,7 +59,6 @@ class TestBudgetNeverExceeded:
                 accountant=accountant,
             )
         # Even at the point of refusal, nothing beyond the budget was spent.
-        # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert accountant.spent <= epsilon2 + 1e-9
 
     def test_fallback_without_accountant_still_works(self, binary_table):

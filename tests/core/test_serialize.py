@@ -207,6 +207,70 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="missing section"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda d: d["attributes"][1].pop("kind"),
+                r"attribute '\w+': malformed entry \(missing key 'kind'\)",
+            ),
+            (
+                lambda d: d["network"][0].pop("child"),
+                r"network pair #0: malformed entry \(missing key 'child'\)",
+            ),
+            (
+                lambda d: d["attributes"][0].__setitem__("values", 5),
+                r"attribute '\w+': malformed entry",
+            ),
+            (
+                lambda d: d.__setitem__("network", [None]),
+                r"network pair #0: malformed entry",
+            ),
+            (
+                lambda d: d["attributes"][0].__setitem__(
+                    "taxonomy", {"leaves": 1}
+                ),
+                r"attribute '\w+': malformed entry",
+            ),
+            (
+                lambda d: d.__setitem__("network", 5),
+                r"section 'network' is not a list",
+            ),
+            (
+                lambda d: d["attributes"][0].__setitem__("name", [1, 2]),
+                r"attribute #0: malformed entry \(name \[1, 2\] is not a string\)",
+            ),
+            (
+                lambda d: d["network"][0].__setitem__("child", 2.5),
+                r"network pair #0: malformed entry \(child 2.5 is not a string\)",
+            ),
+        ],
+        ids=[
+            "no-kind",
+            "no-child",
+            "values-not-a-list",
+            "null-pair",
+            "bad-taxonomy",
+            "network-not-a-list",
+            "name-not-a-string",
+            "child-not-a-string",
+        ],
+    )
+    def test_damaged_entry_is_named(self, doc, damage, message):
+        """Attributes (with their taxonomies) and network pairs fail as a
+        ValueError naming the entry, as conditionals do."""
+        damage(doc)
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(doc)
+
+    def test_document_must_be_an_object(self, doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps([doc]))
+        with pytest.raises(
+            ValueError, match="model.json: model document must be a JSON object"
+        ):
+            load_model(path)
+
     def test_good_document_still_loads(self, doc):
         model, attributes = model_from_dict(doc)
         assert len(model.conditionals) == len(attributes)

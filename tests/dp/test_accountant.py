@@ -127,9 +127,8 @@ class TestSplitEpsilon:
         for eps in (0.1, 0.8, 1.0, 1.6, 3.2, 10.0):
             for beta in (0.1, 0.3, 0.5, 0.85):
                 e1, e2 = split_epsilon(eps, (beta,), remainder=True)
-                # repro: allow[PRIV001] -- the historical inline split is the reference this bit-identity test compares against
                 assert e1 == beta * eps
-                assert e2 == eps - beta * eps  # repro: allow[PRIV001] -- the historical inline split is the reference this bit-identity test compares against
+                assert e2 == eps - beta * eps
 
     def test_explicit_fractions_split(self):
         shares = split_epsilon(2.0, (0.25, 0.25, 0.5))
@@ -154,7 +153,7 @@ class TestSplitEpsilon:
     def test_even_split_is_exact_division(self):
         for eps in (0.5, 1.0, 1.6):
             for parts in (1, 2, 4, 7):
-                assert split_epsilon_even(eps, parts) == eps / parts  # repro: allow[PRIV001] -- plain division is the reference this bit-identity test compares against
+                assert split_epsilon_even(eps, parts) == eps / parts
 
     def test_even_split_validation(self):
         with pytest.raises(ValueError):

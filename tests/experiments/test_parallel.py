@@ -17,7 +17,6 @@ from repro.experiments.parallel import (
 
 def _metric_cell(cell):
     """Top-level (picklable) toy worker: a pure function of the cell."""
-    # repro: allow[PRIV001] -- toy worker metric mixes the cell fields, no budget is spent
     return float(cell.rng().random() + cell.epsilon)
 
 

@@ -57,7 +57,6 @@ class TestPrivacyAccounting:
     def test_total_budget_spent_exactly(self, epsilon, rng):
         table = load_dataset("nltcs", n=2000, seed=0)
         model = PrivBayes(epsilon=epsilon).fit(table, rng=rng)
-        # repro: allow[PRIV001] -- float-tolerance assertion of the never-exceed-epsilon invariant
         assert model.accountant.spent <= epsilon + 1e-9
         assert model.accountant.spent == pytest.approx(epsilon)
 

@@ -203,13 +203,11 @@ class TestScoringCacheSharing:
         for epsilon in (0.4, 0.8, 1.6):
             with_shared = release_two_tables(
                 linked, epsilon, max_fanout=3,
-                # repro: allow[PRIV001] -- epsilon doubles as a distinct test-seed source here
                 rng=np.random.default_rng(int(epsilon * 10)),
                 scoring_cache=shared,
             )
             fresh = release_two_tables(
                 linked, epsilon, max_fanout=3,
-                # repro: allow[PRIV001] -- epsilon doubles as a distinct test-seed source here
                 rng=np.random.default_rng(int(epsilon * 10)),
                 scoring_cache=ScoringCache(),
             )

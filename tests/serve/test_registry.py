@@ -113,6 +113,32 @@ class TestWarmRestart:
         with pytest.raises(ValueError, match=f"{entry.name}.*{message}"):
             ModelRegistry(tmp_path)
 
+    def test_entry_without_network_child_refused_naming_file(
+        self, tmp_path, fitted
+    ):
+        registry = ModelRegistry(tmp_path)
+        registry.put("demo", fitted)
+        entry = next(tmp_path.glob("*.json"))
+        doc = json.loads(entry.read_text())
+        del doc["model"]["network"][0]["child"]
+        entry.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValueError,
+            match=f"{entry.name}: network pair #0: malformed entry "
+            r"\(missing key 'child'\)",
+        ):
+            ModelRegistry(tmp_path)
+
+    def test_entry_that_is_not_an_object_refused_naming_file(
+        self, tmp_path, fitted
+    ):
+        registry = ModelRegistry(tmp_path)
+        registry.put("demo", fitted)
+        entry = next(tmp_path.glob("*.json"))
+        entry.write_text(json.dumps([json.loads(entry.read_text())]))
+        with pytest.raises(ValueError, match=f"{entry.name} is not a JSON object"):
+            ModelRegistry(tmp_path)
+
     def test_unsupported_version_refused(self, tmp_path, fitted):
         registry = ModelRegistry(tmp_path)
         registry.put("demo", fitted)

@@ -15,6 +15,7 @@ from repro.data.io import write_csv
 from repro.datasets import load_adult
 from repro.datasets.synthetic import random_binary_table
 from repro.dp.accountant import PrivacyBudgetError
+from repro.serve.__main__ import main as serve_main
 from repro.serve.service import SynthesisService
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -336,3 +337,73 @@ class TestCli:
         ]
         assert not (root / "ledger.json").exists()
         assert not list((root / "models").glob("*.json"))
+
+
+#: Arguments each file-reading command needs besides ``--root``.
+COMMAND_ARGS = {
+    "fit": ["--dataset", "demo", "--csv", "{csv}", "--epsilon", "0.5"],
+    "sample": ["--dataset", "demo", "--epsilon", "1.0", "--rows", "10"],
+    "marginals": ["--dataset", "demo", "--epsilon", "1.0", "--query", "x0"],
+    "budget": [],
+    "models": [],
+}
+
+
+def _damage_registry_entry(root):
+    entry = next((root / "models").glob("*.json"))
+    doc = json.loads(entry.read_text())
+    del doc["model"]["network"][0]["child"]
+    entry.write_text(json.dumps(doc))
+    return f"error: registry entry {entry}: network pair #0: malformed entry"
+
+
+def _damage_ledger(root):
+    ledger = root / "ledger.json"
+    doc = json.loads(ledger.read_text())
+    doc["datasets"]["demo"]["ledger"][0][1] = float("nan")
+    ledger.write_text(json.dumps(doc))
+    return f"error: ledger file {ledger}: dataset 'demo' entry is malformed"
+
+
+class TestBadInputFileIsOneLine:
+    """Every command that opens service state prints a bad input file as
+    one ``error:`` line and exits 2, as it does a refused config."""
+
+    @pytest.fixture
+    def root(self, tmp_path, table):
+        root = tmp_path / "state"
+        with SynthesisService(root) as service:
+            service.fit(
+                "demo",
+                table,
+                PrivBayesConfig(epsilon=1.0),
+                rng=np.random.default_rng(0),
+                dataset_budget=2.0,
+            )
+        return root
+
+    @pytest.mark.parametrize(
+        "damage", [_damage_registry_entry, _damage_ledger],
+        ids=["registry-entry", "ledger"],
+    )
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_damaged_state(self, tmp_path, table, root, capsys, command, damage):
+        csv_path = tmp_path / "data.csv"
+        write_csv(table, csv_path)
+        expected = damage(root)
+        arguments = [a.format(csv=csv_path) for a in COMMAND_ARGS[command]]
+        capsys.readouterr()
+        assert serve_main([command, "--root", str(root), *arguments]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(expected), err
+
+    def test_ragged_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "ragged.csv"
+        csv_path.write_text("x0,x1\n0,1\n1\n")
+        root = tmp_path / "state"
+        arguments = [a.format(csv=csv_path) for a in COMMAND_ARGS["fit"]]
+        assert serve_main(["fit", "--root", str(root), *arguments]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {csv_path}: the row on line 3 has 1 fields, expected 2"
+        ]
+        assert not root.exists()

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line release tool."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestRelease:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not out.exists()
 
+    def test_ragged_csv_is_one_line(self, tmp_path, capsys):
+        source = tmp_path / "ragged.csv"
+        source.write_text("a,b\n1,2\n3\n")
+        out = tmp_path / "synthetic.csv"
+        rc = main(["--input", str(source), "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {source}: the row on line 3 has 1 fields, expected 2"
+        ]
+        assert not out.exists()
+
     def test_release_bytes_golden(self, tmp_path, capsys):
         """A fixed input, method and seed release these exact bytes, under
         any hash seed and kernel backend."""
@@ -112,13 +124,15 @@ class TestRelease:
 
 
 class TestModelPersistence:
-    def test_save_then_resample(self, csv_path, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["vanilla-R", "hierarchical-R"])
+    def test_save_then_resample(self, csv_path, tmp_path, capsys, method):
         out = tmp_path / "synthetic.csv"
         model_path = tmp_path / "model.json"
         rc = main(
             [
                 "--input", str(csv_path), "--output", str(out),
-                "--seed", "3", "--save-model", str(model_path),
+                "--method", method, "--seed", "3",
+                "--save-model", str(model_path),
             ]
         )
         assert rc == 0
@@ -132,6 +146,57 @@ class TestModelPersistence:
         )
         assert rc2 == 0
         assert read_csv(out2).n == 25
+        # The resample is in the release's schema, column for column.
+        header = out.read_text().splitlines()[0]
+        assert out2.read_text().splitlines()[0] == header
 
     def test_from_model_requires_output(self, tmp_path, capsys):
         assert main(["--from-model", str(tmp_path / "m.json")]) == 2
+
+    @pytest.mark.parametrize("method", ["binary-F", "gray-F"])
+    def test_bitwise_save_model_refused(self, tmp_path, capsys, method):
+        """A bitwise model covers bit columns, which --from-model cannot
+        turn back into the release's schema: refused before the input is
+        read, and nothing is written."""
+        out = tmp_path / "synthetic.csv"
+        model_path = tmp_path / "model.json"
+        rc = main(
+            [
+                "--input", str(tmp_path / "missing.csv"),
+                "--output", str(out), "--method", method,
+                "--save-model", str(model_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: --save-model cannot store a {method}")
+        assert not out.exists() and not model_path.exists()
+
+    @pytest.mark.parametrize("damage", ["no-kind", "truncated"])
+    def test_bad_model_file_is_one_line(
+        self, csv_path, tmp_path, capsys, damage
+    ):
+        model_path = tmp_path / "model.json"
+        assert main(
+            [
+                "--input", str(csv_path), "--output", str(tmp_path / "r.csv"),
+                "--seed", "3", "--save-model", str(model_path),
+            ]
+        ) == 0
+        text = model_path.read_text()
+        if damage == "no-kind":
+            doc = json.loads(text)
+            del doc["attributes"][1]["kind"]
+            text = json.dumps(doc)
+        else:
+            text = text[: len(text) // 2]
+        model_path.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "resampled.csv"
+        rc = main(["--from-model", str(model_path), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: model file {model_path}")
+        assert not out.exists()
