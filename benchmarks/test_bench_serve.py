@@ -2,11 +2,12 @@
 
 Times the :class:`repro.serve.coalescer.CoalescingSampler` answering a
 burst of small ``sample(n_i)`` requests two ways — sequentially (each
-request is its own singleton batch: one executor hop and one column-wise
-draw per request) and concurrently (all requests gathered into one
-coalesced vectorized draw, sliced per requester).  The coalesced burst is
-asserted bit-identical to a single ``sample_synthetic(sum(n_i))`` draw
-before any clock is compared, so the speedup is a pure scheduling change.
+request is its own singleton batch: one event-loop round trip and one
+whole ancestral draw per request) and concurrently (all requests gathered
+into one coalesced vectorized draw, sliced per requester).  The coalesced
+burst is asserted bit-identical to a single ``sample_synthetic(sum(n_i))``
+draw before any clock is compared, so the speedup is a pure scheduling
+change.
 
 Emits ``BENCH_serve.json`` next to this file:
 
@@ -30,8 +31,9 @@ from conftest import report
 RESULTS_JSON = Path(__file__).parent / "BENCH_serve.json"
 
 #: The burst shape: many small requests, the pattern coalescing exists
-#: for.  Per-request cost is dominated by fixed overhead (executor hop,
-#: per-column dispatch), so the coalesced draw amortizes it 256-fold.
+#: for.  Per-request cost is dominated by fixed overhead (the loop round
+#: trip, the draw's set-up and its per-column table construction), so the
+#: coalesced draw amortizes it 256-fold.
 REQUESTS = 256
 ROWS_PER_REQUEST = 16
 

@@ -69,8 +69,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ValueError as error:
-        # A refused config, or a bad input CSV or model file.
+    except (OSError, ValueError) as error:
+        # A refused config, a bad CSV or model file, or an unusable path.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -348,16 +348,19 @@ def sample_synthetic_split(
     bit-identical to ``sample_synthetic(model, attributes, sum(counts),
     rng)`` — slicing rows is pure post-processing of the very same draw,
     so coalescing changes throughput, never output.
+
+    The slices' columns are disjoint row-range views of the draw's
+    ``(d, sum(counts))`` int64 block, so each keeps the whole block alive.
     """
     counts = [int(count) for count in counts]
     if any(count < 0 for count in counts):
         raise ValueError(f"counts must be non-negative; got {counts}")
-    total = sum(counts)
-    table = sample_synthetic(model, attributes, total, rng)
-    slices = []
-    start = 0
+    table = sample_synthetic(model, attributes, sum(counts), rng)
+    columns = [(name, table.column(name)) for name in table.attribute_names]
+    slices, start = [], 0
     for count in counts:
-        slices.append(table.take(np.arange(start, start + count)))
+        views = {name: column[start:start + count] for name, column in columns}
+        slices.append(Table.from_trusted_columns(table.attributes, views))
         start += count
     return slices
 

@@ -268,9 +268,9 @@ def main(argv=None) -> int:
             # CSV is read or any service state is opened.
             args.config = _config_from_args(args)
         return args.func(args)
-    except ValueError as error:
-        # A refused config (fit checks the table's before the ledger
-        # reserves anything), or a bad CSV, registry entry or ledger file.
+    except (OSError, ValueError) as error:
+        # A refused config (checked before the ledger reserves anything),
+        # a bad CSV, registry entry or ledger file, or an unusable path.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -14,22 +14,20 @@ Determinism contract: the sampler owns one seeded stream; batch ``b``
 draws exactly the uniforms that the concatenation of its requests (in
 arrival order) would have drawn as one call.  Outputs therefore depend on
 request arrival order and batch boundaries — inherent to any shared-
-stream server — but never on thread scheduling *within* a batch, and a
-replay that issues the same requests in the same order with the same
-seed reproduces every response exactly.
+stream server — and both follow only from the order in which requests
+reach the event loop, so a replay that sends the same requests in the
+same order with the same seed reproduces every response exactly.
 
-The draw itself runs on the sampler's private single-worker
-:class:`ThreadPoolExecutor` (numpy releases the GIL in the hot loops),
-keeping the event loop free to accumulate the next batch while the
-current one is being drawn; its one worker runs batches in submission
-order, so no two draws ever share the stream.
+The draw runs on the loop, in the drain callback; there is no worker
+thread.  A request arriving during a draw waits for it and joins the
+next batch, drained once the draw returns.  So a long draw holds the
+loop, as the synchronous ``SynthesisService.fit`` does.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +39,11 @@ from repro.data.table import Table
 
 class CoalescingSampler:
     """Batches concurrent ``sample`` calls on one resident model.
+
+    Requests queued before the loop runs the drain share one draw, made
+    on the loop (a long draw holds it); one arriving during a draw joins
+    the next batch.  Each response is a view that keeps its batch's
+    ``(d, sum(n_i))`` int64 block alive.
 
     Parameters
     ----------
@@ -61,11 +64,10 @@ class CoalescingSampler:
     ) -> None:
         self._model = model
         self._rng = fallback_rng(rng)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-draw"
-        )
+        # Requests queued for the next drain; non-empty exactly while a
+        # drain is scheduled.
         self._pending: List[Tuple[int, asyncio.Future]] = []
-        self._drain_scheduled = False
+        self._closed = False
         #: Number of requests served by each coalesced draw, in draw
         #: order — ``[3, 1]`` means one batch of three then a singleton.
         self.batch_request_counts: List[int] = []
@@ -84,55 +86,45 @@ class CoalescingSampler:
 
         All requests submitted before the loop reaches the drain callback
         (e.g. everything scheduled by one ``asyncio.gather``) share a
-        single vectorized draw.
+        single vectorized draw.  A closed sampler raises :class:`RuntimeError`.
         """
+        if self._closed:
+            raise RuntimeError("sampler is closed")
         n = int(n)
         if n < 0:
             raise ValueError("n must be non-negative")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._drain)
         self._pending.append((n, future))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            loop.call_soon(self._drain, loop)
         return await future
 
-    def _drain(self, loop: asyncio.AbstractEventLoop) -> None:
-        batch = self._pending
-        self._pending = []
-        self._drain_scheduled = False
-        if not batch:
-            return
+    def _drain(self) -> None:
+        batch, self._pending = self._pending, []
         counts = [count for count, _ in batch]
         self.batch_request_counts.append(len(batch))
         self.batch_row_counts.append(sum(counts))
-        task = loop.run_in_executor(self._executor, self._draw, counts)
-
-        def _resolve(done) -> None:
-            error = done.exception()
-            if error is not None:
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(error)
-                return
-            for table, (_, future) in zip(done.result(), batch):
+        try:
+            tables = sample_synthetic_split(
+                self._model.noisy,
+                self._model.table_attributes,
+                counts,
+                self._rng,
+            )
+        except Exception as error:
+            for _, future in batch:
                 if not future.done():
-                    future.set_result(table)
-
-        task.add_done_callback(_resolve)
-
-    def _draw(self, counts: Sequence[int]) -> List[Table]:
-        return sample_synthetic_split(
-            self._model.noisy,
-            self._model.table_attributes,
-            counts,
-            self._rng,
-        )
+                    future.set_exception(error)
+            return
+        for table, (_, future) in zip(tables, batch):
+            if not future.done():
+                future.set_result(table)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the draw worker, after the draws already submitted."""
-        self._executor.shutdown(wait=True)
+        """Refuse new requests; those already queued are still served."""
+        self._closed = True
 
     def __enter__(self) -> "CoalescingSampler":
         return self

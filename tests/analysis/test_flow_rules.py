@@ -297,7 +297,7 @@ class TestRngStreamDiscipline:
         assert len(findings_of(RngStreamDiscipline(), bad)) == 1
 
     def test_run_in_executor_without_rng_is_clean(self):
-        """Today's coalescer shape: only plain data crosses the pool."""
+        """Only plain data crosses the pool: no stream to share."""
         good = """
         async def draw(loop, pool, counts):
             return await loop.run_in_executor(pool, sample, counts)

@@ -397,6 +397,28 @@ class TestBadInputFileIsOneLine:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(expected), err
 
+    def test_missing_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "nope.csv"
+        root = tmp_path / "state"
+        assert serve_main([
+            "fit", "--root", str(root), "--dataset", "d", "--csv",
+            str(csv_path), "--epsilon", "1", "--dataset-budget", "2",
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert str(csv_path) in err[0]
+        assert not root.exists()
+
+    def test_unwritable_out(self, tmp_path, root, capsys):
+        out = tmp_path / "nonexistent" / "x.csv"
+        arguments = COMMAND_ARGS["sample"]
+        assert serve_main(
+            ["sample", "--root", str(root), *arguments, "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert str(out) in err[0]
+
     def test_ragged_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "ragged.csv"
         csv_path.write_text("x0,x1\n0,1\n1\n")

@@ -104,6 +104,42 @@ class TestRelease:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "probe",
+        ["missing-input", "directory-input", "missing-model",
+         "missing-output-directory"],
+    )
+    def test_unusable_path_is_one_line(
+        self, csv_path, tmp_path, capsys, probe
+    ):
+        """A path that cannot be opened prints one ``error:`` line naming
+        it and exits 2, as a refused config does."""
+        out = tmp_path / "o.csv"
+        path, arguments = {
+            "missing-input": (
+                tmp_path / "nope.csv",
+                ["--input", "{path}", "--output", str(out)],
+            ),
+            "directory-input": (
+                tmp_path, ["--input", "{path}", "--output", str(out)]
+            ),
+            "missing-model": (
+                tmp_path / "nope.json",
+                ["--from-model", "{path}", "--output", str(out)],
+            ),
+            "missing-output-directory": (
+                tmp_path / "nonexistent" / "o.csv",
+                ["--input", str(csv_path), "--output", "{path}"],
+            ),
+        }[probe]
+        capsys.readouterr()
+        arguments = [a.format(path=path) for a in arguments]
+        assert main([*arguments, "--seed", "3"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert str(path) in err[0]
+        assert not out.exists()
+
     def test_release_bytes_golden(self, tmp_path, capsys):
         """A fixed input, method and seed release these exact bytes, under
         any hash seed and kernel backend."""
