@@ -16,11 +16,12 @@
  * so the returned score is bit-equal to both Python paths (see
  * README.md in this directory for the full bit-identity argument).
  *
- * The merge is bounded: each candidate's mixed cells run largest first,
- * an achievable incumbent objective U is tracked, and every state whose
- * lower bound is strictly above U is dropped.  The final frontier still
- * holds every Pareto-optimal state of minimum objective, so the minimum
- * is the same double (see BOUND_MAX_N below).
+ * The merge is bounded: each candidate's mixed cells run by x/y
+ * descending, an achievable incumbent objective U is tracked, and every
+ * state whose fractional relaxation (Equation 10 with each remaining cell
+ * split between Z0 and Z1) is strictly above U is dropped.  A candidate
+ * whose majority assignment is the unique optimum is scored without a
+ * merge.  Either way the minimum is the same double (see BOUND_MAX_N).
  *
  * repro_sample_block: one ancestral draw of a block of tuples, every
  * attribute in network order — mixed-radix parent rows, generalization
@@ -48,7 +49,8 @@
 
 int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
 
-/* Largest n at which the merge drops states against the incumbent.
+/* Largest n at which the merge drops states and scores a candidate in
+ * closed form.
  *
  * Every comparison runs on the integer objective
  *
@@ -66,19 +68,24 @@ int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
  *    integer objective OPT.
  * 2. U is always achieved by some completion, so U >= OPT.  A state is
  *    dropped only when a lower bound on every one of its completions is
- *    strictly above U, so no completion of a dropped state reaches OPT.
- *    The bound is non-increasing in (a, b): a state that Pareto-dominates
- *    the prefix of an optimal state has a bound no larger than that
- *    prefix's, which is at most OPT, so it survives.  By induction every
- *    Pareto-optimal final state of objective OPT is in the final frontier.
+ *    strictly above U.  A state that Pareto-dominates the prefix of an
+ *    optimal state inherits that state's completion, so its bound is at
+ *    most OPT <= U and it survives.  By induction every Pareto-optimal
+ *    final state of objective OPT is in the final frontier.
  * 3. The final frontier is a subset of the reachable states and holds
  *    every Pareto-optimal one of objective OPT, so its double minimum is
  *    the unbounded frontier's.  Floats appear only in that final loop.
  *
- * Above this n the merge runs unbounded.  The largest-first order applies
- * at every n: capping composes (min(min(a+x, cap)+y, cap) = min(a+x+y,
+ * Every ratio and bound comparison is exact: operands stay below 2^50
+ * here, and products past int64 are formed in 128 bits (see exceeds).
+ *
+ * Above this n the merge runs unbounded.  The ratio order applies at
+ * every n: capping composes (min(min(a+x, cap)+y, cap) = min(a+x+y,
  * cap)), so the final frontier does not depend on the cell order. */
 #define BOUND_MAX_N ((int64_t)1 << 48)
+
+/* Mixed cells up to which the ratio order is an insertion sort. */
+#define INSERTION_MAX_CELLS 64
 
 /* One frontier: a[] strictly decreasing, b[] strictly increasing (the
  * canonical form Definition-4.6 pruning leaves), size >= 1. */
@@ -112,21 +119,91 @@ static int ensure_capacity(buffer_t *buf, int64_t need)
     return 0;
 }
 
-/* One mixed cell in processing order: largest total first, ties broken
- * by cell index so the order is a pure function of the counts. */
+/* An unsigned 128-bit value in two halves: C99 has no wider integer. */
 typedef struct {
-    int64_t total;
+    uint64_t hi;
+    uint64_t lo;
+} wide_t;
+
+/* p * q for p, q in [0, 2^63), from 32-bit limbs. */
+static wide_t wide_product(int64_t p, int64_t q)
+{
+    const uint64_t mask = 0xFFFFFFFFu;
+    const uint64_t p0 = (uint64_t)p & mask, p1 = (uint64_t)p >> 32;
+    const uint64_t q0 = (uint64_t)q & mask, q1 = (uint64_t)q >> 32;
+    const uint64_t low = p0 * q0, cross0 = p1 * q0, cross1 = p0 * q1;
+    const uint64_t middle = (low >> 32) + (cross0 & mask) + (cross1 & mask);
+    wide_t out;
+    out.lo = (middle << 32) | (low & mask);
+    out.hi = p1 * q1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32);
+    return out;
+}
+
+/* Whether p * q + r * s > u * v, exactly, for operands in [0, 2^63). */
+static int wide_exceeds(int64_t p, int64_t q, int64_t r, int64_t s,
+                        int64_t u, int64_t v)
+{
+    wide_t left = wide_product(p, q), term = wide_product(r, s), right;
+    left.lo += term.lo;
+    left.hi += term.hi + (left.lo < term.lo);
+    right = wide_product(u, v);
+    return left.hi > right.hi || (left.hi == right.hi && left.lo > right.lo);
+}
+
+/* The same, as a plain int64 sum when every operand is below 2^31. */
+static inline int exceeds(int64_t p, int64_t q, int64_t r, int64_t s,
+                          int64_t u, int64_t v)
+{
+    if ((p | q | r | s | u | v) < ((int64_t)1 << 31)) {
+        return p * q + r * s > u * v;
+    }
+    return wide_exceeds(p, q, r, s, u, v);
+}
+
+/* One mixed cell: its X=0 and X=1 counts and its index. */
+typedef struct {
+    int64_t x;
+    int64_t y;
     int64_t index;
 } cell_t;
 
-static int larger_first(const void *left, const void *right)
+/* Whether cell p has the larger x/y, exactly. */
+static int ratio_above(const cell_t *p, const cell_t *q)
 {
-    const cell_t *x = (const cell_t *)left;
-    const cell_t *y = (const cell_t *)right;
-    if (x->total != y->total) {
-        return x->total > y->total ? -1 : 1;
+    return exceeds(p->x, q->y, 0, 0, q->x, p->y);
+}
+
+/* The path order: x/y descending, ties by cell index, so the order is a
+ * pure function of the counts. */
+static int ratio_order(const void *left, const void *right)
+{
+    const cell_t *p = (const cell_t *)left;
+    const cell_t *q = (const cell_t *)right;
+    if (ratio_above(p, q)) {
+        return -1;
     }
-    return (x->index > y->index) - (x->index < y->index);
+    if (ratio_above(q, p)) {
+        return 1;
+    }
+    return (p->index > q->index) - (p->index < q->index);
+}
+
+/* Cells arrive by index, so an insertion sort that moves a cell only past
+ * a smaller ratio keeps ties by index. */
+static void sort_cells(cell_t *cells, int64_t count)
+{
+    int64_t i, j;
+    if (count > INSERTION_MAX_CELLS) {
+        qsort(cells, (size_t)count, sizeof(cell_t), ratio_order);
+        return;
+    }
+    for (i = 1; i < count; i++) {
+        const cell_t cell = cells[i];
+        for (j = i; j > 0 && ratio_above(&cell, &cells[j - 1]); j--) {
+            cells[j] = cells[j - 1];
+        }
+        cells[j] = cell;
+    }
 }
 
 /* 2n times the shortfall of state (a, b); see BOUND_MAX_N. */
@@ -135,6 +212,133 @@ static int64_t objective(int64_t a, int64_t b, int64_t n)
     int64_t sa = n - 2 * a;
     int64_t sb = n - 2 * b;
     return (sa > 0 ? sa : 0) + (sb > 0 ? sb : 0);
+}
+
+/* The fractional completions of a state at step t, over the mixed cells
+ * t.. in ratio order.  The Pareto frontier of the relaxation is a path:
+ * from every remaining cell in Z1, the cells move to Z0 one at a time in
+ * that order.  Vertex u sends cells t..u-1 to Z0,
+ *
+ *     A(u) = a + px[u] - px[t],   B(u) = b + py[m] - py[u],
+ *
+ * and segment u moves cell u.  Along the path B is a concave function of
+ * A, and h(z) = max(0, n - 2z) is convex and non-increasing, so the
+ * objective h(A) + h(B(A)) is convex: it falls while the path crosses a
+ * segment in full with 2A(u+1) <= n and (x_u > y_u, or 2B(u+1) >= n),
+ * and its minimum lies on the first segment it does not cross, the stop.
+ * A state is written (alpha, beta) = (a - px[t], b + py[m]), so vertex u
+ * is (alpha + px[u], beta - py[u]). */
+typedef struct {
+    int64_t n;
+    int64_t m;     /* mixed cells */
+    int64_t above; /* cells with x > y, a prefix of the order */
+    const cell_t *cells;    /* in ratio order */
+    const int64_t *px, *py; /* prefix sums: px[u] = x[0] + ... + x[u-1] */
+} path_t;
+
+static int crosses(const path_t *p, int64_t alpha, int64_t beta, int64_t u)
+{
+    return 2 * (alpha + p->px[u + 1]) <= p->n &&
+           (u < p->above || 2 * (beta - p->py[u + 1]) >= p->n);
+}
+
+/* The stop of a state, at or after segment u: the segments it crosses
+ * form a prefix (every condition above holds on a prefix of u). */
+static int64_t find_stop(const path_t *p, int64_t alpha, int64_t beta,
+                         int64_t u)
+{
+    int64_t hi = p->m;
+    while (u < hi) {
+        const int64_t mid = u + (hi - u) / 2;
+        if (crosses(p, alpha, beta, mid)) {
+            u = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return u;
+}
+
+/* Whether the least objective over the path is strictly above U, for a
+ * state whose stop s is at vertex (A, B).  A vertex and the cell after it
+ * never hold more than the n tuples, A + x_s + B <= n, so the least
+ * objective is one of:
+ *
+ * - obj(A, B), when s is the last vertex or the objective rises from it
+ *   (2A >= n, or x_s <= y_s and 2B <= n);
+ * - n - 2B + y_s (n - 2A) / x_s, when x_s > y_s: A would pass n/2 on the
+ *   segment, with B at most n/2, and the least value is where A reaches
+ *   n/2;
+ * - n - 2A - x_s (2B - n) / y_s, when x_s <= y_s and 2B > n: the
+ *   objective falls until B reaches n/2.
+ *
+ * Each is compared with U by cross-multiplying. */
+static int bound_exceeds(const path_t *p, int64_t A, int64_t B, int64_t s,
+                         int64_t U)
+{
+    const int64_t n = p->n;
+    int64_t x, y;
+    if (s == p->m || 2 * A >= n) {
+        return objective(A, B, n) > U;
+    }
+    x = p->cells[s].x;
+    y = p->cells[s].y;
+    if (x > y) {
+        return exceeds(x, n - 2 * B, y, n - 2 * A, x, U);
+    }
+    if (2 * B <= n) {
+        return objective(A, B, n) > U;
+    }
+    return n - 2 * A > U && exceeds(y, n - 2 * A - U, 0, 0, x, 2 * B - n);
+}
+
+/* An incumbent for the start state (a, b) with stop s: vertices s and
+ * s + 1, each improved by giving the side above n/2 away, cell by cell,
+ * while that side stays at n/2 or more. */
+static int64_t start_incumbent(const path_t *p, int64_t a, int64_t b,
+                               int64_t s)
+{
+    const int64_t n = p->n;
+    int64_t best = 2 * n, v, u;
+    for (v = s; v <= s + 1 && v <= p->m; v++) {
+        int64_t A = a + p->px[v], B = b + p->py[p->m] - p->py[v], value;
+        if (2 * B > n) {
+            for (u = v; u < p->m; u++) {
+                if (2 * (B - p->cells[u].y) >= n) {
+                    A += p->cells[u].x;
+                    B -= p->cells[u].y;
+                }
+            }
+        } else if (2 * A > n) {
+            for (u = v - 1; u >= 0; u--) {
+                if (2 * (A - p->cells[u].x) >= n) {
+                    A -= p->cells[u].x;
+                    B += p->cells[u].y;
+                }
+            }
+        }
+        value = objective(A, B, n);
+        if (value < best) {
+            best = value;
+        }
+    }
+    return best;
+}
+
+/* The F score of state (a, b): the one expression, and operand order, of
+ * both Python paths.  int64 -> double casts round exactly like NumPy's
+ * astype(float64). */
+static double shortfall(int64_t a, int64_t b, int64_t n)
+{
+    double sa = 0.5 - (double)a / (double)n;
+    double sb = 0.5 - (double)b / (double)n;
+    if (sa < 0.0) {
+        sa = 0.0;
+    }
+    if (sb < 0.0) {
+        sb = 0.0;
+    }
+    return sa + sb;
 }
 
 /* Exact F scores for `count` candidates of `m` parent cells each.
@@ -157,7 +361,8 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
     int64_t cap, c, j, i;
     buffer_t bufs[2];
     cell_t *cells;
-    int64_t *rest0, *rest1 = NULL, *major0 = NULL, *major1 = NULL;
+    int64_t *px, *py = NULL;
+    path_t path;
     int bounded;
     int cur = 0;
     int status = 0;
@@ -177,26 +382,25 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
             status = 1;
         }
     }
-    /* Suffix sums over the mixed cells in processing order: entry t sums
-     * cells t.. of the order.  rest0 / rest1 are the X=0 / X=1 counts,
-     * major0 / major1 the majority completion (each cell to its larger
-     * side, ties to X=0); major0 + major1 is the sum of max(c0, c1). */
     cells = malloc((size_t)(m + 1) * sizeof(cell_t));
-    rest0 = malloc((size_t)(4 * (m + 1)) * sizeof(int64_t));
-    if (cells == NULL || rest0 == NULL) {
+    px = malloc((size_t)(2 * (m + 1)) * sizeof(int64_t));
+    if (cells == NULL || px == NULL) {
         status = 1;
     } else {
-        rest1 = rest0 + (m + 1);
-        major0 = rest1 + (m + 1);
-        major1 = major0 + (m + 1);
+        py = px + (m + 1);
     }
+    path.n = n;
+    path.cells = cells;
+    path.px = px;
+    path.py = py;
 
     for (c = 0; c < count && status == 0; c++) {
         const int64_t *r0 = c0 + c * m;
         const int64_t *r1 = c1 + c * m;
-        int64_t base_a = 0, base_b = 0, mixed = 0, incumbent, t;
+        int64_t base_a = 0, base_b = 0, major_a, major_b, mixed = 0;
+        int64_t incumbent, t, size;
         int64_t *fa, *fb;
-        int64_t size;
+        int tie = 0;
         double best;
 
         /* One-sided cells are forced (the other branch is dominated):
@@ -208,41 +412,67 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
             } else if (r0[j] == 0) {
                 base_b += r1[j];
             } else {
-                cells[mixed].total = r0[j] + r1[j];
+                cells[mixed].x = r0[j];
+                cells[mixed].y = r1[j];
                 cells[mixed].index = j;
                 mixed++;
             }
         }
+
+        /* The majority assignment sends each mixed cell to its larger
+         * side.  Every assignment has objective at least 2n - 2(a + b),
+         * and the majority one has the largest a + b; with no equal-sided
+         * cell every other assignment has a smaller one.  So when both
+         * majority masses are at most n/2, its objective 2n - 2(a + b) is
+         * OPT and no other state reaches it, and at n <= BOUND_MAX_N the
+         * double minimum is its score.  An equal-sided cell would give two
+         * such states, whose doubles can differ by an ulp. */
+        major_a = base_a;
+        major_b = base_b;
+        for (j = 0; j < mixed; j++) {
+            if (cells[j].x > cells[j].y) {
+                major_a += cells[j].x;
+            } else {
+                major_b += cells[j].y;
+                tie |= cells[j].x == cells[j].y;
+            }
+        }
+        if (bounded && !tie && 2 * major_a <= n && 2 * major_b <= n) {
+            out[c] = -shortfall(major_a, major_b, n);
+            continue;
+        }
+
         if (base_a > cap) {
             base_a = cap;
         }
         if (base_b > cap) {
             base_b = cap;
         }
-        qsort(cells, (size_t)mixed, sizeof(cell_t), larger_first);
-
-        rest0[mixed] = rest1[mixed] = major0[mixed] = major1[mixed] = 0;
-        for (t = mixed - 1; t >= 0; t--) {
-            const int64_t x = r0[cells[t].index];
-            const int64_t y = r1[cells[t].index];
-            rest0[t] = rest0[t + 1] + x;
-            rest1[t] = rest1[t + 1] + y;
-            major0[t] = major0[t + 1] + (x >= y ? x : 0);
-            major1[t] = major1[t + 1] + (x < y ? y : 0);
+        sort_cells(cells, mixed);
+        path.m = mixed;
+        path.above = 0;
+        px[0] = py[0] = 0;
+        for (t = 0; t < mixed; t++) {
+            px[t + 1] = px[t] + cells[t].x;
+            py[t + 1] = py[t] + cells[t].y;
+            path.above += cells[t].x > cells[t].y;
         }
-        /* The majority assignment is achievable: the first incumbent. */
-        incumbent = objective(base_a + major0[0], base_b + major1[0], n);
+        incumbent = 0;
+        if (bounded) {
+            incumbent = start_incumbent(
+                &path, base_a, base_b,
+                find_stop(&path, base_a, base_b + py[mixed], 0));
+        }
 
         bufs[cur].a[0] = base_a;
         bufs[cur].b[0] = base_b;
         size = 1;
 
         for (t = 0; t < mixed; t++) {
-            const int64_t a0 = r0[cells[t].index];
-            const int64_t b1 = r1[cells[t].index];
-            const int64_t left0 = rest0[t + 1], left1 = rest1[t + 1];
-            const int64_t maj0 = major0[t + 1], maj1 = major1[t + 1];
-            int64_t s1, e2, i1, i2, outn, bestb;
+            const int64_t a0 = cells[t].x;
+            const int64_t b1 = cells[t].y;
+            const int64_t shift = px[t + 1], total = py[mixed];
+            int64_t s1, e2, i1, i2, outn, bestb, stop = -1;
             int64_t *ta, *tb;
 
             fa = bufs[cur].a;
@@ -322,21 +552,34 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
                 }
                 bestb = bb;
                 if (bounded) {
-                    /* A completion adds at most left0 to a, at most
-                     * left1 to b, and at most maj0 + maj1 (the sum of
-                     * the per-cell maxima) to a + b: two lower bounds on
-                     * its objective. */
-                    int64_t low = objective(aa + left0, bb + left1, n);
-                    int64_t mass = 2 * (n - aa - bb - maj0 - maj1);
-                    if (mass > low) {
-                        low = mass;
+                    /* States arrive with a falling and b rising, which
+                     * only lets the path cross more segments: the stop
+                     * never moves back. */
+                    const int64_t alpha = aa - shift, beta = bb + total;
+                    int64_t A, B;
+                    if (stop < 0) {
+                        stop = find_stop(&path, alpha, beta, t + 1);
                     }
-                    if (low > incumbent) {
+                    while (stop < mixed && crosses(&path, alpha, beta, stop)) {
+                        stop++;
+                    }
+                    A = alpha + px[stop];
+                    B = beta - py[stop];
+                    if (bound_exceeds(&path, A, B, stop, incumbent)) {
                         continue;
                     }
-                    low = objective(aa + maj0, bb + maj1, n);
-                    if (low < incumbent) {
-                        incumbent = low;
+                    /* The stop's two vertices are completions of this
+                     * state.  Those of a dropped state cannot lower U:
+                     * both lie on the path, at or above its minimum. */
+                    if (objective(A, B, n) < incumbent) {
+                        incumbent = objective(A, B, n);
+                    }
+                    if (stop < mixed) {
+                        A += cells[stop].x;
+                        B -= cells[stop].y;
+                        if (objective(A, B, n) < incumbent) {
+                            incumbent = objective(A, B, n);
+                        }
                     }
                 }
                 ta[outn] = aa;
@@ -350,23 +593,12 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
             break;
         }
 
-        /* Shortfall floats: the one place doubles appear, using the same
-         * expression and operand order as both Python paths.  int64 ->
-         * double casts round exactly like NumPy's astype(float64). */
+        /* Shortfall floats: the one place doubles appear. */
         fa = bufs[cur].a;
         fb = bufs[cur].b;
         best = 2.0; /* shortfalls are in [0, 1] */
         for (i = 0; i < size; i++) {
-            double sa = 0.5 - (double)fa[i] / (double)n;
-            double sb = 0.5 - (double)fb[i] / (double)n;
-            double value;
-            if (sa < 0.0) {
-                sa = 0.0;
-            }
-            if (sb < 0.0) {
-                sb = 0.0;
-            }
-            value = sa + sb;
+            const double value = shortfall(fa[i], fb[i], n);
             if (value < best) {
                 best = value;
             }
@@ -379,7 +611,7 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
         free(bufs[i].b);
     }
     free(cells);
-    free(rest0);
+    free(px);
     return status;
 }
 

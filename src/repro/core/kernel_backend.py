@@ -40,8 +40,10 @@ This module owns everything about that tier:
 
 Bit-identity is a hard contract, not an aspiration.  The native F kernel
 computes the same minimum as the NumPy blocked-bitset path, over a
-frontier bounded by an exact integer incumbent, and evaluates the final
-shortfall with the identical float64 expression, so every score is
+frontier bounded by the fractional relaxation against an exact integer
+incumbent (or, when the majority assignment is the unique optimum, as
+that assignment's shortfall), and evaluates the final shortfall with the
+identical float64 expression, so every score is
 bit-equal.  The native sampler evaluates the same ``cdf < u`` predicate
 on the same doubles as the NumPy inversion, so every code is equal.  The
 tokenizer transcribes ``csv.reader``'s states, so every field is equal,

@@ -76,13 +76,16 @@ sampler and the CSV codec do; the kernel is selected once at import
 (``REPRO_KERNEL_BACKEND=auto|numpy|native``, default ``auto`` = use the
 compiled kernel when a toolchain exists, NumPy otherwise).  It computes
 the same minimum over a *bounded* frontier: each candidate's mixed cells
-run largest first, an achievable incumbent objective is tracked in exact
-int64, and every state whose lower bound is strictly above it is
-dropped (for ``n <= 2^48``; see the README next to the source for the
-proof).  The native path is bit-identical to the NumPy path — all DP
-states are exact int64 either way, the kept states include one the
-minimum is taken at, and the final shortfall floats use the identical
-float64 expression — so backend selection is invisible to every caller.
+run by ``x/y`` descending, an achievable incumbent objective is tracked
+in exact integers, and every state whose fractional relaxation (each
+remaining cell split between the two sides) is strictly above it is
+dropped; a candidate whose majority assignment is the unique optimum
+skips the merge (both for ``n <= 2^48``; see the README next to the
+source for the proof).  The native path is bit-identical to the NumPy
+path — all DP states are exact int64 either way, the kept states include
+one the minimum is taken at, and the final shortfall floats use the
+identical float64 expression — so backend selection is invisible to
+every caller.
 
 The I and R kernels
 -------------------

@@ -78,6 +78,11 @@ class CoalescingSampler:
     def model(self) -> PrivBayesModel:
         return self._model
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ran: a closed sampler refuses requests."""
+        return self._closed
+
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

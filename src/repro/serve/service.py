@@ -123,13 +123,15 @@ class SynthesisService:
     ) -> CoalescingSampler:
         """The (cached) coalescing sampler for a registered model.
 
-        ``rng`` seeds the sampler's stream on first creation only; later
+        ``rng`` seeds the sampler's stream when one is created; later
         calls return the existing sampler, whose stream has advanced with
-        the traffic it served.
+        the traffic it served.  A cached sampler that a caller closed
+        (the serve CLI's ``with sampler:`` does) refuses requests, so it
+        is replaced by a new one seeded from this call's ``rng``.
         """
         key = (dataset, config)
         sampler = self._samplers.get(key)
-        if sampler is None:
+        if sampler is None or sampler.closed:
             sampler = CoalescingSampler(self.model(dataset, config), rng)
             self._samplers[key] = sampler
         return sampler

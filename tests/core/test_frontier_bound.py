@@ -1,19 +1,23 @@
 """The native F kernel's bounded frontier merge against the unbounded DP.
 
-The compiled kernel processes each candidate's mixed cells largest first
-and drops every frontier state whose lower bound is strictly above an
-achievable incumbent (``core/_native/scoref.c``).  Its scores must stay
-bit-equal to the reference dynamic program :func:`score_F_dp` and, where
-the oracle is feasible (m <= 14), to :func:`score_F_bruteforce`.
+The compiled kernel processes each candidate's mixed cells by x/y
+descending and drops every frontier state whose fractional relaxation is
+strictly above an achievable incumbent; a candidate whose majority
+assignment is the unique optimum skips the merge (``core/_native/scoref.c``).
+Its scores must stay bit-equal to the reference dynamic program
+:func:`score_F_dp` and, where the oracle is feasible (m <= 14), to
+:func:`score_F_bruteforce`.
 
 Generated batches aim at the cases a bound gets wrong first: equal-sided
 cells and +-1 near-ties (many states share an objective), heavy-tailed
-cell sizes, one dominant cell, a skewed child and all-tiny counts, over
-13-40 cells and odd and even n.  Fixed cases sit either side of the
-``BOUND_MAX_N = 2^48`` guard, and a real-scale case scores k = 5
-candidates over the full NLTCS table, where the bound drops most states.
-Every check runs under both backends (the ``backend`` fixture); the
-native side skips without a C toolchain.
+cell sizes, one dominant cell, a child skewed to either side and all-tiny
+counts, over 13-40 cells and odd and even n.  Fixed cases sit either side
+of the ``BOUND_MAX_N = 2^48`` guard and at n = 2^40, where ratio and bound
+comparisons multiply past int64; three small candidates with one
+equal-sided cell pin the closed form's exclusion; and a real-scale case
+scores k = 5 candidates over the full NLTCS table, where the bound drops
+most states.  Every check runs under both backends (the ``backend``
+fixture); the native side skips without a C toolchain.
 """
 
 import itertools
@@ -25,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from core_reference import score_F_bruteforce
 from repro.bn.quality import ParentIndexCache
-from repro.core import kernel_backend
+from repro.core import kernel_backend, score_kernels
 from repro.core.score_kernels import score_F_batch, score_F_dp
 from repro.datasets import load_nltcs
 
@@ -63,6 +67,11 @@ def _skewed_child(rng, shape, scale):
     return c0, rng.integers(0, max(2, scale // 20) + 1, size=shape)
 
 
+def _skewed_child_x1(rng, shape, scale):
+    c1, c0 = _skewed_child(rng, shape, scale)
+    return c0, c1
+
+
 def _all_tiny(rng, shape, scale):
     return rng.integers(0, 3, size=shape), rng.integers(0, 3, size=shape)
 
@@ -73,6 +82,7 @@ SHAPES = [
     _heavy_tailed,
     _dominant_cell,
     _skewed_child,
+    _skewed_child_x1,
     _all_tiny,
 ]
 
@@ -135,8 +145,10 @@ def _scaled_to(n, rng, shape_of, cells=15, count=6):
     factor = n // int(totals.max())
     c0 *= factor
     c1 *= factor
-    # +-1 near-ties at full scale; the remainder goes to cell 0's X=0 count.
+    # +-1 near-ties at full scale (a skewed shape's empty X=1 counts stay
+    # 0); the remainder goes to cell 0's X=0 count.
     c1 += rng.integers(-1, 2, size=c1.shape)
+    np.maximum(c1, 0, out=c1)
     c0[:, 0] += n - c0.sum(axis=1) - c1.sum(axis=1)
     return np.stack([c0, c1], axis=2).astype(np.int64)
 
@@ -152,6 +164,45 @@ def test_either_side_of_the_bound_guard(n, shape_of):
     assert (matrices.reshape(len(matrices), -1).sum(axis=1) == n).all()
     got = score_F_batch(matrices, n)
     assert np.array_equal(got, _reference(matrices, n))
+
+
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize("shape_of", [_skewed_child, _skewed_child_x1, _near_ties])
+def test_ratio_products_past_int64(shape_of):
+    """At n = 2^40 a cell holds ~2^35 tuples, so comparing two cells' x/y,
+    or a bound with the incumbent, multiplies past 63 bits."""
+    n = 1 << 40
+    rng = np.random.default_rng([n, SHAPES.index(shape_of)])
+    matrices = _scaled_to(n, rng, shape_of)
+    assert (matrices.reshape(len(matrices), -1).sum(axis=1) == n).all()
+    got = score_F_batch(matrices, n)
+    assert np.array_equal(got, _reference(matrices, n))
+
+
+#: (X=0 counts, X=1 counts, n), each with one equal-sided cell.  Either
+#: side of that cell gives the same integer objective, but the majority
+#: assignment that sends it to X=0 is one ulp above the minimum double.
+EQUAL_SIDED = [
+    ([33, 41, 12], [33, 30, 37], 186),
+    ([57, 56, 42, 2], [13, 45, 42, 56], 313),
+    ([38, 15, 18, 29, 44], [18, 43, 39, 13, 44], 301),
+]
+
+
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize(
+    "c0, c1, n", EQUAL_SIDED, ids=[f"n{n}" for _, _, n in EQUAL_SIDED]
+)
+def test_equal_sided_cell_is_not_closed_form(c0, c1, n):
+    x, y = np.array(c0), np.array(c1)
+    a, b = x[x >= y].sum(), y[x < y].sum()
+    majority = -(max(0.0, 0.5 - a / n) + max(0.0, 0.5 - b / n))
+    matrices = np.stack([x, y], axis=1)[None]
+    # m <= ENUM_MAX_CELLS would enumerate; 0 sends it through the merge.
+    with mock.patch.object(score_kernels, "ENUM_MAX_CELLS", 0):
+        got = score_F_batch(matrices, n)
+    assert np.array_equal(got, _reference(matrices, n))
+    assert got[0] != majority
 
 
 @pytest.fixture(scope="module")

@@ -89,6 +89,28 @@ class TestService:
             first, second = asyncio.run(drive())
             assert first.n == 64 and second.n == 32
 
+    def test_closed_sampler_is_replaced(self):
+        """The serve CLI's ``with sampler:`` closes the cached sampler; the
+        next ``sampler`` call for that model hands out a new one, seeded
+        from that call's rng, instead of the closed one."""
+        config = PrivBayesConfig(epsilon=1.0)
+        with SynthesisService(None) as service:
+            service.fit(
+                "d",
+                load_adult(n=500, seed=0),
+                config,
+                rng=np.random.default_rng(0),
+                dataset_budget=1.0,
+            )
+            with service.sampler("d", config, np.random.default_rng(5)) as first:
+                drawn = asyncio.run(first.sample(5))
+            second = service.sampler("d", config, np.random.default_rng(5))
+            again = asyncio.run(second.sample(5))
+            for name in drawn.attribute_names:
+                assert np.array_equal(again.column(name), drawn.column(name))
+            assert first.closed and not second.closed
+            assert service.sampler("d", config) is second
+
     def test_marginals_direct(self, table):
         with SynthesisService(None) as service:
             config = PrivBayesConfig(epsilon=1.0)
