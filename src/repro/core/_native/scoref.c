@@ -84,8 +84,11 @@ int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
  * cap)), so the final frontier does not depend on the cell order. */
 #define BOUND_MAX_N ((int64_t)1 << 48)
 
-/* Mixed cells up to which the ratio order is an insertion sort. */
-#define INSERTION_MAX_CELLS 64
+/* Mixed cells up to which the ratio order is an insertion sort, and above
+ * which qsort with the same comparator.  Timed alone on uniform counts
+ * (gcc 12 -O2, 2-vCPU Xeon VM), insertion is 4-6x faster at 32 cells,
+ * even with qsort at 450-500 and 1.6x slower at 1,024. */
+#define INSERTION_MAX_CELLS 512
 
 /* One frontier: a[] strictly decreasing, b[] strictly increasing (the
  * canonical form Definition-4.6 pruning leaves), size >= 1. */

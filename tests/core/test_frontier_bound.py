@@ -14,7 +14,8 @@ cell sizes, one dominant cell, a child skewed to either side and all-tiny
 counts, over 13-40 cells and odd and even n.  Fixed cases sit either side
 of the ``BOUND_MAX_N = 2^48`` guard and at n = 2^40, where ratio and bound
 comparisons multiply past int64; three small candidates with one
-equal-sided cell pin the closed form's exclusion; and a real-scale case
+equal-sided cell, each also mirrored, pin the closed form's exclusion
+whichever side a faulty one sends the cell to; and a real-scale case
 scores k = 5 candidates over the full NLTCS table, where the bound drops
 most states.  Every check runs under both backends (the ``backend``
 fixture); the native side skips without a C toolchain.
@@ -180,8 +181,12 @@ def test_ratio_products_past_int64(shape_of):
 
 
 #: (X=0 counts, X=1 counts, n), each with one equal-sided cell.  Either
-#: side of that cell gives the same integer objective, but the majority
-#: assignment that sends it to X=0 is one ulp above the minimum double.
+#: side of that cell gives the least integer objective, but the two doubles
+#: differ by an ulp: as given, the one with the cell on X=0 is the larger.
+#: shortfall(a, b) and shortfall(b, a) are the same double, so with the
+#: counts mirrored the cell on X=1 is the larger.  A closed form that let
+#: the cell through fails one of the two orientations, whichever side it
+#: sends the cell to.
 EQUAL_SIDED = [
     ([33, 41, 12], [33, 30, 37], 186),
     ([57, 56, 42, 2], [13, 45, 42, 56], 313),
@@ -189,20 +194,30 @@ EQUAL_SIDED = [
 ]
 
 
+def _majority(x, y, n, tie_to_x0):
+    """The majority assignment's F score, the equal-sided cell on X=0 or X=1."""
+    to_x0 = x >= y if tie_to_x0 else x > y
+    a, b = x[to_x0].sum(), y[~to_x0].sum()
+    return -(max(0.0, 0.5 - a / n) + max(0.0, 0.5 - b / n))
+
+
 @pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize("mirrored", [False, True], ids=["as_given", "mirrored"])
 @pytest.mark.parametrize(
     "c0, c1, n", EQUAL_SIDED, ids=[f"n{n}" for _, _, n in EQUAL_SIDED]
 )
-def test_equal_sided_cell_is_not_closed_form(c0, c1, n):
+def test_equal_sided_cell_is_not_closed_form(c0, c1, n, mirrored):
     x, y = np.array(c0), np.array(c1)
-    a, b = x[x >= y].sum(), y[x < y].sum()
-    majority = -(max(0.0, 0.5 - a / n) + max(0.0, 0.5 - b / n))
+    if mirrored:
+        x, y = y, x
     matrices = np.stack([x, y], axis=1)[None]
     # m <= ENUM_MAX_CELLS would enumerate; 0 sends it through the merge.
     with mock.patch.object(score_kernels, "ENUM_MAX_CELLS", 0):
         got = score_F_batch(matrices, n)
     assert np.array_equal(got, _reference(matrices, n))
-    assert got[0] != majority
+    # The majority an ulp above the minimum: the cell on X=0 as given, on
+    # X=1 mirrored (the side the kernel's majority loop puts it).
+    assert got[0] != _majority(x, y, n, tie_to_x0=not mirrored)
 
 
 @pytest.fixture(scope="module")
