@@ -9,7 +9,7 @@ cannot decide the ratio.  Every finding set is asserted identical — as
 dicts, order included — before any clock is compared, so every speedup
 reported here is a pure scheduling/caching change.
 
-Emits ``BENCH_analysis.json`` next to this file:
+Emits ``BENCH_analysis.json`` under ``.bench_build/benchmarks/``:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_analysis.py -q
 """
@@ -22,9 +22,9 @@ from pathlib import Path
 
 from repro.analysis import ResultCache, analyze_paths
 
-from conftest import report
+from conftest import report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_analysis.json"
+RESULTS_JSON = record_path("BENCH_analysis.json")
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: The exact tree the CI `analysis` job sweeps.

@@ -10,15 +10,14 @@ broadcast CDF inversion and the validating ``Table``.  Both paths consume
 identical RNG sequences and must produce bit-identical conditionals and
 synthetic tuples.
 
-Emits ``BENCH_distribution.json`` next to this file with wall-clock timings
-per (dataset, d, n, k) grid point so future PRs can track the hot path:
+Emits ``BENCH_distribution.json`` under ``.bench_build/benchmarks/`` with
+wall-clock timings per (dataset, d, n, k) grid point:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_distribution.py -q
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -33,9 +32,9 @@ from repro.core.noisy_conditionals import (
 from repro.core.sampler import sample_synthetic
 from repro.datasets import load_dataset
 
-from conftest import report
+from conftest import report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_distribution.json"
+RESULTS_JSON = record_path("BENCH_distribution.json")
 
 #: (label, dataset, n, k or None for θ-mode, score, seed)
 GRID = (

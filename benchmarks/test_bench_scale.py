@@ -17,15 +17,14 @@ Three benchmarks exercise the out-of-core path end to end:
   (ratio < ``MAX_PEAK_RATIO`` for a 5× n jump) and that the million-row
   release round-trips through the streaming CSV reader.
 
-Each test merges its section into ``BENCH_scale.json`` next to this file,
-so a ``-m "not slow"`` CI run still records the smoke + inversion numbers:
+Each test merges its section into ``BENCH_scale.json`` under
+``.bench_build/benchmarks/``, so a ``-m "not slow"`` CI run still records the smoke + inversion numbers:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_scale.py -q
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +32,9 @@ import pytest
 from repro.core.sampler import invert_row_cdfs
 from repro.experiments.table5 import render_scale_panel, run_scale_panel
 
-from conftest import report, run_once
+from conftest import report, run_once, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_scale.json"
+RESULTS_JSON = record_path("BENCH_scale.json")
 
 #: Wide-domain child for the inversion micro-benchmark (log2 C = 8 probes
 #: vs a 256-wide broadcast; measured ~8x on the container baseline).

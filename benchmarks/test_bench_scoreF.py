@@ -38,7 +38,6 @@ Every floor is asserted *before* anything is persisted, so
 
 import json
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -56,9 +55,9 @@ from repro.data.marginals import flatten_index
 from repro.datasets import load_dataset
 from repro.infotheory.measures import mutual_information
 
-from conftest import report
+from conftest import report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_scoreF.json"
+RESULTS_JSON = record_path("BENCH_scoreF.json")
 
 #: (n, parent width, number of parent sets) — parent domain is 2^width.
 GRID = (

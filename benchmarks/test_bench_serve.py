@@ -9,7 +9,7 @@ burst is asserted bit-identical to a single ``sample_synthetic(sum(n_i))``
 draw before any clock is compared, so the speedup is a pure scheduling
 change.
 
-Emits ``BENCH_serve.json`` next to this file:
+Emits ``BENCH_serve.json`` under ``.bench_build/benchmarks/``:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_serve.py -q
 """
@@ -17,7 +17,6 @@ Emits ``BENCH_serve.json`` next to this file:
 import asyncio
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from repro.core.sampler import sample_synthetic
 from repro.datasets import load_dataset
 from repro.serve.coalescer import CoalescingSampler
 
-from conftest import report
+from conftest import report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_serve.json"
+RESULTS_JSON = record_path("BENCH_serve.json")
 
 #: The burst shape: many small requests, the pattern coalescing exists
 #: for.  Per-request cost is dominated by fixed overhead (the loop round

@@ -8,15 +8,14 @@ scored from scratch each round.  Both runs use the same seed and must
 produce bit-identical networks — scoring consumes no randomness, so the
 memo cannot perturb the draws.
 
-Emits ``BENCH_structure.json`` next to this file with wall-clock timings
-per (d, n, k) grid point so future PRs can track the hot path:
+Emits ``BENCH_structure.json`` under ``.bench_build/benchmarks/`` with
+wall-clock timings per (d, n, k) grid point:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_structure_search.py -q
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from repro.core.scoring import CandidateScorer
 from repro.datasets import load_dataset
 from repro.infotheory.measures import mutual_information
 
-from conftest import report
+from conftest import report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_structure.json"
+RESULTS_JSON = record_path("BENCH_structure.json")
 
 #: (label, dataset, n, k or None for θ-mode, score, seed)
 GRID = (

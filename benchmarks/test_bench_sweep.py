@@ -3,8 +3,8 @@
 Times one Figure 9 panel slice end to end (context build, releases,
 metric evaluation) through :class:`repro.experiments.parallel.
 SweepExecutor` at ``jobs=1`` and ``jobs=4``, asserting the two runs are
-bit-identical before comparing clocks.  Emits ``BENCH_sweep.json`` next
-to this file so future PRs can track the scale-out path:
+bit-identical before comparing clocks.  Emits ``BENCH_sweep.json`` under
+``.bench_build/benchmarks/``:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_sweep.py -q
 
@@ -18,14 +18,13 @@ or below — 1x).
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.experiments import run_beta_sweep
 from repro.experiments.fig9_beta import BETAS
 
-from conftest import BENCH_EPSILONS, BENCH_N, report
+from conftest import BENCH_EPSILONS, BENCH_N, report, record_path
 
-RESULTS_JSON = Path(__file__).parent / "BENCH_sweep.json"
+RESULTS_JSON = record_path("BENCH_sweep.json")
 
 #: Worker count for the pooled run (the acceptance configuration).
 JOBS = 4

@@ -10,10 +10,12 @@ Algorithm 4 handles general domains, constraining candidates through
 Every round hands its whole candidate set to
 :meth:`CandidateScorer.score_batch` in one call — including the
 θ-usefulness regimes whose parent domains exceed the enumeration
-threshold: since the score-kernel layer (:mod:`repro.core.score_kernels`),
-large-domain ``F`` candidates run through the blocked-bitset batched DP
-instead of one per-candidate dynamic program each, so no domain size falls
-back to scalar scoring.
+threshold: large-domain ``F`` candidates go to one batched
+:func:`~repro.core.score_kernels.score_F_batch` call, which runs the
+compiled frontier merge (``repro_score_f_batch``) when the native kernel
+is loaded and the NumPy blocked-bitset DP otherwise.  Only that NumPy
+path at ``n ≥ 2^30``, where its packed states would overflow int64,
+scores the candidates one at a time through ``score_F_dp``.
 
 Algorithm 2 keeps a round in integer arrays from start to end.  The
 placed and remaining attributes are table positions; the round's parent

@@ -104,7 +104,8 @@ so each output stays bit-equal to ``mutual_information`` on that
 candidate alone.
 
 Validation: :func:`validate_F_counts` checks ``F`` counts (binary-child
-shape, integer counts, counts summing to ``n`` per candidate) for the
+shape, non-negative integer counts, counts summing to ``n`` per
+candidate) for the
 batched kernel and the reference DP alike, and :func:`_regrouped` checks
 the ragged kernels' segment arguments.
 """
@@ -192,6 +193,7 @@ def validate_F_counts(counts: np.ndarray, n: int) -> np.ndarray:
 
     * odd joint length (non-binary child),
     * non-integer counts,
+    * negative counts,
     * counts not summing to ``n`` (checked per candidate).
     """
     array = np.asarray(counts)
@@ -215,6 +217,13 @@ def validate_F_counts(counts: np.ndarray, n: int) -> np.ndarray:
         matrices = np.rint(array).astype(np.int64)
         if not np.array_equal(array, matrices):
             raise ValueError("F expects integer contingency counts")
+    if matrices.size and matrices.min() < 0:
+        candidate, cell, side = np.argwhere(matrices < 0)[0]
+        raise ValueError(
+            f"F counts must be non-negative: candidate {candidate} has count "
+            f"{matrices[candidate, cell, side]} at parent cell {cell}, "
+            f"X={side}"
+        )
     totals = matrices.sum(axis=(1, 2))
     bad = np.nonzero(totals != n)[0]
     if bad.size:

@@ -46,11 +46,13 @@ All caches are keyed on *values derived deterministically from the table*:
   :mod:`repro.core.score_kernels`: one ``F`` call per round and joint
   length (parent-domain size), fed the counted blocks as they are, and
   one segmented ``I``/``R`` call per round and width on the Walsh path,
-  or per counted parent set otherwise — the blocked-bitset kernel
-  handles every domain size, so no candidate ever falls back to a
-  per-candidate dynamic program.  Each kernel output is bit-equal to
-  the score of that candidate computed alone, whatever else is in the
-  batch.
+  or per counted parent set otherwise.  Large-domain ``F`` candidates
+  run through the compiled frontier merge (``repro_score_f_batch``)
+  when the native kernel is loaded and through the NumPy blocked-bitset
+  DP otherwise; only that NumPy path at ``n ≥ 2^30``, where its packed
+  states would overflow int64, scores them one at a time through
+  ``score_F_dp``.  Each kernel output is bit-equal to the score of that
+  candidate computed alone, whatever else is in the batch.
 * An ``I`` scorer is also the library's one mutual-information engine:
   the Figure 4 network-quality metric
   (:func:`repro.bn.quality.network_mutual_information`) sums its scores,

@@ -5,7 +5,7 @@ The paper evaluates on NLTCS, ACS (IPUMS-USA), Adult (UCI) and BR2000
 so each module here is a *schema-faithful seeded generator*: the real
 schema (attribute names, domain sizes, taxonomy trees) with rows sampled
 from a hand-built ground-truth process that encodes the well-known
-correlations of the source data (see DESIGN.md §3).  Table 5's cardinality,
+correlations of the source data.  Table 5's cardinality,
 dimensionality and domain size are matched exactly at the default sizes.
 """
 

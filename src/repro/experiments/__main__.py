@@ -22,10 +22,11 @@ import sys
 from repro.experiments.framework import EPSILONS, FAST_EPSILONS, render_result
 from repro.experiments.table5 import render_table5, run_table5
 from repro.experiments.fig4_scores import run_fig4
-from repro.experiments.fig5_6_encodings_marginals import run_encoding_marginals
-from repro.experiments.fig7_8_encodings_svm import run_encoding_svm
-from repro.experiments.fig9_beta import run_beta_sweep
-from repro.experiments.fig10_theta import run_theta_sweep
+from repro.experiments.fig5_6_encodings_marginals import (
+    run_encoding_marginals,
+    run_encoding_svm,
+)
+from repro.experiments.fig9_beta import run_beta_sweep, run_theta_sweep
 from repro.experiments.fig11_error_source import run_error_source
 from repro.experiments.fig12_15_marginals import run_marginals_comparison
 from repro.experiments.fig16_19_svm import run_svm_comparison

@@ -18,8 +18,11 @@ from typing import Optional, Sequence
 
 from repro.core.privbayes import DEFAULT_BETA, DEFAULT_THETA
 from repro.experiments.framework import EPSILONS, ExperimentResult
-from repro.experiments.parallel import SweepCell, cell_seed, mean_reduce
-from repro.experiments.sweep_common import SweepContext, run_sweep_cells
+from repro.experiments.sweep_common import (
+    SweepContext,
+    epsilon_cells,
+    run_series,
+)
 
 _VARIANTS = (
     ("PrivBayes", False, False),
@@ -48,22 +51,18 @@ def run_error_source(
         experiment=f"fig11-{dataset}-{kind}",
         title=f"source of error on {dataset} ({kind})",
         x_label="epsilon",
-        y_label=(
-            "average variation distance"
-            if kind == "count"
-            else "misclassification rate"
-        ),
+        y_label=context.y_label,
         x=list(epsilons),
     )
     # All three variants share one seed per (ε, repeat) cell — the paper's
     # paired-noise diagnostic: identical draws, only the oracle differs.
-    cells = [
-        SweepCell(
+    series = {
+        name: epsilon_cells(
             dataset,
-            epsilon,
-            r,
-            cell_seed(seed * 7919, eps_idx * 101 + r),
-            series=name,
+            epsilons,
+            repeats,
+            seed * 7919,
+            name,
             params=(
                 ("beta", beta),
                 ("theta", theta),
@@ -72,13 +71,5 @@ def run_error_source(
             ),
         )
         for name, oracle_network, oracle_marginals in _VARIANTS
-        for eps_idx, epsilon in enumerate(epsilons)
-        for r in range(repeats)
-    ]
-    metrics = run_sweep_cells(context, cells, jobs)
-    means = mean_reduce(metrics, repeats)
-    for v_idx, (name, _, _) in enumerate(_VARIANTS):
-        result.add(
-            name, means[v_idx * len(epsilons) : (v_idx + 1) * len(epsilons)]
-        )
-    return result
+    }
+    return run_series(context, result, series, repeats, jobs)

@@ -17,60 +17,37 @@ from repro.baselines import (
     UniformMarginals,
 )
 from repro.core.privbayes import DEFAULT_BETA, DEFAULT_THETA
-from repro.core.scoring import ScoringCache
-from repro.datasets import load_dataset
-from repro.experiments.framework import (
-    EPSILONS,
-    ExperimentResult,
-    subsample_workload,
+from repro.experiments.framework import EPSILONS, ExperimentResult
+from repro.experiments.parallel import SweepCell, get_worker_state
+from repro.experiments.sweep_common import (
+    SWEEP_CONTEXT_KEY,
+    SweepContext,
+    epsilon_cells,
+    release_cell,
+    run_series,
 )
-from repro.experiments.parallel import (
-    SweepCell,
-    cell_seed,
-    get_worker_state,
-    mean_reduce,
-    run_cells,
-)
-from repro.experiments.sweep_common import private_release
-from repro.workloads import (
-    all_alpha_marginals,
-    average_variation_distance,
-    synthetic_marginals,
-)
-
-_FULL_DOMAIN_DATASETS = {"nltcs", "acs"}
-
-#: Worker-state key for the panel fixtures (fork-inherited by the pool).
-_STATE_KEY = "fig12_15.state"
+from repro.workloads import average_variation_distance
 
 
 def _marginals_cell(cell: SweepCell) -> float:
     """One cell: release by the cell's series, score average TVD.
 
-    ``series == "PrivBayes"`` runs the pipeline with the panel's shared
-    :class:`~repro.core.scoring.ScoringCache`; any other series releases
-    through the named baseline on the workload it was budgeted for.
+    PrivBayes releases through :func:`release_cell`; a baseline releases
+    the workload it was budgeted for (the full ``Q_α`` when the cell's
+    ``full_workload`` param is set), and both are scored on the context's
+    subsample.
     """
-    state = get_worker_state(_STATE_KEY)
-    rng = cell.rng()
     if cell.series == "PrivBayes":
-        synthetic = private_release(
-            state["table"],
-            cell.epsilon,
-            state["beta"],
-            state["theta"],
-            state["is_binary"],
-            rng,
-            scoring_cache=state["scoring"],
-        )
-        released = synthetic_marginals(synthetic, state["eval_workload"])
-    else:
-        baseline, release_workload = state["baselines"][cell.series]
-        released = baseline.release(
-            state["table"], release_workload, cell.epsilon, rng
-        )
+        return release_cell(cell)
+    context: SweepContext = get_worker_state(SWEEP_CONTEXT_KEY)
+    workload = (
+        context.full_workload if cell.param("full_workload") else context.workload
+    )
+    released = cell.param("baseline").release(
+        context.table, workload, cell.epsilon, cell.rng()
+    )
     return average_variation_distance(
-        state["table"], released, state["eval_workload"]
+        context.table, released, context.workload
     )
 
 
@@ -88,72 +65,52 @@ def run_marginals_comparison(
     seed: int = 0,
     jobs: int = 1,
 ) -> ExperimentResult:
-    """Reproduce one panel of Figures 12-15."""
-    table = load_dataset(dataset, n=n, seed=seed)
+    """Reproduce one panel of Figures 12-15.
+
+    The full-domain baselines run by default on the binary datasets.
+    """
     # The task is answering ALL of Q_alpha: baselines must budget for the
     # full workload.  Scoring may use a subsample (an unbiased estimate of
     # the average TVD) to keep scaled runs tractable.
-    full_workload = all_alpha_marginals(table, alpha)
-    eval_workload = subsample_workload(full_workload, max_marginals, seed)
+    context = SweepContext(
+        dataset, "count", n=n, max_marginals=max_marginals, seed=seed,
+        alpha=alpha,
+    )
     if include_full_domain_baselines is None:
-        include_full_domain_baselines = dataset in _FULL_DOMAIN_DATASETS
-    is_binary = dataset in _FULL_DOMAIN_DATASETS
-    # (baseline, workload it releases): MWEM optimizes for the query set it
-    # is handed; giving it only the scored subsample can only favour it.
-    baselines = [
-        (LaplaceMarginals(), full_workload),
-        (FourierMarginals(), full_workload),
-    ]
+        include_full_domain_baselines = context.is_binary
+    # (baseline, releases the full Q_alpha): MWEM optimizes for the query
+    # set it is handed; giving it only the scored subsample can only
+    # favour it.
+    baselines = [(LaplaceMarginals(), True), (FourierMarginals(), True)]
     if include_full_domain_baselines:
         baselines += [
-            (ContingencyMarginals(), eval_workload),
-            (MWEM(max_rounds=mwem_rounds), eval_workload),
+            (ContingencyMarginals(), False),
+            (MWEM(max_rounds=mwem_rounds), False),
         ]
-    baselines.append((UniformMarginals(), eval_workload))
+    baselines.append((UniformMarginals(), False))
 
     result = ExperimentResult(
         experiment=f"fig12-15-{dataset}-Q{alpha}",
         title=f"Q{alpha} marginals on {dataset} vs baselines",
         x_label="epsilon",
-        y_label="average variation distance",
+        y_label=context.y_label,
         x=list(epsilons),
     )
-    scoring = ScoringCache()  # shared across the ε grid and repeats
-    state = {
-        "table": table,
-        "eval_workload": eval_workload,
-        "baselines": {b.name: (b, w) for b, w in baselines},
-        "beta": beta,
-        "theta": theta,
-        "is_binary": is_binary,
-        "scoring": scoring,
+    series = {
+        "PrivBayes": epsilon_cells(
+            dataset, epsilons, repeats, seed * 7919, "PrivBayes",
+            params=(("beta", beta), ("theta", theta)),
+        )
     }
     # Baseline cells derive their seeds through the series-name offset
     # (cell_seed adds stable_series_seed, not hash(): hash() is salted per
     # process under PYTHONHASHSEED randomization, which once made the
     # baseline series drift run-to-run while PrivBayes rows stayed
     # bit-stable).
-    series_names = ["PrivBayes"] + [b.name for b, _ in baselines]
-    cells = [
-        SweepCell(
-            dataset,
-            epsilon,
-            r,
-            cell_seed(
-                seed * (7919 if name == "PrivBayes" else 6271),
-                eps_idx * 101 + r,
-                series="" if name == "PrivBayes" else name,
-            ),
-            series=name,
+    for baseline, full_workload in baselines:
+        series[baseline.name] = epsilon_cells(
+            dataset, epsilons, repeats, seed * 6271, baseline.name,
+            params=(("baseline", baseline), ("full_workload", full_workload)),
+            seed_series=baseline.name,
         )
-        for name in series_names
-        for eps_idx, epsilon in enumerate(epsilons)
-        for r in range(repeats)
-    ]
-    metrics = run_cells(_STATE_KEY, state, _marginals_cell, cells, jobs)
-    means = mean_reduce(metrics, repeats)
-    for s_idx, name in enumerate(series_names):
-        result.add(
-            name, means[s_idx * len(epsilons) : (s_idx + 1) * len(epsilons)]
-        )
-    return result
+    return run_series(context, result, series, repeats, jobs, _marginals_cell)

@@ -11,29 +11,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.baselines import MajorityClassifier, PrivGene, PrivateERM
 from repro.core.privbayes import DEFAULT_BETA, DEFAULT_THETA
-from repro.core.scoring import ScoringCache
-from repro.datasets import load_dataset
 from repro.dp.accountant import split_epsilon_even
 from repro.experiments.framework import EPSILONS, ExperimentResult
-from repro.experiments.parallel import (
-    SweepCell,
-    cell_seed,
-    get_worker_state,
-    mean_reduce,
-    run_cells,
-)
+from repro.experiments.parallel import SweepCell, get_worker_state
 from repro.experiments.sweep_common import (
-    evaluate_svm_synthetic,
-    private_release,
+    SWEEP_CONTEXT_KEY,
+    SweepContext,
+    epsilon_cells,
+    release_cell,
+    run_series,
 )
-from repro.svm import LinearSVM, featurize, misclassification_rate
-from repro.workloads import tasks_for
-
-_BINARY_DATASETS = {"nltcs", "acs"}
+from repro.svm import LinearSVM, misclassification_rate
 
 #: Series fitted per (ε, repeat) cell, besides the NoPrivacy constant.
 _SWEPT_SERIES = (
@@ -44,9 +34,6 @@ _SWEPT_SERIES = (
     "PrivGene",
 )
 
-#: Worker-state key for the panel fixtures (fork-inherited by the pool).
-_STATE_KEY = "fig16_19.state"
-
 
 def _svm_cell(cell: SweepCell) -> float:
     """One cell: fit the cell's series at its ε, score the test error.
@@ -55,23 +42,13 @@ def _svm_cell(cell: SweepCell) -> float:
     get ε/4, "PrivateERM (Single)" the full ε, and PrivBayes synthesizes
     one dataset from which the panel classifier trains.
     """
-    state = get_worker_state(_STATE_KEY)
+    if cell.series == "PrivBayes":
+        return release_cell(cell)
+    context: SweepContext = get_worker_state(SWEEP_CONTEXT_KEY)
     rng = cell.rng()
     epsilon = cell.epsilon
-    X_train, y_train = state["X_train"], state["y_train"]
-    X_test, y_test = state["X_test"], state["y_test"]
-    if cell.series == "PrivBayes":
-        synthetic = private_release(
-            state["train"],
-            epsilon,
-            state["beta"],
-            state["theta"],
-            state["is_binary"],
-            rng,
-            scoring_cache=state["scoring"],
-        )
-        return evaluate_svm_synthetic(synthetic, state["task"], X_test, y_test)
-    elif cell.series == "Majority":
+    X_train, y_train = context.X_train, context.y_train
+    if cell.series == "Majority":
         model = MajorityClassifier().fit(
             X_train, y_train, split_epsilon_even(epsilon, 4), rng
         )
@@ -82,12 +59,12 @@ def _svm_cell(cell: SweepCell) -> float:
     elif cell.series == "PrivateERM (Single)":
         model = PrivateERM().fit(X_train, y_train, epsilon, rng)
     elif cell.series == "PrivGene":
-        model = PrivGene(iterations=state["privgene_iterations"]).fit(
+        model = PrivGene(iterations=cell.param("privgene_iterations")).fit(
             X_train, y_train, split_epsilon_even(epsilon, 4), rng
         )
     else:
         raise ValueError(f"unknown series {cell.series!r}")
-    return misclassification_rate(model, X_test, y_test)
+    return misclassification_rate(model, context.X_test, context.y_test)
 
 
 def run_svm_comparison(
@@ -103,60 +80,36 @@ def run_svm_comparison(
     jobs: int = 1,
 ) -> ExperimentResult:
     """Reproduce one panel of Figures 16-19."""
-    table = load_dataset(dataset, n=n, seed=seed)
-    task = tasks_for(dataset, table)[task_index]
-    split_rng = np.random.default_rng(seed)
-    train, test = table.split(0.8, split_rng)
-    X_train, y_train = featurize(train, task)
-    X_test, y_test = featurize(test, task)
-    is_binary = dataset in _BINARY_DATASETS
-
+    context = SweepContext(
+        dataset, "svm", n=n, seed=seed, task_index=task_index
+    )
     result = ExperimentResult(
         experiment=f"fig16-19-{dataset}-task{task_index}",
-        title=f"SVM classifiers on {dataset} ({task.name})",
+        title=f"SVM classifiers on {dataset} ({context.task.name})",
         x_label="epsilon",
-        y_label="misclassification rate",
+        y_label=context.y_label,
         x=list(epsilons),
     )
 
     # NoPrivacy floor (deterministic; constant across ε).
     floor = misclassification_rate(
-        LinearSVM().fit(X_train, y_train), X_test, y_test
+        LinearSVM().fit(context.X_train, context.y_train),
+        context.X_test,
+        context.y_test,
     )
     result.add("NoPrivacy", [floor] * len(epsilons))
 
-    scoring = ScoringCache()  # shared across the ε grid and repeats
-    state = {
-        "train": train,
-        "task": task,
-        "X_train": X_train,
-        "y_train": y_train,
-        "X_test": X_test,
-        "y_test": y_test,
-        "is_binary": is_binary,
-        "beta": beta,
-        "theta": theta,
-        "scoring": scoring,
-        "privgene_iterations": privgene_iterations,
-    }
     # Every series consumes the same seed per (ε, repeat) cell — the same
     # draws the serial loops used, so jobs>1 stays bit-identical.
-    cells = [
-        SweepCell(
-            dataset,
-            epsilon,
-            r,
-            cell_seed(seed * 7919, eps_idx * 101 + r),
-            series=name,
+    params = (
+        ("beta", beta),
+        ("theta", theta),
+        ("privgene_iterations", privgene_iterations),
+    )
+    series = {
+        name: epsilon_cells(
+            dataset, epsilons, repeats, seed * 7919, name, params=params
         )
         for name in _SWEPT_SERIES
-        for eps_idx, epsilon in enumerate(epsilons)
-        for r in range(repeats)
-    ]
-    metrics = run_cells(_STATE_KEY, state, _svm_cell, cells, jobs)
-    means = mean_reduce(metrics, repeats)
-    for s_idx, name in enumerate(_SWEPT_SERIES):
-        result.add(
-            name, means[s_idx * len(epsilons) : (s_idx + 1) * len(epsilons)]
-        )
-    return result
+    }
+    return run_series(context, result, series, repeats, jobs, _svm_cell)

@@ -23,15 +23,13 @@ from repro.datasets import load_dataset
 from repro.dp.accountant import split_epsilon
 from repro.experiments.framework import EPSILONS, ExperimentResult
 
-_BINARY_DATASETS = {"nltcs", "acs"}
-
 
 def _learn_network(
-    table, dataset, score, epsilon1, epsilon2, theta, rng, first, scoring
+    table, binary, score, epsilon1, epsilon2, theta, rng, first, scoring
 ):
-    """One network under the dataset's mode (binary fixed-k vs general θ)."""
+    """One network under the table's mode (binary fixed-k vs general θ)."""
     scorer = scoring.scorer(table, score)
-    if dataset in _BINARY_DATASETS:
+    if binary:
         k = choose_k_binary(table.n, table.d, epsilon2, theta)
         if k == 0:
             k = 1  # the figure studies selection quality, not the k=0 corner
@@ -73,7 +71,7 @@ def run_fig4(
     # I is counted and scored at most once per figure.
     scoring = ScoringCache()
     quality = scoring.scorer(table, "I")
-    binary = dataset in _BINARY_DATASETS
+    binary = all(attr.is_binary for attr in table.attributes)
     scores = ["I", "R", "F"] if binary else ["I", "R"]
     result = ExperimentResult(
         experiment=f"fig4-{dataset}",
@@ -91,7 +89,7 @@ def run_fig4(
             for r in range(repeats):
                 rng = np.random.default_rng(seed * 7919 + eps_idx * 101 + r)
                 network = _learn_network(
-                    table, dataset, score, epsilon1, epsilon2, theta, rng,
+                    table, binary, score, epsilon1, epsilon2, theta, rng,
                     first, scoring,
                 )
                 repeats_values.append(
@@ -105,7 +103,7 @@ def run_fig4(
         (epsilon2,) = split_epsilon(epsilon, (1.0 - beta,))
         rng = np.random.default_rng(seed)
         network = _learn_network(
-            table, dataset, "I", None, epsilon2, theta, rng, first, scoring
+            table, binary, "I", None, epsilon2, theta, rng, first, scoring
         )
         ceiling.append(network_mutual_information(network, quality))
     result.add("NoPrivacy", ceiling)

@@ -1,25 +1,42 @@
-"""Figures 5-6: the four encodings on α-way marginal workloads.
+"""Figures 5-8: the four encodings of Section 6.3.
 
 For each encoding method (Binary-F, Gray-F, Vanilla-R, Hierarchical-R) and
-each ε, release a synthetic dataset and report the average total-variation
-distance over ``Q_α`` — one call per panel (Adult/BR2000 × Q2/Q3).
+each ε, release a synthetic dataset and score it.  Figures 5-6 report the
+average total-variation distance over ``Q_α``, one panel per
+Adult/BR2000 × Q2/Q3.  Figures 7-8 use the 80% train / 20% test split of
+Section 6.1: a hinge-loss C-SVM (C = 1) is trained per task on each
+synthetic release of the training split, and its misclassification rate is
+measured on the held-out real test split.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core.privbayes import DEFAULT_BETA, DEFAULT_THETA
-from repro.datasets import load_dataset
-from repro.experiments.framework import EPSILONS, ExperimentResult, subsample_workload
-from repro.release import METHODS, release_synthetic
-from repro.workloads import (
-    all_alpha_marginals,
-    average_variation_distance,
-    synthetic_marginals,
+from repro.experiments.framework import EPSILONS, ExperimentResult
+from repro.experiments.sweep_common import (
+    SweepContext,
+    epsilon_cells,
+    run_series,
 )
+from repro.release import METHODS
+
+
+def _encodings(context, result, epsilons, repeats, beta, theta, seed):
+    """Add one line per encoding method; the cells run serially."""
+    series = {
+        method: epsilon_cells(
+            context.dataset,
+            epsilons,
+            repeats,
+            seed * 7919,
+            method,
+            params=(("method", method), ("beta", beta), ("theta", theta)),
+        )
+        for method in METHODS
+    }
+    return run_series(context, result, series, repeats)
 
 
 def run_encoding_marginals(
@@ -34,30 +51,39 @@ def run_encoding_marginals(
     seed: int = 0,
 ) -> ExperimentResult:
     """Reproduce one panel of Figure 5 (Adult) or Figure 6 (BR2000)."""
-    table = load_dataset(dataset, n=n, seed=seed)
-    workload = subsample_workload(
-        all_alpha_marginals(table, alpha), max_marginals, seed
+    context = SweepContext(
+        dataset, "count", n=n, max_marginals=max_marginals, seed=seed,
+        alpha=alpha,
     )
     result = ExperimentResult(
         experiment=f"fig5/6-{dataset}-Q{alpha}",
         title=f"encodings on {dataset} Q{alpha}",
         x_label="epsilon",
-        y_label="average variation distance",
+        y_label=context.y_label,
         x=list(epsilons),
     )
-    for method in METHODS:
-        values = []
-        for eps_idx, epsilon in enumerate(epsilons):
-            distances = []
-            for r in range(repeats):
-                rng = np.random.default_rng(seed * 7919 + eps_idx * 101 + r)
-                synthetic = release_synthetic(
-                    table, epsilon, method=method, beta=beta, theta=theta, rng=rng
-                )
-                released = synthetic_marginals(synthetic, workload)
-                distances.append(
-                    average_variation_distance(table, released, workload)
-                )
-            values.append(float(np.mean(distances)))
-        result.add(method, values)
-    return result
+    return _encodings(context, result, epsilons, repeats, beta, theta, seed)
+
+
+def run_encoding_svm(
+    dataset: str = "adult",
+    task_index: int = 0,
+    epsilons: Sequence[float] = EPSILONS,
+    repeats: int = 3,
+    n: Optional[int] = None,
+    beta: float = DEFAULT_BETA,
+    theta: float = DEFAULT_THETA,
+    seed: int = 0,
+) -> ExperimentResult:
+    """Reproduce one panel of Figure 7 (Adult) / Figure 8 (BR2000)."""
+    context = SweepContext(
+        dataset, "svm", n=n, seed=seed, task_index=task_index
+    )
+    result = ExperimentResult(
+        experiment=f"fig7/8-{dataset}-task{task_index}",
+        title=f"encodings on {dataset} ({context.task.name})",
+        x_label="epsilon",
+        y_label=context.y_label,
+        x=list(epsilons),
+    )
+    return _encodings(context, result, epsilons, repeats, beta, theta, seed)

@@ -3,7 +3,7 @@
 The paper plots every experiment over the privacy-budget grid
 ε ∈ {0.05, 0.1, 0.2, 0.4, 0.8, 1.6} with 100 repetitions per point.  The
 harnesses default to that grid but accept smaller grids / repeat counts /
-dataset sizes so the whole battery runs on one machine (see DESIGN.md §3).
+dataset sizes so the whole battery runs on one machine.
 """
 
 from __future__ import annotations

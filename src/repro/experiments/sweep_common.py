@@ -1,4 +1,13 @@
-"""Shared task plumbing for the parameter-sweep figures (9, 10, 11).
+"""The panel harness of Figures 5-19.
+
+Every panel follows one protocol: for each ε (or β, θ), release synthetic
+data repeatedly; score each release by the average total variation
+distance over ``Q_α`` (``count`` kind) or by an SVM's misclassification
+rate on a held-out 20% split (``svm`` kind); average the repeats.  A
+:class:`SweepContext` holds a panel's data and task, each
+:class:`~repro.experiments.parallel.SweepCell` one release's ε, seed and
+knobs, and :func:`run_series` runs the cells, averages each point's
+repeats in cell order and adds the lines to the panel.
 
 The paper evaluates eight (dataset, task) combinations: one counting task
 and one classification task per dataset — NLTCS Q4 / Y=outside, ACS Q4 /
@@ -7,7 +16,7 @@ Y=dwelling, Adult Q3 / Y=gender, BR2000 Q3 / Y=religion.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +24,7 @@ from repro.core.privbayes import PrivBayes
 from repro.core.scoring import ScoringCache
 from repro.data.table import Table
 from repro.datasets import load_dataset
+from repro.release import release_synthetic
 from repro.svm import LinearSVM, featurize, misclassification_rate
 from repro.workloads import (
     all_alpha_marginals,
@@ -22,23 +32,28 @@ from repro.workloads import (
     synthetic_marginals,
     tasks_for,
 )
-from repro.experiments.framework import subsample_workload
+from repro.experiments.framework import ExperimentResult, subsample_workload
 from repro.experiments.parallel import (
     SweepCell,
+    cell_seed,
     get_worker_state,
+    mean_reduce,
     run_cells,
 )
 
-#: dataset -> (Q_α for the counting task, SVM task index, release method).
+#: dataset -> (Q_α of the counting task, SVM task index).
 SWEEP_TASKS = {
-    "nltcs": (4, 0, "binary-F"),
-    "acs": (4, 0, "binary-F"),
-    "adult": (3, 0, "hierarchical-R"),
-    "br2000": (3, 0, "hierarchical-R"),
+    "nltcs": (4, 0),
+    "acs": (4, 0),
+    "adult": (3, 0),
+    "br2000": (3, 0),
 }
 
-#: Binary datasets run the core directly (no bit encoding needed).
-_NATIVE_BINARY = {"nltcs", "acs"}
+#: The metric each context kind scores a release by.
+_Y_LABELS = {
+    "count": "average variation distance",
+    "svm": "misclassification rate",
+}
 
 
 def private_release(
@@ -60,32 +75,28 @@ def private_release(
     ``scoring_cache`` shares candidate scores across the many releases of a
     sweep over the same table (see :class:`repro.core.scoring.ScoringCache`).
     """
-    if is_binary:
-        pipeline = PrivBayes(
-            epsilon=epsilon,
-            beta=beta,
-            theta=theta,
-            score="F",
-            mode="binary",
-            oracle_network=oracle_network,
-            oracle_marginals=oracle_marginals,
-        )
-    else:
-        pipeline = PrivBayes(
-            epsilon=epsilon,
-            beta=beta,
-            theta=theta,
-            score="R",
-            mode="general",
-            generalize=True,
-            oracle_network=oracle_network,
-            oracle_marginals=oracle_marginals,
-        )
+    pipeline = PrivBayes(
+        epsilon=epsilon,
+        beta=beta,
+        theta=theta,
+        score="F" if is_binary else "R",
+        mode="binary" if is_binary else "general",
+        generalize=not is_binary,
+        oracle_network=oracle_network,
+        oracle_marginals=oracle_marginals,
+    )
     return pipeline.fit_sample(fit_table, rng=rng, scoring_cache=scoring_cache)
 
 
 class SweepContext:
-    """Loaded dataset + the two Section 6.4 tasks, reused across a sweep."""
+    """Loaded dataset + one Section 6 task, shared by every cell of a panel.
+
+    ``count`` keeps the full ``Q_α`` (``full_workload``, what a baseline
+    budgets for) beside the scored subsample (``workload``); ``svm`` fits
+    on an 80% split and keeps the task's training and test features.
+    ``alpha`` and ``task_index`` default to the dataset's
+    :data:`SWEEP_TASKS` entry.
+    """
 
     def __init__(
         self,
@@ -94,93 +105,146 @@ class SweepContext:
         n: Optional[int] = None,
         max_marginals: Optional[int] = None,
         seed: int = 0,
+        alpha: Optional[int] = None,
+        task_index: Optional[int] = None,
     ) -> None:
-        if kind not in ("count", "svm"):
+        if kind not in _Y_LABELS:
             raise ValueError("kind must be 'count' or 'svm'")
         self.dataset = dataset
         self.kind = kind
-        self.seed = seed
+        self.y_label = _Y_LABELS[kind]
         #: Shared across every release of the sweep: candidate scores are
         #: data statistics of the fit table, identical at every ε.
         self.scoring = ScoringCache()
-        alpha, task_index, _ = SWEEP_TASKS[dataset]
         self.table = load_dataset(dataset, n=n, seed=seed)
+        self.is_binary = all(attr.is_binary for attr in self.table.attributes)
         if kind == "count":
-            self.reference = self.table
+            if alpha is None:
+                alpha = SWEEP_TASKS[dataset][0]
             self.fit_table = self.table
+            self.full_workload = all_alpha_marginals(self.table, alpha)
             self.workload = subsample_workload(
-                all_alpha_marginals(self.table, alpha), max_marginals, seed
+                self.full_workload, max_marginals, seed
             )
         else:
-            split_rng = np.random.default_rng(seed)
-            train, test = self.table.split(0.8, split_rng)
+            if task_index is None:
+                task_index = SWEEP_TASKS[dataset][1]
+            train, test = self.table.split(0.8, np.random.default_rng(seed))
             self.fit_table = train
             self.task = tasks_for(dataset, self.table)[task_index]
+            self.X_train, self.y_train = featurize(train, self.task)
             self.X_test, self.y_test = featurize(test, self.task)
 
-    @property
-    def is_binary(self) -> bool:
-        return self.dataset in _NATIVE_BINARY
-
     def evaluate(self, synthetic: Table) -> float:
-        """Metric of one synthetic release for this context's task."""
+        """Metric of one synthetic release for this context's task.
+
+        ``svm``: the test error of an SVM trained on the release.  A
+        degenerate release (single label) cannot train an SVM; it scores
+        as the constant majority-label classifier it effectively is.
+        """
         if self.kind == "count":
             released = synthetic_marginals(synthetic, self.workload)
             return average_variation_distance(
-                self.reference, released, self.workload
+                self.table, released, self.workload
             )
-        return evaluate_svm_synthetic(
-            synthetic, self.task, self.X_test, self.y_test
-        )
+        X_syn, y_syn = featurize(synthetic, self.task)
+        if len(set(y_syn.tolist())) < 2:
+            majority = y_syn[0] if y_syn.size else 1.0
+            return float(np.mean(self.y_test != majority))
+        model = LinearSVM().fit(X_syn, y_syn)
+        return misclassification_rate(model, self.X_test, self.y_test)
 
 
-def evaluate_svm_synthetic(synthetic, task, X_test, y_test) -> float:
-    """Test error of an SVM trained on a synthetic release.
-
-    A degenerate release (single label) cannot train an SVM; score it as
-    the constant majority-label classifier it effectively is.  Shared by
-    the svm-kind sweeps (fig 9-11) and the fig 16-19 comparison so the
-    fallback semantics cannot drift apart.
-    """
-    X_syn, y_syn = featurize(synthetic, task)
-    if len(set(y_syn.tolist())) < 2:
-        majority = y_syn[0] if y_syn.size else 1.0
-        return float(np.mean(y_test != majority))
-    model = LinearSVM().fit(X_syn, y_syn)
-    return misclassification_rate(model, X_test, y_test)
-
-
-#: Worker-state key under which the sweep's context is fork-inherited.
+#: Worker-state key under which a panel's context is fork-inherited.
 SWEEP_CONTEXT_KEY = "sweep_common.context"
 
 
-def run_sweep_cells(context: SweepContext, cells, jobs: int = 1):
-    """Map :func:`release_cell` over ``cells`` under ``context``.
-
-    Installs the context for the (possibly forked) workers, runs the
-    sweep, and always drops the state afterwards so batch drivers don't
-    accumulate one context per panel.
-    """
-    return run_cells(SWEEP_CONTEXT_KEY, context, release_cell, cells, jobs)
-
-
 def release_cell(cell: SweepCell) -> float:
-    """One sweep cell: release under the cell's knobs, score the metric.
+    """One cell: release under the cell's knobs, score the context's metric.
 
-    The β/θ and Figure 11 oracle switches travel in ``cell.params``; all
-    randomness comes from ``cell.rng()``, so the metric is a pure function
-    of the cell — independent of which process runs it, or when.
+    A cell with a ``method`` param releases through
+    :func:`~repro.release.release_synthetic` (the Section 6.3 encodings);
+    any other through :func:`private_release` with the context's shared
+    scoring cache.  β, θ and the Figure 11 oracle switches travel in
+    ``cell.params``; all randomness comes from ``cell.rng()``, so the
+    metric is a pure function of the cell — independent of which process
+    runs it, or when.
     """
     context: SweepContext = get_worker_state(SWEEP_CONTEXT_KEY)
-    synthetic = private_release(
-        context.fit_table,
-        cell.epsilon,
-        cell.param("beta"),
-        cell.param("theta"),
-        context.is_binary,
-        cell.rng(),
-        oracle_network=bool(cell.param("oracle_network", False)),
-        oracle_marginals=bool(cell.param("oracle_marginals", False)),
-        scoring_cache=context.scoring,
-    )
+    method = cell.param("method")
+    if method is not None:
+        synthetic = release_synthetic(
+            context.fit_table,
+            cell.epsilon,
+            method=method,
+            beta=cell.param("beta"),
+            theta=cell.param("theta"),
+            rng=cell.rng(),
+        )
+    else:
+        synthetic = private_release(
+            context.fit_table,
+            cell.epsilon,
+            cell.param("beta"),
+            cell.param("theta"),
+            context.is_binary,
+            cell.rng(),
+            oracle_network=bool(cell.param("oracle_network", False)),
+            oracle_marginals=bool(cell.param("oracle_marginals", False)),
+            scoring_cache=context.scoring,
+        )
     return context.evaluate(synthetic)
+
+
+def epsilon_cells(
+    dataset: str,
+    epsilons: Sequence[float],
+    repeats: int,
+    base_seed: int,
+    series: str,
+    params: tuple = (),
+    seed_series: str = "",
+) -> List[SweepCell]:
+    """One line's cells over the ε grid, repeat-minor.
+
+    Cell ``(ε_i, r)`` seeds at ``cell_seed(base_seed, 101·i + r,
+    seed_series)``, the derivation every ε-grid panel was recorded under.
+    """
+    return [
+        SweepCell(
+            dataset,
+            epsilon,
+            r,
+            cell_seed(base_seed, eps_idx * 101 + r, seed_series),
+            series=series,
+            params=params,
+        )
+        for eps_idx, epsilon in enumerate(epsilons)
+        for r in range(repeats)
+    ]
+
+
+def run_series(
+    context: SweepContext,
+    result: ExperimentResult,
+    series: Dict[str, List[SweepCell]],
+    repeats: int,
+    jobs: int = 1,
+    fn: Callable[[SweepCell], float] = release_cell,
+) -> ExperimentResult:
+    """Run every line's cells under ``context`` and add the lines' means.
+
+    ``series`` maps a line name to its cells, point-major and
+    repeat-minor.  All cells run as one sweep of ``fn`` (``jobs`` forked
+    workers are bit-identical to one; see :mod:`repro.experiments.
+    parallel`), with the context installed for the workers and dropped
+    afterwards, so a batch driver never accumulates one per panel.  Each
+    point's repeats average in cell order, and the lines are added in
+    ``series`` order.
+    """
+    cells = [cell for line in series.values() for cell in line]
+    metrics = run_cells(SWEEP_CONTEXT_KEY, context, fn, cells, jobs)
+    means = iter(mean_reduce(metrics, repeats))
+    for name, line in series.items():
+        result.add(name, [next(means) for _ in range(len(line) // repeats)])
+    return result

@@ -228,6 +228,22 @@ class TestValidationUnified:
         with pytest.raises(ValueError, match="counts sum to 6"):
             score_F_batch(batch, 5)
 
+    def test_negative_count_rejected_everywhere(self, backend):
+        """Unchecked, this candidate (n = 38) scored -0.3158 through the
+        native kernel and the reference DP but -0.5526, below F's floor
+        of -0.5, through the NumPy blocked DP."""
+        joint = np.array([[9, -3], [2, 4], [1, 1]] + [[1, 1]] * 12)
+        n = int(joint.sum())
+        for score in (score_F_batch, score_F_dp):
+            with pytest.raises(
+                ValueError, match="candidate 0 has count -3 at parent cell 0"
+            ):
+                score(joint.reshape(-1), n)
+        # In a batch, the error names the offending candidate.
+        fine = np.array([[n - 14, 0]] + [[1, 1]] * 7 + [[0, 0]] * 7)
+        with pytest.raises(ValueError, match="candidate 1 has count -3"):
+            score_F_batch(np.stack([fine, joint]), n)
+
     def test_float_integers_accepted(self):
         flat = np.array([4.0, 1.0, 3.0, 2.0])
         assert score_F_batch(flat, 10)[0] == score_F_dp(flat, 10)

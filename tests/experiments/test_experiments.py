@@ -1,5 +1,8 @@
 """Experiment harnesses: tiny-scale runs of every figure + framework."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,134 @@ _FIG4_GOLDEN = {
         "R": ["0x0.0p+0", "0x1.d4506ea8f2b00p-7", "0x1.39ac8fe95ade1p-1"],
         "NoPrivacy": ["0x0.0p+0", "0x1.d4506ea8f2b00p-7", "0x1.39404037655dap-1"],
     },
+}
+
+_PINNED = dict(epsilons=(0.4, 1.6), n=300, seed=0)
+
+#: One tiny panel per Figure 5-19 harness and context kind, as
+#: ``name -> (run, sha256 of json.dumps(result.to_dict(), sort_keys=True))``;
+#: ``json`` writes each float in its shortest round-trip form, so a digest
+#: pins every value bit for bit.  Recorded before the figures moved onto
+#: one sweep harness.
+_PANEL_PINS = {
+    "fig5/6-adult": (
+        lambda: run_encoding_marginals(
+            "adult", alpha=2, repeats=1, max_marginals=6, **_PINNED
+        ),
+        "0c1a9b556e9f8a18fc1e2b5da2d45021bac384a6a67a8722ef8768b9abfee54f",
+    ),
+    "fig5/6-br2000": (
+        lambda: run_encoding_marginals(
+            "br2000", alpha=2, repeats=1, max_marginals=6, **_PINNED
+        ),
+        "88bd53d3532899c708a93b0ca61bf90211bc304e477517c9abef237391f8a114",
+    ),
+    "fig7/8-adult": (
+        lambda: run_encoding_svm("adult", task_index=1, repeats=1, **_PINNED),
+        "69181ea973e486cb1af005dc48e129458258efca7f046b4e857022968cd57835",
+    ),
+    "fig7/8-br2000": (
+        lambda: run_encoding_svm("br2000", task_index=1, repeats=1, **_PINNED),
+        "b900a254365f99438574e1dc2e5ce20446e8c911d7ffe4c7b561c54fc2d5c5f5",
+    ),
+    "fig9-nltcs-count": (
+        lambda: run_beta_sweep(
+            "nltcs", "count", betas=(0.1, 0.5), repeats=2, max_marginals=5,
+            **_PINNED,
+        ),
+        "890d70642a0739f1d233d99bae2aa97b78188bfe1facd4c62783080eadca5596",
+    ),
+    "fig9-nltcs-svm": (
+        lambda: run_beta_sweep(
+            "nltcs", "svm", betas=(0.1, 0.5), repeats=2, **_PINNED
+        ),
+        "f2b7e96b83dbf8d17f543ef263b25eae7e9b75d9068281e638e6a538c97050ed",
+    ),
+    "fig9-br2000-count": (
+        lambda: run_beta_sweep(
+            "br2000", "count", betas=(0.1, 0.5), repeats=2, max_marginals=5,
+            **_PINNED,
+        ),
+        "633e646a80b467c7d81848aa99d5373386e04c58ba27a693458a177a112c0f26",
+    ),
+    "fig9-br2000-svm": (
+        lambda: run_beta_sweep(
+            "br2000", "svm", betas=(0.1, 0.5), repeats=2, **_PINNED
+        ),
+        "264cd435d20a90d01899b70d887f63ecf4147f5474e2a0608c24af2f0ccdc78f",
+    ),
+    "fig10-nltcs-count": (
+        lambda: run_theta_sweep(
+            "nltcs", "count", thetas=(1.0, 8.0), repeats=2, max_marginals=5,
+            **_PINNED,
+        ),
+        "7089d3737dd67deff2c561a7dfd7953e9460ad72c3f4323ec5ca38b8577a0b85",
+    ),
+    "fig10-nltcs-svm": (
+        lambda: run_theta_sweep(
+            "nltcs", "svm", thetas=(1.0, 8.0), repeats=2, **_PINNED
+        ),
+        "ea1bfeda71adca7acf199fb05db47d2a14de7748a4c675a93c28477a471c20b5",
+    ),
+    "fig10-br2000-count": (
+        lambda: run_theta_sweep(
+            "br2000", "count", thetas=(1.0, 8.0), repeats=2, max_marginals=5,
+            **_PINNED,
+        ),
+        "7c0e1ed789f467c8358f141d1db603f314e88d47edd75d664ca2c2f06aa77c7d",
+    ),
+    "fig10-br2000-svm": (
+        lambda: run_theta_sweep(
+            "br2000", "svm", thetas=(1.0, 8.0), repeats=2, **_PINNED
+        ),
+        "408b1855d089565e57e98717f45f60b48ebd77a3a6d01e0968275b7d6cb46171",
+    ),
+    "fig11-nltcs-count": (
+        lambda: run_error_source(
+            "nltcs", "count", repeats=2, max_marginals=5, **_PINNED
+        ),
+        "93060ae65ff6dda96c5f3431797d9a2da29db533c20552e523ecc0cc529e05af",
+    ),
+    "fig11-nltcs-svm": (
+        lambda: run_error_source("nltcs", "svm", repeats=2, **_PINNED),
+        "58ff2cc2796694b03480931b1f60598340209ca7166978db5340da38377794eb",
+    ),
+    "fig11-br2000-count": (
+        lambda: run_error_source(
+            "br2000", "count", repeats=2, max_marginals=5, **_PINNED
+        ),
+        "7c318a61611ea632991f0940392c9b414e6139533d583a6186193ba636f348c7",
+    ),
+    "fig11-br2000-svm": (
+        lambda: run_error_source("br2000", "svm", repeats=2, **_PINNED),
+        "ed9be3807c6ea88e9f74b79be4802a19ef872c03c100ce501dca8d3c504137a2",
+    ),
+    "fig12-15-nltcs": (
+        lambda: run_marginals_comparison(
+            "nltcs", alpha=2, repeats=2, max_marginals=5, mwem_rounds=3,
+            **_PINNED,
+        ),
+        "79a66b421aa2c228c913ce3a787176360b0f991b7cdccb5d37cd521be514e971",
+    ),
+    "fig12-15-adult": (
+        lambda: run_marginals_comparison(
+            "adult", alpha=2, repeats=2, max_marginals=5, mwem_rounds=3,
+            **_PINNED,
+        ),
+        "2c3f6cd83e101c04f610b3bd60fdebcdddc8b684f54d231c1624c873af66adef",
+    ),
+    "fig16-19-nltcs": (
+        lambda: run_svm_comparison(
+            "nltcs", task_index=1, repeats=2, privgene_iterations=3, **_PINNED
+        ),
+        "84749e7f2a9a81b24143aaa2db9e053e6f02babcfe67a53cac2a29d157109d64",
+    ),
+    "fig16-19-adult": (
+        lambda: run_svm_comparison(
+            "adult", task_index=1, repeats=2, privgene_iterations=3, **_PINNED
+        ),
+        "ab9a9c932449fc88fe5cbc58207bbad4c954c2ded3bc5f55e258774f708542c2",
+    ),
 }
 
 
@@ -176,6 +307,14 @@ class TestFig4:
         monkeypatch.setattr(scoring, "score_I_segments", forbidden)
         assert network_mutual_information(network, scorer) == first
         assert first > 0.0
+
+
+class TestPanelPins:
+    @pytest.mark.parametrize("panel", sorted(_PANEL_PINS))
+    def test_panel_bit_for_bit(self, panel):
+        run, digest = _PANEL_PINS[panel]
+        text = json.dumps(run().to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestEncodings:

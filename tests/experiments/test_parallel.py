@@ -117,9 +117,13 @@ class TestSweepExecutor:
             get_worker_state("test_parallel.tmp")
 
     def test_harness_sweeps_leave_no_state_behind(self):
-        # The figure harnesses must drop their fixtures after the sweep so
+        # The figure harnesses must drop their contexts after the sweep so
         # run_all's dozens of panels don't accumulate in one process.
-        from repro.experiments import run_beta_sweep, run_marginals_comparison
+        from repro.experiments import (
+            run_beta_sweep,
+            run_encoding_svm,
+            run_marginals_comparison,
+        )
         from repro.experiments.parallel import _WORKER_STATE
 
         run_beta_sweep(
@@ -130,8 +134,10 @@ class TestSweepExecutor:
             dataset="nltcs", alpha=2, epsilons=(1.6,), repeats=1, n=300,
             max_marginals=3, include_full_domain_baselines=False, seed=0,
         )
-        assert "sweep_common.context" not in _WORKER_STATE
-        assert "fig12_15.state" not in _WORKER_STATE
+        run_encoding_svm(
+            dataset="br2000", epsilons=(1.6,), repeats=1, n=300, seed=0
+        )
+        assert _WORKER_STATE == {}
 
     def test_single_cell_runs_in_process(self):
         # len(cells) <= 1 short-circuits the pool entirely.

@@ -10,6 +10,9 @@ from repro.experiments import (
     run_svm_comparison,
     run_theta_sweep,
 )
+from repro.datasets import random_binary_table
+from repro.experiments import sweep_common
+from repro.experiments.framework import ExperimentResult
 from repro.experiments.parallel import (
     SweepCell,
     clear_worker_state,
@@ -19,9 +22,12 @@ from repro.experiments.sweep_common import (
     SWEEP_CONTEXT_KEY,
     SWEEP_TASKS,
     SweepContext,
+    epsilon_cells,
     private_release,
     release_cell,
+    run_series,
 )
+from repro.release import release_synthetic
 
 
 class TestSweepContext:
@@ -42,6 +48,35 @@ class TestSweepContext:
 
     def test_all_four_datasets_configured(self):
         assert set(SWEEP_TASKS) == {"nltcs", "acs", "adult", "br2000"}
+        assert all(len(entry) == 2 for entry in SWEEP_TASKS.values())
+
+    def test_count_context_keeps_full_workload(self):
+        ctx = SweepContext("nltcs", "count", n=300, max_marginals=5, seed=0)
+        assert len(ctx.full_workload) == 1820  # C(16, 4): Q4 on NLTCS
+        assert set(ctx.workload) <= set(ctx.full_workload)
+        explicit = SweepContext("nltcs", "count", n=300, seed=0, alpha=2)
+        assert len(explicit.workload) == len(explicit.full_workload) == 120
+
+    def test_svm_context_keeps_training_features(self):
+        ctx = SweepContext("adult", "svm", n=600, seed=0, task_index=1)
+        assert ctx.X_train.shape[0] == ctx.y_train.shape[0] == ctx.fit_table.n
+        assert ctx.X_train.shape[1] == ctx.X_test.shape[1]
+        assert ctx.task.name != SweepContext("adult", "svm", n=600).task.name
+
+    def test_is_binary_reads_the_schema(self, monkeypatch):
+        table = random_binary_table(200, 5, seed=1)
+        monkeypatch.setattr(
+            sweep_common, "load_dataset", lambda name, n, seed: table
+        )
+        ctx = SweepContext("custom", "count", n=200, alpha=2)
+        assert ctx.is_binary
+        assert len(ctx.full_workload) == 10
+
+    def test_y_label_follows_kind(self):
+        count = SweepContext("nltcs", "count", n=300, max_marginals=3)
+        svm = SweepContext("nltcs", "svm", n=300)
+        assert count.y_label == "average variation distance"
+        assert svm.y_label == "misclassification rate"
 
     def test_evaluate_count_metric_in_range(self, rng):
         ctx = SweepContext("nltcs", "count", n=800, max_marginals=5, seed=0)
@@ -82,6 +117,20 @@ class TestReleaseCell:
         )
         assert via_cell == ctx.evaluate(synthetic)
 
+    def test_method_param_releases_through_the_encoding(self):
+        """A ``method`` param releases through release_synthetic."""
+        ctx = SweepContext("adult", "count", n=400, max_marginals=4, seed=0)
+        set_worker_state(SWEEP_CONTEXT_KEY, ctx)
+        cell = SweepCell(
+            "adult", 0.8, 0, 55,
+            params=(("method", "gray-F"), ("beta", 0.3), ("theta", 4.0)),
+        )
+        synthetic = release_synthetic(
+            ctx.fit_table, 0.8, method="gray-F", beta=0.3, theta=4.0,
+            rng=np.random.default_rng(55),
+        )
+        assert release_cell(cell) == ctx.evaluate(synthetic)
+
     def test_oracle_params_travel_in_cell(self):
         ctx = SweepContext("nltcs", "count", n=400, max_marginals=3, seed=0)
         set_worker_state(SWEEP_CONTEXT_KEY, ctx)
@@ -94,6 +143,41 @@ class TestReleaseCell:
         )
         metric = release_cell(cell)
         assert 0.0 <= metric <= 1.0
+
+
+def _seed_metric(cell):
+    """Top-level (picklable) toy cell: its seed as the metric."""
+    return float(cell.seed)
+
+
+class TestRunSeries:
+    def test_epsilon_cells_seed_derivation(self):
+        cells = epsilon_cells("d", (0.4, 1.6), 2, 7919, "Laplace",
+                              seed_series="Laplace")
+        assert [(c.epsilon, c.repeat) for c in cells] == [
+            (0.4, 0), (0.4, 1), (1.6, 0), (1.6, 1),
+        ]
+        offset = cells[0].seed - 7919
+        assert [c.seed for c in cells] == [
+            7919 + offset, 7920 + offset, 8020 + offset, 8021 + offset,
+        ]
+        assert all(c.series == "Laplace" for c in cells)
+
+    def test_lines_added_in_order_with_repeats_averaged(self):
+        result = ExperimentResult("x", "t", "epsilon", "m", x=[0.4, 1.6])
+        series = {
+            name: epsilon_cells("d", (0.4, 1.6), 2, base, name)
+            for name, base in (("b", 1000), ("a", 0))
+        }
+        run_series(object(), result, series, 2, fn=_seed_metric)
+        assert list(result.series) == ["b", "a"]
+        assert result.series["b"] == [1000.5, 1101.5]
+        assert result.series["a"] == [0.5, 101.5]
+
+    def test_repeats_must_be_positive(self):
+        result = ExperimentResult("x", "t", "epsilon", "m", x=[0.4])
+        with pytest.raises(ValueError, match="repeats"):
+            run_series(object(), result, {"a": []}, 0, fn=_seed_metric)
 
 
 #: Tiny per-figure slices for the serial-vs-pool golden parity matrix.
