@@ -105,9 +105,8 @@ candidate alone.
 
 Validation: :func:`validate_F_counts` checks ``F`` counts (binary-child
 shape, non-negative integer counts, counts summing to ``n`` per
-candidate) for the
-batched kernel and the reference DP alike, and :func:`_regrouped` checks
-the ragged kernels' segment arguments.
+candidate) for the batched kernel and the reference DP alike, and
+:func:`_regrouped` checks the ragged kernels' segment arguments.
 """
 
 from __future__ import annotations

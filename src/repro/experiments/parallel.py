@@ -1,6 +1,6 @@
 """Deterministic sweep execution: serial or process-pool, identical output.
 
-The figure sweeps (9-19) are grids of independent (dataset, ε, repeat)
+The figure sweeps (5-19) are grids of independent (dataset, ε, repeat)
 cells — each cell fits one release (or one baseline) from its own freshly
 seeded RNG and reduces to one float.  That independence is what makes the
 sweeps embarrassingly parallel, but naive pooling breaks two invariants

@@ -12,7 +12,7 @@ from repro.experiments import (
 )
 from repro.datasets import random_binary_table
 from repro.experiments import sweep_common
-from repro.experiments.framework import ExperimentResult
+from repro.experiments.framework import ExperimentResult, stable_series_seed
 from repro.experiments.parallel import (
     SweepCell,
     clear_worker_state,
@@ -157,9 +157,9 @@ class TestRunSeries:
         assert [(c.epsilon, c.repeat) for c in cells] == [
             (0.4, 0), (0.4, 1), (1.6, 0), (1.6, 1),
         ]
-        offset = cells[0].seed - 7919
+        offset = 7919 + stable_series_seed("Laplace")
         assert [c.seed for c in cells] == [
-            7919 + offset, 7920 + offset, 8020 + offset, 8021 + offset,
+            offset, offset + 1, offset + 101, offset + 102,
         ]
         assert all(c.series == "Laplace" for c in cells)
 
@@ -173,11 +173,6 @@ class TestRunSeries:
         assert list(result.series) == ["b", "a"]
         assert result.series["b"] == [1000.5, 1101.5]
         assert result.series["a"] == [0.5, 101.5]
-
-    def test_repeats_must_be_positive(self):
-        result = ExperimentResult("x", "t", "epsilon", "m", x=[0.4])
-        with pytest.raises(ValueError, match="repeats"):
-            run_series(object(), result, {"a": []}, 0, fn=_seed_metric)
 
 
 #: Tiny per-figure slices for the serial-vs-pool golden parity matrix.
