@@ -60,7 +60,8 @@ class SweepCell:
     ``seed`` is the cell's entire source of randomness (see
     :func:`cell_seed`); ``series`` names the figure line the cell belongs
     to (used by workers that dispatch on baseline); ``params`` carries the
-    swept knobs (β, θ, oracle switches) as a hashable, picklable tuple.
+    cell's knobs (β, θ, oracle switches, encoding method, a baseline and
+    the workload it releases) as a hashable, picklable tuple.
     """
 
     dataset: str
