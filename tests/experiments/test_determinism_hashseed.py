@@ -2,7 +2,7 @@
 
 The fig 12-15 baselines once derived per-series RNG seeds from
 ``hash(baseline.name)``, which is salted by ``PYTHONHASHSEED``: the
-Laplace/Fourier/MWEM rows of ``benchmarks/latest_results.txt`` drifted from
+Laplace/Fourier/MWEM rows of the benchmark transcript drifted from
 process to process while the PrivBayes rows stayed bit-stable.  These tests
 guard the fix at three levels: the seed derivation itself, a same-process
 re-run, and — the loud one — two subprocesses pinned to *different*
