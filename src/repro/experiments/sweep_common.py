@@ -238,7 +238,7 @@ def run_series(
     repeat-minor.  All cells run as one sweep of ``fn`` (``jobs`` forked
     workers are bit-identical to one; see :mod:`repro.experiments.
     parallel`), with the context installed for the workers and dropped
-    afterwards, so a batch driver never accumulates one per panel.  Each
+    afterwards, so ``run_all``'s many panels never pile up contexts.  Each
     point's repeats average in cell order, and the lines are added in
     ``series`` order.
     """
