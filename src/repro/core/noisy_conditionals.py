@@ -76,6 +76,12 @@ class ConditionalTable:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        if any(size < 1 for size in self.parent_sizes) or self.child_size < 1:
+            raise ValueError(
+                f"conditional for {self.child!r}: domain sizes must be "
+                f"positive; got parent_sizes={self.parent_sizes}, "
+                f"child_size={self.child_size}"
+            )
         expected = (domain_size(self.parent_sizes), self.child_size)
         if self.matrix.shape != expected:
             raise ValueError(
@@ -134,7 +140,12 @@ class ConditionalTable:
 
 @dataclass(frozen=True)
 class NoisyModel:
-    """The output of distribution learning: conditionals in network order."""
+    """The output of distribution learning: conditionals in network order.
+
+    Holds exactly one conditional per network pair, with that pair's
+    parents.  Whether it fits a schema is checked by
+    :func:`repro.core.sampler.check_model`.
+    """
 
     network: BayesianNetwork
     conditionals: Tuple[ConditionalTable, ...]
@@ -142,11 +153,29 @@ class NoisyModel:
     def __post_init__(self) -> None:
         # Sampling looks a conditional up once per attribute per draw batch;
         # index by child so the lookup is O(1) instead of a scan over d.
-        object.__setattr__(
-            self,
-            "_by_child",
-            {table.child: table for table in self.conditionals},
-        )
+        by_child: Dict[str, ConditionalTable] = {}
+        for table in self.conditionals:
+            if table.child in by_child:
+                raise ValueError(
+                    f"duplicate conditional for child {table.child!r}"
+                )
+            by_child[table.child] = table
+        children, held = {pair.child for pair in self.network}, set(by_child)
+        if children != held:
+            raise ValueError(
+                "network children do not match conditionals: "
+                f"missing conditionals for {sorted(children - held)}, "
+                "conditionals without a network pair: "
+                f"{sorted(held - children)}"
+            )
+        for pair in self.network:
+            parents = by_child[pair.child].parents
+            if parents != pair.parents:
+                raise ValueError(
+                    f"conditional {pair.child!r}: parents {parents} != "
+                    f"network parents {pair.parents}"
+                )
+        object.__setattr__(self, "_by_child", by_child)
 
     def conditional_for(self, child: str) -> ConditionalTable:
         try:

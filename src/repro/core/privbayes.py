@@ -119,6 +119,17 @@ class PrivBayesConfig:
             raise ValueError(f"unknown score {self.score!r}")
         if self.mode not in ("auto", "binary", "general"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.first_attribute, (str, type(None))):
+            raise ValueError(
+                "first_attribute must be an attribute name; got "
+                f"{self.first_attribute!r}"
+            )
+        for switch in ("generalize", "oracle_network", "oracle_marginals"):
+            if not isinstance(getattr(self, switch), bool):
+                raise ValueError(
+                    f"{switch} must be True or False; got "
+                    f"{getattr(self, switch)!r}"
+                )
         if self.k is not None:
             if self.k < 0:
                 raise ValueError(f"k must be non-negative; got {self.k!r}")

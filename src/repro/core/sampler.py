@@ -19,6 +19,11 @@ per conditional (see
 :attr:`~repro.core.noisy_conditionals.ConditionalTable.row_cdfs`), so
 repeated ``model.sample()`` calls redo neither.
 
+Building the plan is the one check that a model fits a schema (the
+network places each schema attribute once, each CDF is as wide as its
+attribute's domain, each parent radix equals the codes that parent can
+take); :func:`check_model` runs it without a draw, as a model load does.
+
 CDF inversion
 -------------
 A tuple's code is the first column of its CDF row at or above its uniform:
@@ -117,11 +122,22 @@ def _invert_conditional(
     return invert_row_cdfs(conditional.row_cdfs, parent_rows, uniforms)
 
 
+def check_model(model: NoisyModel, attributes: Sequence[Attribute]) -> None:
+    """Raise :class:`ValueError` unless ``model`` can be sampled over
+    ``attributes``; the checked sampling plan stays cached on the model,
+    so the first draw does not build it again."""
+    _sampling_plan(model, _check_schema(model, attributes))
+
+
 def _check_schema(
     model: NoisyModel, attributes: Sequence[Attribute]
 ) -> Dict[str, Attribute]:
     """Validate that the network places exactly the requested schema."""
     by_name: Dict[str, Attribute] = {a.name: a for a in attributes}
+    if len(by_name) != len(attributes):
+        names = [a.name for a in attributes]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"schema repeats attribute name(s) {repeated}")
     placed = {pair.child for pair in model.network}
     missing = [a.name for a in attributes if a.name not in placed]
     if missing:
@@ -170,8 +186,9 @@ def _sampling_plan(
     repeated draws from one fitted model redo none of this.  Raises
     :class:`ValueError` naming the child when a conditional does not fit
     the schema: a CDF width other than the attribute's size, or a parent
-    radix below the codes the parent can take.  A mismatch would
-    otherwise emit out-of-range codes or alias conditional rows.
+    radix other than the number of codes the parent can take.  A
+    mismatch would otherwise emit out-of-range codes, alias conditional
+    rows or leave rows no parent code reaches.
     """
     schema = tuple(
         (by_name[pair.child], by_name[pair.child].taxonomy)
@@ -213,7 +230,7 @@ def _sampling_plan(
                 )
                 maps.append(generalize)
                 map_offset += generalize.size
-            if reach > radix:
+            if reach != radix:
                 raise ValueError(
                     f"conditional for {pair.child!r} gives parent "
                     f"{name!r} (level {level}) {radix} values, but its "

@@ -5,6 +5,12 @@ everything needed to sample more synthetic data later (sampling is free
 post-processing, so resampling from a stored model costs no extra ε).
 Models round-trip through a plain-JSON document; the schema (attribute
 domains and taxonomies) is embedded so a stored model is self-contained.
+
+A stored model is valid exactly when it can be sampled over its schema.
+A load checks each rule where it lives: the network rules in
+:class:`~repro.core.noisy_conditionals.NoisyModel`, the schema rules in
+the sampling plan (:func:`repro.core.sampler.check_model`), and here
+only the one no fit needs, that every conditional row sums to 1.
 """
 
 from __future__ import annotations
@@ -13,14 +19,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from repro.bn.network import APPair, BayesianNetwork
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
+from repro.core.sampler import check_model
 from repro.data.attribute import Attribute, AttributeKind
-from repro.data.marginals import domain_size
 from repro.data.taxonomy import TaxonomyTree
 
 PathLike = Union[str, Path]
@@ -33,8 +39,9 @@ FORMAT_VERSION = 1
 ROW_SUM_TOLERANCE = 1e-6
 
 #: What parsing a damaged JSON entry raises: a missing key, a value of the
-#: wrong JSON type, or a value a constructor refuses.
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+#: wrong JSON type, a number too large for an int64 array, or a value a
+#: constructor refuses.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
@@ -44,7 +51,10 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     final rename never crosses a filesystem; a crash mid-write leaves the
     previous contents of ``path`` untouched instead of a truncated file —
     readers see either the old document or the new one, never a prefix.
-    Used by :func:`save_model` and the serving layer's dataset ledger.
+    The file is fsync'd before the rename and the directory after it,
+    because only the directory sync makes the rename survive a power loss.
+    Used by :func:`save_model`, the serving layer's model registry and its
+    dataset ledger.
     """
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(
@@ -62,6 +72,11 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _taxonomy_to_dict(taxonomy: TaxonomyTree) -> dict:
@@ -158,7 +173,7 @@ def model_to_dict(model: NoisyModel, attributes) -> dict:
 
 
 def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
-    """Deserialize + validate one conditional, naming it in every error."""
+    """Deserialize one conditional, naming it in every error."""
     try:
         child = str(entry["child"])
         parents = tuple(
@@ -169,34 +184,6 @@ def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
         matrix = np.asarray(entry["matrix"], dtype=float)
     except _MALFORMED as exc:
         raise _malformed("conditional", "child", entry, index, exc) from exc
-    label = repr(child)
-    if any(size < 1 for size in parent_sizes) or child_size < 1:
-        raise ValueError(
-            f"conditional {label}: domain sizes must be positive; got "
-            f"parent_sizes={parent_sizes}, child_size={child_size}"
-        )
-    expected = (domain_size(parent_sizes), child_size)
-    if matrix.ndim != 2 or matrix.shape != expected:
-        raise ValueError(
-            f"conditional {label}: matrix shape {matrix.shape} != expected "
-            f"{expected} (= (prod(parent_sizes), child_size))"
-        )
-    if not np.isfinite(matrix).all():
-        raise ValueError(
-            f"conditional {label}: matrix contains non-finite entries"
-        )
-    if (matrix < 0).any():
-        raise ValueError(
-            f"conditional {label}: matrix contains negative probabilities"
-        )
-    row_sums = matrix.sum(axis=1)
-    off = np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE
-    if off.any():
-        row = int(np.argmax(off))
-        raise ValueError(
-            f"conditional {label}: row {row} sums to {row_sums[row]:.6g}, "
-            "not 1 — not a probability distribution"
-        )
     return ConditionalTable(
         child=child,
         parents=parents,
@@ -206,100 +193,25 @@ def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
     )
 
 
-def _parent_level_size(attribute: Attribute, level: int) -> int:
-    if level == 0:
-        return attribute.size
-    if attribute.taxonomy is None:
-        raise ValueError(
-            f"attribute {attribute.name!r} has no taxonomy but is used as "
-            f"a generalized parent at level {level}"
-        )
-    return attribute.taxonomy.level_size(level)
-
-
-def _validate_model(
-    network: BayesianNetwork,
-    conditionals: Sequence[ConditionalTable],
-    attributes: Sequence[Attribute],
-) -> None:
-    """Cross-check network ↔ conditionals ↔ schema before accepting a load.
-
-    A stale or hand-edited document that passed the per-conditional checks
-    can still disagree with itself (a conditional for an attribute the
-    network never places, domain sizes drifted from the schema); catching
-    that here raises a :class:`ValueError` naming the bad conditional
-    instead of a late ``IndexError`` — or silent garbage — deep inside
-    ``sample_synthetic``.
-    """
-    by_name = {a.name: a for a in attributes}
-    cond_by_child: Dict[str, ConditionalTable] = {}
-    for cond in conditionals:
-        if cond.child in cond_by_child:
-            raise ValueError(
-                f"duplicate conditional for child {cond.child!r}"
-            )
-        cond_by_child[cond.child] = cond
-    network_children = [pair.child for pair in network]
-    if sorted(network_children) != sorted(cond_by_child):
-        missing = sorted(set(network_children) - set(cond_by_child))
-        extra = sorted(set(cond_by_child) - set(network_children))
-        raise ValueError(
-            "network children do not match conditionals: "
-            f"missing conditionals for {missing}, "
-            f"conditionals without a network pair: {extra}"
-        )
-    for pair in network:
-        cond = cond_by_child[pair.child]
-        if cond.parents != pair.parents:
-            raise ValueError(
-                f"conditional {pair.child!r}: parents {cond.parents} != "
-                f"network parents {pair.parents}"
-            )
-        attribute = by_name.get(pair.child)
-        if attribute is None:
-            raise ValueError(
-                f"conditional {pair.child!r}: child is not a schema "
-                f"attribute (schema has {sorted(by_name)})"
-            )
-        if cond.child_size != attribute.size:
-            raise ValueError(
-                f"conditional {pair.child!r}: child_size {cond.child_size} "
-                f"!= schema domain size {attribute.size}"
-            )
-        for (pname, level), size in zip(cond.parents, cond.parent_sizes):
-            parent_attr = by_name.get(pname)
-            if parent_attr is None:
-                raise ValueError(
-                    f"conditional {pair.child!r}: parent {pname!r} is not "
-                    "a schema attribute"
-                )
-            expected = _parent_level_size(parent_attr, level)
-            if size != expected:
-                raise ValueError(
-                    f"conditional {pair.child!r}: parent {pname!r} at "
-                    f"level {level} has size {size} != schema size "
-                    f"{expected}"
-                )
-
-
 def model_from_dict(data: dict):
     """Inverse of :func:`model_to_dict`; returns (model, attributes).
 
-    Validates everything it loads — per-conditional (matrix shape equals
-    ``(prod(parent_sizes), child_size)``, entries finite and nonnegative,
-    rows summing to ~1) and cross-document (network children match the
-    conditionals and the schema, parent domains match the attribute /
-    taxonomy-level sizes) — raising :class:`ValueError` that names the
-    bad conditional, so a damaged registry entry fails at load time
-    rather than as garbage samples or a late ``IndexError``.  A damaged
-    attribute or network entry is named the same way.
+    Refuses a document whose model could not be sampled over its schema
+    with a :class:`ValueError` naming the bad entry, so a damaged registry
+    entry fails at load, not at its first draw.  Each rule has one owner:
+    parsing is checked here; a conditional's shape, sizes and entries by
+    ``ConditionalTable``; one conditional per network pair, with its
+    parents, by :class:`NoisyModel`; the schema (attributes placed once
+    each, child and parent domain sizes) by the sampling plan, which
+    :func:`~repro.core.sampler.check_model` leaves cached on the model;
+    and last, here, that every row sums to 1, which no fit needs.
     """
     if not isinstance(data, dict):
         raise ValueError(
             f"model document must be a JSON object; got {type(data).__name__}"
         )
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     for section in ("attributes", "network", "conditionals"):
         if section not in data:
@@ -320,8 +232,18 @@ def model_from_dict(data: dict):
         _conditional_from_entry(entry, index)
         for index, entry in enumerate(data["conditionals"])
     )
-    _validate_model(network, conditionals, attributes)
-    return NoisyModel(network=network, conditionals=conditionals), attributes
+    model = NoisyModel(network=network, conditionals=conditionals)
+    check_model(model, attributes)
+    for conditional in conditionals:
+        row_sums = conditional.matrix.sum(axis=1)
+        off = np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE
+        if off.any():
+            row = int(np.argmax(off))
+            raise ValueError(
+                f"conditional {conditional.child!r}: row {row} sums to "
+                f"{row_sums[row]:.6g}, not 1 — not a probability distribution"
+            )
+    return model, attributes
 
 
 def save_model(model: NoisyModel, attributes, path: PathLike) -> None:

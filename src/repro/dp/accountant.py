@@ -9,6 +9,7 @@ that would exceed the total budget.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -32,9 +33,15 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
 
     Every ε entering the accountant or a mechanism passes through here:
     a NaN fails both ``<= 0`` and every budget comparison, so a bare sign
-    check would let it through and turn the budget off.
+    check would let it through and turn the budget off.  A value that is
+    not a real number (a string, a boolean) is refused too, not converted:
+    ``True`` would otherwise pass as 1.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if isinstance(epsilon, bool) or not (
+        isinstance(epsilon, numbers.Real)
+        and math.isfinite(epsilon)
+        and epsilon > 0
+    ):
         raise ValueError(
             f"{name} must be a finite positive number; got {epsilon!r}"
         )
@@ -131,6 +138,7 @@ class PrivacyAccountant:
     :meth:`spend` is the one way to charge.  The total, every charge and
     every replayed ledger amount must be a finite positive number: a NaN
     would pass every budget comparison and grant everything after it.
+    Each is checked as given and then held as a float.
 
     Parameters
     ----------
@@ -144,13 +152,15 @@ class PrivacyAccountant:
 
     def __post_init__(self) -> None:
         check_epsilon(self.total_epsilon, "total_epsilon")
+        self.total_epsilon = float(self.total_epsilon)
         # Seed the running total from any pre-supplied ledger (replay of a
         # persisted ledger) in list order — bit-identical to sum().
-        spent = 0.0
+        ledger, spent = [], 0.0
         for label, amount in self._ledger:
             check_epsilon(amount, f"replayed charge {label!r}")
+            ledger.append((label, float(amount)))
             spent = spent + float(amount)
-        self._spent = spent
+        self._ledger, self._spent = ledger, spent
         self._lock = threading.Lock()
 
     def __getstate__(self) -> Dict:

@@ -77,8 +77,7 @@ class _PersistentAccountant(PrivacyAccountant):
         persist_locked: Callable[[], None],
     ) -> None:
         super().__init__(
-            float(total_epsilon),
-            [(str(label), float(amount)) for label, amount in entries],
+            total_epsilon, [(str(label), amount) for label, amount in entries]
         )
         self._transaction = transaction
         self._persist_locked = persist_locked
@@ -184,7 +183,7 @@ class DatasetLedger:
                     "total_epsilon to register it"
                 )
             account = _PersistentAccountant(
-                float(total_epsilon), [], self._transaction, self._persist_locked
+                total_epsilon, [], self._transaction, self._persist_locked
             )
             self._accountants[dataset] = account
             try:
@@ -229,8 +228,13 @@ class DatasetLedger:
                 f"ledger file {self._path} is not valid JSON (truncated "
                 f"or corrupt write?): {exc}"
             ) from exc
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"ledger file {self._path} is not a JSON object; got "
+                f"{type(doc).__name__}"
+            )
         version = doc.get("format_version")
-        if version != LEDGER_FORMAT_VERSION:
+        if type(version) is not int or version != LEDGER_FORMAT_VERSION:
             raise ValueError(
                 f"ledger file {self._path}: unsupported format version "
                 f"{version!r}"
@@ -245,11 +249,8 @@ class DatasetLedger:
             entry = datasets[name]
             try:
                 account = _PersistentAccountant(
-                    float(entry["total_epsilon"]),
-                    [
-                        (str(label), float(amount))
-                        for label, amount in entry["ledger"]
-                    ],
+                    entry["total_epsilon"],
+                    entry["ledger"],
                     self._transaction,
                     self._persist_locked,
                 )

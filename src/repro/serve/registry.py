@@ -146,7 +146,7 @@ class ModelRegistry:
                 f"{type(doc).__name__}"
             )
         version = doc.get("registry_version")
-        if version != REGISTRY_FORMAT_VERSION:
+        if type(version) is not int or version != REGISTRY_FORMAT_VERSION:
             raise ValueError(
                 f"registry entry {path}: unsupported registry version "
                 f"{version!r}"
@@ -155,10 +155,10 @@ class ModelRegistry:
             dataset = str(doc["dataset"])
             config = PrivBayesConfig(**doc["config"])
             source_n = int(doc["source_n"])
-            k = doc.get("k")
+            k = None if doc.get("k") is None else int(doc["k"])
             accountant = PrivacyAccountant(
                 config.epsilon,
-                [(str(label), float(amount)) for label, amount in doc["ledger"]],
+                [(str(label), amount) for label, amount in doc["ledger"]],
             )
             model_doc = doc["model"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -175,6 +175,6 @@ class ModelRegistry:
             source_n=source_n,
             config=config,
             accountant=accountant,
-            k=None if k is None else int(k),
+            k=k,
         )
         return dataset, model

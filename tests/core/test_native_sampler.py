@@ -327,6 +327,25 @@ class TestUnsampleableInputs:
         with pytest.raises(ValueError, match="codes reach 3"):
             sample_synthetic(model, attrs, 10, np.random.default_rng(0))
 
+    def test_parent_radix_above_its_codes(self, backend):
+        """A radix above the parent's codes leaves rows no draw reaches,
+        so the model is not the one its file or fit describes."""
+        attrs = [Attribute.binary("p"), Attribute.binary("q")]
+        network = BayesianNetwork(
+            [APPair.make("p", []), APPair.make("q", ["p"])]
+        )
+        model = NoisyModel(
+            network,
+            (
+                ConditionalTable("p", (), (), 2, np.full((1, 2), 0.5)),
+                ConditionalTable(
+                    "q", (("p", 0),), (3,), 2, np.full((3, 2), 0.5)
+                ),
+            ),
+        )
+        with pytest.raises(ValueError, match="3 values, but its codes reach"):
+            sample_synthetic(model, attrs, 10, np.random.default_rng(0))
+
 
 def test_plan_cache_follows_the_taxonomy(backend):
     """Attribute equality ignores the taxonomy, the generalization maps do

@@ -9,11 +9,16 @@ from repro.core.greedy_bayes import greedy_bayes_fixed_k
 from repro.core.noisy_conditionals import (
     ConditionalTable,
     JointCounter,
+    NoisyModel,
     noisy_conditionals_fixed_k,
     noisy_conditionals_general,
 )
 from repro.data.chunks import TableChunks
-from repro.data.marginals import joint_distribution, marginal_counts
+from repro.data.marginals import (
+    domain_size,
+    joint_distribution,
+    marginal_counts,
+)
 from repro.dp.accountant import PrivacyAccountant, PrivacyBudgetError
 
 
@@ -254,6 +259,24 @@ class TestFixedK:
                 matrix=np.ones((2, 2)),
             )
 
+    @pytest.mark.parametrize(
+        "parent_sizes, child_size",
+        [((0,), 2), ((-2, -2), 2), ((), 0)],
+        ids=["zero-parent", "negative-parents", "zero-child"],
+    )
+    def test_conditional_table_domain_sizes_positive(
+        self, parent_sizes, child_size
+    ):
+        rows = domain_size(parent_sizes)
+        with pytest.raises(ValueError, match="'x'.*sizes must be positive"):
+            ConditionalTable(
+                child="x",
+                parents=tuple((f"p{i}", 0) for i in range(len(parent_sizes))),
+                parent_sizes=parent_sizes,
+                child_size=child_size,
+                matrix=np.ones((rows, child_size)),
+            )
+
     def test_conditional_for_unknown_child(self, binary_table, rng):
         network = _chain_network(list(binary_table.attribute_names))
         model = noisy_conditionals_general(binary_table, network, 1.0, rng)
@@ -304,3 +327,43 @@ class TestAlgorithm3IsAlgorithm1AtKZero:
         for a, b in zip(models[0].conditionals, models[1].conditionals):
             assert (a.child, a.parents) == (b.child, b.parents)
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+class TestNoisyModelOwnsTheNetworkRules:
+    """A model holds exactly one conditional per network pair, with that
+    pair's parents; whoever builds it, a fit or a model file."""
+
+    @staticmethod
+    def _pieces():
+        network = _chain_network(["a", "b"])
+        a = ConditionalTable("a", (), (), 2, np.array([[0.5, 0.5]]))
+        b = ConditionalTable(
+            "b", (("a", 0),), (2,), 2, np.array([[1.0, 0.0], [0.0, 1.0]])
+        )
+        return network, a, b
+
+    def test_duplicate_conditional(self):
+        network, a, b = self._pieces()
+        with pytest.raises(ValueError, match="duplicate conditional .*'a'"):
+            NoisyModel(network, (a, b, a))
+
+    def test_missing_conditional(self):
+        network, a, _ = self._pieces()
+        with pytest.raises(
+            ValueError, match=r"missing conditionals for \['b'\]"
+        ):
+            NoisyModel(network, (a,))
+
+    def test_conditional_without_a_pair(self):
+        network, a, b = self._pieces()
+        c = ConditionalTable("c", (), (), 2, np.array([[0.5, 0.5]]))
+        with pytest.raises(
+            ValueError, match=r"conditionals without a network pair: \['c'\]"
+        ):
+            NoisyModel(network, (a, b, c))
+
+    def test_parents_differ_from_the_pair(self):
+        network, a, _ = self._pieces()
+        b = ConditionalTable("b", (), (), 2, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="'b': parents .* network"):
+            NoisyModel(network, (a, b))

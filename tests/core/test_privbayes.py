@@ -61,6 +61,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             PrivBayesConfig(epsilon=1.0, mode="weird")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("first_attribute", {}, "first_attribute must be an attribute"),
+            ("first_attribute", 3, "first_attribute must be an attribute"),
+            ("generalize", [], r"generalize must be True or False; got \[\]"),
+            ("generalize", 1, "generalize must be True or False; got 1"),
+            ("oracle_network", "yes", "oracle_network must be True or False"),
+            ("oracle_marginals", None, "oracle_marginals must be True or"),
+        ],
+        ids=[
+            "name-object", "name-int", "switch-list", "switch-int",
+            "switch-string", "switch-null",
+        ],
+    )
+    def test_name_and_switches_must_have_their_types(
+        self, field, value, message
+    ):
+        """A registry entry's config is a dict key: an unhashable value
+        there raised a bare TypeError, and ``1`` passed for True."""
+        with pytest.raises(ValueError, match=message):
+            PrivBayesConfig(epsilon=1.0, **{field: value})
+
     def test_kwargs_override_config(self):
         pipeline = PrivBayes(PrivBayesConfig(epsilon=1.0), beta=0.5)
         assert pipeline.config.beta == pytest.approx(0.5)

@@ -9,7 +9,7 @@ from repro.core.noisy_conditionals import (
     NoisyModel,
     noisy_conditionals_general,
 )
-from repro.core.sampler import sample_synthetic
+from repro.core.sampler import check_model, sample_synthetic
 from repro.data.attribute import Attribute
 from repro.data.marginals import joint_distribution
 from repro.data.table import Table
@@ -61,6 +61,28 @@ class TestSampling:
         model, attrs = _manual_model()
         with pytest.raises(ValueError, match=r"\['b'\]"):
             sample_synthetic(model, attrs[:1], 10, np.random.default_rng(0))
+
+    def test_repeated_schema_attribute_rejected(self):
+        model, attrs = _manual_model()
+        with pytest.raises(
+            ValueError, match=r"schema repeats attribute name\(s\) \['a'\]"
+        ):
+            sample_synthetic(
+                model, attrs + attrs[:1], 10, np.random.default_rng(0)
+            )
+
+    def test_check_model_caches_the_plan_a_draw_uses(self):
+        model, attrs = _manual_model()
+        check_model(model, attrs)
+        plan = model._sampling_plan
+        sample_synthetic(model, attrs, 10, np.random.default_rng(0))
+        assert model._sampling_plan is plan
+
+    def test_check_model_refuses_what_a_draw_refuses(self):
+        model, attrs = _manual_model()
+        extra = attrs + [Attribute.binary("c")]
+        with pytest.raises(ValueError, match=r"does not place .*\['c'\]"):
+            check_model(model, extra)
 
     def test_row_cdfs_cached_and_readonly(self):
         model, attrs = _manual_model()

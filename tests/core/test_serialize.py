@@ -1,6 +1,9 @@
 """Model serialization: JSON round trips, resampling equivalence."""
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from repro.core.serialize import (
     model_to_dict,
     save_model,
 )
-from repro.data.marginals import joint_distribution
+from repro.data.marginals import domain_size, joint_distribution
 
 
 @pytest.fixture
@@ -85,6 +88,27 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="version"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_an_int(self, fitted, version):
+        """``True == 1`` and ``1.0 == 1``: neither is format 1."""
+        model, table = fitted
+        data = model_to_dict(model.noisy, table.attributes)
+        data["format_version"] = version
+        with pytest.raises(
+            ValueError, match=f"unsupported model format version {version!r}"
+        ):
+            model_from_dict(data)
+
+    def test_load_leaves_the_checked_plan_cached(self, fitted):
+        """Loading builds the sampling plan the first draw uses."""
+        model, table = fitted
+        restored, attributes = model_from_dict(
+            model_to_dict(model.noisy, table.attributes)
+        )
+        plan = restored._sampling_plan
+        sample_synthetic(restored, attributes, 10, np.random.default_rng(0))
+        assert restored._sampling_plan is plan
+
 
 class TestAtomicSave:
     def test_truncated_file_raises_valueerror_naming_path(self, fitted, tmp_path):
@@ -131,6 +155,35 @@ class TestAtomicSave:
         save_model(model.noisy, table.attributes, path)
         save_model(model.noisy, table.attributes, path)  # overwrite in place
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_directory_is_fsynced_after_the_replace(
+        self, fitted, tmp_path, monkeypatch
+    ):
+        """The file is synced before the rename and its directory after
+        it: only the directory sync makes the rename survive a power
+        loss."""
+        model, table = fitted
+        path = tmp_path / "model.json"
+        calls = []
+        replace, fsync = os.replace, os.fsync
+
+        def recording_replace(source, target):
+            calls.append(("replace", Path(target)))
+            replace(source, target)
+
+        def recording_fsync(fd):
+            mode = os.fstat(fd).st_mode
+            calls.append(("fsync", os.fstat(fd).st_ino, stat.S_ISDIR(mode)))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        save_model(model.noisy, table.attributes, path)
+        assert calls == [
+            ("fsync", path.stat().st_ino, False),
+            ("replace", path),
+            ("fsync", tmp_path.stat().st_ino, True),
+        ]
 
 
 class TestLoadValidation:
@@ -270,6 +323,63 @@ class TestLoadValidation:
             ValueError, match="model.json: model document must be a JSON object"
         ):
             load_model(path)
+
+    def _load_file(self, doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return load_model(path)
+
+    def test_unplaced_attribute_refused_naming_file(self, doc, tmp_path):
+        """A schema attribute the network does not place: such a model
+        used to load, and then every draw from it failed."""
+        doc["attributes"].append(dict(doc["attributes"][0], name="extra_col"))
+        with pytest.raises(
+            ValueError,
+            match=r"model.json: model's network does not place schema "
+            r"attribute\(s\) \['extra_col'\]",
+        ):
+            self._load_file(doc, tmp_path)
+
+    def test_repeated_attribute_refused_naming_file(self, doc, tmp_path):
+        """A schema that names one attribute twice used to load, and then
+        every draw failed with "duplicate attribute names"."""
+        doc["attributes"].append(doc["attributes"][0])
+        name = doc["attributes"][0]["name"]
+        with pytest.raises(
+            ValueError,
+            match=rf"model.json: schema repeats attribute name\(s\) "
+            rf"\['{name}'\]",
+        ):
+            self._load_file(doc, tmp_path)
+
+    def test_taxonomy_index_too_large_refused_naming_file(self, doc, tmp_path):
+        """A taxonomy parent index of 1e308 raised a bare OverflowError."""
+        entry = next(a for a in doc["attributes"] if "taxonomy" in a)
+        entry["taxonomy"]["levels"][0]["parents"][0] = 1e308
+        with pytest.raises(
+            ValueError,
+            match=f"model.json: attribute '{entry['name']}': malformed entry",
+        ):
+            self._load_file(doc, tmp_path)
+
+    def test_parent_radix_above_its_codes_refused(self, doc):
+        """A parent radix must equal the codes the parent can take; one
+        more gives the conditional rows no parent code reaches."""
+        entry = next(c for c in doc["conditionals"] if c["parents"])
+        entry["parent_sizes"][0] += 1
+        rows = domain_size(entry["parent_sizes"])
+        entry["matrix"] += [entry["matrix"][0]] * (rows - len(entry["matrix"]))
+        with pytest.raises(ValueError, match=f"{entry['child']}.*codes reach"):
+            model_from_dict(doc)
+
+    def test_non_positive_domain_size_refused(self, doc):
+        entry = next(c for c in doc["conditionals"] if len(c["parents"]) >= 2)
+        entry["parent_sizes"][0] *= -1
+        entry["parent_sizes"][1] *= -1
+        with pytest.raises(
+            ValueError, match=f"{entry['child']}.*sizes must be positive"
+        ):
+            model_from_dict(doc)
 
     def test_good_document_still_loads(self, doc):
         model, attributes = model_from_dict(doc)

@@ -3,8 +3,8 @@
 A NaN ε fails ``epsilon <= 0`` and every budget comparison, and an
 infinite one turns a Laplace scale into 0, so a sign check alone lets
 both through: the entry then releases NaNs or noiseless answers.  Each
-entry below must refuse them, as it refuses 0 and negatives, with a
-``ValueError`` that names the value.
+entry below must refuse them, as it refuses 0 and negatives, a boolean
+and a string, with a ``ValueError`` that names the value.
 """
 
 import re
@@ -29,12 +29,18 @@ from repro.core.noisy_conditionals import (
     noisy_conditionals_fixed_k,
     noisy_conditionals_general,
 )
+from repro.core.privbayes import PrivBayes
 from repro.data.attribute import Attribute
 from repro.data.table import Table
+from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import laplace_noise
 from repro.multitable import LinkedTables, release_two_tables
 
-BAD_EPSILONS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+#: ``True`` and ``"0.5"`` are not numbers: ``True`` would pass as 1, and a
+#: string would be converted or fail with a TypeError that names nothing.
+BAD_EPSILONS = [
+    float("nan"), float("inf"), float("-inf"), 0.0, -1.0, True, "0.5",
+]
 
 WORKLOAD = [("a", "b"), ("c",)]
 
@@ -113,6 +119,16 @@ ENTRIES = {
     ),
     "noisy_conditionals_general": lambda eps, rng: noisy_conditionals_general(
         _table(), _chain(), eps, rng
+    ),
+    "PrivBayes.fit": lambda eps, rng: PrivBayes(epsilon=eps).fit(
+        _table(), rng
+    ),
+    "PrivacyAccountant": lambda eps, rng: PrivacyAccountant(eps),
+    "PrivacyAccountant.spend": lambda eps, rng: PrivacyAccountant(1.0).spend(
+        "fit", eps
+    ),
+    "PrivacyAccountant replay": lambda eps, rng: PrivacyAccountant(
+        1.0, [("fit", eps)]
     ),
 }
 

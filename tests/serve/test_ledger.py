@@ -188,6 +188,16 @@ def _ledger_charges(path, dataset):
     return json.loads(path.read_text())["datasets"][dataset]["ledger"]
 
 
+def _ledger_text(total, charges, version=1):
+    """A ledger document holding one dataset, ``adult``."""
+    return json.dumps(
+        {
+            "format_version": version,
+            "datasets": {"adult": {"total_epsilon": total, "ledger": charges}},
+        }
+    )
+
+
 class TestAcrossProcesses:
     """The ledger file is the source of truth: every spend re-reads it
     under an exclusive lock on ``<ledger>.lock``."""
@@ -281,8 +291,31 @@ class TestAcrossProcesses:
                 r"malformed \(total_epsilon must be a finite positive "
                 r"number; got nan\)",
             ),
+            ("[]", "ledger.json is not a JSON object; got list"),
+            (
+                _ledger_text(1.0, [], version=True),
+                "unsupported format version True",
+            ),
+            (
+                _ledger_text("1.0", []),
+                r"malformed \(total_epsilon must be a finite positive "
+                r"number; got '1.0'\)",
+            ),
+            (
+                _ledger_text(1.0, [["x", "0.5"]]),
+                r"malformed \(replayed charge 'x' must be a finite positive "
+                r"number; got '0.5'\)",
+            ),
+            (
+                _ledger_text(1.0, [["x", True]]),
+                r"malformed \(replayed charge 'x' must be a finite positive "
+                r"number; got True\)",
+            ),
         ],
-        ids=["corrupt", "overdrawn", "nan-charge", "nan-budget"],
+        ids=[
+            "corrupt", "overdrawn", "nan-charge", "nan-budget", "list",
+            "bool-version", "string-budget", "string-charge", "bool-charge",
+        ],
     )
     def test_bad_file_refused_before_any_grant(self, tmp_path, text, message):
         """A file another writer spoiled is refused at the next spend,

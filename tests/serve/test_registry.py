@@ -139,6 +139,89 @@ class TestWarmRestart:
         with pytest.raises(ValueError, match=f"{entry.name} is not a JSON object"):
             ModelRegistry(tmp_path)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda d: d["model"]["attributes"].append(
+                    dict(d["model"]["attributes"][0], name="extra_col")
+                ),
+                r"model's network does not place schema attribute\(s\) "
+                r"\['extra_col'\]",
+            ),
+            (
+                lambda d: d["model"]["attributes"].append(
+                    d["model"]["attributes"][0]
+                ),
+                r"schema repeats attribute name\(s\) \['x0'\]",
+            ),
+            (
+                lambda d: d["config"].__setitem__("first_attribute", {}),
+                "first_attribute must be an attribute name; got {}",
+            ),
+            (
+                lambda d: d["config"].__setitem__("generalize", []),
+                r"generalize must be True or False; got \[\]",
+            ),
+            (
+                lambda d: d["config"].__setitem__("epsilon", True),
+                "epsilon must be a finite positive number; got True",
+            ),
+            (
+                lambda d: d["ledger"][0].__setitem__(1, "0.3"),
+                "must be a finite positive number; got '0.3'",
+            ),
+            (
+                lambda d: d.__setitem__("registry_version", True),
+                "unsupported registry version True",
+            ),
+            (
+                lambda d: d["model"].__setitem__("format_version", True),
+                "unsupported model format version True",
+            ),
+            (lambda d: d.__setitem__("k", []), "malformed document"),
+        ],
+        ids=[
+            "unplaced-attribute", "repeated-attribute", "object-first",
+            "list-switch", "bool-epsilon", "string-charge", "bool-version",
+            "bool-model-version", "list-k",
+        ],
+    )
+    def test_entry_refused_naming_file(
+        self, tmp_path, fitted, damage, message
+    ):
+        """Each of these used to load (and a draw from the first two then
+        failed), or raised a bare TypeError."""
+        ModelRegistry(tmp_path).put("demo", fitted)
+        entry = next(tmp_path.glob("*.json"))
+        doc = json.loads(entry.read_text())
+        damage(doc)
+        entry.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{entry.name}.*{message}"):
+            ModelRegistry(tmp_path)
+
+    def test_taxonomy_index_too_large_refused_naming_file(
+        self, tmp_path, mixed_table
+    ):
+        """A taxonomy parent index of 1e308 raised a bare OverflowError."""
+        fitted = PrivBayes(epsilon=1.0, generalize=True).fit(
+            mixed_table, np.random.default_rng(3)
+        )
+        ModelRegistry(tmp_path).put("mixed", fitted)
+        entry = next(tmp_path.glob("*.json"))
+        doc = json.loads(entry.read_text())
+        attribute = next(
+            a for a in doc["model"]["attributes"] if "taxonomy" in a
+        )
+        attribute["taxonomy"]["levels"][0]["parents"][0] = 1e308
+        entry.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValueError,
+            match=f"{entry.name}: attribute '{attribute['name']}': "
+            "malformed entry",
+        ):
+            ModelRegistry(tmp_path)
+
     def test_unsupported_version_refused(self, tmp_path, fitted):
         registry = ModelRegistry(tmp_path)
         registry.put("demo", fitted)

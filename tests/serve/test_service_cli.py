@@ -371,11 +371,18 @@ COMMAND_ARGS = {
 }
 
 
-def _damage_registry_entry(root):
+def _rewrite_registry_entry(root, damage):
     entry = next((root / "models").glob("*.json"))
     doc = json.loads(entry.read_text())
-    del doc["model"]["network"][0]["child"]
+    damage(doc)
     entry.write_text(json.dumps(doc))
+    return entry
+
+
+def _damage_registry_entry(root):
+    entry = _rewrite_registry_entry(
+        root, lambda doc: doc["model"]["network"][0].pop("child")
+    )
     return f"error: registry entry {entry}: network pair #0: malformed entry"
 
 
@@ -385,6 +392,34 @@ def _damage_ledger(root):
     doc["datasets"]["demo"]["ledger"][0][1] = float("nan")
     ledger.write_text(json.dumps(doc))
     return f"error: ledger file {ledger}: dataset 'demo' entry is malformed"
+
+
+def _unplaced_attribute(root):
+    """An attribute the network does not place: ``models`` listed such an
+    entry, and every draw from it failed naming no file."""
+    entry = _rewrite_registry_entry(
+        root,
+        lambda doc: doc["model"]["attributes"].append(
+            dict(doc["model"]["attributes"][0], name="extra_col")
+        ),
+    )
+    return (
+        f"error: registry entry {entry}: model's network does not place "
+        "schema attribute(s) ['extra_col']"
+    )
+
+
+def _unhashable_config(root):
+    entry = _rewrite_registry_entry(
+        root, lambda doc: doc["config"].__setitem__("first_attribute", {})
+    )
+    return f"error: registry entry {entry}: malformed document"
+
+
+def _ledger_list(root):
+    ledger = root / "ledger.json"
+    ledger.write_text("[]")
+    return f"error: ledger file {ledger} is not a JSON object"
 
 
 class TestBadInputFileIsOneLine:
@@ -405,8 +440,15 @@ class TestBadInputFileIsOneLine:
         return root
 
     @pytest.mark.parametrize(
-        "damage", [_damage_registry_entry, _damage_ledger],
-        ids=["registry-entry", "ledger"],
+        "damage",
+        [
+            _damage_registry_entry, _damage_ledger, _unplaced_attribute,
+            _unhashable_config, _ledger_list,
+        ],
+        ids=[
+            "registry-entry", "ledger", "unplaced-attribute",
+            "unhashable-config", "ledger-list",
+        ],
     )
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     def test_damaged_state(self, tmp_path, table, root, capsys, command, damage):

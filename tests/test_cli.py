@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.core.privbayes import PrivBayes
+from repro.core.serialize import save_model
 from repro.data.io import read_csv, write_csv
 from repro.datasets import load_adult
 
@@ -235,4 +237,28 @@ class TestModelPersistence:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: model file {model_path}")
+        assert not out.exists()
+
+    def test_taxonomy_index_too_large_is_one_line(
+        self, mixed_table, tmp_path, capsys
+    ):
+        """A taxonomy parent index of 1e308 ended in a bare OverflowError."""
+        model = PrivBayes(epsilon=1.0, generalize=True).fit(
+            mixed_table, np.random.default_rng(3)
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model.noisy, mixed_table.attributes, model_path)
+        doc = json.loads(model_path.read_text())
+        attribute = next(a for a in doc["attributes"] if "taxonomy" in a)
+        attribute["taxonomy"]["levels"][0]["parents"][0] = 1e308
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "resampled.csv"
+        rc = main(["--from-model", str(model_path), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error: model file {model_path}: attribute "
+            f"'{attribute['name']}': malformed entry"
+        )
         assert not out.exists()
