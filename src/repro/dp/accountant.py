@@ -8,8 +8,8 @@ that would exceed the total budget.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -35,12 +35,12 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
     a NaN fails both ``<= 0`` and every budget comparison, so a bare sign
     check would let it through and turn the budget off.  A value that is
     not a real number (a string, a boolean) is refused too, not converted:
-    ``True`` would otherwise pass as 1.
+    ``True`` would otherwise pass as 1.  So is an integer past the float
+    range, which the accountant could not hold as a float.
     """
     if isinstance(epsilon, bool) or not (
         isinstance(epsilon, numbers.Real)
-        and math.isfinite(epsilon)
-        and epsilon > 0
+        and 0 < epsilon <= sys.float_info.max
     ):
         raise ValueError(
             f"{name} must be a finite positive number; got {epsilon!r}"

@@ -161,7 +161,7 @@ class ModelRegistry:
                 [(str(label), amount) for label, amount in doc["ledger"]],
             )
             model_doc = doc["model"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"registry entry {path}: malformed document ({exc})"
             ) from exc

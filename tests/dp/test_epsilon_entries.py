@@ -38,8 +38,10 @@ from repro.multitable import LinkedTables, release_two_tables
 
 #: ``True`` and ``"0.5"`` are not numbers: ``True`` would pass as 1, and a
 #: string would be converted or fail with a TypeError that names nothing.
+#: ``10**400`` is past the float range: converting it raises OverflowError.
 BAD_EPSILONS = [
     float("nan"), float("inf"), float("-inf"), 0.0, -1.0, True, "0.5",
+    10**400,
 ]
 
 WORKLOAD = [("a", "b"), ("c",)]
@@ -133,7 +135,9 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+@pytest.mark.parametrize(
+    "epsilon", BAD_EPSILONS, ids=lambda epsilon: repr(epsilon)[:10]
+)
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_refuses_bad_epsilon(entry, epsilon):
     with pytest.raises(ValueError, match=re.escape(repr(epsilon))):

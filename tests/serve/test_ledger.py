@@ -311,10 +311,16 @@ class TestAcrossProcesses:
                 r"malformed \(replayed charge 'x' must be a finite positive "
                 r"number; got True\)",
             ),
+            (
+                _ledger_text(10**400, []),
+                r"malformed \(total_epsilon must be a finite positive "
+                r"number; got 1000",
+            ),
         ],
         ids=[
             "corrupt", "overdrawn", "nan-charge", "nan-budget", "list",
             "bool-version", "string-budget", "string-charge", "bool-charge",
+            "budget-past-float-range",
         ],
     )
     def test_bad_file_refused_before_any_grant(self, tmp_path, text, message):

@@ -180,11 +180,15 @@ class TestWarmRestart:
                 "unsupported model format version True",
             ),
             (lambda d: d.__setitem__("k", []), "malformed document"),
+            (
+                lambda d: d.__setitem__("source_n", float("inf")),
+                "malformed document",
+            ),
         ],
         ids=[
             "unplaced-attribute", "repeated-attribute", "object-first",
             "list-switch", "bool-epsilon", "string-charge", "bool-version",
-            "bool-model-version", "list-k",
+            "bool-model-version", "list-k", "infinite-source-n",
         ],
     )
     def test_entry_refused_naming_file(
