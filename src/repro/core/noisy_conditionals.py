@@ -66,7 +66,9 @@ class ConditionalTable:
 
     ``matrix`` has one row per flattened parent configuration (mixed radix
     over ``parent_sizes``, parents in ``parents`` order) and one column per
-    child value; rows sum to 1.
+    child value; rows sum to 1.  It may be given as any rectangular array
+    of numbers (a loaded document's lists of rows) and is held as a float
+    array.
     """
 
     child: str
@@ -82,6 +84,7 @@ class ConditionalTable:
                 f"positive; got parent_sizes={self.parent_sizes}, "
                 f"child_size={self.child_size}"
             )
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         expected = (domain_size(self.parent_sizes), self.child_size)
         if self.matrix.shape != expected:
             raise ValueError(

@@ -29,6 +29,7 @@ privacy and exist only for error attribution.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -72,11 +73,12 @@ class PrivBayesConfig:
         Total privacy budget ε, a finite positive number.
     beta:
         Fraction of ε for network learning (ε₁ = βε).  Figure 9 studies
-        this; [0.2, 0.5] is the good range, 0.3 the default.  Must lie in
-        (0, 1): β = 0 leaves the exponential mechanism without budget.
+        this; [0.2, 0.5] is the good range, 0.3 the default.  A real
+        number in (0, 1): β = 0 leaves the exponential mechanism without
+        budget.
     theta:
         Usefulness threshold (Definition 4.7).  Figure 10 studies this;
-        [3, 6] is the good range, 4 the default.
+        [3, 6] is the good range, 4 the default.  A positive real number.
     score:
         ``'I' | 'F' | 'R' | 'auto'``.  Auto picks ``F`` in binary mode and
         ``R`` in general mode (the paper's recommendations).
@@ -84,8 +86,8 @@ class PrivBayesConfig:
         ``'binary' | 'general' | 'auto'``.  Auto picks binary iff every
         attribute has a two-value domain.
     k:
-        Optional override of the network degree (binary mode only); by
-        default θ-usefulness chooses it.
+        Optional integer override of the network degree (binary mode
+        only); by default θ-usefulness chooses it.
     generalize:
         Allow taxonomy-generalized parents (Algorithm 6, general mode).
     first_attribute:
@@ -107,6 +109,10 @@ class PrivBayesConfig:
 
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
+        for name in ("beta", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number; got {value!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(
                 f"beta must be in (0, 1); got {self.beta!r} — beta = 0 "
@@ -131,6 +137,10 @@ class PrivBayesConfig:
                     f"{getattr(self, switch)!r}"
                 )
         if self.k is not None:
+            if isinstance(self.k, bool) or not isinstance(
+                self.k, numbers.Integral
+            ):
+                raise ValueError(f"k must be an integer; got {self.k!r}")
             if self.k < 0:
                 raise ValueError(f"k must be non-negative; got {self.k!r}")
             if self.mode == "general":

@@ -185,8 +185,9 @@ def _sampling_plan(
     Cached on the model (as ``row_cdfs`` is on each conditional), so
     repeated draws from one fitted model redo none of this.  Raises
     :class:`ValueError` naming the child when a conditional does not fit
-    the schema: a CDF width other than the attribute's size, or a parent
-    radix other than the number of codes the parent can take.  A
+    the schema: a CDF width other than the attribute's size, a parent
+    level the parent's taxonomy does not have, or a parent radix other
+    than the number of codes the parent can take.  A
     mismatch would otherwise emit out-of-range codes, alias conditional
     rows or leave rows no parent code reaches.
     """
@@ -219,6 +220,12 @@ def _sampling_plan(
         for (name, level), radix in zip(
             pair.parents, conditional.parent_sizes
         ):
+            height = by_name[name].height
+            if not 0 <= level < height:
+                raise ValueError(
+                    f"conditional for {pair.child!r} gives parent {name!r} "
+                    f"level {level}, but its levels are [0, {height})"
+                )
             if level == 0:
                 reach = by_name[name].size
                 parents.append((index_of[name], -1, 0, radix))

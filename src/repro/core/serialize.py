@@ -1,4 +1,4 @@
-"""Serialization of fitted PrivBayes models.
+"""Serialization of fitted PrivBayes models, and the one document reader.
 
 A release consists of the network structure plus the noisy conditionals —
 everything needed to sample more synthetic data later (sampling is free
@@ -6,20 +6,29 @@ post-processing, so resampling from a stored model costs no extra ε).
 Models round-trip through a plain-JSON document; the schema (attribute
 domains and taxonomies) is embedded so a stored model is self-contained.
 
-A stored model is valid exactly when it can be sampled over its schema.
-A load checks each rule where it lives: the network rules in
-:class:`~repro.core.noisy_conditionals.NoisyModel`, the schema rules in
-the sampling plan (:func:`repro.core.sampler.check_model`), and here
-only the one no fit needs, that every conditional row sums to 1.
+The model file, a registry entry and the serving ledger are the
+program's outside input.  :func:`read_document` and :class:`Node` own
+their document rules (valid JSON; an object with exactly its keys; a
+version that is that document's ``int``) and the JSON type of each
+value, which the typed accessors return unconverted.  Every refusal is
+one :class:`ValueError` of the form ``<kind> <file>: <JSON path>:
+<problem>``, e.g. ``model file m.json: conditionals[3].child_size:
+expected an integer; got 2.5``.  Every other rule stays with its owner:
+a stored model is valid exactly when it can be sampled over its schema,
+so :class:`~repro.core.noisy_conditionals.NoisyModel` checks the
+network, the sampling plan (:func:`repro.core.sampler.check_model`) the
+schema, and this module only the rule no fit needs, that every
+conditional row sums to 1.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,11 +46,6 @@ FORMAT_VERSION = 1
 #: (distribution learning normalizes exactly; JSON round-trips floats
 #: bit-exactly, so real drift here means the file was edited or damaged).
 ROW_SUM_TOLERANCE = 1e-6
-
-#: What parsing a damaged JSON entry raises: a missing key, a value of the
-#: wrong JSON type, a number too large for an int64 array, or a value a
-#: constructor refuses.
-_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
@@ -79,75 +83,136 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         os.close(directory)
 
 
-def _taxonomy_to_dict(taxonomy: TaxonomyTree) -> dict:
-    levels = []
-    for level in range(1, taxonomy.height):
-        # Recover the per-level parent arrays from the leaf maps.
-        below = taxonomy.leaf_to_level(level - 1)
-        here = taxonomy.leaf_to_level(level)
-        size_below = taxonomy.level_size(level - 1)
-        parents = [0] * size_below
-        for leaf in range(taxonomy.leaf_count):
-            parents[int(below[leaf])] = int(here[leaf])
-        levels.append(
-            {"parents": parents, "labels": list(taxonomy.level_labels(level))}
-        )
-    return {"leaves": list(taxonomy.level_labels(0)), "levels": levels}
+def read_document(path: PathLike, kind: str) -> "Node":
+    """The root :class:`Node` of the JSON document ``<kind> <path>``;
+    refuses a file that is not valid JSON (e.g. a truncated write)."""
+    source = f"{kind} {path}"
+    try:
+        return Node(json.loads(Path(path).read_bytes()), source)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(
+            f"{source}: not valid JSON (truncated or corrupt write?): {exc}"
+        ) from exc
 
 
-def _taxonomy_from_dict(data: dict) -> TaxonomyTree:
-    return TaxonomyTree(
-        data["leaves"],
-        [(lvl["parents"], lvl["labels"]) for lvl in data["levels"]],
-    )
+class Node:
+    """One value of a JSON document, at its JSON path.  Each accessor
+    returns the value unconverted or raises a ValueError naming the
+    document and the path."""
+
+    __slots__ = ("value", "source", "_parent", "_key")
+
+    def __init__(self, value, source: str, parent=None, key=None) -> None:
+        self.value, self.source, self._parent, self._key = value, source, parent, key
+
+    @property
+    def path(self) -> str:
+        """The JSON path, e.g. ``conditionals[3].child_size``."""
+        if self._parent is None:
+            return ""
+        key, above = self._key, self._parent.path
+        if isinstance(key, int) or not key.isidentifier():
+            return f"{above}[{key!r}]"
+        return f"{above}.{key}" if above else key
+
+    def error(self, problem: str) -> ValueError:
+        where = f"{self.source}: {self.path}" if self.path else self.source
+        return ValueError(f"{where}: {problem}")
+
+    def _expected(self, what: str) -> ValueError:
+        got = {dict: "an object", list: "a list"}.get(type(self.value))
+        return self.error(f"expected {what}; got {got or repr(self.value)}")
+
+    def call(self, owner, *args, **kwargs):
+        """``owner(*args, **kwargs)``, the owner of a rule given checked
+        values, with this path named in any ValueError it raises."""
+        try:
+            return owner(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
+
+    def integer(self) -> int:
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
+            raise self._expected("an integer")
+        return self.value
+
+    def string(self) -> str:
+        if not isinstance(self.value, str):
+            raise self._expected("a string")
+        return self.value
+
+    def number(self) -> Union[int, float]:
+        """An int or a float, and no int past the float range: the
+        program holds every such number as a float."""
+        value = self.value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise self._expected("a number")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise self._expected("a number in the float range")
+        return value
+
+    def items(self, length: Optional[int] = None) -> List["Node"]:
+        """The elements of a list (of exactly ``length``, if given)."""
+        if not isinstance(self.value, list) or length not in (None, len(self.value)):
+            raise self._expected("a list" + (f" of {length}" if length else ""))
+        return [
+            Node(item, self.source, self, index)
+            for index, item in enumerate(self.value)
+        ]
+
+    def each(self, read) -> list:
+        """``read(element)`` for each element of a list."""
+        return [read(item) for item in self.items()]
+
+    def members(self) -> Dict[str, "Node"]:
+        """The members of an object, by key."""
+        if not isinstance(self.value, dict):
+            raise self._expected("an object")
+        return {
+            key: Node(item, self.source, self, key)
+            for key, item in self.value.items()
+        }
+
+    def fields(self, *keys: str, optional=()) -> Dict[str, "Node"]:
+        """:meth:`members`, which must hold every one of ``keys`` and no
+        key outside ``keys`` and ``optional``."""
+        members = self.members()
+        for key in keys:
+            if key not in members:
+                raise self.error(f"missing key {key!r}")
+        for key in members:
+            if key not in keys and key not in optional:
+                raise self.error(f"unknown key {key!r}")
+        return members
+
+    def document(self, version_key: str, version: int, *keys: str):
+        """:meth:`fields` of a document whose ``version_key`` is ``version``."""
+        fields = self.fields(version_key, *keys)
+        found = fields[version_key]
+        if found.value != version or type(found.value) is not int:
+            raise found.error(f"unsupported version {found.value!r}")
+        return fields
+
+
+def read_charges(node: Node) -> List[Tuple[str, Union[int, float]]]:
+    """The ``[[label, ε], ...]`` of a registry entry or a ledger."""
+    return [
+        (label.string(), amount.number())
+        for label, amount in (charge.items(2) for charge in node.items())
+    ]
 
 
 def _attribute_to_dict(attr: Attribute) -> dict:
-    out = {
-        "name": attr.name,
-        "values": list(attr.values),
-        "kind": attr.kind.value,
-    }
+    out = {"name": attr.name, "values": list(attr.values), "kind": attr.kind.value}
     if attr.taxonomy is not None:
-        out["taxonomy"] = _taxonomy_to_dict(attr.taxonomy)
+        out["taxonomy"] = {
+            "leaves": list(attr.taxonomy.level_labels(0)),
+            "levels": [
+                {"parents": parents.tolist(), "labels": list(labels)}
+                for parents, labels in attr.taxonomy.levels
+            ],
+        }
     return out
-
-
-def _malformed(section: str, key: str, entry, index: int, exc) -> ValueError:
-    """A ValueError naming the entry (by its ``key`` field, else its index)
-    and what was wrong with it."""
-    name = entry.get(key) if isinstance(entry, dict) else None
-    label = repr(name) if isinstance(name, str) else f"#{index}"
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"{section} {label}: malformed entry ({detail})")
-
-
-def _attribute_from_entry(entry: dict, index: int) -> Attribute:
-    try:
-        if not isinstance(entry["name"], str):
-            raise TypeError(f"name {entry['name']!r} is not a string")
-        taxonomy = (
-            _taxonomy_from_dict(entry["taxonomy"])
-            if "taxonomy" in entry
-            else None
-        )
-        return Attribute(
-            name=entry["name"],
-            values=tuple(entry["values"]),
-            kind=AttributeKind(entry["kind"]),
-            taxonomy=taxonomy,
-        )
-    except _MALFORMED as exc:
-        raise _malformed("attribute", "name", entry, index, exc) from exc
-
-
-def _pair_from_entry(entry: dict, index: int) -> APPair:
-    try:
-        if not isinstance(entry["child"], str):
-            raise TypeError(f"child {entry['child']!r} is not a string")
-        return APPair.make(entry["child"], [tuple(p) for p in entry["parents"]])
-    except _MALFORMED as exc:
-        raise _malformed("network pair", "child", entry, index, exc) from exc
 
 
 def model_to_dict(model: NoisyModel, attributes) -> dict:
@@ -172,78 +237,88 @@ def model_to_dict(model: NoisyModel, attributes) -> dict:
     }
 
 
-def _conditional_from_entry(entry: dict, index: int) -> ConditionalTable:
-    """Deserialize one conditional, naming it in every error."""
-    try:
-        child = str(entry["child"])
-        parents = tuple(
-            (str(pname), int(level)) for pname, level in entry["parents"]
-        )
-        parent_sizes = tuple(int(s) for s in entry["parent_sizes"])
-        child_size = int(entry["child_size"])
-        matrix = np.asarray(entry["matrix"], dtype=float)
-    except _MALFORMED as exc:
-        raise _malformed("conditional", "child", entry, index, exc) from exc
-    return ConditionalTable(
-        child=child,
-        parents=parents,
-        parent_sizes=parent_sizes,
-        child_size=child_size,
-        matrix=matrix,
+def _taxonomy(node: Node) -> TaxonomyTree:
+    fields = node.fields("leaves", "levels")
+    return node.call(
+        TaxonomyTree,
+        fields["leaves"].each(Node.string),
+        fields["levels"].each(_taxonomy_level),
     )
+
+
+def _taxonomy_level(node: Node):
+    fields = node.fields("parents", "labels")
+    return fields["parents"].each(Node.integer), fields["labels"].each(Node.string)
+
+
+def _attribute(node: Node) -> Attribute:
+    fields = node.fields("name", "values", "kind", optional=("taxonomy",))
+    kind, taxonomy = fields["kind"], fields.get("taxonomy")
+    return node.call(
+        Attribute,
+        name=fields["name"].string(),
+        values=tuple(fields["values"].each(Node.string)),
+        kind=kind.call(AttributeKind, kind.string()),
+        taxonomy=None if taxonomy is None else _taxonomy(taxonomy),
+    )
+
+
+def _parent(node: Node) -> Tuple[str, int]:
+    name, level = node.items(2)
+    return name.string(), level.integer()
+
+
+def _pair(node: Node) -> APPair:
+    fields = node.fields("child", "parents")
+    child, parents = fields["child"].string(), fields["parents"].each(_parent)
+    return node.call(APPair.make, child, parents)
+
+
+def _conditional(node: Node) -> ConditionalTable:
+    fields = node.fields("child", "parents", "parent_sizes", "child_size", "matrix")
+    return node.call(
+        ConditionalTable,
+        child=fields["child"].string(),
+        parents=tuple(fields["parents"].each(_parent)),
+        parent_sizes=tuple(fields["parent_sizes"].each(Node.integer)),
+        child_size=fields["child_size"].integer(),
+        matrix=fields["matrix"].each(lambda row: row.each(Node.number)),
+    )
+
+
+def read_model(node: Node):
+    """The ``(model, attributes)`` of the model document at ``node``; see
+    :func:`model_from_dict`."""
+    fields = node.document(
+        "format_version", FORMAT_VERSION, "attributes", "network", "conditionals"
+    )
+    attributes = fields["attributes"].each(_attribute)
+    network = fields["network"].call(BayesianNetwork, fields["network"].each(_pair))
+    entries = fields["conditionals"].items()
+    conditionals = tuple(_conditional(entry) for entry in entries)
+    model = node.call(NoisyModel, network=network, conditionals=conditionals)
+    node.call(check_model, model, attributes)
+    for entry, conditional in zip(entries, conditionals):
+        row_sums = conditional.matrix.sum(axis=1)
+        off = np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE
+        if off.any():
+            row = int(np.argmax(off))
+            raise entry.error(
+                f"conditional {conditional.child!r}: row {row} sums to "
+                f"{row_sums[row]:.6g}, not 1 — not a probability distribution"
+            )
+    return model, attributes
 
 
 def model_from_dict(data: dict):
     """Inverse of :func:`model_to_dict`; returns (model, attributes).
 
     Refuses a document whose model could not be sampled over its schema
-    with a :class:`ValueError` naming the bad entry, so a damaged registry
-    entry fails at load, not at its first draw.  Each rule has one owner:
-    parsing is checked here; a conditional's shape, sizes and entries by
-    ``ConditionalTable``; one conditional per network pair, with its
-    parents, by :class:`NoisyModel`; the schema (attributes placed once
-    each, child and parent domain sizes) by the sampling plan, which
-    :func:`~repro.core.sampler.check_model` leaves cached on the model;
-    and last, here, that every row sums to 1, which no fit needs.
+    with a :class:`ValueError` naming the bad entry by its JSON path, so
+    a damaged registry entry fails at load, not at its first draw.  The
+    checked sampling plan stays cached on the model.
     """
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"model document must be a JSON object; got {type(data).__name__}"
-        )
-    version = data.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    for section in ("attributes", "network", "conditionals"):
-        if section not in data:
-            raise ValueError(f"model document is missing section {section!r}")
-        if not isinstance(data[section], list):
-            raise ValueError(f"model document section {section!r} is not a list")
-    attributes = [
-        _attribute_from_entry(entry, index)
-        for index, entry in enumerate(data["attributes"])
-    ]
-    network = BayesianNetwork(
-        [
-            _pair_from_entry(entry, index)
-            for index, entry in enumerate(data["network"])
-        ]
-    )
-    conditionals = tuple(
-        _conditional_from_entry(entry, index)
-        for index, entry in enumerate(data["conditionals"])
-    )
-    model = NoisyModel(network=network, conditionals=conditionals)
-    check_model(model, attributes)
-    for conditional in conditionals:
-        row_sums = conditional.matrix.sum(axis=1)
-        off = np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE
-        if off.any():
-            row = int(np.argmax(off))
-            raise ValueError(
-                f"conditional {conditional.child!r}: row {row} sums to "
-                f"{row_sums[row]:.6g}, not 1 — not a probability distribution"
-            )
-    return model, attributes
+    return read_model(Node(data, "model document"))
 
 
 def save_model(model: NoisyModel, attributes, path: PathLike) -> None:
@@ -258,21 +333,6 @@ def save_model(model: NoisyModel, attributes, path: PathLike) -> None:
 
 def load_model(path: PathLike):
     """Load a model saved by :func:`save_model`; returns (model, attrs).
-
-    Raises :class:`ValueError` naming the file for documents that are not
-    valid JSON (e.g. a truncated write from the historical non-atomic
-    path) and for structurally invalid models (see
-    :func:`model_from_dict`).
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"model file {path} is not valid JSON (truncated or corrupt "
-            f"write?): {exc}"
-        ) from exc
-    try:
-        return model_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"model file {path}: {exc}") from exc
+    Refuses a file that is not valid JSON or not a valid model (see
+    :func:`model_from_dict`) with a :class:`ValueError` naming it."""
+    return read_model(read_document(path, "model file"))

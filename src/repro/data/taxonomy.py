@@ -44,18 +44,19 @@ class TaxonomyTree:
         self._labels: List[Tuple[str, ...]] = [self._leaf_labels]
         prev_size = len(self._leaf_labels)
         for parents, labels in levels:
-            parents = np.asarray(parents, dtype=np.int64)
             labels = tuple(labels)
-            if parents.shape != (prev_size,):
+            if len(parents) != prev_size:
                 raise ValueError(
-                    f"level parent array has shape {parents.shape}, "
+                    f"level parent array has shape ({len(parents)},), "
                     f"expected ({prev_size},)"
                 )
             if len(labels) >= prev_size:
                 raise ValueError("each taxonomy level must be strictly smaller")
-            if set(parents.tolist()) != set(range(len(labels))):
+            # Checked before the int64 conversion, which an index past
+            # its range would overflow.
+            if set(parents) != set(range(len(labels))):
                 raise ValueError("parent assignment must cover every group")
-            self._parents.append(parents)
+            self._parents.append(np.asarray(parents, dtype=np.int64))
             self._labels.append(labels)
             prev_size = len(labels)
 
@@ -78,6 +79,12 @@ class TaxonomyTree:
     def level_labels(self, level: int) -> Tuple[str, ...]:
         self._check_level(level)
         return self._labels[level]
+
+    @property
+    def levels(self) -> List[Tuple[np.ndarray, Tuple[str, ...]]]:
+        """The ``(parents, labels)`` of each level above the leaves, as
+        the constructor takes them."""
+        return list(zip(self._parents, self._labels[1:]))
 
     def leaf_to_level(self, level: int) -> np.ndarray:
         """Map each leaf code to its group code at ``level``."""

@@ -34,19 +34,9 @@ import json
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (
-    Callable,
-    ContextManager,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.serialize import atomic_write_text
+from repro.core.serialize import atomic_write_text, read_charges, read_document
 from repro.dp.accountant import PrivacyAccountant
 
 PathLike = Union[str, Path]
@@ -70,17 +60,10 @@ class _PersistentAccountant(PrivacyAccountant):
     """
 
     def __init__(
-        self,
-        total_epsilon: float,
-        entries: Sequence[Tuple[str, float]],
-        transaction: Callable[[], ContextManager[None]],
-        persist_locked: Callable[[], None],
+        self, total_epsilon: float, entries: Sequence[Tuple[str, float]], owner
     ) -> None:
-        super().__init__(
-            total_epsilon, [(str(label), amount) for label, amount in entries]
-        )
-        self._transaction = transaction
-        self._persist_locked = persist_locked
+        super().__init__(total_epsilon, entries)
+        self._owner = owner
 
     def _take(self, other: PrivacyAccountant) -> None:
         """Take the budget and charges of ``other``, read from the file."""
@@ -90,10 +73,10 @@ class _PersistentAccountant(PrivacyAccountant):
             self._spent = other._spent
 
     def spend(self, label: str, epsilon: float) -> float:
-        with self._transaction():
+        with self._owner._transaction():
             granted = PrivacyAccountant.spend(self, label, epsilon)
             try:
-                self._persist_locked()
+                self._owner._persist_locked()
             except BaseException:
                 # The grant never became durable and no data was touched
                 # under it (the caller has not seen it yet): unwind.
@@ -182,9 +165,7 @@ class DatasetLedger:
                     f"dataset {dataset!r} is not in the ledger; pass "
                     "total_epsilon to register it"
                 )
-            account = _PersistentAccountant(
-                total_epsilon, [], self._transaction, self._persist_locked
-            )
+            account = _PersistentAccountant(total_epsilon, [], self)
             self._accountants[dataset] = account
             try:
                 self._persist_locked()
@@ -221,50 +202,21 @@ class DatasetLedger:
         it) and takes the file's budget and charges; a dataset held only
         in memory is kept, so its charges are written back, never lost.
         """
-        try:
-            doc = json.loads(self._path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"ledger file {self._path} is not valid JSON (truncated "
-                f"or corrupt write?): {exc}"
-            ) from exc
-        if not isinstance(doc, dict):
-            raise ValueError(
-                f"ledger file {self._path} is not a JSON object; got "
-                f"{type(doc).__name__}"
-            )
-        version = doc.get("format_version")
-        if type(version) is not int or version != LEDGER_FORMAT_VERSION:
-            raise ValueError(
-                f"ledger file {self._path}: unsupported format version "
-                f"{version!r}"
-            )
-        datasets = doc.get("datasets")
-        if not isinstance(datasets, dict):
-            raise ValueError(
-                f"ledger file {self._path}: missing 'datasets' mapping"
-            )
+        datasets = read_document(self._path, "ledger file").document(
+            "format_version", LEDGER_FORMAT_VERSION, "datasets"
+        )["datasets"]
         loaded = {}
-        for name in sorted(datasets):
-            entry = datasets[name]
-            try:
-                account = _PersistentAccountant(
-                    entry["total_epsilon"],
-                    entry["ledger"],
-                    self._transaction,
-                    self._persist_locked,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"ledger file {self._path}: dataset {name!r} entry is "
-                    f"malformed ({exc})"
-                ) from exc
+        for name, entry in sorted(datasets.members().items()):
+            fields = entry.fields("total_epsilon", "ledger")
+            account = entry.call(
+                _PersistentAccountant, fields["total_epsilon"].number(),
+                read_charges(fields["ledger"]), self,
+            )
             if account.remaining < -_REPLAY_TOLERANCE:
-                raise ValueError(
-                    f"ledger file {self._path}: dataset {name!r} records "
-                    f"ε spend {account.spent:g} exceeding its total "
-                    f"budget {account.total_epsilon:g} — refusing a "
-                    "ledger the accountant could not have written"
+                raise entry.error(
+                    f"records ε spend {account.spent:g} exceeding its total "
+                    f"budget {account.total_epsilon:g} — refusing a ledger "
+                    "the accountant could not have written"
                 )
             loaded[name] = account
         for name, account in loaded.items():

@@ -17,21 +17,25 @@ import json
 import re
 import threading
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.privbayes import PrivBayesConfig, PrivBayesModel
 from repro.core.serialize import (
+    PathLike,
     atomic_write_text,
-    model_from_dict,
     model_to_dict,
+    read_charges,
+    read_document,
+    read_model,
 )
 from repro.dp.accountant import PrivacyAccountant
 
-PathLike = Union[str, Path]
-
 REGISTRY_FORMAT_VERSION = 1
+
+#: An entry's ``config`` holds every field, as ``asdict`` writes it.
+_CONFIG_FIELDS = tuple(field.name for field in fields(PrivBayesConfig))
 
 _SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -74,7 +78,7 @@ class ModelRegistry:
         Directory for the persisted entries.  ``None`` keeps the registry
         purely in-memory; otherwise every ``put`` writes one atomic JSON
         document per ``(dataset, config)`` and construction reloads —
-        and re-validates, via :func:`~repro.core.serialize.model_from_dict`
+        and re-validates, through :func:`~repro.core.serialize.read_document`
         — every ``*.json`` under the root.
     """
 
@@ -133,48 +137,26 @@ class ModelRegistry:
 
     @staticmethod
     def _load_entry(path: Path) -> Tuple[str, PrivBayesModel]:
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"registry entry {path} is not valid JSON (truncated or "
-                f"corrupt write?): {exc}"
-            ) from exc
-        if not isinstance(doc, dict):
-            raise ValueError(
-                f"registry entry {path} is not a JSON object; got "
-                f"{type(doc).__name__}"
-            )
-        version = doc.get("registry_version")
-        if type(version) is not int or version != REGISTRY_FORMAT_VERSION:
-            raise ValueError(
-                f"registry entry {path}: unsupported registry version "
-                f"{version!r}"
-            )
-        try:
-            dataset = str(doc["dataset"])
-            config = PrivBayesConfig(**doc["config"])
-            source_n = int(doc["source_n"])
-            k = None if doc.get("k") is None else int(doc["k"])
-            accountant = PrivacyAccountant(
-                config.epsilon,
-                [(str(label), amount) for label, amount in doc["ledger"]],
-            )
-            model_doc = doc["model"]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"registry entry {path}: malformed document ({exc})"
-            ) from exc
-        try:
-            noisy, attributes = model_from_dict(model_doc)
-        except ValueError as exc:
-            raise ValueError(f"registry entry {path}: {exc}") from exc
-        model = PrivBayesModel(
+        entry = read_document(path, "registry entry").document(
+            "registry_version", REGISTRY_FORMAT_VERSION,
+            "dataset", "config", "source_n", "k", "ledger", "model",
+        )
+        settings, k, ledger = entry["config"], entry["k"], entry["ledger"]
+        config = settings.call(
+            PrivBayesConfig,
+            **{
+                name: field.value
+                for name, field in settings.fields(*_CONFIG_FIELDS).items()
+            },
+        )
+        noisy, attributes = read_model(entry["model"])
+        return entry["dataset"].string(), PrivBayesModel(
             noisy=noisy,
             table_attributes=tuple(attributes),
-            source_n=source_n,
+            source_n=entry["source_n"].integer(),
             config=config,
-            accountant=accountant,
-            k=k,
+            accountant=ledger.call(
+                PrivacyAccountant, config.epsilon, read_charges(ledger)
+            ),
+            k=None if k.value is None else k.integer(),
         )
-        return dataset, model

@@ -95,7 +95,9 @@ class TestRoundTrip:
         data = model_to_dict(model.noisy, table.attributes)
         data["format_version"] = version
         with pytest.raises(
-            ValueError, match=f"unsupported model format version {version!r}"
+            ValueError,
+            match=f"model document: format_version: unsupported version "
+            f"{version!r}",
         ):
             model_from_dict(data)
 
@@ -205,7 +207,8 @@ class TestLoadValidation:
         entry["matrix"] = [row[:-1] for row in entry["matrix"][:1]] + entry[
             "matrix"
         ][1:]
-        with pytest.raises(ValueError, match=entry["child"]):
+        last = len(doc["conditionals"]) - 1
+        with pytest.raises(ValueError, match=rf"conditionals\[{last}\]: "):
             model_from_dict(doc)
 
     def test_non_finite_entries(self, doc):
@@ -257,7 +260,7 @@ class TestLoadValidation:
 
     def test_missing_section(self, doc):
         del doc["conditionals"]
-        with pytest.raises(ValueError, match="missing section"):
+        with pytest.raises(ValueError, match="missing key 'conditionals'"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -265,37 +268,37 @@ class TestLoadValidation:
         [
             (
                 lambda d: d["attributes"][1].pop("kind"),
-                r"attribute '\w+': malformed entry \(missing key 'kind'\)",
+                r"attributes\[1\]: missing key 'kind'",
             ),
             (
                 lambda d: d["network"][0].pop("child"),
-                r"network pair #0: malformed entry \(missing key 'child'\)",
+                r"network\[0\]: missing key 'child'",
             ),
             (
                 lambda d: d["attributes"][0].__setitem__("values", 5),
-                r"attribute '\w+': malformed entry",
+                r"attributes\[0\]\.values: expected a list; got 5",
             ),
             (
                 lambda d: d.__setitem__("network", [None]),
-                r"network pair #0: malformed entry",
+                r"network\[0\]: expected an object; got None",
             ),
             (
                 lambda d: d["attributes"][0].__setitem__(
                     "taxonomy", {"leaves": 1}
                 ),
-                r"attribute '\w+': malformed entry",
+                r"attributes\[0\]\.taxonomy: missing key 'levels'",
             ),
             (
                 lambda d: d.__setitem__("network", 5),
-                r"section 'network' is not a list",
+                r"network: expected a list; got 5",
             ),
             (
                 lambda d: d["attributes"][0].__setitem__("name", [1, 2]),
-                r"attribute #0: malformed entry \(name \[1, 2\] is not a string\)",
+                r"attributes\[0\]\.name: expected a string; got a list",
             ),
             (
                 lambda d: d["network"][0].__setitem__("child", 2.5),
-                r"network pair #0: malformed entry \(child 2.5 is not a string\)",
+                r"network\[0\]\.child: expected a string; got 2\.5",
             ),
         ],
         ids=[
@@ -320,7 +323,7 @@ class TestLoadValidation:
         path = tmp_path / "model.json"
         path.write_text(json.dumps([doc]))
         with pytest.raises(
-            ValueError, match="model.json: model document must be a JSON object"
+            ValueError, match="model.json: expected an object; got a list"
         ):
             load_model(path)
 
@@ -354,11 +357,28 @@ class TestLoadValidation:
 
     def test_taxonomy_index_too_large_refused_naming_file(self, doc, tmp_path):
         """A taxonomy parent index of 1e308 raised a bare OverflowError."""
-        entry = next(a for a in doc["attributes"] if "taxonomy" in a)
+        index, entry = next(
+            (i, a) for i, a in enumerate(doc["attributes"]) if "taxonomy" in a
+        )
         entry["taxonomy"]["levels"][0]["parents"][0] = 1e308
         with pytest.raises(
             ValueError,
-            match=f"model.json: attribute '{entry['name']}': malformed entry",
+            match=rf"model.json: attributes\[{index}\]\.taxonomy\.levels"
+            r"\[0\]\.parents\[0\]: expected an integer; got 1e\+308",
+        ):
+            self._load_file(doc, tmp_path)
+
+    def test_taxonomy_index_past_int64_refused_naming_file(self, doc, tmp_path):
+        """An integer index no int64 holds is refused before the taxonomy
+        converts its parent arrays, not raised as an OverflowError."""
+        index, entry = next(
+            (i, a) for i, a in enumerate(doc["attributes"]) if "taxonomy" in a
+        )
+        entry["taxonomy"]["levels"][0]["parents"][0] = 10**30
+        with pytest.raises(
+            ValueError,
+            match=rf"model.json: attributes\[{index}\]\.taxonomy: parent "
+            "assignment must cover every group",
         ):
             self._load_file(doc, tmp_path)
 
@@ -384,3 +404,141 @@ class TestLoadValidation:
     def test_good_document_still_loads(self, doc):
         model, attributes = model_from_dict(doc)
         assert len(model.conditionals) == len(attributes)
+
+
+GOLDEN_MODEL = Path(__file__).parents[1] / "golden_documents" / "model.json"
+
+
+def _by(entries, key, name):
+    """The entry of ``entries`` whose ``key`` is ``name``, and its index."""
+    return next((i, e) for i, e in enumerate(entries) if e[key] == name)
+
+
+def _conditional(doc, child):
+    index, entry = _by(doc["conditionals"], "child", child)
+    return f"conditionals\\[{index}\\]", entry
+
+
+def _attribute(doc, name):
+    index, entry = _by(doc["attributes"], "name", name)
+    return f"attributes\\[{index}\\]", entry
+
+
+def _child_size(doc):
+    where, entry = _conditional(doc, "salary")
+    entry["child_size"] = 2.5
+    return rf"{where}\.child_size: expected an integer; got 2\.5"
+
+
+def _parent_size(doc):
+    where, entry = _conditional(doc, "sex")
+    entry["parent_sizes"][0] = 2.0
+    return rf"{where}\.parent_sizes\[0\]: expected an integer; got 2\.0"
+
+
+def _string_entry(doc):
+    where, entry = _conditional(doc, "race")
+    entry["matrix"][0][1] = repr(entry["matrix"][0][1])
+    return rf"{where}\.matrix\[0\]\[1\]: expected a number; got '0\."
+
+
+def _boolean_row(doc):
+    where, entry = _conditional(doc, "salary")
+    entry["matrix"][0] = [True, False]
+    return rf"{where}\.matrix\[0\]\[0\]: expected a number; got True"
+
+
+def _list_label(doc):
+    where, entry = _attribute(doc, "workclass")
+    entry["taxonomy"]["levels"][0]["labels"][0] = ["x"]
+    return (
+        rf"{where}\.taxonomy\.levels\[0\]\.labels\[0\]: expected a string; "
+        "got a list"
+    )
+
+
+def _string_parent(doc):
+    where, entry = _attribute(doc, "workclass")
+    parents = entry["taxonomy"]["levels"][0]["parents"]
+    parents[0] = str(parents[0])
+    return (
+        rf"{where}\.taxonomy\.levels\[0\]\.parents\[0\]: expected an "
+        f"integer; got '{parents[0]}'"
+    )
+
+
+def _fractional_parent(doc):
+    where, entry = _attribute(doc, "workclass")
+    parents = entry["taxonomy"]["levels"][0]["parents"]
+    parents[0] += 0.5
+    return (
+        rf"{where}\.taxonomy\.levels\[0\]\.parents\[0\]: expected an "
+        rf"integer; got {int(parents[0])}\.5"
+    )
+
+
+def _string_levels(doc):
+    where, entry = _attribute(doc, "age")
+    entry["taxonomy"]["levels"] = ""
+    return rf"{where}\.taxonomy\.levels: expected a list; got ''"
+
+
+def _integer_value(doc):
+    where, entry = _attribute(doc, "race")
+    entry["values"][0] = 7
+    return rf"{where}\.values\[0\]: expected a string; got 7"
+
+
+class TestNoCoercion:
+    """Each of these damaged model files used to load as something else
+    (an ``int()`` of 2.5 or of ``"1"``, a float of ``"0.3"`` or of
+    ``true``, no taxonomy levels for ``""``); each is now refused naming
+    the file and the JSON path."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _child_size, _parent_size, _string_entry, _boolean_row,
+            _list_label, _string_parent, _fractional_parent, _string_levels,
+            _integer_value,
+        ],
+        ids=[
+            "child-size", "parent-size", "string-entry", "boolean-row",
+            "list-label", "string-parent", "fractional-parent",
+            "string-levels", "integer-value",
+        ],
+    )
+    def test_refused_naming_file_and_path(self, tmp_path, damage):
+        doc = json.loads(GOLDEN_MODEL.read_text())
+        where = damage(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model file .*model.json: {where}"):
+            load_model(path)
+
+
+class TestParentLevels:
+    """A parent level the parent does not have is named by the
+    conditional and the parent, as a parent radix is (it was the
+    taxonomy's bare ``level 9 out of range [0, 4)``, or ``attribute
+    'relationship' has no taxonomy``)."""
+
+    @pytest.mark.parametrize(
+        "parent, levels",
+        [(["education_num", 9], r"\[0, 4\)"), (["relationship", 1], r"\[0, 1\)")],
+        ids=["above-the-taxonomy", "without-a-taxonomy"],
+    )
+    def test_refused_naming_conditional_and_parent(self, tmp_path, parent, levels):
+        doc = json.loads(GOLDEN_MODEL.read_text())
+        _, pair = _by(doc["network"], "child", "sex")
+        _, conditional = _by(doc["conditionals"], "child", "sex")
+        pair["parents"] = conditional["parents"] = [parent]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        name, level = parent
+        with pytest.raises(
+            ValueError,
+            match=f"model.json: conditional for 'sex' gives parent '{name}' "
+            f"level {level}, but its levels are {levels}",
+        ):
+            load_model(path)

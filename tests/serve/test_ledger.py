@@ -273,8 +273,8 @@ class TestAcrossProcesses:
                         },
                     }
                 ),
-                r"malformed \(replayed charge 'x' must be a finite positive "
-                r"number; got nan\)",
+                r"ledger.json: datasets\.adult: replayed charge 'x' must be a "
+                r"finite positive number; got nan",
             ),
             (
                 json.dumps(
@@ -288,39 +288,49 @@ class TestAcrossProcesses:
                         },
                     }
                 ),
-                r"malformed \(total_epsilon must be a finite positive "
-                r"number; got nan\)",
+                r"ledger.json: datasets\.adult: total_epsilon must be a "
+                r"finite positive number; got nan",
             ),
-            ("[]", "ledger.json is not a JSON object; got list"),
+            ("[]", "ledger.json: expected an object; got a list"),
             (
                 _ledger_text(1.0, [], version=True),
-                "unsupported format version True",
+                "ledger.json: format_version: unsupported version True",
             ),
             (
                 _ledger_text("1.0", []),
-                r"malformed \(total_epsilon must be a finite positive "
-                r"number; got '1.0'\)",
+                r"ledger.json: datasets\.adult\.total_epsilon: expected a "
+                r"number; got '1.0'",
             ),
             (
                 _ledger_text(1.0, [["x", "0.5"]]),
-                r"malformed \(replayed charge 'x' must be a finite positive "
-                r"number; got '0.5'\)",
+                r"ledger.json: datasets\.adult\.ledger\[0\]\[1\]: expected "
+                r"a number; got '0.5'",
             ),
             (
                 _ledger_text(1.0, [["x", True]]),
-                r"malformed \(replayed charge 'x' must be a finite positive "
-                r"number; got True\)",
+                r"ledger.json: datasets\.adult\.ledger\[0\]\[1\]: expected "
+                r"a number; got True",
             ),
             (
                 _ledger_text(10**400, []),
-                r"malformed \(total_epsilon must be a finite positive "
-                r"number; got 1000",
+                r"ledger.json: datasets\.adult\.total_epsilon: expected a "
+                r"number in the float range; got 1000",
+            ),
+            (
+                _ledger_text(1.0, [[5, 0.5]]),
+                r"ledger.json: datasets\.adult\.ledger\[0\]\[0\]: expected "
+                r"a string; got 5",
+            ),
+            (
+                _ledger_text(1.0, [[None, 0.5]]),
+                r"ledger.json: datasets\.adult\.ledger\[0\]\[0\]: expected "
+                r"a string; got None",
             ),
         ],
         ids=[
             "corrupt", "overdrawn", "nan-charge", "nan-budget", "list",
             "bool-version", "string-budget", "string-charge", "bool-charge",
-            "budget-past-float-range",
+            "budget-past-float-range", "integer-label", "null-label",
         ],
     )
     def test_bad_file_refused_before_any_grant(self, tmp_path, text, message):

@@ -124,8 +124,7 @@ class TestWarmRestart:
         entry.write_text(json.dumps(doc))
         with pytest.raises(
             ValueError,
-            match=f"{entry.name}: network pair #0: malformed entry "
-            r"\(missing key 'child'\)",
+            match=rf"{entry.name}: model\.network\[0\]: missing key 'child'",
         ):
             ModelRegistry(tmp_path)
 
@@ -136,7 +135,9 @@ class TestWarmRestart:
         registry.put("demo", fitted)
         entry = next(tmp_path.glob("*.json"))
         entry.write_text(json.dumps([json.loads(entry.read_text())]))
-        with pytest.raises(ValueError, match=f"{entry.name} is not a JSON object"):
+        with pytest.raises(
+            ValueError, match=f"{entry.name}: expected an object; got a list"
+        ):
             ModelRegistry(tmp_path)
 
     @pytest.mark.parametrize(
@@ -169,33 +170,59 @@ class TestWarmRestart:
             ),
             (
                 lambda d: d["ledger"][0].__setitem__(1, "0.3"),
-                "must be a finite positive number; got '0.3'",
+                r"ledger\[0\]\[1\]: expected a number; got '0.3'",
             ),
             (
                 lambda d: d.__setitem__("registry_version", True),
-                "unsupported registry version True",
+                "registry_version: unsupported version True",
             ),
             (
                 lambda d: d["model"].__setitem__("format_version", True),
-                "unsupported model format version True",
+                r"model\.format_version: unsupported version True",
             ),
-            (lambda d: d.__setitem__("k", []), "malformed document"),
+            (
+                lambda d: d.__setitem__("k", []),
+                "k: expected an integer; got a list",
+            ),
             (
                 lambda d: d.__setitem__("source_n", float("inf")),
-                "malformed document",
+                "source_n: expected an integer; got inf",
+            ),
+            (
+                lambda d: d.__setitem__("source_n", True),
+                "source_n: expected an integer; got True",
+            ),
+            (
+                lambda d: d.__setitem__("k", "3"),
+                "k: expected an integer; got '3'",
+            ),
+            (
+                lambda d: d.__setitem__("dataset", 5),
+                "dataset: expected a string; got 5",
+            ),
+            (
+                lambda d: d["ledger"][0].__setitem__(0, 5),
+                r"ledger\[0\]\[0\]: expected a string; got 5",
+            ),
+            (
+                lambda d: d["config"].__setitem__("k", "3"),
+                "config: k must be an integer; got '3'",
             ),
         ],
         ids=[
             "unplaced-attribute", "repeated-attribute", "object-first",
             "list-switch", "bool-epsilon", "string-charge", "bool-version",
             "bool-model-version", "list-k", "infinite-source-n",
+            "bool-source-n", "string-k", "integer-dataset", "integer-label",
+            "string-config-k",
         ],
     )
     def test_entry_refused_naming_file(
         self, tmp_path, fitted, damage, message
     ):
-        """Each of these used to load (and a draw from the first two then
-        failed), or raised a bare TypeError."""
+        """Each of these used to load (the first two then failed at every
+        draw; the last five loaded converted by ``int()`` or ``str()``), or
+        raised a bare TypeError."""
         ModelRegistry(tmp_path).put("demo", fitted)
         entry = next(tmp_path.glob("*.json"))
         doc = json.loads(entry.read_text())
@@ -214,15 +241,17 @@ class TestWarmRestart:
         ModelRegistry(tmp_path).put("mixed", fitted)
         entry = next(tmp_path.glob("*.json"))
         doc = json.loads(entry.read_text())
-        attribute = next(
-            a for a in doc["model"]["attributes"] if "taxonomy" in a
+        index, attribute = next(
+            (i, a)
+            for i, a in enumerate(doc["model"]["attributes"])
+            if "taxonomy" in a
         )
         attribute["taxonomy"]["levels"][0]["parents"][0] = 1e308
         entry.write_text(json.dumps(doc))
         with pytest.raises(
             ValueError,
-            match=f"{entry.name}: attribute '{attribute['name']}': "
-            "malformed entry",
+            match=rf"{entry.name}: model\.attributes\[{index}\]\.taxonomy"
+            r"\.levels\[0\]\.parents\[0\]: expected an integer",
         ):
             ModelRegistry(tmp_path)
 

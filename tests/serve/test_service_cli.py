@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.privbayes import PrivBayesConfig
 from repro.data.io import write_csv
-from repro.datasets import load_adult
+from repro.datasets import load_adult, load_nltcs
 from repro.datasets.synthetic import random_binary_table
 from repro.dp.accountant import PrivacyBudgetError
 from repro.serve.__main__ import main as serve_main
@@ -220,6 +220,41 @@ class TestRefusedConfigReservesNothing:
             with SynthesisService(root) as reopened:
                 assert reopened.ledger.accountant("adult").ledger == []
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", 2.0, "k must be an integer; got 2.0"),
+            ("k", True, "k must be an integer; got True"),
+            ("k", "3", "k must be an integer; got '3'"),
+            ("beta", True, "beta must be a real number; got True"),
+            ("beta", "0.3", "beta must be a real number; got '0.3'"),
+            ("theta", True, "theta must be a real number; got True"),
+            ("theta", "4", "theta must be a real number; got '4'"),
+        ],
+        ids=[
+            "float-k", "bool-k", "string-k", "bool-beta", "string-beta",
+            "bool-theta", "string-theta",
+        ],
+    )
+    def test_mistyped_field_refused_before_any_charge(
+        self, field, value, message
+    ):
+        """A float or boolean k used to be charged and then fail in the
+        first greedy round with a TypeError; theta=True fit as theta = 1;
+        a string beta or theta escaped as a bare TypeError."""
+        nltcs = load_nltcs(n=500, seed=0)
+        with SynthesisService(None) as service:
+            service.ledger.accountant("nltcs", 1.0)
+            with pytest.raises(ValueError, match=message):
+                service.fit(
+                    "nltcs",
+                    nltcs,
+                    PrivBayesConfig(epsilon=0.5, **{field: value}),
+                    dataset_budget=1.0,
+                )
+            assert service.ledger.report()["nltcs"]["spent"] == 0
+            assert len(service.registry) == 0
+
     def test_binary_F_at_k0_still_fits(self, adult):
         """With k = 0 Algorithm 2 never scores, so F on wide attributes
         is not refused."""
@@ -383,7 +418,7 @@ def _damage_registry_entry(root):
     entry = _rewrite_registry_entry(
         root, lambda doc: doc["model"]["network"][0].pop("child")
     )
-    return f"error: registry entry {entry}: network pair #0: malformed entry"
+    return f"error: registry entry {entry}: model.network[0]: missing key 'child'"
 
 
 def _damage_ledger(root):
@@ -391,7 +426,10 @@ def _damage_ledger(root):
     doc = json.loads(ledger.read_text())
     doc["datasets"]["demo"]["ledger"][0][1] = float("nan")
     ledger.write_text(json.dumps(doc))
-    return f"error: ledger file {ledger}: dataset 'demo' entry is malformed"
+    return (
+        f"error: ledger file {ledger}: datasets.demo: replayed charge "
+        "'privbayes-fit' must be a finite positive number; got nan"
+    )
 
 
 def _unplaced_attribute(root):
@@ -404,8 +442,8 @@ def _unplaced_attribute(root):
         ),
     )
     return (
-        f"error: registry entry {entry}: model's network does not place "
-        "schema attribute(s) ['extra_col']"
+        f"error: registry entry {entry}: model: model's network does not "
+        "place schema attribute(s) ['extra_col']"
     )
 
 
@@ -413,13 +451,16 @@ def _unhashable_config(root):
     entry = _rewrite_registry_entry(
         root, lambda doc: doc["config"].__setitem__("first_attribute", {})
     )
-    return f"error: registry entry {entry}: malformed document"
+    return (
+        f"error: registry entry {entry}: config: first_attribute must be an "
+        "attribute name; got {}"
+    )
 
 
 def _ledger_list(root):
     ledger = root / "ledger.json"
     ledger.write_text("[]")
-    return f"error: ledger file {ledger} is not a JSON object"
+    return f"error: ledger file {ledger}: expected an object; got a list"
 
 
 class TestBadInputFileIsOneLine:

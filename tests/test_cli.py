@@ -249,7 +249,9 @@ class TestModelPersistence:
         model_path = tmp_path / "model.json"
         save_model(model.noisy, mixed_table.attributes, model_path)
         doc = json.loads(model_path.read_text())
-        attribute = next(a for a in doc["attributes"] if "taxonomy" in a)
+        index, attribute = next(
+            (i, a) for i, a in enumerate(doc["attributes"]) if "taxonomy" in a
+        )
         attribute["taxonomy"]["levels"][0]["parents"][0] = 1e308
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "resampled.csv"
@@ -258,7 +260,7 @@ class TestModelPersistence:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(
-            f"error: model file {model_path}: attribute "
-            f"'{attribute['name']}': malformed entry"
+            f"error: model file {model_path}: attributes[{index}].taxonomy"
+            ".levels[0].parents[0]: expected an integer"
         )
         assert not out.exists()
