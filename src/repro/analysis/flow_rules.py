@@ -1191,6 +1191,92 @@ ABI_MANIFEST: Dict[int, Dict[str, Tuple[str, Tuple[str, ...]]]] = {
             ),
         ),
     },
+    4: {
+        "repro_scoref_abi_version": ("int64_t", ()),
+        "repro_score_f_batch": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "double*",
+            ),
+        ),
+        "repro_walsh_hadamard": (
+            "int",
+            ("int64_t*", "int64_t", "int64_t"),
+        ),
+        "repro_score_f_walsh": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "double*",
+            ),
+        ),
+        "repro_sample_block": (
+            "int",
+            (
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "double*",
+                "int64_t",
+                "double*",
+                "int64_t*",
+            ),
+        ),
+        "repro_csv_tokenize": (
+            "int",
+            (
+                "uint8_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "int64_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "int64_t*",
+                "int32_t*",
+                "int64_t",
+                "int64_t*",
+            ),
+        ),
+        "repro_csv_assemble": (
+            "int",
+            (
+                "int64_t*",
+                "int64_t",
+                "int64_t",
+                "int64_t*",
+                "int64_t*",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+                "uint8_t*",
+                "int64_t",
+            ),
+        ),
+    },
 }
 
 _C_EXPORT = re.compile(

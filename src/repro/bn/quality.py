@@ -66,7 +66,8 @@ class ParentIndexCache:
       int64.  The full joint is counted once, in one pass over the rows
       (through :meth:`counts`, attribute ``i`` at bit ``d-1-i``), and
       transformed in place into its integer Walsh–Hadamard coefficients
-      (:func:`~repro.data.marginals.walsh_hadamard`).  A joint over a set
+      (:func:`~repro.data.marginals.walsh_hadamard`, native when the
+      kernel is loaded).  A joint over a set
       ``S`` of level-0 attributes is then the inverse transform of the
       coefficients of the subsets of ``S`` (the identity behind the
       Fourier baseline, :mod:`repro.baselines.fourier`): a gather of
@@ -88,8 +89,13 @@ class ParentIndexCache:
     ``np.bincount`` produces.  On the Walsh path, :meth:`walsh_joints` is
     the array entry point under it: ``(m, w)`` parent positions and ``m``
     child positions in, the ``(m, 2**(w+1))`` joints out, with no names
-    or per-group tuples; the greedy scorer feeds its fresh candidates to
-    it directly.  The cache keeps each generalized attribute's
+    or per-group tuples; the greedy scorer feeds its fresh ``I``/``R``
+    candidates to it directly, and its ``F`` candidates too when the
+    native kernel is not loaded.  With the kernel, ``F`` hands
+    :attr:`coefficients` and the same position arrays to the fused
+    ``score_f_walsh``, which builds each joint exactly as
+    :meth:`walsh_joints` does and scores it in C.  The cache keeps each
+    generalized attribute's
     leaf-to-level map (domain-sized, never per-row) and, on the Walsh
     path, the ``2**d`` coefficients.  One cache per source serves both
     consumers (shared through :class:`~repro.core.scoring.ScoringCache`).

@@ -45,7 +45,7 @@
 
 /* Bumped whenever the exported signatures change; checked at load time
  * so a stale cached artifact can never be driven with the wrong ABI. */
-#define REPRO_SCOREF_ABI 3
+#define REPRO_SCOREF_ABI 4
 
 int64_t repro_scoref_abi_version(void) { return REPRO_SCOREF_ABI; }
 
@@ -344,6 +344,279 @@ static double shortfall(int64_t a, int64_t b, int64_t n)
     return sa + sb;
 }
 
+/* The frontier merge's workspace, allocated once per call and shared by
+ * every candidate of it: two frontiers, the mixed cells and their prefix
+ * sums, for candidates of at most `m` parent cells. */
+typedef struct {
+    int64_t n;
+    int64_t cap;
+    int bounded;
+    buffer_t bufs[2];
+    cell_t *cells;
+    int64_t *px, *py;
+} merge_t;
+
+/* Returns 0, or 1 when an allocation failed (merge_free still applies). */
+static int merge_init(merge_t *w, int64_t m, int64_t n)
+{
+    int status = 0, i;
+    /* Masses at or above n/2 saturate the shortfall, so coordinates are
+     * capped at ceil(n/2): capping only merges states whose shortfall
+     * terms are already exactly zero (same argument as score_F_dp). */
+    w->n = n;
+    w->cap = (n + 1) / 2;
+    w->bounded = n <= BOUND_MAX_N;
+    for (i = 0; i < 2; i++) {
+        w->bufs[i].capacity = 1024;
+        w->bufs[i].a = malloc((size_t)w->bufs[i].capacity * sizeof(int64_t));
+        w->bufs[i].b = malloc((size_t)w->bufs[i].capacity * sizeof(int64_t));
+        if (w->bufs[i].a == NULL || w->bufs[i].b == NULL) {
+            status = 1;
+        }
+    }
+    w->cells = malloc((size_t)(m + 1) * sizeof(cell_t));
+    w->px = malloc((size_t)(2 * (m + 1)) * sizeof(int64_t));
+    w->py = NULL;
+    if (w->cells == NULL || w->px == NULL) {
+        status = 1;
+    } else {
+        w->py = w->px + (m + 1);
+    }
+    return status;
+}
+
+static void merge_free(merge_t *w)
+{
+    int i;
+    for (i = 0; i < 2; i++) {
+        free(w->bufs[i].a);
+        free(w->bufs[i].b);
+    }
+    free(w->cells);
+    free(w->px);
+}
+
+/* The exact F score of one candidate of `m` parent cells, cell j holding
+ * (r0[j], r1[j]) = (X=0 count, X=1 count), non-negative and summing to
+ * w->n > 0.  Returns 0, or 1 when a frontier could not grow. */
+static int score_candidate(merge_t *w, const int64_t *r0, const int64_t *r1,
+                           int64_t m, double *out)
+{
+    const int64_t n = w->n, cap = w->cap;
+    const int bounded = w->bounded;
+    buffer_t *bufs = w->bufs;
+    cell_t *cells = w->cells;
+    int64_t *px = w->px, *py = w->py;
+    int64_t base_a = 0, base_b = 0, major_a, major_b, mixed = 0;
+    int64_t incumbent, t, size, i, j;
+    int64_t *fa, *fb;
+    int tie = 0, cur = 0;
+    double best;
+    path_t path;
+
+    /* One-sided cells are forced (the other branch is dominated): fold
+     * them into the start state, exactly like the NumPy kernel's base_a /
+     * base_b.  The rest are mixed. */
+    for (j = 0; j < m; j++) {
+        if (r1[j] == 0) {
+            base_a += r0[j];
+        } else if (r0[j] == 0) {
+            base_b += r1[j];
+        } else {
+            cells[mixed].x = r0[j];
+            cells[mixed].y = r1[j];
+            cells[mixed].index = j;
+            mixed++;
+        }
+    }
+
+    /* The majority assignment sends each mixed cell to its larger side.
+     * Every assignment has objective at least 2n - 2(a + b), and the
+     * majority one has the largest a + b; with no equal-sided cell every
+     * other assignment has a smaller one.  So when both majority masses
+     * are at most n/2, its objective 2n - 2(a + b) is OPT and no other
+     * state reaches it, and at n <= BOUND_MAX_N the double minimum is its
+     * score.  An equal-sided cell would give two such states, whose
+     * doubles can differ by an ulp. */
+    major_a = base_a;
+    major_b = base_b;
+    for (j = 0; j < mixed; j++) {
+        if (cells[j].x > cells[j].y) {
+            major_a += cells[j].x;
+        } else {
+            major_b += cells[j].y;
+            tie |= cells[j].x == cells[j].y;
+        }
+    }
+    if (bounded && !tie && 2 * major_a <= n && 2 * major_b <= n) {
+        *out = -shortfall(major_a, major_b, n);
+        return 0;
+    }
+
+    if (base_a > cap) {
+        base_a = cap;
+    }
+    if (base_b > cap) {
+        base_b = cap;
+    }
+    sort_cells(cells, mixed);
+    path.n = n;
+    path.m = mixed;
+    path.above = 0;
+    path.cells = cells;
+    path.px = px;
+    path.py = py;
+    px[0] = py[0] = 0;
+    for (t = 0; t < mixed; t++) {
+        px[t + 1] = px[t] + cells[t].x;
+        py[t + 1] = py[t] + cells[t].y;
+        path.above += cells[t].x > cells[t].y;
+    }
+    incumbent = 0;
+    if (bounded) {
+        incumbent = start_incumbent(
+            &path, base_a, base_b,
+            find_stop(&path, base_a, base_b + py[mixed], 0));
+    }
+
+    bufs[cur].a[0] = base_a;
+    bufs[cur].b[0] = base_b;
+    size = 1;
+
+    for (t = 0; t < mixed; t++) {
+        const int64_t a0 = cells[t].x;
+        const int64_t b1 = cells[t].y;
+        const int64_t shift = px[t + 1], total = py[mixed];
+        int64_t s1, e2, i1, i2, outn, bestb, stop = -1;
+        int64_t *ta, *tb;
+
+        fa = bufs[cur].a;
+        fb = bufs[cur].b;
+
+        /* Branch 1 sends the cell to Z0+ — states (min(a+c0, cap), b), a
+         * non-increasing with a capped prefix.  All capped entries share
+         * a = cap, and b grows along the frontier, so only the last of
+         * them can survive pruning: start the scan there. */
+        s1 = 0;
+        while (s1 + 1 < size && fa[s1 + 1] + a0 >= cap) {
+            s1++;
+        }
+        /* Branch 2 sends the cell to Z1+ — states (a, min(b+c1, cap)), b
+         * non-decreasing with a capped suffix; only the first capped
+         * entry (largest a) can survive: end the scan just past it. */
+        e2 = size;
+        while (e2 - 1 > 0 && fb[e2 - 2] + b1 >= cap) {
+            e2--;
+        }
+
+        if (ensure_capacity(&bufs[1 - cur], (size - s1) + e2 + 2) != 0) {
+            return 1;
+        }
+        ta = bufs[1 - cur].a;
+        tb = bufs[1 - cur].b;
+
+        /* Two-pointer merge in (a desc, b desc) order — the order of the
+         * NumPy prune's lexsort((-b, -a)) — keeping a state iff its b
+         * strictly exceeds every b seen so far (the running-max scan of
+         * Definition 4.6). */
+        i1 = s1;
+        i2 = 0;
+        outn = 0;
+        bestb = INT64_MIN;
+        while (i1 < size || i2 < e2) {
+            int64_t aa, bb;
+            int use1;
+            if (i1 >= size) {
+                use1 = 0;
+            } else if (i2 >= e2) {
+                use1 = 1;
+            } else {
+                int64_t a1v = fa[i1] + a0;
+                int64_t b2v = fb[i2] + b1;
+                if (a1v > cap) {
+                    a1v = cap;
+                }
+                if (b2v > cap) {
+                    b2v = cap;
+                }
+                if (a1v != fa[i2]) {
+                    use1 = (a1v > fa[i2]);
+                } else {
+                    use1 = (fb[i1] >= b2v);
+                }
+            }
+            if (use1) {
+                aa = fa[i1] + a0;
+                if (aa > cap) {
+                    aa = cap;
+                }
+                bb = fb[i1];
+                i1++;
+            } else {
+                aa = fa[i2];
+                bb = fb[i2] + b1;
+                if (bb > cap) {
+                    bb = cap;
+                }
+                i2++;
+            }
+            if (bb <= bestb) {
+                continue;
+            }
+            bestb = bb;
+            if (bounded) {
+                /* States arrive with a falling and b rising, which only
+                 * lets the path cross more segments: the stop never moves
+                 * back. */
+                const int64_t alpha = aa - shift, beta = bb + total;
+                int64_t A, B;
+                if (stop < 0) {
+                    stop = find_stop(&path, alpha, beta, t + 1);
+                }
+                while (stop < mixed && crosses(&path, alpha, beta, stop)) {
+                    stop++;
+                }
+                A = alpha + px[stop];
+                B = beta - py[stop];
+                if (bound_exceeds(&path, A, B, stop, incumbent)) {
+                    continue;
+                }
+                /* The stop's two vertices are completions of this state.
+                 * Those of a dropped state cannot lower U: both lie on
+                 * the path, at or above its minimum. */
+                if (objective(A, B, n) < incumbent) {
+                    incumbent = objective(A, B, n);
+                }
+                if (stop < mixed) {
+                    A += cells[stop].x;
+                    B -= cells[stop].y;
+                    if (objective(A, B, n) < incumbent) {
+                        incumbent = objective(A, B, n);
+                    }
+                }
+            }
+            ta[outn] = aa;
+            tb[outn] = bb;
+            outn++;
+        }
+        cur = 1 - cur;
+        size = outn;
+    }
+
+    /* Shortfall floats: the one place doubles appear. */
+    fa = bufs[cur].a;
+    fb = bufs[cur].b;
+    best = 2.0; /* shortfalls are in [0, 1] */
+    for (i = 0; i < size; i++) {
+        const double value = shortfall(fa[i], fb[i], n);
+        if (value < best) {
+            best = value;
+        }
+    }
+    *out = -best;
+    return 0;
+}
+
 /* Exact F scores for `count` candidates of `m` parent cells each.
  *
  * c0 / c1:  [count * m] int64, candidate-major — cell j of candidate c is
@@ -358,263 +631,208 @@ int repro_score_f_batch(const int64_t *c0, const int64_t *c1,
                         int64_t count, int64_t m, int64_t n,
                         double *out)
 {
-    /* Masses at or above n/2 saturate the shortfall, so coordinates are
-     * capped at ceil(n/2): capping only merges states whose shortfall
-     * terms are already exactly zero (same argument as score_F_dp). */
-    int64_t cap, c, j, i;
-    buffer_t bufs[2];
-    cell_t *cells;
-    int64_t *px, *py = NULL;
-    path_t path;
-    int bounded;
-    int cur = 0;
-    int status = 0;
+    merge_t work;
+    int64_t c;
+    int status;
 
     if (n <= 0 || count < 0 || m < 0 || c0 == NULL || c1 == NULL ||
         out == NULL) {
         return 2;
     }
-    cap = (n + 1) / 2;
-    bounded = n <= BOUND_MAX_N;
+    status = merge_init(&work, m, n);
+    for (c = 0; c < count && status == 0; c++) {
+        status = score_candidate(&work, c0 + c * m, c1 + c * m, m, out + c);
+    }
+    merge_free(&work);
+    return status;
+}
 
-    for (i = 0; i < 2; i++) {
-        bufs[i].capacity = 1024;
-        bufs[i].a = malloc((size_t)bufs[i].capacity * sizeof(int64_t));
-        bufs[i].b = malloc((size_t)bufs[i].capacity * sizeof(int64_t));
-        if (bufs[i].a == NULL || bufs[i].b == NULL) {
-            status = 1;
+/* ------------------------------------------------------------------ */
+/* Walsh–Hadamard transform and the fused Walsh F scorer               */
+
+/* Cells of the cache-resident blocks inside which the transform runs its
+ * low stages: 2^14 int64 cells are 128 KiB. */
+#define WALSH_BLOCK_CELLS ((int64_t)1 << 14)
+
+/* Stages [first, last) of the transform of `rows` rows of `trailing`
+ * cells.  Stage s pairs row i (bit s clear) with row i + 2^s and writes
+ * (a + b, a - b).  The arithmetic is unsigned: it wraps modulo 2^64 as
+ * NumPy's int64 arithmetic does, so every bit pattern is NumPy's and no
+ * input can overflow a signed value.  The stages are linear maps on
+ * distinct index bits, so they commute, even modulo 2^64. */
+static void walsh_stages(uint64_t *block, int64_t rows, int64_t trailing,
+                         int64_t first, int64_t last)
+{
+    int64_t stage, base, k;
+    for (stage = first; stage < last; stage++) {
+        const int64_t run = ((int64_t)1 << stage) * trailing;
+        for (base = 0; base < rows * trailing; base += 2 * run) {
+            uint64_t *low = block + base, *high = low + run;
+            for (k = 0; k < run; k++) {
+                const uint64_t a = low[k], b = high[k];
+                low[k] = a + b;
+                high[k] = a - b;
+            }
         }
     }
-    cells = malloc((size_t)(m + 1) * sizeof(cell_t));
-    px = malloc((size_t)(2 * (m + 1)) * sizeof(int64_t));
-    if (cells == NULL || px == NULL) {
-        status = 1;
-    } else {
-        py = px + (m + 1);
+}
+
+/* Unnormalized Walsh–Hadamard transform, in place, of a C-contiguous
+ * int64 block of 2^bits rows of `trailing` cells each, along its first
+ * axis: data.marginals.walsh_hadamard's NumPy body, bit for bit.  The low
+ * stages run block by block while a block of rows stays in cache; the
+ * rest run over the whole array.
+ *
+ * Returns 0 on success, 2 on invalid arguments. */
+int repro_walsh_hadamard(int64_t *block, int64_t bits, int64_t trailing)
+{
+    /* Unsigned access to int64 storage is the corresponding unsigned
+     * type, which C99 allows. */
+    uint64_t *cells = (uint64_t *)block;
+    int64_t rows, low = 0, start;
+
+    if (block == NULL || bits < 0 || bits > 62 || trailing < 0 ||
+        trailing > INT64_MAX >> bits) {
+        return 2;
     }
-    path.n = n;
-    path.cells = cells;
-    path.px = px;
-    path.py = py;
+    rows = (int64_t)1 << bits;
+    while (low < bits && ((int64_t)2 << low) * trailing <= WALSH_BLOCK_CELLS) {
+        low++;
+    }
+    for (start = 0; start < rows; start += (int64_t)1 << low) {
+        walsh_stages(cells + start * trailing, (int64_t)1 << low, trailing, 0,
+                     low);
+    }
+    walsh_stages(cells, rows, trailing, low, bits);
+    return 0;
+}
+
+/* repro_score_f_walsh's status for a joint that is not the counts of n
+ * tuples. */
+#define WALSH_BAD_JOINT 3
+
+/* Exact F scores of `count` (parents, child) candidates over an all-binary
+ * table, each joint built from the full joint's Walsh–Hadamard
+ * coefficients: ParentIndexCache.walsh_joints and score_F_batch in one
+ * pass, with no joint leaving this call.
+ *
+ * coefficients: [2^d] int64, the transform of the full joint of d binary
+ *               attributes, attribute i at bit d-1-i of an index.
+ * parents:      [count * width] int64 attribute positions, candidate-major.
+ * children:     [count] int64 attribute positions.
+ * n:            number of tuples (>= 0).
+ * out:          [count] double, the (non-positive) F scores.
+ *
+ * Local cell t of a candidate's 2^(width+1)-cell joint puts parent j at
+ * bit width-j and the child at bit 0; its coefficient index is the XOR of
+ * the bits of the attributes t selects, so an attribute listed twice
+ * cancels.  The gathered coefficients go through the same butterfly as
+ * repro_walsh_hadamard and a right shift by width+1.  Before the shift
+ * every cell must be non-negative and a multiple of 2^(width+1), and the
+ * joint must total n: otherwise the call stops with WALSH_BAD_JOINT.  The
+ * joint's cells 2p and 2p+1 are parent cell p's (X=0, X=1) counts, scored
+ * by the same merge as repro_score_f_batch; at n = 0 the score is -0.5.
+ *
+ * Every position is checked to lie in [0, d) before any gather.  Returns
+ * 0 on success, 1 on allocation failure, 2 on invalid arguments (a
+ * position out of range included), WALSH_BAD_JOINT on a bad joint. */
+int repro_score_f_walsh(const int64_t *coefficients, int64_t d,
+                        const int64_t *parents, const int64_t *children,
+                        int64_t count, int64_t width, int64_t n,
+                        double *out)
+{
+    merge_t work;
+    int64_t cells, half, c, j, t, b, *index, *c0, *c1;
+    uint64_t *spectra, mask;
+    int status = 0;
+
+    if (coefficients == NULL || children == NULL || out == NULL || d < 0 ||
+        d > 62 || count < 0 || width < 0 || width > 61 || n < 0 ||
+        (parents == NULL && count > 0 && width > 0)) {
+        return 2;
+    }
+    for (c = 0; c < count; c++) {
+        if (children[c] < 0 || children[c] >= d) {
+            return 2;
+        }
+        for (j = 0; j < width; j++) {
+            const int64_t p = parents[c * width + j];
+            if (p < 0 || p >= d) {
+                return 2;
+            }
+        }
+    }
+    half = (int64_t)1 << width;
+    cells = 2 * half;
+    mask = (uint64_t)cells - 1;
+    if ((uint64_t)cells > SIZE_MAX / (4 * sizeof(int64_t))) {
+        return 1;
+    }
+    /* One block: the coefficient indices, the spectra, then the X=0 and
+     * X=1 counts of the parent cells. */
+    index = malloc((size_t)(3 * cells) * sizeof(int64_t));
+    if (index == NULL) {
+        return 1;
+    }
+    spectra = (uint64_t *)(index + cells);
+    c0 = index + 2 * cells;
+    c1 = c0 + half;
+    if (n > 0) {
+        status = merge_init(&work, half, n);
+    }
 
     for (c = 0; c < count && status == 0; c++) {
-        const int64_t *r0 = c0 + c * m;
-        const int64_t *r1 = c1 + c * m;
-        int64_t base_a = 0, base_b = 0, major_a, major_b, mixed = 0;
-        int64_t incumbent, t, size;
-        int64_t *fa, *fb;
-        int tie = 0;
-        double best;
-
-        /* One-sided cells are forced (the other branch is dominated):
-         * fold them into the start state, exactly like the NumPy
-         * kernel's base_a / base_b.  The rest are mixed. */
-        for (j = 0; j < m; j++) {
-            if (r1[j] == 0) {
-                base_a += r0[j];
-            } else if (r0[j] == 0) {
-                base_b += r1[j];
-            } else {
-                cells[mixed].x = r0[j];
-                cells[mixed].y = r1[j];
-                cells[mixed].index = j;
-                mixed++;
+        const int64_t *row = parents + c * width;
+        int64_t total = 0;
+        index[0] = 0;
+        index[1] = (int64_t)1 << (d - 1 - children[c]);
+        for (b = 1; b <= width; b++) {
+            const int64_t bit = (int64_t)1 << (d - 1 - row[width - b]);
+            const int64_t span = (int64_t)1 << b;
+            for (t = 0; t < span; t++) {
+                index[span + t] = index[t] ^ bit;
             }
         }
-
-        /* The majority assignment sends each mixed cell to its larger
-         * side.  Every assignment has objective at least 2n - 2(a + b),
-         * and the majority one has the largest a + b; with no equal-sided
-         * cell every other assignment has a smaller one.  So when both
-         * majority masses are at most n/2, its objective 2n - 2(a + b) is
-         * OPT and no other state reaches it, and at n <= BOUND_MAX_N the
-         * double minimum is its score.  An equal-sided cell would give two
-         * such states, whose doubles can differ by an ulp. */
-        major_a = base_a;
-        major_b = base_b;
-        for (j = 0; j < mixed; j++) {
-            if (cells[j].x > cells[j].y) {
-                major_a += cells[j].x;
-            } else {
-                major_b += cells[j].y;
-                tie |= cells[j].x == cells[j].y;
-            }
+        for (t = 0; t < cells; t++) {
+            spectra[t] = (uint64_t)coefficients[index[t]];
         }
-        if (bounded && !tie && 2 * major_a <= n && 2 * major_b <= n) {
-            out[c] = -shortfall(major_a, major_b, n);
-            continue;
-        }
-
-        if (base_a > cap) {
-            base_a = cap;
-        }
-        if (base_b > cap) {
-            base_b = cap;
-        }
-        sort_cells(cells, mixed);
-        path.m = mixed;
-        path.above = 0;
-        px[0] = py[0] = 0;
-        for (t = 0; t < mixed; t++) {
-            px[t + 1] = px[t] + cells[t].x;
-            py[t + 1] = py[t] + cells[t].y;
-            path.above += cells[t].x > cells[t].y;
-        }
-        incumbent = 0;
-        if (bounded) {
-            incumbent = start_incumbent(
-                &path, base_a, base_b,
-                find_stop(&path, base_a, base_b + py[mixed], 0));
-        }
-
-        bufs[cur].a[0] = base_a;
-        bufs[cur].b[0] = base_b;
-        size = 1;
-
-        for (t = 0; t < mixed; t++) {
-            const int64_t a0 = cells[t].x;
-            const int64_t b1 = cells[t].y;
-            const int64_t shift = px[t + 1], total = py[mixed];
-            int64_t s1, e2, i1, i2, outn, bestb, stop = -1;
-            int64_t *ta, *tb;
-
-            fa = bufs[cur].a;
-            fb = bufs[cur].b;
-
-            /* Branch 1 sends the cell to Z0+ — states (min(a+c0, cap), b),
-             * a non-increasing with a capped prefix.  All capped entries
-             * share a = cap, and b grows along the frontier, so only the
-             * last of them can survive pruning: start the scan there. */
-            s1 = 0;
-            while (s1 + 1 < size && fa[s1 + 1] + a0 >= cap) {
-                s1++;
-            }
-            /* Branch 2 sends the cell to Z1+ — states (a, min(b+c1, cap)),
-             * b non-decreasing with a capped suffix; only the first capped
-             * entry (largest a) can survive: end the scan just past it. */
-            e2 = size;
-            while (e2 - 1 > 0 && fb[e2 - 2] + b1 >= cap) {
-                e2--;
-            }
-
-            if (ensure_capacity(&bufs[1 - cur],
-                                (size - s1) + e2 + 2) != 0) {
-                status = 1;
+        walsh_stages(spectra, cells, 1, 0, width + 1);
+        for (t = 0; t < cells; t++) {
+            const uint64_t value = spectra[t];
+            int64_t tally;
+            if ((value >> 63) != 0 || (value & mask) != 0) {
+                status = WALSH_BAD_JOINT;
                 break;
             }
-            ta = bufs[1 - cur].a;
-            tb = bufs[1 - cur].b;
-
-            /* Two-pointer merge in (a desc, b desc) order — the order of
-             * the NumPy prune's lexsort((-b, -a)) — keeping a state iff
-             * its b strictly exceeds every b seen so far (the running-max
-             * scan of Definition 4.6). */
-            i1 = s1;
-            i2 = 0;
-            outn = 0;
-            bestb = INT64_MIN;
-            while (i1 < size || i2 < e2) {
-                int64_t aa, bb;
-                int use1;
-                if (i1 >= size) {
-                    use1 = 0;
-                } else if (i2 >= e2) {
-                    use1 = 1;
-                } else {
-                    int64_t a1v = fa[i1] + a0;
-                    int64_t b2v = fb[i2] + b1;
-                    if (a1v > cap) {
-                        a1v = cap;
-                    }
-                    if (b2v > cap) {
-                        b2v = cap;
-                    }
-                    if (a1v != fa[i2]) {
-                        use1 = (a1v > fa[i2]);
-                    } else {
-                        use1 = (fb[i1] >= b2v);
-                    }
-                }
-                if (use1) {
-                    aa = fa[i1] + a0;
-                    if (aa > cap) {
-                        aa = cap;
-                    }
-                    bb = fb[i1];
-                    i1++;
-                } else {
-                    aa = fa[i2];
-                    bb = fb[i2] + b1;
-                    if (bb > cap) {
-                        bb = cap;
-                    }
-                    i2++;
-                }
-                if (bb <= bestb) {
-                    continue;
-                }
-                bestb = bb;
-                if (bounded) {
-                    /* States arrive with a falling and b rising, which
-                     * only lets the path cross more segments: the stop
-                     * never moves back. */
-                    const int64_t alpha = aa - shift, beta = bb + total;
-                    int64_t A, B;
-                    if (stop < 0) {
-                        stop = find_stop(&path, alpha, beta, t + 1);
-                    }
-                    while (stop < mixed && crosses(&path, alpha, beta, stop)) {
-                        stop++;
-                    }
-                    A = alpha + px[stop];
-                    B = beta - py[stop];
-                    if (bound_exceeds(&path, A, B, stop, incumbent)) {
-                        continue;
-                    }
-                    /* The stop's two vertices are completions of this
-                     * state.  Those of a dropped state cannot lower U:
-                     * both lie on the path, at or above its minimum. */
-                    if (objective(A, B, n) < incumbent) {
-                        incumbent = objective(A, B, n);
-                    }
-                    if (stop < mixed) {
-                        A += cells[stop].x;
-                        B -= cells[stop].y;
-                        if (objective(A, B, n) < incumbent) {
-                            incumbent = objective(A, B, n);
-                        }
-                    }
-                }
-                ta[outn] = aa;
-                tb[outn] = bb;
-                outn++;
+            tally = (int64_t)(value >> (width + 1));
+            if (tally > n - total) {
+                status = WALSH_BAD_JOINT;
+                break;
             }
-            cur = 1 - cur;
-            size = outn;
+            total += tally;
+            if (t & 1) {
+                c1[t >> 1] = tally;
+            } else {
+                c0[t >> 1] = tally;
+            }
+        }
+        if (status == 0 && total != n) {
+            status = WALSH_BAD_JOINT;
         }
         if (status != 0) {
             break;
         }
-
-        /* Shortfall floats: the one place doubles appear. */
-        fa = bufs[cur].a;
-        fb = bufs[cur].b;
-        best = 2.0; /* shortfalls are in [0, 1] */
-        for (i = 0; i < size; i++) {
-            const double value = shortfall(fa[i], fb[i], n);
-            if (value < best) {
-                best = value;
-            }
+        if (n == 0) {
+            out[c] = -0.5;
+        } else {
+            status = score_candidate(&work, c0, c1, half, out + c);
         }
-        out[c] = -best;
     }
 
-    for (i = 0; i < 2; i++) {
-        free(bufs[i].a);
-        free(bufs[i].b);
+    if (n > 0) {
+        merge_free(&work);
     }
-    free(cells);
-    free(px);
+    free(index);
     return status;
 }
 

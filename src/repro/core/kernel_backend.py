@@ -1,11 +1,19 @@
 """Compiled-kernel tier: backend selection and the on-demand C build.
 
-Four hot loops have an optional *native* backend in one small C source
-(``core/_native/scoref.c`` — a flat int64/double/byte array ABI,
+The hot loops below have an optional *native* backend in one small C
+source (``core/_native/scoref.c`` — a flat int64/double/byte array ABI,
 deliberately free of ``Python.h``) compiled on demand with the system C
 compiler and driven through :mod:`ctypes`:
 
 * the batched ``F`` score (:func:`repro.core.score_kernels.score_F_batch`);
+* the Walsh–Hadamard transform
+  (:func:`repro.data.marginals.walsh_hadamard`): the full-joint build of
+  :class:`repro.bn.quality.ParentIndexCache` and every butterfly of its
+  ``walsh_joints``;
+* the fused Walsh ``F`` scorer, which builds each candidate's joint from
+  the full joint's coefficients and scores it in one call
+  (:meth:`NativeKernel.score_f_walsh`, one call per round and width in
+  :class:`repro.core.scoring.CandidateScorer`);
 * ancestral sampling (:mod:`repro.core.sampler`), one call per draw;
 * the CSV tokenizer under :func:`repro.data.io.read_csv` and both
   :class:`repro.data.io.CsvSource` passes;
@@ -44,12 +52,16 @@ frontier bounded by the fractional relaxation against an exact integer
 incumbent (or, when the majority assignment is the unique optimum, as
 that assignment's shortfall), and evaluates the final shortfall with the
 identical float64 expression, so every score is
-bit-equal.  The native sampler evaluates the same ``cdf < u`` predicate
+bit-equal.  The native transform wraps modulo 2^64 as NumPy's int64
+arithmetic does, so every coefficient is equal, and the fused scorer
+builds the same joints ``walsh_joints`` builds and scores them with the
+same merge.  The native sampler evaluates the same ``cdf < u`` predicate
 on the same doubles as the NumPy inversion, so every code is equal.  The
 tokenizer transcribes ``csv.reader``'s states, so every field is equal,
 and the assembler joins the labels ``csv.writer`` quoted, so every byte
 is.  See ``core/_native/README.md`` for the arguments, and
 ``tests/core/test_score_kernels.py``, ``tests/core/test_frontier_bound.py``,
+``tests/core/test_walsh_kernels.py``,
 ``tests/core/test_native_sampler.py`` and
 ``tests/data/test_csv_tokenizer.py`` for the enforcement.
 """
@@ -93,7 +105,7 @@ CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 #: Exported-symbol contract version; must match the C source's
 #: ``repro_scoref_abi_version()``.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 #: ``repro_csv_tokenize`` statuses (0 is ok, 2 bad arguments).
 CSV_FULL, CSV_RAGGED, CSV_FIELD_LIMIT, CSV_NOT_UTF8 = 1, 3, 4, 5
@@ -202,8 +214,9 @@ def build_native(force: bool = False) -> Path:
 
 
 class NativeKernel:
-    """ctypes handle to one compiled kernel artifact (F score, sampler,
-    CSV tokenizer and row assembler)."""
+    """ctypes handle to one compiled kernel artifact (F score, Walsh
+    transform and fused Walsh F scorer, sampler, CSV tokenizer and row
+    assembler)."""
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
@@ -228,6 +241,27 @@ class NativeKernel:
             ctypes.POINTER(ctypes.c_double),
         ]
         self._score_f_batch = score
+        transform = library.repro_walsh_hadamard
+        transform.restype = ctypes.c_int
+        transform.argtypes = [
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.c_int64,
+        ]
+        self._walsh_hadamard = transform
+        fused = library.repro_score_f_walsh
+        fused.restype = ctypes.c_int
+        fused.argtypes = [
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_double),
+        ]
+        self._score_f_walsh = fused
         sample = library.repro_sample_block
         sample.restype = ctypes.c_int
         sample.argtypes = [
@@ -309,6 +343,73 @@ class NativeKernel:
         if status != 0:
             raise KernelBackendError(
                 f"native kernel {self.path} failed with status {status}"
+            )
+        return out
+
+    def walsh_hadamard(self, block: np.ndarray, bits: int) -> None:
+        """The transform of ``data.marginals.walsh_hadamard``, in place,
+        on a checked C-contiguous writeable int64 ``block`` of ``2**bits``
+        rows (its caller checks the layout)."""
+        status = self._walsh_hadamard(
+            block.ctypes.data_as(_INT64_P), bits, block.size >> bits
+        )
+        if status != 0:
+            raise KernelBackendError(
+                f"native transform {self.path} rejected its arguments "
+                f"(status {status})"
+            )
+
+    def score_f_walsh(
+        self,
+        coefficients: np.ndarray,
+        parents: np.ndarray,
+        children: np.ndarray,
+        n: int,
+    ) -> np.ndarray:
+        """Exact F scores of ``m`` (parents, child) candidates, each joint
+        built from the full joint's Walsh–Hadamard ``coefficients``.
+
+        ``coefficients`` is the ``2**d`` int64 transform that
+        :class:`~repro.bn.quality.ParentIndexCache` keeps, ``parents`` an
+        ``(m, w)`` array of attribute positions and ``children`` an
+        ``(m,)`` one.  Each score equals
+        ``score_F_batch(cache.walsh_joints(parents, children), n)``.  The
+        C side checks every position and every joint (non-negative cells
+        that are multiples of ``2**(w+1)`` before the shift, totalling
+        ``n``); a call it rejects raises :class:`KernelBackendError`.
+        """
+        parents = np.ascontiguousarray(parents, dtype=np.int64)
+        children = np.ascontiguousarray(children, dtype=np.int64)
+        if (
+            coefficients.dtype != np.int64
+            or not coefficients.flags.c_contiguous
+            or coefficients.ndim != 1
+            or coefficients.size & (coefficients.size - 1)
+        ):
+            raise ValueError(
+                "coefficients must be a C-contiguous int64 vector of 2**d cells"
+            )
+        if parents.ndim != 2 or children.shape != parents.shape[:1]:
+            raise ValueError(
+                f"parents must be (m, w) and children (m,); got "
+                f"{parents.shape} and {children.shape}"
+            )
+        count, width = parents.shape
+        out = np.empty(count, dtype=np.float64)
+        status = self._score_f_walsh(
+            coefficients.ctypes.data_as(_INT64_P),
+            coefficients.size.bit_length() - 1,
+            parents.ctypes.data_as(_INT64_P),
+            children.ctypes.data_as(_INT64_P),
+            count,
+            width,
+            int(n),
+            out.ctypes.data_as(_DOUBLE_P),
+        )
+        if status != 0:
+            raise KernelBackendError(
+                f"native Walsh F scorer {self.path} failed with status "
+                f"{status}: {_WALSH_STATUS[status]}"
             )
         return out
 
@@ -506,6 +607,15 @@ class NativeKernel:
             )
         return status == 0
 
+
+#: What a ``repro_score_f_walsh`` status other than 0 means.
+_WALSH_STATUS = {
+    1: "allocation failure",
+    2: "invalid arguments (a position outside [0, d), a width above 61 "
+    "or a negative n)",
+    3: "a joint that is not the counts of n tuples (a damaged coefficient "
+    "table)",
+}
 
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _INT32_P = ctypes.POINTER(ctypes.c_int32)

@@ -162,6 +162,18 @@ class PrivBayesModel:
     accountant: PrivacyAccountant
     k: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # A sample defaults to source_n rows, and a fit refuses an empty
+        # table, so a model of fewer than one source row was never fitted.
+        if (
+            isinstance(self.source_n, bool)
+            or not isinstance(self.source_n, numbers.Integral)
+            or self.source_n < 1
+        ):
+            raise ValueError(
+                f"source_n must be a positive integer; got {self.source_n!r}"
+            )
+
     @property
     def network(self) -> BayesianNetwork:
         return self.noisy.network

@@ -106,7 +106,10 @@ candidate alone.
 Validation: :func:`validate_F_counts` checks ``F`` counts (binary-child
 shape, non-negative integer counts, counts summing to ``n`` per
 candidate) for the batched kernel and the reference DP alike, and
-:func:`_regrouped` checks the ragged kernels' segment arguments.
+:func:`_regrouped` checks the ragged kernels' segment arguments.  The
+native kernel's fused Walsh scorer (``repro_score_f_walsh``, which the
+scorer calls instead of this module on an all-binary table) builds its
+joints in C and checks them there with the same guarantee.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def validate_F_counts(counts: np.ndarray, n: int) -> np.ndarray:
     if array.ndim == 2:
         if array.shape[1] % 2 != 0:
             raise ValueError("F requires a binary child (even-length joint)")
-        array = array.reshape(array.shape[0], -1, 2)
+        array = array.reshape(array.shape[0], array.shape[1] // 2, 2)
     if array.ndim != 3 or array.shape[2] != 2:
         raise ValueError(
             "F counts must be flat joints or (m, 2) matrices per candidate"

@@ -33,26 +33,30 @@ All caches are keyed on *values derived deterministically from the table*:
   (:class:`repro.bn.quality.ParentIndexCache`) whatever the input, a
   resident table or a chunked source.  On an all-binary input whose
   full joint is small enough, the joints of level-0 parent sets come
-  from one :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call
-  per round and width (a gather and inverse Walsh–Hadamard transform of
-  the full joint's coefficients).  Every other candidate is grouped by
-  parent set and counted with one
+  from the full joint's Walsh–Hadamard coefficients (a gather and an
+  inverse transform), one call per round and width: for ``F`` with the
+  native kernel loaded, one fused ``score_f_walsh`` call that builds and
+  scores every joint in C, so no joint array is made; otherwise one
+  :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call.  Every
+  other candidate is grouped by parent set and counted with one
   :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call per
   round, which is one pass over the rows; in each chunk every parent set
   is flattened afresh in place and its children bincounted, without
   keeping an ``n``-row index per parent set.  Counts are integers, so
   batching is exact.
 * Scoring itself happens in the batched kernels of
-  :mod:`repro.core.score_kernels`: one ``F`` call per round and joint
-  length (parent-domain size), fed the counted blocks as they are, and
-  one segmented ``I``/``R`` call per round and width on the Walsh path,
-  or per counted parent set otherwise.  Large-domain ``F`` candidates
-  run through the compiled frontier merge (``repro_score_f_batch``)
-  when the native kernel is loaded and through the NumPy blocked-bitset
-  DP otherwise; only that NumPy path at ``n ≥ 2^30``, where its packed
-  states would overflow int64, scores them one at a time through
-  ``score_F_dp``.  Each kernel output is bit-equal to the score of that
-  candidate computed alone, whatever else is in the batch.
+  :mod:`repro.core.score_kernels` (and, on the fused path, in the
+  native kernel's copy of the same merge): one ``F`` call per round and
+  joint length (parent-domain size), fed the counted blocks as they
+  are, and one segmented ``I``/``R`` call per round and width on the
+  Walsh path, or per counted parent set otherwise.  Large-domain ``F``
+  candidates run through the compiled frontier merge
+  (``repro_score_f_batch``) when the native kernel is loaded and through
+  the NumPy blocked-bitset DP otherwise; only that NumPy path at
+  ``n ≥ 2^30``, where its packed states would overflow int64, scores
+  them one at a time through ``score_F_dp``.  Each kernel output is
+  bit-equal to the score of that candidate computed alone, whatever else
+  is in the batch.
 * An ``I`` scorer is also the library's one mutual-information engine:
   the Figure 4 network-quality metric
   (:func:`repro.bn.quality.network_mutual_information`) sums its scores,
@@ -84,6 +88,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernel_backend
 from repro.core.parent_sets import ParentSetCache, parent_set_domain_size
 from repro.core.score_kernels import (
     score_F_batch,
@@ -310,10 +315,14 @@ class CandidateScorer:
 
         Each memo cell is scored once, whatever the duplicates in the
         grid.  On a Walsh–Hadamard input, cells whose parents are all at
-        level 0 get their joints from one
-        :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call per
-        parent-set width.  The other cells are grouped by parent set, in
-        order of first appearance, and counted with one
+        level 0 are scored per parent-set width: for ``F`` with the
+        native kernel loaded, by one fused
+        :meth:`~repro.core.kernel_backend.NativeKernel.score_f_walsh`
+        call, which equals ``score_F_batch`` on the joints bit for bit;
+        otherwise their joints come from one
+        :meth:`~repro.bn.quality.ParentIndexCache.walsh_joints` call.
+        The other cells are grouped by parent set, in order of first
+        appearance, and counted with one
         :meth:`~repro.bn.quality.ParentIndexCache.grouped_counts` call.
         ``F`` then scores every joint length (parent-domain size) in one
         :func:`score_F_batch` call, and ``I``/``R`` make one segmented
@@ -333,6 +342,7 @@ class CandidateScorer:
             walsh = ~grid.sets[set_ids, 1::2].any(axis=1)
         else:
             walsh = np.zeros(fresh.size, dtype=bool)
+        fused = kernel_backend.NATIVE_KERNEL if self.score == "F" else None
         # (positions among the fresh cells, int64 joints, lengths, child sizes)
         parts = []
         widths = grid.widths[set_ids]
@@ -340,9 +350,13 @@ class CandidateScorer:
         # imports numpy.ma on first use, ~1.5 MB resident for the process.
         for width in sorted(set(widths[walsh].tolist())):
             at = np.flatnonzero(walsh & (widths == width))
-            joints = index.walsh_joints(
-                grid.sets[set_ids[at], 0 : 2 * width : 2], children[at]
-            )
+            parents = grid.sets[set_ids[at], 0 : 2 * width : 2]
+            if fused is not None:
+                self._scores[cell_rows[at], children[at]] = fused.score_f_walsh(
+                    index.coefficients, parents, children[at], self.table.n
+                )
+                continue
+            joints = index.walsh_joints(parents, children[at])
             parts.append((
                 at,
                 joints.reshape(-1),
@@ -353,10 +367,13 @@ class CandidateScorer:
         if rest.size:
             parts.extend(self._counted_parts(grid, rest, cell_rows, children, set_ids))
         if self.score == "F":
-            at, values, lengths, _ = (
-                parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-            )
-            self._scores[cell_rows[at], children[at]] = self._F_scores(values, lengths)
+            if parts:
+                at, values, lengths, _ = (
+                    parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+                )
+                self._scores[cell_rows[at], children[at]] = self._F_scores(
+                    values, lengths
+                )
         else:
             n = self.table.n
             kernel = score_I_segments if self.score == "I" else score_R_segments

@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernel_backend
 from repro.data.table import Table
 
 
@@ -106,6 +107,11 @@ def walsh_hadamard(block: np.ndarray, bits: int) -> np.ndarray:
     twice multiplies by ``2**bits``, so the transform followed by
     ``>> bits`` inverts it exactly on the coefficients of non-negative
     counts.
+
+    The stages run natively when
+    :data:`repro.core.kernel_backend.NATIVE_KERNEL` is loaded
+    (``repro_walsh_hadamard``, wrapping modulo ``2**64`` as int64 NumPy
+    does); the result is the same array either way.
     """
     if block.dtype != np.int64 or not block.flags.c_contiguous:
         raise ValueError("walsh_hadamard needs a C-contiguous int64 block")
@@ -113,6 +119,12 @@ def walsh_hadamard(block: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError(
             f"first axis has {block.shape[0]} cells, expected 2**{bits}"
         )
+    if not block.flags.writeable:
+        raise ValueError("walsh_hadamard transforms in place: block is read-only")
+    native = kernel_backend.NATIVE_KERNEL
+    if native is not None:
+        native.walsh_hadamard(block, bits)
+        return block
     trailing = block.shape[1:]
     for stage in range(bits):
         half = 1 << stage

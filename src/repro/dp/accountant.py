@@ -138,7 +138,10 @@ class PrivacyAccountant:
     :meth:`spend` is the one way to charge.  The total, every charge and
     every replayed ledger amount must be a finite positive number: a NaN
     would pass every budget comparison and grant everything after it.
-    Each is checked as given and then held as a float.
+    Each is checked as given and then held as a float.  Replayed amounts
+    (a persisted ledger or registry entry) that sum past the total by
+    more than the float tolerance :meth:`spend` allows are refused with a
+    :class:`ValueError`: no sequence of grants could have recorded them.
 
     Parameters
     ----------
@@ -160,6 +163,12 @@ class PrivacyAccountant:
             check_epsilon(amount, f"replayed charge {label!r}")
             ledger.append((label, float(amount)))
             spent = spent + float(amount)
+        if spent > self.total_epsilon + _TOLERANCE:
+            raise ValueError(
+                f"records ε spend {spent:g} exceeding its total budget "
+                f"{self.total_epsilon:g} — refusing a ledger the accountant "
+                "could not have written"
+            )
         self._ledger, self._spent = ledger, spent
         self._lock = threading.Lock()
 

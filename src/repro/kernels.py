@@ -3,7 +3,7 @@
 Prints which kernel backend this environment selected
 (:mod:`repro.core.kernel_backend`), whether a C toolchain is available,
 and where the compiled artifact lives — then runs a ~1-second self-check
-of both native kernels and asserts they agree with NumPy bit-for-bit.
+of every native kernel and asserts it agrees with NumPy bit-for-bit.
 Exit status 0 means the reported backend is healthy; 1 means a check
 failed (or a requested backend cannot be provided).
 
@@ -16,6 +16,9 @@ The F check re-scores a seeded randomized grid with the native kernel and
 the pure-NumPy kernel when both are available; in a NumPy-only
 environment it falls back to checking the batched kernel against the
 per-candidate reference DP, so the exit code is meaningful everywhere.
+The Walsh check transforms a seeded binary table's full joint natively
+and with the NumPy stages, and scores seeded candidates of every width
+with the fused Walsh F scorer and with the NumPy joints and F kernel.
 The sampler check draws one block over a fixed small network with a
 generalized parent natively and with the NumPy loop, and compares the
 codes.  The CSV check tokenizes a fixed tricky file natively and with
@@ -35,11 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.bn.network import APPair, BayesianNetwork
+from repro.bn.quality import ParentIndexCache
 from repro.core import kernel_backend, sampler
 from repro.core.noisy_conditionals import ConditionalTable, NoisyModel
 from repro.core.score_kernels import _score_F, score_F_dp, validate_F_counts
 from repro.data import io as data_io
 from repro.data.attribute import Attribute
+from repro.data.marginals import walsh_hadamard
+from repro.data.table import Table
 from repro.data.taxonomy import TaxonomyTree
 
 #: Self-check shape: ~1 second of work on a small machine, while still
@@ -52,6 +58,12 @@ _CHECK_COUNT = 400
 
 #: Sampler check: tuples per block over the fixed network.
 _SAMPLE_N = 4096
+
+#: Walsh check: a binary table of this many attributes and rows, and this
+#: many candidates per parent-set width.
+_WALSH_D = 12
+_WALSH_N = 3000
+_WALSH_COUNT = 64
 
 
 def _check_grid() -> np.ndarray:
@@ -100,6 +112,54 @@ def self_check() -> str:
     return (
         f"numpy == reference DP on {dp.size} candidates "
         f"(m={_CHECK_CELLS}, n={_CHECK_N}): bit-identical"
+    )
+
+
+def walsh_check() -> str:
+    """Compare the native transform with the NumPy stages on a seeded
+    table's full joint, and the fused Walsh F scorer with the NumPy
+    joints and F kernel on candidates of every width.
+
+    Raises ``AssertionError`` on a mismatch, or
+    :class:`~repro.core.kernel_backend.KernelBackendError` when the
+    fused scorer refuses the table.
+    """
+    kernel = kernel_backend.NATIVE_KERNEL
+    if kernel is None:
+        return "numpy only: no native Walsh kernels to compare with"
+    rng = np.random.default_rng(_CHECK_SEED)
+    bits = rng.random((_WALSH_N, _WALSH_D)) < rng.uniform(0.1, 0.9, _WALSH_D)
+    columns = {f"b{i}": column.astype(np.int64) for i, column in enumerate(bits.T)}
+    # Built with the native transform; attribute i is bit d-1-i.
+    cache = ParentIndexCache(
+        Table([Attribute.binary(name) for name in columns], columns)
+    )
+    full = np.bincount(
+        bits @ (1 << np.arange(_WALSH_D - 1, -1, -1)), minlength=1 << _WALSH_D
+    )
+    kernel_backend.NATIVE_KERNEL = None
+    try:
+        if not np.array_equal(cache.coefficients, walsh_hadamard(full, _WALSH_D)):
+            raise AssertionError("native and numpy transforms disagree")
+        for width in range(_WALSH_D):
+            parents = rng.integers(0, _WALSH_D, (_WALSH_COUNT, width))
+            children = rng.integers(0, _WALSH_D, _WALSH_COUNT)
+            joints = validate_F_counts(
+                cache.walsh_joints(parents, children), _WALSH_N
+            )
+            fused = kernel.score_f_walsh(
+                cache.coefficients, parents, children, _WALSH_N
+            )
+            if not np.array_equal(fused, _score_F(joints, _WALSH_N, None)):
+                raise AssertionError(
+                    f"fused Walsh F and numpy joints + F disagree at width {width}"
+                )
+    finally:
+        kernel_backend.NATIVE_KERNEL = kernel
+    return (
+        f"native == numpy on a 2**{_WALSH_D}-cell transform and "
+        f"{_WALSH_COUNT * _WALSH_D} fused F candidates (widths "
+        f"0-{_WALSH_D - 1}, n={_WALSH_N}): bit-identical"
     )
 
 
@@ -227,6 +287,7 @@ def main(argv=None) -> int:
     status = 0
     checks = (
         ("self-check", self_check),
+        ("walsh check", walsh_check),
         ("sampler check", sampler_check),
         ("csv check", csv_check),
     )

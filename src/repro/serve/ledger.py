@@ -43,11 +43,6 @@ PathLike = Union[str, Path]
 
 LEDGER_FORMAT_VERSION = 1
 
-#: Replay tolerance: a persisted ledger whose charges exceed its own
-#: total by more than this was not written by the accountant (corrupt or
-#: hand-edited) and is refused at load.
-_REPLAY_TOLERANCE = 1e-9
-
 
 class _PersistentAccountant(PrivacyAccountant):
     """An accountant whose grants are durable before they are usable.
@@ -208,17 +203,11 @@ class DatasetLedger:
         loaded = {}
         for name, entry in sorted(datasets.members().items()):
             fields = entry.fields("total_epsilon", "ledger")
-            account = entry.call(
+            # The accountant refuses charges that overdraw its total.
+            loaded[name] = entry.call(
                 _PersistentAccountant, fields["total_epsilon"].number(),
                 read_charges(fields["ledger"]), self,
             )
-            if account.remaining < -_REPLAY_TOLERANCE:
-                raise entry.error(
-                    f"records ε spend {account.spent:g} exceeding its total "
-                    f"budget {account.total_epsilon:g} — refusing a ledger "
-                    "the accountant could not have written"
-                )
-            loaded[name] = account
         for name, account in loaded.items():
             held = self._accountants.get(name)
             if held is None:

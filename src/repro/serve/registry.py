@@ -137,11 +137,17 @@ class ModelRegistry:
 
     @staticmethod
     def _load_entry(path: Path) -> Tuple[str, PrivBayesModel]:
-        entry = read_document(path, "registry entry").document(
+        """The entry at ``path``, which must be the file ``put`` writes
+        for its ``(dataset, config)``: a copy under another name, or an
+        entry whose dataset or config was edited, would load under a key
+        its file name does not match."""
+        root = read_document(path, "registry entry")
+        entry = root.document(
             "registry_version", REGISTRY_FORMAT_VERSION,
             "dataset", "config", "source_n", "k", "ledger", "model",
         )
         settings, k, ledger = entry["config"], entry["k"], entry["ledger"]
+        dataset = entry["dataset"].string()
         config = settings.call(
             PrivBayesConfig,
             **{
@@ -149,11 +155,19 @@ class ModelRegistry:
                 for name, field in settings.fields(*_CONFIG_FIELDS).items()
             },
         )
+        expected = _entry_filename(dataset, config)
+        if path.name != expected:
+            raise root.error(
+                f"an entry for its dataset and config is stored as "
+                f"{expected!r}, not {path.name!r}"
+            )
         noisy, attributes = read_model(entry["model"])
-        return entry["dataset"].string(), PrivBayesModel(
+        source_n = entry["source_n"]
+        return dataset, source_n.call(
+            PrivBayesModel,
             noisy=noisy,
             table_attributes=tuple(attributes),
-            source_n=entry["source_n"].integer(),
+            source_n=source_n.integer(),
             config=config,
             accountant=ledger.call(
                 PrivacyAccountant, config.epsilon, read_charges(ledger)

@@ -640,12 +640,12 @@ int repro_csv_tokenize(const uint8_t *data, int64_t nbytes) {
         assert not any("signature drift" in message for _, _, message in hits)
 
     def test_recorded_manifest_matches_the_tree(self):
-        """ABI_MANIFEST v3 is exactly today's scoref.c exported surface."""
+        """ABI_MANIFEST v4 is exactly today's scoref.c exported surface."""
         c_source = (
             REPO_ROOT / "src/repro/core/_native/scoref.c"
         ).read_text()
-        assert parse_c_abi_version(c_source) == 3
-        assert parse_c_exports(c_source) == ABI_MANIFEST[3]
+        assert parse_c_abi_version(c_source) == 4
+        assert parse_c_exports(c_source) == ABI_MANIFEST[4]
 
 
 # ---------------------------------------------------------------------------

@@ -101,18 +101,26 @@ def test_general_mode_matches_seed_pipeline():
     assert max(pair.degree for pair in model.network) >= 2
 
 
-def test_binary_mode_matches_seed_with_shared_cache(monkeypatch):
+def test_binary_mode_matches_seed_with_shared_cache(monkeypatch, backend):
     import repro.core.scoring as scoring
+    from repro.core.kernel_backend import NativeKernel
     from repro.core.scoring import ScoringCache
 
+    # F reaches the scorer through score_F_batch, or, on the Walsh path
+    # with the native kernel, through the fused score_f_walsh.
     kernel_calls = []
-    kernel = scoring.score_F_batch
+    kernel, fused = scoring.score_F_batch, NativeKernel.score_f_walsh
 
     def counting(*args, **kwargs):
         kernel_calls.append(1)
         return kernel(*args, **kwargs)
 
+    def counting_fused(*args, **kwargs):
+        kernel_calls.append(1)
+        return fused(*args, **kwargs)
+
     monkeypatch.setattr(scoring, "score_F_batch", counting)
+    monkeypatch.setattr(NativeKernel, "score_f_walsh", counting_fused)
     table = load_dataset("nltcs", n=800, seed=3)
     cache = ScoringCache()
     calls = []

@@ -248,6 +248,25 @@ class TestThreadSafety:
         with pytest.raises(PrivacyBudgetError):
             acc.spend("over", 0.6)
 
+    def test_replayed_charges_past_the_total_refused(self):
+        """A replayed ledger no sequence of grants could have written."""
+        with pytest.raises(
+            ValueError, match="records ε spend 1.2 exceeding its total budget 1"
+        ):
+            PrivacyAccountant(1.0, [("a", 0.6), ("b", 0.6)])
+
+    def test_replay_allows_what_spend_allows(self):
+        """The replay check and ``spend`` share one tolerance: charges
+        ``spend`` granted replay, and one past it is refused by both."""
+        granted = PrivacyAccountant(1.0)
+        granted.spend("a", 0.5)
+        granted.spend("b", 0.5 + 5e-10)
+        assert PrivacyAccountant(1.0, granted.ledger).spent == granted.spent
+        with pytest.raises(PrivacyBudgetError):
+            PrivacyAccountant(1.0).spend("c", 1.0 + 2e-9)
+        with pytest.raises(ValueError, match="exceeding its total budget"):
+            PrivacyAccountant(1.0, [("c", 1.0 + 2e-9)])
+
 
 class TestUnwind:
     def test_unwind_restores_budget(self):

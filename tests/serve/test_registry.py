@@ -1,11 +1,12 @@
 """ModelRegistry: resident models, warm restarts, validated loads."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.privbayes import PrivBayes, PrivBayesConfig
+from repro.core.privbayes import PrivBayes, PrivBayesConfig, PrivBayesModel
 from repro.datasets.synthetic import random_binary_table
 from repro.serve.registry import ModelRegistry, registry_key
 
@@ -264,3 +265,98 @@ class TestWarmRestart:
         entry.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
             ModelRegistry(tmp_path)
+
+
+GOLDEN_ENTRY = (
+    Path(__file__).resolve().parent.parent / "golden_documents" / "adult__cb5d986b.json"
+)
+
+
+def _golden_root(tmp_path, edit=None, name=GOLDEN_ENTRY.name):
+    """A registry root holding the golden Adult entry as ``name``, after
+    ``edit`` changed its document."""
+    doc = json.loads(GOLDEN_ENTRY.read_text())
+    if edit is not None:
+        edit(doc)
+    (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path / name
+
+
+class TestEntryIdentity:
+    """Each of these loaded before the registry checked them."""
+
+    def test_golden_entry_loads(self, tmp_path):
+        _golden_root(tmp_path)
+        assert len(ModelRegistry(tmp_path)) == 1
+
+    def test_charges_past_the_entry_epsilon_refused(self, tmp_path):
+        """ε 1.0 with one 5.0 charge loaded with ``remaining`` -4.0."""
+        entry = _golden_root(
+            tmp_path,
+            lambda doc: doc.__setitem__("ledger", [["network-learning", 5.0]]),
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"{entry.name}: ledger: records ε spend 5 exceeding its "
+            "total budget 1",
+        ):
+            ModelRegistry(tmp_path)
+
+    def test_copy_under_another_name_refused(self, tmp_path):
+        """A copy named ``zzz.json`` replaced the golden entry without a
+        word: one entry loaded, with the copy's charges."""
+        _golden_root(tmp_path)
+        copy = _golden_root(
+            tmp_path,
+            lambda doc: doc.__setitem__("ledger", [["network-learning", 0.3]]),
+            name="zzz.json",
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"{copy.name}: an entry for its dataset and config is "
+            rf"stored as '{GOLDEN_ENTRY.name}', not 'zzz.json'",
+        ):
+            ModelRegistry(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.__setitem__("dataset", "census"),
+            lambda doc: doc["config"].__setitem__("epsilon", 2.0),
+            lambda doc: doc["config"].__setitem__("first_attribute", "age"),
+        ],
+        ids=["dataset", "epsilon", "first-attribute"],
+    )
+    def test_edited_key_refused(self, tmp_path, edit):
+        """An entry whose dataset or config was edited loaded under a key
+        its file name does not match."""
+        entry = _golden_root(tmp_path, edit)
+        with pytest.raises(
+            ValueError, match=rf"{entry.name}: an entry .* is stored as"
+        ):
+            ModelRegistry(tmp_path)
+
+    @pytest.mark.parametrize("source_n", [-1, 0])
+    def test_source_n_below_one_refused(self, tmp_path, source_n):
+        """``source_n`` -1 loaded, and every default-size draw then failed
+        with an error naming no file."""
+        entry = _golden_root(
+            tmp_path, lambda doc: doc.__setitem__("source_n", source_n)
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"{entry.name}: source_n: source_n must be a positive "
+            rf"integer; got {source_n}",
+        ):
+            ModelRegistry(tmp_path)
+
+
+def test_model_refuses_source_n_below_one(fitted):
+    with pytest.raises(ValueError, match="source_n must be a positive integer"):
+        PrivBayesModel(
+            noisy=fitted.noisy,
+            table_attributes=fitted.table_attributes,
+            source_n=0,
+            config=fitted.config,
+            accountant=fitted.accountant,
+        )
