@@ -362,9 +362,10 @@ static int merge_init(merge_t *w, int64_t m, int64_t n)
     int status = 0, i;
     /* Masses at or above n/2 saturate the shortfall, so coordinates are
      * capped at ceil(n/2): capping only merges states whose shortfall
-     * terms are already exactly zero (same argument as score_F_dp). */
+     * terms are already exactly zero (same argument as score_F_dp).  It
+     * is formed without n + 1, which overflows at n = INT64_MAX. */
     w->n = n;
-    w->cap = (n + 1) / 2;
+    w->cap = n / 2 + n % 2;
     w->bounded = n <= BOUND_MAX_N;
     for (i = 0; i < 2; i++) {
         w->bufs[i].capacity = 1024;

@@ -131,16 +131,22 @@ class TestBlockedKernelCrossCheck:
         assert score_F_batch(flat, 12).shape == (1,)
         assert score_F_batch(flat, 12)[0] == score_F_dp(flat, 12)
 
-    def test_huge_n_wide_domain(self):
+    @pytest.mark.parametrize(
+        "wide_n",
+        [lambda small_n: (1 << 40) + small_n, lambda small_n: 2**63 - 1],
+        ids=["2**40", "int64-max"],
+    )
+    def test_huge_n_wide_domain(self, wide_n):
         """n too wide for the NumPy path's packed bit fields stays exact.
 
         The NumPy side falls back to the per-candidate reference DP; the
         native side needs no fallback (its coordinates are never packed).
-        Either way the scores match the reference bitwise.
+        Either way the scores match the reference bitwise.  At the largest
+        int64 the native merge must form its cap ceil(n/2) without n + 1.
         """
         rng = np.random.default_rng(4000)
         matrices, small_n = _random_batch(rng, 18, count=3)
-        n = (1 << 40) + small_n
+        n = wide_n(small_n)
         matrices[:, 0, 0] += n - small_n
         got = score_F_batch(matrices, n)
         ref = np.array([score_F_dp(m.reshape(-1), n) for m in matrices])

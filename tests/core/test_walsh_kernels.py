@@ -243,8 +243,14 @@ def test_bad_arguments_are_refused(parents, children, n):
         )
 
 
-def test_wrong_n_is_a_bad_joint(backend):
-    """Joints of the table's n tuples, scored as if there were n + 1."""
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize(
+    "wrong_n", [lambda n: n + 1, lambda n: 2**63 - 1], ids=["n+1", "int64-max"]
+)
+def test_wrong_n_is_a_bad_joint(wrong_n):
+    """Joints of the table's n tuples, scored as if there were n + 1, or
+    the largest int64, at which the merge's set-up, run before any joint
+    is checked, must not overflow (a UBSan build stops at one)."""
     kernel = _native()
     table = _binary_table(4, 100, 2)
     cache = ParentIndexCache(table)
@@ -253,5 +259,5 @@ def test_wrong_n_is_a_bad_joint(backend):
             cache.coefficients,
             np.array([[0, 1]], dtype=np.int64),
             np.array([2], dtype=np.int64),
-            table.n + 1,
+            wrong_n(table.n),
         )
